@@ -1,0 +1,40 @@
+"""Pinned outputs: `entrofed run` on two fixed configs must reproduce the
+checked-in round CSVs and summary byte for byte.
+
+The files under ``tests/golden/<name>/`` were written by the code before
+per-round telemetry moved to stacked evaluation. Any change in summation
+order that moves a printed digit shows up here as a diff against them,
+not merely as a difference between two reruns of the same code.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from entrofed.harness import build_federation, main, parse_config
+
+GOLDEN = Path(__file__).parent / "golden"
+CASES = ("blobs-mlp", "glr-qffl")
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_run_reproduces_golden_files(name, tmp_path, monkeypatch):
+    case = GOLDEN / name
+    monkeypatch.setenv("ENTROFED_OUTPUT_DIR", str(tmp_path))
+    assert main(["run", "--config", str(case / "config.cfg")]) == 0
+    expected = sorted(p.name for p in case.iterdir() if p.name != "config.cfg")
+    assert sorted(p.name for p in tmp_path.iterdir()) == expected
+    for fname in expected:
+        got = (tmp_path / fname).read_text(encoding="utf-8").splitlines()
+        want = (case / fname).read_text(encoding="utf-8").splitlines()
+        diff = [(i + 1, w, g) for i, (w, g) in enumerate(zip(want, got)) if w != g]
+        assert len(got) == len(want) and not diff, f"{name}/{fname} moved: {diff[:5]}"
+
+
+def test_blob_golden_config_has_unequal_and_single_sample_clients():
+    cfg = parse_config(GOLDEN / "blobs-mlp" / "config.cfg")
+    for seed in cfg.seeds:
+        federation, _ = build_federation(cfg, seed)
+        sizes = [c.objective.full_size for c in federation.clients]
+        assert min(sizes) == 1
+        assert max(sizes) >= 10
