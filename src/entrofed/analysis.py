@@ -15,6 +15,7 @@ import numpy as np
 
 from entrofed.core import entropy, softmax_temperature, validate_simplex
 from entrofed.aggregation import uniform_weights
+from entrofed.objectives import ObjectiveStack, stack_objectives
 
 
 class InfeasibleGridError(RuntimeError):
@@ -73,18 +74,19 @@ class FairnessReport:
 def evaluate_fairness(test_objectives, x: np.ndarray, k_percent: float = 5.0) -> FairnessReport:
     """Evaluate a model on every client's test objective.
 
-    Accuracy statistics are NaN for objective families without an
-    ``accuracy`` method (regression clients); the global accuracy is
-    weighted by client test-set size.
+    ``test_objectives`` is a sequence of objectives or an
+    :class:`ObjectiveStack` of them (a federation keeps one, so the data is
+    not stacked again every round). Accuracy statistics are NaN for
+    objective families without an ``accuracy`` method (regression clients);
+    the global accuracy is weighted by client test-set size.
     """
-    losses = np.array([obj.loss(x) for obj in test_objectives])
-    accs = np.array(
-        [
-            obj.accuracy(x) if hasattr(obj, "accuracy") else np.nan
-            for obj in test_objectives
-        ]
+    stack = (
+        test_objectives
+        if isinstance(test_objectives, ObjectiveStack)
+        else stack_objectives(test_objectives)
     )
-    sizes = np.array([obj.full_size for obj in test_objectives], dtype=np.float64)
+    losses, accs, _ = stack.evaluate(x)
+    sizes = stack.sizes
     if np.all(np.isfinite(accs)):
         acc_var = population_variance(accs)
         worst = tail_mean(accs, k_percent, "worst")

@@ -1,7 +1,8 @@
 """Experiment harness: config files, subcommands, CSV persistence.
 
-Configs are flat ``key = value`` text files with ``[section]`` headers (see
-``_SCHEMA`` for every key and its default). Subcommands:
+Configs are flat ``key = value`` text files with ``[section]`` headers and
+``#``/``;`` comments (see ``_SCHEMA`` for every key and its default).
+Subcommands:
 
 * ``run``       -- train per seed, write per-seed round CSVs and a summary,
 * ``oracle``    -- print closed-form oracle records in key=value form,
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -293,9 +295,14 @@ _FIELD_BY_KEY = {
 }
 
 
+# "#" or ";" after whitespace starts a comment that runs to the end of the line
+_INLINE_COMMENT = re.compile(r"\s[#;].*$")
+
+
 def parse_config(path) -> ExperimentConfig:
     """Parse and validate a config file; every violation names the
-    offending field and line."""
+    offending field and line. Comments start with ``#`` or ``;`` at the
+    start of a line or after whitespace."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
@@ -305,7 +312,7 @@ def parse_config(path) -> ExperimentConfig:
     raw: dict[tuple[str, str], tuple[str, int]] = {}
     section = None
     for line_no, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
+        stripped = _INLINE_COMMENT.sub("", line).strip()
         if not stripped or stripped.startswith(("#", ";")):
             continue
         if stripped.startswith("[") and stripped.endswith("]"):

@@ -7,6 +7,9 @@ Three concrete families share one interface:
 * :class:`ClassifierObjective` -- softmax regression or a one-hidden-layer
   MLP with hand-written backpropagation.
 
+:func:`stack_objectives` evaluates many objectives of one family at one
+parameter vector in a single blocked pass (see :class:`ObjectiveStack`).
+
 Model parameters are always a single flat float64 vector; the layout per
 architecture is documented on the class. Objectives are immutable after
 construction and safe to evaluate concurrently.
@@ -15,6 +18,7 @@ construction and safe to evaluate concurrently.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from typing import NamedTuple
 
 import numpy as np
 
@@ -231,8 +235,8 @@ class ClassifierObjective(LocalObjective):
 
     @staticmethod
     def _log_softmax(logits: np.ndarray) -> np.ndarray:
-        z = logits - logits.max(axis=1, keepdims=True)
-        return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+        z = logits - logits.max(axis=-1, keepdims=True)
+        return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
     def loss(self, x, subset=None) -> float:
         arr = self._check_x(x)
@@ -243,12 +247,17 @@ class ClassifierObjective(LocalObjective):
     def gradient(self, x, subset=None) -> np.ndarray:
         arr = self._check_x(x)
         feats, labels = self._batch(subset)
-        n = len(labels)
         logits, pre, act = self._logits(arr, feats)
-        probs = np.exp(self._log_softmax(logits))
-        dlogits = probs
-        dlogits[np.arange(n), labels] -= 1.0
-        dlogits /= n
+        return self._backprop(
+            arr, feats, labels, self._log_softmax(logits), pre, act, len(labels)
+        )
+
+    def _backprop(self, arr, feats, labels, logp, pre, act, divisor) -> np.ndarray:
+        """Gradient of the summed cross-entropy of the rows over ``divisor``,
+        from the forward pass's log-probabilities and hidden layer."""
+        dlogits = np.exp(logp)
+        dlogits[np.arange(len(labels)), labels] -= 1.0
+        dlogits /= divisor
         if self.hidden == 0:
             dw = feats.T @ dlogits
             db = dlogits.sum(axis=0)
@@ -271,6 +280,155 @@ class ClassifierObjective(LocalObjective):
         feats, labels = self._batch(subset)
         pred = self._logits(arr, feats)[0].argmax(axis=1)
         return float((pred == labels).mean())
+
+
+# Rows per block in stacked evaluation. A block holds whole clients of one
+# sample count, so a client larger than this gets a block to itself.
+STACK_BLOCK_ROWS = 256
+
+
+class StackedEval(NamedTuple):
+    """Full-batch results for every objective of a stack, in stack order."""
+
+    losses: np.ndarray
+    accuracies: np.ndarray  # NaN for families without ``accuracy``
+    mean_gradient: np.ndarray | None  # the client mean, when asked for
+
+
+class ObjectiveStack:
+    """Full-batch loss, accuracy and client-mean gradient of many objectives
+    at one parameter vector.
+
+    This base form calls each objective in turn. :func:`stack_objectives`
+    returns a family subclass where one exists. The GLR and classifier
+    stacks copy the samples once into blocks of equal-size clients and
+    evaluate a whole block per numpy call; each client's rows go through
+    the same BLAS calls and the same row reductions as its own
+    ``loss``/``accuracy``, so losses and accuracies are bitwise equal to the
+    per-client values. (Quadratic losses agree to rounding: the vector
+    square and the scalar power may differ in the last bit.) The mean
+    gradient is one backward pass with every row scaled by 1/(m n_i), and
+    agrees with the mean of per-client gradients up to summation order.
+    """
+
+    def __init__(self, objectives):
+        self.objectives = tuple(objectives)
+        self.sizes = np.array([o.full_size for o in self.objectives], dtype=np.float64)
+
+    @property
+    def m(self) -> int:
+        return len(self.objectives)
+
+    def evaluate(self, x: np.ndarray, gradient: bool = False) -> StackedEval:
+        objs = self.objectives
+        return StackedEval(
+            losses=np.array([o.loss(x) for o in objs]),
+            accuracies=np.array(
+                [o.accuracy(x) if hasattr(o, "accuracy") else np.nan for o in objs]
+            ),
+            mean_gradient=np.mean([o.gradient(x) for o in objs], axis=0) if gradient else None,
+        )
+
+
+def _size_blocks(objectives, rows) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Blocks ``(ids, inputs, targets)``: runs of c clients of one sample
+    count n (ascending n, at most max(1, STACK_BLOCK_ROWS // n) clients per
+    run), with their ``rows(objective)`` pairs stacked to (c, n, d) and
+    (c, n)."""
+    sizes = np.array([o.full_size for o in objectives])
+    order = np.argsort(sizes, kind="stable")
+    blocks, start = [], 0
+    while start < order.size:
+        n = sizes[order[start]]
+        ids = order[start : start + max(1, STACK_BLOCK_ROWS // n)]
+        ids = ids[sizes[ids] == n]
+        inputs, targets = zip(*(rows(objectives[i]) for i in ids))
+        blocks.append((ids, np.stack(inputs), np.stack(targets)))
+        start += ids.size
+    return blocks
+
+
+class _QuadraticStack(ObjectiveStack):
+    def __init__(self, objectives):
+        super().__init__(objectives)
+        self._a = np.array([o.a for o in self.objectives])
+        self._c = np.array([o.c for o in self.objectives])
+
+    def evaluate(self, x, gradient=False) -> StackedEval:
+        arr = self.objectives[0]._check_x(x)
+        diff = arr[0] - self._c
+        return StackedEval(
+            losses=self._a * diff**2,
+            accuracies=np.full(self.m, np.nan),
+            mean_gradient=np.array([np.mean(2.0 * self._a * diff)]) if gradient else None,
+        )
+
+
+class _GlrStack(ObjectiveStack):
+    def __init__(self, objectives):
+        super().__init__(objectives)
+        self._blocks = _size_blocks(self.objectives, lambda o: (o.design, o.targets))
+
+    def evaluate(self, x, gradient=False) -> StackedEval:
+        w = self.objectives[0]._check_x(x)
+        losses = np.empty(self.m)
+        grad = np.zeros_like(w) if gradient else None
+        for ids, design, targets in self._blocks:
+            c, n = targets.shape
+            r = design @ w - targets
+            # (1, n) @ (n, 1) per client is the BLAS dot GlrObjective.loss uses
+            losses[ids] = 0.5 * (r[:, None, :] @ r[:, :, None])[:, 0, 0] / n
+            if gradient:
+                grad += design.reshape(c * n, -1).T @ r.ravel() / (self.m * n)
+        return StackedEval(losses, np.full(self.m, np.nan), grad)
+
+
+class _ClassifierStack(ObjectiveStack):
+    def __init__(self, objectives):
+        super().__init__(objectives)
+        self._model = self.objectives[0]
+        self._blocks = _size_blocks(self.objectives, lambda o: (o.features, o.labels))
+
+    def evaluate(self, x, gradient=False) -> StackedEval:
+        model = self._model
+        arr = model._check_x(x)
+        losses = np.empty(self.m)
+        accs = np.empty(self.m)
+        grad = np.zeros_like(arr) if gradient else None
+        for ids, feats, labels in self._blocks:
+            # feats is (clients, n, d): matmul makes one BLAS call per client
+            logits, pre, act = model._logits(arr, feats)
+            logp = model._log_softmax(logits)
+            picked = np.take_along_axis(logp, labels[..., None], axis=-1)[..., 0]
+            losses[ids] = (-picked).mean(axis=1)
+            accs[ids] = (logits.argmax(axis=-1) == labels).mean(axis=1)
+            if gradient:
+                c, n = labels.shape
+
+                def rows(a):
+                    return None if a is None else a.reshape(c * n, -1)
+
+                grad += model._backprop(
+                    arr, rows(feats), labels.ravel(), rows(logp), rows(pre), rows(act), self.m * n
+                )
+        return StackedEval(losses, accs, grad)
+
+
+def stack_objectives(objectives) -> ObjectiveStack:
+    """The stacked evaluator for a sequence of objectives: a one-pass family
+    stack when all are of one family and one shape, else the per-objective
+    loop."""
+    objs = tuple(objectives)
+    kinds = {type(o) for o in objs}
+    if kinds == {QuadraticObjective}:
+        return _QuadraticStack(objs)
+    if kinds == {GlrObjective} and len({o.dimension for o in objs}) == 1:
+        return _GlrStack(objs)
+    if kinds == {ClassifierObjective} and len(
+        {(o.features.shape[1], o.n_classes, o.hidden, o.activation) for o in objs}
+    ) == 1:
+        return _ClassifierStack(objs)
+    return ObjectiveStack(objs)
 
 
 def finite_diff_gradient(

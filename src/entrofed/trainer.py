@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -34,7 +35,7 @@ from entrofed.aggregation import (
 )
 from entrofed.analysis import evaluate_fairness
 from entrofed.core import SeededRng, chi_square_divergence, fair_angle
-from entrofed.objectives import LocalObjective
+from entrofed.objectives import LocalObjective, ObjectiveStack, stack_objectives
 
 _METHODS = ("fedavg", "qffl", "fedeba_plus")
 
@@ -119,6 +120,17 @@ class Federation:
     @property
     def sizes(self) -> np.ndarray:
         return np.array([c.objective.full_size for c in self.clients], dtype=np.float64)
+
+    # The stacks copy the client data once, on first use, for the per-round
+    # telemetry that evaluates every client; objectives are immutable, so
+    # the copy stays valid.
+    @cached_property
+    def train_stack(self) -> ObjectiveStack:
+        return stack_objectives(c.objective for c in self.clients)
+
+    @cached_property
+    def eval_stack(self) -> ObjectiveStack:
+        return stack_objectives(c.eval_objective for c in self.clients)
 
 
 @dataclass(frozen=True)
@@ -362,13 +374,8 @@ def _finish_round(
     aligned: bool,
     weights: np.ndarray,
 ) -> RoundReport:
-    train_losses = np.array([c.objective.loss(x_next) for c in federation.clients])
-    grad_mean = np.mean(
-        [c.objective.gradient(x_next) for c in federation.clients], axis=0
-    )
-    fairness = evaluate_fairness(
-        [c.eval_objective for c in federation.clients], x_next, cfg.k_percent
-    )
+    train = federation.train_stack.evaluate(x_next, gradient=True)
+    fairness = evaluate_fairness(federation.eval_stack, x_next, cfg.k_percent)
     return RoundReport(
         round_index=round_index,
         tau=tau,
@@ -376,8 +383,8 @@ def _finish_round(
         branch="aligned" if aligned else "plain",
         sampled=sampled,
         weights=weights,
-        global_train_loss=float(train_losses.mean()),
-        global_grad_norm=float(np.linalg.norm(grad_mean)),
+        global_train_loss=float(train.losses.mean()),
+        global_grad_norm=float(np.linalg.norm(train.mean_gradient)),
         test_losses=fairness.test_losses,
         test_accuracies=fairness.test_accuracies,
         loss_variance=fairness.loss_variance,

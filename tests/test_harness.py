@@ -1,6 +1,8 @@
 """Config parsing, CLI subcommands, and output-file contracts."""
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -102,6 +104,27 @@ class TestParseConfig:
             write_cfg(tmp_path, "# top\n\n[trainer]\n; note\nrounds = 3\n")
         )
         assert cfg.rounds == 3
+
+    def test_inline_comments_stripped(self, tmp_path):
+        text = (
+            "[trainer]  # section note\n"
+            "method = qffl     # fedavg | qffl | fedeba_plus\n"
+            "rounds = 7\t; tab then semicolon\n"
+            "[run]\n"
+            "output_dir = runs#1\n"
+        )
+        cfg = parse_config(write_cfg(tmp_path, text))
+        assert (cfg.method, cfg.rounds) == ("qffl", 7)
+        # no whitespace before '#': part of the value
+        assert cfg.output_dir == "runs#1"
+
+    def test_readme_ini_example_parses(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        blocks = re.findall(r"^```ini\n(.*?)^```", readme, flags=re.M | re.S)
+        assert len(blocks) == 1
+        cfg = parse_config(write_cfg(tmp_path, blocks[0]))
+        assert (cfg.method, cfg.rounds, cfg.clients, cfg.seeds) == ("fedeba_plus", 200, 50, (1, 2, 3))
+        assert (cfg.theta_deg, cfg.batch_size, cfg.model) == (0.0, None, "softmax")
 
 
 class TestBuildFederation:

@@ -2,15 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from entrofed.core import SeededRng
 from entrofed.objectives import (
+    STACK_BLOCK_ROWS,
     ClassifierObjective,
     GlrObjective,
+    ObjectiveStack,
     QuadraticObjective,
     finite_diff_gradient,
     glr_least_squares,
     gradient_noise_estimate,
+    stack_objectives,
 )
 
 
@@ -243,3 +247,72 @@ class TestGradientNoise:
         small = gradient_noise_estimate(obj, x, 4, SeededRng(1), probes=64)
         large = gradient_noise_estimate(obj, x, 30, SeededRng(1), probes=64)
         assert small > large >= 0.0
+
+
+# family -> factory(rng, n) of one client objective with n samples
+STACK_FAMILIES = {
+    "quadratic": lambda rng, n: QuadraticObjective(0.1 + 3 * rng.uniform(), rng.uniform(-5, 5)),
+    "glr": lambda rng, n: random_glr(rng, n=n, d=3),
+    "softmax": lambda rng, n: random_classifier(rng, n=n, d=4, c=3),
+    "mlp-tanh": lambda rng, n: random_classifier(rng, 5, "tanh", n=n, d=4, c=3),
+    "mlp-relu": lambda rng, n: random_classifier(rng, 5, "relu", n=n, d=4, c=3),
+}
+
+
+class TestStackedEvaluation:
+    """The one-pass family stacks against per-client loss/accuracy/gradient."""
+
+    @pytest.mark.parametrize("family", sorted(STACK_FAMILIES))
+    @given(
+        sizes=st.lists(
+            st.one_of(st.integers(1, 4), st.integers(1, 2 * STACK_BLOCK_ROWS)),
+            min_size=1,
+            max_size=40,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # many clients of one size span several blocks; one client spans two
+    @example(sizes=[8] * 40 + [1] * 300, seed=1)
+    @example(sizes=[3, 1, 3 * STACK_BLOCK_ROWS, 1], seed=2)
+    @settings(max_examples=40, deadline=None)
+    def test_matches_per_client_calls(self, family, sizes, seed):
+        rng = SeededRng(seed)
+        objs = [STACK_FAMILIES[family](rng, n) for n in sizes]
+        x = 0.5 * rng.normals(objs[0].dimension)
+        stack = stack_objectives(objs)
+        assert type(stack) is not ObjectiveStack
+        got = stack.evaluate(x, gradient=True)
+
+        np.testing.assert_allclose(got.losses, [o.loss(x) for o in objs], rtol=1e-12, atol=0)
+        if family in ("quadratic", "glr"):
+            assert np.isnan(got.accuracies).all()
+        else:
+            assert np.array_equal(got.accuracies, [o.accuracy(x) for o in objs])
+        grads = np.array([o.gradient(x) for o in objs])
+        # a sum of m terms is good to rounding relative to the terms' size
+        np.testing.assert_allclose(
+            got.mean_gradient, grads.mean(axis=0), rtol=1e-12, atol=1e-12 * np.abs(grads).max()
+        )
+        assert stack.evaluate(x).mean_gradient is None
+        assert np.array_equal(stack.sizes, [o.full_size for o in objs])
+
+    def test_classifier_and_glr_losses_are_bitwise_per_client(self):
+        # Exact equality is what keeps pinned round CSVs byte-identical.
+        rng = SeededRng(30)
+        sizes = [1, 1, 2, 7, 7, 7, 33, 300, 2, 1]
+        for family in ("glr", "softmax", "mlp-tanh", "mlp-relu"):
+            objs = [STACK_FAMILIES[family](rng, n) for n in sizes]
+            x = 0.5 * rng.normals(objs[0].dimension)
+            got = stack_objectives(objs).evaluate(x)
+            assert np.array_equal(got.losses, [o.loss(x) for o in objs]), family
+
+    def test_mixed_families_fall_back_to_the_loop(self):
+        rng = SeededRng(31)
+        objs = [random_classifier(rng, n=5), random_classifier(rng, n=5, d=3)]
+        assert type(stack_objectives(objs)) is ObjectiveStack
+        objs = [QuadraticObjective(1.0, 0.0), random_glr(rng, n=4, d=1)]
+        stack = stack_objectives(objs)
+        assert type(stack) is ObjectiveStack
+        got = stack.evaluate(np.array([0.5]), gradient=True)
+        assert np.array_equal(got.losses, [o.loss([0.5]) for o in objs])
+        assert np.isnan(got.accuracies).all()

@@ -7,7 +7,7 @@ import pytest
 
 from entrofed.aggregation import EbaConfig
 from entrofed.core import SeededRng, softmax_temperature
-from entrofed.objectives import LocalObjective, QuadraticObjective
+from entrofed.objectives import ClassifierObjective, LocalObjective, QuadraticObjective
 from entrofed.trainer import (
     Client,
     Federation,
@@ -424,3 +424,55 @@ class TestRunTraining:
             TrainerConfig(rounds=1, local_steps=1, clients_per_round=1, local_lr=0.1, theta=4.0)
         with pytest.raises(ValueError):
             TrainerConfig(rounds=1, local_steps=1, clients_per_round=1, local_lr=0.1, method="sgd")
+
+
+def classifier_federation(m, seed=0, d=4, classes=3):
+    rng = SeededRng(seed)
+
+    def obj(n):
+        return ClassifierObjective(rng.normals(n * d).reshape(n, d), rng.integers(n, classes), classes)
+
+    return Federation(tuple(Client(obj(1 + i % 7), obj(1 + i % 3)) for i in range(m)))
+
+
+class TestTelemetryCallCounts:
+    """Per-round telemetry evaluates all clients through the federation's
+    stacks, so per-client objective calls come only from the sampled
+    clients' training, whatever m is."""
+
+    @pytest.mark.parametrize("m", [20, 50])
+    @pytest.mark.parametrize("method", ["fedeba_plus", "fedavg", "qffl"])
+    def test_no_per_client_calls_in_telemetry(self, monkeypatch, m, method):
+        counts = {"loss": 0, "gradient": 0, "accuracy": 0}
+        for name in counts:
+            original = getattr(ClassifierObjective, name)
+
+            def counted(self, *args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(ClassifierObjective, name, counted)
+
+        cfg = TrainerConfig(
+            rounds=6,
+            local_steps=3,
+            clients_per_round=5,
+            local_lr=0.5,
+            theta=math.radians(5.0),
+            method=method,
+            seed=4,
+        )
+        per_round = []
+
+        def on_round(report, x):
+            per_round.append((report.branch, dict(counts)))
+            counts.update(loss=0, gradient=0, accuracy=0)
+
+        fed = classifier_federation(m)
+        run_training(fed, cfg, x0=np.zeros(fed.dimension), on_round=on_round)
+        branches = {branch for branch, _ in per_round}
+        assert branches == ({"plain", "aligned"} if method == "fedeba_plus" else {"plain"})
+        k, s = cfg.local_steps, cfg.clients_per_round
+        for branch, c in per_round:
+            start_grads = s if branch == "aligned" else 0
+            assert c == {"loss": 3 * s, "gradient": k * s + start_grads, "accuracy": 0}
