@@ -305,10 +305,10 @@ class ObjectiveStack:
     evaluate a whole block per numpy call; each client's rows go through
     the same BLAS calls and the same row reductions as its own
     ``loss``/``accuracy``, so losses and accuracies are bitwise equal to the
-    per-client values. (Quadratic losses agree to rounding: the vector
-    square and the scalar power may differ in the last bit.) The mean
-    gradient is one backward pass with every row scaled by 1/(m n_i), and
-    agrees with the mean of per-client gradients up to summation order.
+    per-client values. Other families, quadratic among them, use this loop.
+    The mean gradient is one backward pass with every row scaled by
+    1/(m n_i), and agrees with the mean of per-client gradients up to
+    summation order.
     """
 
     def __init__(self, objectives):
@@ -346,22 +346,6 @@ def _size_blocks(objectives, rows) -> list[tuple[np.ndarray, np.ndarray, np.ndar
         blocks.append((ids, np.stack(inputs), np.stack(targets)))
         start += ids.size
     return blocks
-
-
-class _QuadraticStack(ObjectiveStack):
-    def __init__(self, objectives):
-        super().__init__(objectives)
-        self._a = np.array([o.a for o in self.objectives])
-        self._c = np.array([o.c for o in self.objectives])
-
-    def evaluate(self, x, gradient=False) -> StackedEval:
-        arr = self.objectives[0]._check_x(x)
-        diff = arr[0] - self._c
-        return StackedEval(
-            losses=self._a * diff**2,
-            accuracies=np.full(self.m, np.nan),
-            mean_gradient=np.array([np.mean(2.0 * self._a * diff)]) if gradient else None,
-        )
 
 
 class _GlrStack(ObjectiveStack):
@@ -420,8 +404,6 @@ def stack_objectives(objectives) -> ObjectiveStack:
     loop."""
     objs = tuple(objectives)
     kinds = {type(o) for o in objs}
-    if kinds == {QuadraticObjective}:
-        return _QuadraticStack(objs)
     if kinds == {GlrObjective} and len({o.dimension for o in objs}) == 1:
         return _GlrStack(objs)
     if kinds == {ClassifierObjective} and len(

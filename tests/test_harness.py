@@ -117,6 +117,10 @@ class TestParseConfig:
         assert (cfg.method, cfg.rounds) == ("qffl", 7)
         # no whitespace before '#': part of the value
         assert cfg.output_dir == "runs#1"
+        # whitespace before '#' or ';' cuts the value there, as the README says
+        for value, kept in (("my runs #2", "my runs"), ("a ;b", "a")):
+            cfg = parse_config(write_cfg(tmp_path, f"[run]\noutput_dir = {value}\n"))
+            assert cfg.output_dir == kept
 
     def test_readme_ini_example_parses(self, tmp_path):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

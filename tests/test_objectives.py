@@ -260,7 +260,8 @@ STACK_FAMILIES = {
 
 
 class TestStackedEvaluation:
-    """The one-pass family stacks against per-client loss/accuracy/gradient."""
+    """The stacked evaluator against per-client loss/accuracy/gradient:
+    one-pass family stacks for GLR and classifiers, the loop for quadratics."""
 
     @pytest.mark.parametrize("family", sorted(STACK_FAMILIES))
     @given(
@@ -280,7 +281,7 @@ class TestStackedEvaluation:
         objs = [STACK_FAMILIES[family](rng, n) for n in sizes]
         x = 0.5 * rng.normals(objs[0].dimension)
         stack = stack_objectives(objs)
-        assert type(stack) is not ObjectiveStack
+        assert (type(stack) is ObjectiveStack) == (family == "quadratic")
         got = stack.evaluate(x, gradient=True)
 
         np.testing.assert_allclose(got.losses, [o.loss(x) for o in objs], rtol=1e-12, atol=0)
@@ -310,6 +311,8 @@ class TestStackedEvaluation:
         rng = SeededRng(31)
         objs = [random_classifier(rng, n=5), random_classifier(rng, n=5, d=3)]
         assert type(stack_objectives(objs)) is ObjectiveStack
+        # quadratics have no family stack: the loop is exact and cheap
+        assert type(stack_objectives([QuadraticObjective(1.0, 0.0)] * 3)) is ObjectiveStack
         objs = [QuadraticObjective(1.0, 0.0), random_glr(rng, n=4, d=1)]
         stack = stack_objectives(objs)
         assert type(stack) is ObjectiveStack
