@@ -1,7 +1,8 @@
 """Experiment harness: config files, subcommands, CSV persistence.
 
 Configs are flat ``key = value`` text files with ``[section]`` headers and
-``#``/``;`` comments (see ``_SCHEMA`` for every key and its default).
+``#``/``;`` comments (the fields of ``ExperimentConfig`` declare every key
+and its default).
 Subcommands:
 
 * ``run``       -- train per seed, write per-seed round CSVs and a summary,
@@ -20,7 +21,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -148,93 +149,61 @@ def _seed_list(s: str) -> tuple[int, ...]:
         raise ValueError(f"seeds must be integers, got {s!r}") from None
 
 
-_SCHEMA: dict[tuple[str, str], tuple[object, object]] = {
-    ("trainer", "method"): ("fedeba_plus", _a_choice("fedavg", "qffl", "fedeba_plus")),
-    ("trainer", "rounds"): (50, _an_int(1)),
-    ("trainer", "local_steps"): (5, _an_int(1)),
-    ("trainer", "clients_per_round"): (10, _an_int(1)),
-    ("trainer", "global_lr"): (1.0, _a_float(0.0, strict_min=True)),
-    ("trainer", "local_lr"): (0.05, _a_float(0.0, strict_min=True)),
-    ("trainer", "alpha"): (0.5, _a_float(0.0, 1.0)),
-    ("trainer", "theta_deg"): (90.0, _a_float(0.0, 180.0)),
-    ("trainer", "batch_size"): (None, _batch_size),
-    ("trainer", "tau0"): (0.1, _a_float(0.0, strict_min=True)),
-    ("trainer", "tau_schedule"): (
-        "constant",
-        _a_choice("constant", "linear", "concave", "convex"),
-    ),
-    ("trainer", "tau_decay"): (0.0, _a_float(0.0)),
-    ("trainer", "prior"): ("uniform", _a_choice("uniform", "data_ratio")),
-    ("trainer", "qffl_q"): (1.0, _a_float(0.0)),
-    ("trainer", "qffl_lipschitz"): (1.0, _a_float(0.0, strict_min=True)),
-    ("data", "kind"): ("blobs", _a_choice("blobs", "glr")),
-    ("data", "classes"): (10, _an_int(2)),
-    ("data", "per_class"): (200, _an_int(1)),
-    ("data", "dim"): (8, _an_int(1)),
-    ("data", "spread"): (1.0, _a_float(0.0)),
-    ("data", "model"): ("softmax", _a_choice("softmax", "mlp")),
-    ("data", "hidden_units"): (32, _an_int(1)),
-    ("data", "activation"): ("tanh", _a_choice("tanh", "relu")),
-    ("data", "glr_dim"): (4, _an_int(1)),
-    ("data", "samples_per_client"): (32, _an_int(1)),
-    ("data", "design_scale"): (1.0, _a_float(0.0, strict_min=True)),
-    ("data", "noise_std"): (0.1, _a_float(0.0)),
-    ("data", "param_scale"): (1.0, _a_float(0.0)),
-    ("partition", "mode"): ("dirichlet", _a_choice("shards", "dirichlet")),
-    ("partition", "clients"): (20, _an_int(1)),
-    ("partition", "shards_per_client"): (2, _an_int(1)),
-    ("partition", "dirichlet_alpha"): (0.3, _a_float(0.0, strict_min=True)),
-    ("partition", "min_samples_per_client"): (1, _an_int(0)),
-    ("metrics", "k_percent"): (5.0, _a_float(0.0, 100.0, strict_min=True)),
-    ("metrics", "test_fraction"): (0.2, _open_unit_interval),
-    ("run", "seeds"): ((1,), _seed_list),
-    ("run", "output_dir"): ("runs", str),
-}
-
-_SECTIONS = {section for section, _ in _SCHEMA}
+def _key(section: str, default, convert, key: str | None = None):
+    """Declare a config key: its ``[section]``, its default, and the converter
+    that validates its text. The key's name is the field's unless given."""
+    meta = {"section": section, "convert": convert}
+    if key is not None:
+        meta["key"] = key
+    return field(default=default, metadata=meta)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Fully validated experiment settings (one value per schema key)."""
+    """Fully validated experiment settings, one field per config key; the
+    defaults are those of an empty config file."""
 
-    method: str
-    rounds: int
-    local_steps: int
-    clients_per_round: int
-    global_lr: float
-    local_lr: float
-    alpha: float
-    theta_deg: float
-    batch_size: int | None
-    tau0: float
-    tau_schedule: str
-    tau_decay: float
-    prior: str
-    qffl_q: float
-    qffl_lipschitz: float
-    data_kind: str
-    classes: int
-    per_class: int
-    dim: int
-    spread: float
-    model: str
-    hidden_units: int
-    activation: str
-    glr_dim: int
-    samples_per_client: int
-    design_scale: float
-    noise_std: float
-    param_scale: float
-    partition_mode: str
-    clients: int
-    shards_per_client: int
-    dirichlet_alpha: float
-    min_samples_per_client: int
-    k_percent: float
-    test_fraction: float
-    seeds: tuple[int, ...]
-    output_dir: str
+    method: str = _key("trainer", "fedeba_plus", _a_choice("fedavg", "qffl", "fedeba_plus"))
+    rounds: int = _key("trainer", 50, _an_int(1))
+    local_steps: int = _key("trainer", 5, _an_int(1))
+    clients_per_round: int = _key("trainer", 10, _an_int(1))
+    global_lr: float = _key("trainer", 1.0, _a_float(0.0, strict_min=True))
+    local_lr: float = _key("trainer", 0.05, _a_float(0.0, strict_min=True))
+    alpha: float = _key("trainer", 0.5, _a_float(0.0, 1.0))
+    theta_deg: float = _key("trainer", 90.0, _a_float(0.0, 180.0))
+    batch_size: int | None = _key("trainer", None, _batch_size)
+    tau0: float = _key("trainer", 0.1, _a_float(0.0, strict_min=True))
+    tau_schedule: str = _key(
+        "trainer", "constant", _a_choice("constant", "linear", "concave", "convex")
+    )
+    tau_decay: float = _key("trainer", 0.0, _a_float(0.0))
+    prior: str = _key("trainer", "uniform", _a_choice("uniform", "data_ratio"))
+    qffl_q: float = _key("trainer", 1.0, _a_float(0.0))
+    qffl_lipschitz: float = _key("trainer", 1.0, _a_float(0.0, strict_min=True))
+    data_kind: str = _key("data", "blobs", _a_choice("blobs", "glr"), key="kind")
+    classes: int = _key("data", 10, _an_int(2))
+    per_class: int = _key("data", 200, _an_int(1))
+    dim: int = _key("data", 8, _an_int(1))
+    spread: float = _key("data", 1.0, _a_float(0.0))
+    model: str = _key("data", "softmax", _a_choice("softmax", "mlp"))
+    hidden_units: int = _key("data", 32, _an_int(1))
+    activation: str = _key("data", "tanh", _a_choice("tanh", "relu"))
+    glr_dim: int = _key("data", 4, _an_int(1))
+    samples_per_client: int = _key("data", 32, _an_int(1))
+    design_scale: float = _key("data", 1.0, _a_float(0.0, strict_min=True))
+    noise_std: float = _key("data", 0.1, _a_float(0.0))
+    param_scale: float = _key("data", 1.0, _a_float(0.0))
+    partition_mode: str = _key(
+        "partition", "dirichlet", _a_choice("shards", "dirichlet"), key="mode"
+    )
+    clients: int = _key("partition", 20, _an_int(1))
+    shards_per_client: int = _key("partition", 2, _an_int(1))
+    dirichlet_alpha: float = _key("partition", 0.3, _a_float(0.0, strict_min=True))
+    min_samples_per_client: int = _key("partition", 1, _an_int(0))
+    k_percent: float = _key("metrics", 5.0, _a_float(0.0, 100.0, strict_min=True))
+    test_fraction: float = _key("metrics", 0.2, _open_unit_interval)
+    seeds: tuple[int, ...] = _key("run", (1,), _seed_list)
+    output_dir: str = _key("run", "runs", str)
 
     def trainer_config(self, seed: int) -> TrainerConfig:
         return TrainerConfig(
@@ -254,45 +223,12 @@ class ExperimentConfig:
         )
 
 
-_FIELD_BY_KEY = {
-    ("trainer", "method"): "method",
-    ("trainer", "rounds"): "rounds",
-    ("trainer", "local_steps"): "local_steps",
-    ("trainer", "clients_per_round"): "clients_per_round",
-    ("trainer", "global_lr"): "global_lr",
-    ("trainer", "local_lr"): "local_lr",
-    ("trainer", "alpha"): "alpha",
-    ("trainer", "theta_deg"): "theta_deg",
-    ("trainer", "batch_size"): "batch_size",
-    ("trainer", "tau0"): "tau0",
-    ("trainer", "tau_schedule"): "tau_schedule",
-    ("trainer", "tau_decay"): "tau_decay",
-    ("trainer", "prior"): "prior",
-    ("trainer", "qffl_q"): "qffl_q",
-    ("trainer", "qffl_lipschitz"): "qffl_lipschitz",
-    ("data", "kind"): "data_kind",
-    ("data", "classes"): "classes",
-    ("data", "per_class"): "per_class",
-    ("data", "dim"): "dim",
-    ("data", "spread"): "spread",
-    ("data", "model"): "model",
-    ("data", "hidden_units"): "hidden_units",
-    ("data", "activation"): "activation",
-    ("data", "glr_dim"): "glr_dim",
-    ("data", "samples_per_client"): "samples_per_client",
-    ("data", "design_scale"): "design_scale",
-    ("data", "noise_std"): "noise_std",
-    ("data", "param_scale"): "param_scale",
-    ("partition", "mode"): "partition_mode",
-    ("partition", "clients"): "clients",
-    ("partition", "shards_per_client"): "shards_per_client",
-    ("partition", "dirichlet_alpha"): "dirichlet_alpha",
-    ("partition", "min_samples_per_client"): "min_samples_per_client",
-    ("metrics", "k_percent"): "k_percent",
-    ("metrics", "test_fraction"): "test_fraction",
-    ("run", "seeds"): "seeds",
-    ("run", "output_dir"): "output_dir",
+# (section, key) -> field, in field order
+_KEYS = {
+    (f.metadata["section"], f.metadata.get("key", f.name)): f
+    for f in fields(ExperimentConfig)
 }
+_SECTIONS = {section for section, _ in _KEYS}
 
 
 # "#" or ";" after whitespace starts a comment that runs to the end of the line
@@ -326,7 +262,7 @@ def parse_config(path) -> ExperimentConfig:
             raise ConfigError(f"key outside any [section] (line {line_no})")
         key, _, value = stripped.partition("=")
         entry = (section, key.strip())
-        if entry not in _SCHEMA:
+        if entry not in _KEYS:
             raise ConfigError(f"unknown key {section}.{key.strip()} (line {line_no})")
         if entry in raw:
             raise ConfigError(
@@ -336,19 +272,15 @@ def parse_config(path) -> ExperimentConfig:
         raw[entry] = (value.strip(), line_no)
 
     values = {}
-    lines = {}
-    for entry, (default, converter) in _SCHEMA.items():
+    for entry, f in _KEYS.items():
         if entry in raw:
             value_str, line_no = raw[entry]
             try:
-                values[_FIELD_BY_KEY[entry]] = converter(value_str)
+                values[f.name] = f.metadata["convert"](value_str)
             except ValueError as exc:
                 raise ConfigError(
                     f"{entry[0]}.{entry[1]}: {exc} (line {line_no})"
                 ) from None
-            lines[_FIELD_BY_KEY[entry]] = line_no
-        else:
-            values[_FIELD_BY_KEY[entry]] = default
 
     cfg = ExperimentConfig(**values)
     if cfg.clients_per_round > cfg.clients:
@@ -370,22 +302,27 @@ def parse_config(path) -> ExperimentConfig:
 # --- federation assembly ------------------------------------------------
 
 
+def _blob_partition(cfg: ExperimentConfig, root: SeededRng):
+    """The blob dataset of a seed's root stream and its client partition."""
+    ds = gen_gaussian_blobs(
+        cfg.classes, cfg.per_class, cfg.dim, cfg.spread, root.derive(_TAG_DATA).seed
+    )
+    spec = PartitionSpec(
+        mode=cfg.partition_mode,
+        client_count=cfg.clients,
+        shards_per_client=cfg.shards_per_client,
+        dirichlet_alpha=cfg.dirichlet_alpha,
+        min_samples_per_client=cfg.min_samples_per_client,
+        seed=root.derive(_TAG_PARTITION).seed,
+    )
+    return ds, partition(ds, spec)
+
+
 def build_federation(cfg: ExperimentConfig, seed: int) -> tuple[Federation, np.ndarray]:
     """Materialize the federation and initial parameters for one seed."""
     root = SeededRng(seed)
     if cfg.data_kind == "blobs":
-        ds = gen_gaussian_blobs(
-            cfg.classes, cfg.per_class, cfg.dim, cfg.spread, root.derive(_TAG_DATA).seed
-        )
-        spec = PartitionSpec(
-            mode=cfg.partition_mode,
-            client_count=cfg.clients,
-            shards_per_client=cfg.shards_per_client,
-            dirichlet_alpha=cfg.dirichlet_alpha,
-            min_samples_per_client=cfg.min_samples_per_client,
-            seed=root.derive(_TAG_PARTITION).seed,
-        )
-        assignment = partition(ds, spec)
+        ds, assignment = _blob_partition(cfg, root)
         hidden = cfg.hidden_units if cfg.model == "mlp" else 0
         activation = cfg.activation if cfg.model == "mlp" else "identity"
         clients = []
@@ -497,22 +434,9 @@ def cmd_run(cfg: ExperimentConfig) -> int:
 
 def cmd_partition(cfg: ExperimentConfig) -> int:
     out = _resolve_output_dir(cfg)
-    seed = cfg.seeds[0]
-    root = SeededRng(seed)
     if cfg.data_kind != "blobs":
         raise ConfigError("partition export requires data.kind = blobs")
-    ds = gen_gaussian_blobs(
-        cfg.classes, cfg.per_class, cfg.dim, cfg.spread, root.derive(_TAG_DATA).seed
-    )
-    spec = PartitionSpec(
-        mode=cfg.partition_mode,
-        client_count=cfg.clients,
-        shards_per_client=cfg.shards_per_client,
-        dirichlet_alpha=cfg.dirichlet_alpha,
-        min_samples_per_client=cfg.min_samples_per_client,
-        seed=root.derive(_TAG_PARTITION).seed,
-    )
-    assignment = partition(ds, spec)
+    ds, assignment = _blob_partition(cfg, SeededRng(cfg.seeds[0]))
     write_partition_csv(out / "partition.csv", assignment, ds.labels)
     return 0
 

@@ -1,14 +1,15 @@
 """Federated training loops.
 
-One round: sample clients, collect start-of-round losses, gate on the fair
-angle, run local SGD (plain or gradient-aligned), aggregate with the
-configured weights, apply the server step, and emit telemetry. Three
-methods share the plumbing:
+One round function serves all three methods: sample clients, collect
+start-of-round losses, gate on the fair angle, run local SGD (plain or
+gradient-aligned), weight the updates, apply the server step, and emit
+telemetry. The methods differ only in the weights and the server step:
 
-* ``fedavg``   -- fixed uniform or data-ratio weights, no alignment;
-* ``qffl``     -- loss-power reweighting with a normalized server step;
+* ``fedavg``   -- fixed uniform or data-ratio weights, plain server step;
+* ``qffl``     -- loss powers F_i^q inside the normalized q-FFL server step;
 * ``fedeba_plus`` -- entropy-based weights from end-of-round losses plus
-  model alignment (plain branch) or gradient alignment (fair-angle branch).
+  model alignment (plain branch) or gradient alignment (fair-angle branch,
+  taken by this method only).
 
 All randomness flows through per-(round, client) streams derived from the
 run seed, so trajectories are bit-reproducible, identical across methods
@@ -49,7 +50,10 @@ class TrainerConfig:
     """All federated hyperparameters for one training run.
 
     theta is the fair-angle threshold in radians (the CLI layer converts
-    from degrees); batch_size None means full-batch local steps.
+    from degrees). The default pi never aligns, since the angle never
+    exceeds pi, while the CLI's ``theta_deg`` default is 90 degrees; either
+    default moves some caller's outputs if changed. batch_size None means
+    full-batch local steps.
     """
 
     rounds: int
@@ -140,7 +144,6 @@ class UpdatePacket:
     client_id: int
     delta: np.ndarray
     one_step_delta: np.ndarray | None
-    start_loss: float
     end_loss: float
     n_samples: int
 
@@ -224,6 +227,48 @@ class _BatchStream:
         return out
 
 
+def _local_steps(
+    objective: LocalObjective,
+    x_start: np.ndarray,
+    steps: int,
+    lr: float,
+    batch_size: int | None,
+    rng: SeededRng | None,
+    client_id: int,
+    alpha: float = 0.0,
+    fair_grad: np.ndarray | None = None,
+) -> UpdatePacket:
+    """The step loop of both local SGD variants. Each step moves along the
+    minibatch gradient g, or along (1 - alpha) * g + alpha * fair_grad when
+    a fair gradient is given; the one-step displacement is recorded only
+    for plain steps. The end loss is a full-batch snapshot."""
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
+    x_start = np.asarray(x_start, dtype=np.float64)
+    if fair_grad is not None:
+        if not 0.0 <= alpha <= 1.0:
+            raise ValueError("alpha must be in [0, 1]")
+        if fair_grad.shape != x_start.shape:
+            raise ValueError("fair gradient dimension mismatch")
+    x = x_start.copy()
+    stream = _BatchStream(objective.full_size, batch_size, rng)
+    one_step = None
+    for k in range(steps):
+        g = objective.gradient(x, stream.next())
+        if fair_grad is not None:
+            g = (1.0 - alpha) * g + alpha * fair_grad
+        x = x - lr * g
+        if k == 0 and fair_grad is None:
+            one_step = x - x_start
+    return UpdatePacket(
+        client_id=client_id,
+        delta=x - x_start,
+        one_step_delta=one_step,
+        end_loss=objective.loss(x),
+        n_samples=objective.full_size,
+    )
+
+
 def local_sgd(
     objective: LocalObjective,
     x_start: np.ndarray,
@@ -234,26 +279,8 @@ def local_sgd(
     client_id: int = 0,
 ) -> UpdatePacket:
     """K local gradient steps; records the full and one-step displacements
-    plus full-batch loss snapshots before and after."""
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    x_start = np.asarray(x_start, dtype=np.float64)
-    x = x_start.copy()
-    start_loss = objective.loss(x)
-    stream = _BatchStream(objective.full_size, batch_size, rng)
-    one_step = None
-    for k in range(steps):
-        x = x - lr * objective.gradient(x, stream.next())
-        if k == 0:
-            one_step = x - x_start
-    return UpdatePacket(
-        client_id=client_id,
-        delta=x - x_start,
-        one_step_delta=one_step,
-        start_loss=start_loss,
-        end_loss=objective.loss(x),
-        n_samples=objective.full_size,
-    )
+    plus the full-batch loss after the last step."""
+    return _local_steps(objective, x_start, steps, lr, batch_size, rng, client_id)
 
 
 def local_sgd_aligned(
@@ -270,27 +297,9 @@ def local_sgd_aligned(
     """Local steps along (1 - alpha) * local gradient + alpha * fair
     gradient, with the fair gradient held fixed for the whole round. The
     one-step displacement is not collected on this branch."""
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must be in [0, 1]")
-    x_start = np.asarray(x_start, dtype=np.float64)
     fair_grad = np.asarray(fair_grad, dtype=np.float64)
-    if fair_grad.shape != x_start.shape:
-        raise ValueError("fair gradient dimension mismatch")
-    x = x_start.copy()
-    start_loss = objective.loss(x)
-    stream = _BatchStream(objective.full_size, batch_size, rng)
-    for _ in range(steps):
-        g = objective.gradient(x, stream.next())
-        x = x - lr * ((1.0 - alpha) * g + alpha * fair_grad)
-    return UpdatePacket(
-        client_id=client_id,
-        delta=x - x_start,
-        one_step_delta=None,
-        start_loss=start_loss,
-        end_loss=objective.loss(x),
-        n_samples=objective.full_size,
+    return _local_steps(
+        objective, x_start, steps, lr, batch_size, rng, client_id, alpha, fair_grad
     )
 
 
@@ -352,17 +361,6 @@ def _chi_square_or_inf(weights: np.ndarray) -> float:
     return chi_square_divergence(uniform_weights(weights.size), weights)
 
 
-def _fixed_weights(cfg: TrainerConfig, sizes: np.ndarray) -> np.ndarray:
-    if cfg.eba.prior == "data_ratio":
-        return data_ratio_weights(sizes)
-    return uniform_weights(sizes.size)
-
-
-def _round_weights(cfg: TrainerConfig, end_losses: np.ndarray, sizes: np.ndarray, tau: float) -> np.ndarray:
-    prior = data_ratio_weights(sizes) if cfg.eba.prior == "data_ratio" else None
-    return eba_weights(end_losses, tau, prior)
-
-
 def _finish_round(
     federation: Federation,
     cfg: TrainerConfig,
@@ -404,156 +402,78 @@ def run_round(
     round_index: int,
     rng: SeededRng,
 ) -> tuple[np.ndarray, RoundReport]:
-    """One entropy-weighted round with the fair-angle gate.
+    """One round of cfg.method.
 
-    Start losses of the sampled clients set the angle. Above the threshold,
-    clients receive the fair gradient (softmax of start losses applied to
-    full-batch start gradients, one extra communication) and train with
-    gradient alignment; otherwise they run plain local SGD and the server
-    blends in the mean one-step update. Either way the aggregation weights
-    come from end-of-round local losses at the scheduled temperature.
+    Start losses of the sampled clients set the fair angle. Under
+    fedeba_plus, an angle above the threshold sends clients the fair
+    gradient (softmax of start losses applied to full-batch start
+    gradients, one extra communication) and they train with gradient
+    alignment; otherwise clients run plain local SGD. Then, by method:
+
+    * fedavg aggregates the full updates with the prior (uniform or data
+      ratio);
+    * fedeba_plus weights them by the end-of-round local losses at the
+      scheduled temperature, tilted by the data-ratio prior if configured,
+      and on the plain branch blends in the mean one-step update;
+    * qffl applies the q-FFL server step to the local models and records
+      the normalized start-loss powers as its weights.
     """
     x_t = np.asarray(x_t, dtype=np.float64)
     sampled = sample_clients(
         federation.m, cfg.clients_per_round, rng.derive(_TAG_SAMPLING, round_index)
     )
     objectives = [federation.clients[i].objective for i in sampled]
-    sizes = np.array([obj.full_size for obj in objectives], dtype=np.float64)
     start_losses = np.array([obj.loss(x_t) for obj in objectives])
     angle = _gate_angle(start_losses)
-    tau = schedule_tau(cfg.eba, round_index)
-    aligned = angle > cfg.theta
-
+    eba = cfg.method == "fedeba_plus"
+    tau = schedule_tau(cfg.eba, round_index) if eba else float("nan")
+    aligned = eba and angle > cfg.theta
     if aligned:
         start_grads = [obj.gradient(x_t) for obj in objectives]
         fair_grad = compute_fair_gradient(start_grads, start_losses, tau)
-        packets = [
-            local_sgd_aligned(
-                obj,
-                x_t,
-                cfg.local_steps,
-                cfg.local_lr,
-                cfg.alpha,
-                fair_grad,
-                cfg.batch_size,
-                rng.derive(_TAG_LOCAL, round_index, int(cid)),
-                client_id=int(cid),
-            )
-            for cid, obj in zip(sampled, objectives)
-        ]
-        weights = _round_weights(
-            cfg, np.array([pk.end_loss for pk in packets]), sizes, tau
-        )
-        delta = aggregate_plain(packets, weights)
-    else:
-        packets = [
-            local_sgd(
-                obj,
-                x_t,
-                cfg.local_steps,
-                cfg.local_lr,
-                cfg.batch_size,
-                rng.derive(_TAG_LOCAL, round_index, int(cid)),
-                client_id=int(cid),
-            )
-            for cid, obj in zip(sampled, objectives)
-        ]
-        weights = _round_weights(
-            cfg, np.array([pk.end_loss for pk in packets]), sizes, tau
-        )
-        delta = aggregate_model_alignment(packets, weights, cfg.alpha)
 
-    x_next = server_update(x_t, delta, cfg.global_lr)
+    packets = []
+    for cid, obj in zip(sampled, objectives):
+        cid = int(cid)
+        stream = rng.derive(_TAG_LOCAL, round_index, cid)
+        if aligned:
+            pk = local_sgd_aligned(
+                obj, x_t, cfg.local_steps, cfg.local_lr, cfg.alpha, fair_grad,
+                cfg.batch_size, stream, client_id=cid,
+            )
+        else:
+            pk = local_sgd(
+                obj, x_t, cfg.local_steps, cfg.local_lr, cfg.batch_size, stream,
+                client_id=cid,
+            )
+        packets.append(pk)
+
+    if cfg.method == "qffl":
+        local_models = [x_t + pk.delta for pk in packets]
+        x_next = qffl_server_step(x_t, local_models, start_losses, cfg.qffl)
+        # Recorded weights are the normalized loss powers F_i^q (how strongly
+        # each client shapes the numerator); the step itself is not a convex
+        # combination of the deltas.
+        powered = start_losses**cfg.qffl.q
+        weights = (
+            powered / powered.sum() if powered.sum() > 0 else uniform_weights(len(packets))
+        )
+    else:
+        prior = None
+        if cfg.eba.prior == "data_ratio":
+            prior = data_ratio_weights([obj.full_size for obj in objectives])
+        if eba:
+            weights = eba_weights(np.array([pk.end_loss for pk in packets]), tau, prior)
+        else:
+            weights = uniform_weights(len(packets)) if prior is None else prior
+        if eba and not aligned:
+            delta = aggregate_model_alignment(packets, weights, cfg.alpha)
+        else:
+            delta = aggregate_plain(packets, weights)
+        x_next = server_update(x_t, delta, cfg.global_lr)
+
     report = _finish_round(
         federation, cfg, round_index, x_next, sampled, tau, angle, aligned, weights
-    )
-    return x_next, report
-
-
-def _run_round_fedavg(
-    federation: Federation,
-    x_t: np.ndarray,
-    cfg: TrainerConfig,
-    round_index: int,
-    rng: SeededRng,
-) -> tuple[np.ndarray, RoundReport]:
-    sampled = sample_clients(
-        federation.m, cfg.clients_per_round, rng.derive(_TAG_SAMPLING, round_index)
-    )
-    objectives = [federation.clients[i].objective for i in sampled]
-    sizes = np.array([obj.full_size for obj in objectives], dtype=np.float64)
-    start_losses = np.array([obj.loss(x_t) for obj in objectives])
-    packets = [
-        local_sgd(
-            obj,
-            x_t,
-            cfg.local_steps,
-            cfg.local_lr,
-            cfg.batch_size,
-            rng.derive(_TAG_LOCAL, round_index, int(cid)),
-            client_id=int(cid),
-        )
-        for cid, obj in zip(sampled, objectives)
-    ]
-    weights = _fixed_weights(cfg, sizes)
-    x_next = server_update(x_t, aggregate_plain(packets, weights), cfg.global_lr)
-    report = _finish_round(
-        federation,
-        cfg,
-        round_index,
-        x_next,
-        sampled,
-        float("nan"),
-        _gate_angle(start_losses),
-        False,
-        weights,
-    )
-    return x_next, report
-
-
-def _run_round_qffl(
-    federation: Federation,
-    x_t: np.ndarray,
-    cfg: TrainerConfig,
-    round_index: int,
-    rng: SeededRng,
-) -> tuple[np.ndarray, RoundReport]:
-    sampled = sample_clients(
-        federation.m, cfg.clients_per_round, rng.derive(_TAG_SAMPLING, round_index)
-    )
-    objectives = [federation.clients[i].objective for i in sampled]
-    start_losses = np.array([obj.loss(x_t) for obj in objectives])
-    packets = [
-        local_sgd(
-            obj,
-            x_t,
-            cfg.local_steps,
-            cfg.local_lr,
-            cfg.batch_size,
-            rng.derive(_TAG_LOCAL, round_index, int(cid)),
-            client_id=int(cid),
-        )
-        for cid, obj in zip(sampled, objectives)
-    ]
-    local_models = [x_t + pk.delta for pk in packets]
-    x_next = qffl_server_step(x_t, local_models, start_losses, cfg.qffl)
-    # Recorded weights are the normalized loss powers F_i^q (how strongly
-    # each client shapes the numerator); the step itself is not a convex
-    # combination of the deltas.
-    powered = start_losses**cfg.qffl.q
-    weights = (
-        powered / powered.sum() if powered.sum() > 0 else uniform_weights(len(packets))
-    )
-    report = _finish_round(
-        federation,
-        cfg,
-        round_index,
-        x_next,
-        sampled,
-        float("nan"),
-        _gate_angle(start_losses),
-        False,
-        weights,
     )
     return x_next, report
 
@@ -577,14 +497,9 @@ def run_training(
     if x.shape != (federation.dimension,):
         raise ValueError("x0 dimension mismatch")
     root = SeededRng(cfg.seed)
-    step = {
-        "fedavg": _run_round_fedavg,
-        "qffl": _run_round_qffl,
-        "fedeba_plus": run_round,
-    }[cfg.method]
     reports: list[RoundReport] = []
     for t in range(1, cfg.rounds + 1):
-        x, report = step(federation, x, cfg, t, root)
+        x, report = run_round(federation, x, cfg, t, root)
         reports.append(report)
         if on_round is not None:
             on_round(report, x)

@@ -1,10 +1,13 @@
-"""Pinned outputs: `entrofed run` on two fixed configs must reproduce the
+"""Pinned outputs: `entrofed run` on fixed configs must reproduce the
 checked-in round CSVs and summary byte for byte.
 
-The files under ``tests/golden/<name>/`` were written by the code before
-per-round telemetry moved to stacked evaluation. Any change in summation
-order that moves a printed digit shows up here as a diff against them,
-not merely as a difference between two reruns of the same code.
+The files under ``tests/golden/<name>/`` were written by earlier code:
+``blobs-mlp`` and ``glr-qffl`` before per-round telemetry moved to stacked
+evaluation, ``fedavg-ratio`` and ``eba-ratio-linear`` before the three
+methods' rounds merged into one. Together they cover every method, both
+priors, both fair-angle branches and a cooling temperature. Any change in
+summation order that moves a printed digit shows up here as a diff against
+them, not merely as a difference between two reruns of the same code.
 """
 
 from pathlib import Path
@@ -14,7 +17,7 @@ import pytest
 from entrofed.harness import build_federation, main, parse_config
 
 GOLDEN = Path(__file__).parent / "golden"
-CASES = ("blobs-mlp", "glr-qffl")
+CASES = ("blobs-mlp", "glr-qffl", "fedavg-ratio", "eba-ratio-linear")
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -38,3 +41,9 @@ def test_blob_golden_config_has_unequal_and_single_sample_clients():
         sizes = [c.objective.full_size for c in federation.clients]
         assert min(sizes) == 1
         assert max(sizes) >= 10
+
+
+def test_eba_golden_rounds_visit_both_branches():
+    for csv in sorted((GOLDEN / "eba-ratio-linear").glob("rounds_seed*.csv")):
+        rows = csv.read_text(encoding="utf-8").splitlines()[2:]
+        assert {row.split(",")[3] for row in rows} == {"plain", "aligned"}, csv.name

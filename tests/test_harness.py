@@ -245,6 +245,25 @@ class TestCmdPartition:
         counts = np.bincount([int(l.split(",")[0]) for l in lines], minlength=6)
         assert counts.min() >= 6
 
+    @pytest.mark.parametrize("mode", ["dirichlet", "shards"])
+    def test_partition_matches_federation(self, tmp_path, monkeypatch, mode):
+        # Every client holds >= 4 samples, so none reuses a lone sample on
+        # both sides of its train/test split.
+        text = SMALL_RUN.replace("[partition]\n", f"[partition]\nmode = {mode}\n")
+        cfg_path = write_cfg(tmp_path, text)
+        monkeypatch.setenv("ENTROFED_OUTPUT_DIR", str(tmp_path / "p"))
+        assert main(["partition", "--config", str(cfg_path)]) == 0
+        lines = (tmp_path / "p" / "partition.csv").read_text().splitlines()[2:]
+        rows = [line.split(",") for line in lines]
+        cfg = parse_config(cfg_path)
+        federation, _ = build_federation(cfg, cfg.seeds[0])
+        assert federation.m == cfg.clients
+        for cid, client in enumerate(federation.clients):
+            labels = sorted(int(label) for c, _, label in rows if int(c) == cid)
+            held = np.concatenate([client.objective.labels, client.test_objective.labels])
+            assert len(labels) == client.objective.full_size + client.test_objective.full_size
+            assert labels == sorted(held.tolist())
+
     def test_infeasible_partition_fails(self, tmp_path, capsys, monkeypatch):
         text = SMALL_RUN.replace("per_class = 40", "per_class = 2").replace(
             "min_samples_per_client = 4", "min_samples_per_client = 3"

@@ -111,7 +111,6 @@ class TestLocalSgd:
         assert pk1.delta[0] == 2.0 and pk1.one_step_delta[0] == 2.0
         pk2 = local_sgd(QuadraticObjective(0.5, -4), np.zeros(1), 1, 0.25)
         assert pk2.delta[0] == -1.0
-        assert pk1.start_loss == 8.0 and pk2.start_loss == 8.0
 
     def test_one_step_equals_full_delta_at_k1(self):
         pk = local_sgd(QuadraticObjective(1.5, 0.7), np.array([3.0]), 1, 0.1)
@@ -178,7 +177,7 @@ class TestAggregation:
         from entrofed.trainer import UpdatePacket
 
         pks = [
-            UpdatePacket(i, np.array([float(v)]), np.array([float(v)]), 1.0, 1.0, 1)
+            UpdatePacket(i, np.array([float(v)]), np.array([float(v)]), 1.0, 1)
             for i, v in enumerate([2.0, -1.0])
         ]
         assert aggregate_plain(pks, [0.5, 0.5])[0] == 0.5
@@ -187,7 +186,7 @@ class TestAggregation:
         from entrofed.trainer import UpdatePacket
 
         pks = [
-            UpdatePacket(i, np.array([v]), None, 1.0, 1.0, 1)
+            UpdatePacket(i, np.array([v]), None, 1.0, 1)
             for i, v in enumerate([2.0, -1.0])
         ]
         assert aggregate_plain(pks, [0.0, 1.0])[0] == -1.0
@@ -196,7 +195,7 @@ class TestAggregation:
         from entrofed.trainer import UpdatePacket
 
         pks = [
-            UpdatePacket(i, np.array([v]), None, 1.0, 1.0, 1)
+            UpdatePacket(i, np.array([v]), None, 1.0, 1)
             for i, v in enumerate([2.0, -1.0])
         ]
         p = softmax_temperature([0.0, 4.5], 1.0)
@@ -207,8 +206,8 @@ class TestAggregation:
         from entrofed.trainer import UpdatePacket
 
         pks = [
-            UpdatePacket(0, np.array([2.0]), np.array([1.0]), 1.0, 1.0, 1),
-            UpdatePacket(1, np.array([-1.0]), np.array([-0.5]), 1.0, 1.0, 1),
+            UpdatePacket(0, np.array([2.0]), np.array([1.0]), 1.0, 1),
+            UpdatePacket(1, np.array([-1.0]), np.array([-0.5]), 1.0, 1),
         ]
         assert aggregate_model_alignment(pks, [0.5, 0.5], 0.0)[0] == 0.5
         assert aggregate_model_alignment(pks, [0.5, 0.5], 1.0)[0] == 0.25
@@ -218,7 +217,7 @@ class TestAggregation:
     def test_alignment_requires_one_step_deltas(self):
         from entrofed.trainer import UpdatePacket
 
-        pks = [UpdatePacket(0, np.array([1.0]), None, 1.0, 1.0, 1)]
+        pks = [UpdatePacket(0, np.array([1.0]), None, 1.0, 1)]
         with pytest.raises(ValueError, match="one_step_delta"):
             aggregate_model_alignment(pks, [1.0], 0.5)
 
@@ -230,7 +229,7 @@ class TestAggregation:
             deltas = rng.normals(5 * 3).reshape(5, 3)
             p = rng.dirichlet(1.0, 5)
             pks = [
-                UpdatePacket(i, deltas[i], None, 1.0, 1.0, 1) for i in range(5)
+                UpdatePacket(i, deltas[i], None, 1.0, 1) for i in range(5)
             ]
             agg = aggregate_plain(pks, p)
             lo, hi = deltas.min(axis=0), deltas.max(axis=0)
@@ -474,5 +473,7 @@ class TestTelemetryCallCounts:
         assert branches == ({"plain", "aligned"} if method == "fedeba_plus" else {"plain"})
         k, s = cfg.local_steps, cfg.clients_per_round
         for branch, c in per_round:
+            # Losses: the round's start loss and local SGD's end loss, once
+            # per sampled client.
             start_grads = s if branch == "aligned" else 0
-            assert c == {"loss": 3 * s, "gradient": k * s + start_grads, "accuracy": 0}
+            assert c == {"loss": 2 * s, "gradient": k * s + start_grads, "accuracy": 0}
