@@ -44,6 +44,7 @@ from entrofed.aggregation import (
     QfflConfig,
     data_ratio_weights,
     eba_weights,
+    qffl_delta,
     qffl_server_step,
     schedule_tau,
     uniform_weights,
@@ -99,6 +100,7 @@ __all__ = [
     "eba_weights",
     "uniform_weights",
     "data_ratio_weights",
+    "qffl_delta",
     "qffl_server_step",
     "TrainerConfig",
     "Client",

@@ -104,13 +104,10 @@ def data_ratio_weights(sizes) -> np.ndarray:
     return arr / arr.sum()
 
 
-def qffl_server_step(
-    x_t: np.ndarray, local_models, losses, cfg: QfflConfig
-) -> np.ndarray:
-    """One q-FFL server update.
+def qffl_delta(x_t: np.ndarray, local_models, losses, cfg: QfflConfig) -> np.ndarray:
+    """The q-FFL server displacement -sum_i F_i^q grad_i / sum_i h_i.
 
-    Pseudo-gradients are grad_i = L (x_t - x_i) for local models x_i; the
-    step is x_t - sum_i F_i^q grad_i / sum_i h_i with
+    Pseudo-gradients are grad_i = L (x_t - x_i) for local models x_i, and
     h_i = q F_i^(q-1) ||grad_i||^2 + L F_i^q. With q = 0 this reduces to a
     plain averaged pseudo-gradient step.
     """
@@ -137,4 +134,11 @@ def qffl_server_step(
         h_sum += lip * powered
     if h_sum == 0.0:
         raise ZeroDivisionError("degenerate q-FFL step: normalizer sums to zero")
-    return x_t - delta_sum / h_sum
+    return -(delta_sum / h_sum)
+
+
+def qffl_server_step(
+    x_t: np.ndarray, local_models, losses, cfg: QfflConfig
+) -> np.ndarray:
+    """One q-FFL server update: x_t plus :func:`qffl_delta`."""
+    return np.asarray(x_t, dtype=np.float64) + qffl_delta(x_t, local_models, losses, cfg)

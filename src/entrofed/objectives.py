@@ -18,6 +18,7 @@ construction and safe to evaluate concurrently.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -203,17 +204,21 @@ class ClassifierObjective(LocalObjective):
         return np.concatenate([w1, np.zeros(h), w2, np.zeros(c)])
 
     def _unpack(self, x: np.ndarray):
+        """Weights and biases of a parameter vector, or of a stack of them
+        with leading client axes; biases keep a row axis to broadcast over
+        samples."""
         d, c, h = self.features.shape[1], self.n_classes, self.hidden
+        lead = x.shape[:-1]
         if h == 0:
-            return x[: d * c].reshape(d, c), x[d * c :]
+            return x[..., : d * c].reshape(*lead, d, c), x[..., None, d * c :]
         o1 = d * h
         o2 = o1 + h
         o3 = o2 + h * c
         return (
-            x[:o1].reshape(d, h),
-            x[o1:o2],
-            x[o2:o3].reshape(h, c),
-            x[o3:],
+            x[..., :o1].reshape(*lead, d, h),
+            x[..., None, o1:o2],
+            x[..., o2:o3].reshape(*lead, h, c),
+            x[..., None, o3:],
         )
 
     def _batch(self, subset):
@@ -246,33 +251,42 @@ class ClassifierObjective(LocalObjective):
 
     def gradient(self, x, subset=None) -> np.ndarray:
         arr = self._check_x(x)
-        feats, labels = self._batch(subset)
+        return self._gradient(arr, *self._batch(subset))
+
+    def _gradient(self, arr, feats, labels) -> np.ndarray:
+        """Mean cross-entropy gradient over the rows of ``feats``. With a
+        stack of parameter vectors (g, D), feats is (g, r, d) and labels
+        (g, r): one pass gives the g clients' gradients as rows."""
         logits, pre, act = self._logits(arr, feats)
         return self._backprop(
-            arr, feats, labels, self._log_softmax(logits), pre, act, len(labels)
+            arr, feats, labels, self._log_softmax(logits), pre, act, labels.shape[-1]
         )
 
     def _backprop(self, arr, feats, labels, logp, pre, act, divisor) -> np.ndarray:
         """Gradient of the summed cross-entropy of the rows over ``divisor``,
-        from the forward pass's log-probabilities and hidden layer."""
-        dlogits = np.exp(logp)
-        dlogits[np.arange(len(labels)), labels] -= 1.0
+        from the forward pass's log-probabilities and hidden layer. Leading
+        axes of ``arr`` are client axes, matched by those of the rows."""
+        # subtracting one-hot labels changes only the label entries: x - 0.0 == x
+        dlogits = np.exp(logp) - np.eye(self.n_classes)[labels]
         dlogits /= divisor
+        lead = arr.shape[:-1]
         if self.hidden == 0:
-            dw = feats.T @ dlogits
-            db = dlogits.sum(axis=0)
-            return np.concatenate([dw.ravel(), db])
-        w1, b1, w2, b2 = self._unpack(arr)
-        dw2 = act.T @ dlogits
-        db2 = dlogits.sum(axis=0)
-        dact = dlogits @ w2.T
+            dw = feats.swapaxes(-1, -2) @ dlogits
+            db = dlogits.sum(axis=-2)
+            return np.concatenate([dw.reshape(*lead, -1), db], axis=-1)
+        w2 = self._unpack(arr)[2]
+        dw2 = act.swapaxes(-1, -2) @ dlogits
+        db2 = dlogits.sum(axis=-2)
+        dact = dlogits @ w2.swapaxes(-1, -2)
         if self.activation == "tanh":
-            dpre = dact * (1.0 - np.tanh(pre) ** 2)
+            dpre = dact * (1.0 - act**2)
         else:
             dpre = dact * (pre > 0.0)
-        dw1 = feats.T @ dpre
-        db1 = dpre.sum(axis=0)
-        return np.concatenate([dw1.ravel(), db1, dw2.ravel(), db2])
+        dw1 = feats.swapaxes(-1, -2) @ dpre
+        db1 = dpre.sum(axis=-2)
+        return np.concatenate(
+            [dw1.reshape(*lead, -1), db1, dw2.reshape(*lead, -1), db2], axis=-1
+        )
 
     def accuracy(self, x, subset=None) -> float:
         """Fraction of correct argmax predictions, in [0, 1]."""
@@ -297,7 +311,8 @@ class StackedEval(NamedTuple):
 
 class ObjectiveStack:
     """Full-batch loss, accuracy and client-mean gradient of many objectives
-    at one parameter vector.
+    at one parameter vector, and minibatch gradients of each objective at a
+    parameter vector of its own.
 
     This base form calls each objective in turn. :func:`stack_objectives`
     returns a family subclass where one exists. The GLR and classifier
@@ -308,7 +323,9 @@ class ObjectiveStack:
     per-client values. Other families, quadratic among them, use this loop.
     The mean gradient is one backward pass with every row scaled by
     1/(m n_i), and agrees with the mean of per-client gradients up to
-    summation order.
+    summation order. The classifier stack also evaluates
+    :meth:`gradients` in one pass, bitwise equal to the per-client
+    ``gradient`` calls.
     """
 
     def __init__(self, objectives):
@@ -328,6 +345,15 @@ class ObjectiveStack:
             ),
             mean_gradient=np.mean([o.gradient(x) for o in objs], axis=0) if gradient else None,
         )
+
+    def gradients(self, xs: np.ndarray, subsets: np.ndarray | None = None) -> np.ndarray:
+        """Row i is ``objectives[i].gradient(xs[i], subsets[i])``: every
+        objective at its own parameter vector, on r sample indices each
+        ((m, D) and (m, r) inputs), or on its full set when ``subsets`` is
+        None."""
+        if subsets is None:
+            subsets = [None] * self.m
+        return np.array([o.gradient(x, s) for o, x, s in zip(self.objectives, xs, subsets)])
 
 
 def _size_blocks(objectives, rows) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -349,9 +375,9 @@ def _size_blocks(objectives, rows) -> list[tuple[np.ndarray, np.ndarray, np.ndar
 
 
 class _GlrStack(ObjectiveStack):
-    def __init__(self, objectives):
-        super().__init__(objectives)
-        self._blocks = _size_blocks(self.objectives, lambda o: (o.design, o.targets))
+    @cached_property
+    def _blocks(self):
+        return _size_blocks(self.objectives, lambda o: (o.design, o.targets))
 
     def evaluate(self, x, gradient=False) -> StackedEval:
         w = self.objectives[0]._check_x(x)
@@ -371,7 +397,27 @@ class _ClassifierStack(ObjectiveStack):
     def __init__(self, objectives):
         super().__init__(objectives)
         self._model = self.objectives[0]
-        self._blocks = _size_blocks(self.objectives, lambda o: (o.features, o.labels))
+
+    @cached_property
+    def _blocks(self):
+        return _size_blocks(self.objectives, lambda o: (o.features, o.labels))
+
+    @cached_property
+    def _rows(self):
+        """Every objective's samples end to end, and where each one starts."""
+        starts = np.concatenate([[0], np.cumsum(self.sizes[:-1])]).astype(np.int64)
+        feats = np.concatenate([o.features for o in self.objectives])
+        labels = np.concatenate([o.labels for o in self.objectives])
+        return feats, labels, starts
+
+    def gradients(self, xs, subsets=None):
+        # C-ordered (m, r, d) rows against (m, D) parameters: matmul makes
+        # one BLAS call per objective, the one its own gradient makes
+        feats, labels, starts = self._rows
+        if subsets is None:  # full sets, of one size within a group
+            subsets = np.arange(self.objectives[0].full_size)
+        rows = np.ascontiguousarray(starts[:, None] + subsets)
+        return self._model._gradient(xs, feats[rows], labels[rows])
 
     def evaluate(self, x, gradient=False) -> StackedEval:
         model = self._model

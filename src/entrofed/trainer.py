@@ -13,8 +13,9 @@ telemetry. The methods differ only in the weights and the server step:
 
 All randomness flows through per-(round, client) streams derived from the
 run seed, so trajectories are bit-reproducible, identical across methods
-that share a seed, and independent of client execution order. Per-round
-client work could run in parallel; rounds themselves are sequential.
+that share a seed, and independent of client execution order. The sampled
+cohort's local SGD runs as one step loop over a matrix of client
+parameters; rounds themselves are sequential.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from entrofed.aggregation import (
     QfflConfig,
     data_ratio_weights,
     eba_weights,
-    qffl_server_step,
+    qffl_delta,
     schedule_tau,
     uniform_weights,
 )
@@ -199,107 +200,141 @@ def compute_fair_gradient(grads, losses, tau: float) -> np.ndarray:
     return out
 
 
-class _BatchStream:
-    """Without-replacement minibatch indices, reshuffled every epoch.
+def _batch_rows(
+    n: int, batch_size: int | None, steps: int, rng: SeededRng | None
+) -> np.ndarray | None:
+    """Sample indices of each local step, one row per step, or None for
+    full-batch steps (batch_size None or >= n).
 
-    batch_size None (or >= n) yields None, meaning full-batch evaluation.
-    A ragged final batch is folded into the next epoch's shuffle so every
-    step sees the same batch size.
+    Batches are drawn without replacement from a fresh shuffle each epoch,
+    and a ragged final batch is folded into the next epoch's shuffle so
+    every step sees the same batch size. Each epoch's shuffle is a stable
+    argsort of n uniforms, all epochs from one draw.
     """
-
-    def __init__(self, n: int, batch_size: int | None, rng: SeededRng | None):
-        self.n = n
-        self.batch = None if batch_size is None or batch_size >= n else int(batch_size)
-        self.rng = rng
-        self._order: np.ndarray | None = None
-        self._pos = 0
-        if self.batch is not None and rng is None:
-            raise ValueError("minibatching requires a SeededRng")
-
-    def next(self) -> np.ndarray | None:
-        if self.batch is None:
-            return None
-        if self._order is None or self._pos + self.batch > self.n:
-            self._order = self.rng.permutation(self.n)
-            self._pos = 0
-        out = self._order[self._pos : self._pos + self.batch]
-        self._pos += self.batch
-        return out
+    if batch_size is None or batch_size >= n:
+        return None
+    if rng is None:
+        raise ValueError("minibatching requires a SeededRng")
+    per_epoch = n // batch_size
+    epochs = -(-steps // per_epoch)
+    orders = np.argsort(rng.uniforms(epochs * n).reshape(epochs, n), axis=1, kind="stable")
+    return orders[:, : per_epoch * batch_size].reshape(-1, batch_size)[:steps]
 
 
 def _local_steps(
-    objective: LocalObjective,
+    objectives,
     x_start: np.ndarray,
     steps: int,
     lr: float,
     batch_size: int | None,
-    rng: SeededRng | None,
-    client_id: int,
+    rngs,
+    client_ids,
     alpha: float = 0.0,
     fair_grad: np.ndarray | None = None,
-) -> UpdatePacket:
-    """The step loop of both local SGD variants. Each step moves along the
-    minibatch gradient g, or along (1 - alpha) * g + alpha * fair_grad when
-    a fair gradient is given; the one-step displacement is recorded only
-    for plain steps. The end loss is a full-batch snapshot."""
+) -> list[UpdatePacket]:
+    """The step loop of both local SGD variants, for a whole cohort.
+
+    Each client starts from x_start, draws its minibatches from its own
+    stream in ``rngs``, and at each step moves along its minibatch gradient
+    g, or along (1 - alpha) * g + alpha * fair_grad when a fair gradient is
+    given; the one-step displacement is recorded only for plain steps. The
+    end loss is a full-batch snapshot. Clients that all take minibatches,
+    or all take full sets of one size, take each step together through
+    their family's stack: one batched pass for classifiers, a loop of
+    per-client gradient calls otherwise."""
+    objectives = list(objectives)
+    if not objectives:
+        raise ValueError("need at least one client objective")
     if steps < 1:
         raise ValueError("steps must be >= 1")
     x_start = np.asarray(x_start, dtype=np.float64)
+    if any(x_start.shape != (o.dimension,) for o in objectives):
+        raise ValueError("start parameter dimension mismatch")
     if fair_grad is not None:
         if not 0.0 <= alpha <= 1.0:
             raise ValueError("alpha must be in [0, 1]")
         if fair_grad.shape != x_start.shape:
             raise ValueError("fair gradient dimension mismatch")
-    x = x_start.copy()
-    stream = _BatchStream(objective.full_size, batch_size, rng)
+    s = len(objectives)
+    rngs = [None] * s if rngs is None else rngs
+    client_ids = range(s) if client_ids is None else client_ids
+    batches = [
+        _batch_rows(o.full_size, batch_size, steps, rng)
+        for o, rng in zip(objectives, rngs, strict=True)
+    ]
+    by_kind: dict[tuple[str, int], list[int]] = {}
+    for i, (obj, rows) in enumerate(zip(objectives, batches)):
+        key = ("full", obj.full_size) if rows is None else ("batch", batch_size)
+        by_kind.setdefault(key, []).append(i)
+    # (client ids, their stack, None or (steps, clients, rows) sample indices)
+    groups = []
+    for ids in by_kind.values():
+        rows = None if batches[ids[0]] is None else np.stack([batches[i] for i in ids], axis=1)
+        groups.append((np.array(ids), stack_objectives(objectives[i] for i in ids), rows))
+    x = np.tile(x_start, (s, 1))
+    g = np.empty_like(x)
+    fair_share = None if fair_grad is None else alpha * fair_grad
     one_step = None
     for k in range(steps):
-        g = objective.gradient(x, stream.next())
-        if fair_grad is not None:
-            g = (1.0 - alpha) * g + alpha * fair_grad
-        x = x - lr * g
+        for ids, stack, rows in groups:
+            g[ids] = stack.gradients(x[ids], None if rows is None else rows[k])
+        # in place, x - lr * ((1 - alpha) * g + alpha * fair_grad) rounds
+        # each operation exactly as written
+        if fair_share is not None:
+            g *= 1.0 - alpha
+            g += fair_share
+        g *= lr
+        x -= g
         if k == 0 and fair_grad is None:
             one_step = x - x_start
-    return UpdatePacket(
-        client_id=client_id,
-        delta=x - x_start,
-        one_step_delta=one_step,
-        end_loss=objective.loss(x),
-        n_samples=objective.full_size,
-    )
+    delta = x - x_start
+    return [
+        UpdatePacket(
+            client_id=int(cid),
+            delta=delta[i],
+            one_step_delta=None if one_step is None else one_step[i],
+            end_loss=obj.loss(x[i]),
+            n_samples=obj.full_size,
+        )
+        for i, (cid, obj) in enumerate(zip(client_ids, objectives, strict=True))
+    ]
 
 
 def local_sgd(
-    objective: LocalObjective,
+    objectives,
     x_start: np.ndarray,
     steps: int,
     lr: float,
     batch_size: int | None = None,
-    rng: SeededRng | None = None,
-    client_id: int = 0,
-) -> UpdatePacket:
-    """K local gradient steps; records the full and one-step displacements
-    plus the full-batch loss after the last step."""
-    return _local_steps(objective, x_start, steps, lr, batch_size, rng, client_id)
+    rngs=None,
+    client_ids=None,
+) -> list[UpdatePacket]:
+    """K local gradient steps of every client in a cohort, each from
+    x_start; one packet per client, with the full and one-step
+    displacements plus the full-batch loss after the last step. ``rngs``
+    holds one minibatch stream per client (needed only for minibatches);
+    client ids default to the cohort positions."""
+    return _local_steps(objectives, x_start, steps, lr, batch_size, rngs, client_ids)
 
 
 def local_sgd_aligned(
-    objective: LocalObjective,
+    objectives,
     x_start: np.ndarray,
     steps: int,
     lr: float,
     alpha: float,
     fair_grad: np.ndarray,
     batch_size: int | None = None,
-    rng: SeededRng | None = None,
-    client_id: int = 0,
-) -> UpdatePacket:
+    rngs=None,
+    client_ids=None,
+) -> list[UpdatePacket]:
     """Local steps along (1 - alpha) * local gradient + alpha * fair
-    gradient, with the fair gradient held fixed for the whole round. The
-    one-step displacement is not collected on this branch."""
+    gradient, for every client in a cohort, with the fair gradient held
+    fixed for the whole round. The one-step displacement is not collected
+    on this branch."""
     fair_grad = np.asarray(fair_grad, dtype=np.float64)
     return _local_steps(
-        objective, x_start, steps, lr, batch_size, rng, client_id, alpha, fair_grad
+        objectives, x_start, steps, lr, batch_size, rngs, client_ids, alpha, fair_grad
     )
 
 
@@ -432,25 +467,20 @@ def run_round(
         start_grads = [obj.gradient(x_t) for obj in objectives]
         fair_grad = compute_fair_gradient(start_grads, start_losses, tau)
 
-    packets = []
-    for cid, obj in zip(sampled, objectives):
-        cid = int(cid)
-        stream = rng.derive(_TAG_LOCAL, round_index, cid)
-        if aligned:
-            pk = local_sgd_aligned(
-                obj, x_t, cfg.local_steps, cfg.local_lr, cfg.alpha, fair_grad,
-                cfg.batch_size, stream, client_id=cid,
-            )
-        else:
-            pk = local_sgd(
-                obj, x_t, cfg.local_steps, cfg.local_lr, cfg.batch_size, stream,
-                client_id=cid,
-            )
-        packets.append(pk)
+    streams = [rng.derive(_TAG_LOCAL, round_index, int(cid)) for cid in sampled]
+    if aligned:
+        packets = local_sgd_aligned(
+            objectives, x_t, cfg.local_steps, cfg.local_lr, cfg.alpha, fair_grad,
+            cfg.batch_size, streams, sampled,
+        )
+    else:
+        packets = local_sgd(
+            objectives, x_t, cfg.local_steps, cfg.local_lr, cfg.batch_size, streams, sampled
+        )
 
     if cfg.method == "qffl":
         local_models = [x_t + pk.delta for pk in packets]
-        x_next = qffl_server_step(x_t, local_models, start_losses, cfg.qffl)
+        delta = qffl_delta(x_t, local_models, start_losses, cfg.qffl)
         # Recorded weights are the normalized loss powers F_i^q (how strongly
         # each client shapes the numerator); the step itself is not a convex
         # combination of the deltas.
@@ -458,6 +488,7 @@ def run_round(
         weights = (
             powered / powered.sum() if powered.sum() > 0 else uniform_weights(len(packets))
         )
+        server_lr = 1.0  # the q-FFL step sets its own length
     else:
         prior = None
         if cfg.eba.prior == "data_ratio":
@@ -470,7 +501,8 @@ def run_round(
             delta = aggregate_model_alignment(packets, weights, cfg.alpha)
         else:
             delta = aggregate_plain(packets, weights)
-        x_next = server_update(x_t, delta, cfg.global_lr)
+        server_lr = cfg.global_lr
+    x_next = server_update(x_t, delta, server_lr)
 
     report = _finish_round(
         federation, cfg, round_index, x_next, sampled, tau, angle, aligned, weights

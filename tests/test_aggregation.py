@@ -8,6 +8,7 @@ from entrofed.aggregation import (
     QfflConfig,
     data_ratio_weights,
     eba_weights,
+    qffl_delta,
     qffl_server_step,
     schedule_tau,
     uniform_weights,
@@ -86,6 +87,21 @@ class TestQfflStep:
         losses = np.array([8.0, 8.0])
         out = qffl_server_step(x, models, losses, QfflConfig(q=1.0, lipschitz=1.0))
         assert out[0] == pytest.approx(8.0 / 21.0, abs=1e-15)
+
+    def test_step_is_start_plus_delta(self):
+        # The round applies qffl_delta through server_update(x, delta, 1.0):
+        # x + (-u) == x - u in IEEE arithmetic, so both give the same bits.
+        from entrofed.trainer import server_update
+
+        rng = SeededRng(3)
+        x = rng.normals(5)
+        models = [x + rng.normals(5) for _ in range(4)]
+        losses = np.array([0.5, 1.5, 2.5, 0.7])
+        cfg = QfflConfig(q=1.5, lipschitz=2.0)
+        delta = qffl_delta(x, models, losses, cfg)
+        step = qffl_server_step(x, models, losses, cfg)
+        assert np.array_equal(step, server_update(x, delta, 1.0))
+        assert np.array_equal(step, x - (-delta))
 
     def test_zero_q_is_plain_pseudo_gradient_average(self):
         rng = SeededRng(1)

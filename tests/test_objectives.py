@@ -307,6 +307,23 @@ class TestStackedEvaluation:
             got = stack_objectives(objs).evaluate(x)
             assert np.array_equal(got.losses, [o.loss(x) for o in objs]), family
 
+    @pytest.mark.parametrize("family", [*sorted(STACK_FAMILIES), "softmax-1d"])
+    def test_gradients_at_own_parameters_are_bitwise_per_client(self, family):
+        # Local SGD steps a cohort through these; a layout of the sample
+        # indices that is not C-ordered must not change the BLAS calls.
+        make = STACK_FAMILIES.get(family, lambda rng, n: random_classifier(rng, n=n, d=1, c=2))
+        rng = SeededRng(32)
+        n, m = 9, 4
+        objs = [make(rng, n) for _ in range(m)]
+        stack = stack_objectives(objs)
+        xs = 0.5 * rng.normals(m * objs[0].dimension).reshape(m, -1)
+        full = stack.gradients(xs)
+        assert np.array_equal(full, [o.gradient(x) for o, x in zip(objs, xs)]), family
+        subsets = np.asfortranarray([rng.permutation(n)[:5] for _ in range(m)])
+        got = stack.gradients(xs, subsets)
+        want = [o.gradient(x, s) for o, x, s in zip(objs, xs, subsets)]
+        assert np.array_equal(got, want), family
+
     def test_mixed_families_fall_back_to_the_loop(self):
         rng = SeededRng(31)
         objs = [random_classifier(rng, n=5), random_classifier(rng, n=5, d=3)]

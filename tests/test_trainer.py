@@ -4,10 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from entrofed.aggregation import EbaConfig
 from entrofed.core import SeededRng, softmax_temperature
-from entrofed.objectives import ClassifierObjective, LocalObjective, QuadraticObjective
+from entrofed.objectives import (
+    ClassifierObjective,
+    GlrObjective,
+    LocalObjective,
+    QuadraticObjective,
+)
 from entrofed.trainer import (
     Client,
     Federation,
@@ -107,69 +113,184 @@ class TestFairGradient:
 
 class TestLocalSgd:
     def test_toy_single_steps(self):
-        pk1 = local_sgd(QuadraticObjective(2, 2), np.zeros(1), 1, 0.25)
+        pk1, pk2 = local_sgd(
+            [QuadraticObjective(2, 2), QuadraticObjective(0.5, -4)], np.zeros(1), 1, 0.25
+        )
         assert pk1.delta[0] == 2.0 and pk1.one_step_delta[0] == 2.0
-        pk2 = local_sgd(QuadraticObjective(0.5, -4), np.zeros(1), 1, 0.25)
         assert pk2.delta[0] == -1.0
+        assert (pk1.client_id, pk2.client_id) == (0, 1)
 
     def test_one_step_equals_full_delta_at_k1(self):
-        pk = local_sgd(QuadraticObjective(1.5, 0.7), np.array([3.0]), 1, 0.1)
+        [pk] = local_sgd([QuadraticObjective(1.5, 0.7)], np.array([3.0]), 1, 0.1)
         assert np.array_equal(pk.delta, pk.one_step_delta)
 
     def test_matches_closed_form_for_k_steps(self):
         a, c, lr, k = 0.8, -2.0, 0.2, 7
         x0 = np.array([1.0])
-        pk = local_sgd(QuadraticObjective(a, c), x0, k, lr)
+        [pk] = local_sgd([QuadraticObjective(a, c)], x0, k, lr)
         expected = c + (1 - 2 * a * lr) ** k * (x0[0] - c) - x0[0]
         assert pk.delta[0] == pytest.approx(expected, abs=1e-12)
 
     def test_minibatch_stream_is_seeded(self):
-        from entrofed.objectives import ClassifierObjective
-
         rng = SeededRng(5)
         feats = rng.normals(60).reshape(30, 2)
         labels = rng.integers(30, 3)
         obj = ClassifierObjective(feats, labels, 3)
         x0 = np.zeros(obj.dimension)
-        a = local_sgd(obj, x0, 5, 0.1, batch_size=8, rng=SeededRng(99))
-        b = local_sgd(obj, x0, 5, 0.1, batch_size=8, rng=SeededRng(99))
+        [a] = local_sgd([obj], x0, 5, 0.1, batch_size=8, rngs=[SeededRng(99)])
+        [b] = local_sgd([obj], x0, 5, 0.1, batch_size=8, rngs=[SeededRng(99)])
         assert np.array_equal(a.delta, b.delta)
-        c = local_sgd(obj, x0, 5, 0.1, batch_size=8, rng=SeededRng(100))
+        [c] = local_sgd([obj], x0, 5, 0.1, batch_size=8, rngs=[SeededRng(100)])
         assert not np.array_equal(a.delta, c.delta)
 
     def test_requires_rng_for_minibatches(self):
-        from entrofed.objectives import ClassifierObjective
-
         rng = SeededRng(6)
         obj = ClassifierObjective(rng.normals(20).reshape(10, 2), rng.integers(10, 2), 2)
         with pytest.raises(ValueError, match="SeededRng"):
-            local_sgd(obj, np.zeros(obj.dimension), 2, 0.1, batch_size=4)
+            local_sgd([obj], np.zeros(obj.dimension), 2, 0.1, batch_size=4)
+
+    def test_rejects_mismatched_cohorts(self):
+        obj = QuadraticObjective(1.0, 0.0)
+        with pytest.raises(ValueError, match="at least one"):
+            local_sgd([], np.zeros(1), 1, 0.1)
+        with pytest.raises(ValueError, match="dimension"):
+            local_sgd([obj], np.zeros(2), 1, 0.1)
+        with pytest.raises(ValueError):
+            local_sgd([obj, obj], np.zeros(1), 1, 0.1, rngs=[SeededRng(0)])
 
 
 class TestLocalSgdAligned:
     def test_alpha_zero_matches_plain(self):
         obj = QuadraticObjective(1.2, 0.5)
         x0 = np.array([2.0])
-        plain = local_sgd(obj, x0, 4, 0.1)
-        aligned = local_sgd_aligned(obj, x0, 4, 0.1, 0.0, np.array([9.0]))
+        [plain] = local_sgd([obj], x0, 4, 0.1)
+        [aligned] = local_sgd_aligned([obj], x0, 4, 0.1, 0.0, np.array([9.0]))
         assert np.array_equal(plain.delta, aligned.delta)
 
     def test_alpha_one_ignores_local_data(self):
         obj = QuadraticObjective(3.0, -1.0)
         g_fair = np.array([0.7])
-        pk = local_sgd_aligned(obj, np.array([5.0]), 6, 0.1, 1.0, g_fair)
+        [pk] = local_sgd_aligned([obj], np.array([5.0]), 6, 0.1, 1.0, g_fair)
         assert pk.delta[0] == pytest.approx(-0.1 * 6 * 0.7, abs=1e-12)
 
     def test_zero_local_gradient_accumulates_fair_share(self):
         obj = FlatObjective(3)
         g_fair = np.array([1.0, -2.0, 0.5])
-        pk = local_sgd_aligned(obj, np.zeros(3), 5, 0.2, 0.5, g_fair)
+        [pk] = local_sgd_aligned([obj], np.zeros(3), 5, 0.2, 0.5, g_fair)
         assert pk.delta == pytest.approx(-0.2 * 5 * 0.5 * g_fair, abs=1e-15)
         assert pk.one_step_delta is None
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
-            local_sgd_aligned(QuadraticObjective(1, 0), np.zeros(1), 1, 0.1, 0.5, np.zeros(2))
+            local_sgd_aligned([QuadraticObjective(1, 0)], np.zeros(1), 1, 0.1, 0.5, np.zeros(2))
+
+
+class _SeedBatchStream:
+    """The per-client minibatch stream that local SGD used before cohorts
+    trained together: one permutation drawn per epoch, on demand."""
+
+    def __init__(self, n, batch_size, rng):
+        self.n = n
+        self.batch = None if batch_size is None or batch_size >= n else int(batch_size)
+        self.rng = rng
+        self._order = None
+        self._pos = 0
+
+    def next(self):
+        if self.batch is None:
+            return None
+        if self._order is None or self._pos + self.batch > self.n:
+            self._order = self.rng.permutation(self.n)
+            self._pos = 0
+        out = self._order[self._pos : self._pos + self.batch]
+        self._pos += self.batch
+        return out
+
+
+def reference_local_steps(obj, x_start, steps, lr, batch_size, rng, alpha=0.0, fair_grad=None):
+    """One client's local SGD as a loop of per-client gradient calls:
+    (delta, one_step_delta, end_loss)."""
+    x = x_start.copy()
+    stream = _SeedBatchStream(obj.full_size, batch_size, rng)
+    one_step = None
+    for k in range(steps):
+        g = obj.gradient(x, stream.next())
+        if fair_grad is not None:
+            g = (1.0 - alpha) * g + alpha * fair_grad
+        x = x - lr * g
+        if k == 0 and fair_grad is None:
+            one_step = x - x_start
+    return x - x_start, one_step, obj.loss(x)
+
+
+def assert_packets_match_reference(objectives, x0, steps, lr, batch_size, seeds, fair_grad):
+    def streams():
+        return [SeededRng(seed) for seed in seeds]
+
+    if fair_grad is None:
+        packets = local_sgd(objectives, x0, steps, lr, batch_size, streams())
+    else:
+        packets = local_sgd_aligned(objectives, x0, steps, lr, 0.3, fair_grad, batch_size, streams())
+    assert len(packets) == len(objectives)
+    for pk, obj, rng in zip(packets, objectives, streams()):
+        delta, one_step, end_loss = reference_local_steps(
+            obj, x0, steps, lr, batch_size, rng, 0.3, fair_grad
+        )
+        assert pk.delta.tobytes() == delta.tobytes()
+        if one_step is None:
+            assert pk.one_step_delta is None
+        else:
+            assert pk.one_step_delta.tobytes() == one_step.tobytes()
+        assert pk.end_loss == end_loss
+        assert pk.n_samples == obj.full_size
+
+
+class TestCohortMatchesPerClientLoop:
+    """The batched cohort pass gives every client the bits of its own
+    per-client gradient loop."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        model=st.sampled_from(["softmax", "tanh", "relu"]),
+        hidden=st.integers(1, 32),
+        sizes=st.lists(st.integers(1, 40), min_size=1, max_size=7),
+        batch=st.one_of(st.none(), st.integers(1, 45)),
+        steps=st.integers(1, 7),
+        aligned=st.booleans(),
+        seed=st.integers(0, 2**32),
+    )
+    @example(model="relu", hidden=32, sizes=[3, 6, 13, 40], batch=6, steps=7, aligned=False, seed=1)
+    @example(model="tanh", hidden=4, sizes=[5, 5, 9], batch=None, steps=3, aligned=True, seed=2)
+    @example(model="softmax", hidden=1, sizes=[1, 2, 40], batch=40, steps=2, aligned=False, seed=3)
+    # one feature: (r, 1) sample blocks
+    @example(model="softmax", hidden=1, sizes=[4, 4], batch=None, steps=2, aligned=False, seed=0)
+    def test_classifier_cohort(self, model, hidden, sizes, batch, steps, aligned, seed):
+        rng = SeededRng(seed)
+        d, classes = 1 + seed % 4, 2 + seed % 3
+        hidden, activation = (0, "identity") if model == "softmax" else (hidden, model)
+        objectives = [
+            ClassifierObjective(
+                rng.normals(n * d).reshape(n, d), rng.integers(n, classes), classes, hidden, activation
+            )
+            for n in sizes
+        ]
+        dim = objectives[0].dimension
+        x0 = 0.5 * rng.normals(dim)
+        fair_grad = rng.normals(dim) if aligned else None
+        assert_packets_match_reference(
+            objectives, x0, steps, 0.2, batch, [seed + i for i in range(len(sizes))], fair_grad
+        )
+
+    @pytest.mark.parametrize("aligned", [False, True])
+    def test_quadratic_and_glr_cohort_loops_per_client(self, aligned):
+        rng = SeededRng(8)
+        objectives = [
+            QuadraticObjective(1.5, -0.5),
+            GlrObjective(rng.normals(7).reshape(7, 1), rng.normals(7)),
+            GlrObjective(rng.normals(3).reshape(3, 1), rng.normals(3)),
+        ]
+        fair_grad = np.array([0.4]) if aligned else None
+        assert_packets_match_reference(objectives, np.array([0.3]), 5, 0.1, 3, [4, 5, 6], fair_grad)
 
 
 class TestAggregation:
@@ -287,7 +408,7 @@ class TestRunRound:
         cfg = self._cfg(clients_per_round=4, theta=math.pi / 2, local_steps=1)
         x = np.array([0.5])
         x_next, report = run_round(fed, x, cfg, 1, SeededRng(0))
-        single = local_sgd(QuadraticObjective(1.0, 2.0), x, 1, 0.05)
+        [single] = local_sgd([QuadraticObjective(1.0, 2.0)], x, 1, 0.05)
         assert report.branch == "plain" and report.angle == 0.0
         assert x_next[0] == pytest.approx(x[0] + single.delta[0], abs=1e-12)
 
@@ -296,7 +417,7 @@ class TestRunRound:
         cfg = self._cfg(clients_per_round=4, theta=math.pi / 2, local_steps=2)
         x = np.array([0.5])
         x_next, _ = run_round(fed, x, cfg, 1, SeededRng(0))
-        single = local_sgd(QuadraticObjective(1.0, 2.0), x, 2, 0.05)
+        [single] = local_sgd([QuadraticObjective(1.0, 2.0)], x, 2, 0.05)
         blended = 0.5 * single.delta[0] + 0.5 * single.one_step_delta[0]
         assert x_next[0] == pytest.approx(x[0] + blended, abs=1e-12)
 
@@ -436,8 +557,10 @@ def classifier_federation(m, seed=0, d=4, classes=3):
 
 class TestTelemetryCallCounts:
     """Per-round telemetry evaluates all clients through the federation's
-    stacks, so per-client objective calls come only from the sampled
-    clients' training, whatever m is."""
+    stacks, and local SGD trains the sampled cohort through a stack too, so
+    per-client objective calls come only from the round's start and end
+    losses and the fair gradient's start gradients, whatever m and the
+    local step count are."""
 
     @pytest.mark.parametrize("m", [20, 50])
     @pytest.mark.parametrize("method", ["fedeba_plus", "fedavg", "qffl"])
@@ -471,9 +594,10 @@ class TestTelemetryCallCounts:
         run_training(fed, cfg, x0=np.zeros(fed.dimension), on_round=on_round)
         branches = {branch for branch, _ in per_round}
         assert branches == ({"plain", "aligned"} if method == "fedeba_plus" else {"plain"})
-        k, s = cfg.local_steps, cfg.clients_per_round
+        s = cfg.clients_per_round
         for branch, c in per_round:
             # Losses: the round's start loss and local SGD's end loss, once
-            # per sampled client.
+            # per sampled client. Gradients: the start gradients of the
+            # fair-angle branch; local steps make no per-client call.
             start_grads = s if branch == "aligned" else 0
-            assert c == {"loss": 2 * s, "gradient": k * s + start_grads, "accuracy": 0}
+            assert c == {"loss": 2 * s, "gradient": start_grads, "accuracy": 0}
