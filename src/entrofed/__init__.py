@@ -27,7 +27,6 @@ from entrofed.objectives import (
     QuadraticObjective,
     finite_diff_gradient,
     glr_least_squares,
-    gradient_noise_estimate,
 )
 from entrofed.datagen import (
     GlrFederationSpec,
@@ -45,7 +44,6 @@ from entrofed.aggregation import (
     data_ratio_weights,
     eba_weights,
     qffl_delta,
-    qffl_server_step,
     schedule_tau,
     uniform_weights,
 )
@@ -54,7 +52,6 @@ from entrofed.trainer import (
     Federation,
     RoundReport,
     TrainerConfig,
-    UpdatePacket,
     run_round,
     run_training,
 )
@@ -85,7 +82,6 @@ __all__ = [
     "ClassifierObjective",
     "finite_diff_gradient",
     "glr_least_squares",
-    "gradient_noise_estimate",
     "LabeledDataset",
     "PartitionSpec",
     "GlrFederationSpec",
@@ -101,11 +97,9 @@ __all__ = [
     "uniform_weights",
     "data_ratio_weights",
     "qffl_delta",
-    "qffl_server_step",
     "TrainerConfig",
     "Client",
     "Federation",
-    "UpdatePacket",
     "RoundReport",
     "run_round",
     "run_training",

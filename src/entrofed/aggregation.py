@@ -2,7 +2,7 @@
 
 Entropy-based aggregation weights (with or without a prior), uniform and
 data-ratio baselines, the temperature annealing schedules, and the q-FFL
-server step. All functions are stateless.
+server displacement. All functions are stateless.
 """
 
 from __future__ import annotations
@@ -109,7 +109,9 @@ def qffl_delta(x_t: np.ndarray, local_models, losses, cfg: QfflConfig) -> np.nda
 
     Pseudo-gradients are grad_i = L (x_t - x_i) for local models x_i, and
     h_i = q F_i^(q-1) ||grad_i||^2 + L F_i^q. With q = 0 this reduces to a
-    plain averaged pseudo-gradient step.
+    plain averaged pseudo-gradient step, zero losses included (F^0 = 1);
+    only fractional powers 0 < q < 1 reject a zero loss, whose h_i term
+    would need a negative power of zero.
     """
     x_t = np.asarray(x_t, dtype=np.float64)
     losses = np.asarray(losses, dtype=np.float64)
@@ -120,7 +122,7 @@ def qffl_delta(x_t: np.ndarray, local_models, losses, cfg: QfflConfig) -> np.nda
         raise ValueError("local model dimension mismatch")
     if np.any(losses < 0):
         raise ValueError("losses must be nonnegative")
-    if cfg.q < 1.0 and np.any(losses == 0):
+    if 0.0 < cfg.q < 1.0 and np.any(losses == 0):
         raise ValueError("zero loss is outside the domain of fractional loss powers")
     lip = cfg.lipschitz
     delta_sum = np.zeros_like(x_t)
@@ -135,10 +137,3 @@ def qffl_delta(x_t: np.ndarray, local_models, losses, cfg: QfflConfig) -> np.nda
     if h_sum == 0.0:
         raise ZeroDivisionError("degenerate q-FFL step: normalizer sums to zero")
     return -(delta_sum / h_sum)
-
-
-def qffl_server_step(
-    x_t: np.ndarray, local_models, losses, cfg: QfflConfig
-) -> np.ndarray:
-    """One q-FFL server update: x_t plus :func:`qffl_delta`."""
-    return np.asarray(x_t, dtype=np.float64) + qffl_delta(x_t, local_models, losses, cfg)

@@ -15,7 +15,7 @@ import numpy as np
 
 from entrofed.core import entropy, softmax_temperature, validate_simplex
 from entrofed.aggregation import uniform_weights
-from entrofed.objectives import ObjectiveStack, stack_objectives
+from entrofed.objectives import ObjectiveStack
 
 
 class InfeasibleGridError(RuntimeError):
@@ -71,20 +71,17 @@ class FairnessReport:
     k_percent: float
 
 
-def evaluate_fairness(test_objectives, x: np.ndarray, k_percent: float = 5.0) -> FairnessReport:
+def evaluate_fairness(
+    stack: ObjectiveStack, x: np.ndarray, k_percent: float = 5.0
+) -> FairnessReport:
     """Evaluate a model on every client's test objective.
 
-    ``test_objectives`` is a sequence of objectives or an
-    :class:`ObjectiveStack` of them (a federation keeps one, so the data is
-    not stacked again every round). Accuracy statistics are NaN for
-    objective families without an ``accuracy`` method (regression clients);
-    the global accuracy is weighted by client test-set size.
+    ``stack`` holds the test objectives (see
+    :func:`~entrofed.objectives.stack_objectives`; a federation keeps one,
+    so the data is not stacked again every round). Accuracy statistics are
+    NaN for objective families without an ``accuracy`` method (regression
+    clients); the global accuracy is weighted by client test-set size.
     """
-    stack = (
-        test_objectives
-        if isinstance(test_objectives, ObjectiveStack)
-        else stack_objectives(test_objectives)
-    )
     losses, accs, _ = stack.evaluate(x)
     sizes = stack.sizes
     if np.all(np.isfinite(accs)):

@@ -350,7 +350,8 @@ class ObjectiveStack:
         """Row i is ``objectives[i].gradient(xs[i], subsets[i])``: every
         objective at its own parameter vector, on r sample indices each
         ((m, D) and (m, r) inputs), or on its full set when ``subsets`` is
-        None."""
+        None. The classifier stack's one pass takes full sets only of one
+        sample count, and raises ValueError for mixed sizes."""
         if subsets is None:
             subsets = [None] * self.m
         return np.array([o.gradient(x, s) for o, x, s in zip(self.objectives, xs, subsets)])
@@ -410,13 +411,22 @@ class _ClassifierStack(ObjectiveStack):
         labels = np.concatenate([o.labels for o in self.objectives])
         return feats, labels, starts
 
+    @cached_property
+    def _full_rows(self):
+        """Every objective's full set as an (m, n) row block, for n shared."""
+        n = self.objectives[0].full_size
+        if np.any(self.sizes != n):
+            raise ValueError("full-set gradients need objectives of one sample count")
+        return self._rows[2][:, None] + np.arange(n)
+
     def gradients(self, xs, subsets=None):
         # C-ordered (m, r, d) rows against (m, D) parameters: matmul makes
         # one BLAS call per objective, the one its own gradient makes
         feats, labels, starts = self._rows
-        if subsets is None:  # full sets, of one size within a group
-            subsets = np.arange(self.objectives[0].full_size)
-        rows = np.ascontiguousarray(starts[:, None] + subsets)
+        if subsets is None:
+            rows = self._full_rows
+        else:
+            rows = np.ascontiguousarray(starts[:, None] + subsets)
         return self._model._gradient(xs, feats[rows], labels[rows])
 
     def evaluate(self, x, gradient=False) -> StackedEval:
@@ -488,24 +498,3 @@ def glr_least_squares(obj: GlrObjective) -> np.ndarray:
     if np.linalg.matrix_rank(X) < X.shape[1]:
         raise np.linalg.LinAlgError("design matrix is rank-deficient")
     return np.linalg.solve(X.T @ X, X.T @ y)
-
-
-def gradient_noise_estimate(
-    obj: LocalObjective, x: np.ndarray, batch_size: int, rng: SeededRng, probes: int = 32
-) -> float:
-    """Mean squared deviation of minibatch gradients from the full gradient.
-
-    Diagnostic only: a rough estimate of the stochastic-gradient noise floor
-    at x, averaged over `probes` random subsets drawn without replacement.
-    """
-    if batch_size < 1 or probes < 1:
-        raise ValueError("batch_size and probes must be >= 1")
-    n = obj.full_size
-    batch_size = min(batch_size, n)
-    full = obj.gradient(x)
-    total = 0.0
-    for _ in range(probes):
-        subset = rng.sample_without_replacement(n, batch_size)
-        diff = obj.gradient(x, subset) - full
-        total += float(np.dot(diff, diff))
-    return total / probes

@@ -122,10 +122,6 @@ class Federation:
     def dimension(self) -> int:
         return self.clients[0].objective.dimension
 
-    @property
-    def sizes(self) -> np.ndarray:
-        return np.array([c.objective.full_size for c in self.clients], dtype=np.float64)
-
     # The stacks copy the client data once, on first use, for the per-round
     # telemetry that evaluates every client; objectives are immutable, so
     # the copy stays valid.
@@ -139,14 +135,13 @@ class Federation:
 
 
 @dataclass(frozen=True)
-class UpdatePacket:
-    """What a client sends back after local training."""
+class CohortUpdate:
+    """What a sampled cohort sends back after local training, one row per
+    client in cohort order."""
 
-    client_id: int
-    delta: np.ndarray
-    one_step_delta: np.ndarray | None
-    end_loss: float
-    n_samples: int
+    deltas: np.ndarray  # (s, D) displacements after the last step
+    one_step: np.ndarray | None  # (s, D) after the first step; None if aligned
+    end_losses: np.ndarray  # (s,) full-batch losses after the last step
 
 
 @dataclass(frozen=True)
@@ -228,10 +223,9 @@ def _local_steps(
     lr: float,
     batch_size: int | None,
     rngs,
-    client_ids,
     alpha: float = 0.0,
     fair_grad: np.ndarray | None = None,
-) -> list[UpdatePacket]:
+) -> CohortUpdate:
     """The step loop of both local SGD variants, for a whole cohort.
 
     Each client starts from x_start, draws its minibatches from its own
@@ -257,7 +251,6 @@ def _local_steps(
             raise ValueError("fair gradient dimension mismatch")
     s = len(objectives)
     rngs = [None] * s if rngs is None else rngs
-    client_ids = range(s) if client_ids is None else client_ids
     batches = [
         _batch_rows(o.full_size, batch_size, steps, rng)
         for o, rng in zip(objectives, rngs, strict=True)
@@ -287,17 +280,8 @@ def _local_steps(
         x -= g
         if k == 0 and fair_grad is None:
             one_step = x - x_start
-    delta = x - x_start
-    return [
-        UpdatePacket(
-            client_id=int(cid),
-            delta=delta[i],
-            one_step_delta=None if one_step is None else one_step[i],
-            end_loss=obj.loss(x[i]),
-            n_samples=obj.full_size,
-        )
-        for i, (cid, obj) in enumerate(zip(client_ids, objectives, strict=True))
-    ]
+    end_losses = np.array([obj.loss(xi) for obj, xi in zip(objectives, x)])
+    return CohortUpdate(x - x_start, one_step, end_losses)
 
 
 def local_sgd(
@@ -307,14 +291,12 @@ def local_sgd(
     lr: float,
     batch_size: int | None = None,
     rngs=None,
-    client_ids=None,
-) -> list[UpdatePacket]:
+) -> CohortUpdate:
     """K local gradient steps of every client in a cohort, each from
-    x_start; one packet per client, with the full and one-step
-    displacements plus the full-batch loss after the last step. ``rngs``
-    holds one minibatch stream per client (needed only for minibatches);
-    client ids default to the cohort positions."""
-    return _local_steps(objectives, x_start, steps, lr, batch_size, rngs, client_ids)
+    x_start: the full and one-step displacements plus the full-batch loss
+    after the last step, one row per client. ``rngs`` holds one minibatch
+    stream per client (needed only for minibatches)."""
+    return _local_steps(objectives, x_start, steps, lr, batch_size, rngs)
 
 
 def local_sgd_aligned(
@@ -326,52 +308,32 @@ def local_sgd_aligned(
     fair_grad: np.ndarray,
     batch_size: int | None = None,
     rngs=None,
-    client_ids=None,
-) -> list[UpdatePacket]:
+) -> CohortUpdate:
     """Local steps along (1 - alpha) * local gradient + alpha * fair
     gradient, for every client in a cohort, with the fair gradient held
     fixed for the whole round. The one-step displacement is not collected
     on this branch."""
     fair_grad = np.asarray(fair_grad, dtype=np.float64)
-    return _local_steps(
-        objectives, x_start, steps, lr, batch_size, rngs, client_ids, alpha, fair_grad
-    )
+    return _local_steps(objectives, x_start, steps, lr, batch_size, rngs, alpha, fair_grad)
 
 
-def _stack_deltas(packets, attr: str) -> np.ndarray:
-    rows = []
-    dim = None
-    for pk in packets:
-        vec = getattr(pk, attr)
-        if vec is None:
-            raise ValueError(f"packet from client {pk.client_id} is missing {attr}")
-        vec = np.asarray(vec, dtype=np.float64)
-        if dim is None:
-            dim = vec.shape
-        elif vec.shape != dim:
-            raise ValueError("packet dimension mismatch")
-        rows.append(vec)
-    return np.stack(rows)
-
-
-def aggregate_plain(packets, p) -> np.ndarray:
-    """Weighted sum of client displacements."""
-    if not packets:
-        raise ValueError("need at least one packet")
+def aggregate_plain(deltas, p) -> np.ndarray:
+    """Weighted sum of client displacements, one row of ``deltas`` each."""
+    deltas = np.asarray(deltas, dtype=np.float64)
     p = np.asarray(p, dtype=np.float64)
-    if p.size != len(packets):
-        raise ValueError("one weight per packet required")
-    return p @ _stack_deltas(packets, "delta")
+    if deltas.ndim != 2 or not len(deltas) or p.shape != (len(deltas),):
+        raise ValueError("need one weight per row of a nonempty delta matrix")
+    return p @ deltas
 
 
-def aggregate_model_alignment(packets, p, alpha: float) -> np.ndarray:
+def aggregate_model_alignment(deltas, one_step, p, alpha: float) -> np.ndarray:
     """Blend the weighted aggregate of full local updates with the plain
     average of one-step local updates: (1-a) sum p_i d_i + a mean(d1_i)."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must be in [0, 1]")
-    weighted = aggregate_plain(packets, p)
-    one_step = _stack_deltas(packets, "one_step_delta").mean(axis=0)
-    return (1.0 - alpha) * weighted + alpha * one_step
+    if one_step is None or np.shape(one_step) != np.shape(deltas):
+        raise ValueError("model alignment needs a one-step delta per delta")
+    return (1.0 - alpha) * aggregate_plain(deltas, p) + alpha * np.mean(one_step, axis=0)
 
 
 def server_update(x_t: np.ndarray, delta: np.ndarray, lr: float) -> np.ndarray:
@@ -469,24 +431,21 @@ def run_round(
 
     streams = [rng.derive(_TAG_LOCAL, round_index, int(cid)) for cid in sampled]
     if aligned:
-        packets = local_sgd_aligned(
+        update = local_sgd_aligned(
             objectives, x_t, cfg.local_steps, cfg.local_lr, cfg.alpha, fair_grad,
-            cfg.batch_size, streams, sampled,
+            cfg.batch_size, streams,
         )
     else:
-        packets = local_sgd(
-            objectives, x_t, cfg.local_steps, cfg.local_lr, cfg.batch_size, streams, sampled
-        )
+        update = local_sgd(objectives, x_t, cfg.local_steps, cfg.local_lr, cfg.batch_size, streams)
 
     if cfg.method == "qffl":
-        local_models = [x_t + pk.delta for pk in packets]
-        delta = qffl_delta(x_t, local_models, start_losses, cfg.qffl)
+        delta = qffl_delta(x_t, x_t + update.deltas, start_losses, cfg.qffl)
         # Recorded weights are the normalized loss powers F_i^q (how strongly
         # each client shapes the numerator); the step itself is not a convex
         # combination of the deltas.
         powered = start_losses**cfg.qffl.q
         weights = (
-            powered / powered.sum() if powered.sum() > 0 else uniform_weights(len(packets))
+            powered / powered.sum() if powered.sum() > 0 else uniform_weights(len(sampled))
         )
         server_lr = 1.0  # the q-FFL step sets its own length
     else:
@@ -494,13 +453,13 @@ def run_round(
         if cfg.eba.prior == "data_ratio":
             prior = data_ratio_weights([obj.full_size for obj in objectives])
         if eba:
-            weights = eba_weights(np.array([pk.end_loss for pk in packets]), tau, prior)
+            weights = eba_weights(update.end_losses, tau, prior)
         else:
-            weights = uniform_weights(len(packets)) if prior is None else prior
+            weights = uniform_weights(len(sampled)) if prior is None else prior
         if eba and not aligned:
-            delta = aggregate_model_alignment(packets, weights, cfg.alpha)
+            delta = aggregate_model_alignment(update.deltas, update.one_step, weights, cfg.alpha)
         else:
-            delta = aggregate_plain(packets, weights)
+            delta = aggregate_plain(update.deltas, weights)
         server_lr = cfg.global_lr
     x_next = server_update(x_t, delta, server_lr)
 

@@ -1,4 +1,4 @@
-"""Weighting strategies, temperature schedules, and the q-FFL server step."""
+"""Weighting strategies, temperature schedules, and the q-FFL server displacement."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from entrofed.aggregation import (
     data_ratio_weights,
     eba_weights,
     qffl_delta,
-    qffl_server_step,
     schedule_tau,
     uniform_weights,
 )
@@ -85,7 +84,7 @@ class TestQfflStep:
         x = np.zeros(1)
         models = [np.array([2.0]), np.array([-1.0])]
         losses = np.array([8.0, 8.0])
-        out = qffl_server_step(x, models, losses, QfflConfig(q=1.0, lipschitz=1.0))
+        out = x + qffl_delta(x, models, losses, QfflConfig(q=1.0, lipschitz=1.0))
         assert out[0] == pytest.approx(8.0 / 21.0, abs=1e-15)
 
     def test_step_is_start_plus_delta(self):
@@ -99,8 +98,10 @@ class TestQfflStep:
         losses = np.array([0.5, 1.5, 2.5, 0.7])
         cfg = QfflConfig(q=1.5, lipschitz=2.0)
         delta = qffl_delta(x, models, losses, cfg)
-        step = qffl_server_step(x, models, losses, cfg)
+        step = x + qffl_delta(x, models, losses, cfg)
         assert np.array_equal(step, server_update(x, delta, 1.0))
+        # the round passes its local models as one (s, D) matrix
+        assert np.array_equal(qffl_delta(x, np.stack(models), losses, cfg), delta)
         assert np.array_equal(step, x - (-delta))
 
     def test_zero_q_is_plain_pseudo_gradient_average(self):
@@ -108,7 +109,18 @@ class TestQfflStep:
         x = rng.normals(4)
         models = [x + rng.normals(4) for _ in range(3)]
         losses = np.array([0.5, 1.5, 2.5])
-        out = qffl_server_step(x, models, losses, QfflConfig(q=0.0, lipschitz=1.0))
+        out = x + qffl_delta(x, models, losses, QfflConfig(q=0.0, lipschitz=1.0))
+        grads = np.stack([1.0 * (x - m) for m in models])
+        assert out == pytest.approx(x - grads.mean(axis=0), abs=1e-12)
+
+    def test_zero_q_takes_zero_losses(self):
+        # F^0 = 1 needs no negative power, so q = 0 keeps the plain
+        # pseudo-gradient average when a client's loss is zero.
+        rng = SeededRng(4)
+        x = rng.normals(3)
+        models = [x + rng.normals(3) for _ in range(3)]
+        losses = np.array([0.0, 1.5, 0.0])
+        out = x + qffl_delta(x, models, losses, QfflConfig(q=0.0, lipschitz=1.0))
         grads = np.stack([1.0 * (x - m) for m in models])
         assert out == pytest.approx(x - grads.mean(axis=0), abs=1e-12)
 
@@ -119,7 +131,7 @@ class TestQfflStep:
         losses = np.full(4, 2.0)
         lip = 1.3
         for q in (0.5, 1.0, 2.0, 3.0):
-            out = qffl_server_step(x, models, losses, QfflConfig(q=q, lipschitz=lip))
+            out = x + qffl_delta(x, models, losses, QfflConfig(q=q, lipschitz=lip))
             grads = np.stack([lip * (x - m) for m in models])
             f, g2 = 2.0, np.einsum("ij,ij->i", grads, grads)
             expected = x - f**q * grads.sum(axis=0) / (
@@ -130,7 +142,7 @@ class TestQfflStep:
     def test_identical_clients_symmetry(self):
         x = np.zeros(2)
         model = np.array([0.5, -0.25])
-        out = qffl_server_step(x, [model, model], np.array([1.0, 1.0]), QfflConfig(1.0, 1.0))
+        out = x + qffl_delta(x, [model, model], np.array([1.0, 1.0]), QfflConfig(1.0, 1.0))
         grad = -model
         h = float(np.dot(grad, grad)) + 1.0
         assert out == pytest.approx(-2 * grad / (2 * h), abs=1e-15)
@@ -138,21 +150,23 @@ class TestQfflStep:
     def test_zero_loss_rejected_for_fractional_powers(self):
         x = np.zeros(1)
         with pytest.raises(ValueError, match="domain|loss"):
-            qffl_server_step(x, [np.ones(1)], np.array([0.0]), QfflConfig(q=0.5))
+            qffl_delta(x, [np.ones(1)], np.array([0.0]), QfflConfig(q=0.5))
+        with pytest.raises(ValueError, match="domain|loss"):
+            qffl_delta(x, [np.ones(1), 2 * np.ones(1)], np.array([1.0, 0.0]), QfflConfig(q=0.999))
 
     def test_degenerate_normalizer(self):
         # q = 1 with zero losses and unmoved clients: both h terms vanish.
         x = np.zeros(2)
         with pytest.raises(ZeroDivisionError):
-            qffl_server_step(x, [x.copy()], np.array([0.0]), QfflConfig(q=1.0))
+            qffl_delta(x, [x.copy()], np.array([0.0]), QfflConfig(q=1.0))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
-            qffl_server_step(np.zeros(2), [np.zeros(3)], np.array([1.0]), QfflConfig())
+            qffl_delta(np.zeros(2), [np.zeros(3)], np.array([1.0]), QfflConfig())
 
     def test_negative_loss_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
-            qffl_server_step(np.zeros(1), [np.ones(1)], np.array([-1.0]), QfflConfig())
+            qffl_delta(np.zeros(1), [np.ones(1)], np.array([-1.0]), QfflConfig())
 
 
 class TestConfigValidation:

@@ -17,7 +17,7 @@ from entrofed.analysis import (
     weighted_variance,
 )
 from entrofed.core import SeededRng
-from entrofed.objectives import ClassifierObjective, QuadraticObjective
+from entrofed.objectives import ClassifierObjective, QuadraticObjective, stack_objectives
 
 
 class TestVariances:
@@ -189,7 +189,7 @@ class TestEvaluateFairness:
         # W columns score the classes by feature sum: class 1 wins iff
         # f0 + f1 > 0, which separates the +/-5 blobs decisively.
         x = np.array([-10.0, 10.0, -10.0, 10.0, 0.0, 0.0])
-        report = evaluate_fairness(objs, x, 5.0)
+        report = evaluate_fairness(stack_objectives(objs), x, 5.0)
         assert report.accuracy_variance == 0.0
         assert report.worst_tail_accuracy == 1.0
         assert report.best_tail_accuracy == 1.0
@@ -197,7 +197,7 @@ class TestEvaluateFairness:
 
     def test_known_loss_variance(self):
         objs = [QuadraticObjective(1.0, 0.0), QuadraticObjective(1.0, 2.0)]
-        report = evaluate_fairness(objs, np.array([2.0]), 5.0)
+        report = evaluate_fairness(stack_objectives(objs), np.array([2.0]), 5.0)
         assert report.test_losses.tolist() == [4.0, 0.0]
         assert report.loss_variance == 4.0
         assert np.isnan(report.global_accuracy)
@@ -208,6 +208,6 @@ class TestEvaluateFairness:
         rng = SeededRng(8)
         objs = [self._classifier(rng, int(rng.integers(1, 2)[0])) for _ in range(12)]
         x = rng.normals(objs[0].dimension)
-        report = evaluate_fairness(objs, x, 25.0)
+        report = evaluate_fairness(stack_objectives(objs), x, 25.0)
         assert report.worst_tail_accuracy <= report.global_accuracy + 1e-12
         assert report.global_accuracy <= report.best_tail_accuracy + 1e-12

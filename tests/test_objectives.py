@@ -13,7 +13,6 @@ from entrofed.objectives import (
     QuadraticObjective,
     finite_diff_gradient,
     glr_least_squares,
-    gradient_noise_estimate,
     stack_objectives,
 )
 
@@ -233,22 +232,6 @@ class TestClassifier:
             obj.loss(np.zeros(obj.dimension + 1))
 
 
-class TestGradientNoise:
-    def test_full_batch_has_zero_noise(self):
-        rng = SeededRng(22)
-        obj = random_glr(rng, n=10, d=3)
-        noise = gradient_noise_estimate(obj, rng.normals(3), 10, SeededRng(0))
-        assert noise == 0.0
-
-    def test_smaller_batches_are_noisier(self):
-        rng = SeededRng(23)
-        obj = random_classifier(rng, n=60, d=4, c=3)
-        x = 0.4 * rng.normals(obj.dimension)
-        small = gradient_noise_estimate(obj, x, 4, SeededRng(1), probes=64)
-        large = gradient_noise_estimate(obj, x, 30, SeededRng(1), probes=64)
-        assert small > large >= 0.0
-
-
 # family -> factory(rng, n) of one client objective with n samples
 STACK_FAMILIES = {
     "quadratic": lambda rng, n: QuadraticObjective(0.1 + 3 * rng.uniform(), rng.uniform(-5, 5)),
@@ -323,6 +306,24 @@ class TestStackedEvaluation:
         got = stack.gradients(xs, subsets)
         want = [o.gradient(x, s) for o, x, s in zip(objs, xs, subsets)]
         assert np.array_equal(got, want), family
+
+    @pytest.mark.parametrize("family", sorted(STACK_FAMILIES))
+    def test_full_set_gradients_of_mixed_sizes(self, family):
+        # One batched pass needs one row count: the classifier stack refuses
+        # full sets of 5, 3 and 8 samples rather than read its neighbours'
+        # rows. The loop takes each objective's own full set.
+        rng = SeededRng(33)
+        objs = [STACK_FAMILIES[family](rng, n) for n in (5, 3, 8)]
+        stack = stack_objectives(objs)
+        xs = 0.5 * rng.normals(3 * objs[0].dimension).reshape(3, -1)
+        if isinstance(objs[0], ClassifierObjective):
+            with pytest.raises(ValueError, match="one sample count"):
+                stack.gradients(xs)
+        else:
+            assert np.array_equal(stack.gradients(xs), [o.gradient(x) for o, x in zip(objs, xs)])
+        subsets = np.array([[0, 2], [1, 0], [7, 3]])
+        want = [o.gradient(x, s) for o, x, s in zip(objs, xs, subsets)]
+        assert np.array_equal(stack.gradients(xs, subsets), want), family
 
     def test_mixed_families_fall_back_to_the_loop(self):
         rng = SeededRng(31)

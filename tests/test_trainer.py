@@ -1,6 +1,8 @@
 """Training rounds: sampling, local SGD, alignment, aggregation, full loops."""
 
+import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from entrofed.aggregation import EbaConfig
 from entrofed.core import SeededRng, softmax_temperature
+from entrofed.harness import build_federation, parse_config
 from entrofed.objectives import (
     ClassifierObjective,
     GlrObjective,
@@ -113,23 +116,25 @@ class TestFairGradient:
 
 class TestLocalSgd:
     def test_toy_single_steps(self):
-        pk1, pk2 = local_sgd(
+        update = local_sgd(
             [QuadraticObjective(2, 2), QuadraticObjective(0.5, -4)], np.zeros(1), 1, 0.25
         )
-        assert pk1.delta[0] == 2.0 and pk1.one_step_delta[0] == 2.0
-        assert pk2.delta[0] == -1.0
-        assert (pk1.client_id, pk2.client_id) == (0, 1)
+        assert update.deltas[0, 0] == 2.0 and update.one_step[0, 0] == 2.0
+        assert update.deltas[1, 0] == -1.0
+        # one row per client, in cohort order
+        assert update.deltas.shape == update.one_step.shape == (2, 1)
+        assert update.end_losses.tolist() == [0.0, 4.5]
 
     def test_one_step_equals_full_delta_at_k1(self):
-        [pk] = local_sgd([QuadraticObjective(1.5, 0.7)], np.array([3.0]), 1, 0.1)
-        assert np.array_equal(pk.delta, pk.one_step_delta)
+        update = local_sgd([QuadraticObjective(1.5, 0.7)], np.array([3.0]), 1, 0.1)
+        assert np.array_equal(update.deltas, update.one_step)
 
     def test_matches_closed_form_for_k_steps(self):
         a, c, lr, k = 0.8, -2.0, 0.2, 7
         x0 = np.array([1.0])
-        [pk] = local_sgd([QuadraticObjective(a, c)], x0, k, lr)
+        update = local_sgd([QuadraticObjective(a, c)], x0, k, lr)
         expected = c + (1 - 2 * a * lr) ** k * (x0[0] - c) - x0[0]
-        assert pk.delta[0] == pytest.approx(expected, abs=1e-12)
+        assert update.deltas[0, 0] == pytest.approx(expected, abs=1e-12)
 
     def test_minibatch_stream_is_seeded(self):
         rng = SeededRng(5)
@@ -137,11 +142,11 @@ class TestLocalSgd:
         labels = rng.integers(30, 3)
         obj = ClassifierObjective(feats, labels, 3)
         x0 = np.zeros(obj.dimension)
-        [a] = local_sgd([obj], x0, 5, 0.1, batch_size=8, rngs=[SeededRng(99)])
-        [b] = local_sgd([obj], x0, 5, 0.1, batch_size=8, rngs=[SeededRng(99)])
-        assert np.array_equal(a.delta, b.delta)
-        [c] = local_sgd([obj], x0, 5, 0.1, batch_size=8, rngs=[SeededRng(100)])
-        assert not np.array_equal(a.delta, c.delta)
+        a = local_sgd([obj], x0, 5, 0.1, batch_size=8, rngs=[SeededRng(99)])
+        b = local_sgd([obj], x0, 5, 0.1, batch_size=8, rngs=[SeededRng(99)])
+        assert np.array_equal(a.deltas, b.deltas)
+        c = local_sgd([obj], x0, 5, 0.1, batch_size=8, rngs=[SeededRng(100)])
+        assert not np.array_equal(a.deltas, c.deltas)
 
     def test_requires_rng_for_minibatches(self):
         rng = SeededRng(6)
@@ -163,22 +168,22 @@ class TestLocalSgdAligned:
     def test_alpha_zero_matches_plain(self):
         obj = QuadraticObjective(1.2, 0.5)
         x0 = np.array([2.0])
-        [plain] = local_sgd([obj], x0, 4, 0.1)
-        [aligned] = local_sgd_aligned([obj], x0, 4, 0.1, 0.0, np.array([9.0]))
-        assert np.array_equal(plain.delta, aligned.delta)
+        plain = local_sgd([obj], x0, 4, 0.1)
+        aligned = local_sgd_aligned([obj], x0, 4, 0.1, 0.0, np.array([9.0]))
+        assert np.array_equal(plain.deltas, aligned.deltas)
 
     def test_alpha_one_ignores_local_data(self):
         obj = QuadraticObjective(3.0, -1.0)
         g_fair = np.array([0.7])
-        [pk] = local_sgd_aligned([obj], np.array([5.0]), 6, 0.1, 1.0, g_fair)
-        assert pk.delta[0] == pytest.approx(-0.1 * 6 * 0.7, abs=1e-12)
+        update = local_sgd_aligned([obj], np.array([5.0]), 6, 0.1, 1.0, g_fair)
+        assert update.deltas[0, 0] == pytest.approx(-0.1 * 6 * 0.7, abs=1e-12)
 
     def test_zero_local_gradient_accumulates_fair_share(self):
         obj = FlatObjective(3)
         g_fair = np.array([1.0, -2.0, 0.5])
-        [pk] = local_sgd_aligned([obj], np.zeros(3), 5, 0.2, 0.5, g_fair)
-        assert pk.delta == pytest.approx(-0.2 * 5 * 0.5 * g_fair, abs=1e-15)
-        assert pk.one_step_delta is None
+        update = local_sgd_aligned([obj], np.zeros(3), 5, 0.2, 0.5, g_fair)
+        assert update.deltas[0] == pytest.approx(-0.2 * 5 * 0.5 * g_fair, abs=1e-15)
+        assert update.one_step is None
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
@@ -223,26 +228,26 @@ def reference_local_steps(obj, x_start, steps, lr, batch_size, rng, alpha=0.0, f
     return x - x_start, one_step, obj.loss(x)
 
 
-def assert_packets_match_reference(objectives, x0, steps, lr, batch_size, seeds, fair_grad):
+def assert_cohort_matches_reference(objectives, x0, steps, lr, batch_size, seeds, fair_grad):
     def streams():
         return [SeededRng(seed) for seed in seeds]
 
     if fair_grad is None:
-        packets = local_sgd(objectives, x0, steps, lr, batch_size, streams())
+        update = local_sgd(objectives, x0, steps, lr, batch_size, streams())
     else:
-        packets = local_sgd_aligned(objectives, x0, steps, lr, 0.3, fair_grad, batch_size, streams())
-    assert len(packets) == len(objectives)
-    for pk, obj, rng in zip(packets, objectives, streams()):
+        update = local_sgd_aligned(objectives, x0, steps, lr, 0.3, fair_grad, batch_size, streams())
+    s = len(objectives)
+    assert update.deltas.shape == (s, x0.size) and update.end_losses.shape == (s,)
+    for i, (obj, rng) in enumerate(zip(objectives, streams())):
         delta, one_step, end_loss = reference_local_steps(
             obj, x0, steps, lr, batch_size, rng, 0.3, fair_grad
         )
-        assert pk.delta.tobytes() == delta.tobytes()
+        assert update.deltas[i].tobytes() == delta.tobytes()
         if one_step is None:
-            assert pk.one_step_delta is None
+            assert update.one_step is None
         else:
-            assert pk.one_step_delta.tobytes() == one_step.tobytes()
-        assert pk.end_loss == end_loss
-        assert pk.n_samples == obj.full_size
+            assert update.one_step[i].tobytes() == one_step.tobytes()
+        assert update.end_losses[i] == end_loss
 
 
 class TestCohortMatchesPerClientLoop:
@@ -277,7 +282,7 @@ class TestCohortMatchesPerClientLoop:
         dim = objectives[0].dimension
         x0 = 0.5 * rng.normals(dim)
         fair_grad = rng.normals(dim) if aligned else None
-        assert_packets_match_reference(
+        assert_cohort_matches_reference(
             objectives, x0, steps, 0.2, batch, [seed + i for i in range(len(sizes))], fair_grad
         )
 
@@ -290,69 +295,46 @@ class TestCohortMatchesPerClientLoop:
             GlrObjective(rng.normals(3).reshape(3, 1), rng.normals(3)),
         ]
         fair_grad = np.array([0.4]) if aligned else None
-        assert_packets_match_reference(objectives, np.array([0.3]), 5, 0.1, 3, [4, 5, 6], fair_grad)
+        assert_cohort_matches_reference(objectives, np.array([0.3]), 5, 0.1, 3, [4, 5, 6], fair_grad)
 
 
 class TestAggregation:
     def test_plain_uniform_mean(self):
-        from entrofed.trainer import UpdatePacket
-
-        pks = [
-            UpdatePacket(i, np.array([float(v)]), np.array([float(v)]), 1.0, 1)
-            for i, v in enumerate([2.0, -1.0])
-        ]
-        assert aggregate_plain(pks, [0.5, 0.5])[0] == 0.5
+        assert aggregate_plain(np.array([[2.0], [-1.0]]), [0.5, 0.5])[0] == 0.5
 
     def test_plain_one_hot(self):
-        from entrofed.trainer import UpdatePacket
-
-        pks = [
-            UpdatePacket(i, np.array([v]), None, 1.0, 1)
-            for i, v in enumerate([2.0, -1.0])
-        ]
-        assert aggregate_plain(pks, [0.0, 1.0])[0] == -1.0
+        assert aggregate_plain(np.array([[2.0], [-1.0]]), [0.0, 1.0])[0] == -1.0
 
     def test_plain_toy_entropy_weights(self):
-        from entrofed.trainer import UpdatePacket
-
-        pks = [
-            UpdatePacket(i, np.array([v]), None, 1.0, 1)
-            for i, v in enumerate([2.0, -1.0])
-        ]
         p = softmax_temperature([0.0, 4.5], 1.0)
-        out = aggregate_plain(pks, p)
+        out = aggregate_plain(np.array([[2.0], [-1.0]]), p)
         assert out[0] == pytest.approx(3 * SOFTMAX_0_45_TAU1[0] - 1, abs=1e-12)
 
-    def test_model_alignment_blend(self):
-        from entrofed.trainer import UpdatePacket
+    def test_plain_needs_one_weight_per_row(self):
+        for deltas, p in ((np.ones((2, 3)), [1.0]), (np.ones(3), [1.0] * 3), (np.ones((0, 3)), [])):
+            with pytest.raises(ValueError, match="one weight per row"):
+                aggregate_plain(deltas, p)
 
-        pks = [
-            UpdatePacket(0, np.array([2.0]), np.array([1.0]), 1.0, 1),
-            UpdatePacket(1, np.array([-1.0]), np.array([-0.5]), 1.0, 1),
-        ]
-        assert aggregate_model_alignment(pks, [0.5, 0.5], 0.0)[0] == 0.5
-        assert aggregate_model_alignment(pks, [0.5, 0.5], 1.0)[0] == 0.25
-        blended = aggregate_model_alignment(pks, [0.9, 0.1], 0.5)
+    def test_model_alignment_blend(self):
+        deltas = np.array([[2.0], [-1.0]])
+        one_step = np.array([[1.0], [-0.5]])
+        assert aggregate_model_alignment(deltas, one_step, [0.5, 0.5], 0.0)[0] == 0.5
+        assert aggregate_model_alignment(deltas, one_step, [0.5, 0.5], 1.0)[0] == 0.25
+        blended = aggregate_model_alignment(deltas, one_step, [0.9, 0.1], 0.5)
         assert blended[0] == pytest.approx(0.5 * (0.9 * 2 - 0.1) + 0.5 * 0.25, abs=1e-15)
 
     def test_alignment_requires_one_step_deltas(self):
-        from entrofed.trainer import UpdatePacket
-
-        pks = [UpdatePacket(0, np.array([1.0]), None, 1.0, 1)]
-        with pytest.raises(ValueError, match="one_step_delta"):
-            aggregate_model_alignment(pks, [1.0], 0.5)
+        with pytest.raises(ValueError, match="one-step"):
+            aggregate_model_alignment(np.array([[1.0]]), None, [1.0], 0.5)
+        with pytest.raises(ValueError, match="one-step"):
+            aggregate_model_alignment(np.ones((2, 1)), np.ones((1, 1)), [0.5, 0.5], 0.5)
 
     def test_weighted_aggregate_bracketing(self):
-        from entrofed.trainer import UpdatePacket
-
         rng = SeededRng(11)
         for _ in range(100):
             deltas = rng.normals(5 * 3).reshape(5, 3)
             p = rng.dirichlet(1.0, 5)
-            pks = [
-                UpdatePacket(i, deltas[i], None, 1.0, 1) for i in range(5)
-            ]
-            agg = aggregate_plain(pks, p)
+            agg = aggregate_plain(deltas, p)
             lo, hi = deltas.min(axis=0), deltas.max(axis=0)
             assert np.all(agg >= lo - 1e-12) and np.all(agg <= hi + 1e-12)
 
@@ -408,17 +390,17 @@ class TestRunRound:
         cfg = self._cfg(clients_per_round=4, theta=math.pi / 2, local_steps=1)
         x = np.array([0.5])
         x_next, report = run_round(fed, x, cfg, 1, SeededRng(0))
-        [single] = local_sgd([QuadraticObjective(1.0, 2.0)], x, 1, 0.05)
+        single = local_sgd([QuadraticObjective(1.0, 2.0)], x, 1, 0.05)
         assert report.branch == "plain" and report.angle == 0.0
-        assert x_next[0] == pytest.approx(x[0] + single.delta[0], abs=1e-12)
+        assert x_next[0] == pytest.approx(x[0] + single.deltas[0, 0], abs=1e-12)
 
     def test_identical_clients_blend_matches_single_client(self):
         fed = Federation(tuple(Client(QuadraticObjective(1.0, 2.0)) for _ in range(4)))
         cfg = self._cfg(clients_per_round=4, theta=math.pi / 2, local_steps=2)
         x = np.array([0.5])
         x_next, _ = run_round(fed, x, cfg, 1, SeededRng(0))
-        [single] = local_sgd([QuadraticObjective(1.0, 2.0)], x, 2, 0.05)
-        blended = 0.5 * single.delta[0] + 0.5 * single.one_step_delta[0]
+        single = local_sgd([QuadraticObjective(1.0, 2.0)], x, 2, 0.05)
+        blended = 0.5 * single.deltas[0, 0] + 0.5 * single.one_step[0, 0]
         assert x_next[0] == pytest.approx(x[0] + blended, abs=1e-12)
 
     def test_round_weights_are_simplex(self):
@@ -544,6 +526,32 @@ class TestRunTraining:
             TrainerConfig(rounds=1, local_steps=1, clients_per_round=1, local_lr=0.1, theta=4.0)
         with pytest.raises(ValueError):
             TrainerConfig(rounds=1, local_steps=1, clients_per_round=1, local_lr=0.1, method="sgd")
+
+
+class TestFairAngleGateOracle:
+    """With alpha = 0 the aligned step adds 0 * fair_grad to each local
+    gradient, and model alignment adds 0 * mean(one_step) to the weighted
+    aggregate. Either way the gate cannot move the model: theta = 0 (align
+    whenever the angle is positive) and theta = pi (never align) must give
+    equal models, up to the sign of a zero."""
+
+    @pytest.mark.parametrize("name", ["blobs-mlp", "glr-qffl"])
+    def test_alpha_zero_makes_the_gate_inert(self, name):
+        cfg = parse_config(Path(__file__).parent / "golden" / name / "config.cfg")
+        federation, x0 = build_federation(cfg, 0)
+        base = dataclasses.replace(cfg.trainer_config(0), method="fedeba_plus", alpha=0.0)
+        gated, x_gated = run_training(federation, dataclasses.replace(base, theta=0.0), x0)
+        plain, x_plain = run_training(federation, dataclasses.replace(base, theta=math.pi), x0)
+        assert len(gated) == len(plain) > 1
+        assert "aligned" in {r.branch for r in gated}
+        assert {r.branch for r in plain} == {"plain"}
+        assert np.isfinite(x_gated).all()
+        assert np.array_equal(x_gated, x_plain)
+        for a, b in zip(gated, plain):
+            for field in dataclasses.fields(a):
+                if field.name not in ("branch", "extra_comm"):
+                    got, want = getattr(a, field.name), getattr(b, field.name)
+                    assert np.array_equal(got, want, equal_nan=True), (a.round_index, field.name)
 
 
 def classifier_federation(m, seed=0, d=4, classes=3):
