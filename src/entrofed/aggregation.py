@@ -13,10 +13,6 @@ import numpy as np
 
 from entrofed.core import softmax_temperature, softmax_with_prior
 
-_SCHEDULES = ("constant", "linear", "concave", "convex")
-_PRIORS = ("uniform", "data_ratio")
-
-
 @dataclass(frozen=True)
 class EbaConfig:
     """Entropy-based aggregation settings.
@@ -26,6 +22,9 @@ class EbaConfig:
     fractions before normalization.
     """
 
+    SCHEDULES = ("constant", "linear", "concave", "convex")
+    PRIORS = ("uniform", "data_ratio")
+
     tau0: float = 0.1
     schedule: str = "constant"
     decay: float = 0.0
@@ -34,12 +33,12 @@ class EbaConfig:
     def __post_init__(self):
         if not self.tau0 > 0:
             raise ValueError("tau0 must be positive")
-        if self.schedule not in _SCHEDULES:
-            raise ValueError(f"schedule must be one of {_SCHEDULES}")
+        if self.schedule not in self.SCHEDULES:
+            raise ValueError(f"schedule must be one of {self.SCHEDULES}")
         if self.decay < 0:
             raise ValueError("decay must be >= 0")
-        if self.prior not in _PRIORS:
-            raise ValueError(f"prior must be one of {_PRIORS}")
+        if self.prior not in self.PRIORS:
+            raise ValueError(f"prior must be one of {self.PRIORS}")
 
 
 @dataclass(frozen=True)

@@ -211,17 +211,9 @@ def train_test_split_indices(
     return np.sort(shuffled[n_test:]), np.sort(shuffled[:n_test])
 
 
-@dataclass(frozen=True)
-class GlrTruth:
-    """Ground-truth record for regression oracles."""
-
-    true_params: np.ndarray
-    design_scale: float
-    noise_std: float
-
-
-def gen_glr_federation(spec: GlrFederationSpec) -> tuple[list[GlrObjective], GlrTruth]:
-    """Per-client regression objectives with X^T X = n * b * I designs."""
+def gen_glr_federation(spec: GlrFederationSpec) -> list[GlrObjective]:
+    """Per-client regression objectives with X^T X = n * b * I designs; the
+    spec holds their ground truth."""
     n, d = spec.samples_per_client, spec.dimension
     if d > n:
         raise ValueError("dimension cannot exceed samples_per_client (rank condition)")
@@ -235,7 +227,7 @@ def gen_glr_federation(spec: GlrFederationSpec) -> tuple[list[GlrObjective], Glr
         noise = spec.noise_std * client_rng.normals(n)
         targets = design @ spec.true_params[i] + noise
         objectives.append(GlrObjective(design, targets))
-    return objectives, GlrTruth(spec.true_params.copy(), spec.design_scale, spec.noise_std)
+    return objectives
 
 
 def write_partition_csv(path, assignment: list[np.ndarray], labels: np.ndarray) -> None:

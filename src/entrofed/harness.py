@@ -163,7 +163,7 @@ class ExperimentConfig:
     """Fully validated experiment settings, one field per config key; the
     defaults are those of an empty config file."""
 
-    method: str = _key("trainer", "fedeba_plus", _a_choice("fedavg", "qffl", "fedeba_plus"))
+    method: str = _key("trainer", "fedeba_plus", _a_choice(*TrainerConfig.METHODS))
     rounds: int = _key("trainer", 50, _an_int(1))
     local_steps: int = _key("trainer", 5, _an_int(1))
     clients_per_round: int = _key("trainer", 10, _an_int(1))
@@ -173,11 +173,9 @@ class ExperimentConfig:
     theta_deg: float = _key("trainer", 90.0, _a_float(0.0, 180.0))
     batch_size: int | None = _key("trainer", None, _batch_size)
     tau0: float = _key("trainer", 0.1, _a_float(0.0, strict_min=True))
-    tau_schedule: str = _key(
-        "trainer", "constant", _a_choice("constant", "linear", "concave", "convex")
-    )
+    tau_schedule: str = _key("trainer", "constant", _a_choice(*EbaConfig.SCHEDULES))
     tau_decay: float = _key("trainer", 0.0, _a_float(0.0))
-    prior: str = _key("trainer", "uniform", _a_choice("uniform", "data_ratio"))
+    prior: str = _key("trainer", "uniform", _a_choice(*EbaConfig.PRIORS))
     qffl_q: float = _key("trainer", 1.0, _a_float(0.0))
     qffl_lipschitz: float = _key("trainer", 1.0, _a_float(0.0, strict_min=True))
     data_kind: str = _key("data", "blobs", _a_choice("blobs", "glr"), key="kind")
@@ -354,8 +352,8 @@ def build_federation(cfg: ExperimentConfig, seed: int) -> tuple[Federation, np.n
         seed=root.derive(_TAG_GLR_TRAIN).seed,
     )
     test_spec = replace(train_spec, seed=root.derive(_TAG_GLR_TEST).seed)
-    train_objs, _ = gen_glr_federation(train_spec)
-    test_objs, _ = gen_glr_federation(test_spec)
+    train_objs = gen_glr_federation(train_spec)
+    test_objs = gen_glr_federation(test_spec)
     clients = [Client(a, b) for a, b in zip(train_objs, test_objs)]
     return Federation(tuple(clients)), np.zeros(cfg.glr_dim)
 

@@ -311,8 +311,8 @@ class StackedEval(NamedTuple):
 
 class ObjectiveStack:
     """Full-batch loss, accuracy and client-mean gradient of many objectives
-    at one parameter vector, and minibatch gradients of each objective at a
-    parameter vector of its own.
+    at one parameter vector, and the full-batch loss and full-set or
+    minibatch gradient of each objective at a parameter vector of its own.
 
     This base form calls each objective in turn. :func:`stack_objectives`
     returns a family subclass where one exists. The GLR and classifier
@@ -323,9 +323,9 @@ class ObjectiveStack:
     per-client values. Other families, quadratic among them, use this loop.
     The mean gradient is one backward pass with every row scaled by
     1/(m n_i), and agrees with the mean of per-client gradients up to
-    summation order. The classifier stack also evaluates
-    :meth:`gradients` in one pass, bitwise equal to the per-client
-    ``gradient`` calls.
+    summation order. The classifier stack also evaluates :meth:`losses`
+    and :meth:`gradients` one block (or one minibatch) per pass, bitwise
+    equal to the per-client ``loss`` and ``gradient`` calls.
     """
 
     def __init__(self, objectives):
@@ -346,12 +346,16 @@ class ObjectiveStack:
             mean_gradient=np.mean([o.gradient(x) for o in objs], axis=0) if gradient else None,
         )
 
+    def losses(self, xs: np.ndarray) -> np.ndarray:
+        """Entry i is ``objectives[i].loss(xs[i])``: every objective's
+        full-set loss at its own parameter vector, an (m, D) input."""
+        return np.array([o.loss(x) for o, x in zip(self.objectives, xs)])
+
     def gradients(self, xs: np.ndarray, subsets: np.ndarray | None = None) -> np.ndarray:
         """Row i is ``objectives[i].gradient(xs[i], subsets[i])``: every
         objective at its own parameter vector, on r sample indices each
         ((m, D) and (m, r) inputs), or on its full set when ``subsets`` is
-        None. The classifier stack's one pass takes full sets only of one
-        sample count, and raises ValueError for mixed sizes."""
+        None."""
         if subsets is None:
             subsets = [None] * self.m
         return np.array([o.gradient(x, s) for o, x, s in zip(self.objectives, xs, subsets)])
@@ -411,22 +415,29 @@ class _ClassifierStack(ObjectiveStack):
         labels = np.concatenate([o.labels for o in self.objectives])
         return feats, labels, starts
 
-    @cached_property
-    def _full_rows(self):
-        """Every objective's full set as an (m, n) row block, for n shared."""
-        n = self.objectives[0].full_size
-        if np.any(self.sizes != n):
-            raise ValueError("full-set gradients need objectives of one sample count")
-        return self._rows[2][:, None] + np.arange(n)
+    def _forward(self, x, feats, labels):
+        """Logits, hidden layer, log-probabilities and per-client mean
+        losses of C-ordered (c, r, d) rows at one parameter vector or c of
+        them: matmul makes one BLAS call per client, the one its own makes."""
+        logits, pre, act = self._model._logits(x, feats)
+        logp = self._model._log_softmax(logits)
+        picked = np.take_along_axis(logp, labels[..., None], axis=-1)[..., 0]
+        return logits, pre, act, logp, (-picked).mean(axis=1)
+
+    def losses(self, xs):
+        out = np.empty(self.m)
+        for ids, feats, labels in self._blocks:
+            out[ids] = self._forward(xs[ids], feats, labels)[-1]
+        return out
 
     def gradients(self, xs, subsets=None):
-        # C-ordered (m, r, d) rows against (m, D) parameters: matmul makes
-        # one BLAS call per objective, the one its own gradient makes
-        feats, labels, starts = self._rows
         if subsets is None:
-            rows = self._full_rows
-        else:
-            rows = np.ascontiguousarray(starts[:, None] + subsets)
+            out = np.empty_like(xs)
+            for ids, feats, labels in self._blocks:
+                out[ids] = self._model._gradient(xs[ids], feats, labels)
+            return out
+        feats, labels, starts = self._rows
+        rows = np.ascontiguousarray(starts[:, None] + subsets)
         return self._model._gradient(xs, feats[rows], labels[rows])
 
     def evaluate(self, x, gradient=False) -> StackedEval:
@@ -436,11 +447,7 @@ class _ClassifierStack(ObjectiveStack):
         accs = np.empty(self.m)
         grad = np.zeros_like(arr) if gradient else None
         for ids, feats, labels in self._blocks:
-            # feats is (clients, n, d): matmul makes one BLAS call per client
-            logits, pre, act = model._logits(arr, feats)
-            logp = model._log_softmax(logits)
-            picked = np.take_along_axis(logp, labels[..., None], axis=-1)[..., 0]
-            losses[ids] = (-picked).mean(axis=1)
+            logits, pre, act, logp, losses[ids] = self._forward(arr, feats, labels)
             accs[ids] = (logits.argmax(axis=-1) == labels).mean(axis=1)
             if gradient:
                 c, n = labels.shape

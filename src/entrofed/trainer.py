@@ -1,9 +1,10 @@
 """Federated training loops.
 
-One round function serves all three methods: sample clients, collect
-start-of-round losses, gate on the fair angle, run local SGD (plain or
-gradient-aligned), weight the updates, apply the server step, and emit
-telemetry. The methods differ only in the weights and the server step:
+One round function serves all three methods: sample clients, take their
+start-of-round losses from the previous round's telemetry, gate on the fair
+angle, run local SGD (plain or gradient-aligned), weight the updates, apply
+the server step, and emit telemetry. The methods differ only in the weights
+and the server step:
 
 * ``fedavg``   -- fixed uniform or data-ratio weights, plain server step;
 * ``qffl``     -- loss powers F_i^q inside the normalized q-FFL server step;
@@ -15,7 +16,8 @@ All randomness flows through per-(round, client) streams derived from the
 run seed, so trajectories are bit-reproducible, identical across methods
 that share a seed, and independent of client execution order. The sampled
 cohort's local SGD runs as one step loop over a matrix of client
-parameters; rounds themselves are sequential.
+parameters; rounds themselves are sequential. A round evaluates clients only
+through objective stacks, never through per-client calls.
 """
 
 from __future__ import annotations
@@ -39,8 +41,6 @@ from entrofed.analysis import evaluate_fairness
 from entrofed.core import SeededRng, chi_square_divergence, fair_angle
 from entrofed.objectives import LocalObjective, ObjectiveStack, stack_objectives
 
-_METHODS = ("fedavg", "qffl", "fedeba_plus")
-
 # derivation tags for trainer-owned random streams
 _TAG_SAMPLING = 101
 _TAG_LOCAL = 102
@@ -56,6 +56,8 @@ class TrainerConfig:
     default moves some caller's outputs if changed. batch_size None means
     full-batch local steps.
     """
+
+    METHODS = ("fedavg", "qffl", "fedeba_plus")
 
     rounds: int
     local_steps: int
@@ -82,8 +84,10 @@ class TrainerConfig:
             raise ValueError("theta must be in [0, pi] radians")
         if self.batch_size is not None and self.batch_size < 1:
             raise ValueError("batch_size must be >= 1 or None for full batch")
-        if self.method not in _METHODS:
-            raise ValueError(f"method must be one of {_METHODS}")
+        if self.method not in self.METHODS:
+            raise ValueError(f"method must be one of {self.METHODS}")
+        if not 0.0 < self.k_percent <= 100.0:
+            raise ValueError("k_percent must be in (0, 100]")
 
 
 @dataclass(frozen=True)
@@ -101,7 +105,8 @@ class Client:
 
 @dataclass(frozen=True)
 class Federation:
-    """Fixed set of clients sharing one parameter dimension."""
+    """Fixed set of clients whose train and test objectives share one
+    parameter dimension."""
 
     clients: tuple[Client, ...]
 
@@ -109,9 +114,9 @@ class Federation:
         clients = tuple(self.clients)
         if not clients:
             raise ValueError("federation needs at least one client")
-        dims = {c.objective.dimension for c in clients}
+        dims = {o.dimension for c in clients for o in (c.objective, c.eval_objective)}
         if len(dims) != 1:
-            raise ValueError("all client objectives must share one dimension")
+            raise ValueError("all client train and test objectives must share one dimension")
         object.__setattr__(self, "clients", clients)
 
     @property
@@ -150,8 +155,10 @@ class RoundReport:
 
     Angle and weights describe the round's internals (start losses of the
     sampled clients, aggregation weights actually used); the loss/accuracy
-    statistics are evaluated at the post-update model. Accuracy fields are
-    NaN for federations without classifier clients.
+    statistics are evaluated at the post-update model, where
+    ``train_losses`` holds every client's train loss: the next round's
+    start losses. Accuracy fields are NaN for federations without
+    classifier clients.
     """
 
     round_index: int
@@ -160,6 +167,7 @@ class RoundReport:
     branch: str
     sampled: np.ndarray
     weights: np.ndarray
+    train_losses: np.ndarray
     global_train_loss: float
     global_grad_norm: float
     test_losses: np.ndarray
@@ -181,16 +189,14 @@ def sample_clients(m: int, n: int, rng: SeededRng) -> np.ndarray:
 
 
 def compute_fair_gradient(grads, losses, tau: float) -> np.ndarray:
-    """Softmax-weighted combination of start-of-round client gradients."""
-    grads = [np.asarray(g, dtype=np.float64) for g in grads]
+    """Softmax-weighted combination of start-of-round client gradients,
+    one row of ``grads`` per loss."""
+    grads = np.asarray(grads, dtype=np.float64)
     losses = np.asarray(losses, dtype=np.float64)
-    if len(grads) != losses.size or losses.size == 0:
-        raise ValueError("need one gradient per loss")
-    weights = eba_weights(losses, tau)
-    out = np.zeros_like(grads[0])
-    for w, g in zip(weights, grads):
-        if g.shape != out.shape:
-            raise ValueError("gradient dimension mismatch")
+    if grads.ndim != 2 or len(grads) != losses.size or losses.size == 0:
+        raise ValueError("need one gradient row per loss")
+    out = np.zeros(grads.shape[1])
+    for w, g in zip(eba_weights(losses, tau), grads):
         out += w * g
     return out
 
@@ -232,10 +238,9 @@ def _local_steps(
     stream in ``rngs``, and at each step moves along its minibatch gradient
     g, or along (1 - alpha) * g + alpha * fair_grad when a fair gradient is
     given; the one-step displacement is recorded only for plain steps. The
-    end loss is a full-batch snapshot. Clients that all take minibatches,
-    or all take full sets of one size, take each step together through
-    their family's stack: one batched pass for classifiers, a loop of
-    per-client gradient calls otherwise."""
+    end loss is a full-batch snapshot. The clients that take minibatches,
+    and those that take their full sets, form two groups that each take
+    every step, and their end losses, through their family's stack."""
     objectives = list(objectives)
     if not objectives:
         raise ValueError("need at least one client objective")
@@ -255,14 +260,13 @@ def _local_steps(
         _batch_rows(o.full_size, batch_size, steps, rng)
         for o, rng in zip(objectives, rngs, strict=True)
     ]
-    by_kind: dict[tuple[str, int], list[int]] = {}
-    for i, (obj, rows) in enumerate(zip(objectives, batches)):
-        key = ("full", obj.full_size) if rows is None else ("batch", batch_size)
-        by_kind.setdefault(key, []).append(i)
+    by_kind: dict[bool, list[int]] = {}
+    for i, rows in enumerate(batches):
+        by_kind.setdefault(rows is None, []).append(i)
     # (client ids, their stack, None or (steps, clients, rows) sample indices)
     groups = []
-    for ids in by_kind.values():
-        rows = None if batches[ids[0]] is None else np.stack([batches[i] for i in ids], axis=1)
+    for full, ids in by_kind.items():
+        rows = None if full else np.stack([batches[i] for i in ids], axis=1)
         groups.append((np.array(ids), stack_objectives(objectives[i] for i in ids), rows))
     x = np.tile(x_start, (s, 1))
     g = np.empty_like(x)
@@ -280,7 +284,9 @@ def _local_steps(
         x -= g
         if k == 0 and fair_grad is None:
             one_step = x - x_start
-    end_losses = np.array([obj.loss(xi) for obj, xi in zip(objectives, x)])
+    end_losses = np.empty(s)
+    for ids, stack, _ in groups:
+        end_losses[ids] = stack.losses(x[ids])
     return CohortUpdate(x - x_start, one_step, end_losses)
 
 
@@ -345,51 +351,10 @@ def server_update(x_t: np.ndarray, delta: np.ndarray, lr: float) -> np.ndarray:
     return x_t + lr * delta
 
 
-def _gate_angle(losses: np.ndarray) -> float:
-    # An all-zero loss vector has no direction; treat it as perfectly fair.
-    if np.all(losses == 0.0):
-        return 0.0
-    return fair_angle(losses)
-
-
 def _chi_square_or_inf(weights: np.ndarray) -> float:
     if np.any(weights <= 0.0):
         return float("inf")
     return chi_square_divergence(uniform_weights(weights.size), weights)
-
-
-def _finish_round(
-    federation: Federation,
-    cfg: TrainerConfig,
-    round_index: int,
-    x_next: np.ndarray,
-    sampled: np.ndarray,
-    tau: float,
-    angle: float,
-    aligned: bool,
-    weights: np.ndarray,
-) -> RoundReport:
-    train = federation.train_stack.evaluate(x_next, gradient=True)
-    fairness = evaluate_fairness(federation.eval_stack, x_next, cfg.k_percent)
-    return RoundReport(
-        round_index=round_index,
-        tau=tau,
-        angle=angle,
-        branch="aligned" if aligned else "plain",
-        sampled=sampled,
-        weights=weights,
-        global_train_loss=float(train.losses.mean()),
-        global_grad_norm=float(np.linalg.norm(train.mean_gradient)),
-        test_losses=fairness.test_losses,
-        test_accuracies=fairness.test_accuracies,
-        loss_variance=fairness.loss_variance,
-        accuracy_variance=fairness.accuracy_variance,
-        worst_tail_accuracy=fairness.worst_tail_accuracy,
-        best_tail_accuracy=fairness.best_tail_accuracy,
-        global_accuracy=fairness.global_accuracy,
-        chi_square=_chi_square_or_inf(weights),
-        extra_comm=aligned,
-    )
 
 
 def run_round(
@@ -398,8 +363,10 @@ def run_round(
     cfg: TrainerConfig,
     round_index: int,
     rng: SeededRng,
+    train_losses: np.ndarray,
 ) -> tuple[np.ndarray, RoundReport]:
-    """One round of cfg.method.
+    """One round of cfg.method from x_t, where ``train_losses`` holds every
+    client's train loss (the previous round's ``report.train_losses``).
 
     Start losses of the sampled clients set the fair angle. Under
     fedeba_plus, an angle above the threshold sends clients the fair
@@ -416,21 +383,23 @@ def run_round(
       the normalized start-loss powers as its weights.
     """
     x_t = np.asarray(x_t, dtype=np.float64)
+    train_losses = np.asarray(train_losses, dtype=np.float64)
+    if train_losses.shape != (federation.m,):
+        raise ValueError("need one train loss per client")
     sampled = sample_clients(
         federation.m, cfg.clients_per_round, rng.derive(_TAG_SAMPLING, round_index)
     )
     objectives = [federation.clients[i].objective for i in sampled]
-    start_losses = np.array([obj.loss(x_t) for obj in objectives])
-    angle = _gate_angle(start_losses)
+    start_losses = train_losses[sampled]
+    # an all-zero loss vector has no direction; treat it as perfectly fair
+    angle = 0.0 if np.all(start_losses == 0.0) else fair_angle(start_losses)
     eba = cfg.method == "fedeba_plus"
     tau = schedule_tau(cfg.eba, round_index) if eba else float("nan")
     aligned = eba and angle > cfg.theta
-    if aligned:
-        start_grads = [obj.gradient(x_t) for obj in objectives]
-        fair_grad = compute_fair_gradient(start_grads, start_losses, tau)
-
     streams = [rng.derive(_TAG_LOCAL, round_index, int(cid)) for cid in sampled]
     if aligned:
+        start_grads = stack_objectives(objectives).gradients(np.tile(x_t, (len(sampled), 1)))
+        fair_grad = compute_fair_gradient(start_grads, start_losses, tau)
         update = local_sgd_aligned(
             objectives, x_t, cfg.local_steps, cfg.local_lr, cfg.alpha, fair_grad,
             cfg.batch_size, streams,
@@ -463,8 +432,27 @@ def run_round(
         server_lr = cfg.global_lr
     x_next = server_update(x_t, delta, server_lr)
 
-    report = _finish_round(
-        federation, cfg, round_index, x_next, sampled, tau, angle, aligned, weights
+    train = federation.train_stack.evaluate(x_next, gradient=True)
+    fairness = evaluate_fairness(federation.eval_stack, x_next, cfg.k_percent)
+    report = RoundReport(
+        round_index=round_index,
+        tau=tau,
+        angle=angle,
+        branch="aligned" if aligned else "plain",
+        sampled=sampled,
+        weights=weights,
+        train_losses=train.losses,
+        global_train_loss=float(train.losses.mean()),
+        global_grad_norm=float(np.linalg.norm(train.mean_gradient)),
+        test_losses=fairness.test_losses,
+        test_accuracies=fairness.test_accuracies,
+        loss_variance=fairness.loss_variance,
+        accuracy_variance=fairness.accuracy_variance,
+        worst_tail_accuracy=fairness.worst_tail_accuracy,
+        best_tail_accuracy=fairness.best_tail_accuracy,
+        global_accuracy=fairness.global_accuracy,
+        chi_square=_chi_square_or_inf(weights),
+        extra_comm=aligned,
     )
     return x_next, report
 
@@ -477,7 +465,9 @@ def run_training(
 ) -> tuple[list[RoundReport], np.ndarray]:
     """Run cfg.rounds rounds of the configured method from x0 (zeros by
     default). Deterministic under cfg.seed; methods sharing a seed sample
-    the same clients and draw the same local batches each round. When given,
+    the same clients and draw the same local batches each round. One
+    stacked pass gives the train losses at x0; after that, each round's
+    telemetry gives the next round's. When given,
     ``on_round(report, x_next)`` streams each round's telemetry and the
     post-update model to the caller."""
     x = (
@@ -489,8 +479,10 @@ def run_training(
         raise ValueError("x0 dimension mismatch")
     root = SeededRng(cfg.seed)
     reports: list[RoundReport] = []
+    train_losses = federation.train_stack.evaluate(x).losses
     for t in range(1, cfg.rounds + 1):
-        x, report = run_round(federation, x, cfg, t, root)
+        x, report = run_round(federation, x, cfg, t, root, train_losses)
+        train_losses = report.train_losses
         reports.append(report)
         if on_round is not None:
             on_round(report, x)

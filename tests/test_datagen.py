@@ -189,18 +189,18 @@ class TestGlrFederation:
     def test_design_gram_structure(self):
         rng = SeededRng(18)
         w = rng.normals(12).reshape(3, 4)
-        objs, truth = gen_glr_federation(self._spec(w, n=20, b=3.0))
+        objs = gen_glr_federation(self._spec(w, n=20, b=3.0))
         for obj in objs:
             gram = obj.design.T @ obj.design
             target = 20 * 3.0 * np.eye(4)
             assert np.abs(gram - target).max() < 1e-6 * 20 * 3.0
-        assert truth.design_scale == 3.0
 
     def test_noiseless_recovery(self):
         rng = SeededRng(19)
         w = rng.normals(8).reshape(2, 4)
-        objs, truth = gen_glr_federation(self._spec(w, noise=0.0, seed=5))
-        for obj, w_true in zip(objs, truth.true_params):
+        spec = self._spec(w, noise=0.0, seed=5)
+        objs = gen_glr_federation(spec)
+        for obj, w_true in zip(objs, spec.true_params, strict=True):
             assert np.abs(glr_least_squares(obj) - w_true).max() < 1e-8
 
     def test_rank_condition(self):
@@ -218,8 +218,8 @@ class TestGlrFederation:
     def test_determinism(self):
         rng = SeededRng(20)
         w = rng.normals(6).reshape(2, 3)
-        a, _ = gen_glr_federation(self._spec(w, noise=0.5, seed=21))
-        b, _ = gen_glr_federation(self._spec(w, noise=0.5, seed=21))
+        a = gen_glr_federation(self._spec(w, noise=0.5, seed=21))
+        b = gen_glr_federation(self._spec(w, noise=0.5, seed=21))
         for x, y in zip(a, b):
             assert np.array_equal(x.design, y.design)
             assert np.array_equal(x.targets, y.targets)

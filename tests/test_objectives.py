@@ -290,6 +290,20 @@ class TestStackedEvaluation:
             got = stack_objectives(objs).evaluate(x)
             assert np.array_equal(got.losses, [o.loss(x) for o in objs]), family
 
+    @pytest.mark.parametrize("family", sorted(STACK_FAMILIES))
+    def test_full_sets_at_own_parameters_are_bitwise_per_client(self, family):
+        # Local SGD takes its end losses, and the fair-angle branch its start
+        # gradients, through these. Forty clients of 7 samples fill two
+        # blocks, and 300 samples exceed one block's rows.
+        rng = SeededRng(34)
+        sizes = [7] * 40 + [1, 300, 2, 1, 7]
+        objs = [STACK_FAMILIES[family](rng, n) for n in sizes]
+        stack = stack_objectives(objs)
+        xs = 0.5 * rng.normals(len(objs) * objs[0].dimension).reshape(len(objs), -1)
+        assert np.array_equal(stack.losses(xs), [o.loss(x) for o, x in zip(objs, xs)]), family
+        want = [o.gradient(x) for o, x in zip(objs, xs)]
+        assert np.array_equal(stack.gradients(xs), want), family
+
     @pytest.mark.parametrize("family", [*sorted(STACK_FAMILIES), "softmax-1d"])
     def test_gradients_at_own_parameters_are_bitwise_per_client(self, family):
         # Local SGD steps a cohort through these; a layout of the sample
@@ -309,19 +323,15 @@ class TestStackedEvaluation:
 
     @pytest.mark.parametrize("family", sorted(STACK_FAMILIES))
     def test_full_set_gradients_of_mixed_sizes(self, family):
-        # One batched pass needs one row count: the classifier stack refuses
-        # full sets of 5, 3 and 8 samples rather than read its neighbours'
-        # rows. The loop takes each objective's own full set.
+        # Full sets of 5, 3, 8 and 3 samples: the classifier stack takes one
+        # pass per block of equal-size clients, and no client reads its
+        # neighbours' rows.
         rng = SeededRng(33)
-        objs = [STACK_FAMILIES[family](rng, n) for n in (5, 3, 8)]
+        objs = [STACK_FAMILIES[family](rng, n) for n in (5, 3, 8, 3)]
         stack = stack_objectives(objs)
-        xs = 0.5 * rng.normals(3 * objs[0].dimension).reshape(3, -1)
-        if isinstance(objs[0], ClassifierObjective):
-            with pytest.raises(ValueError, match="one sample count"):
-                stack.gradients(xs)
-        else:
-            assert np.array_equal(stack.gradients(xs), [o.gradient(x) for o, x in zip(objs, xs)])
-        subsets = np.array([[0, 2], [1, 0], [7, 3]])
+        xs = 0.5 * rng.normals(4 * objs[0].dimension).reshape(4, -1)
+        assert np.array_equal(stack.gradients(xs), [o.gradient(x) for o, x in zip(objs, xs)])
+        subsets = np.array([[0, 2], [1, 0], [7, 3], [2, 1]])
         want = [o.gradient(x, s) for o, x, s in zip(objs, xs, subsets)]
         assert np.array_equal(stack.gradients(xs, subsets), want), family
 

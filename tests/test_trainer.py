@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from entrofed.aggregation import EbaConfig
-from entrofed.core import SeededRng, softmax_temperature
+from entrofed.aggregation import EbaConfig, QfflConfig
+from entrofed.core import SeededRng, fair_angle, softmax_temperature
 from entrofed.harness import build_federation, parse_config
 from entrofed.objectives import (
     ClassifierObjective,
@@ -71,6 +71,11 @@ def quadratic_federation(seed=123, m=10, scale=0.5):
     )
 
 
+def start_losses(federation, x):
+    """Every client's train loss at x, as run_round takes them."""
+    return np.array([c.objective.loss(x) for c in federation.clients])
+
+
 class TestSampleClients:
     def test_full_participation(self):
         assert sample_clients(5, 5, SeededRng(0)).tolist() == [0, 1, 2, 3, 4]
@@ -110,7 +115,11 @@ class TestFairGradient:
         assert g == pytest.approx([3.0, -1.0], abs=1e-15)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension"):
+        # gradients come as an (s, D) matrix, one row per loss
+        for grads in (np.zeros((3, 2)), np.zeros(2)):
+            with pytest.raises(ValueError, match="one gradient row per loss"):
+                compute_fair_gradient(grads, [1.0, 2.0], 1.0)
+        with pytest.raises(ValueError):
             compute_fair_gradient([np.zeros(2), np.zeros(3)], [1.0, 2.0], 1.0)
 
 
@@ -368,9 +377,11 @@ class TestRunRound:
         for theta in (0.0, 0.2, math.pi / 2, math.pi):
             cfg = self._cfg(theta=theta, clients_per_round=10)
             x = np.zeros(1)
+            losses = fed.train_stack.evaluate(x).losses
             root = SeededRng(cfg.seed)
             for t in range(1, 12):
-                x, report = run_round(fed, x, cfg, t, root)
+                x, report = run_round(fed, x, cfg, t, root, losses)
+                losses = report.train_losses
                 assert (report.branch == "aligned") == (report.angle > theta)
                 assert report.extra_comm == (report.branch == "aligned")
 
@@ -389,7 +400,7 @@ class TestRunRound:
         # common client delta for any alpha.
         cfg = self._cfg(clients_per_round=4, theta=math.pi / 2, local_steps=1)
         x = np.array([0.5])
-        x_next, report = run_round(fed, x, cfg, 1, SeededRng(0))
+        x_next, report = run_round(fed, x, cfg, 1, SeededRng(0), start_losses(fed, x))
         single = local_sgd([QuadraticObjective(1.0, 2.0)], x, 1, 0.05)
         assert report.branch == "plain" and report.angle == 0.0
         assert x_next[0] == pytest.approx(x[0] + single.deltas[0, 0], abs=1e-12)
@@ -398,7 +409,7 @@ class TestRunRound:
         fed = Federation(tuple(Client(QuadraticObjective(1.0, 2.0)) for _ in range(4)))
         cfg = self._cfg(clients_per_round=4, theta=math.pi / 2, local_steps=2)
         x = np.array([0.5])
-        x_next, _ = run_round(fed, x, cfg, 1, SeededRng(0))
+        x_next, _ = run_round(fed, x, cfg, 1, SeededRng(0), start_losses(fed, x))
         single = local_sgd([QuadraticObjective(1.0, 2.0)], x, 2, 0.05)
         blended = 0.5 * single.deltas[0, 0] + 0.5 * single.one_step[0, 0]
         assert x_next[0] == pytest.approx(x[0] + blended, abs=1e-12)
@@ -406,10 +417,22 @@ class TestRunRound:
     def test_round_weights_are_simplex(self):
         fed = quadratic_federation()
         cfg = self._cfg(clients_per_round=6)
-        _, report = run_round(fed, np.zeros(1), cfg, 1, SeededRng(1))
+        x = np.zeros(1)
+        _, report = run_round(fed, x, cfg, 1, SeededRng(1), start_losses(fed, x))
         assert np.all(report.weights > 0)
         assert abs(report.weights.sum() - 1.0) < 1e-9
         assert len(report.sampled) == 6
+
+    def test_start_losses_are_the_given_train_losses(self):
+        fed = quadratic_federation(scale=1.0)
+        cfg = self._cfg(clients_per_round=6)
+        losses = 1.0 + np.arange(fed.m)
+        x_next, report = run_round(fed, np.zeros(1), cfg, 1, SeededRng(1), losses)
+        assert report.angle == fair_angle(losses[report.sampled])
+        # the report carries every client's train loss at the new model
+        assert np.array_equal(report.train_losses, start_losses(fed, x_next))
+        with pytest.raises(ValueError, match="one train loss per client"):
+            run_round(fed, np.zeros(1), cfg, 1, SeededRng(1), losses[:-1])
 
 
 class TestRunTraining:
@@ -527,6 +550,24 @@ class TestRunTraining:
         with pytest.raises(ValueError):
             TrainerConfig(rounds=1, local_steps=1, clients_per_round=1, local_lr=0.1, method="sgd")
 
+    @pytest.mark.parametrize("k_percent", [0.0, -5.0, 100.5, math.nan])
+    def test_rejects_tail_share_before_training(self, k_percent):
+        # the tail means of the first round's telemetry would raise only
+        # after a round of training
+        with pytest.raises(ValueError, match="k_percent"):
+            TrainerConfig(
+                rounds=1, local_steps=1, clients_per_round=1, local_lr=0.1, k_percent=k_percent
+            )
+
+    def test_federation_rejects_test_objectives_of_another_dimension(self):
+        # otherwise the first round's telemetry fails, after local training
+        rng = SeededRng(9)
+        train = GlrObjective(rng.normals(12).reshape(4, 3), rng.normals(4))
+        test = GlrObjective(rng.normals(8).reshape(4, 2), rng.normals(4))
+        with pytest.raises(ValueError, match="one dimension"):
+            Federation((Client(train), Client(train, test)))
+        assert Federation((Client(train), Client(train, train))).dimension == 3
+
 
 class TestFairAngleGateOracle:
     """With alpha = 0 the aligned step adds 0 * fair_grad to each local
@@ -554,6 +595,54 @@ class TestFairAngleGateOracle:
                     assert np.array_equal(got, want, equal_nan=True), (a.round_index, field.name)
 
 
+class TestCrossMethodOracles:
+    """Limits in which one method's rounds are another's, on golden configs
+    at seed 0. Each pair samples the same clients and draws the same
+    batches, so only rounding separates the final models."""
+
+    CASES = ["glr-qffl", "blobs-mlp", "fedavg-ratio"]
+
+    @staticmethod
+    def _setup(name):
+        cfg = parse_config(Path(__file__).parent / "golden" / name / "config.cfg")
+        federation, x0 = build_federation(cfg, 0)
+        return federation, x0, cfg.trainer_config(0)
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_qffl_with_zero_power_is_uniform_fedavg(self, name):
+        # q = 0 makes every F_i^q 1 and the normalizer s L, so the step is
+        # the mean local displacement. Largest gap measured: 4.4e-16.
+        federation, x0, base = self._setup(name)
+        fedavg = dataclasses.replace(
+            base, method="fedavg", global_lr=1.0, eba=EbaConfig(prior="uniform")
+        )
+        qffl = dataclasses.replace(fedavg, method="qffl", qffl=QfflConfig(q=0.0))
+        r_avg, x_avg = run_training(federation, fedavg, x0)
+        r_q, x_q = run_training(federation, qffl, x0)
+        for a, b in zip(r_avg, r_q, strict=True):
+            assert np.array_equal(a.sampled, b.sampled)
+            assert np.array_equal(a.weights, b.weights)
+        np.testing.assert_allclose(x_q, x_avg, rtol=0, atol=2e-15)
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_eba_at_infinite_temperature_is_data_ratio_fedavg(self, name):
+        # loss / tau0 ~ 1e-12 leaves the prior's weights to rounding, and
+        # alpha = 0 makes both fair-angle branches plain steps. Largest gap
+        # measured: 4.4e-13.
+        federation, x0, base = self._setup(name)
+        fedavg = dataclasses.replace(base, method="fedavg", eba=EbaConfig(prior="data_ratio"))
+        eba = dataclasses.replace(
+            base, method="fedeba_plus", alpha=0.0, eba=EbaConfig(tau0=1e12, prior="data_ratio")
+        )
+        r_avg, x_avg = run_training(federation, fedavg, x0)
+        r_eba, x_eba = run_training(federation, eba, x0)
+        if name == "blobs-mlp":
+            assert {r.branch for r in r_eba} == {"plain", "aligned"}
+        for a, b in zip(r_avg, r_eba, strict=True):
+            np.testing.assert_allclose(b.weights, a.weights, rtol=1e-11, atol=0)
+        np.testing.assert_allclose(x_eba, x_avg, rtol=0, atol=2e-12)
+
+
 def classifier_federation(m, seed=0, d=4, classes=3):
     rng = SeededRng(seed)
 
@@ -564,11 +653,12 @@ def classifier_federation(m, seed=0, d=4, classes=3):
 
 
 class TestTelemetryCallCounts:
-    """Per-round telemetry evaluates all clients through the federation's
-    stacks, and local SGD trains the sampled cohort through a stack too, so
-    per-client objective calls come only from the round's start and end
-    losses and the fair gradient's start gradients, whatever m and the
-    local step count are."""
+    """A round evaluates clients only through objective stacks: the train
+    losses at x0 and each round's telemetry through the federation's,
+    local SGD's steps and end losses and the fair gradient's start
+    gradients through the cohort's. So no round, the first included, makes
+    a per-client objective call, whatever the method, the branch, m and
+    the local step count are."""
 
     @pytest.mark.parametrize("m", [20, 50])
     @pytest.mark.parametrize("method", ["fedeba_plus", "fedavg", "qffl"])
@@ -589,6 +679,8 @@ class TestTelemetryCallCounts:
             clients_per_round=5,
             local_lr=0.5,
             theta=math.radians(5.0),
+            # clients of 1-3 samples take full sets, larger ones minibatches
+            batch_size=3,
             method=method,
             seed=4,
         )
@@ -602,10 +694,6 @@ class TestTelemetryCallCounts:
         run_training(fed, cfg, x0=np.zeros(fed.dimension), on_round=on_round)
         branches = {branch for branch, _ in per_round}
         assert branches == ({"plain", "aligned"} if method == "fedeba_plus" else {"plain"})
-        s = cfg.clients_per_round
+        assert len(per_round) == cfg.rounds
         for branch, c in per_round:
-            # Losses: the round's start loss and local SGD's end loss, once
-            # per sampled client. Gradients: the start gradients of the
-            # fair-angle branch; local steps make no per-client call.
-            start_grads = s if branch == "aligned" else 0
-            assert c == {"loss": 2 * s, "gradient": start_grads, "accuracy": 0}
+            assert c == {"loss": 0, "gradient": 0, "accuracy": 0}, branch
