@@ -82,7 +82,7 @@ def evaluate_fairness(
     NaN for objective families without an ``accuracy`` method (regression
     clients); the global accuracy is weighted by client test-set size.
     """
-    losses, accs, _ = stack.evaluate(x)
+    losses, accs = stack.evaluate(x)
     sizes = stack.sizes
     if np.all(np.isfinite(accs)):
         acc_var = population_variance(accs)

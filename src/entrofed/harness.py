@@ -49,11 +49,6 @@ from entrofed.trainer import Client, Federation, RoundReport, TrainerConfig, run
 
 OUTPUT_DIR_ENV = "ENTROFED_OUTPUT_DIR"
 
-ROUNDS_SCHEMA = (
-    "round,tau,angle_deg,branch,global_train_loss,global_test_acc,"
-    "loss_var,acc_var,worst_k,best_k,chi_square,extra_comm"
-)
-
 # derivation tags for harness-owned random streams (disjoint from trainer tags)
 _TAG_DATA = 11
 _TAG_PARTITION = 12
@@ -104,15 +99,13 @@ def _a_float(minimum=None, maximum=None, strict_min=False):
             raise ValueError(f"expected a number, got {s!r}") from None
         if not math.isfinite(v):
             raise ValueError("must be finite")
-        if minimum is not None:
-            if strict_min and not v > minimum:
-                raise ValueError(f"must be > {minimum}, got {v}")
-            if not strict_min and v < minimum:
-                raise ValueError(f"must be within [{minimum}, {maximum}], got {v}"
-                                 if maximum is not None else f"must be >= {minimum}, got {v}")
-        if maximum is not None and v > maximum:
-            raise ValueError(f"must be within [{minimum}, {maximum}], got {v}")
-        return v
+        above = minimum is None or (v > minimum if strict_min else v >= minimum)
+        if above and (maximum is None or v <= maximum):
+            return v
+        if maximum is None:
+            raise ValueError(f"must be {'>' if strict_min else '>='} {minimum}, got {v}")
+        low = "(" if strict_min else "["
+        raise ValueError(f"must be within {low}{minimum}, {maximum}], got {v}")
 
     return conv
 
@@ -361,26 +354,30 @@ def build_federation(cfg: ExperimentConfig, seed: int) -> tuple[Federation, np.n
 # --- output writers ------------------------------------------------------
 
 
+# (column, its text for one round's report), in CSV order
+ROUNDS_COLUMNS = (
+    ("round", lambda r: str(r.round_index)),
+    ("tau", lambda r: _fmt(r.tau)),
+    ("angle_deg", lambda r: _fmt(math.degrees(r.angle))),
+    ("branch", lambda r: r.branch),
+    ("global_train_loss", lambda r: _fmt(r.global_train_loss)),
+    ("global_test_acc", lambda r: _fmt(r.global_accuracy)),
+    ("loss_var", lambda r: _fmt(r.loss_variance)),
+    ("acc_var", lambda r: _fmt(r.accuracy_variance)),
+    ("worst_k", lambda r: _fmt(r.worst_tail_accuracy)),
+    ("best_k", lambda r: _fmt(r.best_tail_accuracy)),
+    ("chi_square", lambda r: _fmt(r.chi_square)),
+    ("extra_comm", lambda r: "1" if r.extra_comm else "0"),
+)
+ROUNDS_SCHEMA = ",".join(name for name, _ in ROUNDS_COLUMNS)
+
+
 def write_rounds_csv(path, reports: list[RoundReport]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("# schema=rounds-v1\n")
         fh.write(ROUNDS_SCHEMA + "\n")
         for r in reports:
-            row = [
-                str(r.round_index),
-                _fmt(r.tau),
-                _fmt(math.degrees(r.angle)),
-                r.branch,
-                _fmt(r.global_train_loss),
-                _fmt(r.global_accuracy),
-                _fmt(r.loss_variance),
-                _fmt(r.accuracy_variance),
-                _fmt(r.worst_tail_accuracy),
-                _fmt(r.best_tail_accuracy),
-                _fmt(r.chi_square),
-                "1" if r.extra_comm else "0",
-            ]
-            fh.write(",".join(row) + "\n")
+            fh.write(",".join(text(r) for _, text in ROUNDS_COLUMNS) + "\n")
 
 
 _SUMMARY_METRICS = (
@@ -555,7 +552,8 @@ def main(argv=None) -> int:
         if args.command == "partition":
             return cmd_partition(parse_config(args.config))
         return cmd_oracle(args)
-    except (ConfigError, ValueError, OSError, RuntimeError) as exc:
+    # ZeroDivisionError: a degenerate q-FFL step, whose message says so
+    except (ConfigError, ValueError, OSError, RuntimeError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

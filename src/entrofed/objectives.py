@@ -7,8 +7,8 @@ Three concrete families share one interface:
 * :class:`ClassifierObjective` -- softmax regression or a one-hidden-layer
   MLP with hand-written backpropagation.
 
-:func:`stack_objectives` evaluates many objectives of one family at one
-parameter vector in a single blocked pass (see :class:`ObjectiveStack`).
+:func:`stack_objectives` evaluates many objectives of one family in
+blocked passes (see :class:`ObjectiveStack`).
 
 Model parameters are always a single flat float64 vector; the layout per
 architecture is documented on the class. Objectives are immutable after
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -301,18 +300,12 @@ class ClassifierObjective(LocalObjective):
 STACK_BLOCK_ROWS = 256
 
 
-class StackedEval(NamedTuple):
-    """Full-batch results for every objective of a stack, in stack order."""
-
-    losses: np.ndarray
-    accuracies: np.ndarray  # NaN for families without ``accuracy``
-    mean_gradient: np.ndarray | None  # the client mean, when asked for
-
-
 class ObjectiveStack:
-    """Full-batch loss, accuracy and client-mean gradient of many objectives
-    at one parameter vector, and the full-batch loss and full-set or
-    minibatch gradient of each objective at a parameter vector of its own.
+    """Full-batch passes over many objectives. At one parameter vector,
+    :meth:`evaluate` gives losses and accuracies (the test side) and
+    :meth:`losses_and_mean_gradient` losses and the client-mean gradient
+    (the train side); :meth:`losses` and :meth:`gradients` take each
+    objective at a parameter vector of its own.
 
     This base form calls each objective in turn. :func:`stack_objectives`
     returns a family subclass where one exists. The GLR and classifier
@@ -320,12 +313,12 @@ class ObjectiveStack:
     evaluate a whole block per numpy call; each client's rows go through
     the same BLAS calls and the same row reductions as its own
     ``loss``/``accuracy``, so losses and accuracies are bitwise equal to the
-    per-client values. Other families, quadratic among them, use this loop.
-    The mean gradient is one backward pass with every row scaled by
-    1/(m n_i), and agrees with the mean of per-client gradients up to
-    summation order. The classifier stack also evaluates :meth:`losses`
-    and :meth:`gradients` one block (or one minibatch) per pass, bitwise
-    equal to the per-client ``loss`` and ``gradient`` calls.
+    per-client values, from either pass. Other families, quadratic among
+    them, use this loop. The mean gradient is one backward pass with every
+    row scaled by 1/(m n_i), and agrees with the mean of per-client
+    gradients up to summation order. The classifier stack also evaluates
+    :meth:`losses` and :meth:`gradients` one block (or one minibatch) per
+    pass, bitwise equal to the per-client ``loss`` and ``gradient`` calls.
     """
 
     def __init__(self, objectives):
@@ -336,15 +329,16 @@ class ObjectiveStack:
     def m(self) -> int:
         return len(self.objectives)
 
-    def evaluate(self, x: np.ndarray, gradient: bool = False) -> StackedEval:
+    def evaluate(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Losses and accuracies (NaN for families without one) at x."""
         objs = self.objectives
-        return StackedEval(
-            losses=np.array([o.loss(x) for o in objs]),
-            accuracies=np.array(
-                [o.accuracy(x) if hasattr(o, "accuracy") else np.nan for o in objs]
-            ),
-            mean_gradient=np.mean([o.gradient(x) for o in objs], axis=0) if gradient else None,
-        )
+        accs = [o.accuracy(x) if hasattr(o, "accuracy") else np.nan for o in objs]
+        return np.array([o.loss(x) for o in objs]), np.array(accs)
+
+    def losses_and_mean_gradient(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Losses at x and the mean of the gradients there."""
+        objs = self.objectives
+        return np.array([o.loss(x) for o in objs]), np.mean([o.gradient(x) for o in objs], axis=0)
 
     def losses(self, xs: np.ndarray) -> np.ndarray:
         """Entry i is ``objectives[i].loss(xs[i])``: every objective's
@@ -384,18 +378,24 @@ class _GlrStack(ObjectiveStack):
     def _blocks(self):
         return _size_blocks(self.objectives, lambda o: (o.design, o.targets))
 
-    def evaluate(self, x, gradient=False) -> StackedEval:
+    def _residuals(self, x):
         w = self.objectives[0]._check_x(x)
+        return [(ids, design, design @ w - targets) for ids, design, targets in self._blocks]
+
+    def _losses(self, residuals):
         losses = np.empty(self.m)
-        grad = np.zeros_like(w) if gradient else None
-        for ids, design, targets in self._blocks:
-            c, n = targets.shape
-            r = design @ w - targets
+        for ids, _, r in residuals:
             # (1, n) @ (n, 1) per client is the BLAS dot GlrObjective.loss uses
-            losses[ids] = 0.5 * (r[:, None, :] @ r[:, :, None])[:, 0, 0] / n
-            if gradient:
-                grad += design.reshape(c * n, -1).T @ r.ravel() / (self.m * n)
-        return StackedEval(losses, np.full(self.m, np.nan), grad)
+            losses[ids] = 0.5 * (r[:, None, :] @ r[:, :, None])[:, 0, 0] / r.shape[1]
+        return losses
+
+    def evaluate(self, x):
+        return self._losses(self._residuals(x)), np.full(self.m, np.nan)
+
+    def losses_and_mean_gradient(self, x):
+        res = self._residuals(x)
+        grad = sum(d.reshape(r.size, -1).T @ r.ravel() / (self.m * r.shape[1]) for _, d, r in res)
+        return self._losses(res), grad
 
 
 class _ClassifierStack(ObjectiveStack):
@@ -440,25 +440,29 @@ class _ClassifierStack(ObjectiveStack):
         rows = np.ascontiguousarray(starts[:, None] + subsets)
         return self._model._gradient(xs, feats[rows], labels[rows])
 
-    def evaluate(self, x, gradient=False) -> StackedEval:
+    def evaluate(self, x):
+        arr = self._model._check_x(x)
+        losses = np.empty(self.m)
+        accs = np.empty(self.m)
+        for ids, feats, labels in self._blocks:
+            logits, _, _, _, losses[ids] = self._forward(arr, feats, labels)
+            accs[ids] = (logits.argmax(axis=-1) == labels).mean(axis=1)
+        return losses, accs
+
+    def losses_and_mean_gradient(self, x):
         model = self._model
         arr = model._check_x(x)
         losses = np.empty(self.m)
-        accs = np.empty(self.m)
-        grad = np.zeros_like(arr) if gradient else None
+        grad = np.zeros_like(arr)
         for ids, feats, labels in self._blocks:
-            logits, pre, act, logp, losses[ids] = self._forward(arr, feats, labels)
-            accs[ids] = (logits.argmax(axis=-1) == labels).mean(axis=1)
-            if gradient:
-                c, n = labels.shape
-
-                def rows(a):
-                    return None if a is None else a.reshape(c * n, -1)
-
-                grad += model._backprop(
-                    arr, rows(feats), labels.ravel(), rows(logp), rows(pre), rows(act), self.m * n
-                )
-        return StackedEval(losses, accs, grad)
+            _, pre, act, logp, losses[ids] = self._forward(arr, feats, labels)
+            # the block's samples as one batch of rows, each scaled by 1/(m n)
+            rows = labels.size
+            flat = [None if a is None else a.reshape(rows, -1) for a in (feats, logp, pre, act)]
+            grad += model._backprop(
+                arr, flat[0], labels.ravel(), *flat[1:], self.m * labels.shape[1]
+            )
+        return losses, grad
 
 
 def stack_objectives(objectives) -> ObjectiveStack:

@@ -151,14 +151,13 @@ class CohortUpdate:
 
 @dataclass(frozen=True)
 class RoundReport:
-    """Per-round telemetry.
+    """Per-round telemetry. A run keeps every round's report, so no field
+    holds a vector that grows with the client count m.
 
     Angle and weights describe the round's internals (start losses of the
     sampled clients, aggregation weights actually used); the loss/accuracy
-    statistics are evaluated at the post-update model, where
-    ``train_losses`` holds every client's train loss: the next round's
-    start losses. Accuracy fields are NaN for federations without
-    classifier clients.
+    statistics are evaluated at the post-update model. Accuracy fields are
+    NaN for federations without classifier clients.
     """
 
     round_index: int
@@ -167,11 +166,8 @@ class RoundReport:
     branch: str
     sampled: np.ndarray
     weights: np.ndarray
-    train_losses: np.ndarray
     global_train_loss: float
     global_grad_norm: float
-    test_losses: np.ndarray
-    test_accuracies: np.ndarray
     loss_variance: float
     accuracy_variance: float
     worst_tail_accuracy: float
@@ -364,9 +360,10 @@ def run_round(
     round_index: int,
     rng: SeededRng,
     train_losses: np.ndarray,
-) -> tuple[np.ndarray, RoundReport]:
+) -> tuple[np.ndarray, np.ndarray, RoundReport]:
     """One round of cfg.method from x_t, where ``train_losses`` holds every
-    client's train loss (the previous round's ``report.train_losses``).
+    client's train loss at x_t. Returns x_{t+1}, every client's train loss
+    there (the next round's ``train_losses``) and the round's report.
 
     Start losses of the sampled clients set the fair angle. Under
     fedeba_plus, an angle above the threshold sends clients the fair
@@ -432,7 +429,7 @@ def run_round(
         server_lr = cfg.global_lr
     x_next = server_update(x_t, delta, server_lr)
 
-    train = federation.train_stack.evaluate(x_next, gradient=True)
+    train_next, mean_gradient = federation.train_stack.losses_and_mean_gradient(x_next)
     fairness = evaluate_fairness(federation.eval_stack, x_next, cfg.k_percent)
     report = RoundReport(
         round_index=round_index,
@@ -441,11 +438,8 @@ def run_round(
         branch="aligned" if aligned else "plain",
         sampled=sampled,
         weights=weights,
-        train_losses=train.losses,
-        global_train_loss=float(train.losses.mean()),
-        global_grad_norm=float(np.linalg.norm(train.mean_gradient)),
-        test_losses=fairness.test_losses,
-        test_accuracies=fairness.test_accuracies,
+        global_train_loss=float(train_next.mean()),
+        global_grad_norm=float(np.linalg.norm(mean_gradient)),
         loss_variance=fairness.loss_variance,
         accuracy_variance=fairness.accuracy_variance,
         worst_tail_accuracy=fairness.worst_tail_accuracy,
@@ -454,7 +448,7 @@ def run_round(
         chi_square=_chi_square_or_inf(weights),
         extra_comm=aligned,
     )
-    return x_next, report
+    return x_next, train_next, report
 
 
 def run_training(
@@ -466,8 +460,9 @@ def run_training(
     """Run cfg.rounds rounds of the configured method from x0 (zeros by
     default). Deterministic under cfg.seed; methods sharing a seed sample
     the same clients and draw the same local batches each round. One
-    stacked pass gives the train losses at x0; after that, each round's
-    telemetry gives the next round's. When given,
+    stacked pass gives the train losses at x0; after that, each round
+    returns the next round's, so per-client state lives for one round
+    only. When given,
     ``on_round(report, x_next)`` streams each round's telemetry and the
     post-update model to the caller."""
     x = (
@@ -479,10 +474,9 @@ def run_training(
         raise ValueError("x0 dimension mismatch")
     root = SeededRng(cfg.seed)
     reports: list[RoundReport] = []
-    train_losses = federation.train_stack.evaluate(x).losses
+    train_losses, _ = federation.train_stack.losses_and_mean_gradient(x)
     for t in range(1, cfg.rounds + 1):
-        x, report = run_round(federation, x, cfg, t, root, train_losses)
-        train_losses = report.train_losses
+        x, train_losses, report = run_round(federation, x, cfg, t, root, train_losses)
         reports.append(report)
         if on_round is not None:
             on_round(report, x)

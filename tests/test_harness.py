@@ -59,6 +59,13 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"trainer\.alpha.*\[0\.?0?, 1\.?0?\].*line 2"):
             parse_config(path)
 
+    @pytest.mark.parametrize("value", ["0", "150"])
+    def test_open_lower_bound_names_open_interval(self, tmp_path, value):
+        # k_percent = 0 is rejected, so the interval is open at 0
+        path = write_cfg(tmp_path, f"[metrics]\nk_percent = {value}\n")
+        with pytest.raises(ConfigError, match=r"k_percent: must be within \(0\.0, 100\.0\]"):
+            parse_config(path)
+
     def test_theta_degrees_to_radians(self, tmp_path):
         cfg = parse_config(write_cfg(tmp_path, "[trainer]\ntheta_deg = 45\n"))
         assert cfg.trainer_config(1).theta == pytest.approx(math.pi / 4, abs=1e-15)
@@ -218,6 +225,19 @@ class TestCmdRun:
         bad = write_cfg(tmp_path, "[trainer]\nalpha = 2\n")
         assert main(["run", "--config", str(bad)]) == 1
         assert "alpha" in capsys.readouterr().err
+
+    def test_degenerate_qffl_step_exits_nonzero(self, tmp_path, capsys, monkeypatch):
+        # Zero true parameters and no noise make every start loss, and so
+        # the q-FFL normalizer, zero.
+        monkeypatch.setenv("ENTROFED_OUTPUT_DIR", str(tmp_path / "out"))
+        cfg = write_cfg(
+            tmp_path,
+            "[trainer]\nmethod = qffl\nqffl_q = 1\nclients_per_round = 3\n\n"
+            "[data]\nkind = glr\nparam_scale = 0\nnoise_std = 0\n\n"
+            "[partition]\nclients = 5\n",
+        )
+        assert main(["run", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith("error: degenerate q-FFL step: ")
 
 
 class TestCmdPartition:

@@ -244,7 +244,10 @@ STACK_FAMILIES = {
 
 class TestStackedEvaluation:
     """The stacked evaluator against per-client loss/accuracy/gradient:
-    one-pass family stacks for GLR and classifiers, the loop for quadratics."""
+    one-pass family stacks for GLR and classifiers, the loop for quadratics.
+    At one parameter vector, ``evaluate`` is the test pass (losses and
+    accuracies) and ``losses_and_mean_gradient`` the train pass (losses and
+    the client-mean gradient)."""
 
     @pytest.mark.parametrize("family", sorted(STACK_FAMILIES))
     @given(
@@ -265,30 +268,62 @@ class TestStackedEvaluation:
         x = 0.5 * rng.normals(objs[0].dimension)
         stack = stack_objectives(objs)
         assert (type(stack) is ObjectiveStack) == (family == "quadratic")
-        got = stack.evaluate(x, gradient=True)
+        losses, accuracies = stack.evaluate(x)
+        train_losses, mean_gradient = stack.losses_and_mean_gradient(x)
 
-        np.testing.assert_allclose(got.losses, [o.loss(x) for o in objs], rtol=1e-12, atol=0)
+        want = [o.loss(x) for o in objs]
+        assert np.array_equal(losses, want) and np.array_equal(train_losses, want)
         if family in ("quadratic", "glr"):
-            assert np.isnan(got.accuracies).all()
+            assert np.isnan(accuracies).all()
         else:
-            assert np.array_equal(got.accuracies, [o.accuracy(x) for o in objs])
+            assert np.array_equal(accuracies, [o.accuracy(x) for o in objs])
         grads = np.array([o.gradient(x) for o in objs])
         # a sum of m terms is good to rounding relative to the terms' size
         np.testing.assert_allclose(
-            got.mean_gradient, grads.mean(axis=0), rtol=1e-12, atol=1e-12 * np.abs(grads).max()
+            mean_gradient, grads.mean(axis=0), rtol=1e-12, atol=1e-12 * np.abs(grads).max()
         )
-        assert stack.evaluate(x).mean_gradient is None
         assert np.array_equal(stack.sizes, [o.full_size for o in objs])
 
     def test_classifier_and_glr_losses_are_bitwise_per_client(self):
-        # Exact equality is what keeps pinned round CSVs byte-identical.
+        # Exact equality is what keeps pinned round CSVs byte-identical: the
+        # train pass's losses are the next round's start losses, and the
+        # test pass's feed the loss variance.
         rng = SeededRng(30)
         sizes = [1, 1, 2, 7, 7, 7, 33, 300, 2, 1]
-        for family in ("glr", "softmax", "mlp-tanh", "mlp-relu"):
+        for family in sorted(STACK_FAMILIES):
             objs = [STACK_FAMILIES[family](rng, n) for n in sizes]
             x = 0.5 * rng.normals(objs[0].dimension)
-            got = stack_objectives(objs).evaluate(x)
-            assert np.array_equal(got.losses, [o.loss(x) for o in objs]), family
+            stack = stack_objectives(objs)
+            test_losses, _ = stack.evaluate(x)
+            train_losses, _ = stack.losses_and_mean_gradient(x)
+            assert np.array_equal(test_losses, train_losses), family
+            assert np.array_equal(train_losses, [o.loss(x) for o in objs]), family
+
+    @pytest.mark.parametrize("loop", [False, True])
+    def test_each_pass_returns_only_what_its_caller_reads(self, monkeypatch, loop):
+        # The classifier stack makes no per-client call at all; the loop
+        # calls accuracy only in the test pass, gradient only in the train
+        # pass.
+        rng = SeededRng(35)
+        objs = [random_classifier(rng, n=5), random_classifier(rng, n=6)]
+        stack = ObjectiveStack(objs) if loop else stack_objectives(objs)
+        calls = []
+        for name in ("gradient", "accuracy"):
+            original = getattr(ClassifierObjective, name)
+
+            def counted(self, *args, _name=name, _original=original):
+                calls.append(_name)
+                return _original(self, *args)
+
+            monkeypatch.setattr(ClassifierObjective, name, counted)
+        x = np.zeros(objs[0].dimension)
+        losses, accuracies = stack.evaluate(x)
+        assert losses.shape == accuracies.shape == (2,)
+        assert calls == (["accuracy"] * 2 if loop else [])
+        calls.clear()
+        losses, mean_gradient = stack.losses_and_mean_gradient(x)
+        assert losses.shape == (2,) and mean_gradient.shape == x.shape
+        assert calls == (["gradient"] * 2 if loop else [])
 
     @pytest.mark.parametrize("family", sorted(STACK_FAMILIES))
     def test_full_sets_at_own_parameters_are_bitwise_per_client(self, family):
@@ -344,6 +379,9 @@ class TestStackedEvaluation:
         objs = [QuadraticObjective(1.0, 0.0), random_glr(rng, n=4, d=1)]
         stack = stack_objectives(objs)
         assert type(stack) is ObjectiveStack
-        got = stack.evaluate(np.array([0.5]), gradient=True)
-        assert np.array_equal(got.losses, [o.loss([0.5]) for o in objs])
-        assert np.isnan(got.accuracies).all()
+        losses, accuracies = stack.evaluate(np.array([0.5]))
+        assert np.array_equal(losses, [o.loss([0.5]) for o in objs])
+        assert np.isnan(accuracies).all()
+        losses, mean_gradient = stack.losses_and_mean_gradient(np.array([0.5]))
+        assert np.array_equal(losses, [o.loss([0.5]) for o in objs])
+        assert mean_gradient.shape == (1,)

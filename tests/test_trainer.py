@@ -377,11 +377,10 @@ class TestRunRound:
         for theta in (0.0, 0.2, math.pi / 2, math.pi):
             cfg = self._cfg(theta=theta, clients_per_round=10)
             x = np.zeros(1)
-            losses = fed.train_stack.evaluate(x).losses
+            losses = start_losses(fed, x)
             root = SeededRng(cfg.seed)
             for t in range(1, 12):
-                x, report = run_round(fed, x, cfg, t, root, losses)
-                losses = report.train_losses
+                x, losses, report = run_round(fed, x, cfg, t, root, losses)
                 assert (report.branch == "aligned") == (report.angle > theta)
                 assert report.extra_comm == (report.branch == "aligned")
 
@@ -400,7 +399,7 @@ class TestRunRound:
         # common client delta for any alpha.
         cfg = self._cfg(clients_per_round=4, theta=math.pi / 2, local_steps=1)
         x = np.array([0.5])
-        x_next, report = run_round(fed, x, cfg, 1, SeededRng(0), start_losses(fed, x))
+        x_next, _, report = run_round(fed, x, cfg, 1, SeededRng(0), start_losses(fed, x))
         single = local_sgd([QuadraticObjective(1.0, 2.0)], x, 1, 0.05)
         assert report.branch == "plain" and report.angle == 0.0
         assert x_next[0] == pytest.approx(x[0] + single.deltas[0, 0], abs=1e-12)
@@ -409,7 +408,7 @@ class TestRunRound:
         fed = Federation(tuple(Client(QuadraticObjective(1.0, 2.0)) for _ in range(4)))
         cfg = self._cfg(clients_per_round=4, theta=math.pi / 2, local_steps=2)
         x = np.array([0.5])
-        x_next, _ = run_round(fed, x, cfg, 1, SeededRng(0), start_losses(fed, x))
+        x_next, _, _ = run_round(fed, x, cfg, 1, SeededRng(0), start_losses(fed, x))
         single = local_sgd([QuadraticObjective(1.0, 2.0)], x, 2, 0.05)
         blended = 0.5 * single.deltas[0, 0] + 0.5 * single.one_step[0, 0]
         assert x_next[0] == pytest.approx(x[0] + blended, abs=1e-12)
@@ -418,7 +417,7 @@ class TestRunRound:
         fed = quadratic_federation()
         cfg = self._cfg(clients_per_round=6)
         x = np.zeros(1)
-        _, report = run_round(fed, x, cfg, 1, SeededRng(1), start_losses(fed, x))
+        _, _, report = run_round(fed, x, cfg, 1, SeededRng(1), start_losses(fed, x))
         assert np.all(report.weights > 0)
         assert abs(report.weights.sum() - 1.0) < 1e-9
         assert len(report.sampled) == 6
@@ -427,10 +426,10 @@ class TestRunRound:
         fed = quadratic_federation(scale=1.0)
         cfg = self._cfg(clients_per_round=6)
         losses = 1.0 + np.arange(fed.m)
-        x_next, report = run_round(fed, np.zeros(1), cfg, 1, SeededRng(1), losses)
+        x_next, losses_next, report = run_round(fed, np.zeros(1), cfg, 1, SeededRng(1), losses)
         assert report.angle == fair_angle(losses[report.sampled])
-        # the report carries every client's train loss at the new model
-        assert np.array_equal(report.train_losses, start_losses(fed, x_next))
+        # the round returns every client's train loss at the new model
+        assert np.array_equal(losses_next, start_losses(fed, x_next))
         with pytest.raises(ValueError, match="one train loss per client"):
             run_round(fed, np.zeros(1), cfg, 1, SeededRng(1), losses[:-1])
 
@@ -485,12 +484,10 @@ class TestRunTraining:
         r1, x1 = run_training(fed, cfg)
         r2, x2 = run_training(fed, cfg)
         assert np.array_equal(x1, x2)
-        for a, b in zip(r1, r2):
-            assert a.global_train_loss == b.global_train_loss
-            assert a.angle == b.angle
-            assert np.array_equal(a.weights, b.weights)
-            assert np.array_equal(a.sampled, b.sampled)
-            assert np.array_equal(a.test_losses, b.test_losses)
+        for a, b in zip(r1, r2, strict=True):
+            for field in dataclasses.fields(a):
+                got, want = (np.asarray(getattr(r, field.name)).tobytes() for r in (a, b))
+                assert got == want, (a.round_index, field.name)
 
     def test_methods_share_sampling_streams(self):
         fed = quadratic_federation()
@@ -697,3 +694,27 @@ class TestTelemetryCallCounts:
         assert len(per_round) == cfg.rounds
         for branch, c in per_round:
             assert c == {"loss": 0, "gradient": 0, "accuracy": 0}, branch
+
+
+class TestReportRetention:
+    """A run keeps every round's report, so a report may hold per-client
+    vectors only of the sampled cohort: none whose length grows with m."""
+
+    @pytest.mark.parametrize("m", [20, 50])
+    def test_no_kept_vector_grows_with_the_client_count(self, m):
+        cfg = TrainerConfig(
+            rounds=4,
+            local_steps=2,
+            clients_per_round=5,
+            local_lr=0.5,
+            theta=math.radians(5.0),
+            seed=4,
+        )
+        fed = classifier_federation(m)
+        reports, _ = run_training(fed, cfg, x0=np.zeros(fed.dimension))
+        assert len(reports) == cfg.rounds
+        for report in reports:
+            for field in dataclasses.fields(report):
+                value = getattr(report, field.name)
+                if isinstance(value, np.ndarray):
+                    assert value.size <= cfg.clients_per_round, (report.round_index, field.name)
