@@ -17,7 +17,6 @@ from entrofed.core import (
     entropy,
     fair_angle,
     softmax_temperature,
-    softmax_with_prior,
     validate_simplex,
 )
 from entrofed.objectives import (
@@ -43,7 +42,7 @@ from entrofed.aggregation import (
     QfflConfig,
     data_ratio_weights,
     eba_weights,
-    qffl_delta,
+    qffl_step,
     schedule_tau,
     uniform_weights,
 )
@@ -71,7 +70,6 @@ from entrofed.analysis import (
 __all__ = [
     "SeededRng",
     "softmax_temperature",
-    "softmax_with_prior",
     "entropy",
     "chi_square_divergence",
     "fair_angle",
@@ -96,7 +94,7 @@ __all__ = [
     "eba_weights",
     "uniform_weights",
     "data_ratio_weights",
-    "qffl_delta",
+    "qffl_step",
     "TrainerConfig",
     "Client",
     "Federation",

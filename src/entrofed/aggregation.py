@@ -2,7 +2,9 @@
 
 Entropy-based aggregation weights (with or without a prior), uniform and
 data-ratio baselines, the temperature annealing schedules, and the q-FFL
-server displacement. All functions are stateless.
+weights and step length. Every method's server step is one weighted
+product of the cohort's displacements, which the trainer applies. All
+functions are stateless.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from entrofed.core import softmax_temperature, softmax_with_prior
+from entrofed.core import softmax_temperature
 
 @dataclass(frozen=True)
 class EbaConfig:
@@ -79,13 +81,10 @@ def eba_weights(losses, tau: float, prior=None) -> np.ndarray:
     normalized over the participating clients.
 
     Inherits the float64 underflow contract of
-    :func:`~entrofed.core.softmax_temperature` (and, with a prior, of
-    :func:`~entrofed.core.softmax_with_prior`): a weight can underflow to
+    :func:`~entrofed.core.softmax_temperature`: a weight can underflow to
     exactly 0 only once the spread of loss_i / tau (plus log prior_i, with a
     prior) passes ~708."""
-    if prior is None:
-        return softmax_temperature(losses, tau)
-    return softmax_with_prior(losses, tau, prior)
+    return softmax_temperature(losses, tau, prior)
 
 
 def uniform_weights(m: int) -> np.ndarray:
@@ -103,36 +102,35 @@ def data_ratio_weights(sizes) -> np.ndarray:
     return arr / arr.sum()
 
 
-def qffl_delta(x_t: np.ndarray, local_models, losses, cfg: QfflConfig) -> np.ndarray:
-    """The q-FFL server displacement -sum_i F_i^q grad_i / sum_i h_i.
+def qffl_step(deltas, losses, cfg: QfflConfig) -> tuple[np.ndarray, float]:
+    """The q-FFL server step as weights p and a step length: x_t + step *
+    (p @ deltas) is x_t - sum_i F_i^q g_i / sum_i h_i.
 
-    Pseudo-gradients are grad_i = L (x_t - x_i) for local models x_i, and
-    h_i = q F_i^(q-1) ||grad_i||^2 + L F_i^q. With q = 0 this reduces to a
-    plain averaged pseudo-gradient step, zero losses included (F^0 = 1);
-    only fractional powers 0 < q < 1 reject a zero loss, whose h_i term
-    would need a negative power of zero.
+    With pseudo-gradients g_i = -L d_i of the (s, D) local displacements
+    and h_i = q F_i^(q-1) ||g_i||^2 + L F_i^q, the weights are the
+    normalized loss powers p_i = F_i^q / sum_j F_j^q (uniform when every
+    power vanishes) and step = sum F^q / (sum F^q + q L sum_i F_i^(q-1)
+    ||d_i||^2). L sits only in the q-term, so q = 0 gives step 1.0 and the
+    uniform mean displacement, zero losses included (F^0 = 1); only
+    fractional powers 0 < q < 1 reject a zero loss, whose q-term would need
+    a negative power of zero.
     """
-    x_t = np.asarray(x_t, dtype=np.float64)
+    deltas = np.asarray(deltas, dtype=np.float64)
     losses = np.asarray(losses, dtype=np.float64)
-    models = [np.asarray(m, dtype=np.float64) for m in local_models]
-    if len(models) != losses.size or losses.size == 0:
-        raise ValueError("need one local model per loss")
-    if any(m.shape != x_t.shape for m in models):
-        raise ValueError("local model dimension mismatch")
+    if deltas.ndim != 2 or losses.shape != (len(deltas),) or losses.size == 0:
+        raise ValueError("need one displacement row per loss")
     if np.any(losses < 0):
         raise ValueError("losses must be nonnegative")
-    if 0.0 < cfg.q < 1.0 and np.any(losses == 0):
+    q = cfg.q
+    if 0.0 < q < 1.0 and np.any(losses == 0):
         raise ValueError("zero loss is outside the domain of fractional loss powers")
-    lip = cfg.lipschitz
-    delta_sum = np.zeros_like(x_t)
-    h_sum = 0.0
-    for loss, model in zip(losses, models):
-        grad = lip * (x_t - model)
-        powered = loss**cfg.q
-        delta_sum += powered * grad
-        if cfg.q > 0.0:
-            h_sum += cfg.q * loss ** (cfg.q - 1.0) * float(np.dot(grad, grad))
-        h_sum += lip * powered
-    if h_sum == 0.0:
+    powered = losses**q
+    total = powered.sum()
+    normalizer = total
+    if q > 0.0:
+        sq_norms = np.einsum("ij,ij->i", deltas, deltas)
+        normalizer += q * cfg.lipschitz * float(losses ** (q - 1.0) @ sq_norms)
+    if normalizer == 0.0:
         raise ZeroDivisionError("degenerate q-FFL step: normalizer sums to zero")
-    return -(delta_sum / h_sum)
+    weights = powered / total if total > 0.0 else uniform_weights(losses.size)
+    return weights, float(total / normalizer)

@@ -168,59 +168,47 @@ def validate_simplex(p, atol: float = SIMPLEX_ATOL) -> np.ndarray:
     return arr
 
 
-def softmax_temperature(values, tau: float) -> np.ndarray:
-    """Temperature softmax p_i = exp(v_i / tau) / sum_j exp(v_j / tau).
+def softmax_temperature(values, tau: float, prior=None) -> np.ndarray:
+    """Temperature softmax p_i = q_i exp(v_i / tau) / sum_j q_j exp(v_j / tau),
+    with q_i = 1 when no prior is given.
 
     Computed in the max-subtracted form, so weights are overflow-free for
     large values or small tau and exactly shift-invariant in real
-    arithmetic. In real arithmetic every weight is positive and a higher
-    input gets a strictly higher weight; tau -> inf flattens toward uniform,
-    tau -> 0+ concentrates on the argmax.
+    arithmetic. In real arithmetic every weight is positive and, without a
+    prior, a higher input gets a strictly higher weight; tau -> inf flattens
+    toward the prior, tau -> 0+ concentrates on the argmax. Prior entries
+    must be strictly positive (the relative-entropy form is undefined at a
+    zero prior); a uniform prior cancels in real arithmetic.
 
-    float64 contract. With exponents e_i = (v_i - max v) / tau and n entries:
+    float64 contract. With exponents e_i = (v_i - max v) / tau, plus log q_i
+    with a prior whose entries lie in (0, 1] (any normalized prior), and n
+    entries:
 
     * every entry with e_i >= log(finfo.tiny) ~ -708.40 is strictly positive;
     * an entry is exactly 0 only when e_i < log(2**-1074) + log(n)
       ~ -744.44 + log(n), i.e. only when its true weight is at most the
       smallest subnormal; 0 is then the correctly rounded weight;
-    * order is never reversed (v_i < v_j gives p_i <= p_j), and it is strict
-      between entries whose exponents are >= log(finfo.tiny) and differ by
-      more than rounding error.
+    * without a prior, order is never reversed (v_i < v_j gives p_i <= p_j),
+      and it is strict between entries whose exponents are >= log(finfo.tiny)
+      and differ by more than rounding error.
 
-    So strict positivity can fail only once (max - min) / tau exceeds ~708.
+    So strict positivity can fail only once (max - min) / tau, less log q_i,
+    exceeds ~708: a small prior entry underflows sooner. Where q_i exp(...)
+    falls below finfo.tiny the product loses low bits, so an entry that the
+    prior-free softmax keeps at a subnormal value may come out 0 under a
+    uniform prior.
     """
     if not tau > 0.0:
         raise ValueError(f"tau must be positive, got {tau}")
     arr = _as_floats(values, "values")
     z = np.exp((arr - arr.max()) / tau)
-    return z / z.sum()
-
-
-def softmax_with_prior(values, tau: float, prior) -> np.ndarray:
-    """Prior-weighted softmax p_i = q_i exp(v_i/tau) / sum_j q_j exp(v_j/tau).
-
-    Prior entries must be strictly positive (the relative-entropy form is
-    undefined at a zero prior).
-
-    The two underflow bounds of the :func:`softmax_temperature` float64
-    contract (positive at or above log(finfo.tiny), 0 only below
-    log(2**-1074) + log(n)) hold for prior entries in (0, 1] (any normalized
-    prior), with the exponent e_i replaced by log q_i + e_i: a small prior
-    entry underflows sooner. A uniform prior
-    cancels in real arithmetic and reproduces :func:`softmax_temperature` up
-    to rounding; where q_i exp(e_i) falls below finfo.tiny the product loses
-    low bits, and an entry that :func:`softmax_temperature` keeps at a
-    subnormal value may come out 0.
-    """
-    if not tau > 0.0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    arr = _as_floats(values, "values")
-    q = _as_floats(prior, "prior")
-    if q.shape != arr.shape:
-        raise ValueError("prior and values must have the same length")
-    if np.any(q <= 0.0):
-        raise ValueError("prior entries must be strictly positive")
-    z = q * np.exp((arr - arr.max()) / tau)
+    if prior is not None:
+        q = _as_floats(prior, "prior")
+        if q.shape != arr.shape:
+            raise ValueError("prior and values must have the same length")
+        if np.any(q <= 0.0):
+            raise ValueError("prior entries must be strictly positive")
+        z = q * z
     return z / z.sum()
 
 

@@ -4,10 +4,10 @@ One round function serves all three methods: sample clients, take their
 start-of-round losses from the previous round's telemetry, gate on the fair
 angle, run local SGD (plain or gradient-aligned), weight the updates, apply
 the server step, and emit telemetry. The methods differ only in the weights
-and the server step:
+and the server step's length:
 
 * ``fedavg``   -- fixed uniform or data-ratio weights, plain server step;
-* ``qffl``     -- loss powers F_i^q inside the normalized q-FFL server step;
+* ``qffl``     -- normalized loss powers F_i^q, with the q-FFL step length;
 * ``fedeba_plus`` -- entropy-based weights from end-of-round losses plus
   model alignment (plain branch) or gradient alignment (fair-angle branch,
   taken by this method only).
@@ -33,7 +33,7 @@ from entrofed.aggregation import (
     QfflConfig,
     data_ratio_weights,
     eba_weights,
-    qffl_delta,
+    qffl_step,
     schedule_tau,
     uniform_weights,
 )
@@ -129,13 +129,15 @@ class Federation:
 
     # The stacks copy the client data once, on first use, for the per-round
     # telemetry that evaluates every client; objectives are immutable, so
-    # the copy stays valid.
+    # the copy stays valid. Without test objectives both are one stack.
     @cached_property
     def train_stack(self) -> ObjectiveStack:
         return stack_objectives(c.objective for c in self.clients)
 
     @cached_property
     def eval_stack(self) -> ObjectiveStack:
+        if all(c.test_objective is None for c in self.clients):
+            return self.train_stack
         return stack_objectives(c.eval_objective for c in self.clients)
 
 
@@ -376,8 +378,11 @@ def run_round(
     * fedeba_plus weights them by the end-of-round local losses at the
       scheduled temperature, tilted by the data-ratio prior if configured,
       and on the plain branch blends in the mean one-step update;
-    * qffl applies the q-FFL server step to the local models and records
-      the normalized start-loss powers as its weights.
+    * qffl weights them by the normalized start-loss powers F_i^q and
+      takes the q-FFL step length in place of ``global_lr``.
+
+    Every method then applies one weighted product of the cohort's
+    displacements through ``server_update``.
     """
     x_t = np.asarray(x_t, dtype=np.float64)
     train_losses = np.asarray(train_losses, dtype=np.float64)
@@ -404,16 +409,9 @@ def run_round(
     else:
         update = local_sgd(objectives, x_t, cfg.local_steps, cfg.local_lr, cfg.batch_size, streams)
 
+    server_lr = cfg.global_lr
     if cfg.method == "qffl":
-        delta = qffl_delta(x_t, x_t + update.deltas, start_losses, cfg.qffl)
-        # Recorded weights are the normalized loss powers F_i^q (how strongly
-        # each client shapes the numerator); the step itself is not a convex
-        # combination of the deltas.
-        powered = start_losses**cfg.qffl.q
-        weights = (
-            powered / powered.sum() if powered.sum() > 0 else uniform_weights(len(sampled))
-        )
-        server_lr = 1.0  # the q-FFL step sets its own length
+        weights, server_lr = qffl_step(update.deltas, start_losses, cfg.qffl)
     else:
         prior = None
         if cfg.eba.prior == "data_ratio":
@@ -422,11 +420,10 @@ def run_round(
             weights = eba_weights(update.end_losses, tau, prior)
         else:
             weights = uniform_weights(len(sampled)) if prior is None else prior
-        if eba and not aligned:
-            delta = aggregate_model_alignment(update.deltas, update.one_step, weights, cfg.alpha)
-        else:
-            delta = aggregate_plain(update.deltas, weights)
-        server_lr = cfg.global_lr
+    if eba and not aligned:
+        delta = aggregate_model_alignment(update.deltas, update.one_step, weights, cfg.alpha)
+    else:
+        delta = aggregate_plain(update.deltas, weights)
     x_next = server_update(x_t, delta, server_lr)
 
     train_next, mean_gradient = federation.train_stack.losses_and_mean_gradient(x_next)
@@ -474,7 +471,7 @@ def run_training(
         raise ValueError("x0 dimension mismatch")
     root = SeededRng(cfg.seed)
     reports: list[RoundReport] = []
-    train_losses, _ = federation.train_stack.losses_and_mean_gradient(x)
+    train_losses = federation.train_stack.losses(np.broadcast_to(x, (federation.m, x.size)))
     for t in range(1, cfg.rounds + 1):
         x, train_losses, report = run_round(federation, x, cfg, t, root, train_losses)
         reports.append(report)

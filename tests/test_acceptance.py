@@ -8,10 +8,12 @@ them inline). Runtime budgets are part of the criteria and are enforced.
 import dataclasses
 import math
 import time
+from pathlib import Path
 
 import numpy as np
+from hypothesis import given, settings, strategies as st
 
-from entrofed.aggregation import EbaConfig, eba_weights
+from entrofed.aggregation import EbaConfig, QfflConfig, eba_weights
 from entrofed.analysis import (
     entropy_max_bruteforce,
     softmax_entropy,
@@ -19,7 +21,7 @@ from entrofed.analysis import (
     weighted_variance,
 )
 from entrofed.core import SeededRng
-from entrofed.harness import main, parse_config
+from entrofed.harness import build_federation, main, parse_config
 from entrofed.objectives import (
     ClassifierObjective,
     GlrObjective,
@@ -253,8 +255,6 @@ def test_criterion_8_directional_fairness_trend(tmp_path):
         cfg_path = tmp_path / "trend.cfg"
         cfg_path.write_text(TREND_CONFIG, encoding="utf-8")
         base = parse_config(cfg_path)
-        from entrofed.harness import build_federation
-
         results = {}
         for method, alpha in (("fedavg", 0.0), ("fedeba_plus", 0.5)):
             cfg = dataclasses.replace(base, method=method, alpha=alpha)
@@ -319,3 +319,119 @@ def test_criterion_9_byte_identical_outputs(tmp_path, monkeypatch, capsys):
         first = capsys.readouterr().out
         main(["oracle", "toy", "--tau", "1"])
         assert capsys.readouterr().out == first
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def golden_setup(name):
+    cfg = parse_config(GOLDEN / name / "config.cfg")
+    federation, x0 = build_federation(cfg, 0)
+    return federation, x0, cfg.trainer_config(0)
+
+
+def assert_same_runs(run_a, run_b, skip=()):
+    """Finite, bitwise equal final models (up to the sign of a zero, since
+    x + 0.0 turns -0.0 into +0.0) and equal report fields, NaN equal to NaN,
+    except the fields named in ``skip``."""
+    (reports_a, x_a), (reports_b, x_b) = run_a, run_b
+    assert np.isfinite(x_a).all()
+    assert np.array_equal(x_a, x_b)
+    for a, b in zip(reports_a, reports_b, strict=True):
+        for field in dataclasses.fields(a):
+            if field.name in skip:
+                continue
+            got, want = getattr(a, field.name), getattr(b, field.name)
+            same = got == want if isinstance(got, str) else np.array_equal(got, want, equal_nan=True)
+            assert same, (a.round_index, field.name)
+
+
+def qffl_zero_power_twin(fedavg: TrainerConfig, lipschitz: float) -> TrainerConfig:
+    """q-FFL with q = 0: every F_i^q is 1, so its weights are uniform and its
+    step length sum F^q / sum F^q is 1.0 whatever L is."""
+    return dataclasses.replace(fedavg, method="qffl", qffl=QfflConfig(q=0.0, lipschitz=lipschitz))
+
+
+def test_criterion_10_cross_method_oracles():
+    with _Criterion(10, "cross-method oracles", budget_seconds=3.0):
+        # alpha = 0 makes the fair-angle gate inert: the aligned step adds
+        # 0 * fair_grad to each local gradient and model alignment adds
+        # 0 * mean(one_step), so theta = 0 (align whenever the angle is
+        # positive) and theta = pi (never align) train the same models.
+        for name in ("blobs-mlp", "glr-qffl"):
+            federation, x0, base = golden_setup(name)
+            base = dataclasses.replace(base, method="fedeba_plus", alpha=0.0)
+            gated = run_training(federation, dataclasses.replace(base, theta=0.0), x0)
+            plain = run_training(federation, dataclasses.replace(base, theta=math.pi), x0)
+            assert len(gated[0]) > 1
+            assert "aligned" in {r.branch for r in gated[0]}
+            assert {r.branch for r in plain[0]} == {"plain"}
+            assert_same_runs(gated, plain, skip=("branch", "extra_comm"))
+
+        for name in ("glr-qffl", "blobs-mlp", "fedavg-ratio"):
+            federation, x0, base = golden_setup(name)
+            # q-FFL with q = 0 is uniform FedAvg with global_lr = 1, bit for bit
+            fedavg = dataclasses.replace(
+                base, method="fedavg", global_lr=1.0, eba=EbaConfig(prior="uniform")
+            )
+            averaged = run_training(federation, fedavg, x0)
+            for lipschitz in (1.0, 0.1):
+                qffl = run_training(federation, qffl_zero_power_twin(fedavg, lipschitz), x0)
+                assert_same_runs(qffl, averaged)
+
+            # FedEBA+ with the data-ratio prior at tau0 = 1e12 is data-ratio
+            # FedAvg: loss / tau0 ~ 1e-12 leaves the prior's weights to
+            # rounding, and alpha = 0 makes both fair-angle branches plain
+            # steps. Largest gap measured: 4.4e-13.
+            fedavg = dataclasses.replace(base, method="fedavg", eba=EbaConfig(prior="data_ratio"))
+            eba = dataclasses.replace(
+                base, method="fedeba_plus", alpha=0.0, eba=EbaConfig(tau0=1e12, prior="data_ratio")
+            )
+            r_avg, x_avg = run_training(federation, fedavg, x0)
+            r_eba, x_eba = run_training(federation, eba, x0)
+            if name == "blobs-mlp":
+                assert {r.branch for r in r_eba} == {"plain", "aligned"}
+            for a, b in zip(r_avg, r_eba, strict=True):
+                np.testing.assert_allclose(b.weights, a.weights, rtol=1e-11, atol=0)
+            np.testing.assert_allclose(x_eba, x_avg, rtol=0, atol=2e-12)
+
+
+@given(
+    family=st.sampled_from(["glr", "softmax", "tanh-mlp"]),
+    m=st.integers(2, 8),
+    share=st.floats(0.0, 1.0),
+    local_steps=st.integers(1, 3),
+    batch_size=st.sampled_from([None, 2]),
+    lipschitz=st.floats(0.05, 5.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=50, deadline=None)
+def test_criterion_10_zero_power_qffl_is_fedavg_on_random_federations(
+    family, m, share, local_steps, batch_size, lipschitz, seed
+):
+    rng = SeededRng(seed)
+    d, classes = 3, 3
+
+    def objective(n):
+        feats = rng.normals(n * d).reshape(n, d)
+        if family == "glr":
+            return GlrObjective(feats, rng.normals(n))
+        hidden, act = (4, "tanh") if family == "tanh-mlp" else (0, "identity")
+        return ClassifierObjective(feats, rng.integers(n, classes), classes, hidden, act)
+
+    sizes = 1 + rng.integers(m, 6)
+    federation = Federation(tuple(Client(objective(int(n))) for n in sizes))
+    fedavg = TrainerConfig(
+        rounds=3,
+        local_steps=local_steps,
+        clients_per_round=1 + int(share * (m - 1)),
+        local_lr=0.1,
+        batch_size=batch_size,
+        method="fedavg",
+        seed=seed,
+    )
+    x0 = 0.1 * rng.normals(federation.dimension)
+    assert_same_runs(
+        run_training(federation, qffl_zero_power_twin(fedavg, lipschitz), x0),
+        run_training(federation, fedavg, x0),
+    )

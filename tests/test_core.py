@@ -12,7 +12,6 @@ from entrofed.core import (
     entropy,
     fair_angle,
     softmax_temperature,
-    softmax_with_prior,
     validate_simplex,
 )
 
@@ -178,25 +177,25 @@ class TestSoftmaxTemperature:
             validate_simplex(softmax_temperature(values, tau))
 
 
-class TestSoftmaxWithPrior:
+class TestSoftmaxPrior:
     def test_equal_losses_return_the_prior(self):
-        p = softmax_with_prior([2.0, 2.0], 1.0, [0.25, 0.75])
+        p = softmax_temperature([2.0, 2.0], 1.0, prior=[0.25, 0.75])
         assert p == pytest.approx([0.25, 0.75], abs=1e-15)
 
     def test_uniform_prior_cancels(self):
         values = [0.3, 1.9, 0.7]
-        with_prior = softmax_with_prior(values, 0.7, [1 / 3] * 3)
+        with_prior = softmax_temperature(values, 0.7, prior=[1 / 3] * 3)
         assert with_prior == pytest.approx(softmax_temperature(values, 0.7), abs=1e-15)
 
     def test_frozen_skewed_prior_value(self):
-        p = softmax_with_prior([0.0, 4.5], 1.0, [0.9, 0.1])
+        p = softmax_temperature([0.0, 4.5], 1.0, prior=[0.9, 0.1])
         assert p == pytest.approx(PRIOR_SOFTMAX_0_45, abs=1e-12)
 
     def test_small_prior_underflows_sooner(self):
         # e = -700 stays positive under a uniform prior; a prior entry of
         # 1e-30 adds log(1e-30) ~ -69 and takes it below the subnormal floor.
-        assert softmax_with_prior([0.0, -700.0], 1.0, [0.5, 0.5])[1] > 0
-        assert softmax_with_prior([0.0, -700.0], 1.0, [1.0, 1e-30])[1] == 0.0
+        assert softmax_temperature([0.0, -700.0], 1.0, prior=[0.5, 0.5])[1] > 0
+        assert softmax_temperature([0.0, -700.0], 1.0, prior=[1.0, 1e-30])[1] == 0.0
 
     @given(
         pairs=st.lists(
@@ -207,13 +206,17 @@ class TestSoftmaxWithPrior:
     @settings(max_examples=200, deadline=None)
     def test_underflow_contract_with_prior(self, pairs, tau):
         values, prior = map(list, zip(*pairs))
-        p = softmax_with_prior(values, tau, prior)
+        p = softmax_temperature(values, tau, prior=prior)
         validate_simplex(p)
         assert_underflow_contract(p, np.log(prior) + softmax_exponents(values, tau))
 
     def test_rejects_nonpositive_prior(self):
         with pytest.raises(ValueError, match="positive"):
-            softmax_with_prior([1.0, 2.0], 1.0, [0.0, 1.0])
+            softmax_temperature([1.0, 2.0], 1.0, prior=[0.0, 1.0])
+
+    def test_rejects_prior_of_another_length(self):
+        with pytest.raises(ValueError, match="same length"):
+            softmax_temperature([1.0, 2.0], 1.0, prior=[1.0])
 
 
 class TestEntropy:

@@ -2,15 +2,13 @@
 
 import dataclasses
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from entrofed.aggregation import EbaConfig, QfflConfig
+from entrofed.aggregation import EbaConfig
 from entrofed.core import SeededRng, fair_angle, softmax_temperature
-from entrofed.harness import build_federation, parse_config
 from entrofed.objectives import (
     ClassifierObjective,
     GlrObjective,
@@ -565,79 +563,17 @@ class TestRunTraining:
             Federation((Client(train), Client(train, test)))
         assert Federation((Client(train), Client(train, train))).dimension == 3
 
-
-class TestFairAngleGateOracle:
-    """With alpha = 0 the aligned step adds 0 * fair_grad to each local
-    gradient, and model alignment adds 0 * mean(one_step) to the weighted
-    aggregate. Either way the gate cannot move the model: theta = 0 (align
-    whenever the angle is positive) and theta = pi (never align) must give
-    equal models, up to the sign of a zero."""
-
-    @pytest.mark.parametrize("name", ["blobs-mlp", "glr-qffl"])
-    def test_alpha_zero_makes_the_gate_inert(self, name):
-        cfg = parse_config(Path(__file__).parent / "golden" / name / "config.cfg")
-        federation, x0 = build_federation(cfg, 0)
-        base = dataclasses.replace(cfg.trainer_config(0), method="fedeba_plus", alpha=0.0)
-        gated, x_gated = run_training(federation, dataclasses.replace(base, theta=0.0), x0)
-        plain, x_plain = run_training(federation, dataclasses.replace(base, theta=math.pi), x0)
-        assert len(gated) == len(plain) > 1
-        assert "aligned" in {r.branch for r in gated}
-        assert {r.branch for r in plain} == {"plain"}
-        assert np.isfinite(x_gated).all()
-        assert np.array_equal(x_gated, x_plain)
-        for a, b in zip(gated, plain):
-            for field in dataclasses.fields(a):
-                if field.name not in ("branch", "extra_comm"):
-                    got, want = getattr(a, field.name), getattr(b, field.name)
-                    assert np.array_equal(got, want, equal_nan=True), (a.round_index, field.name)
-
-
-class TestCrossMethodOracles:
-    """Limits in which one method's rounds are another's, on golden configs
-    at seed 0. Each pair samples the same clients and draws the same
-    batches, so only rounding separates the final models."""
-
-    CASES = ["glr-qffl", "blobs-mlp", "fedavg-ratio"]
-
-    @staticmethod
-    def _setup(name):
-        cfg = parse_config(Path(__file__).parent / "golden" / name / "config.cfg")
-        federation, x0 = build_federation(cfg, 0)
-        return federation, x0, cfg.trainer_config(0)
-
-    @pytest.mark.parametrize("name", CASES)
-    def test_qffl_with_zero_power_is_uniform_fedavg(self, name):
-        # q = 0 makes every F_i^q 1 and the normalizer s L, so the step is
-        # the mean local displacement. Largest gap measured: 4.4e-16.
-        federation, x0, base = self._setup(name)
-        fedavg = dataclasses.replace(
-            base, method="fedavg", global_lr=1.0, eba=EbaConfig(prior="uniform")
-        )
-        qffl = dataclasses.replace(fedavg, method="qffl", qffl=QfflConfig(q=0.0))
-        r_avg, x_avg = run_training(federation, fedavg, x0)
-        r_q, x_q = run_training(federation, qffl, x0)
-        for a, b in zip(r_avg, r_q, strict=True):
-            assert np.array_equal(a.sampled, b.sampled)
-            assert np.array_equal(a.weights, b.weights)
-        np.testing.assert_allclose(x_q, x_avg, rtol=0, atol=2e-15)
-
-    @pytest.mark.parametrize("name", CASES)
-    def test_eba_at_infinite_temperature_is_data_ratio_fedavg(self, name):
-        # loss / tau0 ~ 1e-12 leaves the prior's weights to rounding, and
-        # alpha = 0 makes both fair-angle branches plain steps. Largest gap
-        # measured: 4.4e-13.
-        federation, x0, base = self._setup(name)
-        fedavg = dataclasses.replace(base, method="fedavg", eba=EbaConfig(prior="data_ratio"))
-        eba = dataclasses.replace(
-            base, method="fedeba_plus", alpha=0.0, eba=EbaConfig(tau0=1e12, prior="data_ratio")
-        )
-        r_avg, x_avg = run_training(federation, fedavg, x0)
-        r_eba, x_eba = run_training(federation, eba, x0)
-        if name == "blobs-mlp":
-            assert {r.branch for r in r_eba} == {"plain", "aligned"}
-        for a, b in zip(r_avg, r_eba, strict=True):
-            np.testing.assert_allclose(b.weights, a.weights, rtol=1e-11, atol=0)
-        np.testing.assert_allclose(x_eba, x_avg, rtol=0, atol=2e-12)
+    def test_eval_stack_reuses_the_train_stack_without_test_objectives(self):
+        # the data are stacked once when every client evaluates on its
+        # training objective, and twice only when some client holds a test set
+        rng = SeededRng(9)
+        objs = [GlrObjective(rng.normals(12).reshape(4, 3), rng.normals(4)) for _ in range(3)]
+        own = Federation(tuple(Client(o) for o in objs))
+        assert own.eval_stack is own.train_stack
+        held_out = Federation(tuple(Client(o, o) for o in objs[:2]) + (Client(objs[2]),))
+        assert held_out.eval_stack is not held_out.train_stack
+        x = rng.normals(3)
+        assert np.array_equal(held_out.eval_stack.evaluate(x)[0], own.eval_stack.evaluate(x)[0])
 
 
 def classifier_federation(m, seed=0, d=4, classes=3):
