@@ -239,8 +239,24 @@ class ClassifierObjective(LocalObjective):
 
     @staticmethod
     def _log_softmax(logits: np.ndarray) -> np.ndarray:
-        z = logits - logits.max(axis=-1, keepdims=True)
+        # The row max down the columns of a (classes, rows) copy: numpy
+        # reduces a short last axis one row at a time. A max is exact, so
+        # this is max(axis=-1) bit for bit, but for the sign and payload of
+        # a NaN, which max(axis=-1) resets.
+        top = logits.reshape(-1, logits.shape[-1]).T.copy().max(axis=0)
+        z = logits - top.reshape(*logits.shape[:-1], 1)
         return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+
+    @staticmethod
+    def _probs_minus_labels(logp: np.ndarray, labels: np.ndarray) -> np.ndarray:
+        """exp(logp) minus the one-hot labels: the gradient of each row's
+        cross-entropy in its logits. A one-hot matrix would change only the
+        label entries (x - 0.0 == x), so one is subtracted there in place,
+        through a row view of the C-ordered result."""
+        out = np.exp(logp, order="C")
+        rows = out.reshape(-1, logp.shape[-1])
+        rows[np.arange(rows.shape[0]), labels.ravel()] -= 1.0
+        return out
 
     def loss(self, x, subset=None) -> float:
         arr = self._check_x(x)
@@ -265,8 +281,7 @@ class ClassifierObjective(LocalObjective):
         """Gradient of the summed cross-entropy of the rows over ``divisor``,
         from the forward pass's log-probabilities and hidden layer. Leading
         axes of ``arr`` are client axes, matched by those of the rows."""
-        # subtracting one-hot labels changes only the label entries: x - 0.0 == x
-        dlogits = np.exp(logp) - np.eye(self.n_classes)[labels]
+        dlogits = self._probs_minus_labels(logp, labels)
         dlogits /= divisor
         lead = arr.shape[:-1]
         if self.hidden == 0:
@@ -296,8 +311,13 @@ class ClassifierObjective(LocalObjective):
 
 
 # Rows per block in stacked evaluation. A block holds whole clients of one
-# sample count, so a client larger than this gets a block to itself.
-STACK_BLOCK_ROWS = 256
+# sample count, so a client larger than this gets a block to itself. The
+# size is a cache trade: each pass makes a few (rows, classes) temporaries,
+# and larger blocks mean fewer numpy calls until those outgrow the cache.
+# On 1000 softmax clients of 10 classes, a train and a test pass take
+# 55-65% as long at 2048 rows as at 256, and a third longer again at 4096,
+# where each temporary reaches 320 KiB.
+STACK_BLOCK_ROWS = 2048
 
 
 class ObjectiveStack:
@@ -316,9 +336,10 @@ class ObjectiveStack:
     per-client values, from either pass. Other families, quadratic among
     them, use this loop. The mean gradient is one backward pass with every
     row scaled by 1/(m n_i), and agrees with the mean of per-client
-    gradients up to summation order. The classifier stack also evaluates
-    :meth:`losses` and :meth:`gradients` one block (or one minibatch) per
-    pass, bitwise equal to the per-client ``loss`` and ``gradient`` calls.
+    gradients up to summation order. Both stacks also evaluate
+    :meth:`losses` one block per pass, and the classifier stack
+    :meth:`gradients` one block (or one minibatch) per pass, bitwise equal to
+    the per-client ``loss`` and ``gradient`` calls.
     """
 
     def __init__(self, objectives):
@@ -391,6 +412,12 @@ class _GlrStack(ObjectiveStack):
 
     def evaluate(self, x):
         return self._losses(self._residuals(x)), np.full(self.m, np.nan)
+
+    def losses(self, xs):
+        # (n, d) @ (d, 1) per client is the BLAS gemv GlrObjective.loss uses
+        return self._losses(
+            [(ids, d, (d @ xs[ids][..., None])[..., 0] - t) for ids, d, t in self._blocks]
+        )
 
     def losses_and_mean_gradient(self, x):
         res = self._residuals(x)

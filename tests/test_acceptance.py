@@ -396,19 +396,9 @@ def test_criterion_10_cross_method_oracles():
             np.testing.assert_allclose(x_eba, x_avg, rtol=0, atol=2e-12)
 
 
-@given(
-    family=st.sampled_from(["glr", "softmax", "tanh-mlp"]),
-    m=st.integers(2, 8),
-    share=st.floats(0.0, 1.0),
-    local_steps=st.integers(1, 3),
-    batch_size=st.sampled_from([None, 2]),
-    lipschitz=st.floats(0.05, 5.0),
-    seed=st.integers(0, 2**32 - 1),
-)
-@settings(max_examples=50, deadline=None)
-def test_criterion_10_zero_power_qffl_is_fedavg_on_random_federations(
-    family, m, share, local_steps, batch_size, lipschitz, seed
-):
+def random_federation(family, m, seed):
+    """m clients of 1-6 samples, 3 features and (for classifiers) 3 classes:
+    GLR, softmax or tanh-MLP, and a small start model."""
     rng = SeededRng(seed)
     d, classes = 3, 3
 
@@ -421,17 +411,83 @@ def test_criterion_10_zero_power_qffl_is_fedavg_on_random_federations(
 
     sizes = 1 + rng.integers(m, 6)
     federation = Federation(tuple(Client(objective(int(n))) for n in sizes))
-    fedavg = TrainerConfig(
+    return federation, 0.1 * rng.normals(federation.dimension)
+
+
+def random_rounds(method, m, share, local_steps, batch_size, seed):
+    """Three rounds of the method with a random cohort size and local SGD."""
+    return TrainerConfig(
         rounds=3,
         local_steps=local_steps,
         clients_per_round=1 + int(share * (m - 1)),
         local_lr=0.1,
         batch_size=batch_size,
-        method="fedavg",
+        method=method,
         seed=seed,
     )
-    x0 = 0.1 * rng.normals(federation.dimension)
+
+
+RANDOM_RUNS = dict(
+    family=st.sampled_from(["glr", "softmax", "tanh-mlp"]),
+    m=st.integers(2, 8),
+    share=st.floats(0.0, 1.0),
+    local_steps=st.integers(1, 3),
+    batch_size=st.sampled_from([None, 2]),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+@given(**RANDOM_RUNS, lipschitz=st.floats(0.05, 5.0))
+@settings(max_examples=50, deadline=None)
+def test_criterion_10_zero_power_qffl_is_fedavg_on_random_federations(
+    family, m, share, local_steps, batch_size, seed, lipschitz
+):
+    federation, x0 = random_federation(family, m, seed)
+    fedavg = random_rounds("fedavg", m, share, local_steps, batch_size, seed)
     assert_same_runs(
         run_training(federation, qffl_zero_power_twin(fedavg, lipschitz), x0),
         run_training(federation, fedavg, x0),
     )
+
+
+@given(**RANDOM_RUNS, tau0=st.floats(0.01, 10.0), prior=st.sampled_from(EbaConfig.PRIORS))
+@settings(max_examples=50, deadline=None)
+def test_criterion_10_inert_fair_angle_gate_on_random_federations(
+    family, m, share, local_steps, batch_size, seed, tau0, prior
+):
+    # alpha = 0: theta = 0 aligns whenever the angle is positive, theta = pi
+    # never does, and both train the same models
+    federation, x0 = random_federation(family, m, seed)
+    base = dataclasses.replace(
+        random_rounds("fedeba_plus", m, share, local_steps, batch_size, seed),
+        alpha=0.0,
+        eba=EbaConfig(tau0=tau0, prior=prior),
+    )
+    plain = run_training(federation, dataclasses.replace(base, theta=math.pi), x0)
+    assert {r.branch for r in plain[0]} == {"plain"}
+    gated = run_training(federation, dataclasses.replace(base, theta=0.0), x0)
+    assert_same_runs(gated, plain, skip=("branch", "extra_comm"))
+
+
+@given(**RANDOM_RUNS, theta=st.floats(0.0, math.pi))
+@settings(max_examples=50, deadline=None)
+def test_criterion_10_hot_entropy_weights_are_fedavg_on_random_federations(
+    family, m, share, local_steps, batch_size, seed, theta
+):
+    # tau0 = 1e12 leaves the data-ratio prior's weights to rounding, at the
+    # tolerances of the fixed-config check above
+    federation, x0 = random_federation(family, m, seed)
+    base = random_rounds("fedavg", m, share, local_steps, batch_size, seed)
+    fedavg = dataclasses.replace(base, eba=EbaConfig(prior="data_ratio"))
+    eba = dataclasses.replace(
+        base,
+        method="fedeba_plus",
+        alpha=0.0,
+        theta=theta,
+        eba=EbaConfig(tau0=1e12, prior="data_ratio"),
+    )
+    r_avg, x_avg = run_training(federation, fedavg, x0)
+    r_eba, x_eba = run_training(federation, eba, x0)
+    for a, b in zip(r_avg, r_eba, strict=True):
+        np.testing.assert_allclose(b.weights, a.weights, rtol=1e-11, atol=0)
+    np.testing.assert_allclose(x_eba, x_avg, rtol=0, atol=2e-12)

@@ -1,9 +1,14 @@
 """Objective families: analytic losses/gradients against independent oracles."""
 
+from collections import Counter
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
+from entrofed import objectives
 from entrofed.core import SeededRng
 from entrofed.objectives import (
     STACK_BLOCK_ROWS,
@@ -232,6 +237,77 @@ class TestClassifier:
             obj.loss(np.zeros(obj.dimension + 1))
 
 
+# Rows of logits that break a careless class-axis kernel: tied maxima,
+# signed zeros tied at the max, infinities, NaN, and gaps past the point
+# (about 745) where exp underflows to zero.
+EDGE_ROWS = np.array(
+    [
+        [3.0, 3.0, 1.0, -2.0],
+        [-0.0, 0.0, -1.0, -0.0],
+        [0.0, -0.0, -1.0, -800.0],
+        [-0.0, -0.0, -0.0, -0.0],
+        [np.inf, 1.0, 2.0, np.inf],
+        [-np.inf, -np.inf, -np.inf, -np.inf],
+        [-np.inf, 0.0, 1.0, -np.inf],
+        [np.nan, 1.0, 2.0, -0.0],
+        [1.0, np.nan, np.inf, -np.inf],
+        [0.0, -746.0, -1000.0, -745.5],
+        [900.0, 0.0, 899.0, -900.0],
+        [-1e300, 1e300, 0.0, -0.0],
+    ]
+)
+
+
+def class_axis_arrays():
+    """(r, C) rows or (c, r, C) stacks of edge values and ordinary floats."""
+    edges = st.sampled_from([0.0, -0.0, 1.0, np.inf, -np.inf, np.nan, -746.0, 800.0])
+    return hnp.arrays(
+        np.float64,
+        hnp.array_shapes(min_dims=2, max_dims=3, max_side=5),
+        elements=st.one_of(edges, st.floats()),
+    )
+
+
+def same_bits(a, b):
+    """Equal bit patterns, so the sign of a zero counts; NaN matches NaN
+    whatever its sign and payload, since numpy's max over a short last axis
+    returns the default NaN and an elementwise maximum keeps its input's."""
+    nan = np.isnan(a)
+    return (
+        a.shape == b.shape
+        and np.array_equal(nan, np.isnan(b))
+        and np.array_equal(a[~nan].view(np.int64), b[~nan].view(np.int64))
+    )
+
+
+class TestClassAxisKernels:
+    """The classifier's kernels over the class axis against the numpy
+    reductions they replace, bit for bit, on (r, C) rows and (c, r, C)
+    stacks."""
+
+    @given(logits=class_axis_arrays())
+    @example(logits=EDGE_ROWS)
+    @example(logits=EDGE_ROWS.reshape(3, 4, 4))
+    @settings(max_examples=200, deadline=None)
+    def test_log_softmax_is_the_max_reduction_form(self, logits):
+        with np.errstate(all="ignore"):
+            z = logits - logits.max(axis=-1, keepdims=True)
+            want = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+            got = ClassifierObjective._log_softmax(logits)
+        assert same_bits(got, want)
+
+    @given(logp=class_axis_arrays(), seed=st.integers(0, 2**32 - 1))
+    @example(logp=EDGE_ROWS, seed=0)
+    @example(logp=EDGE_ROWS.reshape(3, 4, 4), seed=1)
+    @settings(max_examples=200, deadline=None)
+    def test_probs_minus_labels_is_the_one_hot_form(self, logp, seed):
+        labels = np.random.default_rng(seed).integers(0, logp.shape[-1], logp.shape[:-1])
+        with np.errstate(all="ignore"):
+            want = np.exp(logp) - np.eye(logp.shape[-1])[labels]
+            got = ClassifierObjective._probs_minus_labels(logp, labels)
+        assert same_bits(got, want)
+
+
 # family -> factory(rng, n) of one client objective with n samples
 STACK_FAMILIES = {
     "quadratic": lambda rng, n: QuadraticObjective(0.1 + 3 * rng.uniform(), rng.uniform(-5, 5)),
@@ -252,24 +328,32 @@ class TestStackedEvaluation:
     @pytest.mark.parametrize("family", sorted(STACK_FAMILIES))
     @given(
         sizes=st.lists(
-            st.one_of(st.integers(1, 4), st.integers(1, 2 * STACK_BLOCK_ROWS)),
-            min_size=1,
-            max_size=40,
+            st.one_of(st.integers(1, 4), st.integers(1, 128)), min_size=1, max_size=40
         ),
+        block=st.integers(1, 64),
         seed=st.integers(0, 2**32 - 1),
     )
-    # many clients of one size span several blocks; one client spans two
-    @example(sizes=[8] * 40 + [1] * 300, seed=1)
-    @example(sizes=[3, 1, 3 * STACK_BLOCK_ROWS, 1], seed=2)
+    # At the real block size, clients of 8 samples fill three blocks, and
+    # one client is larger than a block. Drawn cases take small blocks, so
+    # that few samples span many blocks.
+    @example(sizes=[8] * (3 * STACK_BLOCK_ROWS // 8) + [1] * 300, block=STACK_BLOCK_ROWS, seed=1)
+    @example(sizes=[3, 1, 3 * STACK_BLOCK_ROWS, 1], block=STACK_BLOCK_ROWS, seed=2)
     @settings(max_examples=40, deadline=None)
-    def test_matches_per_client_calls(self, family, sizes, seed):
+    def test_matches_per_client_calls(self, family, sizes, block, seed):
         rng = SeededRng(seed)
         objs = [STACK_FAMILIES[family](rng, n) for n in sizes]
         x = 0.5 * rng.normals(objs[0].dimension)
-        stack = stack_objectives(objs)
-        assert (type(stack) is ObjectiveStack) == (family == "quadratic")
-        losses, accuracies = stack.evaluate(x)
-        train_losses, mean_gradient = stack.losses_and_mean_gradient(x)
+        with mock.patch.object(objectives, "STACK_BLOCK_ROWS", block):
+            stack = stack_objectives(objs)
+            assert (type(stack) is ObjectiveStack) == (family == "quadratic")
+            losses, accuracies = stack.evaluate(x)
+            train_losses, mean_gradient = stack.losses_and_mean_gradient(x)
+        if family != "quadratic":
+            # a block holds up to max(1, block // n) clients of n samples
+            runs = Counter(sizes)
+            assert len(stack._blocks) == sum(-(-c // max(1, block // n)) for n, c in runs.items())
+            if block == STACK_BLOCK_ROWS:
+                assert len(stack._blocks) > len(runs) or max(sizes) > block
 
         want = [o.loss(x) for o in objs]
         assert np.array_equal(losses, want) and np.array_equal(train_losses, want)
@@ -328,16 +412,26 @@ class TestStackedEvaluation:
     @pytest.mark.parametrize("family", sorted(STACK_FAMILIES))
     def test_full_sets_at_own_parameters_are_bitwise_per_client(self, family):
         # Local SGD takes its end losses, and the fair-angle branch its start
-        # gradients, through these. Forty clients of 7 samples fill two
-        # blocks, and 300 samples exceed one block's rows.
+        # gradients, through these. The clients of 7 samples fill two
+        # blocks, and one client has more samples than a block has rows.
         rng = SeededRng(34)
-        sizes = [7] * 40 + [1, 300, 2, 1, 7]
+        sizes = [7] * (STACK_BLOCK_ROWS // 7 + 4) + [1, STACK_BLOCK_ROWS + 44, 2, 1, 7]
         objs = [STACK_FAMILIES[family](rng, n) for n in sizes]
         stack = stack_objectives(objs)
         xs = 0.5 * rng.normals(len(objs) * objs[0].dimension).reshape(len(objs), -1)
         assert np.array_equal(stack.losses(xs), [o.loss(x) for o, x in zip(objs, xs)]), family
         want = [o.gradient(x) for o, x in zip(objs, xs)]
         assert np.array_equal(stack.gradients(xs), want), family
+
+    def test_glr_losses_at_own_parameters_take_no_per_client_call(self, monkeypatch):
+        # The x0 train losses and a GLR cohort's end losses come from here.
+        rng = SeededRng(36)
+        objs = [random_glr(rng, n=n) for n in [5, 1, 5, 9, 2, 5, 1, 40]]
+        xs = 0.5 * rng.normals(len(objs) * 3).reshape(len(objs), 3)
+        want = [o.loss(x) for o, x in zip(objs, xs)]
+        monkeypatch.setattr(GlrObjective, "loss", None)
+        with mock.patch.object(objectives, "STACK_BLOCK_ROWS", 10):
+            assert np.array_equal(stack_objectives(objs).losses(xs), want)
 
     @pytest.mark.parametrize("family", [*sorted(STACK_FAMILIES), "softmax-1d"])
     def test_gradients_at_own_parameters_are_bitwise_per_client(self, family):
