@@ -15,7 +15,7 @@ import numpy as np
 
 from entrofed.core import entropy, softmax_temperature, validate_simplex
 from entrofed.aggregation import uniform_weights
-from entrofed.objectives import ObjectiveStack
+from entrofed.stacks import ObjectiveStack
 
 
 class InfeasibleGridError(RuntimeError):
@@ -77,7 +77,7 @@ def evaluate_fairness(
     """Evaluate a model on every client's test objective.
 
     ``stack`` holds the test objectives (see
-    :func:`~entrofed.objectives.stack_objectives`; a federation keeps one,
+    :func:`~entrofed.stacks.stack_objectives`; a federation keeps one,
     so the data is not stacked again every round). Accuracy statistics are
     NaN for objective families without an ``accuracy`` method (regression
     clients); the global accuracy is weighted by client test-set size.

@@ -405,6 +405,19 @@ def write_summary(path, cfg: ExperimentConfig, finals: dict[int, RoundReport]) -
             fh.write(f"{name}_std = {_fmt(float(vals.std()))}\n")
 
 
+def _write_complete(path: Path, write, *args) -> None:
+    """``write(tmp, *args)`` to a temporary name beside ``path``, renamed to
+    ``path`` once written: a file under its own name is always complete, and
+    a write that fails leaves no file behind."""
+    tmp = path.with_name(f".{path.name}.partial")
+    try:
+        write(tmp, *args)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _resolve_output_dir(cfg: ExperimentConfig) -> Path:
     override = os.environ.get(OUTPUT_DIR_ENV)
     out = Path(override) if override else Path(cfg.output_dir)
@@ -421,9 +434,9 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     for seed in cfg.seeds:
         federation, x0 = build_federation(cfg, seed)
         reports, _ = run_training(federation, cfg.trainer_config(seed), x0)
-        write_rounds_csv(out / f"rounds_seed{seed}.csv", reports)
+        _write_complete(out / f"rounds_seed{seed}.csv", write_rounds_csv, reports)
         finals[seed] = reports[-1]
-    write_summary(out / "summary.txt", cfg, finals)
+    _write_complete(out / "summary.txt", write_summary, cfg, finals)
     return 0
 
 

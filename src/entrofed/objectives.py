@@ -7,8 +7,7 @@ Three concrete families share one interface:
 * :class:`ClassifierObjective` -- softmax regression or a one-hidden-layer
   MLP with hand-written backpropagation.
 
-:func:`stack_objectives` evaluates many objectives of one family in
-blocked passes (see :class:`ObjectiveStack`).
+:mod:`entrofed.stacks` evaluates many objectives of one family together.
 
 Model parameters are always a single flat float64 vector; the layout per
 architecture is documented on the class. Objectives are immutable after
@@ -18,7 +17,6 @@ construction and safe to evaluate concurrently.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from functools import cached_property
 
 import numpy as np
 
@@ -229,13 +227,30 @@ class ClassifierObjective(LocalObjective):
         return self.features[idx], self.labels[idx]
 
     def _logits(self, x: np.ndarray, feats: np.ndarray):
+        """Logits and hidden activations (None without a hidden layer)."""
         if self.hidden == 0:
             w, b = self._unpack(x)
-            return feats @ w + b, None, None
+            return feats @ w + b, None
         w1, b1, w2, b2 = self._unpack(x)
-        pre = feats @ w1 + b1
-        act = np.tanh(pre) if self.activation == "tanh" else np.maximum(pre, 0.0)
-        return act @ w2 + b2, pre, act
+        act = self._activate(feats @ w1 + b1)
+        return act @ w2 + b2, act
+
+    def _activate(self, pre: np.ndarray) -> np.ndarray:
+        """The hidden activation of the pre-activations, in place."""
+        if self.activation == "tanh":
+            return np.tanh(pre, out=pre)
+        return np.maximum(pre, 0.0, out=pre)
+
+    def _through_activation(self, dact: np.ndarray, act: np.ndarray) -> np.ndarray:
+        """The gradient in the pre-activations from that in the
+        activations, in place: times 1 - act^2 for tanh, or times the relu
+        mask, which act > 0 gives exactly as the pre-activations would."""
+        if self.activation == "tanh":
+            slope = act**2
+            dact *= np.subtract(1.0, slope, out=slope)
+        else:
+            dact *= act > 0.0
+        return dact
 
     @staticmethod
     def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -266,41 +281,25 @@ class ClassifierObjective(LocalObjective):
 
     def gradient(self, x, subset=None) -> np.ndarray:
         arr = self._check_x(x)
-        return self._gradient(arr, *self._batch(subset))
+        feats, labels = self._batch(subset)
+        logits, act = self._logits(arr, feats)
+        dlogits = self._probs_minus_labels(self._log_softmax(logits), labels)
+        dlogits /= len(labels)
+        return self._backprop(arr, feats, dlogits, act)
 
-    def _gradient(self, arr, feats, labels) -> np.ndarray:
-        """Mean cross-entropy gradient over the rows of ``feats``. With a
-        stack of parameter vectors (g, D), feats is (g, r, d) and labels
-        (g, r): one pass gives the g clients' gradients as rows."""
-        logits, pre, act = self._logits(arr, feats)
-        return self._backprop(
-            arr, feats, labels, self._log_softmax(logits), pre, act, labels.shape[-1]
-        )
-
-    def _backprop(self, arr, feats, labels, logp, pre, act, divisor) -> np.ndarray:
-        """Gradient of the summed cross-entropy of the rows over ``divisor``,
-        from the forward pass's log-probabilities and hidden layer. Leading
-        axes of ``arr`` are client axes, matched by those of the rows."""
-        dlogits = self._probs_minus_labels(logp, labels)
-        dlogits /= divisor
-        lead = arr.shape[:-1]
+    def _backprop(self, arr, feats, dlogits, act) -> np.ndarray:
+        """Gradient at ``arr`` of a weighted sum of the rows' cross-entropies,
+        from ``dlogits`` (each row's gradient in its logits, times its
+        weight) and the forward pass's hidden activations."""
         if self.hidden == 0:
-            dw = feats.swapaxes(-1, -2) @ dlogits
-            db = dlogits.sum(axis=-2)
-            return np.concatenate([dw.reshape(*lead, -1), db], axis=-1)
+            return np.concatenate([(feats.T @ dlogits).ravel(), dlogits.sum(axis=0)])
         w2 = self._unpack(arr)[2]
-        dw2 = act.swapaxes(-1, -2) @ dlogits
-        db2 = dlogits.sum(axis=-2)
-        dact = dlogits @ w2.swapaxes(-1, -2)
-        if self.activation == "tanh":
-            dpre = dact * (1.0 - act**2)
-        else:
-            dpre = dact * (pre > 0.0)
-        dw1 = feats.swapaxes(-1, -2) @ dpre
-        db1 = dpre.sum(axis=-2)
-        return np.concatenate(
-            [dw1.reshape(*lead, -1), db1, dw2.reshape(*lead, -1), db2], axis=-1
-        )
+        dw2 = act.T @ dlogits
+        db2 = dlogits.sum(axis=0)
+        dpre = self._through_activation(dlogits @ w2.T, act)
+        dw1 = feats.T @ dpre
+        db1 = dpre.sum(axis=0)
+        return np.concatenate([dw1.ravel(), db1, dw2.ravel(), db2])
 
     def accuracy(self, x, subset=None) -> float:
         """Fraction of correct argmax predictions, in [0, 1]."""
@@ -308,203 +307,6 @@ class ClassifierObjective(LocalObjective):
         feats, labels = self._batch(subset)
         pred = self._logits(arr, feats)[0].argmax(axis=1)
         return float((pred == labels).mean())
-
-
-# Rows per block in stacked evaluation. A block holds whole clients of one
-# sample count, so a client larger than this gets a block to itself. The
-# size is a cache trade: each pass makes a few (rows, classes) temporaries,
-# and larger blocks mean fewer numpy calls until those outgrow the cache.
-# On 1000 softmax clients of 10 classes, a train and a test pass take
-# 55-65% as long at 2048 rows as at 256, and a third longer again at 4096,
-# where each temporary reaches 320 KiB.
-STACK_BLOCK_ROWS = 2048
-
-
-class ObjectiveStack:
-    """Full-batch passes over many objectives. At one parameter vector,
-    :meth:`evaluate` gives losses and accuracies (the test side) and
-    :meth:`losses_and_mean_gradient` losses and the client-mean gradient
-    (the train side); :meth:`losses` and :meth:`gradients` take each
-    objective at a parameter vector of its own.
-
-    This base form calls each objective in turn. :func:`stack_objectives`
-    returns a family subclass where one exists. The GLR and classifier
-    stacks copy the samples once into blocks of equal-size clients and
-    evaluate a whole block per numpy call; each client's rows go through
-    the same BLAS calls and the same row reductions as its own
-    ``loss``/``accuracy``, so losses and accuracies are bitwise equal to the
-    per-client values, from either pass. Other families, quadratic among
-    them, use this loop. The mean gradient is one backward pass with every
-    row scaled by 1/(m n_i), and agrees with the mean of per-client
-    gradients up to summation order. Both stacks also evaluate
-    :meth:`losses` one block per pass, and the classifier stack
-    :meth:`gradients` one block (or one minibatch) per pass, bitwise equal to
-    the per-client ``loss`` and ``gradient`` calls.
-    """
-
-    def __init__(self, objectives):
-        self.objectives = tuple(objectives)
-        self.sizes = np.array([o.full_size for o in self.objectives], dtype=np.float64)
-
-    @property
-    def m(self) -> int:
-        return len(self.objectives)
-
-    def evaluate(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Losses and accuracies (NaN for families without one) at x."""
-        objs = self.objectives
-        accs = [o.accuracy(x) if hasattr(o, "accuracy") else np.nan for o in objs]
-        return np.array([o.loss(x) for o in objs]), np.array(accs)
-
-    def losses_and_mean_gradient(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Losses at x and the mean of the gradients there."""
-        objs = self.objectives
-        return np.array([o.loss(x) for o in objs]), np.mean([o.gradient(x) for o in objs], axis=0)
-
-    def losses(self, xs: np.ndarray) -> np.ndarray:
-        """Entry i is ``objectives[i].loss(xs[i])``: every objective's
-        full-set loss at its own parameter vector, an (m, D) input."""
-        return np.array([o.loss(x) for o, x in zip(self.objectives, xs)])
-
-    def gradients(self, xs: np.ndarray, subsets: np.ndarray | None = None) -> np.ndarray:
-        """Row i is ``objectives[i].gradient(xs[i], subsets[i])``: every
-        objective at its own parameter vector, on r sample indices each
-        ((m, D) and (m, r) inputs), or on its full set when ``subsets`` is
-        None."""
-        if subsets is None:
-            subsets = [None] * self.m
-        return np.array([o.gradient(x, s) for o, x, s in zip(self.objectives, xs, subsets)])
-
-
-def _size_blocks(objectives, rows) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Blocks ``(ids, inputs, targets)``: runs of c clients of one sample
-    count n (ascending n, at most max(1, STACK_BLOCK_ROWS // n) clients per
-    run), with their ``rows(objective)`` pairs stacked to (c, n, d) and
-    (c, n)."""
-    sizes = np.array([o.full_size for o in objectives])
-    order = np.argsort(sizes, kind="stable")
-    blocks, start = [], 0
-    while start < order.size:
-        n = sizes[order[start]]
-        ids = order[start : start + max(1, STACK_BLOCK_ROWS // n)]
-        ids = ids[sizes[ids] == n]
-        inputs, targets = zip(*(rows(objectives[i]) for i in ids))
-        blocks.append((ids, np.stack(inputs), np.stack(targets)))
-        start += ids.size
-    return blocks
-
-
-class _GlrStack(ObjectiveStack):
-    @cached_property
-    def _blocks(self):
-        return _size_blocks(self.objectives, lambda o: (o.design, o.targets))
-
-    def _residuals(self, x):
-        w = self.objectives[0]._check_x(x)
-        return [(ids, design, design @ w - targets) for ids, design, targets in self._blocks]
-
-    def _losses(self, residuals):
-        losses = np.empty(self.m)
-        for ids, _, r in residuals:
-            # (1, n) @ (n, 1) per client is the BLAS dot GlrObjective.loss uses
-            losses[ids] = 0.5 * (r[:, None, :] @ r[:, :, None])[:, 0, 0] / r.shape[1]
-        return losses
-
-    def evaluate(self, x):
-        return self._losses(self._residuals(x)), np.full(self.m, np.nan)
-
-    def losses(self, xs):
-        # (n, d) @ (d, 1) per client is the BLAS gemv GlrObjective.loss uses
-        return self._losses(
-            [(ids, d, (d @ xs[ids][..., None])[..., 0] - t) for ids, d, t in self._blocks]
-        )
-
-    def losses_and_mean_gradient(self, x):
-        res = self._residuals(x)
-        grad = sum(d.reshape(r.size, -1).T @ r.ravel() / (self.m * r.shape[1]) for _, d, r in res)
-        return self._losses(res), grad
-
-
-class _ClassifierStack(ObjectiveStack):
-    def __init__(self, objectives):
-        super().__init__(objectives)
-        self._model = self.objectives[0]
-
-    @cached_property
-    def _blocks(self):
-        return _size_blocks(self.objectives, lambda o: (o.features, o.labels))
-
-    @cached_property
-    def _rows(self):
-        """Every objective's samples end to end, and where each one starts."""
-        starts = np.concatenate([[0], np.cumsum(self.sizes[:-1])]).astype(np.int64)
-        feats = np.concatenate([o.features for o in self.objectives])
-        labels = np.concatenate([o.labels for o in self.objectives])
-        return feats, labels, starts
-
-    def _forward(self, x, feats, labels):
-        """Logits, hidden layer, log-probabilities and per-client mean
-        losses of C-ordered (c, r, d) rows at one parameter vector or c of
-        them: matmul makes one BLAS call per client, the one its own makes."""
-        logits, pre, act = self._model._logits(x, feats)
-        logp = self._model._log_softmax(logits)
-        picked = np.take_along_axis(logp, labels[..., None], axis=-1)[..., 0]
-        return logits, pre, act, logp, (-picked).mean(axis=1)
-
-    def losses(self, xs):
-        out = np.empty(self.m)
-        for ids, feats, labels in self._blocks:
-            out[ids] = self._forward(xs[ids], feats, labels)[-1]
-        return out
-
-    def gradients(self, xs, subsets=None):
-        if subsets is None:
-            out = np.empty_like(xs)
-            for ids, feats, labels in self._blocks:
-                out[ids] = self._model._gradient(xs[ids], feats, labels)
-            return out
-        feats, labels, starts = self._rows
-        rows = np.ascontiguousarray(starts[:, None] + subsets)
-        return self._model._gradient(xs, feats[rows], labels[rows])
-
-    def evaluate(self, x):
-        arr = self._model._check_x(x)
-        losses = np.empty(self.m)
-        accs = np.empty(self.m)
-        for ids, feats, labels in self._blocks:
-            logits, _, _, _, losses[ids] = self._forward(arr, feats, labels)
-            accs[ids] = (logits.argmax(axis=-1) == labels).mean(axis=1)
-        return losses, accs
-
-    def losses_and_mean_gradient(self, x):
-        model = self._model
-        arr = model._check_x(x)
-        losses = np.empty(self.m)
-        grad = np.zeros_like(arr)
-        for ids, feats, labels in self._blocks:
-            _, pre, act, logp, losses[ids] = self._forward(arr, feats, labels)
-            # the block's samples as one batch of rows, each scaled by 1/(m n)
-            rows = labels.size
-            flat = [None if a is None else a.reshape(rows, -1) for a in (feats, logp, pre, act)]
-            grad += model._backprop(
-                arr, flat[0], labels.ravel(), *flat[1:], self.m * labels.shape[1]
-            )
-        return losses, grad
-
-
-def stack_objectives(objectives) -> ObjectiveStack:
-    """The stacked evaluator for a sequence of objectives: a one-pass family
-    stack when all are of one family and one shape, else the per-objective
-    loop."""
-    objs = tuple(objectives)
-    kinds = {type(o) for o in objs}
-    if kinds == {GlrObjective} and len({o.dimension for o in objs}) == 1:
-        return _GlrStack(objs)
-    if kinds == {ClassifierObjective} and len(
-        {(o.features.shape[1], o.n_classes, o.hidden, o.activation) for o in objs}
-    ) == 1:
-        return _ClassifierStack(objs)
-    return ObjectiveStack(objs)
 
 
 def finite_diff_gradient(

@@ -1,0 +1,389 @@
+"""Stacked evaluation of many client objectives.
+
+:func:`stack_objectives` returns an :class:`ObjectiveStack` for a sequence
+of objectives: a family stack for GLR or classifier clients, which copies
+their samples once and evaluates them in passes of whole segments of
+equal-size clients, or the per-objective loop for other families. The
+federation's telemetry, local SGD's cohort steps and the fair-angle
+branch's start gradients all evaluate clients through these.
+"""
+
+from __future__ import annotations
+
+from typing import NamedTuple
+
+import numpy as np
+
+from entrofed.objectives import ClassifierObjective, GlrObjective
+
+
+# Rows per pass in stacked evaluation, at 10 classes. A pass holds whole
+# segments: a segment is c clients of one row count n, cut from a run of
+# equal counts at max(1, cap // n) clients, so a client larger than the cap
+# gets a pass of its own. The cap is a cache trade: each pass makes a few
+# per-row temporaries, and larger passes mean fewer numpy calls until those
+# outgrow the cache. On 1000 softmax clients of 10 classes, a train and a
+# test pass take 55-65% as long at 2048 rows as at 256, and a third longer
+# again at 4096, where each temporary reaches 320 KiB. The classifier stack
+# holds each temporary to that budget of STACK_BLOCK_ROWS * 10 floats: its
+# cap is the budget over the wider of the class count and the hidden width.
+STACK_BLOCK_ROWS = 2048
+
+
+class ObjectiveStack:
+    """Full-batch passes over many objectives. At one parameter vector,
+    :meth:`evaluate` gives losses and accuracies (the test side) and
+    :meth:`losses_and_mean_gradient` losses and the client-mean gradient
+    (the train side); :meth:`losses` and :meth:`gradients` take each
+    objective at a parameter vector of its own, and :meth:`gradients` takes
+    a step of :meth:`minibatches` for local SGD.
+
+    This base form calls each objective in turn; quadratics and mixed
+    families use it. :func:`stack_objectives` returns a family stack for GLR
+    or classifier objectives. A family stack copies the samples once, in
+    ascending client size, and evaluates them in passes of whole segments
+    of equal-size clients (see ``STACK_BLOCK_ROWS``). Within a pass, only
+    the matmuls, the per-client bias adds and the per-client row sums and
+    means run segment by segment; they make the BLAS calls and the row
+    reductions of each client's own ``loss``, ``accuracy`` and ``gradient``.
+    The classifier stack runs its activations, softmax and other row-wise
+    arithmetic once over all rows of the pass. So losses, accuracies and
+    gradients at per-client parameters are bitwise equal to per-client
+    calls, full sets and minibatches alike. The mean gradient is one
+    backward pass per pass with every row scaled by 1/(m n_i), and agrees
+    with the mean of per-client gradients up to summation order.
+    """
+
+    def __init__(self, objectives):
+        self.objectives = tuple(objectives)
+        self.sizes = np.array([o.full_size for o in self.objectives], dtype=np.float64)
+
+    @property
+    def m(self) -> int:
+        return len(self.objectives)
+
+    def evaluate(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Losses and accuracies (NaN for families without one) at x."""
+        objs = self.objectives
+        accs = [o.accuracy(x) if hasattr(o, "accuracy") else np.nan for o in objs]
+        return np.array([o.loss(x) for o in objs]), np.array(accs)
+
+    def losses_and_mean_gradient(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Losses at x and the mean of the gradients there."""
+        objs = self.objectives
+        return np.array([o.loss(x) for o in objs]), np.mean([o.gradient(x) for o in objs], axis=0)
+
+    def losses(self, xs: np.ndarray) -> np.ndarray:
+        """Entry i is ``objectives[i].loss(xs[i])``: every objective's
+        full-set loss at its own parameter vector, an (m, D) input, or at
+        one (D,) vector for all."""
+        xs = np.broadcast_to(xs, (self.m, np.shape(xs)[-1]))
+        return np.array([o.loss(x) for o, x in zip(self.objectives, xs)])
+
+    def minibatches(self, subsets: np.ndarray) -> list:
+        """The steps of a (K, b, r) array of sample indices, in the form
+        :meth:`gradients` takes: at step k, the b objectives with more than
+        r samples, in stack order, take the rows ``subsets[k]``, and the
+        others their full sets."""
+        subsets = np.asarray(subsets, dtype=np.int64)
+        takers = np.flatnonzero(self.sizes > subsets.shape[-1])
+        return [dict(zip(takers, rows, strict=True)) for rows in subsets]
+
+    def gradients(self, xs: np.ndarray, step=None) -> np.ndarray:
+        """Row i is objective i's gradient at its own parameter vector
+        ``xs[i]`` (as in :meth:`losses`): on its full set, or on its rows
+        of ``step``, one entry of :meth:`minibatches`."""
+        xs = np.broadcast_to(xs, (self.m, np.shape(xs)[-1]))
+        step = {} if step is None else step
+        objs = self.objectives
+        return np.array([o.gradient(x, step.get(i)) for i, (o, x) in enumerate(zip(objs, xs))])
+
+
+class _Pass(NamedTuple):
+    """Whole segments of a family stack, evaluated together. Each segment
+    is c clients of n rows each, as slices of the pass's clients and rows."""
+
+    clients: slice | np.ndarray  # stack positions, segment after segment
+    segments: tuple  # (client slice, row slice, c, n) per segment
+    rows: slice  # of the stack's, or a step's, rows end to end
+    inputs: np.ndarray | None = None  # (rows, d) view of those rows
+    targets: np.ndarray | None = None  # (rows,)
+
+
+def _layout(sizes, cap: int) -> list[list[tuple[int, int]]]:
+    """Segments (c, n) over clients of ascending row counts ``sizes``, as a
+    list per pass: each run of one count n is cut into segments of at most
+    max(1, cap // n) clients, and whole segments fill passes of at most cap
+    rows (or of one segment, if it is larger)."""
+    passes, rows = [], cap
+    for n, count in zip(*np.unique(np.asarray(sizes, dtype=np.int64), return_counts=True)):
+        n, count = int(n), int(count)
+        per = max(1, cap // n)
+        for c in [per] * (count // per) + [count % per] * (count % per > 0):
+            if rows + c * n > cap:
+                passes.append([])
+                rows = 0
+            passes[-1].append((c, n))
+            rows += c * n
+    return passes
+
+
+def _passes(layout, clients: np.ndarray) -> list[_Pass]:
+    """Unbound passes of a layout over the given clients (stack positions),
+    whose rows lie end to end. A pass over a run of consecutive positions
+    indexes parameters and results without a copy."""
+    out, first, start = [], 0, 0
+    for segs in layout:
+        client, row, segments = 0, 0, []
+        for c, n in segs:
+            segments.append((slice(client, client + c), slice(row, row + c * n), c, n))
+            client += c
+            row += c * n
+        ids = clients[first : first + client]
+        if np.array_equal(ids, np.arange(ids[0], ids[0] + ids.size)):
+            ids = slice(int(ids[0]), int(ids[0]) + ids.size)
+        out.append(_Pass(ids, tuple(segments), slice(start, start + row)))
+        first += client
+        start += row
+    return out
+
+
+def _bind(passes, inputs: np.ndarray, targets: np.ndarray) -> list[_Pass]:
+    return [p._replace(inputs=inputs[p.rows], targets=targets[p.rows]) for p in passes]
+
+
+class _RowStack(ObjectiveStack):
+    """A family stack: every client's (inputs, targets) rows copied once,
+    end to end in ascending client size, and cut into passes of at most
+    ``cap`` rows (``_chunks``) whose segments are views of the one copy."""
+
+    def __init__(self, objectives, cap: int):
+        super().__init__(objectives)
+        self._cap = cap
+        self._order = np.argsort(self.sizes, kind="stable")
+        self._counts = sizes = self.sizes[self._order].astype(np.int64)
+        rows = [self._rows_of(self.objectives[i]) for i in self._order]
+        self._inputs = np.concatenate([r[0] for r in rows])
+        self._targets = np.concatenate([r[1] for r in rows])
+        self._starts = np.empty(self.m, dtype=np.int64)
+        self._starts[self._order] = np.cumsum(sizes) - sizes
+        layout = _layout(sizes, cap)
+        self._chunks = _bind(_passes(layout, self._order), self._inputs, self._targets)
+
+    def minibatches(self, subsets):
+        # The clients with more than r samples come last in size order; at
+        # each step they form segments of r rows after the full sets. A step
+        # is its unbound passes and the stack rows it gathers.
+        subsets = np.asarray(subsets, dtype=np.int64)
+        steps, takes, r = subsets.shape
+        sizes = self._counts
+        full = int(np.searchsorted(sizes, r, side="right"))
+        takers = self._order[full:]
+        if takes != takers.size:
+            raise ValueError("need sample indices for each objective with more than r samples")
+        drawn = self._starts[takers, None] + subsets[:, np.searchsorted(np.sort(takers), takers)]
+        head = sizes[:full].sum()
+        rows = np.concatenate(
+            [np.broadcast_to(np.arange(head), (steps, head)), drawn.reshape(steps, -1)], axis=1
+        )
+        layout = _layout(np.concatenate([sizes[:full], np.full(takers.size, r)]), self._cap)
+        passes = _passes(layout, self._order)
+        return [(passes, step_rows) for step_rows in rows]
+
+    # A pass evaluates its clients at one shared vector, or at their rows of
+    # xs: views of xs and of the result for a run of consecutive clients.
+
+    def losses(self, xs):
+        xs = np.asarray(xs, dtype=np.float64)
+        out = np.empty(self.m)
+        for p in self._chunks:
+            out[p.clients] = self._pass_losses(p, xs if xs.ndim == 1 else xs[p.clients])
+        return out
+
+    def gradients(self, xs, step=None):
+        xs = np.asarray(xs, dtype=np.float64)
+        passes = self._chunks
+        if step is not None:
+            passes, rows = step
+            passes = _bind(passes, self._inputs[rows], self._targets[rows])
+        out = np.empty((self.m, xs.shape[-1]))
+        for p in passes:
+            at = xs if xs.ndim == 1 else xs[p.clients]
+            if isinstance(p.clients, slice):
+                self._pass_gradients(p, at, out[p.clients])
+            else:
+                grads = np.empty((p.clients.size, out.shape[1]))
+                out[p.clients] = self._pass_gradients(p, at, grads)
+        return out
+
+
+class _GlrStack(_RowStack):
+    def __init__(self, objectives):
+        super().__init__(objectives, STACK_BLOCK_ROWS)
+
+    @staticmethod
+    def _rows_of(o):
+        return o.design, o.targets
+
+    @staticmethod
+    def _residuals(p, xs):
+        """(segment, design rows (c, n, d), residuals (c, n)) of each
+        segment of a pass, at one parameter vector or at one row of xs per
+        pass client: a gemv per client, the BLAS call ``GlrObjective``
+        makes."""
+        for segment in p.segments:
+            cs, rs, c, n = segment
+            design = p.inputs[rs].reshape(c, n, -1)
+            fit = design @ xs if xs.ndim == 1 else (design @ xs[cs, :, None])[..., 0]
+            yield segment, design, fit - p.targets[rs].reshape(c, n)
+
+    @staticmethod
+    def _losses(residuals):
+        # (1, n) @ (n, 1) per client is the BLAS dot GlrObjective.loss uses
+        return np.concatenate(
+            [0.5 * (r[:, None, :] @ r[:, :, None])[:, 0, 0] / n for (*_, n), _, r in residuals]
+        )
+
+    def _pass_losses(self, p, xs):
+        return self._losses(self._residuals(p, xs))
+
+    def _pass_gradients(self, p, xs, out):
+        for (cs, _, _, n), design, r in self._residuals(p, xs):
+            out[cs] = (design.swapaxes(-1, -2) @ r[..., None])[..., 0] / n
+        return out
+
+    def evaluate(self, x):
+        return self.losses(self.objectives[0]._check_x(x)), np.full(self.m, np.nan)
+
+    def losses_and_mean_gradient(self, x):
+        w = self.objectives[0]._check_x(x)
+        losses = np.empty(self.m)
+        grad = 0
+        for p in self._chunks:
+            res = list(self._residuals(p, w))
+            losses[p.clients] = self._losses(res)
+            for _, d, r in res:
+                grad = grad + d.reshape(r.size, -1).T @ r.ravel() / (self.m * r.shape[1])
+        return losses, grad
+
+
+class _ClassifierStack(_RowStack):
+    def __init__(self, objectives):
+        objectives = tuple(objectives)
+        self._model = model = objectives[0]
+        super().__init__(
+            objectives, max(1, STACK_BLOCK_ROWS * 10 // max(model.n_classes, model.hidden))
+        )
+
+    @staticmethod
+    def _rows_of(o):
+        return o.features, o.labels
+
+    @staticmethod
+    def _affine(p, rows, w, b=None):
+        """``rows @ w + b`` over a pass into one (rows, k) array: per
+        segment, one matmul (one BLAS call per client) and, for per-client
+        weights, one bias add. ``w`` and ``b`` are one layer's, or stacked
+        per pass client ((s, d, k) and (s, 1, k))."""
+        out = np.empty((len(rows), w.shape[-1]))
+        shared = w.ndim == 2
+        for cs, rs, c, n in p.segments:
+            seg = out[rs].reshape(c, n, -1)
+            np.matmul(rows[rs].reshape(c, n, -1), w if shared else w[cs], out=seg)
+            if b is not None and not shared:
+                seg += b[cs]
+        if b is not None and shared:
+            out += b
+        return out
+
+    def _layers(self, p, x):
+        """Logits and hidden activations of a pass's rows, at one parameter
+        vector or at one row of x per pass client."""
+        model = self._model
+        if model.hidden == 0:
+            return self._affine(p, p.inputs, *model._unpack(x)), None
+        w1, b1, w2, b2 = model._unpack(x)
+        act = model._activate(self._affine(p, p.inputs, w1, b1))
+        return self._affine(p, act, w2, b2), act
+
+    @staticmethod
+    def _means(p, values):
+        """Each pass client's mean of its rows' values, in pass order."""
+        return np.concatenate(
+            [values[rs].reshape(c, n).mean(axis=1) for _, rs, c, n in p.segments]
+        )
+
+    def _mean_losses(self, p, logp):
+        return self._means(p, -logp[np.arange(len(logp)), p.targets])
+
+    def _pass_losses(self, p, xs):
+        return self._mean_losses(p, self._model._log_softmax(self._layers(p, xs)[0]))
+
+    @staticmethod
+    def _weight_grads(p, rows, delta, dw, db):
+        """A layer's weight and bias gradients for each pass client, into
+        views of its gradient row: its rows transposed times its deltas, and
+        the deltas' column sums."""
+        for cs, rs, c, n in p.segments:
+            d = delta[rs].reshape(c, n, -1)
+            np.matmul(rows[rs].reshape(c, n, -1).swapaxes(-1, -2), d, out=dw[cs])
+            np.add.reduce(d, axis=-2, keepdims=True, out=db[cs])
+
+    def _dlogits(self, p, logp, scale=1):
+        """The gradient of each row's cross-entropy in its logits, over
+        ``scale`` times its client's row count: one division per segment."""
+        dlogits = self._model._probs_minus_labels(logp, p.targets)
+        for _, rs, _, n in p.segments:
+            dlogits[rs] /= scale * n
+        return dlogits
+
+    def _pass_gradients(self, p, xs, out):
+        model = self._model
+        logits, act = self._layers(p, xs)
+        dlogits = self._dlogits(p, model._log_softmax(logits))
+        grads = model._unpack(out)
+        if model.hidden == 0:
+            self._weight_grads(p, p.inputs, dlogits, *grads)
+            return out
+        self._weight_grads(p, act, dlogits, *grads[2:])
+        dact = self._affine(p, dlogits, model._unpack(xs)[2].swapaxes(-1, -2))
+        self._weight_grads(p, p.inputs, model._through_activation(dact, act), *grads[:2])
+        return out
+
+    def evaluate(self, x):
+        arr = self._model._check_x(x)
+        losses = np.empty(self.m)
+        accs = np.empty(self.m)
+        for p in self._chunks:
+            logits = self._layers(p, arr)[0]
+            losses[p.clients] = self._mean_losses(p, self._model._log_softmax(logits))
+            accs[p.clients] = self._means(p, logits.argmax(axis=-1) == p.targets)
+        return losses, accs
+
+    def losses_and_mean_gradient(self, x):
+        model = self._model
+        arr = model._check_x(x)
+        losses = np.empty(self.m)
+        grad = np.zeros_like(arr)
+        for p in self._chunks:
+            logits, act = self._layers(p, arr)
+            logp = model._log_softmax(logits)
+            losses[p.clients] = self._mean_losses(p, logp)
+            # the pass's rows as one batch, each scaled by 1/(m n)
+            grad += model._backprop(arr, p.inputs, self._dlogits(p, logp, self.m), act)
+        return losses, grad
+
+
+def stack_objectives(objectives) -> ObjectiveStack:
+    """The stacked evaluator for a sequence of objectives: a one-pass family
+    stack when all are of one family and one shape, else the per-objective
+    loop."""
+    objs = tuple(objectives)
+    kinds = {type(o) for o in objs}
+    if kinds == {GlrObjective} and len({o.dimension for o in objs}) == 1:
+        return _GlrStack(objs)
+    if kinds == {ClassifierObjective} and len(
+        {(o.features.shape[1], o.n_classes, o.hidden, o.activation) for o in objs}
+    ) == 1:
+        return _ClassifierStack(objs)
+    return ObjectiveStack(objs)

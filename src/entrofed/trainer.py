@@ -39,7 +39,8 @@ from entrofed.aggregation import (
 )
 from entrofed.analysis import evaluate_fairness
 from entrofed.core import SeededRng, chi_square_divergence, fair_angle
-from entrofed.objectives import LocalObjective, ObjectiveStack, stack_objectives
+from entrofed.objectives import LocalObjective
+from entrofed.stacks import ObjectiveStack, stack_objectives
 
 # derivation tags for trainer-owned random streams
 _TAG_SAMPLING = 101
@@ -236,9 +237,12 @@ def _local_steps(
     stream in ``rngs``, and at each step moves along its minibatch gradient
     g, or along (1 - alpha) * g + alpha * fair_grad when a fair gradient is
     given; the one-step displacement is recorded only for plain steps. The
-    end loss is a full-batch snapshot. The clients that take minibatches,
-    and those that take their full sets, form two groups that each take
-    every step, and their end losses, through their family's stack."""
+    end loss is a full-batch snapshot. The cohort is one stack, built once:
+    inside the loop its clients stand in ascending size, so that each
+    segment of equal-size clients, and the clients that take minibatches,
+    are runs of rows of the parameter matrix. Every step is one
+    ``gradients`` pass of the stack over its minibatches and full sets, and
+    the end losses one ``losses`` pass."""
     objectives = list(objectives)
     if not objectives:
         raise ValueError("need at least one client objective")
@@ -258,21 +262,15 @@ def _local_steps(
         _batch_rows(o.full_size, batch_size, steps, rng)
         for o, rng in zip(objectives, rngs, strict=True)
     ]
-    by_kind: dict[bool, list[int]] = {}
-    for i, rows in enumerate(batches):
-        by_kind.setdefault(rows is None, []).append(i)
-    # (client ids, their stack, None or (steps, clients, rows) sample indices)
-    groups = []
-    for full, ids in by_kind.items():
-        rows = None if full else np.stack([batches[i] for i in ids], axis=1)
-        groups.append((np.array(ids), stack_objectives(objectives[i] for i in ids), rows))
+    order = np.argsort([o.full_size for o in objectives], kind="stable")
+    stack = stack_objectives(objectives[i] for i in order)
+    drawn = [batches[i] for i in order if batches[i] is not None]
+    plan = stack.minibatches(np.stack(drawn, axis=1)) if drawn else [None] * steps
     x = np.tile(x_start, (s, 1))
-    g = np.empty_like(x)
     fair_share = None if fair_grad is None else alpha * fair_grad
     one_step = None
     for k in range(steps):
-        for ids, stack, rows in groups:
-            g[ids] = stack.gradients(x[ids], None if rows is None else rows[k])
+        g = stack.gradients(x, plan[k])
         # in place, x - lr * ((1 - alpha) * g + alpha * fair_grad) rounds
         # each operation exactly as written
         if fair_share is not None:
@@ -282,10 +280,12 @@ def _local_steps(
         x -= g
         if k == 0 and fair_grad is None:
             one_step = x - x_start
-    end_losses = np.empty(s)
-    for ids, stack, _ in groups:
-        end_losses[ids] = stack.losses(x[ids])
-    return CohortUpdate(x - x_start, one_step, end_losses)
+    cohort = np.argsort(order)
+    return CohortUpdate(
+        (x - x_start)[cohort],
+        None if one_step is None else one_step[cohort],
+        stack.losses(x)[cohort],
+    )
 
 
 def local_sgd(
@@ -400,7 +400,7 @@ def run_round(
     aligned = eba and angle > cfg.theta
     streams = [rng.derive(_TAG_LOCAL, round_index, int(cid)) for cid in sampled]
     if aligned:
-        start_grads = stack_objectives(objectives).gradients(np.tile(x_t, (len(sampled), 1)))
+        start_grads = stack_objectives(objectives).gradients(x_t)
         fair_grad = compute_fair_gradient(start_grads, start_losses, tau)
         update = local_sgd_aligned(
             objectives, x_t, cfg.local_steps, cfg.local_lr, cfg.alpha, fair_grad,
@@ -471,7 +471,7 @@ def run_training(
         raise ValueError("x0 dimension mismatch")
     root = SeededRng(cfg.seed)
     reports: list[RoundReport] = []
-    train_losses = federation.train_stack.losses(np.broadcast_to(x, (federation.m, x.size)))
+    train_losses = federation.train_stack.losses(x)
     for t in range(1, cfg.rounds + 1):
         x, train_losses, report = run_round(federation, x, cfg, t, root, train_losses)
         reports.append(report)

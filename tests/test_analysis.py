@@ -17,7 +17,8 @@ from entrofed.analysis import (
     weighted_variance,
 )
 from entrofed.core import SeededRng
-from entrofed.objectives import ClassifierObjective, QuadraticObjective, stack_objectives
+from entrofed.objectives import ClassifierObjective, QuadraticObjective
+from entrofed.stacks import stack_objectives
 
 
 class TestVariances:

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from entrofed import harness
 from entrofed.harness import (
     ConfigError,
     ROUNDS_SCHEMA,
@@ -194,6 +195,23 @@ class TestCmdRun:
         assert main(["run", "--config", str(cfg_path)]) == 0
         for name in ("rounds_seed1.csv", "rounds_seed2.csv", "summary.txt"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_failed_write_leaves_no_complete_looking_file(self, tmp_path, monkeypatch):
+        # The 13th row written is round 5 of seed 2, after seed 1's 8 rows.
+        rows = []
+
+        def branch(report):
+            rows.append(report.round_index)
+            if len(rows) == 13:
+                raise OSError("disk full")
+            return report.branch
+
+        columns = tuple((n, branch if n == "branch" else t) for n, t in harness.ROUNDS_COLUMNS)
+        monkeypatch.setattr(harness, "ROUNDS_COLUMNS", columns)
+        monkeypatch.setenv("ENTROFED_OUTPUT_DIR", str(tmp_path / "out"))
+        assert main(["run", "--config", str(write_cfg(tmp_path, SMALL_RUN))]) == 1
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["rounds_seed1.csv"]
+        assert len((tmp_path / "out" / "rounds_seed1.csv").read_text().splitlines()) == 2 + 8
 
     def test_summary_invariant_to_seed_order(self, tmp_path, monkeypatch):
         cfg_a = write_cfg(tmp_path, SMALL_RUN, "a.cfg")

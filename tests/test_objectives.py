@@ -8,18 +8,16 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from entrofed import objectives
+from entrofed import stacks
 from entrofed.core import SeededRng
 from entrofed.objectives import (
-    STACK_BLOCK_ROWS,
     ClassifierObjective,
     GlrObjective,
-    ObjectiveStack,
     QuadraticObjective,
     finite_diff_gradient,
     glr_least_squares,
-    stack_objectives,
 )
+from entrofed.stacks import STACK_BLOCK_ROWS, ObjectiveStack, stack_objectives
 
 
 def random_classifier(rng, hidden=0, activation="identity", n=30, d=4, c=3):
@@ -333,27 +331,36 @@ class TestStackedEvaluation:
         block=st.integers(1, 64),
         seed=st.integers(0, 2**32 - 1),
     )
-    # At the real block size, clients of 8 samples fill three blocks, and
-    # one client is larger than a block. Drawn cases take small blocks, so
-    # that few samples span many blocks.
-    @example(sizes=[8] * (3 * STACK_BLOCK_ROWS // 8) + [1] * 300, block=STACK_BLOCK_ROWS, seed=1)
-    @example(sizes=[3, 1, 3 * STACK_BLOCK_ROWS, 1], block=STACK_BLOCK_ROWS, seed=2)
+    # At the real block size, clients of 8 samples fill several segments,
+    # and one client is larger than a pass, in every family. Drawn cases
+    # take small blocks, so that few samples span many passes.
+    @example(sizes=[8] * (STACK_BLOCK_ROWS * 10 // 24 + 1) + [1] * 300, block=STACK_BLOCK_ROWS, seed=1)
+    @example(sizes=[3, 1, 4 * STACK_BLOCK_ROWS, 1], block=STACK_BLOCK_ROWS, seed=2)
     @settings(max_examples=40, deadline=None)
     def test_matches_per_client_calls(self, family, sizes, block, seed):
         rng = SeededRng(seed)
         objs = [STACK_FAMILIES[family](rng, n) for n in sizes]
         x = 0.5 * rng.normals(objs[0].dimension)
-        with mock.patch.object(objectives, "STACK_BLOCK_ROWS", block):
+        with mock.patch.object(stacks, "STACK_BLOCK_ROWS", block):
             stack = stack_objectives(objs)
             assert (type(stack) is ObjectiveStack) == (family == "quadratic")
             losses, accuracies = stack.evaluate(x)
             train_losses, mean_gradient = stack.losses_and_mean_gradient(x)
         if family != "quadratic":
-            # a block holds up to max(1, block // n) clients of n samples
+            # the pass cap: the block for GLR; for classifiers, the block of
+            # 10-class rows over the wider of 3 classes and the hidden width
+            cap = {"glr": block, "softmax": block * 10 // 3}.get(family, block * 10 // 5)
+            assert stack._cap == cap
+            # a segment holds up to max(1, cap // n) clients of n samples
             runs = Counter(sizes)
-            assert len(stack._blocks) == sum(-(-c // max(1, block // n)) for n, c in runs.items())
+            segments = [s for p in stack._chunks for s in p.segments]
+            assert len(segments) == sum(-(-c // max(1, cap // n)) for n, c in runs.items())
+            # whole segments fill each pass up to the cap, or one segment
+            for p in stack._chunks:
+                rows = sum(c * n for *_, c, n in p.segments)
+                assert len(p.inputs) == rows and (rows <= cap or len(p.segments) == 1)
             if block == STACK_BLOCK_ROWS:
-                assert len(stack._blocks) > len(runs) or max(sizes) > block
+                assert len(segments) > len(runs) or max(sizes) > cap
 
         want = [o.loss(x) for o in objs]
         assert np.array_equal(losses, want) and np.array_equal(train_losses, want)
@@ -367,6 +374,32 @@ class TestStackedEvaluation:
             mean_gradient, grads.mean(axis=0), rtol=1e-12, atol=1e-12 * np.abs(grads).max()
         )
         assert np.array_equal(stack.sizes, [o.full_size for o in objs])
+
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    def test_wide_hidden_layer_runs_straddle_passes(self, activation):
+        # At 64 hidden units a pass holds 2048 * 10 // 64 = 320 rows. The 31
+        # clients of 13 samples make segments of 24 and 7 clients in two
+        # passes, and one client of 400 samples outgrows a pass.
+        rng = SeededRng(37)
+        sizes = [13] * 30 + [5] * 12 + [1, 400, 2, 13, 5]
+        objs = [random_classifier(rng, 64, activation, n=n, d=4, c=3) for n in sizes]
+        stack = stack_objectives(objs)
+        assert stack._cap == 320
+        runs = [{n for *_, n in p.segments} for p in stack._chunks]
+        assert any(13 in a and 13 in b for a, b in zip(runs, runs[1:]))
+        x = 0.5 * rng.normals(objs[0].dimension)
+        want = [o.loss(x) for o in objs]
+        losses, accuracies = stack.evaluate(x)
+        train_losses, mean_gradient = stack.losses_and_mean_gradient(x)
+        assert np.array_equal(losses, want) and np.array_equal(train_losses, want)
+        assert np.array_equal(accuracies, [o.accuracy(x) for o in objs])
+        grads = np.array([o.gradient(x) for o in objs])
+        np.testing.assert_allclose(
+            mean_gradient, grads.mean(axis=0), rtol=1e-12, atol=1e-12 * np.abs(grads).max()
+        )
+        xs = 0.5 * rng.normals(len(objs) * objs[0].dimension).reshape(len(objs), -1)
+        assert np.array_equal(stack.losses(xs), [o.loss(x) for o, x in zip(objs, xs)])
+        assert np.array_equal(stack.gradients(xs), [o.gradient(x) for o, x in zip(objs, xs)])
 
     def test_classifier_and_glr_losses_are_bitwise_per_client(self):
         # Exact equality is what keeps pinned round CSVs byte-identical: the
@@ -430,7 +463,7 @@ class TestStackedEvaluation:
         xs = 0.5 * rng.normals(len(objs) * 3).reshape(len(objs), 3)
         want = [o.loss(x) for o, x in zip(objs, xs)]
         monkeypatch.setattr(GlrObjective, "loss", None)
-        with mock.patch.object(objectives, "STACK_BLOCK_ROWS", 10):
+        with mock.patch.object(stacks, "STACK_BLOCK_ROWS", 10):
             assert np.array_equal(stack_objectives(objs).losses(xs), want)
 
     @pytest.mark.parametrize("family", [*sorted(STACK_FAMILIES), "softmax-1d"])
@@ -446,15 +479,16 @@ class TestStackedEvaluation:
         full = stack.gradients(xs)
         assert np.array_equal(full, [o.gradient(x) for o, x in zip(objs, xs)]), family
         subsets = np.asfortranarray([rng.permutation(n)[:5] for _ in range(m)])
-        got = stack.gradients(xs, subsets)
+        # quadratics have one sample, fewer than a minibatch: full sets
+        takers = stack.sizes > subsets.shape[1]
+        got = stack.gradients(xs, stack.minibatches(subsets[None, takers])[0])
         want = [o.gradient(x, s) for o, x, s in zip(objs, xs, subsets)]
         assert np.array_equal(got, want), family
 
     @pytest.mark.parametrize("family", sorted(STACK_FAMILIES))
     def test_full_set_gradients_of_mixed_sizes(self, family):
-        # Full sets of 5, 3, 8 and 3 samples: the classifier stack takes one
-        # pass per block of equal-size clients, and no client reads its
-        # neighbours' rows.
+        # Full sets of 5, 3, 8 and 3 samples: one pass of three segments of
+        # equal-size clients, and no client reads its neighbours' rows.
         rng = SeededRng(33)
         objs = [STACK_FAMILIES[family](rng, n) for n in (5, 3, 8, 3)]
         stack = stack_objectives(objs)
@@ -462,7 +496,8 @@ class TestStackedEvaluation:
         assert np.array_equal(stack.gradients(xs), [o.gradient(x) for o, x in zip(objs, xs)])
         subsets = np.array([[0, 2], [1, 0], [7, 3], [2, 1]])
         want = [o.gradient(x, s) for o, x, s in zip(objs, xs, subsets)]
-        assert np.array_equal(stack.gradients(xs, subsets), want), family
+        step = stack.minibatches(subsets[None, stack.sizes > 2])[0]
+        assert np.array_equal(stack.gradients(xs, step), want), family
 
     def test_mixed_families_fall_back_to_the_loop(self):
         rng = SeededRng(31)

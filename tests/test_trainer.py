@@ -15,6 +15,7 @@ from entrofed.objectives import (
     LocalObjective,
     QuadraticObjective,
 )
+from entrofed.stacks import stack_objectives
 from entrofed.trainer import (
     Client,
     Federation,
@@ -257,6 +258,9 @@ def assert_cohort_matches_reference(objectives, x0, steps, lr, batch_size, seeds
         assert update.end_losses[i] == end_loss
 
 
+DEEP_MLP_SIZES = [9, 10, 11, 11, 13, 14, 15, 17, 30, 52]
+
+
 class TestCohortMatchesPerClientLoop:
     """The batched cohort pass gives every client the bits of its own
     per-client gradient loop."""
@@ -276,6 +280,10 @@ class TestCohortMatchesPerClientLoop:
     @example(model="softmax", hidden=1, sizes=[1, 2, 40], batch=40, steps=2, aligned=False, seed=3)
     # one feature: (r, 1) sample blocks
     @example(model="softmax", hidden=1, sizes=[4, 4], batch=None, steps=2, aligned=False, seed=0)
+    # the deep-mlp benchmark's shape: full sets of 9-15 samples of six
+    # sizes, in one pass with the minibatches of the larger clients
+    @example(model="tanh", hidden=32, sizes=DEEP_MLP_SIZES, batch=16, steps=20, aligned=False, seed=4)
+    @example(model="tanh", hidden=32, sizes=DEEP_MLP_SIZES, batch=16, steps=20, aligned=True, seed=5)
     def test_classifier_cohort(self, model, hidden, sizes, batch, steps, aligned, seed):
         rng = SeededRng(seed)
         d, classes = 1 + seed % 4, 2 + seed % 3
@@ -293,6 +301,23 @@ class TestCohortMatchesPerClientLoop:
             objectives, x0, steps, 0.2, batch, [seed + i for i in range(len(sizes))], fair_grad
         )
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(1, 30), min_size=1, max_size=7),
+        d=st.integers(1, 5),
+        batch=st.one_of(st.none(), st.integers(1, 32)),
+        steps=st.integers(1, 6),
+        aligned=st.booleans(),
+        seed=st.integers(0, 2**32),
+    )
+    @example(sizes=[7, 3, 7, 1, 12], d=3, batch=3, steps=5, aligned=False, seed=6)
+    def test_glr_cohort(self, sizes, d, batch, steps, aligned, seed):
+        rng = SeededRng(seed)
+        objectives = [GlrObjective(rng.normals(n * d).reshape(n, d), rng.normals(n)) for n in sizes]
+        x0, fair_grad = 0.5 * rng.normals(d), rng.normals(d) if aligned else None
+        seeds = [seed + i for i in range(len(sizes))]
+        assert_cohort_matches_reference(objectives, x0, steps, 0.1, batch, seeds, fair_grad)
+
     @pytest.mark.parametrize("aligned", [False, True])
     def test_quadratic_and_glr_cohort_loops_per_client(self, aligned):
         rng = SeededRng(8)
@@ -303,6 +328,39 @@ class TestCohortMatchesPerClientLoop:
         ]
         fair_grad = np.array([0.4]) if aligned else None
         assert_cohort_matches_reference(objectives, np.array([0.3]), 5, 0.1, 3, [4, 5, 6], fair_grad)
+
+
+class TestCohortPasses:
+    """Local SGD takes one stack pass per step for the whole cohort: the
+    full sets of several sizes below the batch size and the minibatches of
+    the larger clients together, and one pass for the end losses."""
+
+    @pytest.mark.parametrize("aligned", [False, True])
+    def test_one_gradient_pass_per_step(self, monkeypatch, aligned):
+        calls = {"gradients": 0, "_pass_gradients": 0, "losses": 0, "_pass_losses": 0}
+        cls = type(stack_objectives([ClassifierObjective(np.zeros((1, 2)), [0], 2)]))
+        for name in calls:
+            original = getattr(cls, name)
+
+            def counted(self, *args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(self, *args)
+
+            monkeypatch.setattr(cls, name, counted)
+        rng = SeededRng(9)
+        sizes = [30, 9, 13, 52, 11, 15, 17, 11]
+        objectives = [
+            ClassifierObjective(rng.normals(n * 3).reshape(n, 3), rng.integers(n, 4), 4, 8, "tanh")
+            for n in sizes
+        ]
+        x0 = 0.5 * rng.normals(objectives[0].dimension)
+        steps, streams = 7, [SeededRng(i) for i in range(len(sizes))]
+        if aligned:
+            fair_grad = rng.normals(x0.size)
+            local_sgd_aligned(objectives, x0, steps, 0.1, 0.3, fair_grad, 16, streams)
+        else:
+            local_sgd(objectives, x0, steps, 0.1, 16, streams)
+        assert calls == {"gradients": steps, "_pass_gradients": steps, "losses": 1, "_pass_losses": 1}
 
 
 class TestAggregation:
@@ -593,24 +651,24 @@ class TestTelemetryCallCounts:
     a per-client objective call, whatever the method, the branch, m and
     the local step count are."""
 
-    @pytest.mark.parametrize("m", [20, 50])
-    @pytest.mark.parametrize("method", ["fedeba_plus", "fedavg", "qffl"])
-    def test_no_per_client_calls_in_telemetry(self, monkeypatch, m, method):
-        counts = {"loss": 0, "gradient": 0, "accuracy": 0}
+    @staticmethod
+    def per_round_calls(monkeypatch, family, fed, method):
+        """(branch, per-client call counts) of each round of a run."""
+        counts = {name: 0 for name in ("loss", "gradient", "accuracy") if hasattr(family, name)}
         for name in counts:
-            original = getattr(ClassifierObjective, name)
+            original = getattr(family, name)
 
             def counted(self, *args, _name=name, _original=original, **kwargs):
                 counts[_name] += 1
                 return _original(self, *args, **kwargs)
 
-            monkeypatch.setattr(ClassifierObjective, name, counted)
+            monkeypatch.setattr(family, name, counted)
 
         cfg = TrainerConfig(
             rounds=6,
             local_steps=3,
             clients_per_round=5,
-            local_lr=0.5,
+            local_lr=0.5 if family is ClassifierObjective else 0.05,
             theta=math.radians(5.0),
             # clients of 1-3 samples take full sets, larger ones minibatches
             batch_size=3,
@@ -621,15 +679,36 @@ class TestTelemetryCallCounts:
 
         def on_round(report, x):
             per_round.append((report.branch, dict(counts)))
-            counts.update(loss=0, gradient=0, accuracy=0)
+            counts.update(dict.fromkeys(counts, 0))
 
-        fed = classifier_federation(m)
         run_training(fed, cfg, x0=np.zeros(fed.dimension), on_round=on_round)
+        assert len(per_round) == cfg.rounds
+        return per_round
+
+    @pytest.mark.parametrize("m", [20, 50])
+    @pytest.mark.parametrize("method", ["fedeba_plus", "fedavg", "qffl"])
+    def test_no_per_client_calls_in_telemetry(self, monkeypatch, m, method):
+        per_round = self.per_round_calls(
+            monkeypatch, ClassifierObjective, classifier_federation(m), method
+        )
         branches = {branch for branch, _ in per_round}
         assert branches == ({"plain", "aligned"} if method == "fedeba_plus" else {"plain"})
-        assert len(per_round) == cfg.rounds
         for branch, c in per_round:
             assert c == {"loss": 0, "gradient": 0, "accuracy": 0}, branch
+
+    @pytest.mark.parametrize("method", ["fedeba_plus", "fedavg", "qffl"])
+    def test_no_per_client_calls_with_glr_clients(self, monkeypatch, method):
+        rng = SeededRng(11)
+
+        def obj(n):
+            return GlrObjective(rng.normals(n * 3).reshape(n, 3), rng.normals(n))
+
+        fed = Federation(tuple(Client(obj(1 + i % 7), obj(2 + i % 3)) for i in range(30)))
+        per_round = self.per_round_calls(monkeypatch, GlrObjective, fed, method)
+        branches = {branch for branch, _ in per_round}
+        assert branches == ({"plain", "aligned"} if method == "fedeba_plus" else {"plain"})
+        for branch, c in per_round:
+            assert c == {"loss": 0, "gradient": 0}, branch
 
 
 class TestReportRetention:
