@@ -41,6 +41,11 @@ def _mix64_array(z: np.ndarray) -> np.ndarray:
     return z
 
 
+def _unit_interval(raw: np.ndarray) -> np.ndarray:
+    """The top 53 bits of each 64-bit output as a double on [0, 1)."""
+    return (raw >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
 class SeededRng:
     """Counter-based splitmix64 generator.
 
@@ -80,7 +85,7 @@ class SeededRng:
 
     def uniforms(self, n: int) -> np.ndarray:
         """n doubles uniform on [0, 1)."""
-        return (self._raw(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        return _unit_interval(self._raw(n))
 
     def uniforms_open(self, n: int) -> np.ndarray:
         """n doubles uniform on (0, 1]; safe as a log() argument."""
@@ -147,6 +152,41 @@ class SeededRng:
             out[int(self.integers(1, m)[0])] = 1.0
             return out
         return g / total
+
+
+def derive_seeds(seed: int, keys) -> np.ndarray:
+    """``SeededRng(seed).derive(k).seed`` for every key k, as uint64.
+
+    Takes a seed, not a generator, and advances none. Signed keys are taken
+    mod 2**64, as ``derive`` takes them; keys of 2**63 and up need a uint64
+    array.
+    """
+    keys = np.asarray(keys)
+    # numpy makes floats of a list mixing ints below and above 2**63
+    if keys.dtype.kind not in "iu":
+        raise ValueError("keys must be an integer array")
+    base = np.uint64(((int(seed) & _MASK64) + _GOLDEN) & _MASK64)
+    return _mix64_array(base ^ keys.astype(np.uint64))
+
+
+def ragged_uniforms(seeds: np.ndarray, counts) -> np.ndarray:
+    """The first ``counts[i]`` draws of ``SeededRng(seeds[i]).uniforms`` for
+    every i, concatenated in stream order, from one vectorized pass.
+
+    Takes seeds, not generators, and advances none.
+    """
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    counts = np.asarray(counts, dtype=np.int64)
+    if seeds.ndim != 1 or counts.shape != seeds.shape:
+        raise ValueError("seeds and counts must be 1-D arrays of one length")
+    if np.any(counts < 0):
+        raise ValueError("counts must be nonnegative")
+    starts = np.cumsum(counts) - counts
+    # 1-based index of every draw within its own stream
+    draw = np.arange(1, int(counts.sum()) + 1, dtype=np.int64) - np.repeat(starts, counts)
+    with np.errstate(over="ignore"):
+        states = np.repeat(seeds, counts) + draw.astype(np.uint64) * np.uint64(_GOLDEN)
+    return _unit_interval(_mix64_array(states))
 
 
 def _as_floats(values, name: str) -> np.ndarray:

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from entrofed.core import SeededRng
-from entrofed.objectives import GlrObjective
+from entrofed.core import SeededRng, derive_seeds, ragged_uniforms
+from entrofed.objectives import ClassifierObjective, GlrObjective
 
 _LATTICE_SEPARATION = 4.0
 _DIRICHLET_RETRIES = 100
@@ -142,6 +142,12 @@ def gen_gaussian_blobs(
     return LabeledDataset(means[labels] + noise, labels, classes)
 
 
+def _pieces(flat: np.ndarray, counts) -> list[np.ndarray]:
+    """``flat`` cut into consecutive views of the given lengths."""
+    ends = np.cumsum(counts).tolist()
+    return [flat[a:b] for a, b in zip([0] + ends[:-1], ends)]
+
+
 def partition_shards(ds: LabeledDataset, spec: PartitionSpec) -> list[np.ndarray]:
     """Label-sorted shard partition; every sample assigned exactly once."""
     m, s = spec.client_count, spec.shards_per_client
@@ -149,13 +155,17 @@ def partition_shards(ds: LabeledDataset, spec: PartitionSpec) -> list[np.ndarray
     if ds.n < total:
         raise ValueError(f"{ds.n} samples cannot fill {total} shards")
     order = np.argsort(ds.labels, kind="stable")
-    shards = np.array_split(order, total)
-    rng = SeededRng(spec.seed)
-    drawn = rng.permutation(total)
-    return [
-        np.sort(np.concatenate([shards[k] for k in drawn[i * s : (i + 1) * s]]))
-        for i in range(m)
-    ]
+    drawn = SeededRng(spec.seed).permutation(total)
+    # shard k is np.array_split(order, total)[k]: the first n mod total
+    # shards hold one sample more than the rest
+    q, r = divmod(ds.n, total)
+    lengths = q + (drawn < r)
+    starts = drawn * q + np.minimum(drawn, r)
+    offsets = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+    samples = order[np.arange(ds.n) + offsets]
+    owner = np.repeat(np.arange(m).repeat(s), lengths)
+    per_client = lengths.reshape(m, s).sum(axis=1)
+    return _pieces(samples[np.lexsort((samples, owner))], per_client)
 
 
 def partition_dirichlet(ds: LabeledDataset, spec: PartitionSpec) -> list[np.ndarray]:
@@ -180,7 +190,7 @@ def partition_dirichlet(ds: LabeledDataset, spec: PartitionSpec) -> list[np.ndar
             owners[idx] = np.searchsorted(cut, rng.uniforms(idx.size), side="right")
         counts = np.bincount(owners, minlength=m)
         if counts.min() >= spec.min_samples_per_client:
-            return [np.flatnonzero(owners == i) for i in range(m)]
+            return _pieces(np.argsort(owners, kind="stable"), counts)
     raise PartitionInfeasibleError(
         f"no allocation with >= {spec.min_samples_per_client} samples per client "
         f"after {_DIRICHLET_RETRIES} draws"
@@ -194,21 +204,53 @@ def partition(ds: LabeledDataset, spec: PartitionSpec) -> list[np.ndarray]:
 
 
 def train_test_split_indices(
-    indices: np.ndarray, test_fraction: float, rng: SeededRng
-) -> tuple[np.ndarray, np.ndarray]:
-    """Seeded-shuffle split. A single-sample client reuses its sample on both
-    sides rather than losing its test set."""
+    assignment: list[np.ndarray], test_fraction: float, rng: SeededRng
+) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """Seeded-shuffle split of every client at once.
+
+    Client i shuffles its indices by the stream ``rng.derive(i)`` (a stable
+    argsort of its uniforms) and puts the first round(test_fraction * n_i)
+    of them, at least 1 and at most n_i - 1, in its test set. A
+    single-sample client reuses its sample on both sides rather than losing
+    its test set. Returns ``(train, test)``, each a pair ``(indices,
+    counts)``: client i's sorted indices are the ``counts[i]`` entries of
+    ``indices`` that follow those of clients 0..i-1.
+    """
     if not 0.0 < test_fraction < 1.0:
         raise ValueError("test_fraction must be in (0, 1)")
-    indices = np.asarray(indices, dtype=np.int64)
-    if indices.size == 0:
+    sizes = np.array([len(idx) for idx in assignment], dtype=np.int64)
+    if not sizes.all():
         raise ValueError("cannot split an empty client")
-    if indices.size == 1:
-        return indices, indices
-    shuffled = indices[rng.permutation(indices.size)]
-    n_test = max(1, int(round(test_fraction * indices.size)))
-    n_test = min(n_test, indices.size - 1)
-    return np.sort(shuffled[n_test:]), np.sort(shuffled[:n_test])
+    m = sizes.size
+    owner = np.repeat(np.arange(m), sizes)
+    u = ragged_uniforms(derive_seeds(rng.seed, np.arange(m)), sizes)
+    # lexsort is stable, so within a client this is argsort(u, kind="stable")
+    shuffled = np.concatenate(assignment).astype(np.int64, copy=False)[np.lexsort((u, owner))]
+    rank = np.arange(owner.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    n_test = np.minimum(np.maximum(1, np.rint(test_fraction * sizes).astype(np.int64)), sizes - 1)
+    in_test = rank < n_test[owner]
+    # a single-sample client (n_test 0) puts its sample on both sides
+    train, test = ~in_test, in_test | (sizes == 1)[owner]
+    # both halves sorted by one lexsort: train clients first, then test
+    keys = np.concatenate([owner[train], owner[test] + m])
+    values = np.concatenate([shuffled[train], shuffled[test]])
+    values = values[np.lexsort((values, keys))]
+    n_train = sizes - n_test
+    cut = int(n_train.sum())
+    return (values[:cut], n_train), (values[cut:], np.maximum(n_test, 1))
+
+
+def classifier_objectives(
+    ds: LabeledDataset, side: tuple[np.ndarray, np.ndarray], hidden: int, activation: str
+) -> list[ClassifierObjective]:
+    """One classifier per client of a split side ``(indices, counts)``. The
+    side's rows are gathered once; each client's objective holds a slice."""
+    indices, counts = side
+    features, labels = ds.features[indices], ds.labels[indices]
+    return [
+        ClassifierObjective(f, y, ds.n_classes, hidden, activation)
+        for f, y in zip(_pieces(features, counts), _pieces(labels, counts))
+    ]
 
 
 def gen_glr_federation(spec: GlrFederationSpec) -> list[GlrObjective]:

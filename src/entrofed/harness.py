@@ -38,6 +38,7 @@ from entrofed.core import SeededRng, softmax_temperature
 from entrofed.datagen import (
     GlrFederationSpec,
     PartitionSpec,
+    classifier_objectives,
     gen_gaussian_blobs,
     gen_glr_federation,
     partition,
@@ -316,18 +317,9 @@ def build_federation(cfg: ExperimentConfig, seed: int) -> tuple[Federation, np.n
         ds, assignment = _blob_partition(cfg, root)
         hidden = cfg.hidden_units if cfg.model == "mlp" else 0
         activation = cfg.activation if cfg.model == "mlp" else "identity"
-        clients = []
-        for cid, idx in enumerate(assignment):
-            train_idx, test_idx = train_test_split_indices(
-                idx, cfg.test_fraction, root.derive(_TAG_SPLIT, cid)
-            )
-            train_obj = ClassifierObjective(
-                ds.features[train_idx], ds.labels[train_idx], cfg.classes, hidden, activation
-            )
-            test_obj = ClassifierObjective(
-                ds.features[test_idx], ds.labels[test_idx], cfg.classes, hidden, activation
-            )
-            clients.append(Client(train_obj, test_obj))
+        sides = train_test_split_indices(assignment, cfg.test_fraction, root.derive(_TAG_SPLIT))
+        train, test = (classifier_objectives(ds, side, hidden, activation) for side in sides)
+        clients = [Client(a, b) for a, b in zip(train, test)]
         federation = Federation(tuple(clients))
         x0 = clients[0].objective.init_params(root.derive(_TAG_INIT))
         return federation, x0
@@ -433,7 +425,11 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     finals: dict[int, RoundReport] = {}
     for seed in cfg.seeds:
         federation, x0 = build_federation(cfg, seed)
-        reports, _ = run_training(federation, cfg.trainer_config(seed), x0)
+        reports: list[RoundReport] = []
+        try:
+            run_training(federation, cfg.trainer_config(seed), x0, lambda r, _: reports.append(r))
+        except (ValueError, RuntimeError, ZeroDivisionError) as exc:
+            raise type(exc)(f"{exc} (seed {seed}, round {len(reports) + 1})") from exc
         _write_complete(out / f"rounds_seed{seed}.csv", write_rounds_csv, reports)
         finals[seed] = reports[-1]
     _write_complete(out / "summary.txt", write_summary, cfg, finals)

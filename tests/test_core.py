@@ -9,8 +9,10 @@ from hypothesis import example, given, settings, strategies as st
 from entrofed.core import (
     SeededRng,
     chi_square_divergence,
+    derive_seeds,
     entropy,
     fair_angle,
+    ragged_uniforms,
     softmax_temperature,
     validate_simplex,
 )
@@ -98,6 +100,40 @@ class TestSeededRng:
         assert np.all((picked >= 0) & (picked < 10))
         with pytest.raises(ValueError):
             rng.sample_without_replacement(3, 5)
+
+
+class TestManyStreams:
+    """derive_seeds and ragged_uniforms against SeededRng, stream by stream."""
+
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        keys=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=8),
+        counts=st.lists(st.sampled_from([0, 1, 2, 7, 300, 513]), min_size=8, max_size=8),
+    )
+    @example(seed=0, keys=[0, 2**63, 2**64 - 1], counts=[0, 1, 300] + [0] * 5)
+    @settings(max_examples=100, deadline=None)
+    def test_match_derive_and_uniforms_bit_for_bit(self, seed, keys, counts):
+        counts = counts[: len(keys)]
+        root = SeededRng(seed)
+        seeds = derive_seeds(seed, np.array(keys, dtype=np.uint64))
+        assert seeds.dtype == np.uint64
+        assert [int(s) for s in seeds] == [root.derive(k).seed for k in keys]
+        expected = [SeededRng(root.derive(k).seed).uniforms(n) for k, n in zip(keys, counts)]
+        got = ragged_uniforms(seeds, counts)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, np.concatenate(expected))
+
+    def test_signed_keys_wrap_as_derive_does(self):
+        assert int(derive_seeds(5, np.array([-1]))[0]) == SeededRng(5).derive(-1).seed
+        assert int(derive_seeds(5, np.arange(3))[2]) == SeededRng(5).derive(2).seed
+
+    def test_rejects_bad_inputs(self):
+        with pytest.raises(ValueError, match="integer"):
+            derive_seeds(0, [0, 2**63])  # numpy reads this list as floats
+        with pytest.raises(ValueError, match="one length"):
+            ragged_uniforms(np.zeros(2, dtype=np.uint64), [1])
+        with pytest.raises(ValueError, match="nonnegative"):
+            ragged_uniforms(np.zeros(2, dtype=np.uint64), [1, -1])
 
 
 class TestSoftmaxTemperature:

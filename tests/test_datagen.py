@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from entrofed.core import SeededRng
 from entrofed.datagen import (
@@ -22,6 +23,12 @@ def assert_is_partition(assignment, n):
     flat = np.concatenate(assignment)
     assert len(flat) == n
     assert np.array_equal(np.sort(flat), np.arange(n))
+
+
+def per_client(side):
+    """A split side (indices, counts) as one index array per client."""
+    indices, counts = side
+    return np.split(indices, np.cumsum(counts)[:-1])
 
 
 def label_histogram(labels, idx, n_classes):
@@ -84,6 +91,33 @@ class TestShardPartition:
         spec = PartitionSpec("shards", client_count=4, shards_per_client=2, seed=0)
         with pytest.raises(ValueError, match="shards"):
             partition_shards(ds, spec)
+
+    @given(
+        classes=st.integers(2, 5),
+        per_class=st.integers(1, 60),
+        clients=st.integers(1, 40),
+        shards=st.sampled_from([1, 2, 3]),
+        seed=st.integers(0, 2**32),
+    )
+    @example(classes=3, per_class=1, clients=1, shards=2, seed=0)  # n = m s + 1
+    @example(classes=5, per_class=3, clients=7, shards=2, seed=1)  # one-sample shards
+    @settings(max_examples=200, deadline=None)
+    def test_uneven_shards_match_array_split(self, classes, per_class, clients, shards, seed):
+        ds = gen_gaussian_blobs(classes, per_class, 1, 1.0, seed=seed)
+        total = clients * shards
+        assume(ds.n >= total and ds.n % total)
+        spec = PartitionSpec("shards", client_count=clients, shards_per_client=shards, seed=seed)
+        # the per-client formula the partition had before it gathered by index
+        cut = np.array_split(np.argsort(ds.labels, kind="stable"), total)
+        drawn = SeededRng(seed).permutation(total)
+        expected = [
+            np.sort(np.concatenate([cut[k] for k in drawn[i * shards : (i + 1) * shards]]))
+            for i in range(clients)
+        ]
+        got = partition_shards(ds, spec)
+        assert len(got) == clients
+        for a, b in zip(got, expected):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 class TestDirichletPartition:
@@ -155,22 +189,67 @@ class TestDirichletPartition:
             partition_dirichlet(ds, spec)
 
 
+def split_one_client(indices, test_fraction, rng):
+    """The per-client split that train_test_split_indices does for every
+    client at once, kept as its reference."""
+    indices = np.asarray(indices, dtype=np.int64)
+    if indices.size == 1:
+        return indices, indices
+    shuffled = indices[rng.permutation(indices.size)]
+    n_test = max(1, int(round(test_fraction * indices.size)))
+    n_test = min(n_test, indices.size - 1)
+    return np.sort(shuffled[n_test:]), np.sort(shuffled[:n_test])
+
+
 class TestTrainTestSplit:
     def test_eighty_twenty(self):
         rng = SeededRng(17)
-        train, test = train_test_split_indices(np.arange(10), 0.2, rng)
-        assert len(train) == 8 and len(test) == 2
+        (train, n_train), (test, n_test) = train_test_split_indices([np.arange(10)], 0.2, rng)
+        assert n_train.tolist() == [8] and n_test.tolist() == [2]
         assert_is_partition([train, test], 10)
 
     def test_single_sample_client_reuses_it(self):
-        train, test = train_test_split_indices(np.array([5]), 0.2, SeededRng(0))
-        assert train.tolist() == [5] and test.tolist() == [5]
+        train, test = train_test_split_indices([np.array([5]), np.array([1, 2])], 0.2, SeededRng(0))
+        (lone_train, pair_train), (lone_test, pair_test) = per_client(train), per_client(test)
+        assert lone_train.tolist() == [5] and lone_test.tolist() == [5]
+        assert len(pair_train) == len(pair_test) == 1
+        assert_is_partition([pair_train - 1, pair_test - 1], 2)
 
     def test_deterministic(self):
-        idx = np.arange(40, 90)
-        a = train_test_split_indices(idx, 0.2, SeededRng(3))
-        b = train_test_split_indices(idx, 0.2, SeededRng(3))
-        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+        assignment = [np.arange(40, 90), np.arange(7)]
+        a = train_test_split_indices(assignment, 0.2, SeededRng(3))
+        b = train_test_split_indices(assignment, 0.2, SeededRng(3))
+        for x, y in zip(a, b):
+            assert np.array_equal(x[0], y[0]) and np.array_equal(x[1], y[1])
+
+    def test_rejects_empty_client_and_bad_fraction(self):
+        with pytest.raises(ValueError, match="empty client"):
+            train_test_split_indices([np.arange(3), np.array([], dtype=np.int64)], 0.2, SeededRng(0))
+        with pytest.raises(ValueError, match="test_fraction"):
+            train_test_split_indices([np.arange(3)], 1.0, SeededRng(0))
+
+    @given(
+        sizes=st.lists(st.integers(1, 40) | st.sampled_from([1, 2]), min_size=1, max_size=60),
+        seed=st.integers(0, 2**64 - 1),
+        # products that fall half-way (0.25 * 2, 0.5 * 5, 0.3 * 5) round to even
+        test_fraction=st.sampled_from([0.25, 0.5, 0.3]) | st.floats(0.01, 0.99),
+    )
+    @example(sizes=[1, 2, 5, 5, 6], seed=0, test_fraction=0.25)
+    @example(sizes=[5, 2, 1, 10], seed=7, test_fraction=0.5)
+    @example(sizes=[5, 5, 1, 40], seed=2**64 - 1, test_fraction=0.3)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_client_reference(self, sizes, seed, test_fraction):
+        # unsorted, disjoint clients, as a partition of range(sum(sizes))
+        flat = SeededRng(seed ^ 1).permutation(sum(sizes))
+        assignment = np.split(flat, np.cumsum(sizes)[:-1])
+        root = SeededRng(seed)
+        train, test = train_test_split_indices(assignment, test_fraction, root)
+        got = list(zip(per_client(train), per_client(test)))
+        assert len(got) == len(sizes)
+        for cid, (idx, (tr, te)) in enumerate(zip(assignment, got)):
+            ref_tr, ref_te = split_one_client(idx, test_fraction, root.derive(cid))
+            assert tr.dtype == np.int64 and te.dtype == np.int64
+            assert np.array_equal(tr, ref_tr) and np.array_equal(te, ref_te)
 
 
 class TestGlrFederation:

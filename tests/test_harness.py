@@ -1,5 +1,6 @@
 """Config parsing, CLI subcommands, and output-file contracts."""
 
+import hashlib
 import math
 import re
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from entrofed import harness
+from entrofed import harness, trainer
 from entrofed.harness import (
     ConfigError,
     ROUNDS_SCHEMA,
@@ -172,6 +173,56 @@ class TestBuildFederation:
             assert np.array_equal(a.objective.features, b.objective.features)
 
 
+# sha256 over every client's train and test sizes, features and labels
+# (build_federation at seed 3), as built before the federation was
+# assembled in whole-federation array passes. Shard configs cover uneven
+# shards (n not a multiple of m * s) and, at m = 2000, 1500 single-sample
+# clients; test fractions 0.25 and 0.3 meet half-way roundings.
+FEDERATION_DIGESTS = {
+    "shards-m50": (
+        dict(partition_mode="shards", clients=50, per_class=203, shards_per_client=2),
+        "63a9c29307386545a94a61426805f64bf719601c9a5f7f4c32dbb2bd85121a0f",
+    ),
+    "shards-m500": (
+        dict(partition_mode="shards", clients=500, per_class=301, shards_per_client=3,
+             test_fraction=0.25),
+        "92803d0ebde95ef94c5a0aa6199aa2a5fa63723712b74a7fb37f0abf7a261214",
+    ),
+    "shards-m2000": (
+        dict(partition_mode="shards", clients=2000, per_class=250, shards_per_client=1,
+             test_fraction=0.3),
+        "9bc7ee245482f08579d7e31ba2a79eeaec680c556a154d73e76fd1033b53373a",
+    ),
+    "dirichlet-m50": (
+        dict(partition_mode="dirichlet", clients=50, per_class=200, dirichlet_alpha=0.3),
+        "09c4fa18539816ed718e0a887f2189f49ca5fd714aaf5e41b9ac6f5c3fc4fd19",
+    ),
+    "dirichlet-m500": (
+        dict(partition_mode="dirichlet", clients=500, per_class=500, dirichlet_alpha=1.0,
+             test_fraction=0.25),
+        "019ab6fd0c5ad33f59b4e2048baf6b1f6c4d85b14122762bbaa762ae949eea9d",
+    ),
+    "dirichlet-m2000": (
+        dict(partition_mode="dirichlet", clients=2000, per_class=3000, dirichlet_alpha=5.0,
+             test_fraction=0.3),
+        "285161c85f44d437489ce9c5902d61bd3db5b924af62a068ea78788caf87538e",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FEDERATION_DIGESTS))
+def test_federation_digest_is_pinned(name):
+    settings, expected = FEDERATION_DIGESTS[name]
+    federation, _ = build_federation(harness.ExperimentConfig(**settings), seed=3)
+    digest = hashlib.sha256()
+    for client in federation.clients:
+        for obj in (client.objective, client.test_objective):
+            digest.update(np.int64(obj.full_size).tobytes())
+            digest.update(obj.features.tobytes())
+            digest.update(obj.labels.tobytes())
+    assert digest.hexdigest() == expected
+
+
 class TestCmdRun:
     def test_outputs_and_schema(self, tmp_path, monkeypatch):
         monkeypatch.setenv("ENTROFED_OUTPUT_DIR", str(tmp_path / "out"))
@@ -256,6 +307,31 @@ class TestCmdRun:
         )
         assert main(["run", "--config", str(cfg)]) == 1
         assert capsys.readouterr().err.startswith("error: degenerate q-FFL step: ")
+
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverged_run_names_its_seed_and_round(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("ENTROFED_OUTPUT_DIR", str(tmp_path / "out"))
+        text = SMALL_RUN.replace("[trainer]\n", "[trainer]\nlocal_lr = 1e308\n")
+        assert main(["run", "--config", str(write_cfg(tmp_path, text))]) == 1
+        assert capsys.readouterr().err == (
+            "error: values must contain only finite values (seed 1, round 1)\n"
+        )
+        assert list((tmp_path / "out").iterdir()) == []
+
+    def test_failing_round_is_named(self, tmp_path, capsys, monkeypatch):
+        run_round = trainer.run_round
+
+        def fail_at_seed_2_round_3(federation, x, cfg, t, *rest):
+            if (cfg.seed, t) == (2, 3):
+                raise RuntimeError("boom")
+            return run_round(federation, x, cfg, t, *rest)
+
+        monkeypatch.setattr(trainer, "run_round", fail_at_seed_2_round_3)
+        monkeypatch.setenv("ENTROFED_OUTPUT_DIR", str(tmp_path / "out"))
+        assert main(["run", "--config", str(write_cfg(tmp_path, SMALL_RUN))]) == 1
+        assert capsys.readouterr().err == "error: boom (seed 2, round 3)\n"
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["rounds_seed1.csv"]
 
 
 class TestCmdPartition:
