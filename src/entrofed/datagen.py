@@ -231,10 +231,12 @@ def train_test_split_indices(
     in_test = rank < n_test[owner]
     # a single-sample client (n_test 0) puts its sample on both sides
     train, test = ~in_test, in_test | (sizes == 1)[owner]
-    # both halves sorted by one lexsort: train clients first, then test
+    # both halves sorted by one sort, train clients first, then test: a
+    # client's indices are distinct, so key * n + index orders them all
     keys = np.concatenate([owner[train], owner[test] + m])
     values = np.concatenate([shuffled[train], shuffled[test]])
-    values = values[np.lexsort((values, keys))]
+    n = int(values.max()) + 1
+    values = np.sort(keys * n + values) % n
     n_train = sizes - n_test
     cut = int(n_train.sum())
     return (values[:cut], n_train), (values[cut:], np.maximum(n_test, 1))

@@ -83,7 +83,7 @@ class ObjectiveStack:
     def minibatches(self, subsets: np.ndarray) -> list:
         """The steps of a (K, b, r) array of sample indices, in the form
         :meth:`gradients` takes: at step k, the b objectives with more than
-        r samples, in stack order, take the rows ``subsets[k]``, and the
+        r samples, in objective order, take the rows ``subsets[k]``, and the
         others their full sets."""
         subsets = np.asarray(subsets, dtype=np.int64)
         takers = np.flatnonzero(self.sizes > subsets.shape[-1])
@@ -103,7 +103,7 @@ class _Pass(NamedTuple):
     """Whole segments of a family stack, evaluated together. Each segment
     is c clients of n rows each, as slices of the pass's clients and rows."""
 
-    clients: slice | np.ndarray  # stack positions, segment after segment
+    clients: slice  # positions in size order, segment after segment
     segments: tuple  # (client slice, row slice, c, n) per segment
     rows: slice  # of the stack's, or a step's, rows end to end
     inputs: np.ndarray | None = None  # (rows, d) view of those rows
@@ -128,10 +128,8 @@ def _layout(sizes, cap: int) -> list[list[tuple[int, int]]]:
     return passes
 
 
-def _passes(layout, clients: np.ndarray) -> list[_Pass]:
-    """Unbound passes of a layout over the given clients (stack positions),
-    whose rows lie end to end. A pass over a run of consecutive positions
-    indexes parameters and results without a copy."""
+def _passes(layout) -> list[_Pass]:
+    """Unbound passes of a layout, whose clients and rows lie end to end."""
     out, first, start = [], 0, 0
     for segs in layout:
         client, row, segments = 0, 0, []
@@ -139,10 +137,7 @@ def _passes(layout, clients: np.ndarray) -> list[_Pass]:
             segments.append((slice(client, client + c), slice(row, row + c * n), c, n))
             client += c
             row += c * n
-        ids = clients[first : first + client]
-        if np.array_equal(ids, np.arange(ids[0], ids[0] + ids.size)):
-            ids = slice(int(ids[0]), int(ids[0]) + ids.size)
-        out.append(_Pass(ids, tuple(segments), slice(start, start + row)))
+        out.append(_Pass(slice(first, first + client), tuple(segments), slice(start, start + row)))
         first += client
         start += row
     return out
@@ -155,20 +150,27 @@ def _bind(passes, inputs: np.ndarray, targets: np.ndarray) -> list[_Pass]:
 class _RowStack(ObjectiveStack):
     """A family stack: every client's (inputs, targets) rows copied once,
     end to end in ascending client size, and cut into passes of at most
-    ``cap`` rows (``_chunks``) whose segments are views of the one copy."""
+    ``cap`` rows (``_chunks``) whose segments are views of the one copy.
+
+    Passes run over consecutive positions in that size order. Per-client
+    parameters are gathered into it once per call (``_sorted``), and
+    results go back to objective order through ``_inverse``."""
 
     def __init__(self, objectives, cap: int):
         super().__init__(objectives)
         self._cap = cap
         self._order = np.argsort(self.sizes, kind="stable")
+        self._inverse = np.argsort(self._order)
         self._counts = sizes = self.sizes[self._order].astype(np.int64)
         rows = [self._rows_of(self.objectives[i]) for i in self._order]
         self._inputs = np.concatenate([r[0] for r in rows])
         self._targets = np.concatenate([r[1] for r in rows])
-        self._starts = np.empty(self.m, dtype=np.int64)
-        self._starts[self._order] = np.cumsum(sizes) - sizes
-        layout = _layout(sizes, cap)
-        self._chunks = _bind(_passes(layout, self._order), self._inputs, self._targets)
+        self._starts = np.cumsum(sizes) - sizes
+        self._chunks = _bind(_passes(_layout(sizes, cap)), self._inputs, self._targets)
+
+    def _sorted(self, xs):
+        xs = np.asarray(xs, dtype=np.float64)
+        return xs if xs.ndim == 1 else xs[self._order]
 
     def minibatches(self, subsets):
         # The clients with more than r samples come last in size order; at
@@ -181,40 +183,36 @@ class _RowStack(ObjectiveStack):
         takers = self._order[full:]
         if takes != takers.size:
             raise ValueError("need sample indices for each objective with more than r samples")
-        drawn = self._starts[takers, None] + subsets[:, np.searchsorted(np.sort(takers), takers)]
+        # subsets[:, j] is the j-th taker in objective order
+        drawn = self._starts[full:, None] + subsets[:, np.searchsorted(np.sort(takers), takers)]
         head = sizes[:full].sum()
         rows = np.concatenate(
             [np.broadcast_to(np.arange(head), (steps, head)), drawn.reshape(steps, -1)], axis=1
         )
         layout = _layout(np.concatenate([sizes[:full], np.full(takers.size, r)]), self._cap)
-        passes = _passes(layout, self._order)
+        passes = _passes(layout)
         return [(passes, step_rows) for step_rows in rows]
 
     # A pass evaluates its clients at one shared vector, or at their rows of
-    # xs: views of xs and of the result for a run of consecutive clients.
+    # xs: views of xs and of the result.
 
     def losses(self, xs):
-        xs = np.asarray(xs, dtype=np.float64)
+        xs = self._sorted(xs)
         out = np.empty(self.m)
         for p in self._chunks:
             out[p.clients] = self._pass_losses(p, xs if xs.ndim == 1 else xs[p.clients])
-        return out
+        return out[self._inverse]
 
     def gradients(self, xs, step=None):
-        xs = np.asarray(xs, dtype=np.float64)
+        xs = self._sorted(xs)
         passes = self._chunks
         if step is not None:
             passes, rows = step
             passes = _bind(passes, self._inputs[rows], self._targets[rows])
         out = np.empty((self.m, xs.shape[-1]))
         for p in passes:
-            at = xs if xs.ndim == 1 else xs[p.clients]
-            if isinstance(p.clients, slice):
-                self._pass_gradients(p, at, out[p.clients])
-            else:
-                grads = np.empty((p.clients.size, out.shape[1]))
-                out[p.clients] = self._pass_gradients(p, at, grads)
-        return out
+            self._pass_gradients(p, xs if xs.ndim == 1 else xs[p.clients], out[p.clients])
+        return out[self._inverse]
 
 
 class _GlrStack(_RowStack):
@@ -250,7 +248,6 @@ class _GlrStack(_RowStack):
     def _pass_gradients(self, p, xs, out):
         for (cs, _, _, n), design, r in self._residuals(p, xs):
             out[cs] = (design.swapaxes(-1, -2) @ r[..., None])[..., 0] / n
-        return out
 
     def evaluate(self, x):
         return self.losses(self.objectives[0]._check_x(x)), np.full(self.m, np.nan)
@@ -264,7 +261,7 @@ class _GlrStack(_RowStack):
             losses[p.clients] = self._losses(res)
             for _, d, r in res:
                 grad = grad + d.reshape(r.size, -1).T @ r.ravel() / (self.m * r.shape[1])
-        return losses, grad
+        return losses[self._inverse], grad
 
 
 class _ClassifierStack(_RowStack):
@@ -344,11 +341,10 @@ class _ClassifierStack(_RowStack):
         grads = model._unpack(out)
         if model.hidden == 0:
             self._weight_grads(p, p.inputs, dlogits, *grads)
-            return out
+            return
         self._weight_grads(p, act, dlogits, *grads[2:])
         dact = self._affine(p, dlogits, model._unpack(xs)[2].swapaxes(-1, -2))
         self._weight_grads(p, p.inputs, model._through_activation(dact, act), *grads[:2])
-        return out
 
     def evaluate(self, x):
         arr = self._model._check_x(x)
@@ -358,7 +354,7 @@ class _ClassifierStack(_RowStack):
             logits = self._layers(p, arr)[0]
             losses[p.clients] = self._mean_losses(p, self._model._log_softmax(logits))
             accs[p.clients] = self._means(p, logits.argmax(axis=-1) == p.targets)
-        return losses, accs
+        return losses[self._inverse], accs[self._inverse]
 
     def losses_and_mean_gradient(self, x):
         model = self._model
@@ -371,7 +367,7 @@ class _ClassifierStack(_RowStack):
             losses[p.clients] = self._mean_losses(p, logp)
             # the pass's rows as one batch, each scaled by 1/(m n)
             grad += model._backprop(arr, p.inputs, self._dlogits(p, logp, self.m), act)
-        return losses, grad
+        return losses[self._inverse], grad
 
 
 def stack_objectives(objectives) -> ObjectiveStack:

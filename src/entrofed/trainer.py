@@ -222,7 +222,7 @@ def _batch_rows(
 
 
 def _local_steps(
-    objectives,
+    cohort: ObjectiveStack,
     x_start: np.ndarray,
     steps: int,
     lr: float,
@@ -237,40 +237,33 @@ def _local_steps(
     stream in ``rngs``, and at each step moves along its minibatch gradient
     g, or along (1 - alpha) * g + alpha * fair_grad when a fair gradient is
     given; the one-step displacement is recorded only for plain steps. The
-    end loss is a full-batch snapshot. The cohort is one stack, built once:
-    inside the loop its clients stand in ascending size, so that each
-    segment of equal-size clients, and the clients that take minibatches,
-    are runs of rows of the parameter matrix. Every step is one
-    ``gradients`` pass of the stack over its minibatches and full sets, and
-    the end losses one ``losses`` pass."""
-    objectives = list(objectives)
-    if not objectives:
+    end loss is a full-batch snapshot. Every step is one ``gradients`` pass
+    of the cohort's stack over its minibatches and full sets, and the end
+    losses one ``losses`` pass."""
+    if not cohort.m:
         raise ValueError("need at least one client objective")
     if steps < 1:
         raise ValueError("steps must be >= 1")
     x_start = np.asarray(x_start, dtype=np.float64)
-    if any(x_start.shape != (o.dimension,) for o in objectives):
+    if any(x_start.shape != (o.dimension,) for o in cohort.objectives):
         raise ValueError("start parameter dimension mismatch")
     if fair_grad is not None:
         if not 0.0 <= alpha <= 1.0:
             raise ValueError("alpha must be in [0, 1]")
         if fair_grad.shape != x_start.shape:
             raise ValueError("fair gradient dimension mismatch")
-    s = len(objectives)
-    rngs = [None] * s if rngs is None else rngs
+    rngs = [None] * cohort.m if rngs is None else rngs
     batches = [
         _batch_rows(o.full_size, batch_size, steps, rng)
-        for o, rng in zip(objectives, rngs, strict=True)
+        for o, rng in zip(cohort.objectives, rngs, strict=True)
     ]
-    order = np.argsort([o.full_size for o in objectives], kind="stable")
-    stack = stack_objectives(objectives[i] for i in order)
-    drawn = [batches[i] for i in order if batches[i] is not None]
-    plan = stack.minibatches(np.stack(drawn, axis=1)) if drawn else [None] * steps
-    x = np.tile(x_start, (s, 1))
+    drawn = [b for b in batches if b is not None]
+    plan = cohort.minibatches(np.stack(drawn, axis=1)) if drawn else [None] * steps
+    x = np.tile(x_start, (cohort.m, 1))
     fair_share = None if fair_grad is None else alpha * fair_grad
     one_step = None
     for k in range(steps):
-        g = stack.gradients(x, plan[k])
+        g = cohort.gradients(x, plan[k])
         # in place, x - lr * ((1 - alpha) * g + alpha * fair_grad) rounds
         # each operation exactly as written
         if fair_share is not None:
@@ -280,31 +273,27 @@ def _local_steps(
         x -= g
         if k == 0 and fair_grad is None:
             one_step = x - x_start
-    cohort = np.argsort(order)
-    return CohortUpdate(
-        (x - x_start)[cohort],
-        None if one_step is None else one_step[cohort],
-        stack.losses(x)[cohort],
-    )
+    return CohortUpdate(x - x_start, one_step, cohort.losses(x))
 
 
 def local_sgd(
-    objectives,
+    cohort: ObjectiveStack,
     x_start: np.ndarray,
     steps: int,
     lr: float,
     batch_size: int | None = None,
     rngs=None,
 ) -> CohortUpdate:
-    """K local gradient steps of every client in a cohort, each from
-    x_start: the full and one-step displacements plus the full-batch loss
-    after the last step, one row per client. ``rngs`` holds one minibatch
-    stream per client (needed only for minibatches)."""
-    return _local_steps(objectives, x_start, steps, lr, batch_size, rngs)
+    """K local gradient steps of every client in a cohort (a stack of
+    their objectives), each from x_start: the full and one-step
+    displacements plus the full-batch loss after the last step, one row per
+    client. ``rngs`` holds one minibatch stream per client (needed only for
+    minibatches)."""
+    return _local_steps(cohort, x_start, steps, lr, batch_size, rngs)
 
 
 def local_sgd_aligned(
-    objectives,
+    cohort: ObjectiveStack,
     x_start: np.ndarray,
     steps: int,
     lr: float,
@@ -318,7 +307,7 @@ def local_sgd_aligned(
     fixed for the whole round. The one-step displacement is not collected
     on this branch."""
     fair_grad = np.asarray(fair_grad, dtype=np.float64)
-    return _local_steps(objectives, x_start, steps, lr, batch_size, rngs, alpha, fair_grad)
+    return _local_steps(cohort, x_start, steps, lr, batch_size, rngs, alpha, fair_grad)
 
 
 def aggregate_plain(deltas, p) -> np.ndarray:
@@ -391,7 +380,7 @@ def run_round(
     sampled = sample_clients(
         federation.m, cfg.clients_per_round, rng.derive(_TAG_SAMPLING, round_index)
     )
-    objectives = [federation.clients[i].objective for i in sampled]
+    cohort = stack_objectives(federation.clients[i].objective for i in sampled)
     start_losses = train_losses[sampled]
     # an all-zero loss vector has no direction; treat it as perfectly fair
     angle = 0.0 if np.all(start_losses == 0.0) else fair_angle(start_losses)
@@ -400,14 +389,13 @@ def run_round(
     aligned = eba and angle > cfg.theta
     streams = [rng.derive(_TAG_LOCAL, round_index, int(cid)) for cid in sampled]
     if aligned:
-        start_grads = stack_objectives(objectives).gradients(x_t)
-        fair_grad = compute_fair_gradient(start_grads, start_losses, tau)
+        fair_grad = compute_fair_gradient(cohort.gradients(x_t), start_losses, tau)
         update = local_sgd_aligned(
-            objectives, x_t, cfg.local_steps, cfg.local_lr, cfg.alpha, fair_grad,
+            cohort, x_t, cfg.local_steps, cfg.local_lr, cfg.alpha, fair_grad,
             cfg.batch_size, streams,
         )
     else:
-        update = local_sgd(objectives, x_t, cfg.local_steps, cfg.local_lr, cfg.batch_size, streams)
+        update = local_sgd(cohort, x_t, cfg.local_steps, cfg.local_lr, cfg.batch_size, streams)
 
     server_lr = cfg.global_lr
     if cfg.method == "qffl":
@@ -415,7 +403,7 @@ def run_round(
     else:
         prior = None
         if cfg.eba.prior == "data_ratio":
-            prior = data_ratio_weights([obj.full_size for obj in objectives])
+            prior = data_ratio_weights(cohort.sizes)
         if eba:
             weights = eba_weights(update.end_losses, tau, prior)
         else:

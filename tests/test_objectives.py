@@ -374,6 +374,16 @@ class TestStackedEvaluation:
             mean_gradient, grads.mean(axis=0), rtol=1e-12, atol=1e-12 * np.abs(grads).max()
         )
         assert np.array_equal(stack.sizes, [o.full_size for o in objs])
+        # At per-client parameters, full sets and one minibatch step, bit for
+        # bit and in objective order, whatever order the stack keeps inside.
+        xs = 0.5 * rng.normals(len(objs) * objs[0].dimension).reshape(len(objs), -1)
+        assert np.array_equal(stack.losses(xs), [o.loss(x) for o, x in zip(objs, xs)])
+        assert np.array_equal(stack.gradients(xs), [o.gradient(x) for o, x in zip(objs, xs)])
+        r = 1 + seed % 4
+        subsets = [rng.permutation(o.full_size)[:r] if o.full_size > r else None for o in objs]
+        drawn = np.array([s for s in subsets if s is not None], dtype=np.int64).reshape(1, -1, r)
+        want = [o.gradient(x, s) for o, x, s in zip(objs, xs, subsets)]
+        assert np.array_equal(stack.gradients(xs, stack.minibatches(drawn)[0]), want)
 
     @pytest.mark.parametrize("activation", ["tanh", "relu"])
     def test_wide_hidden_layer_runs_straddle_passes(self, activation):

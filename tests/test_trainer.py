@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from entrofed import trainer
 from entrofed.aggregation import EbaConfig
 from entrofed.core import SeededRng, fair_angle, softmax_temperature
 from entrofed.objectives import (
@@ -124,9 +125,8 @@ class TestFairGradient:
 
 class TestLocalSgd:
     def test_toy_single_steps(self):
-        update = local_sgd(
-            [QuadraticObjective(2, 2), QuadraticObjective(0.5, -4)], np.zeros(1), 1, 0.25
-        )
+        cohort = stack_objectives([QuadraticObjective(2, 2), QuadraticObjective(0.5, -4)])
+        update = local_sgd(cohort, np.zeros(1), 1, 0.25)
         assert update.deltas[0, 0] == 2.0 and update.one_step[0, 0] == 2.0
         assert update.deltas[1, 0] == -1.0
         # one row per client, in cohort order
@@ -134,13 +134,14 @@ class TestLocalSgd:
         assert update.end_losses.tolist() == [0.0, 4.5]
 
     def test_one_step_equals_full_delta_at_k1(self):
-        update = local_sgd([QuadraticObjective(1.5, 0.7)], np.array([3.0]), 1, 0.1)
+        cohort = stack_objectives([QuadraticObjective(1.5, 0.7)])
+        update = local_sgd(cohort, np.array([3.0]), 1, 0.1)
         assert np.array_equal(update.deltas, update.one_step)
 
     def test_matches_closed_form_for_k_steps(self):
         a, c, lr, k = 0.8, -2.0, 0.2, 7
         x0 = np.array([1.0])
-        update = local_sgd([QuadraticObjective(a, c)], x0, k, lr)
+        update = local_sgd(stack_objectives([QuadraticObjective(a, c)]), x0, k, lr)
         expected = c + (1 - 2 * a * lr) ** k * (x0[0] - c) - x0[0]
         assert update.deltas[0, 0] == pytest.approx(expected, abs=1e-12)
 
@@ -150,52 +151,53 @@ class TestLocalSgd:
         labels = rng.integers(30, 3)
         obj = ClassifierObjective(feats, labels, 3)
         x0 = np.zeros(obj.dimension)
-        a = local_sgd([obj], x0, 5, 0.1, batch_size=8, rngs=[SeededRng(99)])
-        b = local_sgd([obj], x0, 5, 0.1, batch_size=8, rngs=[SeededRng(99)])
+        a = local_sgd(stack_objectives([obj]), x0, 5, 0.1, batch_size=8, rngs=[SeededRng(99)])
+        b = local_sgd(stack_objectives([obj]), x0, 5, 0.1, batch_size=8, rngs=[SeededRng(99)])
         assert np.array_equal(a.deltas, b.deltas)
-        c = local_sgd([obj], x0, 5, 0.1, batch_size=8, rngs=[SeededRng(100)])
+        c = local_sgd(stack_objectives([obj]), x0, 5, 0.1, batch_size=8, rngs=[SeededRng(100)])
         assert not np.array_equal(a.deltas, c.deltas)
 
     def test_requires_rng_for_minibatches(self):
         rng = SeededRng(6)
         obj = ClassifierObjective(rng.normals(20).reshape(10, 2), rng.integers(10, 2), 2)
         with pytest.raises(ValueError, match="SeededRng"):
-            local_sgd([obj], np.zeros(obj.dimension), 2, 0.1, batch_size=4)
+            local_sgd(stack_objectives([obj]), np.zeros(obj.dimension), 2, 0.1, batch_size=4)
 
     def test_rejects_mismatched_cohorts(self):
         obj = QuadraticObjective(1.0, 0.0)
         with pytest.raises(ValueError, match="at least one"):
-            local_sgd([], np.zeros(1), 1, 0.1)
+            local_sgd(stack_objectives([]), np.zeros(1), 1, 0.1)
         with pytest.raises(ValueError, match="dimension"):
-            local_sgd([obj], np.zeros(2), 1, 0.1)
+            local_sgd(stack_objectives([obj]), np.zeros(2), 1, 0.1)
         with pytest.raises(ValueError):
-            local_sgd([obj, obj], np.zeros(1), 1, 0.1, rngs=[SeededRng(0)])
+            local_sgd(stack_objectives([obj, obj]), np.zeros(1), 1, 0.1, rngs=[SeededRng(0)])
 
 
 class TestLocalSgdAligned:
     def test_alpha_zero_matches_plain(self):
         obj = QuadraticObjective(1.2, 0.5)
         x0 = np.array([2.0])
-        plain = local_sgd([obj], x0, 4, 0.1)
-        aligned = local_sgd_aligned([obj], x0, 4, 0.1, 0.0, np.array([9.0]))
+        plain = local_sgd(stack_objectives([obj]), x0, 4, 0.1)
+        aligned = local_sgd_aligned(stack_objectives([obj]), x0, 4, 0.1, 0.0, np.array([9.0]))
         assert np.array_equal(plain.deltas, aligned.deltas)
 
     def test_alpha_one_ignores_local_data(self):
         obj = QuadraticObjective(3.0, -1.0)
         g_fair = np.array([0.7])
-        update = local_sgd_aligned([obj], np.array([5.0]), 6, 0.1, 1.0, g_fair)
+        update = local_sgd_aligned(stack_objectives([obj]), np.array([5.0]), 6, 0.1, 1.0, g_fair)
         assert update.deltas[0, 0] == pytest.approx(-0.1 * 6 * 0.7, abs=1e-12)
 
     def test_zero_local_gradient_accumulates_fair_share(self):
         obj = FlatObjective(3)
         g_fair = np.array([1.0, -2.0, 0.5])
-        update = local_sgd_aligned([obj], np.zeros(3), 5, 0.2, 0.5, g_fair)
+        update = local_sgd_aligned(stack_objectives([obj]), np.zeros(3), 5, 0.2, 0.5, g_fair)
         assert update.deltas[0] == pytest.approx(-0.2 * 5 * 0.5 * g_fair, abs=1e-15)
         assert update.one_step is None
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
-            local_sgd_aligned([QuadraticObjective(1, 0)], np.zeros(1), 1, 0.1, 0.5, np.zeros(2))
+            cohort = stack_objectives([QuadraticObjective(1, 0)])
+            local_sgd_aligned(cohort, np.zeros(1), 1, 0.1, 0.5, np.zeros(2))
 
 
 class _SeedBatchStream:
@@ -240,10 +242,11 @@ def assert_cohort_matches_reference(objectives, x0, steps, lr, batch_size, seeds
     def streams():
         return [SeededRng(seed) for seed in seeds]
 
+    cohort = stack_objectives(objectives)
     if fair_grad is None:
-        update = local_sgd(objectives, x0, steps, lr, batch_size, streams())
+        update = local_sgd(cohort, x0, steps, lr, batch_size, streams())
     else:
-        update = local_sgd_aligned(objectives, x0, steps, lr, 0.3, fair_grad, batch_size, streams())
+        update = local_sgd_aligned(cohort, x0, steps, lr, 0.3, fair_grad, batch_size, streams())
     s = len(objectives)
     assert update.deltas.shape == (s, x0.size) and update.end_losses.shape == (s,)
     for i, (obj, rng) in enumerate(zip(objectives, streams())):
@@ -354,12 +357,13 @@ class TestCohortPasses:
             for n in sizes
         ]
         x0 = 0.5 * rng.normals(objectives[0].dimension)
+        cohort = stack_objectives(objectives)
         steps, streams = 7, [SeededRng(i) for i in range(len(sizes))]
         if aligned:
             fair_grad = rng.normals(x0.size)
-            local_sgd_aligned(objectives, x0, steps, 0.1, 0.3, fair_grad, 16, streams)
+            local_sgd_aligned(cohort, x0, steps, 0.1, 0.3, fair_grad, 16, streams)
         else:
-            local_sgd(objectives, x0, steps, 0.1, 16, streams)
+            local_sgd(cohort, x0, steps, 0.1, 16, streams)
         assert calls == {"gradients": steps, "_pass_gradients": steps, "losses": 1, "_pass_losses": 1}
 
 
@@ -456,7 +460,7 @@ class TestRunRound:
         cfg = self._cfg(clients_per_round=4, theta=math.pi / 2, local_steps=1)
         x = np.array([0.5])
         x_next, _, report = run_round(fed, x, cfg, 1, SeededRng(0), start_losses(fed, x))
-        single = local_sgd([QuadraticObjective(1.0, 2.0)], x, 1, 0.05)
+        single = local_sgd(stack_objectives([QuadraticObjective(1.0, 2.0)]), x, 1, 0.05)
         assert report.branch == "plain" and report.angle == 0.0
         assert x_next[0] == pytest.approx(x[0] + single.deltas[0, 0], abs=1e-12)
 
@@ -465,7 +469,7 @@ class TestRunRound:
         cfg = self._cfg(clients_per_round=4, theta=math.pi / 2, local_steps=2)
         x = np.array([0.5])
         x_next, _, _ = run_round(fed, x, cfg, 1, SeededRng(0), start_losses(fed, x))
-        single = local_sgd([QuadraticObjective(1.0, 2.0)], x, 2, 0.05)
+        single = local_sgd(stack_objectives([QuadraticObjective(1.0, 2.0)]), x, 2, 0.05)
         blended = 0.5 * single.deltas[0, 0] + 0.5 * single.one_step[0, 0]
         assert x_next[0] == pytest.approx(x[0] + blended, abs=1e-12)
 
@@ -695,6 +699,18 @@ class TestTelemetryCallCounts:
         assert branches == ({"plain", "aligned"} if method == "fedeba_plus" else {"plain"})
         for branch, c in per_round:
             assert c == {"loss": 0, "gradient": 0, "accuracy": 0}, branch
+
+    def test_one_cohort_stack_per_round(self, monkeypatch):
+        # the aligned branch's start gradients and local SGD share the
+        # round's cohort stack, and the federation stacks each side once
+        built = []
+        stack = trainer.stack_objectives
+        monkeypatch.setattr(trainer, "stack_objectives", lambda o: built.append(1) or stack(o))
+        per_round = self.per_round_calls(
+            monkeypatch, ClassifierObjective, classifier_federation(20), "fedeba_plus"
+        )
+        assert {branch for branch, _ in per_round} == {"plain", "aligned"}
+        assert len(built) == len(per_round) + 2
 
     @pytest.mark.parametrize("method", ["fedeba_plus", "fedavg", "qffl"])
     def test_no_per_client_calls_with_glr_clients(self, monkeypatch, method):
