@@ -59,16 +59,13 @@ def tail_mean(values, k_percent: float, side: str) -> float:
 
 @dataclass(frozen=True)
 class FairnessReport:
-    """Per-client test performance and its spread statistics."""
+    """The spread statistics of per-client test performance."""
 
-    test_losses: np.ndarray
-    test_accuracies: np.ndarray
     loss_variance: float
     accuracy_variance: float
     worst_tail_accuracy: float
     best_tail_accuracy: float
     global_accuracy: float
-    k_percent: float
 
 
 def evaluate_fairness(
@@ -92,14 +89,11 @@ def evaluate_fairness(
     else:
         acc_var = worst = best = global_acc = float("nan")
     return FairnessReport(
-        test_losses=losses,
-        test_accuracies=accs,
         loss_variance=population_variance(losses),
         accuracy_variance=acc_var,
         worst_tail_accuracy=worst,
         best_tail_accuracy=best,
         global_accuracy=global_acc,
-        k_percent=k_percent,
     )
 
 

@@ -280,11 +280,16 @@ def fair_angle(losses) -> float:
 
     arccos(<L, 1> / (||L|| * ||1||)). For nonnegative losses the result lies
     in [0, pi/2]; zero iff all losses are equal. The all-zero vector has no
-    direction and is rejected.
+    direction and is rejected. The angle is scale-free, so a vector whose
+    largest loss lies outside [2**-500, 2**500], where the squares in the
+    norm would overflow or underflow, is first divided by that loss.
     """
     arr = _as_floats(losses, "losses")
     if np.any(arr < 0.0):
         raise ValueError("losses must be nonnegative")
+    peak = arr.max()
+    if peak > 0.0 and not 2.0**-500 <= peak <= 2.0**500:
+        arr = arr / peak
     norm = float(np.linalg.norm(arr))
     if norm == 0.0:
         raise ValueError("angle undefined for an all-zero loss vector")

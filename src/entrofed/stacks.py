@@ -31,27 +31,33 @@ STACK_BLOCK_ROWS = 2048
 
 
 class ObjectiveStack:
-    """Full-batch passes over many objectives. At one parameter vector,
-    :meth:`evaluate` gives losses and accuracies (the test side) and
-    :meth:`losses_and_mean_gradient` losses and the client-mean gradient
-    (the train side); :meth:`losses` and :meth:`gradients` take each
-    objective at a parameter vector of its own, and :meth:`gradients` takes
-    a step of :meth:`minibatches` for local SGD.
+    """Full-batch passes over many objectives. :meth:`losses` and
+    :meth:`gradients` take each objective at a parameter vector of its own,
+    or at one shared vector, and :meth:`gradients` takes a step of
+    :meth:`minibatches` for local SGD. At one parameter vector, the two
+    telemetry passes are built on them: :meth:`evaluate` gives losses and
+    accuracies (the test side) and :meth:`losses_and_mean_gradient` losses
+    and the mean of the per-client gradient rows (the train side).
 
     This base form calls each objective in turn; quadratics and mixed
     families use it. :func:`stack_objectives` returns a family stack for GLR
-    or classifier objectives. A family stack copies the samples once, in
-    ascending client size, and evaluates them in passes of whole segments
-    of equal-size clients (see ``STACK_BLOCK_ROWS``). Within a pass, only
+    or classifier objectives, which implements ``losses`` and ``gradients``
+    and overrides a telemetry pass only where that was measured to pay. A
+    family stack copies the samples once, in ascending client size, and
+    evaluates them in passes of whole segments of equal-size clients (see
+    ``STACK_BLOCK_ROWS``). Within a pass, only
     the matmuls, the per-client bias adds and the per-client row sums and
     means run segment by segment; they make the BLAS calls and the row
     reductions of each client's own ``loss``, ``accuracy`` and ``gradient``.
     The classifier stack runs its activations, softmax and other row-wise
     arithmetic once over all rows of the pass. So losses, accuracies and
     gradients at per-client parameters are bitwise equal to per-client
-    calls, full sets and minibatches alike. The mean gradient is one
-    backward pass per pass with every row scaled by 1/(m n_i), and agrees
-    with the mean of per-client gradients up to summation order.
+    calls, full sets and minibatches alike, and so is the GLR stack's mean
+    gradient the mean of per-client gradients. The classifier stack's train
+    pass is one backward pass per pass with every row scaled by 1/(m n_i):
+    on 1000 softmax clients it takes about half the time of ``losses`` plus
+    ``gradients``, and agrees with the mean of per-client gradients up to
+    summation order.
     """
 
     def __init__(self, objectives):
@@ -64,14 +70,12 @@ class ObjectiveStack:
 
     def evaluate(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Losses and accuracies (NaN for families without one) at x."""
-        objs = self.objectives
-        accs = [o.accuracy(x) if hasattr(o, "accuracy") else np.nan for o in objs]
-        return np.array([o.loss(x) for o in objs]), np.array(accs)
+        accs = [o.accuracy(x) if hasattr(o, "accuracy") else np.nan for o in self.objectives]
+        return self.losses(x), np.array(accs)
 
     def losses_and_mean_gradient(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Losses at x and the mean of the gradients there."""
-        objs = self.objectives
-        return np.array([o.loss(x) for o in objs]), np.mean([o.gradient(x) for o in objs], axis=0)
+        return self.losses(x), self.gradients(x).mean(axis=0)
 
     def losses(self, xs: np.ndarray) -> np.ndarray:
         """Entry i is ``objectives[i].loss(xs[i])``: every objective's
@@ -235,15 +239,12 @@ class _GlrStack(_RowStack):
             fit = design @ xs if xs.ndim == 1 else (design @ xs[cs, :, None])[..., 0]
             yield segment, design, fit - p.targets[rs].reshape(c, n)
 
-    @staticmethod
-    def _losses(residuals):
+    def _pass_losses(self, p, xs):
         # (1, n) @ (n, 1) per client is the BLAS dot GlrObjective.loss uses
+        residuals = self._residuals(p, xs)
         return np.concatenate(
             [0.5 * (r[:, None, :] @ r[:, :, None])[:, 0, 0] / n for (*_, n), _, r in residuals]
         )
-
-    def _pass_losses(self, p, xs):
-        return self._losses(self._residuals(p, xs))
 
     def _pass_gradients(self, p, xs, out):
         for (cs, _, _, n), design, r in self._residuals(p, xs):
@@ -251,17 +252,6 @@ class _GlrStack(_RowStack):
 
     def evaluate(self, x):
         return self.losses(self.objectives[0]._check_x(x)), np.full(self.m, np.nan)
-
-    def losses_and_mean_gradient(self, x):
-        w = self.objectives[0]._check_x(x)
-        losses = np.empty(self.m)
-        grad = 0
-        for p in self._chunks:
-            res = list(self._residuals(p, w))
-            losses[p.clients] = self._losses(res)
-            for _, d, r in res:
-                grad = grad + d.reshape(r.size, -1).T @ r.ravel() / (self.m * r.shape[1])
-        return losses[self._inverse], grad
 
 
 class _ClassifierStack(_RowStack):

@@ -52,10 +52,10 @@ class TrainerConfig:
     """All federated hyperparameters for one training run.
 
     theta is the fair-angle threshold in radians (the CLI layer converts
-    from degrees). The default pi never aligns, since the angle never
-    exceeds pi, while the CLI's ``theta_deg`` default is 90 degrees; either
-    default moves some caller's outputs if changed. batch_size None means
-    full-batch local steps.
+    from degrees). The default pi/2 is the CLI's ``theta_deg`` default of
+    90 degrees. It never aligns: the angle of nonnegative losses is at most
+    pi/2, so no theta >= pi/2 aligns. batch_size None means full-batch
+    local steps.
     """
 
     METHODS = ("fedavg", "qffl", "fedeba_plus")
@@ -66,7 +66,7 @@ class TrainerConfig:
     local_lr: float
     global_lr: float = 1.0
     alpha: float = 0.5
-    theta: float = math.pi
+    theta: float = math.pi / 2
     eba: EbaConfig = field(default_factory=EbaConfig)
     qffl: QfflConfig = field(default_factory=QfflConfig)
     batch_size: int | None = None
@@ -177,7 +177,12 @@ class RoundReport:
     best_tail_accuracy: float
     global_accuracy: float
     chi_square: float
-    extra_comm: bool
+
+    @property
+    def extra_comm(self) -> bool:
+        """Whether the round took the aligned branch, whose start gradients
+        cost one extra communication."""
+        return self.branch == "aligned"
 
 
 def sample_clients(m: int, n: int, rng: SeededRng) -> np.ndarray:
@@ -431,7 +436,6 @@ def run_round(
         best_tail_accuracy=fairness.best_tail_accuracy,
         global_accuracy=fairness.global_accuracy,
         chi_square=_chi_square_or_inf(weights),
-        extra_comm=aligned,
     )
     return x_next, train_next, report
 

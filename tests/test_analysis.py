@@ -197,9 +197,9 @@ class TestEvaluateFairness:
         assert report.global_accuracy == 1.0
 
     def test_known_loss_variance(self):
-        objs = [QuadraticObjective(1.0, 0.0), QuadraticObjective(1.0, 2.0)]
-        report = evaluate_fairness(stack_objectives(objs), np.array([2.0]), 5.0)
-        assert report.test_losses.tolist() == [4.0, 0.0]
+        stack = stack_objectives([QuadraticObjective(1.0, 0.0), QuadraticObjective(1.0, 2.0)])
+        report = evaluate_fairness(stack, np.array([2.0]), 5.0)
+        assert stack.evaluate(np.array([2.0]))[0].tolist() == [4.0, 0.0]
         assert report.loss_variance == 4.0
         assert np.isnan(report.global_accuracy)
 

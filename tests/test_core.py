@@ -323,13 +323,30 @@ class TestFairAngle:
         assert fair_angle([1.0, 0.0]) == pytest.approx(math.pi / 4, abs=1e-12)
 
     def test_never_exceeds_right_angle(self):
+        # nonnegative losses have a cosine >= 0, and acos(0.0) == pi / 2
         rng = SeededRng(37)
-        for _ in range(300):
-            m = 2 + int(rng.integers(1, 7)[0])
-            losses = rng.uniforms(m) * 10
-            if np.all(losses == 0):
-                continue
-            assert 0.0 <= fair_angle(losses) <= math.pi / 2 + 1e-12
+        for scale in (1e-300, 1e-150, 1e-5, 10.0, 1e150, 1e300):
+            for _ in range(300):
+                m = 2 + int(rng.integers(1, 7)[0])
+                losses = rng.uniforms(m) * scale
+                if np.all(losses == 0):
+                    continue
+                assert 0.0 <= fair_angle(losses) <= math.pi / 2
+
+    def test_scale_free_over_the_float_range(self):
+        # the squares of such losses overflow or underflow: the angle must not
+        rng = SeededRng(38)
+        for _ in range(50):
+            losses = rng.uniforms(2 + int(rng.integers(1, 7)[0]))
+            want = fair_angle(losses)
+            for scale in (1e300, 1e-300):
+                assert fair_angle(losses * scale) == pytest.approx(want, abs=1e-12)
+            # subnormal entries keep about 40 bits of the ratios
+            assert fair_angle(losses * 1e-312) == pytest.approx(want, abs=1e-9)
+        assert fair_angle([1e300, 0.0]) == pytest.approx(math.pi / 4, abs=1e-12)
+        assert fair_angle([1e300, 1e300]) == pytest.approx(0.0, abs=1e-7)
+        assert fair_angle([5e-324, 0.0]) == pytest.approx(math.pi / 4, abs=1e-12)
+        assert fair_angle([5e-324, 5e-324, 0.0]) == pytest.approx(fair_angle([1.0, 1.0, 0.0]))
 
     def test_rejects_degenerate_and_negative(self):
         with pytest.raises(ValueError, match="zero"):
