@@ -47,7 +47,6 @@ from entrofed.aggregation import (
     uniform_weights,
 )
 from entrofed.trainer import (
-    Client,
     Federation,
     RoundReport,
     TrainerConfig,
@@ -96,7 +95,6 @@ __all__ = [
     "data_ratio_weights",
     "qffl_step",
     "TrainerConfig",
-    "Client",
     "Federation",
     "RoundReport",
     "run_round",

@@ -44,10 +44,6 @@ class LabeledDataset:
     def n(self) -> int:
         return self.features.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.features.shape[1]
-
 
 @dataclass(frozen=True)
 class PartitionSpec:

@@ -46,7 +46,7 @@ from entrofed.datagen import (
     write_partition_csv,
 )
 from entrofed.objectives import ClassifierObjective
-from entrofed.trainer import Client, Federation, RoundReport, TrainerConfig, run_training
+from entrofed.trainer import Federation, RoundReport, TrainerConfig, run_training
 
 OUTPUT_DIR_ENV = "ENTROFED_OUTPUT_DIR"
 
@@ -92,7 +92,7 @@ def _an_int(minimum):
     return conv
 
 
-def _a_float(minimum=None, maximum=None, strict_min=False):
+def _a_float(minimum=None, maximum=None, strict_min=False, strict_max=False):
     def conv(s: str) -> float:
         try:
             v = float(s)
@@ -101,12 +101,14 @@ def _a_float(minimum=None, maximum=None, strict_min=False):
         if not math.isfinite(v):
             raise ValueError("must be finite")
         above = minimum is None or (v > minimum if strict_min else v >= minimum)
-        if above and (maximum is None or v <= maximum):
+        below = maximum is None or (v < maximum if strict_max else v <= maximum)
+        if above and below:
             return v
         if maximum is None:
             raise ValueError(f"must be {'>' if strict_min else '>='} {minimum}, got {v}")
         low = "(" if strict_min else "["
-        raise ValueError(f"must be within {low}{minimum}, {maximum}], got {v}")
+        high = ")" if strict_max else "]"
+        raise ValueError(f"must be within {low}{minimum}, {maximum}{high}, got {v}")
 
     return conv
 
@@ -124,13 +126,6 @@ def _batch_size(s: str):
     if s == "full":
         return None
     return _an_int(1)(s)
-
-
-def _open_unit_interval(s: str) -> float:
-    v = _a_float()(s)
-    if not 0.0 < v < 1.0:
-        raise ValueError(f"must be strictly between 0 and 1, got {v}")
-    return v
 
 
 def _seed_list(s: str) -> tuple[int, ...]:
@@ -193,7 +188,9 @@ class ExperimentConfig:
     dirichlet_alpha: float = _key("partition", 0.3, _a_float(0.0, strict_min=True))
     min_samples_per_client: int = _key("partition", 1, _an_int(0))
     k_percent: float = _key("metrics", 5.0, _a_float(0.0, 100.0, strict_min=True))
-    test_fraction: float = _key("metrics", 0.2, _open_unit_interval)
+    test_fraction: float = _key(
+        "metrics", 0.2, _a_float(0.0, 1.0, strict_min=True, strict_max=True)
+    )
     seeds: tuple[int, ...] = _key("run", (1,), _seed_list)
     output_dir: str = _key("run", "runs", str)
 
@@ -319,10 +316,7 @@ def build_federation(cfg: ExperimentConfig, seed: int) -> tuple[Federation, np.n
         activation = cfg.activation if cfg.model == "mlp" else "identity"
         sides = train_test_split_indices(assignment, cfg.test_fraction, root.derive(_TAG_SPLIT))
         train, test = (classifier_objectives(ds, side, hidden, activation) for side in sides)
-        clients = [Client(a, b) for a, b in zip(train, test)]
-        federation = Federation(tuple(clients))
-        x0 = clients[0].objective.init_params(root.derive(_TAG_INIT))
-        return federation, x0
+        return Federation(train, test), train[0].init_params(root.derive(_TAG_INIT))
 
     w = cfg.param_scale * root.derive(_TAG_GLR_PARAMS).normals(
         cfg.clients * cfg.glr_dim
@@ -337,10 +331,8 @@ def build_federation(cfg: ExperimentConfig, seed: int) -> tuple[Federation, np.n
         seed=root.derive(_TAG_GLR_TRAIN).seed,
     )
     test_spec = replace(train_spec, seed=root.derive(_TAG_GLR_TEST).seed)
-    train_objs = gen_glr_federation(train_spec)
-    test_objs = gen_glr_federation(test_spec)
-    clients = [Client(a, b) for a, b in zip(train_objs, test_objs)]
-    return Federation(tuple(clients)), np.zeros(cfg.glr_dim)
+    federation = Federation(gen_glr_federation(train_spec), gen_glr_federation(test_spec))
+    return federation, np.zeros(cfg.glr_dim)
 
 
 # --- output writers ------------------------------------------------------

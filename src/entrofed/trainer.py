@@ -92,54 +92,47 @@ class TrainerConfig:
 
 
 @dataclass(frozen=True)
-class Client:
-    """A participant: training objective plus an optional held-out test
-    objective (defaults to evaluating on the training objective)."""
-
-    objective: LocalObjective
-    test_objective: LocalObjective | None = None
-
-    @property
-    def eval_objective(self) -> LocalObjective:
-        return self.test_objective if self.test_objective is not None else self.objective
-
-
-@dataclass(frozen=True)
 class Federation:
-    """Fixed set of clients whose train and test objectives share one
-    parameter dimension."""
+    """A fixed set of clients: ``train[i]`` is client i's training objective
+    and ``test[i]`` its held-out test objective. Without test objectives,
+    every client is evaluated on its training objective. All objectives
+    share one parameter dimension."""
 
-    clients: tuple[Client, ...]
+    train: tuple[LocalObjective, ...]
+    test: tuple[LocalObjective, ...] | None = None
 
     def __post_init__(self):
-        clients = tuple(self.clients)
-        if not clients:
+        train = tuple(self.train)
+        test = None if self.test is None else tuple(self.test)
+        if not train:
             raise ValueError("federation needs at least one client")
-        dims = {o.dimension for c in clients for o in (c.objective, c.eval_objective)}
-        if len(dims) != 1:
+        if test is not None and len(test) != len(train):
+            raise ValueError(f"{len(test)} test objectives for {len(train)} clients")
+        if len({o.dimension for o in train + (test or ())}) != 1:
             raise ValueError("all client train and test objectives must share one dimension")
-        object.__setattr__(self, "clients", clients)
+        object.__setattr__(self, "train", train)
+        object.__setattr__(self, "test", test)
 
     @property
     def m(self) -> int:
-        return len(self.clients)
+        return len(self.train)
 
     @property
     def dimension(self) -> int:
-        return self.clients[0].objective.dimension
+        return self.train[0].dimension
 
     # The stacks copy the client data once, on first use, for the per-round
     # telemetry that evaluates every client; objectives are immutable, so
     # the copy stays valid. Without test objectives both are one stack.
     @cached_property
     def train_stack(self) -> ObjectiveStack:
-        return stack_objectives(c.objective for c in self.clients)
+        return stack_objectives(self.train)
 
     @cached_property
     def eval_stack(self) -> ObjectiveStack:
-        if all(c.test_objective is None for c in self.clients):
+        if self.test is None:
             return self.train_stack
-        return stack_objectives(c.eval_objective for c in self.clients)
+        return stack_objectives(self.test)
 
 
 @dataclass(frozen=True)
@@ -385,7 +378,7 @@ def run_round(
     sampled = sample_clients(
         federation.m, cfg.clients_per_round, rng.derive(_TAG_SAMPLING, round_index)
     )
-    cohort = stack_objectives(federation.clients[i].objective for i in sampled)
+    cohort = stack_objectives(federation.train[i] for i in sampled)
     start_losses = train_losses[sampled]
     # an all-zero loss vector has no direction; treat it as perfectly fair
     angle = 0.0 if np.all(start_losses == 0.0) else fair_angle(start_losses)

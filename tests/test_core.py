@@ -91,6 +91,19 @@ class TestSeededRng:
             assert np.all(p >= 0)
             assert abs(p.sum() - 1.0) < 1e-12
 
+    def test_dirichlet_corner_when_every_gamma_underflows(self):
+        # at alpha = 1e-5 nearly every seed's gammas all underflow to 0, and
+        # the draw falls back to one corner of the simplex
+        corners = set()
+        for seed in range(40):
+            if SeededRng(seed).gammas(1e-5, 3).sum() != 0.0:
+                continue
+            p = SeededRng(seed).dirichlet(1e-5, 3)
+            assert sorted(p.tolist()) == [0.0, 0.0, 1.0] and p.sum() == 1.0
+            assert np.array_equal(p, SeededRng(seed).dirichlet(1e-5, 3))
+            corners.add(int(p.argmax()))
+        assert corners == {0, 1, 2}
+
     def test_permutation_and_sampling(self):
         rng = SeededRng(12)
         perm = rng.permutation(40)

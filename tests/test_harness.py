@@ -68,6 +68,33 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"k_percent: must be within \(0\.0, 100\.0\]"):
             parse_config(path)
 
+    @pytest.mark.parametrize("value", ["0", "1"])
+    def test_test_fraction_is_an_open_interval(self, tmp_path, value):
+        path = write_cfg(tmp_path, f"[metrics]\ntest_fraction = {value}\n")
+        with pytest.raises(
+            ConfigError, match=r"metrics\.test_fraction: must be within \(0\.0, 1\.0\).*line 2"
+        ):
+            parse_config(path)
+
+    def test_glr_dim_must_not_exceed_the_samples(self, tmp_path):
+        path = write_cfg(tmp_path, "[data]\nkind = glr\nglr_dim = 9\nsamples_per_client = 8\n")
+        with pytest.raises(ConfigError, match=r"data\.glr_dim must not exceed"):
+            parse_config(path)
+
+    def test_hidden_units_bound_holds_for_mlp_only(self, tmp_path):
+        # softmax ignores hidden_units, so the bound is checked after parsing
+        path = write_cfg(tmp_path, "[data]\nmodel = mlp\nhidden_units = 65\n")
+        with pytest.raises(ConfigError, match=r"data\.hidden_units must be <= 64"):
+            parse_config(path)
+        cfg = parse_config(write_cfg(tmp_path, "[data]\nhidden_units = 65\n", "s.cfg"))
+        assert (cfg.model, cfg.hidden_units) == ("softmax", 65)
+
+    def test_defaults_are_the_trainer_defaults(self):
+        for seed in (0, 7):
+            assert harness.ExperimentConfig().trainer_config(seed) == trainer.TrainerConfig(
+                rounds=50, local_steps=5, clients_per_round=10, local_lr=0.05, seed=seed
+            )
+
     def test_theta_degrees_to_radians(self, tmp_path):
         cfg = parse_config(write_cfg(tmp_path, "[trainer]\ntheta_deg = 45\n"))
         assert cfg.trainer_config(1).theta == pytest.approx(math.pi / 4, abs=1e-15)
@@ -146,7 +173,7 @@ class TestBuildFederation:
         fed, x0 = build_federation(cfg, seed=1)
         assert fed.m == 6
         assert x0.shape == (fed.dimension,)
-        assert all(c.test_objective is not None for c in fed.clients)
+        assert len(fed.test) == fed.m
 
     def test_glr_federation(self, tmp_path):
         cfg = parse_config(
@@ -160,8 +187,8 @@ class TestBuildFederation:
         assert fed.m == 3
         assert fed.dimension == cfg.glr_dim
         # Test targets come from an independent draw on matching truth.
-        a = fed.clients[0].objective
-        b = fed.clients[0].test_objective
+        a = fed.train[0]
+        b = fed.test[0]
         assert not np.array_equal(a.targets, b.targets)
 
     def test_same_seed_same_federation(self, tmp_path):
@@ -169,8 +196,8 @@ class TestBuildFederation:
         f1, x1 = build_federation(cfg, seed=2)
         f2, x2 = build_federation(cfg, seed=2)
         assert np.array_equal(x1, x2)
-        for a, b in zip(f1.clients, f2.clients):
-            assert np.array_equal(a.objective.features, b.objective.features)
+        for a, b in zip(f1.train, f2.train):
+            assert np.array_equal(a.features, b.features)
 
 
 # sha256 over every client's train and test sizes, features and labels
@@ -215,8 +242,8 @@ def test_federation_digest_is_pinned(name):
     settings, expected = FEDERATION_DIGESTS[name]
     federation, _ = build_federation(harness.ExperimentConfig(**settings), seed=3)
     digest = hashlib.sha256()
-    for client in federation.clients:
-        for obj in (client.objective, client.test_objective):
+    for pair in zip(federation.train, federation.test):
+        for obj in pair:
             digest.update(np.int64(obj.full_size).tobytes())
             digest.update(obj.features.tobytes())
             digest.update(obj.labels.tobytes())
@@ -333,6 +360,19 @@ class TestCmdRun:
         assert capsys.readouterr().err == "error: boom (seed 2, round 3)\n"
         assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["rounds_seed1.csv"]
 
+    def test_underflowed_weights_write_an_infinite_chi_square(self, tmp_path, monkeypatch):
+        # README's example: the participants' losses lie so far apart at
+        # tau0 = 0.1 that some weight of every round underflows to 0
+        text = (
+            "[trainer]\nrounds = 4\ntau0 = 0.1\n\n"
+            "[data]\nkind = glr\nparam_scale = 10\n\n[partition]\nclients = 50\n"
+        )
+        monkeypatch.setenv("ENTROFED_OUTPUT_DIR", str(tmp_path / "out"))
+        assert main(["run", "--config", str(write_cfg(tmp_path, text))]) == 0
+        lines = (tmp_path / "out" / "rounds_seed1.csv").read_text().splitlines()
+        column = lines[1].split(",").index("chi_square")
+        assert [line.split(",")[column] for line in lines[2:]] == ["inf"] * 4
+
 
 class TestCmdPartition:
     def test_writes_deterministic_partition(self, tmp_path, monkeypatch):
@@ -372,10 +412,10 @@ class TestCmdPartition:
         cfg = parse_config(cfg_path)
         federation, _ = build_federation(cfg, cfg.seeds[0])
         assert federation.m == cfg.clients
-        for cid, client in enumerate(federation.clients):
+        for cid, (train, test) in enumerate(zip(federation.train, federation.test)):
             labels = sorted(int(label) for c, _, label in rows if int(c) == cid)
-            held = np.concatenate([client.objective.labels, client.test_objective.labels])
-            assert len(labels) == client.objective.full_size + client.test_objective.full_size
+            held = np.concatenate([train.labels, test.labels])
+            assert len(labels) == train.full_size + test.full_size
             assert labels == sorted(held.tolist())
 
     def test_infeasible_partition_fails(self, tmp_path, capsys, monkeypatch):
@@ -386,6 +426,12 @@ class TestCmdPartition:
         monkeypatch.setenv("ENTROFED_OUTPUT_DIR", str(tmp_path / "p"))
         assert main(["partition", "--config", str(cfg_path)]) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_partition_export_needs_blobs(self, tmp_path, capsys, monkeypatch):
+        cfg_path = write_cfg(tmp_path, "[data]\nkind = glr\n")
+        monkeypatch.setenv("ENTROFED_OUTPUT_DIR", str(tmp_path / "p"))
+        assert main(["partition", "--config", str(cfg_path)]) == 1
+        assert "data.kind = blobs" in capsys.readouterr().err
 
 
 class TestCmdOracle:

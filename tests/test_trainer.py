@@ -18,7 +18,6 @@ from entrofed.objectives import (
 )
 from entrofed.stacks import stack_objectives
 from entrofed.trainer import (
-    Client,
     Federation,
     TrainerConfig,
     aggregate_model_alignment,
@@ -57,23 +56,19 @@ class FlatObjective(LocalObjective):
 
 
 def toy_federation():
-    return Federation(
-        (Client(QuadraticObjective(2, 2)), Client(QuadraticObjective(0.5, -4)))
-    )
+    return Federation((QuadraticObjective(2, 2), QuadraticObjective(0.5, -4)))
 
 
 def quadratic_federation(seed=123, m=10, scale=0.5):
     rng = SeededRng(seed)
     curvatures = 0.3 + 0.5 * rng.uniforms(m)
     centers = scale * (2 * rng.uniforms(m) - 1)
-    return Federation(
-        tuple(Client(QuadraticObjective(a, c)) for a, c in zip(curvatures, centers))
-    )
+    return Federation(tuple(QuadraticObjective(a, c) for a, c in zip(curvatures, centers)))
 
 
 def start_losses(federation, x):
     """Every client's train loss at x, as run_round takes them."""
-    return np.array([c.objective.loss(x) for c in federation.clients])
+    return np.array([o.loss(x) for o in federation.train])
 
 
 class TestSampleClients:
@@ -454,7 +449,7 @@ class TestRunRound:
             assert sum(r.extra_comm for r in reports) == 0
 
     def test_identical_clients_reduce_to_single_delta(self):
-        fed = Federation(tuple(Client(QuadraticObjective(1.0, 2.0)) for _ in range(4)))
+        fed = Federation(tuple(QuadraticObjective(1.0, 2.0) for _ in range(4)))
         # K=1: full and one-step deltas coincide, so the aggregate equals the
         # common client delta for any alpha.
         cfg = self._cfg(clients_per_round=4, theta=math.pi / 2, local_steps=1)
@@ -465,7 +460,7 @@ class TestRunRound:
         assert x_next[0] == pytest.approx(x[0] + single.deltas[0, 0], abs=1e-12)
 
     def test_identical_clients_blend_matches_single_client(self):
-        fed = Federation(tuple(Client(QuadraticObjective(1.0, 2.0)) for _ in range(4)))
+        fed = Federation(tuple(QuadraticObjective(1.0, 2.0) for _ in range(4)))
         cfg = self._cfg(clients_per_round=4, theta=math.pi / 2, local_steps=2)
         x = np.array([0.5])
         x_next, _, _ = run_round(fed, x, cfg, 1, SeededRng(0), start_losses(fed, x))
@@ -526,8 +521,8 @@ class TestRunTraining:
             seed=2,
         )
         _, x = run_training(fed, cfg)
-        losses = np.array([c.objective.loss(x) for c in fed.clients])
-        grads = np.array([c.objective.gradient(x)[0] for c in fed.clients])
+        losses = np.array([o.loss(x) for o in fed.train])
+        grads = np.array([o.gradient(x)[0] for o in fed.train])
         p = softmax_temperature(losses, 1.0)
         assert abs(np.dot(p, grads)) < 1e-3
 
@@ -622,17 +617,20 @@ class TestRunTraining:
         train = GlrObjective(rng.normals(12).reshape(4, 3), rng.normals(4))
         test = GlrObjective(rng.normals(8).reshape(4, 2), rng.normals(4))
         with pytest.raises(ValueError, match="one dimension"):
-            Federation((Client(train), Client(train, test)))
-        assert Federation((Client(train), Client(train, train))).dimension == 3
+            Federation((train, train), (train, test))
+        with pytest.raises(ValueError, match="2 test objectives for 3 clients"):
+            Federation((train, train, train), (train, train))
+        assert Federation((train, train), (train, train)).dimension == 3
 
     def test_eval_stack_reuses_the_train_stack_without_test_objectives(self):
         # the data are stacked once when every client evaluates on its
-        # training objective, and twice only when some client holds a test set
+        # training objective, and twice only when the federation holds test
+        # objectives, even ones that repeat the training objectives
         rng = SeededRng(9)
         objs = [GlrObjective(rng.normals(12).reshape(4, 3), rng.normals(4)) for _ in range(3)]
-        own = Federation(tuple(Client(o) for o in objs))
+        own = Federation(objs)
         assert own.eval_stack is own.train_stack
-        held_out = Federation(tuple(Client(o, o) for o in objs[:2]) + (Client(objs[2]),))
+        held_out = Federation(objs, objs)
         assert held_out.eval_stack is not held_out.train_stack
         x = rng.normals(3)
         assert np.array_equal(held_out.eval_stack.evaluate(x)[0], own.eval_stack.evaluate(x)[0])
@@ -644,7 +642,9 @@ def classifier_federation(m, seed=0, d=4, classes=3):
     def obj(n):
         return ClassifierObjective(rng.normals(n * d).reshape(n, d), rng.integers(n, classes), classes)
 
-    return Federation(tuple(Client(obj(1 + i % 7), obj(1 + i % 3)) for i in range(m)))
+    # each client draws its train objective, then its test objective
+    pairs = [(obj(1 + i % 7), obj(1 + i % 3)) for i in range(m)]
+    return Federation(*zip(*pairs))
 
 
 class TestTelemetryCallCounts:
@@ -719,7 +719,8 @@ class TestTelemetryCallCounts:
         def obj(n):
             return GlrObjective(rng.normals(n * 3).reshape(n, 3), rng.normals(n))
 
-        fed = Federation(tuple(Client(obj(1 + i % 7), obj(2 + i % 3)) for i in range(30)))
+        pairs = [(obj(1 + i % 7), obj(2 + i % 3)) for i in range(30)]
+        fed = Federation(*zip(*pairs))
         per_round = self.per_round_calls(monkeypatch, GlrObjective, fed, method)
         branches = {branch for branch, _ in per_round}
         assert branches == ({"plain", "aligned"} if method == "fedeba_plus" else {"plain"})
