@@ -9,6 +9,7 @@ functions are stateless.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,11 +34,11 @@ class EbaConfig:
     prior: str = "uniform"
 
     def __post_init__(self):
-        if not self.tau0 > 0:
+        if not (math.isfinite(self.tau0) and self.tau0 > 0):
             raise ValueError("tau0 must be positive")
         if self.schedule not in self.SCHEDULES:
             raise ValueError(f"schedule must be one of {self.SCHEDULES}")
-        if self.decay < 0:
+        if not (math.isfinite(self.decay) and self.decay >= 0):
             raise ValueError("decay must be >= 0")
         if self.prior not in self.PRIORS:
             raise ValueError(f"prior must be one of {self.PRIORS}")
@@ -51,9 +52,9 @@ class QfflConfig:
     lipschitz: float = 1.0
 
     def __post_init__(self):
-        if self.q < 0:
+        if not (math.isfinite(self.q) and self.q >= 0):
             raise ValueError("q must be >= 0")
-        if not self.lipschitz > 0:
+        if not (math.isfinite(self.lipschitz) and self.lipschitz > 0):
             raise ValueError("lipschitz must be positive")
 
 

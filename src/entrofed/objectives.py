@@ -288,9 +288,9 @@ class ClassifierObjective(LocalObjective):
         return self._backprop(arr, feats, dlogits, act)
 
     def _backprop(self, arr, feats, dlogits, act) -> np.ndarray:
-        """Gradient at ``arr`` of a weighted sum of the rows' cross-entropies,
-        from ``dlogits`` (each row's gradient in its logits, times its
-        weight) and the forward pass's hidden activations."""
+        """Gradient at ``arr`` of the batch's mean cross-entropy, from
+        ``dlogits`` (each row's gradient in its logits, over the batch size)
+        and the forward pass's hidden activations."""
         if self.hidden == 0:
             return np.concatenate([(feats.T @ dlogits).ravel(), dlogits.sum(axis=0)])
         w2 = self._unpack(arr)[2]

@@ -4,8 +4,9 @@
 of objectives: a family stack for GLR or classifier clients, which copies
 their samples once and evaluates them in passes of whole segments of
 equal-size clients, or the per-objective loop for other families. The
-federation's telemetry, local SGD's cohort steps and the fair-angle
-branch's start gradients all evaluate clients through these.
+federation's telemetry (train losses, test losses and accuracies), local
+SGD's cohort steps and the fair-angle branch's start gradients all evaluate
+clients through these.
 """
 
 from __future__ import annotations
@@ -34,30 +35,25 @@ class ObjectiveStack:
     """Full-batch passes over many objectives. :meth:`losses` and
     :meth:`gradients` take each objective at a parameter vector of its own,
     or at one shared vector, and :meth:`gradients` takes a step of
-    :meth:`minibatches` for local SGD. At one parameter vector, the two
-    telemetry passes are built on them: :meth:`evaluate` gives losses and
-    accuracies (the test side) and :meth:`losses_and_mean_gradient` losses
-    and the mean of the per-client gradient rows (the train side).
+    :meth:`minibatches` for local SGD. A round's telemetry makes two passes
+    at one parameter vector: :meth:`losses` on the train side, and
+    :meth:`evaluate`, losses and accuracies, on the test side.
 
     This base form calls each objective in turn; quadratics and mixed
     families use it. :func:`stack_objectives` returns a family stack for GLR
-    or classifier objectives, which implements ``losses`` and ``gradients``
-    and overrides a telemetry pass only where that was measured to pay. A
-    family stack copies the samples once, in ascending client size, and
-    evaluates them in passes of whole segments of equal-size clients (see
-    ``STACK_BLOCK_ROWS``). Within a pass, only
-    the matmuls, the per-client bias adds and the per-client row sums and
-    means run segment by segment; they make the BLAS calls and the row
-    reductions of each client's own ``loss``, ``accuracy`` and ``gradient``.
-    The classifier stack runs its activations, softmax and other row-wise
-    arithmetic once over all rows of the pass. So losses, accuracies and
-    gradients at per-client parameters are bitwise equal to per-client
-    calls, full sets and minibatches alike, and so is the GLR stack's mean
-    gradient the mean of per-client gradients. The classifier stack's train
-    pass is one backward pass per pass with every row scaled by 1/(m n_i):
-    on 1000 softmax clients it takes about half the time of ``losses`` plus
-    ``gradients``, and agrees with the mean of per-client gradients up to
-    summation order.
+    or classifier objectives, which implements ``losses``, ``gradients`` and
+    ``evaluate``; the classifier stack's ``evaluate`` takes losses and
+    accuracies from one forward pass. A family stack copies the samples
+    once, in ascending client size, and evaluates them in passes of whole
+    segments of equal-size clients (see ``STACK_BLOCK_ROWS``). Within a
+    pass, only the matmuls, the per-client bias adds and the per-client row
+    sums and means run segment by segment; they make the BLAS calls and the
+    row reductions of each client's own ``loss``, ``accuracy`` and
+    ``gradient``. The classifier stack runs its activations, softmax and
+    other row-wise arithmetic once over all rows of the pass. So losses,
+    accuracies and gradients, at one shared vector or at per-client
+    parameters, full sets and minibatches alike, are bitwise equal to
+    per-client calls.
     """
 
     def __init__(self, objectives):
@@ -72,10 +68,6 @@ class ObjectiveStack:
         """Losses and accuracies (NaN for families without one) at x."""
         accs = [o.accuracy(x) if hasattr(o, "accuracy") else np.nan for o in self.objectives]
         return self.losses(x), np.array(accs)
-
-    def losses_and_mean_gradient(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Losses at x and the mean of the gradients there."""
-        return self.losses(x), self.gradients(x).mean(axis=0)
 
     def losses(self, xs: np.ndarray) -> np.ndarray:
         """Entry i is ``objectives[i].loss(xs[i])``: every objective's
@@ -316,12 +308,12 @@ class _ClassifierStack(_RowStack):
             np.matmul(rows[rs].reshape(c, n, -1).swapaxes(-1, -2), d, out=dw[cs])
             np.add.reduce(d, axis=-2, keepdims=True, out=db[cs])
 
-    def _dlogits(self, p, logp, scale=1):
-        """The gradient of each row's cross-entropy in its logits, over
-        ``scale`` times its client's row count: one division per segment."""
+    def _dlogits(self, p, logp):
+        """The gradient of each row's cross-entropy in its logits, over its
+        client's row count: one division per segment."""
         dlogits = self._model._probs_minus_labels(logp, p.targets)
         for _, rs, _, n in p.segments:
-            dlogits[rs] /= scale * n
+            dlogits[rs] /= n
         return dlogits
 
     def _pass_gradients(self, p, xs, out):
@@ -345,19 +337,6 @@ class _ClassifierStack(_RowStack):
             losses[p.clients] = self._mean_losses(p, self._model._log_softmax(logits))
             accs[p.clients] = self._means(p, logits.argmax(axis=-1) == p.targets)
         return losses[self._inverse], accs[self._inverse]
-
-    def losses_and_mean_gradient(self, x):
-        model = self._model
-        arr = model._check_x(x)
-        losses = np.empty(self.m)
-        grad = np.zeros_like(arr)
-        for p in self._chunks:
-            logits, act = self._layers(p, arr)
-            logp = model._log_softmax(logits)
-            losses[p.clients] = self._mean_losses(p, logp)
-            # the pass's rows as one batch, each scaled by 1/(m n)
-            grad += model._backprop(arr, p.inputs, self._dlogits(p, logp, self.m), act)
-        return losses[self._inverse], grad
 
 
 def stack_objectives(objectives) -> ObjectiveStack:

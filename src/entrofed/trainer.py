@@ -77,7 +77,7 @@ class TrainerConfig:
     def __post_init__(self):
         if self.rounds < 1 or self.local_steps < 1 or self.clients_per_round < 1:
             raise ValueError("rounds, local_steps and clients_per_round must be >= 1")
-        if not self.local_lr > 0 or not self.global_lr > 0:
+        if not all(math.isfinite(lr) and lr > 0 for lr in (self.local_lr, self.global_lr)):
             raise ValueError("learning rates must be positive")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must be in [0, 1]")
@@ -163,7 +163,6 @@ class RoundReport:
     sampled: np.ndarray
     weights: np.ndarray
     global_train_loss: float
-    global_grad_norm: float
     loss_variance: float
     accuracy_variance: float
     worst_tail_accuracy: float
@@ -412,7 +411,7 @@ def run_round(
         delta = aggregate_plain(update.deltas, weights)
     x_next = server_update(x_t, delta, server_lr)
 
-    train_next, mean_gradient = federation.train_stack.losses_and_mean_gradient(x_next)
+    train_next = federation.train_stack.losses(x_next)
     fairness = evaluate_fairness(federation.eval_stack, x_next, cfg.k_percent)
     report = RoundReport(
         round_index=round_index,
@@ -422,7 +421,6 @@ def run_round(
         sampled=sampled,
         weights=weights,
         global_train_loss=float(train_next.mean()),
-        global_grad_norm=float(np.linalg.norm(mean_gradient)),
         loss_variance=fairness.loss_variance,
         accuracy_variance=fairness.accuracy_variance,
         worst_tail_accuracy=fairness.worst_tail_accuracy,

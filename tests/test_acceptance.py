@@ -147,9 +147,16 @@ def test_criterion_5_convergence_smoke():
             method="fedeba_plus",
             seed=1,
         )
-        reports, _ = run_training(fed, cfg)
-        norms_sq = np.array([r.global_grad_norm for r in reports]) ** 2
-        assert reports[-1].global_grad_norm < 1e-3
+        norms = []
+        run_training(
+            fed,
+            cfg,
+            on_round=lambda rep, x: norms.append(
+                np.linalg.norm(fed.train_stack.gradients(x).mean(axis=0))
+            ),
+        )
+        norms_sq = np.array(norms) ** 2
+        assert norms[-1] < 1e-3
         running_min = np.minimum.accumulate(norms_sq)
         assert np.all(np.diff(running_min) <= 0)
 

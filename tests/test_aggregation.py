@@ -1,5 +1,7 @@
 """Weighting strategies, temperature schedules, and the q-FFL weights and step length."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -286,6 +288,21 @@ class TestConfigValidation:
             QfflConfig(q=-1.0)
         with pytest.raises(ValueError):
             QfflConfig(lipschitz=0.0)
+
+    # the config file's numbers must be finite; so must the dataclasses'
+    @pytest.mark.parametrize(
+        "make, name",
+        [
+            (lambda v: EbaConfig(tau0=v), "tau0"),
+            (lambda v: EbaConfig(decay=v), "decay"),
+            (lambda v: QfflConfig(q=v), "q"),
+            (lambda v: QfflConfig(lipschitz=v), "lipschitz"),
+        ],
+    )
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_settings_are_rejected(self, make, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            make(value)
 
     def test_eba_weights_inherit_softmax_invariants(self):
         rng = SeededRng(3)

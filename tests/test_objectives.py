@@ -320,8 +320,8 @@ class TestStackedEvaluation:
     """The stacked evaluator against per-client loss/accuracy/gradient:
     one-pass family stacks for GLR and classifiers, the loop for quadratics.
     At one parameter vector, ``evaluate`` is the test pass (losses and
-    accuracies) and ``losses_and_mean_gradient`` the train pass (losses and
-    the client-mean gradient)."""
+    accuracies) and ``losses`` the train pass; ``gradients`` there gives the
+    fair-angle branch's start gradients."""
 
     @pytest.mark.parametrize("family", sorted(STACK_FAMILIES))
     @given(
@@ -345,7 +345,8 @@ class TestStackedEvaluation:
             stack = stack_objectives(objs)
             assert (type(stack) is ObjectiveStack) == (family == "quadratic")
             losses, accuracies = stack.evaluate(x)
-            train_losses, mean_gradient = stack.losses_and_mean_gradient(x)
+            train_losses = stack.losses(x)
+            gradients = stack.gradients(x)
         if family != "quadratic":
             # the pass cap: the block for GLR; for classifiers, the block of
             # 10-class rows over the wider of 3 classes and the hidden width
@@ -368,16 +369,8 @@ class TestStackedEvaluation:
             assert np.isnan(accuracies).all()
         else:
             assert np.array_equal(accuracies, [o.accuracy(x) for o in objs])
-        grads = np.array([o.gradient(x) for o in objs])
-        if family in ("quadratic", "glr"):
-            # the mean of the gradient rows, whatever the pass layout
-            assert np.array_equal(mean_gradient, grads.mean(axis=0))
-        else:
-            # one backward pass per pass: a sum of m terms is good to
-            # rounding relative to the terms' size
-            np.testing.assert_allclose(
-                mean_gradient, grads.mean(axis=0), rtol=1e-12, atol=1e-12 * np.abs(grads).max()
-            )
+        # at the shared vector too, whatever the pass layout
+        assert np.array_equal(gradients, [o.gradient(x) for o in objs])
         assert np.array_equal(stack.sizes, [o.full_size for o in objs])
         # At per-client parameters, full sets and one minibatch step, bit for
         # bit and in objective order, whatever order the stack keeps inside.
@@ -405,13 +398,10 @@ class TestStackedEvaluation:
         x = 0.5 * rng.normals(objs[0].dimension)
         want = [o.loss(x) for o in objs]
         losses, accuracies = stack.evaluate(x)
-        train_losses, mean_gradient = stack.losses_and_mean_gradient(x)
+        train_losses = stack.losses(x)
         assert np.array_equal(losses, want) and np.array_equal(train_losses, want)
         assert np.array_equal(accuracies, [o.accuracy(x) for o in objs])
-        grads = np.array([o.gradient(x) for o in objs])
-        np.testing.assert_allclose(
-            mean_gradient, grads.mean(axis=0), rtol=1e-12, atol=1e-12 * np.abs(grads).max()
-        )
+        assert np.array_equal(stack.gradients(x), [o.gradient(x) for o in objs])
         xs = 0.5 * rng.normals(len(objs) * objs[0].dimension).reshape(len(objs), -1)
         assert np.array_equal(stack.losses(xs), [o.loss(x) for o, x in zip(objs, xs)])
         assert np.array_equal(stack.gradients(xs), [o.gradient(x) for o, x in zip(objs, xs)])
@@ -427,14 +417,14 @@ class TestStackedEvaluation:
             x = 0.5 * rng.normals(objs[0].dimension)
             stack = stack_objectives(objs)
             test_losses, _ = stack.evaluate(x)
-            train_losses, _ = stack.losses_and_mean_gradient(x)
+            train_losses = stack.losses(x)
             assert np.array_equal(test_losses, train_losses), family
             assert np.array_equal(train_losses, [o.loss(x) for o in objs]), family
 
     @pytest.mark.parametrize("loop", [False, True])
     def test_each_pass_returns_only_what_its_caller_reads(self, monkeypatch, loop):
         # The classifier stack makes no per-client call at all; the loop
-        # calls accuracy only in the test pass, gradient only in the train
+        # calls accuracy only in the test pass, and neither in the train
         # pass.
         rng = SeededRng(35)
         objs = [random_classifier(rng, n=5), random_classifier(rng, n=6)]
@@ -453,9 +443,8 @@ class TestStackedEvaluation:
         assert losses.shape == accuracies.shape == (2,)
         assert calls == (["accuracy"] * 2 if loop else [])
         calls.clear()
-        losses, mean_gradient = stack.losses_and_mean_gradient(x)
-        assert losses.shape == (2,) and mean_gradient.shape == x.shape
-        assert calls == (["gradient"] * 2 if loop else [])
+        assert stack.losses(x).shape == (2,)
+        assert calls == []
 
     @pytest.mark.parametrize("family", sorted(STACK_FAMILIES))
     def test_full_sets_at_own_parameters_are_bitwise_per_client(self, family):
@@ -526,6 +515,5 @@ class TestStackedEvaluation:
         losses, accuracies = stack.evaluate(np.array([0.5]))
         assert np.array_equal(losses, [o.loss([0.5]) for o in objs])
         assert np.isnan(accuracies).all()
-        losses, mean_gradient = stack.losses_and_mean_gradient(np.array([0.5]))
-        assert np.array_equal(losses, [o.loss([0.5]) for o in objs])
-        assert mean_gradient.shape == (1,)
+        assert np.array_equal(stack.losses(np.array([0.5])), [o.loss([0.5]) for o in objs])
+        assert np.array_equal(stack.gradients(np.array([0.5])), [o.gradient([0.5]) for o in objs])

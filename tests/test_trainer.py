@@ -602,6 +602,14 @@ class TestRunTraining:
         with pytest.raises(ValueError):
             TrainerConfig(rounds=1, local_steps=1, clients_per_round=1, local_lr=0.1, method="sgd")
 
+    @pytest.mark.parametrize("name", ["local_lr", "global_lr"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_learning_rates(self, name, value):
+        # the config file rejects them too
+        kw = dict(rounds=1, local_steps=1, clients_per_round=1, local_lr=0.1)
+        with pytest.raises(ValueError, match="learning rates"):
+            TrainerConfig(**{**kw, name: value})
+
     @pytest.mark.parametrize("k_percent", [0.0, -5.0, 100.5, math.nan])
     def test_rejects_tail_share_before_training(self, k_percent):
         # the tail means of the first round's telemetry would raise only
@@ -644,6 +652,17 @@ def classifier_federation(m, seed=0, d=4, classes=3):
 
     # each client draws its train objective, then its test objective
     pairs = [(obj(1 + i % 7), obj(1 + i % 3)) for i in range(m)]
+    return Federation(*zip(*pairs))
+
+
+def glr_federation():
+    rng = SeededRng(11)
+
+    def obj(n):
+        return GlrObjective(rng.normals(n * 3).reshape(n, 3), rng.normals(n))
+
+    # each client draws its train objective, then its test objective
+    pairs = [(obj(1 + i % 7), obj(2 + i % 3)) for i in range(30)]
     return Federation(*zip(*pairs))
 
 
@@ -714,18 +733,37 @@ class TestTelemetryCallCounts:
 
     @pytest.mark.parametrize("method", ["fedeba_plus", "fedavg", "qffl"])
     def test_no_per_client_calls_with_glr_clients(self, monkeypatch, method):
-        rng = SeededRng(11)
-
-        def obj(n):
-            return GlrObjective(rng.normals(n * 3).reshape(n, 3), rng.normals(n))
-
-        pairs = [(obj(1 + i % 7), obj(2 + i % 3)) for i in range(30)]
-        fed = Federation(*zip(*pairs))
-        per_round = self.per_round_calls(monkeypatch, GlrObjective, fed, method)
+        per_round = self.per_round_calls(monkeypatch, GlrObjective, glr_federation(), method)
         branches = {branch for branch, _ in per_round}
         assert branches == ({"plain", "aligned"} if method == "fedeba_plus" else {"plain"})
         for branch, c in per_round:
             assert c == {"loss": 0, "gradient": 0}, branch
+
+    @pytest.mark.parametrize("family", [ClassifierObjective, GlrObjective])
+    def test_one_train_and_one_test_pass_per_round(self, monkeypatch, family):
+        # the train side gives losses only, once at x0 and once per round:
+        # no round takes a gradient pass over every client
+        fed = classifier_federation(20) if family is ClassifierObjective else glr_federation()
+        calls = dict.fromkeys(
+            [("train", "losses"), ("train", "gradients"), ("eval", "evaluate")], 0
+        )
+        for side, name in calls:
+            stack = fed.train_stack if side == "train" else fed.eval_stack
+            original = getattr(stack, name)
+
+            def counted(*args, _key=(side, name), _original=original):
+                calls[_key] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(stack, name, counted)
+        per_round = self.per_round_calls(monkeypatch, family, fed, "fedeba_plus")
+        assert {branch for branch, _ in per_round} == {"plain", "aligned"}
+        rounds = len(per_round)
+        assert calls == {
+            ("train", "losses"): rounds + 1,
+            ("train", "gradients"): 0,
+            ("eval", "evaluate"): rounds,
+        }
 
 
 class TestReportRetention:
