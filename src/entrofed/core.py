@@ -279,7 +279,11 @@ def fair_angle(losses) -> float:
     """Angle (radians) between the loss vector and the all-ones direction.
 
     arccos(<L, 1> / (||L|| * ||1||)). For nonnegative losses the result lies
-    in [0, pi/2]; zero iff all losses are equal. The all-zero vector has no
+    in [0, pi/2]. It is zero when the rounded cosine is 1, which equal losses
+    need not give: near a cosine of 1, arccos resolves no angle below about
+    sqrt(machine epsilon), so equal or near-equal losses give either 0 or
+    about 1e-8, never their true angle (20 equal losses of log 10 give
+    2.58e-8; 5 losses of 1.0 give 2.1e-8). The all-zero vector has no
     direction and is rejected. The angle is scale-free, so a vector whose
     largest loss lies outside [2**-500, 2**500], where the squares in the
     norm would overflow or underflow, is first divided by that loss.

@@ -133,9 +133,14 @@ def _seed_list(s: str) -> tuple[int, ...]:
     if not parts:
         raise ValueError("need at least one seed")
     try:
-        return tuple(int(p) for p in parts)
+        seeds = tuple(int(p) for p in parts)
     except ValueError:
         raise ValueError(f"seeds must be integers, got {s!r}") from None
+    # each seed names its own rounds_seed<N>.csv and summary row
+    for i, seed in enumerate(seeds):
+        if seed in seeds[:i]:
+            raise ValueError(f"seeds must be distinct, got {seed} more than once")
+    return seeds
 
 
 def _key(section: str, default, convert, key: str | None = None):

@@ -132,6 +132,39 @@ class GlrObjective(LocalObjective):
         return X.T @ (X @ w - y) / len(y)
 
 
+def _column_sums(a: np.ndarray) -> np.ndarray:
+    """``a.sum(axis=0)`` in the order numpy's pairwise sum gives each row of
+    a C-ordered ``a.T``, so bit for bit that row sum but for the sign and
+    payload of a NaN. It sums in place: ``a`` is overwritten, and the
+    result may be a view of it.
+
+    Below 8 terms the sum is sequential. Up to 128 it keeps 8 interleaved
+    partial sums, combined as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, and
+    adds the remainder in sequence. Above 128 it sums two halves, split at a
+    multiple of 8. Numpy's sum starts from +0.0, which only turns a column
+    of -0.0 to +0.0; adding +0.0 to the first term does the same.
+    """
+    n = a.shape[0]
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _column_sums(a[:half]) + _column_sums(a[half:])
+    out = a[0]
+    out += 0.0
+    if n < 8:
+        for row in a[1:]:
+            out += row
+        return out
+    r = a[:8]
+    for i in range(8, n - n % 8, 8):
+        r += a[i : i + 8]
+    r[::2] += r[1::2]
+    r[::4] += r[2::4]
+    out += r[4]
+    for row in a[n - n % 8 :]:
+        out += row
+    return out
+
+
 _ACTIVATIONS = ("identity", "tanh", "relu")
 
 
@@ -254,13 +287,16 @@ class ClassifierObjective(LocalObjective):
 
     @staticmethod
     def _log_softmax(logits: np.ndarray) -> np.ndarray:
-        # The row max down the columns of a (classes, rows) copy: numpy
-        # reduces a short last axis one row at a time. A max is exact, so
-        # this is max(axis=-1) bit for bit, but for the sign and payload of
-        # a NaN, which max(axis=-1) resets.
-        top = logits.reshape(-1, logits.shape[-1]).T.copy().max(axis=0)
-        z = logits - top.reshape(*logits.shape[:-1], 1)
-        return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+        # Class-major: numpy reduces a short last axis one row at a time, so
+        # the row max and row sum run down the columns of one (classes,
+        # rows) copy. A max is exact, and _column_sums keeps numpy's
+        # pairwise order, so this is z - log(exp(z).sum(axis=-1)) for z =
+        # logits - logits.max(axis=-1) bit for bit, but for the sign and
+        # payload of a NaN.
+        z = logits.reshape(-1, logits.shape[-1]).T.copy()
+        z -= z.max(axis=0)
+        z -= np.log(_column_sums(np.exp(z)))
+        return z.T.reshape(logits.shape)
 
     @staticmethod
     def _probs_minus_labels(logp: np.ndarray, labels: np.ndarray) -> np.ndarray:

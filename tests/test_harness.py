@@ -117,6 +117,12 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="duplicate key"):
             parse_config(path)
 
+    def test_repeated_seed_reports_field(self, tmp_path):
+        # a repeated seed would train twice and overwrite its own round CSV
+        path = write_cfg(tmp_path, "[run]\nseeds = 3, 1, 3\n")
+        with pytest.raises(ConfigError, match=r"run\.seeds: seeds must be distinct, got 3.*line 2"):
+            parse_config(path)
+
     def test_bad_number_reports_field(self, tmp_path):
         path = write_cfg(tmp_path, "[trainer]\nrounds = soon\n")
         with pytest.raises(ConfigError, match=r"trainer\.rounds.*integer"):

@@ -14,6 +14,7 @@ from entrofed.objectives import (
     ClassifierObjective,
     GlrObjective,
     QuadraticObjective,
+    _column_sums,
     finite_diff_gradient,
     glr_least_squares,
 )
@@ -256,20 +257,28 @@ EDGE_ROWS = np.array(
 )
 
 
-def class_axis_arrays():
-    """(r, C) rows or (c, r, C) stacks of edge values and ordinary floats."""
+@st.composite
+def class_axis_arrays(draw):
+    """(r, C) rows or (c, r, C) stacks of edge values and ordinary floats.
+    The class axis takes each of _column_sums's branches: below 8 terms, up
+    to 128, and above. Hypothesis fills most of a large array with one
+    value, so entries are taken from it, from normal draws at a spread
+    where the sum's order shows, or from a mix of the two."""
     edges = st.sampled_from([0.0, -0.0, 1.0, np.inf, -np.inf, np.nan, -746.0, 800.0])
-    return hnp.arrays(
-        np.float64,
-        hnp.array_shapes(min_dims=2, max_dims=3, max_side=5),
-        elements=st.one_of(edges, st.floats()),
-    )
+    classes = st.one_of(st.integers(1, 7), st.integers(8, 128), st.integers(129, 300))
+    shape = (*draw(hnp.array_shapes(min_dims=1, max_dims=2, max_side=5)), draw(classes))
+    drawn = draw(hnp.arrays(np.float64, shape, elements=st.one_of(edges, st.floats())))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spread = rng.normal(0.0, draw(st.sampled_from([1.0, 30.0])), shape)
+    return np.where(rng.random(shape) < draw(st.sampled_from([1.0, 0.5, 0.0])), drawn, spread)
 
 
 def same_bits(a, b):
     """Equal bit patterns, so the sign of a zero counts; NaN matches NaN
-    whatever its sign and payload, since numpy's max over a short last axis
-    returns the default NaN and an elementwise maximum keeps its input's."""
+    whatever its sign and payload. Numpy's max over a short last axis
+    returns the default NaN where an elementwise maximum keeps its input's,
+    and a NaN's bits also differ between numpy's row sum and _column_sums,
+    whose finite sums and zeros match it bit for bit."""
     nan = np.isnan(a)
     return (
         a.shape == b.shape
@@ -294,6 +303,26 @@ class TestClassAxisKernels:
             got = ClassifierObjective._log_softmax(logits)
         assert same_bits(got, want)
 
+    def test_column_sums_are_numpys_row_sums(self):
+        # Every length up to 300 takes each branch of numpy's pairwise sum
+        # at and around its branch points (8, 128 and the halves' multiples
+        # of 8). The reference is the C-ordered transpose: numpy sums the
+        # rows of the a.T view itself in memory order, one term at a time.
+        rng = np.random.default_rng(18)
+        for n in range(1, 301):
+            a = rng.standard_normal((n, 12)) * 10.0 ** rng.uniform(-8.0, 8.0, (n, 12))
+            a[:, 1] = -0.0
+            a[:, 2] = 0.0
+            a[:, 3] = rng.choice([0.0, -0.0], n)
+            a[:, 4:6] = np.exp(rng.uniform(-800.0, 10.0, (n, 2)))  # softmax terms, 0s too
+            edges = rng.random((n, 6)) < 0.1
+            a[:, 6:][edges] = rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan], edges.sum())
+            with np.errstate(invalid="ignore"):
+                want = np.ascontiguousarray(a.T).sum(axis=-1)
+                got = _column_sums(a.copy())
+            assert same_bits(got, want), n
+            assert not np.signbit(got[1]), n  # numpy's sum starts from +0.0
+
     @given(logp=class_axis_arrays(), seed=st.integers(0, 2**32 - 1))
     @example(logp=EDGE_ROWS, seed=0)
     @example(logp=EDGE_ROWS.reshape(3, 4, 4), seed=1)
@@ -313,6 +342,13 @@ STACK_FAMILIES = {
     "softmax": lambda rng, n: random_classifier(rng, n=n, d=4, c=3),
     "mlp-tanh": lambda rng, n: random_classifier(rng, 5, "tanh", n=n, d=4, c=3),
     "mlp-relu": lambda rng, n: random_classifier(rng, 5, "relu", n=n, d=4, c=3),
+}
+# The workloads' 10 classes, and 130, which take the log-softmax's row sum
+# through _column_sums's 8-term and halving branches.
+WIDE_STACK_FAMILIES = {
+    "softmax-c10": lambda rng, n: random_classifier(rng, n=n, d=4, c=10),
+    "mlp-tanh-c10": lambda rng, n: random_classifier(rng, 5, "tanh", n=n, d=4, c=10),
+    "softmax-c130": lambda rng, n: random_classifier(rng, n=n, d=4, c=130),
 }
 
 
@@ -338,8 +374,23 @@ class TestStackedEvaluation:
     @example(sizes=[3, 1, 4 * STACK_BLOCK_ROWS, 1], block=STACK_BLOCK_ROWS, seed=2)
     @settings(max_examples=40, deadline=None)
     def test_matches_per_client_calls(self, family, sizes, block, seed):
+        self.check_matches_per_client_calls(family, sizes, block, seed)
+
+    @pytest.mark.parametrize("family", sorted(WIDE_STACK_FAMILIES))
+    @given(
+        sizes=st.lists(st.integers(1, 40), min_size=1, max_size=12),
+        block=st.integers(1, 64),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(sizes=[8] * 300 + [3, 1, 700], block=STACK_BLOCK_ROWS, seed=3)
+    @settings(max_examples=8, deadline=None)
+    def test_matches_per_client_calls_at_wide_class_axes(self, family, sizes, block, seed):
+        self.check_matches_per_client_calls(family, sizes, block, seed)
+
+    @staticmethod
+    def check_matches_per_client_calls(family, sizes, block, seed):
         rng = SeededRng(seed)
-        objs = [STACK_FAMILIES[family](rng, n) for n in sizes]
+        objs = [{**STACK_FAMILIES, **WIDE_STACK_FAMILIES}[family](rng, n) for n in sizes]
         x = 0.5 * rng.normals(objs[0].dimension)
         with mock.patch.object(stacks, "STACK_BLOCK_ROWS", block):
             stack = stack_objectives(objs)
@@ -349,8 +400,14 @@ class TestStackedEvaluation:
             gradients = stack.gradients(x)
         if family != "quadratic":
             # the pass cap: the block for GLR; for classifiers, the block of
-            # 10-class rows over the wider of 3 classes and the hidden width
-            cap = {"glr": block, "softmax": block * 10 // 3}.get(family, block * 10 // 5)
+            # 10-class rows over the wider of the classes and the hidden width
+            cap = {
+                "glr": block,
+                "softmax": block * 10 // 3,
+                "softmax-c10": block,
+                "mlp-tanh-c10": block,
+                "softmax-c130": max(1, block * 10 // 130),
+            }.get(family, block * 10 // 5)
             assert stack._cap == cap
             # a segment holds up to max(1, cap // n) clients of n samples
             runs = Counter(sizes)
