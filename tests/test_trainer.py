@@ -2,14 +2,24 @@
 
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from entrofed import trainer
-from entrofed.aggregation import EbaConfig
-from entrofed.core import SeededRng, fair_angle, softmax_temperature
+from entrofed.aggregation import (
+    EbaConfig,
+    data_ratio_weights,
+    eba_weights,
+    qffl_step,
+    schedule_tau,
+    uniform_weights,
+)
+from entrofed.analysis import population_variance, tail_mean
+from entrofed.core import SeededRng, chi_square_divergence, fair_angle, softmax_temperature
+from entrofed.harness import build_federation, parse_config
 from entrofed.objectives import (
     ClassifierObjective,
     GlrObjective,
@@ -788,3 +798,110 @@ class TestReportRetention:
                 value = getattr(report, field.name)
                 if isinstance(value, np.ndarray):
                     assert value.size <= cfg.clients_per_round, (report.round_index, field.name)
+
+
+# --- whole-run differential oracle ----------------------------------------
+
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_CASES = ("blobs-mlp", "glr-qffl", "fedavg-ratio", "eba-ratio-linear", "mlp-cohort")
+
+
+def loop_training(train, test, cfg, x0):
+    """``run_training`` as a loop over per-client objectives: client i trains
+    on ``train[i]`` and is evaluated on ``test[i]``, through their own
+    ``loss``, ``gradient`` and ``accuracy`` calls only. The sampling and
+    minibatch streams are re-derived from the run seed (tags 101 and 102),
+    and each client's local steps are :func:`reference_local_steps`.
+    Returns each round's fields as ``run_training`` reports them, and the
+    final model."""
+    root = SeededRng(cfg.seed)
+    x = np.asarray(x0, dtype=np.float64).copy()
+    losses = np.array([o.loss(x) for o in train])
+    rounds = []
+    for t in range(1, cfg.rounds + 1):
+        sampled = sample_clients(len(train), cfg.clients_per_round, root.derive(101, t))
+        start = losses[sampled]
+        angle = 0.0 if np.all(start == 0.0) else fair_angle(start)
+        eba = cfg.method == "fedeba_plus"
+        tau = schedule_tau(cfg.eba, t) if eba else float("nan")
+        aligned = eba and angle > cfg.theta
+        fair_grad = None
+        if aligned:
+            grads = np.array([train[i].gradient(x) for i in sampled])
+            fair_grad = compute_fair_gradient(grads, start, tau)
+        local = [
+            reference_local_steps(
+                train[i], x, cfg.local_steps, cfg.local_lr, cfg.batch_size,
+                root.derive(102, t, int(i)), cfg.alpha, fair_grad,
+            )
+            for i in sampled
+        ]
+        deltas = np.array([d for d, _, _ in local])
+        server_lr = cfg.global_lr
+        if cfg.method == "qffl":
+            weights, server_lr = qffl_step(deltas, start, cfg.qffl)
+        else:
+            prior = None
+            if cfg.eba.prior == "data_ratio":
+                prior = data_ratio_weights([train[i].full_size for i in sampled])
+            if eba:
+                weights = eba_weights(np.array([e for _, _, e in local]), tau, prior)
+            else:
+                weights = uniform_weights(len(sampled)) if prior is None else prior
+        if eba and not aligned:
+            one_step = np.array([s for _, s, _ in local])
+            delta = aggregate_model_alignment(deltas, one_step, weights, cfg.alpha)
+        else:
+            delta = aggregate_plain(deltas, weights)
+        x = server_update(x, delta, server_lr)
+
+        losses = np.array([o.loss(x) for o in train])
+        test_losses = np.array([o.loss(x) for o in test])
+        accs = np.array([o.accuracy(x) if hasattr(o, "accuracy") else np.nan for o in test])
+        sizes = np.array([o.full_size for o in test], dtype=np.float64)
+        chi = (
+            float("inf")
+            if np.any(weights <= 0.0)
+            else chi_square_divergence(uniform_weights(weights.size), weights)
+        )
+        rounds.append(
+            dict(
+                round_index=t,
+                tau=tau,
+                angle=angle,
+                branch="aligned" if aligned else "plain",
+                sampled=sampled,
+                weights=weights,
+                global_train_loss=float(losses.mean()),
+                loss_variance=population_variance(test_losses),
+                accuracy_variance=population_variance(accs),
+                worst_tail_accuracy=tail_mean(accs, cfg.k_percent, "worst"),
+                best_tail_accuracy=tail_mean(accs, cfg.k_percent, "best"),
+                global_accuracy=float(np.dot(sizes, accs) / sizes.sum()),
+                chi_square=chi,
+            )
+        )
+    return rounds, x
+
+
+class TestWholeRunMatchesPerClientLoop:
+    """Every golden config's run, round by round and in its final model,
+    has the bits of a loop trainer that evaluates each client on its own.
+    This is where sampling streams, stack order, weights, prior, the
+    temperature schedule, the q-FFL step and telemetry all meet."""
+
+    @pytest.mark.parametrize("name", GOLDEN_CASES)
+    def test_golden_config(self, name):
+        cfg = parse_config(GOLDEN / name / "config.cfg")
+        assert cfg.seeds == (0, 1)
+        for seed in cfg.seeds:
+            federation, x0 = build_federation(cfg, seed)
+            tcfg = cfg.trainer_config(seed)
+            reports, x = run_training(federation, tcfg, x0)
+            want, want_x = loop_training(federation.train, federation.test, tcfg, x0)
+            assert x.tobytes() == want_x.tobytes(), (name, seed)
+            assert len(reports) == len(want)
+            for report, fields in zip(reports, want):
+                for key, value in fields.items():
+                    got = np.asarray(getattr(report, key))
+                    assert got.tobytes() == np.asarray(value).tobytes(), (seed, report.round_index, key)
