@@ -73,11 +73,11 @@ def evaluate_fairness(
 ) -> FairnessReport:
     """Evaluate a model on every client's test objective.
 
-    ``stack`` holds the test objectives (see
-    :func:`~entrofed.stacks.stack_objectives`; a federation keeps one,
-    so the data is not stacked again every round). Accuracy statistics are
-    NaN for objective families without an ``accuracy`` method (regression
-    clients); the global accuracy is weighted by client test-set size.
+    ``stack`` is a federation's ``test`` stack, which holds the clients'
+    test data for the whole run, so no round copies it. Accuracy
+    statistics are NaN for objective families without an ``accuracy``
+    method (regression clients); the global accuracy is weighted by client
+    test-set size.
     """
     losses, accs = stack.evaluate(x)
     sizes = stack.sizes

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from entrofed.core import SeededRng, derive_seeds, ragged_uniforms
-from entrofed.objectives import ClassifierObjective, GlrObjective
+from entrofed.objectives import GlrObjective
 
 _LATTICE_SEPARATION = 4.0
 _DIRICHLET_RETRIES = 100
@@ -236,19 +236,6 @@ def train_test_split_indices(
     n_train = sizes - n_test
     cut = int(n_train.sum())
     return (values[:cut], n_train), (values[cut:], np.maximum(n_test, 1))
-
-
-def classifier_objectives(
-    ds: LabeledDataset, side: tuple[np.ndarray, np.ndarray], hidden: int, activation: str
-) -> list[ClassifierObjective]:
-    """One classifier per client of a split side ``(indices, counts)``. The
-    side's rows are gathered once; each client's objective holds a slice."""
-    indices, counts = side
-    features, labels = ds.features[indices], ds.labels[indices]
-    return [
-        ClassifierObjective(f, y, ds.n_classes, hidden, activation)
-        for f, y in zip(_pieces(features, counts), _pieces(labels, counts))
-    ]
 
 
 def gen_glr_federation(spec: GlrFederationSpec) -> list[GlrObjective]:

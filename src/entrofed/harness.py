@@ -38,7 +38,6 @@ from entrofed.core import SeededRng, softmax_temperature
 from entrofed.datagen import (
     GlrFederationSpec,
     PartitionSpec,
-    classifier_objectives,
     gen_gaussian_blobs,
     gen_glr_federation,
     partition,
@@ -46,6 +45,7 @@ from entrofed.datagen import (
     write_partition_csv,
 )
 from entrofed.objectives import ClassifierObjective
+from entrofed.stacks import classifier_stack, stack_objectives
 from entrofed.trainer import Federation, RoundReport, TrainerConfig, run_training
 
 OUTPUT_DIR_ENV = "ENTROFED_OUTPUT_DIR"
@@ -320,8 +320,8 @@ def build_federation(cfg: ExperimentConfig, seed: int) -> tuple[Federation, np.n
         hidden = cfg.hidden_units if cfg.model == "mlp" else 0
         activation = cfg.activation if cfg.model == "mlp" else "identity"
         sides = train_test_split_indices(assignment, cfg.test_fraction, root.derive(_TAG_SPLIT))
-        train, test = (classifier_objectives(ds, side, hidden, activation) for side in sides)
-        return Federation(train, test), train[0].init_params(root.derive(_TAG_INIT))
+        train, test = (classifier_stack(ds, side, hidden, activation) for side in sides)
+        return Federation(train, test), train.model.init_params(root.derive(_TAG_INIT))
 
     w = cfg.param_scale * root.derive(_TAG_GLR_PARAMS).normals(
         cfg.clients * cfg.glr_dim
@@ -336,8 +336,8 @@ def build_federation(cfg: ExperimentConfig, seed: int) -> tuple[Federation, np.n
         seed=root.derive(_TAG_GLR_TRAIN).seed,
     )
     test_spec = replace(train_spec, seed=root.derive(_TAG_GLR_TEST).seed)
-    federation = Federation(gen_glr_federation(train_spec), gen_glr_federation(test_spec))
-    return federation, np.zeros(cfg.glr_dim)
+    sides = (stack_objectives(gen_glr_federation(spec)) for spec in (train_spec, test_spec))
+    return Federation(*sides), np.zeros(cfg.glr_dim)
 
 
 # --- output writers ------------------------------------------------------

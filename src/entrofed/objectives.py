@@ -112,7 +112,7 @@ class GlrObjective(LocalObjective):
     def full_size(self) -> int:
         return self.design.shape[0]
 
-    def _rows(self, subset):
+    def _rows(self, subset=None):
         if subset is None:
             return self.design, self.targets
         idx = np.asarray(subset, dtype=np.int64)
@@ -251,7 +251,7 @@ class ClassifierObjective(LocalObjective):
             x[..., None, o3:],
         )
 
-    def _batch(self, subset):
+    def _rows(self, subset=None):
         if subset is None:
             return self.features, self.labels
         idx = np.asarray(subset, dtype=np.int64)
@@ -311,13 +311,13 @@ class ClassifierObjective(LocalObjective):
 
     def loss(self, x, subset=None) -> float:
         arr = self._check_x(x)
-        feats, labels = self._batch(subset)
+        feats, labels = self._rows(subset)
         logp = self._log_softmax(self._logits(arr, feats)[0])
         return float(-logp[np.arange(len(labels)), labels].mean())
 
     def gradient(self, x, subset=None) -> np.ndarray:
         arr = self._check_x(x)
-        feats, labels = self._batch(subset)
+        feats, labels = self._rows(subset)
         logits, act = self._logits(arr, feats)
         dlogits = self._probs_minus_labels(self._log_softmax(logits), labels)
         dlogits /= len(labels)
@@ -340,7 +340,7 @@ class ClassifierObjective(LocalObjective):
     def accuracy(self, x, subset=None) -> float:
         """Fraction of correct argmax predictions, in [0, 1]."""
         arr = self._check_x(x)
-        feats, labels = self._batch(subset)
+        feats, labels = self._rows(subset)
         pred = self._logits(arr, feats)[0].argmax(axis=1)
         return float((pred == labels).mean())
 

@@ -1,12 +1,12 @@
-"""Stacked evaluation of many client objectives.
+"""Stacked evaluation of many client objectives: a federation's data.
 
 :func:`stack_objectives` returns an :class:`ObjectiveStack` for a sequence
 of objectives: a family stack for GLR or classifier clients, which copies
 their samples once and evaluates them in passes of whole segments of
-equal-size clients, or the per-objective loop for other families. The
-federation's telemetry (train losses, test losses and accuracies), local
-SGD's cohort steps and the fair-angle branch's start gradients all evaluate
-clients through these.
+equal-size clients, or the per-objective loop for other families;
+:func:`classifier_stack` builds one from a split side of a dataset. A
+federation's telemetry runs on its two stacks, and a round's cohort on a
+``take`` of the train stack.
 """
 
 from __future__ import annotations
@@ -37,18 +37,20 @@ class ObjectiveStack:
     or at one shared vector, and :meth:`gradients` takes a step of
     :meth:`minibatches` for local SGD. A round's telemetry makes two passes
     at one parameter vector: :meth:`losses` on the train side, and
-    :meth:`evaluate`, losses and accuracies, on the test side.
+    :meth:`evaluate`, losses and accuracies, on the test side. A round's
+    cohort is :meth:`take` of the train side.
 
     This base form calls each objective in turn; quadratics and mixed
-    families use it. :func:`stack_objectives` returns a family stack for GLR
-    or classifier objectives, which implements ``losses``, ``gradients`` and
-    ``evaluate``; the classifier stack's ``evaluate`` takes losses and
-    accuracies from one forward pass. A family stack copies the samples
-    once, in ascending client size, and evaluates them in passes of whole
-    segments of equal-size clients (see ``STACK_BLOCK_ROWS``). Within a
-    pass, only the matmuls, the per-client bias adds and the per-client row
-    sums and means run segment by segment; they make the BLAS calls and the
-    row reductions of each client's own ``loss``, ``accuracy`` and
+    families use it. A family stack (see :func:`stack_objectives`) holds the
+    samples of GLR or classifier clients, not objectives (``objectives``
+    makes views of them), and implements ``losses``, ``gradients``,
+    ``evaluate`` and ``take``; the classifier stack's ``evaluate`` takes
+    losses and accuracies from one forward pass. A family stack copies the
+    samples once, in ascending client size, and evaluates them in passes of
+    whole segments of equal-size clients (see ``STACK_BLOCK_ROWS``). Within
+    a pass, only the matmuls, the per-client bias adds and the per-client
+    row sums and means run segment by segment; they make the BLAS calls and
+    the row reductions of each client's own ``loss``, ``accuracy`` and
     ``gradient``. The classifier stack runs its activations, softmax and
     other row-wise arithmetic once over all rows of the pass. So losses,
     accuracies and gradients, at one shared vector or at per-client
@@ -62,7 +64,18 @@ class ObjectiveStack:
 
     @property
     def m(self) -> int:
-        return len(self.objectives)
+        return len(self.sizes)
+
+    @property
+    def dimension(self) -> int:
+        dims = {o.dimension for o in self.objectives}
+        if len(dims) != 1:
+            raise ValueError("the objectives of a stack must share one dimension")
+        return dims.pop()
+
+    def take(self, ids) -> ObjectiveStack:
+        """The stack of objectives ``ids``, in that order: a round's cohort."""
+        return stack_objectives([self.objectives[i] for i in ids])
 
     def evaluate(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Losses and accuracies (NaN for families without one) at x."""
@@ -143,26 +156,51 @@ def _bind(passes, inputs: np.ndarray, targets: np.ndarray) -> list[_Pass]:
     return [p._replace(inputs=inputs[p.rows], targets=targets[p.rows]) for p in passes]
 
 
+def _in_size_order(starts, counts) -> np.ndarray:
+    """Row positions of clients whose rows are the ``counts[i]`` from
+    ``starts[i]``, end to end in stable ascending client size."""
+    order = np.argsort(counts, kind="stable")
+    counts = counts[order]
+    return np.repeat(starts[order] - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+
+
 class _RowStack(ObjectiveStack):
-    """A family stack: every client's (inputs, targets) rows copied once,
-    end to end in ascending client size, and cut into passes of at most
+    """A family stack: one copy of every client's (inputs, targets) rows,
+    laid out by ``_in_size_order`` of their ``counts``, in passes of at most
     ``cap`` rows (``_chunks``) whose segments are views of the one copy.
+    ``model``, shared by :meth:`take`, gives the shape, not samples.
 
     Passes run over consecutive positions in that size order. Per-client
     parameters are gathered into it once per call (``_sorted``), and
     results go back to objective order through ``_inverse``."""
 
-    def __init__(self, objectives, cap: int):
-        super().__init__(objectives)
+    def __init__(self, model, counts, inputs, targets, cap: int):
+        self.model = model
+        self.sizes = counts.astype(np.float64)
         self._cap = cap
-        self._order = np.argsort(self.sizes, kind="stable")
+        self._order = np.argsort(counts, kind="stable")
         self._inverse = np.argsort(self._order)
-        self._counts = sizes = self.sizes[self._order].astype(np.int64)
-        rows = [self._rows_of(self.objectives[i]) for i in self._order]
-        self._inputs = np.concatenate([r[0] for r in rows])
-        self._targets = np.concatenate([r[1] for r in rows])
+        self._counts = sizes = counts[self._order]
+        self._inputs, self._targets = inputs, targets
         self._starts = np.cumsum(sizes) - sizes
-        self._chunks = _bind(_passes(_layout(sizes, cap)), self._inputs, self._targets)
+        self._chunks = _bind(_passes(_layout(sizes, cap)), inputs, targets)
+
+    @property
+    def dimension(self) -> int:
+        return self.model.dimension
+
+    @property
+    def objectives(self) -> tuple:
+        """Each client's objective over views of its rows, made anew."""
+        rows = zip(self._starts, self._starts + self._counts)
+        views = [self._view(self._inputs[a:b], self._targets[a:b]) for a, b in rows]
+        return tuple(views[i] for i in self._inverse)
+
+    def take(self, ids):
+        at = self._inverse[ids]
+        counts = self._counts[at]
+        rows = _in_size_order(self._starts[at], counts)
+        return type(self)(self.model, counts, self._inputs[rows], self._targets[rows])
 
     def _sorted(self, xs):
         xs = np.asarray(xs, dtype=np.float64)
@@ -212,12 +250,10 @@ class _RowStack(ObjectiveStack):
 
 
 class _GlrStack(_RowStack):
-    def __init__(self, objectives):
-        super().__init__(objectives, STACK_BLOCK_ROWS)
+    def __init__(self, model, counts, inputs, targets):
+        super().__init__(model, counts, inputs, targets, STACK_BLOCK_ROWS)
 
-    @staticmethod
-    def _rows_of(o):
-        return o.design, o.targets
+    _view = staticmethod(GlrObjective)
 
     @staticmethod
     def _residuals(p, xs):
@@ -243,20 +279,17 @@ class _GlrStack(_RowStack):
             out[cs] = (design.swapaxes(-1, -2) @ r[..., None])[..., 0] / n
 
     def evaluate(self, x):
-        return self.losses(self.objectives[0]._check_x(x)), np.full(self.m, np.nan)
+        return self.losses(self.model._check_x(x)), np.full(self.m, np.nan)
 
 
 class _ClassifierStack(_RowStack):
-    def __init__(self, objectives):
-        objectives = tuple(objectives)
-        self._model = model = objectives[0]
-        super().__init__(
-            objectives, max(1, STACK_BLOCK_ROWS * 10 // max(model.n_classes, model.hidden))
-        )
+    def __init__(self, model, counts, inputs, targets):
+        cap = max(1, STACK_BLOCK_ROWS * 10 // max(model.n_classes, model.hidden))
+        super().__init__(model, counts, inputs, targets, cap)
 
-    @staticmethod
-    def _rows_of(o):
-        return o.features, o.labels
+    def _view(self, inputs, targets):
+        model = self.model
+        return ClassifierObjective(inputs, targets, model.n_classes, model.hidden, model.activation)
 
     @staticmethod
     def _affine(p, rows, w, b=None):
@@ -278,7 +311,7 @@ class _ClassifierStack(_RowStack):
     def _layers(self, p, x):
         """Logits and hidden activations of a pass's rows, at one parameter
         vector or at one row of x per pass client."""
-        model = self._model
+        model = self.model
         if model.hidden == 0:
             return self._affine(p, p.inputs, *model._unpack(x)), None
         w1, b1, w2, b2 = model._unpack(x)
@@ -296,7 +329,7 @@ class _ClassifierStack(_RowStack):
         return self._means(p, -logp[np.arange(len(logp)), p.targets])
 
     def _pass_losses(self, p, xs):
-        return self._mean_losses(p, self._model._log_softmax(self._layers(p, xs)[0]))
+        return self._mean_losses(p, self.model._log_softmax(self._layers(p, xs)[0]))
 
     @staticmethod
     def _weight_grads(p, rows, delta, dw, db):
@@ -311,13 +344,13 @@ class _ClassifierStack(_RowStack):
     def _dlogits(self, p, logp):
         """The gradient of each row's cross-entropy in its logits, over its
         client's row count: one division per segment."""
-        dlogits = self._model._probs_minus_labels(logp, p.targets)
+        dlogits = self.model._probs_minus_labels(logp, p.targets)
         for _, rs, _, n in p.segments:
             dlogits[rs] /= n
         return dlogits
 
     def _pass_gradients(self, p, xs, out):
-        model = self._model
+        model = self.model
         logits, act = self._layers(p, xs)
         dlogits = self._dlogits(p, model._log_softmax(logits))
         grads = model._unpack(out)
@@ -329,26 +362,43 @@ class _ClassifierStack(_RowStack):
         self._weight_grads(p, p.inputs, model._through_activation(dact, act), *grads[:2])
 
     def evaluate(self, x):
-        arr = self._model._check_x(x)
+        arr = self.model._check_x(x)
         losses = np.empty(self.m)
         accs = np.empty(self.m)
         for p in self._chunks:
             logits = self._layers(p, arr)[0]
-            losses[p.clients] = self._mean_losses(p, self._model._log_softmax(logits))
+            losses[p.clients] = self._mean_losses(p, self.model._log_softmax(logits))
             accs[p.clients] = self._means(p, logits.argmax(axis=-1) == p.targets)
         return losses[self._inverse], accs[self._inverse]
 
 
 def stack_objectives(objectives) -> ObjectiveStack:
     """The stacked evaluator for a sequence of objectives: a one-pass family
-    stack when all are of one family and one shape, else the per-objective
-    loop."""
+    stack over a copy of their samples when all are of one family and one
+    shape, else the per-objective loop."""
     objs = tuple(objectives)
     kinds = {type(o) for o in objs}
     if kinds == {GlrObjective} and len({o.dimension for o in objs}) == 1:
-        return _GlrStack(objs)
-    if kinds == {ClassifierObjective} and len(
+        family = _GlrStack
+    elif kinds == {ClassifierObjective} and len(
         {(o.features.shape[1], o.n_classes, o.hidden, o.activation) for o in objs}
     ) == 1:
-        return _ClassifierStack(objs)
-    return ObjectiveStack(objs)
+        family = _ClassifierStack
+    else:
+        return ObjectiveStack(objs)
+    counts = np.array([o.full_size for o in objs], dtype=np.int64)
+    rows = _in_size_order(np.cumsum(counts) - counts, counts)
+    inputs, targets = (np.concatenate(side)[rows] for side in zip(*(o._rows() for o in objs)))
+    return family(objs[0], counts, inputs, targets)
+
+
+def classifier_stack(ds, side, hidden: int = 0, activation: str = "identity") -> ObjectiveStack:
+    """The stack of one classifier per client of a split side ``(indices,
+    counts)`` of a labeled dataset. The side's rows are gathered once,
+    straight into the stack's layout, under one ``ClassifierObjective``
+    that checks them: the stack's ``model``."""
+    indices, counts = side
+    rows = indices[_in_size_order(np.cumsum(counts) - counts, counts)]
+    features, labels = ds.features[rows], ds.labels[rows]
+    model = ClassifierObjective(features, labels, ds.n_classes, hidden, activation)
+    return _ClassifierStack(model, counts, model.features, model.labels)

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -39,8 +38,7 @@ from entrofed.aggregation import (
 )
 from entrofed.analysis import evaluate_fairness
 from entrofed.core import SeededRng, chi_square_divergence, fair_angle
-from entrofed.objectives import LocalObjective
-from entrofed.stacks import ObjectiveStack, stack_objectives
+from entrofed.stacks import ObjectiveStack
 
 # derivation tags for trainer-owned random streams
 _TAG_SAMPLING = 101
@@ -93,46 +91,31 @@ class TrainerConfig:
 
 @dataclass(frozen=True)
 class Federation:
-    """A fixed set of clients: ``train[i]`` is client i's training objective
-    and ``test[i]`` its held-out test objective. Without test objectives,
-    every client is evaluated on its training objective. All objectives
-    share one parameter dimension."""
+    """A fixed set of clients as two objective stacks: client i trains on
+    objective i of ``train`` and is tested on objective i of ``test``, of
+    one parameter dimension. Without a test stack, ``test`` is ``train``:
+    every client is evaluated on its training objective."""
 
-    train: tuple[LocalObjective, ...]
-    test: tuple[LocalObjective, ...] | None = None
+    train: ObjectiveStack
+    test: ObjectiveStack | None = None
 
     def __post_init__(self):
-        train = tuple(self.train)
-        test = None if self.test is None else tuple(self.test)
-        if not train:
+        if not self.train.m:
             raise ValueError("federation needs at least one client")
-        if test is not None and len(test) != len(train):
-            raise ValueError(f"{len(test)} test objectives for {len(train)} clients")
-        if len({o.dimension for o in train + (test or ())}) != 1:
-            raise ValueError("all client train and test objectives must share one dimension")
-        object.__setattr__(self, "train", train)
-        object.__setattr__(self, "test", test)
+        if self.test is None:
+            object.__setattr__(self, "test", self.train)
+        elif self.test.m != self.train.m:
+            raise ValueError(f"{self.test.m} test objectives for {self.train.m} clients")
+        if self.test.dimension != self.train.dimension:
+            raise ValueError("client train and test objectives must share one dimension")
 
     @property
     def m(self) -> int:
-        return len(self.train)
+        return self.train.m
 
     @property
     def dimension(self) -> int:
-        return self.train[0].dimension
-
-    # The stacks copy the client data once, on first use, for the per-round
-    # telemetry that evaluates every client; objectives are immutable, so
-    # the copy stays valid. Without test objectives both are one stack.
-    @cached_property
-    def train_stack(self) -> ObjectiveStack:
-        return stack_objectives(self.train)
-
-    @cached_property
-    def eval_stack(self) -> ObjectiveStack:
-        if self.test is None:
-            return self.train_stack
-        return stack_objectives(self.test)
+        return self.train.dimension
 
 
 @dataclass(frozen=True)
@@ -242,7 +225,7 @@ def _local_steps(
     if steps < 1:
         raise ValueError("steps must be >= 1")
     x_start = np.asarray(x_start, dtype=np.float64)
-    if any(x_start.shape != (o.dimension,) for o in cohort.objectives):
+    if x_start.shape != (cohort.dimension,):
         raise ValueError("start parameter dimension mismatch")
     if fair_grad is not None:
         if not 0.0 <= alpha <= 1.0:
@@ -250,10 +233,8 @@ def _local_steps(
         if fair_grad.shape != x_start.shape:
             raise ValueError("fair gradient dimension mismatch")
     rngs = [None] * cohort.m if rngs is None else rngs
-    batches = [
-        _batch_rows(o.full_size, batch_size, steps, rng)
-        for o, rng in zip(cohort.objectives, rngs, strict=True)
-    ]
+    sizes = cohort.sizes.astype(np.int64).tolist()
+    batches = [_batch_rows(n, batch_size, steps, rng) for n, rng in zip(sizes, rngs, strict=True)]
     drawn = [b for b in batches if b is not None]
     plan = cohort.minibatches(np.stack(drawn, axis=1)) if drawn else [None] * steps
     x = np.tile(x_start, (cohort.m, 1))
@@ -377,7 +358,7 @@ def run_round(
     sampled = sample_clients(
         federation.m, cfg.clients_per_round, rng.derive(_TAG_SAMPLING, round_index)
     )
-    cohort = stack_objectives(federation.train[i] for i in sampled)
+    cohort = federation.train.take(sampled)
     start_losses = train_losses[sampled]
     # an all-zero loss vector has no direction; treat it as perfectly fair
     angle = 0.0 if np.all(start_losses == 0.0) else fair_angle(start_losses)
@@ -411,8 +392,8 @@ def run_round(
         delta = aggregate_plain(update.deltas, weights)
     x_next = server_update(x_t, delta, server_lr)
 
-    train_next = federation.train_stack.losses(x_next)
-    fairness = evaluate_fairness(federation.eval_stack, x_next, cfg.k_percent)
+    train_next = federation.train.losses(x_next)
+    fairness = evaluate_fairness(federation.test, x_next, cfg.k_percent)
     report = RoundReport(
         round_index=round_index,
         tau=tau,
@@ -454,7 +435,7 @@ def run_training(
         raise ValueError("x0 dimension mismatch")
     root = SeededRng(cfg.seed)
     reports: list[RoundReport] = []
-    train_losses = federation.train_stack.losses(x)
+    train_losses = federation.train.losses(x)
     for t in range(1, cfg.rounds + 1):
         x, train_losses, report = run_round(federation, x, cfg, t, root, train_losses)
         reports.append(report)

@@ -28,6 +28,7 @@ from entrofed.objectives import (
     QuadraticObjective,
     finite_diff_gradient,
 )
+from entrofed.stacks import stack_objectives
 from entrofed.trainer import Federation, TrainerConfig, run_training
 
 
@@ -62,7 +63,7 @@ def heterogeneous_quadratics(seed=123, m=10, center_scale=0.5):
     rng = SeededRng(seed)
     curvatures = 0.3 + 0.5 * rng.uniforms(m)
     centers = center_scale * (2 * rng.uniforms(m) - 1)
-    return Federation(tuple(QuadraticObjective(a, c) for a, c in zip(curvatures, centers)))
+    return Federation(stack_objectives(QuadraticObjective(a, c) for a, c in zip(curvatures, centers)))
 
 
 def test_criterion_1_toy_case_exactness():
@@ -135,7 +136,7 @@ def test_criterion_5_convergence_smoke():
     with _Criterion(5, "convergence smoke", budget_seconds=10.0):
         # Convex quadratics with a shared minimizer and spread curvatures:
         # the stationary point is exact, so the gradient norm must vanish.
-        fed = Federation(tuple(QuadraticObjective(0.5 + 0.1 * i, 1.5) for i in range(10)))
+        fed = Federation(stack_objectives(QuadraticObjective(0.5 + 0.1 * i, 1.5) for i in range(10)))
         cfg = TrainerConfig(
             rounds=500,
             local_steps=5,
@@ -152,7 +153,7 @@ def test_criterion_5_convergence_smoke():
             fed,
             cfg,
             on_round=lambda rep, x: norms.append(
-                np.linalg.norm(fed.train_stack.gradients(x).mean(axis=0))
+                np.linalg.norm(fed.train.gradients(x).mean(axis=0))
             ),
         )
         norms_sq = np.array(norms) ** 2
@@ -413,7 +414,7 @@ def random_federation(family, m, seed):
         return ClassifierObjective(feats, rng.integers(n, classes), classes, hidden, act)
 
     sizes = 1 + rng.integers(m, 6)
-    federation = Federation(tuple(objective(int(n)) for n in sizes))
+    federation = Federation(stack_objectives(objective(int(n)) for n in sizes))
     return federation, 0.1 * rng.normals(federation.dimension)
 
 

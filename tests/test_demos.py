@@ -1,6 +1,7 @@
-"""Every demo script imports cleanly, so a name a demo uses that the
-package drops fails the suite. Each demo runs its work only under
-``if __name__ == "__main__"``, so importing one runs nothing."""
+"""Every demo script runs to the end, so a name a demo uses that the
+package drops, or a change that breaks what a demo drives, fails the
+suite. Each demo runs its work only under ``if __name__ == "__main__"``, so
+importing one runs nothing; the test then calls its ``main()``."""
 
 import importlib.util
 from pathlib import Path
@@ -15,8 +16,10 @@ def test_demos_found():
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
-def test_demo_imports(path):
+def test_demo_runs(path, capsys):
     spec = importlib.util.spec_from_file_location(f"demo_{path.stem}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    assert callable(module.main)
+    assert capsys.readouterr().out == ""
+    module.main()
+    assert capsys.readouterr().out.strip()

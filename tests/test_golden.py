@@ -41,7 +41,7 @@ def test_blob_golden_config_has_unequal_and_single_sample_clients():
     cfg = parse_config(GOLDEN / "blobs-mlp" / "config.cfg")
     for seed in cfg.seeds:
         federation, _ = build_federation(cfg, seed)
-        sizes = [o.full_size for o in federation.train]
+        sizes = federation.train.sizes.tolist()
         assert min(sizes) == 1
         assert max(sizes) >= 10
 
@@ -62,7 +62,7 @@ def test_cohort_golden_config_spans_the_batch_size():
     assert cfg.model == "mlp" and cfg.activation == "relu" and cfg.hidden_units == 32
     for seed in cfg.seeds:
         federation, _ = build_federation(cfg, seed)
-        sizes = [o.full_size for o in federation.train]
+        sizes = federation.train.sizes.tolist()
         assert min(sizes) < batch and batch in sizes
         assert any(n > batch and n % batch for n in sizes)
         assert cfg.local_steps > max(n // batch for n in sizes)

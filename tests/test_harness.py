@@ -16,6 +16,7 @@ from entrofed.harness import (
     main,
     parse_config,
 )
+from entrofed.objectives import ClassifierObjective
 from entrofed.trainer import run_training
 
 
@@ -179,7 +180,21 @@ class TestBuildFederation:
         fed, x0 = build_federation(cfg, seed=1)
         assert fed.m == 6
         assert x0.shape == (fed.dimension,)
-        assert len(fed.test) == fed.m
+        assert fed.test.m == fed.m
+
+    def test_blob_federation_builds_one_objective_per_side(self, tmp_path, monkeypatch):
+        # each side's rows are checked once, by the objective that carries
+        # its stack's model; per-client objectives are views made on demand
+        built = []
+        init = ClassifierObjective.__init__
+        monkeypatch.setattr(
+            ClassifierObjective, "__init__", lambda self, *a, **k: built.append(1) or init(self, *a, **k)
+        )
+        cfg = parse_config(write_cfg(tmp_path, SMALL_RUN))
+        fed, _ = build_federation(cfg, seed=1)
+        assert len(built) == 2
+        assert fed.train.model is not fed.test.model
+        assert len(fed.train.objectives) == fed.m and len(built) == 2 + fed.m
 
     def test_glr_federation(self, tmp_path):
         cfg = parse_config(
@@ -193,8 +208,8 @@ class TestBuildFederation:
         assert fed.m == 3
         assert fed.dimension == cfg.glr_dim
         # Test targets come from an independent draw on matching truth.
-        a = fed.train[0]
-        b = fed.test[0]
+        a = fed.train.objectives[0]
+        b = fed.test.objectives[0]
         assert not np.array_equal(a.targets, b.targets)
 
     def test_same_seed_same_federation(self, tmp_path):
@@ -202,7 +217,7 @@ class TestBuildFederation:
         f1, x1 = build_federation(cfg, seed=2)
         f2, x2 = build_federation(cfg, seed=2)
         assert np.array_equal(x1, x2)
-        for a, b in zip(f1.train, f2.train):
+        for a, b in zip(f1.train.objectives, f2.train.objectives, strict=True):
             assert np.array_equal(a.features, b.features)
 
 
@@ -248,7 +263,7 @@ def test_federation_digest_is_pinned(name):
     settings, expected = FEDERATION_DIGESTS[name]
     federation, _ = build_federation(harness.ExperimentConfig(**settings), seed=3)
     digest = hashlib.sha256()
-    for pair in zip(federation.train, federation.test):
+    for pair in zip(federation.train.objectives, federation.test.objectives, strict=True):
         for obj in pair:
             digest.update(np.int64(obj.full_size).tobytes())
             digest.update(obj.features.tobytes())
@@ -418,7 +433,8 @@ class TestCmdPartition:
         cfg = parse_config(cfg_path)
         federation, _ = build_federation(cfg, cfg.seeds[0])
         assert federation.m == cfg.clients
-        for cid, (train, test) in enumerate(zip(federation.train, federation.test)):
+        sides = zip(federation.train.objectives, federation.test.objectives, strict=True)
+        for cid, (train, test) in enumerate(sides):
             labels = sorted(int(label) for c, _, label in rows if int(c) == cid)
             held = np.concatenate([train.labels, test.labels])
             assert len(labels) == train.full_size + test.full_size

@@ -1,6 +1,7 @@
 """Objective families: analytic losses/gradients against independent oracles."""
 
 from collections import Counter
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis.extra import numpy as hnp
 
 from entrofed import stacks
 from entrofed.core import SeededRng
+from entrofed.datagen import LabeledDataset
 from entrofed.objectives import (
     ClassifierObjective,
     GlrObjective,
@@ -18,7 +20,7 @@ from entrofed.objectives import (
     finite_diff_gradient,
     glr_least_squares,
 )
-from entrofed.stacks import STACK_BLOCK_ROWS, ObjectiveStack, stack_objectives
+from entrofed.stacks import STACK_BLOCK_ROWS, ObjectiveStack, classifier_stack, stack_objectives
 
 
 def random_classifier(rng, hidden=0, activation="identity", n=30, d=4, c=3):
@@ -574,3 +576,84 @@ class TestStackedEvaluation:
         assert np.isnan(accuracies).all()
         assert np.array_equal(stack.losses(np.array([0.5])), [o.loss([0.5]) for o in objs])
         assert np.array_equal(stack.gradients(np.array([0.5])), [o.gradient([0.5]) for o in objs])
+
+
+class TestStackTake:
+    """A round's cohort is ``take`` of the train stack: a gather of the
+    picked clients' rows, which must be the stack of their objectives bit
+    for bit. A family stack's ``objectives`` are views of its rows."""
+
+    # tied sizes and single-sample clients, picked out of order
+    SIZES = [4, 1, 7, 4, 1, 9, 4, 2, 1, 7]
+    IDS = [6, 1, 3, 9, 0, 8, 4]
+
+    @pytest.mark.parametrize("family", sorted(STACK_FAMILIES))
+    def test_take_is_the_stack_of_the_picked_objectives(self, family):
+        rng = SeededRng(38)
+        originals = [STACK_FAMILIES[family](rng, n) for n in self.SIZES]
+        stack = stack_objectives(originals)
+        objs = stack.objectives
+        got = stack.take(np.array(self.IDS))
+        want = stack_objectives([objs[i] for i in self.IDS])
+        assert type(got) is type(want) and got.m == len(self.IDS)
+        assert got.sizes.tobytes() == want.sizes.tobytes()
+        x = 0.5 * rng.normals(stack.dimension)
+        xs = 0.5 * rng.normals(got.m * stack.dimension).reshape(got.m, -1)
+        pairs = [
+            (got.losses(x), want.losses(x)),
+            (got.losses(xs), want.losses(xs)),
+            (got.gradients(x), want.gradients(x)),
+            (got.gradients(xs), want.gradients(xs)),
+            *zip(got.evaluate(x), want.evaluate(x)),
+        ]
+        r = 2
+        drawn = np.array(
+            [[rng.permutation(int(n))[:r] for n in got.sizes if n > r] for _ in range(3)],
+            dtype=np.int64,
+        ).reshape(3, -1, r)
+        for a, b in zip(got.minibatches(drawn), want.minibatches(drawn), strict=True):
+            pairs.append((got.gradients(xs, a), want.gradients(xs, b)))
+        for a, b in pairs:
+            assert a.tobytes() == b.tobytes()
+        if family != "quadratic":
+            assert got.model is stack.model
+
+    @pytest.mark.parametrize("family", sorted(set(STACK_FAMILIES) - {"quadratic"}))
+    def test_objectives_are_views_of_the_rows(self, family):
+        rng = SeededRng(39)
+        originals = [STACK_FAMILIES[family](rng, n) for n in self.SIZES]
+        stack = stack_objectives(originals)
+        views = stack.objectives
+        assert views is not stack.objectives  # made anew on each read
+        for original, view in zip(originals, views, strict=True):
+            assert type(view) is type(original) and view.dimension == stack.dimension
+            for a, b in zip(original._rows(), view._rows()):
+                assert a.tobytes() == b.tobytes()
+                assert np.shares_memory(b, stack._inputs) or np.shares_memory(b, stack._targets)
+
+    def test_classifier_stack_of_a_split_side(self):
+        # client i holds the counts[i] dataset rows that follow those of
+        # clients 0..i-1 in indices, as train_test_split_indices gives them
+        rng = SeededRng(40)
+        ds = LabeledDataset(rng.normals(60 * 4).reshape(60, 4), rng.integers(60, 3), 3)
+        counts = np.array(self.SIZES)
+        indices = rng.permutation(60)[: counts.sum()]
+        stack = classifier_stack(ds, (indices, counts), 5, "tanh")
+        ends = np.cumsum(counts)
+        clients = [
+            ClassifierObjective(ds.features[idx], ds.labels[idx], 3, 5, "tanh")
+            for idx in np.split(indices, ends[:-1])
+        ]
+        want = stack_objectives(clients)
+        x = 0.5 * rng.normals(stack.dimension)
+        assert stack.sizes.tobytes() == want.sizes.tobytes()
+        assert stack.model.full_size == ends[-1]
+        for a, b in zip(stack.evaluate(x), want.evaluate(x)):
+            assert a.tobytes() == b.tobytes()
+        assert stack.gradients(x).tobytes() == want.gradients(x).tobytes()
+        # the side's labels are checked once, whatever holds them
+        labels = ds.labels.copy()
+        labels[indices[-1]] = 3
+        bad = SimpleNamespace(features=ds.features, labels=labels, n_classes=3)
+        with pytest.raises(ValueError, match="labels out of class range"):
+            classifier_stack(bad, (indices, counts))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from entrofed import trainer
+from entrofed import stacks, trainer
 from entrofed.aggregation import (
     EbaConfig,
     data_ratio_weights,
@@ -66,19 +66,19 @@ class FlatObjective(LocalObjective):
 
 
 def toy_federation():
-    return Federation((QuadraticObjective(2, 2), QuadraticObjective(0.5, -4)))
+    return Federation(stack_objectives((QuadraticObjective(2, 2), QuadraticObjective(0.5, -4))))
 
 
 def quadratic_federation(seed=123, m=10, scale=0.5):
     rng = SeededRng(seed)
     curvatures = 0.3 + 0.5 * rng.uniforms(m)
     centers = scale * (2 * rng.uniforms(m) - 1)
-    return Federation(tuple(QuadraticObjective(a, c) for a, c in zip(curvatures, centers)))
+    return Federation(stack_objectives(QuadraticObjective(a, c) for a, c in zip(curvatures, centers)))
 
 
 def start_losses(federation, x):
     """Every client's train loss at x, as run_round takes them."""
-    return np.array([o.loss(x) for o in federation.train])
+    return np.array([o.loss(x) for o in federation.train.objectives])
 
 
 class TestSampleClients:
@@ -459,7 +459,7 @@ class TestRunRound:
             assert sum(r.extra_comm for r in reports) == 0
 
     def test_identical_clients_reduce_to_single_delta(self):
-        fed = Federation(tuple(QuadraticObjective(1.0, 2.0) for _ in range(4)))
+        fed = Federation(stack_objectives(QuadraticObjective(1.0, 2.0) for _ in range(4)))
         # K=1: full and one-step deltas coincide, so the aggregate equals the
         # common client delta for any alpha.
         cfg = self._cfg(clients_per_round=4, theta=math.pi / 2, local_steps=1)
@@ -470,7 +470,7 @@ class TestRunRound:
         assert x_next[0] == pytest.approx(x[0] + single.deltas[0, 0], abs=1e-12)
 
     def test_identical_clients_blend_matches_single_client(self):
-        fed = Federation(tuple(QuadraticObjective(1.0, 2.0) for _ in range(4)))
+        fed = Federation(stack_objectives(QuadraticObjective(1.0, 2.0) for _ in range(4)))
         cfg = self._cfg(clients_per_round=4, theta=math.pi / 2, local_steps=2)
         x = np.array([0.5])
         x_next, _, _ = run_round(fed, x, cfg, 1, SeededRng(0), start_losses(fed, x))
@@ -531,8 +531,8 @@ class TestRunTraining:
             seed=2,
         )
         _, x = run_training(fed, cfg)
-        losses = np.array([o.loss(x) for o in fed.train])
-        grads = np.array([o.gradient(x)[0] for o in fed.train])
+        losses = np.array([o.loss(x) for o in fed.train.objectives])
+        grads = np.array([o.gradient(x)[0] for o in fed.train.objectives])
         p = softmax_temperature(losses, 1.0)
         assert abs(np.dot(p, grads)) < 1e-3
 
@@ -635,23 +635,28 @@ class TestRunTraining:
         train = GlrObjective(rng.normals(12).reshape(4, 3), rng.normals(4))
         test = GlrObjective(rng.normals(8).reshape(4, 2), rng.normals(4))
         with pytest.raises(ValueError, match="one dimension"):
-            Federation((train, train), (train, test))
+            Federation(stack_objectives((train, train)), stack_objectives((train, test)))
         with pytest.raises(ValueError, match="2 test objectives for 3 clients"):
-            Federation((train, train, train), (train, train))
-        assert Federation((train, train), (train, train)).dimension == 3
+            Federation(stack_objectives((train, train, train)), stack_objectives((train, train)))
+        stack = stack_objectives((train, train))
+        assert Federation(stack, stack).dimension == 3
+        # a loop stack of mixed dimensions, as a side of its own
+        mixed = stack_objectives((QuadraticObjective(1.0, 0.0), train))
+        with pytest.raises(ValueError, match="one dimension"):
+            Federation(mixed)
 
-    def test_eval_stack_reuses_the_train_stack_without_test_objectives(self):
-        # the data are stacked once when every client evaluates on its
+    def test_test_stack_is_the_train_stack_without_test_objectives(self):
+        # the data are held once when every client evaluates on its
         # training objective, and twice only when the federation holds test
         # objectives, even ones that repeat the training objectives
         rng = SeededRng(9)
         objs = [GlrObjective(rng.normals(12).reshape(4, 3), rng.normals(4)) for _ in range(3)]
-        own = Federation(objs)
-        assert own.eval_stack is own.train_stack
-        held_out = Federation(objs, objs)
-        assert held_out.eval_stack is not held_out.train_stack
+        own = Federation(stack_objectives(objs))
+        assert own.test is own.train
+        held_out = Federation(stack_objectives(objs), stack_objectives(objs))
+        assert held_out.test is not held_out.train
         x = rng.normals(3)
-        assert np.array_equal(held_out.eval_stack.evaluate(x)[0], own.eval_stack.evaluate(x)[0])
+        assert np.array_equal(held_out.test.evaluate(x)[0], own.test.evaluate(x)[0])
 
 
 def classifier_federation(m, seed=0, d=4, classes=3):
@@ -662,7 +667,7 @@ def classifier_federation(m, seed=0, d=4, classes=3):
 
     # each client draws its train objective, then its test objective
     pairs = [(obj(1 + i % 7), obj(1 + i % 3)) for i in range(m)]
-    return Federation(*zip(*pairs))
+    return Federation(*map(stack_objectives, zip(*pairs)))
 
 
 def glr_federation():
@@ -673,7 +678,7 @@ def glr_federation():
 
     # each client draws its train objective, then its test objective
     pairs = [(obj(1 + i % 7), obj(2 + i % 3)) for i in range(30)]
-    return Federation(*zip(*pairs))
+    return Federation(*map(stack_objectives, zip(*pairs)))
 
 
 class TestTelemetryCallCounts:
@@ -729,17 +734,68 @@ class TestTelemetryCallCounts:
         for branch, c in per_round:
             assert c == {"loss": 0, "gradient": 0, "accuracy": 0}, branch
 
-    def test_one_cohort_stack_per_round(self, monkeypatch):
-        # the aligned branch's start gradients and local SGD share the
-        # round's cohort stack, and the federation stacks each side once
-        built = []
-        stack = trainer.stack_objectives
-        monkeypatch.setattr(trainer, "stack_objectives", lambda o: built.append(1) or stack(o))
-        per_round = self.per_round_calls(
-            monkeypatch, ClassifierObjective, classifier_federation(20), "fedeba_plus"
+    @pytest.mark.parametrize("family", [ClassifierObjective, GlrObjective])
+    def test_one_cohort_take_per_round(self, monkeypatch, family):
+        # each round takes its cohort from the train stack once and shares
+        # it between the aligned branch's start gradients and local SGD; no
+        # round constructs an objective or stacks objectives
+        fed = classifier_federation(20) if family is ClassifierObjective else glr_federation()
+        events = []
+        take = fed.train.take
+
+        def counted_take(ids):
+            cohort = take(ids)
+            gradients = cohort.gradients
+
+            def start_gradients(xs, step=None):
+                if step is None and np.ndim(xs) == 1:
+                    events.append(("start", cohort))
+                return gradients(xs, step)
+
+            cohort.gradients = start_gradients
+            events.append(("take", cohort))
+            return cohort
+
+        monkeypatch.setattr(fed.train, "take", counted_take)
+        for name in ("local_sgd", "local_sgd_aligned"):
+
+            def local(cohort, *args, _name=name, _original=getattr(trainer, name)):
+                events.append((_name, cohort))
+                return _original(cohort, *args)
+
+            monkeypatch.setattr(trainer, name, local)
+        for cls in (ClassifierObjective, GlrObjective):
+
+            def built(self, *args, _init=cls.__init__, **kwargs):
+                events.append(("build", None))
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", built)
+        monkeypatch.setattr(stacks, "stack_objectives", lambda *a: events.append(("stack", None)))
+        cfg = TrainerConfig(
+            rounds=6,
+            local_steps=3,
+            clients_per_round=5,
+            local_lr=0.5 if family is ClassifierObjective else 0.05,
+            theta=math.radians(5.0),
+            batch_size=3,
+            seed=4,
         )
+        per_round = []
+
+        def on_round(report, x):
+            per_round.append((report.branch, list(events)))
+            events.clear()
+
+        run_training(fed, cfg, x0=np.zeros(fed.dimension), on_round=on_round)
         assert {branch for branch, _ in per_round} == {"plain", "aligned"}
-        assert len(built) == len(per_round) + 2
+        for branch, round_events in per_round:
+            names = [name for name, _ in round_events]
+            if branch == "aligned":
+                assert names == ["take", "start", "local_sgd_aligned"]
+            else:
+                assert names == ["take", "local_sgd"]
+            assert all(cohort is round_events[0][1] for _, cohort in round_events)
 
     @pytest.mark.parametrize("method", ["fedeba_plus", "fedavg", "qffl"])
     def test_no_per_client_calls_with_glr_clients(self, monkeypatch, method):
@@ -758,7 +814,7 @@ class TestTelemetryCallCounts:
             [("train", "losses"), ("train", "gradients"), ("eval", "evaluate")], 0
         )
         for side, name in calls:
-            stack = fed.train_stack if side == "train" else fed.eval_stack
+            stack = fed.train if side == "train" else fed.test
             original = getattr(stack, name)
 
             def counted(*args, _key=(side, name), _original=original):
@@ -898,7 +954,9 @@ class TestWholeRunMatchesPerClientLoop:
             federation, x0 = build_federation(cfg, seed)
             tcfg = cfg.trainer_config(seed)
             reports, x = run_training(federation, tcfg, x0)
-            want, want_x = loop_training(federation.train, federation.test, tcfg, x0)
+            want, want_x = loop_training(
+                federation.train.objectives, federation.test.objectives, tcfg, x0
+            )
             assert x.tobytes() == want_x.tobytes(), (name, seed)
             assert len(reports) == len(want)
             for report, fields in zip(reports, want):
