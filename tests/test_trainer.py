@@ -3,6 +3,7 @@
 import dataclasses
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from entrofed import stacks, trainer
 from entrofed.aggregation import (
     EbaConfig,
+    QfflConfig,
     data_ratio_weights,
     eba_weights,
     qffl_step,
@@ -940,11 +942,82 @@ def loop_training(train, test, cfg, x0):
     return rounds, x
 
 
+def assert_run_matches_loop(federation, cfg, x0, train, test, label):
+    """``run_training`` on the federation has the bits of ``loop_training``
+    on its clients' objectives, in every round and in the final model."""
+    reports, x = run_training(federation, cfg, x0)
+    want, want_x = loop_training(train, test, cfg, x0)
+    assert x.tobytes() == want_x.tobytes(), label
+    assert len(reports) == len(want)
+    for report, fields in zip(reports, want):
+        for key, value in fields.items():
+            got = np.asarray(getattr(report, key))
+            assert got.tobytes() == np.asarray(value).tobytes(), (label, report.round_index, key)
+
+
+@st.composite
+def whole_runs(draw):
+    """(federation, config, x0, train objectives, test objectives) of a
+    small random run: one family of client objectives, stacked by
+    ``stack_objectives``, with or without test objectives of their own. It
+    runs at a small stack block size, so passes hold few rows."""
+    family = draw(st.sampled_from(["softmax", "tanh", "relu", "glr", "quadratic"]))
+    m = draw(st.integers(1, 8))
+    rng = SeededRng(draw(st.integers(0, 2**32)))
+    d, classes, hidden = draw(st.integers(1, 3)), draw(st.integers(2, 3)), draw(st.integers(1, 6))
+
+    def objective():
+        n = draw(st.integers(1, 12))
+        if family == "quadratic":
+            # centers away from 0, so no loss at x0 = 0 is zero
+            a, c = 0.2 + rng.uniforms(2)
+            return QuadraticObjective(a, c if rng.uniforms(1)[0] < 0.5 else -c)
+        if family == "glr":
+            return GlrObjective(rng.normals(n * d).reshape(n, d), rng.normals(n))
+        h, act = (0, "identity") if family == "softmax" else (hidden, family)
+        return ClassifierObjective(
+            rng.normals(n * d).reshape(n, d), rng.integers(n, classes), classes, h, act
+        )
+
+    train = [objective() for _ in range(m)]
+    test = [objective() for _ in range(m)] if draw(st.booleans()) else None
+    federation = Federation(stack_objectives(train), test and stack_objectives(test))
+    dim = federation.dimension
+    x0 = np.zeros(dim) if family == "quadratic" else 0.5 * rng.normals(dim)
+    unit = st.floats(0.0, 1.0)
+    cfg = TrainerConfig(
+        rounds=draw(st.integers(1, 3)),
+        local_steps=draw(st.integers(1, 3)),
+        clients_per_round=draw(st.integers(1, m)),
+        local_lr=draw(st.floats(0.01, 0.3)),
+        global_lr=draw(st.sampled_from([1.0, 0.5])),
+        alpha=draw(unit),
+        theta=draw(st.sampled_from([0.0, math.pi / 2]) | st.floats(0.0, math.pi / 2)),
+        eba=EbaConfig(
+            tau0=draw(st.floats(0.05, 2.0)),
+            schedule=draw(st.sampled_from(EbaConfig.SCHEDULES)),
+            decay=draw(unit),
+            prior=draw(st.sampled_from(EbaConfig.PRIORS)),
+        ),
+        qffl=QfflConfig(
+            q=draw(st.sampled_from([0.0, 0.5, 1.0, 2.0]) | st.floats(0.0, 3.0)),
+            lipschitz=draw(st.floats(0.5, 2.0)),
+        ),
+        # below, at and above the client sizes of 1-12
+        batch_size=draw(st.none() | st.integers(1, 13)),
+        method=draw(st.sampled_from(TrainerConfig.METHODS)),
+        seed=draw(st.integers(0, 2**32)),
+        k_percent=draw(st.sampled_from([5.0, 50.0, 100.0])),
+    )
+    return federation, cfg, x0, train, train if test is None else test
+
+
 class TestWholeRunMatchesPerClientLoop:
     """Every golden config's run, round by round and in its final model,
-    has the bits of a loop trainer that evaluates each client on its own.
-    This is where sampling streams, stack order, weights, prior, the
-    temperature schedule, the q-FFL step and telemetry all meet."""
+    has the bits of a loop trainer that evaluates each client on its own,
+    and so has every run of small random federations. This is where
+    sampling streams, stack order, weights, prior, the temperature
+    schedule, the q-FFL step and telemetry all meet."""
 
     @pytest.mark.parametrize("name", GOLDEN_CASES)
     def test_golden_config(self, name):
@@ -953,13 +1026,12 @@ class TestWholeRunMatchesPerClientLoop:
         for seed in cfg.seeds:
             federation, x0 = build_federation(cfg, seed)
             tcfg = cfg.trainer_config(seed)
-            reports, x = run_training(federation, tcfg, x0)
-            want, want_x = loop_training(
-                federation.train.objectives, federation.test.objectives, tcfg, x0
-            )
-            assert x.tobytes() == want_x.tobytes(), (name, seed)
-            assert len(reports) == len(want)
-            for report, fields in zip(reports, want):
-                for key, value in fields.items():
-                    got = np.asarray(getattr(report, key))
-                    assert got.tobytes() == np.asarray(value).tobytes(), (seed, report.round_index, key)
+            train, test = federation.train.objectives, federation.test.objectives
+            assert_run_matches_loop(federation, tcfg, x0, train, test, (name, seed))
+
+    @settings(max_examples=200, deadline=None)
+    @given(block=st.integers(1, 16), data=st.data())
+    def test_random_runs(self, block, data):
+        with mock.patch.object(stacks, "STACK_BLOCK_ROWS", block):
+            federation, cfg, x0, train, test = data.draw(whole_runs())
+            assert_run_matches_loop(federation, cfg, x0, train, test, cfg)
