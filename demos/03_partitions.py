@@ -23,11 +23,13 @@ def bars(hist):
 
 
 def describe(name, ds, assignment):
+    indices, counts = assignment
+    owners = np.repeat(np.arange(counts.size), counts)
+    hists = np.bincount(owners * CLASSES + ds.labels[indices], minlength=counts.size * CLASSES)
     print(f"\n{name}")
-    for cid, idx in enumerate(assignment):
-        hist = np.bincount(ds.labels[idx], minlength=CLASSES) / max(1, len(idx))
-        labels = len(set(ds.labels[idx].tolist()))
-        print(f"  client {cid} ({len(idx):>4} samples, {labels} labels) {bars(hist)}")
+    for cid, (n, hist) in enumerate(zip(counts.tolist(), hists.reshape(-1, CLASSES))):
+        labels = np.count_nonzero(hist)
+        print(f"  client {cid} ({n:>4} samples, {labels} labels) {bars(hist / max(1, n))}")
 
 
 def main():

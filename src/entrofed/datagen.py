@@ -2,7 +2,10 @@
 
 Gaussian blob classification data, label-shard and Dirichlet client splits,
 and linear-regression federations with known ground-truth parameters. Every
-generator is a pure function of its seed.
+generator is a pure function of its seed. A partition, and each side of its
+train/test split, is a pair ``(indices, counts)``: client i's sorted sample
+indices are the ``counts[i]`` entries of ``indices`` after those of clients
+0..i-1.
 """
 
 from __future__ import annotations
@@ -138,13 +141,7 @@ def gen_gaussian_blobs(
     return LabeledDataset(means[labels] + noise, labels, classes)
 
 
-def _pieces(flat: np.ndarray, counts) -> list[np.ndarray]:
-    """``flat`` cut into consecutive views of the given lengths."""
-    ends = np.cumsum(counts).tolist()
-    return [flat[a:b] for a, b in zip([0] + ends[:-1], ends)]
-
-
-def partition_shards(ds: LabeledDataset, spec: PartitionSpec) -> list[np.ndarray]:
+def partition_shards(ds: LabeledDataset, spec: PartitionSpec) -> tuple[np.ndarray, np.ndarray]:
     """Label-sorted shard partition; every sample assigned exactly once."""
     m, s = spec.client_count, spec.shards_per_client
     total = m * s
@@ -160,11 +157,10 @@ def partition_shards(ds: LabeledDataset, spec: PartitionSpec) -> list[np.ndarray
     offsets = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
     samples = order[np.arange(ds.n) + offsets]
     owner = np.repeat(np.arange(m).repeat(s), lengths)
-    per_client = lengths.reshape(m, s).sum(axis=1)
-    return _pieces(samples[np.lexsort((samples, owner))], per_client)
+    return samples[np.lexsort((samples, owner))], lengths.reshape(m, s).sum(axis=1)
 
 
-def partition_dirichlet(ds: LabeledDataset, spec: PartitionSpec) -> list[np.ndarray]:
+def partition_dirichlet(ds: LabeledDataset, spec: PartitionSpec) -> tuple[np.ndarray, np.ndarray]:
     """Class-wise Dirichlet allocation of samples across clients.
 
     For each class, one symmetric Dirichlet(alpha) draw fixes the client
@@ -186,42 +182,40 @@ def partition_dirichlet(ds: LabeledDataset, spec: PartitionSpec) -> list[np.ndar
             owners[idx] = np.searchsorted(cut, rng.uniforms(idx.size), side="right")
         counts = np.bincount(owners, minlength=m)
         if counts.min() >= spec.min_samples_per_client:
-            return _pieces(np.argsort(owners, kind="stable"), counts)
+            return np.argsort(owners, kind="stable"), counts
     raise PartitionInfeasibleError(
         f"no allocation with >= {spec.min_samples_per_client} samples per client "
         f"after {_DIRICHLET_RETRIES} draws"
     )
 
 
-def partition(ds: LabeledDataset, spec: PartitionSpec) -> list[np.ndarray]:
+def partition(ds: LabeledDataset, spec: PartitionSpec) -> tuple[np.ndarray, np.ndarray]:
     if spec.mode == "shards":
         return partition_shards(ds, spec)
     return partition_dirichlet(ds, spec)
 
 
 def train_test_split_indices(
-    assignment: list[np.ndarray], test_fraction: float, rng: SeededRng
+    assignment: tuple[np.ndarray, np.ndarray], test_fraction: float, rng: SeededRng
 ) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """Seeded-shuffle split of every client at once.
+    """Seeded-shuffle split of every client of a partition at once.
 
     Client i shuffles its indices by the stream ``rng.derive(i)`` (a stable
     argsort of its uniforms) and puts the first round(test_fraction * n_i)
     of them, at least 1 and at most n_i - 1, in its test set. A
     single-sample client reuses its sample on both sides rather than losing
-    its test set. Returns ``(train, test)``, each a pair ``(indices,
-    counts)``: client i's sorted indices are the ``counts[i]`` entries of
-    ``indices`` that follow those of clients 0..i-1.
+    its test set. Returns the two sides ``(train, test)``.
     """
     if not 0.0 < test_fraction < 1.0:
         raise ValueError("test_fraction must be in (0, 1)")
-    sizes = np.array([len(idx) for idx in assignment], dtype=np.int64)
+    indices, sizes = assignment
     if not sizes.all():
         raise ValueError("cannot split an empty client")
     m = sizes.size
     owner = np.repeat(np.arange(m), sizes)
     u = ragged_uniforms(derive_seeds(rng.seed, np.arange(m)), sizes)
     # lexsort is stable, so within a client this is argsort(u, kind="stable")
-    shuffled = np.concatenate(assignment).astype(np.int64, copy=False)[np.lexsort((u, owner))]
+    shuffled = indices[np.lexsort((u, owner))]
     rank = np.arange(owner.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     n_test = np.minimum(np.maximum(1, np.rint(test_fraction * sizes).astype(np.int64)), sizes - 1)
     in_test = rank < n_test[owner]
@@ -257,12 +251,12 @@ def gen_glr_federation(spec: GlrFederationSpec) -> list[GlrObjective]:
     return objectives
 
 
-def write_partition_csv(path, assignment: list[np.ndarray], labels: np.ndarray) -> None:
+def write_partition_csv(path, assignment: tuple[np.ndarray, np.ndarray], labels) -> None:
     """Serialize a partition as `client_id,sample_index,label` rows."""
-    labels = np.asarray(labels)
+    indices, counts = assignment
+    owners = np.repeat(np.arange(len(counts)), counts).tolist()
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("# schema=partition-v1\n")
         fh.write("client_id,sample_index,label\n")
-        for cid, idx in enumerate(assignment):
-            for j in idx:
-                fh.write(f"{cid},{int(j)},{int(labels[j])}\n")
+        for cid, j, label in zip(owners, indices.tolist(), np.asarray(labels)[indices].tolist()):
+            fh.write(f"{cid},{j},{label}\n")

@@ -60,7 +60,7 @@ class ObjectiveStack:
 
     def __init__(self, objectives):
         self.objectives = tuple(objectives)
-        self.sizes = np.array([o.full_size for o in self.objectives], dtype=np.float64)
+        self.sizes = np.array([o.full_size for o in self.objectives], dtype=np.int64)
 
     @property
     def m(self) -> int:
@@ -89,14 +89,14 @@ class ObjectiveStack:
         xs = np.broadcast_to(xs, (self.m, np.shape(xs)[-1]))
         return np.array([o.loss(x) for o, x in zip(self.objectives, xs)])
 
-    def minibatches(self, subsets: np.ndarray) -> list:
-        """The steps of a (K, b, r) array of sample indices, in the form
-        :meth:`gradients` takes: at step k, the b objectives with more than
-        r samples, in objective order, take the rows ``subsets[k]``, and the
-        others their full sets."""
+    def minibatches(self, subsets: np.ndarray):
+        """An iterator of the steps of a (K, b, r) array of sample indices,
+        in the form :meth:`gradients` takes: at step k, the b objectives with
+        more than r samples, in objective order, take the rows
+        ``subsets[k]``, and the others their full sets."""
         subsets = np.asarray(subsets, dtype=np.int64)
         takers = np.flatnonzero(self.sizes > subsets.shape[-1])
-        return [dict(zip(takers, rows, strict=True)) for rows in subsets]
+        return iter([dict(zip(takers, rows, strict=True)) for rows in subsets])
 
     def gradients(self, xs: np.ndarray, step=None) -> np.ndarray:
         """Row i is objective i's gradient at its own parameter vector
@@ -119,37 +119,28 @@ class _Pass(NamedTuple):
     targets: np.ndarray | None = None  # (rows,)
 
 
-def _layout(sizes, cap: int) -> list[list[tuple[int, int]]]:
-    """Segments (c, n) over clients of ascending row counts ``sizes``, as a
-    list per pass: each run of one count n is cut into segments of at most
-    max(1, cap // n) clients, and whole segments fill passes of at most cap
-    rows (or of one segment, if it is larger)."""
-    passes, rows = [], cap
-    for n, count in zip(*np.unique(np.asarray(sizes, dtype=np.int64), return_counts=True)):
+def _passes(sizes, cap: int) -> list[_Pass]:
+    """Unbound passes over clients of ascending row counts ``sizes``, whose
+    clients and rows lie end to end: each run of one count n is cut into
+    segments of at most max(1, cap // n) clients, and whole segments fill
+    passes of at most cap rows (or of one segment, if it is larger)."""
+    passes, first, start, rows = [], 0, 0, cap
+    for n, count in zip(*np.unique(sizes, return_counts=True)):
         n, count = int(n), int(count)
         per = max(1, cap // n)
         for c in [per] * (count // per) + [count % per] * (count % per > 0):
             if rows + c * n > cap:
-                passes.append([])
-                rows = 0
-            passes[-1].append((c, n))
+                passes.append((first, start, []))
+                clients = rows = 0
+            passes[-1][2].append((slice(clients, clients + c), slice(rows, rows + c * n), c, n))
+            clients += c
             rows += c * n
-    return passes
-
-
-def _passes(layout) -> list[_Pass]:
-    """Unbound passes of a layout, whose clients and rows lie end to end."""
-    out, first, start = [], 0, 0
-    for segs in layout:
-        client, row, segments = 0, 0, []
-        for c, n in segs:
-            segments.append((slice(client, client + c), slice(row, row + c * n), c, n))
-            client += c
-            row += c * n
-        out.append(_Pass(slice(first, first + client), tuple(segments), slice(start, start + row)))
-        first += client
-        start += row
-    return out
+            first += c
+            start += c * n
+    return [
+        _Pass(slice(a, a + segs[-1][0].stop), tuple(segs), slice(b, b + segs[-1][1].stop))
+        for a, b, segs in passes
+    ]
 
 
 def _bind(passes, inputs: np.ndarray, targets: np.ndarray) -> list[_Pass]:
@@ -176,14 +167,14 @@ class _RowStack(ObjectiveStack):
 
     def __init__(self, model, counts, inputs, targets, cap: int):
         self.model = model
-        self.sizes = counts.astype(np.float64)
+        self.sizes = counts
         self._cap = cap
         self._order = np.argsort(counts, kind="stable")
         self._inverse = np.argsort(self._order)
         self._counts = sizes = counts[self._order]
         self._inputs, self._targets = inputs, targets
         self._starts = np.cumsum(sizes) - sizes
-        self._chunks = _bind(_passes(_layout(sizes, cap)), inputs, targets)
+        self._chunks = _bind(_passes(sizes, cap), inputs, targets)
 
     @property
     def dimension(self) -> int:
@@ -209,7 +200,7 @@ class _RowStack(ObjectiveStack):
     def minibatches(self, subsets):
         # The clients with more than r samples come last in size order; at
         # each step they form segments of r rows after the full sets. A step
-        # is its unbound passes and the stack rows it gathers.
+        # is its passes, bound to the stack rows it gathers when it is reached.
         subsets = np.asarray(subsets, dtype=np.int64)
         steps, takes, r = subsets.shape
         sizes = self._counts
@@ -219,13 +210,10 @@ class _RowStack(ObjectiveStack):
             raise ValueError("need sample indices for each objective with more than r samples")
         # subsets[:, j] is the j-th taker in objective order
         drawn = self._starts[full:, None] + subsets[:, np.searchsorted(np.sort(takers), takers)]
-        head = sizes[:full].sum()
-        rows = np.concatenate(
-            [np.broadcast_to(np.arange(head), (steps, head)), drawn.reshape(steps, -1)], axis=1
-        )
-        layout = _layout(np.concatenate([sizes[:full], np.full(takers.size, r)]), self._cap)
-        passes = _passes(layout)
-        return [(passes, step_rows) for step_rows in rows]
+        head = np.arange(sizes[:full].sum())
+        passes = _passes(np.concatenate([sizes[:full], np.full(takers.size, r)]), self._cap)
+        rows = (np.concatenate([head, at]) for at in drawn.reshape(steps, -1))
+        return (_bind(passes, self._inputs[at], self._targets[at]) for at in rows)
 
     # A pass evaluates its clients at one shared vector, or at their rows of
     # xs: views of xs and of the result.
@@ -239,12 +227,8 @@ class _RowStack(ObjectiveStack):
 
     def gradients(self, xs, step=None):
         xs = self._sorted(xs)
-        passes = self._chunks
-        if step is not None:
-            passes, rows = step
-            passes = _bind(passes, self._inputs[rows], self._targets[rows])
         out = np.empty((self.m, xs.shape[-1]))
-        for p in passes:
+        for p in self._chunks if step is None else step:
             self._pass_gradients(p, xs if xs.ndim == 1 else xs[p.clients], out[p.clients])
         return out[self._inverse]
 

@@ -233,15 +233,15 @@ def _local_steps(
         if fair_grad.shape != x_start.shape:
             raise ValueError("fair gradient dimension mismatch")
     rngs = [None] * cohort.m if rngs is None else rngs
-    sizes = cohort.sizes.astype(np.int64).tolist()
+    sizes = cohort.sizes.tolist()
     batches = [_batch_rows(n, batch_size, steps, rng) for n, rng in zip(sizes, rngs, strict=True)]
     drawn = [b for b in batches if b is not None]
     plan = cohort.minibatches(np.stack(drawn, axis=1)) if drawn else [None] * steps
     x = np.tile(x_start, (cohort.m, 1))
     fair_share = None if fair_grad is None else alpha * fair_grad
     one_step = None
-    for k in range(steps):
-        g = cohort.gradients(x, plan[k])
+    for k, step in enumerate(plan):
+        g = cohort.gradients(x, step)
         # in place, x - lr * ((1 - alpha) * g + alpha * fair_grad) rounds
         # each operation exactly as written
         if fair_share is not None:
@@ -365,7 +365,10 @@ def run_round(
     eba = cfg.method == "fedeba_plus"
     tau = schedule_tau(cfg.eba, round_index) if eba else float("nan")
     aligned = eba and angle > cfg.theta
-    streams = [rng.derive(_TAG_LOCAL, round_index, int(cid)) for cid in sampled]
+    # full-batch steps read no stream, and a derive draws nothing from rng
+    streams = None if cfg.batch_size is None else [
+        rng.derive(_TAG_LOCAL, round_index, int(cid)) for cid in sampled
+    ]
     if aligned:
         fair_grad = compute_fair_gradient(cohort.gradients(x_t), start_losses, tau)
         update = local_sgd_aligned(

@@ -7,6 +7,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from entrofed.core import SeededRng
 from entrofed.datagen import (
     GlrFederationSpec,
+    LabeledDataset,
     PartitionInfeasibleError,
     PartitionSpec,
     gen_gaussian_blobs,
@@ -20,14 +21,15 @@ from entrofed.objectives import glr_least_squares
 
 
 def assert_is_partition(assignment, n):
-    flat = np.concatenate(assignment)
-    assert len(flat) == n
-    assert np.array_equal(np.sort(flat), np.arange(n))
+    indices, counts = assignment
+    assert counts.dtype == np.int64 and counts.sum() == len(indices) == n
+    assert np.array_equal(np.sort(indices), np.arange(n))
 
 
-def per_client(side):
-    """A split side (indices, counts) as one index array per client."""
-    indices, counts = side
+def per_client(assignment):
+    """A partition or split side (indices, counts) as one index array per
+    client."""
+    indices, counts = assignment
     return np.split(indices, np.cumsum(counts)[:-1])
 
 
@@ -67,7 +69,7 @@ class TestShardPartition:
         spec = PartitionSpec("shards", client_count=2, shards_per_client=1, seed=4)
         assignment = partition_shards(ds, spec)
         assert_is_partition(assignment, ds.n)
-        for idx in assignment:
+        for idx in per_client(assignment):
             assert len(set(ds.labels[idx])) == 1  # one contiguous label run each
 
     def test_two_shards_bound_label_diversity(self):
@@ -76,7 +78,7 @@ class TestShardPartition:
         spec = PartitionSpec("shards", client_count=100, shards_per_client=2, seed=6)
         assignment = partition_shards(ds, spec)
         assert_is_partition(assignment, ds.n)
-        for idx in assignment:
+        for idx in per_client(assignment):
             assert len(set(ds.labels[idx].tolist())) <= 2
 
     def test_determinism(self):
@@ -114,7 +116,7 @@ class TestShardPartition:
             np.sort(np.concatenate([cut[k] for k in drawn[i * shards : (i + 1) * shards]]))
             for i in range(clients)
         ]
-        got = partition_shards(ds, spec)
+        got = per_client(partition_shards(ds, spec))
         assert len(got) == clients
         for a, b in zip(got, expected):
             assert a.dtype == b.dtype and np.array_equal(a, b)
@@ -143,7 +145,7 @@ class TestDirichletPartition:
             spec = PartitionSpec(
                 "dirichlet", client_count=5, dirichlet_alpha=1e6, seed=200 + seed
             )
-            for idx in partition_dirichlet(ds, spec):
+            for idx in per_client(partition_dirichlet(ds, spec)):
                 hist = label_histogram(ds.labels, idx, 4)
                 assert np.abs(hist - global_hist).max() <= 0.1 * global_hist.max()
 
@@ -158,7 +160,7 @@ class TestDirichletPartition:
                 seed=400 + seed,
             )
             ents = []
-            for idx in partition_dirichlet(ds, spec):
+            for idx in per_client(partition_dirichlet(ds, spec)):
                 hist = label_histogram(ds.labels, idx, 4)
                 nz = hist > 0
                 ents.append(float(-(hist[nz] * np.log(hist[nz])).sum()))
@@ -173,8 +175,8 @@ class TestDirichletPartition:
         spec = PartitionSpec(
             "dirichlet", client_count=6, dirichlet_alpha=0.2, min_samples_per_client=5, seed=14
         )
-        assignment = partition_dirichlet(ds, spec)
-        assert min(len(idx) for idx in assignment) >= 5
+        _, counts = partition_dirichlet(ds, spec)
+        assert counts.min() >= 5
 
     def test_retry_budget_exhaustion(self):
         ds = gen_gaussian_blobs(2, 5, 2, 1.0, seed=15)
@@ -187,6 +189,18 @@ class TestDirichletPartition:
         )
         with pytest.raises(PartitionInfeasibleError):
             partition_dirichlet(ds, spec)
+
+    def test_a_class_without_samples_takes_no_draw(self):
+        # class 2 of 4 holds no sample: it is skipped without a Dirichlet
+        # draw, so the partition is that of the same samples labelled 0, 1
+        # and 2 out of 3 classes
+        labels = SeededRng(17).integers(60, 3)
+        features = np.zeros((60, 2))
+        spec = PartitionSpec("dirichlet", client_count=4, dirichlet_alpha=0.5, seed=18)
+        got = partition_dirichlet(LabeledDataset(features, np.where(labels == 2, 3, labels), 4), spec)
+        want = partition_dirichlet(LabeledDataset(features, labels, 3), spec)
+        assert_is_partition(got, 60)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want, strict=True))
 
 
 def split_one_client(indices, test_fraction, rng):
@@ -204,19 +218,21 @@ def split_one_client(indices, test_fraction, rng):
 class TestTrainTestSplit:
     def test_eighty_twenty(self):
         rng = SeededRng(17)
-        (train, n_train), (test, n_test) = train_test_split_indices([np.arange(10)], 0.2, rng)
+        assignment = (np.arange(10), np.array([10]))
+        (train, n_train), (test, n_test) = train_test_split_indices(assignment, 0.2, rng)
         assert n_train.tolist() == [8] and n_test.tolist() == [2]
-        assert_is_partition([train, test], 10)
+        assert_is_partition((np.concatenate([train, test]), n_train + n_test), 10)
 
     def test_single_sample_client_reuses_it(self):
-        train, test = train_test_split_indices([np.array([5]), np.array([1, 2])], 0.2, SeededRng(0))
+        assignment = (np.array([5, 1, 2]), np.array([1, 2]))
+        train, test = train_test_split_indices(assignment, 0.2, SeededRng(0))
         (lone_train, pair_train), (lone_test, pair_test) = per_client(train), per_client(test)
         assert lone_train.tolist() == [5] and lone_test.tolist() == [5]
         assert len(pair_train) == len(pair_test) == 1
-        assert_is_partition([pair_train - 1, pair_test - 1], 2)
+        assert sorted([*pair_train, *pair_test]) == [1, 2]
 
     def test_deterministic(self):
-        assignment = [np.arange(40, 90), np.arange(7)]
+        assignment = (np.concatenate([np.arange(40, 90), np.arange(7)]), np.array([50, 7]))
         a = train_test_split_indices(assignment, 0.2, SeededRng(3))
         b = train_test_split_indices(assignment, 0.2, SeededRng(3))
         for x, y in zip(a, b):
@@ -224,9 +240,9 @@ class TestTrainTestSplit:
 
     def test_rejects_empty_client_and_bad_fraction(self):
         with pytest.raises(ValueError, match="empty client"):
-            train_test_split_indices([np.arange(3), np.array([], dtype=np.int64)], 0.2, SeededRng(0))
+            train_test_split_indices((np.arange(3), np.array([3, 0])), 0.2, SeededRng(0))
         with pytest.raises(ValueError, match="test_fraction"):
-            train_test_split_indices([np.arange(3)], 1.0, SeededRng(0))
+            train_test_split_indices((np.arange(3), np.array([3])), 1.0, SeededRng(0))
 
     @given(
         sizes=st.lists(st.integers(1, 40) | st.sampled_from([1, 2]), min_size=1, max_size=60),
@@ -240,13 +256,12 @@ class TestTrainTestSplit:
     @settings(max_examples=200, deadline=None)
     def test_matches_per_client_reference(self, sizes, seed, test_fraction):
         # unsorted, disjoint clients, as a partition of range(sum(sizes))
-        flat = SeededRng(seed ^ 1).permutation(sum(sizes))
-        assignment = np.split(flat, np.cumsum(sizes)[:-1])
+        assignment = (SeededRng(seed ^ 1).permutation(sum(sizes)), np.array(sizes))
         root = SeededRng(seed)
         train, test = train_test_split_indices(assignment, test_fraction, root)
         got = list(zip(per_client(train), per_client(test)))
         assert len(got) == len(sizes)
-        for cid, (idx, (tr, te)) in enumerate(zip(assignment, got)):
+        for cid, (idx, (tr, te)) in enumerate(zip(per_client(assignment), got)):
             ref_tr, ref_te = split_one_client(idx, test_fraction, root.derive(cid))
             assert tr.dtype == np.int64 and te.dtype == np.int64
             assert np.array_equal(tr, ref_tr) and np.array_equal(te, ref_te)
@@ -304,7 +319,25 @@ class TestGlrFederation:
             assert np.array_equal(x.targets, y.targets)
 
 
+def per_client_csv(assignment, labels):
+    """The partition CSV as a loop over each client's indices: the writer
+    before partitions became one (indices, counts) pair."""
+    lines = ["# schema=partition-v1", "client_id,sample_index,label"]
+    for cid, idx in enumerate(per_client(assignment)):
+        lines += [f"{cid},{int(j)},{int(labels[j])}" for j in idx]
+    return "".join(line + "\n" for line in lines).encode()
+
+
 class TestPartitionCsv:
+    @pytest.mark.parametrize("mode", ["shards", "dirichlet"])
+    def test_matches_a_per_client_loop(self, tmp_path, mode):
+        ds = gen_gaussian_blobs(4, 30, 2, 1.0, seed=24)
+        spec = PartitionSpec(mode, client_count=7, shards_per_client=3, dirichlet_alpha=0.3, seed=25)
+        assignment = partition_shards(ds, spec) if mode == "shards" else partition_dirichlet(ds, spec)
+        path = tmp_path / "partition.csv"
+        write_partition_csv(path, assignment, ds.labels)
+        assert path.read_bytes() == per_client_csv(assignment, ds.labels)
+
     def test_round_trip_and_determinism(self, tmp_path):
         ds = gen_gaussian_blobs(3, 20, 2, 1.0, seed=22)
         spec = PartitionSpec("shards", client_count=4, shards_per_client=3, seed=23)

@@ -440,7 +440,7 @@ class TestStackedEvaluation:
         subsets = [rng.permutation(o.full_size)[:r] if o.full_size > r else None for o in objs]
         drawn = np.array([s for s in subsets if s is not None], dtype=np.int64).reshape(1, -1, r)
         want = [o.gradient(x, s) for o, x, s in zip(objs, xs, subsets)]
-        assert np.array_equal(stack.gradients(xs, stack.minibatches(drawn)[0]), want)
+        assert np.array_equal(stack.gradients(xs, next(stack.minibatches(drawn))), want)
 
     @pytest.mark.parametrize("activation", ["tanh", "relu"])
     def test_wide_hidden_layer_runs_straddle_passes(self, activation):
@@ -544,7 +544,7 @@ class TestStackedEvaluation:
         subsets = np.asfortranarray([rng.permutation(n)[:5] for _ in range(m)])
         # quadratics have one sample, fewer than a minibatch: full sets
         takers = stack.sizes > subsets.shape[1]
-        got = stack.gradients(xs, stack.minibatches(subsets[None, takers])[0])
+        got = stack.gradients(xs, next(stack.minibatches(subsets[None, takers])))
         want = [o.gradient(x, s) for o, x, s in zip(objs, xs, subsets)]
         assert np.array_equal(got, want), family
 
@@ -559,8 +559,28 @@ class TestStackedEvaluation:
         assert np.array_equal(stack.gradients(xs), [o.gradient(x) for o, x in zip(objs, xs)])
         subsets = np.array([[0, 2], [1, 0], [7, 3], [2, 1]])
         want = [o.gradient(x, s) for o, x, s in zip(objs, xs, subsets)]
-        step = stack.minibatches(subsets[None, stack.sizes > 2])[0]
+        step = next(stack.minibatches(subsets[None, stack.sizes > 2]))
         assert np.array_equal(stack.gradients(xs, step), want), family
+
+    @pytest.mark.parametrize("family", sorted(set(STACK_FAMILIES) - {"quadratic"}))
+    def test_minibatches_check_takers_when_called_and_gather_rows_when_reached(
+        self, monkeypatch, family
+    ):
+        # of clients of 5, 2, 8 and 1 samples, two have more than 2
+        rng = SeededRng(34)
+        stack = stack_objectives([STACK_FAMILIES[family](rng, n) for n in (5, 2, 8, 1)])
+        subsets = np.zeros((4, 3, 2), dtype=np.int64)
+        with pytest.raises(ValueError, match="more than r samples"):
+            stack.minibatches(subsets)
+        binds = []
+        bind = stacks._bind
+        monkeypatch.setattr(stacks, "_bind", lambda *args: binds.append(1) or bind(*args))
+        steps = stack.minibatches(subsets[:, :2])
+        assert not binds
+        for k, step in enumerate(steps, 1):
+            assert len(binds) == k
+            stack.gradients(np.zeros(stack.dimension), step)
+        assert len(binds) == 4
 
     def test_mixed_families_fall_back_to_the_loop(self):
         rng = SeededRng(31)

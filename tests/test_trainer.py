@@ -556,6 +556,22 @@ class TestRunTraining:
                 got, want = (np.asarray(getattr(r, field.name)).tobytes() for r in (a, b))
                 assert got == want, (a.round_index, field.name)
 
+    @pytest.mark.parametrize("batch_size", [None, 3])
+    def test_derives_minibatch_streams_only_for_minibatches(self, monkeypatch, batch_size):
+        # a full-batch round derives its sampling stream and no stream per
+        # client, which its steps would never read
+        derives = []
+        derive = SeededRng.derive
+        monkeypatch.setattr(SeededRng, "derive", lambda *a: derives.append(a[1]) or derive(*a))
+        cfg = TrainerConfig(
+            rounds=4, local_steps=2, clients_per_round=5, local_lr=0.5, batch_size=batch_size
+        )
+        fed = classifier_federation(20)
+        reports, _ = run_training(fed, cfg, x0=np.zeros(fed.dimension))
+        per_round = [101] if batch_size is None else [101] + [102] * 5
+        assert derives == per_round * cfg.rounds
+        assert len(reports) == cfg.rounds
+
     def test_methods_share_sampling_streams(self):
         fed = quadratic_federation()
         kw = dict(rounds=25, local_steps=2, clients_per_round=4, local_lr=0.05, seed=13)
@@ -638,6 +654,9 @@ class TestRunTraining:
         test = GlrObjective(rng.normals(8).reshape(4, 2), rng.normals(4))
         with pytest.raises(ValueError, match="one dimension"):
             Federation(stack_objectives((train, train)), stack_objectives((train, test)))
+        # two family stacks, each of one dimension, but not the same one
+        with pytest.raises(ValueError, match="client train and test objectives"):
+            Federation(stack_objectives((train, train)), stack_objectives((test, test)))
         with pytest.raises(ValueError, match="2 test objectives for 3 clients"):
             Federation(stack_objectives((train, train, train)), stack_objectives((train, train)))
         stack = stack_objectives((train, train))
