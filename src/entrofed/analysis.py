@@ -47,14 +47,19 @@ def tail_mean(values, k_percent: float, side: str) -> float:
     v = np.asarray(values, dtype=np.float64)
     if v.size == 0:
         raise ValueError("values must be nonempty")
-    if not 0.0 < k_percent <= 100.0:
-        raise ValueError("k_percent must be in (0, 100]")
+    count = _tail_count(k_percent, v.size)
     if side not in ("worst", "best"):
         raise ValueError("side must be 'worst' or 'best'")
-    count = math.ceil(k_percent * v.size / 100.0)
     key = v if side == "worst" else -v
     order = np.argsort(key, kind="stable")
     return float(v[order[:count]].mean())
+
+
+def _tail_count(k_percent: float, m: int) -> int:
+    """ceil(k% of m): the number of values in a tail."""
+    if not 0.0 < k_percent <= 100.0:
+        raise ValueError("k_percent must be in (0, 100]")
+    return math.ceil(k_percent * m / 100.0)
 
 
 @dataclass(frozen=True)
@@ -83,8 +88,14 @@ def evaluate_fairness(
     sizes = stack.sizes
     if np.all(np.isfinite(accs)):
         acc_var = population_variance(accs)
-        worst = tail_mean(accs, k_percent, "worst")
-        best = tail_mean(accs, k_percent, "best")
+        # Accuracies are finite and at least +0.0, so one sort gives the
+        # values of tail_mean's stable argsorts, ties included. The best
+        # tail is read in descending order, so its mean sums as tail_mean's
+        # does.
+        ranked = np.sort(accs)
+        count = _tail_count(k_percent, accs.size)
+        worst = float(ranked[:count].mean())
+        best = float(ranked[::-1][:count].mean())
         global_acc = float(np.dot(sizes, accs) / sizes.sum())
     else:
         acc_var = worst = best = global_acc = float("nan")

@@ -29,9 +29,10 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _mix64_array(z: np.ndarray) -> np.ndarray:
-    """Vectorized splitmix64 finalizer; uint64 arithmetic wraps mod 2**64."""
-    z = z.astype(np.uint64, copy=True)
+def _mix64_array(z: np.ndarray, copy: bool = True) -> np.ndarray:
+    """Vectorized splitmix64 finalizer; uint64 arithmetic wraps mod 2**64.
+    Without ``copy``, a uint64 input is mixed in place."""
+    z = z.astype(np.uint64, copy=copy)
     with np.errstate(over="ignore"):
         z ^= z >> np.uint64(30)
         z *= np.uint64(_MIX1)
@@ -42,8 +43,12 @@ def _mix64_array(z: np.ndarray) -> np.ndarray:
 
 
 def _unit_interval(raw: np.ndarray) -> np.ndarray:
-    """The top 53 bits of each 64-bit output as a double on [0, 1)."""
-    return (raw >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    """The top 53 bits of each 64-bit output as a double on [0, 1). Shifts
+    ``raw`` in place."""
+    raw >>= np.uint64(11)
+    out = raw.astype(np.float64)
+    out *= 2.0**-53
+    return out
 
 
 class SeededRng:
@@ -182,11 +187,27 @@ def ragged_uniforms(seeds: np.ndarray, counts) -> np.ndarray:
     if np.any(counts < 0):
         raise ValueError("counts must be nonnegative")
     starts = np.cumsum(counts) - counts
-    # 1-based index of every draw within its own stream
-    draw = np.arange(1, int(counts.sum()) + 1, dtype=np.int64) - np.repeat(starts, counts)
+    # 1-based index of every draw within its own stream, then its counter
+    states = np.arange(1, int(counts.sum()) + 1, dtype=np.uint64)
+    states -= np.repeat(starts.astype(np.uint64), counts)
     with np.errstate(over="ignore"):
-        states = np.repeat(seeds, counts) + draw.astype(np.uint64) * np.uint64(_GOLDEN)
-    return _unit_interval(_mix64_array(states))
+        states *= np.uint64(_GOLDEN)
+        states += np.repeat(seeds, counts)
+    return _unit_interval(_mix64_array(states, copy=False))
+
+
+def next_uniforms(rngs, counts) -> np.ndarray:
+    """The next ``counts[i]`` draws of ``rngs[i].uniforms`` for every i,
+    concatenated in stream order, from one :func:`ragged_uniforms` pass.
+    Advances each generator as that ``uniforms`` call would."""
+    counts = np.asarray(counts, dtype=np.int64)
+    # a stream that has made c draws goes on as the fresh stream whose
+    # seed lies c steps of the counter further
+    seeds = [(rng.seed + rng._count * _GOLDEN) & _MASK64 for rng in rngs]
+    out = ragged_uniforms(np.array(seeds, dtype=np.uint64), counts)
+    for rng, n in zip(rngs, counts.tolist(), strict=True):
+        rng._count += n
+    return out
 
 
 def _as_floats(values, name: str) -> np.ndarray:

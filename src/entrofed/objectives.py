@@ -165,6 +165,14 @@ def _column_sums(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _fresh(name: str, shape) -> np.ndarray:
+    """A new array for the temporary ``name``. The classifier's kernels take
+    their temporaries from a ``scratch(name, shape)`` like this one; a
+    stack passes its arena, which hands out the same arrays pass after
+    pass."""
+    return np.empty(shape)
+
+
 _ACTIVATIONS = ("identity", "tanh", "relu")
 
 
@@ -276,35 +284,54 @@ class ClassifierObjective(LocalObjective):
 
     def _through_activation(self, dact: np.ndarray, act: np.ndarray) -> np.ndarray:
         """The gradient in the pre-activations from that in the
-        activations, in place: times 1 - act^2 for tanh, or times the relu
-        mask, which act > 0 gives exactly as the pre-activations would."""
+        activations, in place: times 1 - act^2 for tanh, which overwrites
+        act, or times the relu mask, which act > 0 gives exactly as the
+        pre-activations would."""
         if self.activation == "tanh":
-            slope = act**2
+            slope = np.square(act, out=act)
             dact *= np.subtract(1.0, slope, out=slope)
         else:
             dact *= act > 0.0
         return dact
 
     @staticmethod
-    def _log_softmax(logits: np.ndarray) -> np.ndarray:
-        # Class-major: numpy reduces a short last axis one row at a time, so
-        # the row max and row sum run down the columns of one (classes,
-        # rows) copy. A max is exact, and _column_sums keeps numpy's
-        # pairwise order, so this is z - log(exp(z).sum(axis=-1)) for z =
-        # logits - logits.max(axis=-1) bit for bit, but for the sign and
-        # payload of a NaN.
-        z = logits.reshape(-1, logits.shape[-1]).T.copy()
+    def _class_major(logits: np.ndarray, scratch=_fresh):
+        """(z, lse): logits less each row's max as one (classes, rows)
+        copy, and the log of each row's sum of exp(z). Numpy reduces a
+        short last axis one row at a time, so the row max and row sum run
+        down the columns of the copy. A max is exact, and _column_sums keeps
+        numpy's pairwise order, so z - lse is z - log(exp(z).sum(axis=-1))
+        for z = logits - logits.max(axis=-1) bit for bit, but for the sign
+        and payload of a NaN."""
+        rows = logits.reshape(-1, logits.shape[-1])
+        z = scratch("shifted", rows.shape[::-1])
+        z[...] = rows.T
         z -= z.max(axis=0)
-        z -= np.log(_column_sums(np.exp(z)))
+        return z, np.log(_column_sums(np.exp(z, out=scratch("exps", z.shape))))
+
+    @staticmethod
+    def _log_softmax(logits: np.ndarray, scratch=_fresh) -> np.ndarray:
+        z, lse = ClassifierObjective._class_major(logits, scratch)
+        z -= lse
         return z.T.reshape(logits.shape)
 
     @staticmethod
-    def _probs_minus_labels(logp: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    def _target_log_probs(logits: np.ndarray, labels: np.ndarray, scratch=_fresh) -> np.ndarray:
+        """Each row's log-softmax at its label: the one entry of its
+        class-major column that a loss reads, less the column's log-sum,
+        which is the subtraction :meth:`_log_softmax` makes there."""
+        z, lse = ClassifierObjective._class_major(logits, scratch)
+        picked = z[labels.ravel(), np.arange(z.shape[1])]
+        picked -= lse
+        return picked
+
+    @staticmethod
+    def _probs_minus_labels(logp: np.ndarray, labels: np.ndarray, scratch=_fresh) -> np.ndarray:
         """exp(logp) minus the one-hot labels: the gradient of each row's
         cross-entropy in its logits. A one-hot matrix would change only the
         label entries (x - 0.0 == x), so one is subtracted there in place,
         through a row view of the C-ordered result."""
-        out = np.exp(logp, order="C")
+        out = np.exp(logp, out=scratch("probs", logp.shape))
         rows = out.reshape(-1, logp.shape[-1])
         rows[np.arange(rows.shape[0]), labels.ravel()] -= 1.0
         return out
@@ -312,8 +339,7 @@ class ClassifierObjective(LocalObjective):
     def loss(self, x, subset=None) -> float:
         arr = self._check_x(x)
         feats, labels = self._rows(subset)
-        logp = self._log_softmax(self._logits(arr, feats)[0])
-        return float(-logp[np.arange(len(labels)), labels].mean())
+        return float(-self._target_log_probs(self._logits(arr, feats)[0], labels).mean())
 
     def gradient(self, x, subset=None) -> np.ndarray:
         arr = self._check_x(x)

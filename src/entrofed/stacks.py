@@ -7,10 +7,17 @@ equal-size clients, or the per-objective loop for other families;
 :func:`classifier_stack` builds one from a split side of a dataset. A
 federation's telemetry runs on its two stacks, and a round's cohort on a
 ``take`` of the train stack.
+
+A family stack's passes reuse one scratch arena, which the stacks its
+``take`` makes share. So a family stack, and the stacks taken from it,
+must not be evaluated from two threads at once; objectives still may be.
+What ``losses``, ``gradients`` and ``evaluate`` return is never the
+arena's.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -55,7 +62,8 @@ class ObjectiveStack:
     other row-wise arithmetic once over all rows of the pass. So losses,
     accuracies and gradients, at one shared vector or at per-client
     parameters, full sets and minibatches alike, are bitwise equal to
-    per-client calls.
+    per-client calls. :meth:`in_pass_order` numbers the same clients as the
+    passes run them, so local SGD steps them without gathers.
     """
 
     def __init__(self, objectives):
@@ -76,6 +84,14 @@ class ObjectiveStack:
     def take(self, ids) -> ObjectiveStack:
         """The stack of objectives ``ids``, in that order: a round's cohort."""
         return stack_objectives([self.objectives[i] for i in ids])
+
+    def in_pass_order(self) -> tuple[ObjectiveStack, np.ndarray]:
+        """(stack, order): these objectives in the order the passes run
+        them, as a stack whose passes read per-client parameters and write
+        results without a gather, and order[j], the position here of its
+        objective j. Local SGD steps a cohort in that order. The loop runs
+        objectives as they come, so this form returns itself."""
+        return self, np.arange(self.m)
 
     def evaluate(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Losses and accuracies (NaN for families without one) at x."""
@@ -98,14 +114,17 @@ class ObjectiveStack:
         takers = np.flatnonzero(self.sizes > subsets.shape[-1])
         return iter([dict(zip(takers, rows, strict=True)) for rows in subsets])
 
-    def gradients(self, xs: np.ndarray, step=None) -> np.ndarray:
+    def gradients(self, xs: np.ndarray, step=None, out=None) -> np.ndarray:
         """Row i is objective i's gradient at its own parameter vector
         ``xs[i]`` (as in :meth:`losses`): on its full set, or on its rows
-        of ``step``, one entry of :meth:`minibatches`."""
+        of ``step``, one entry of :meth:`minibatches`. Written into ``out``,
+        an (m, D) array, when one is given, as local SGD's steps do."""
         xs = np.broadcast_to(xs, (self.m, np.shape(xs)[-1]))
+        out = np.empty(xs.shape) if out is None else out
         step = {} if step is None else step
-        objs = self.objectives
-        return np.array([o.gradient(x, step.get(i)) for i, (o, x) in enumerate(zip(objs, xs))])
+        for i, (o, x) in enumerate(zip(self.objectives, xs)):
+            out[i] = o.gradient(x, step.get(i))
+        return out
 
 
 class _Pass(NamedTuple):
@@ -155,26 +174,56 @@ def _in_size_order(starts, counts) -> np.ndarray:
     return np.repeat(starts[order] - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
 
 
+class _Arena:
+    """A stack's scratch: one array per temporary name, which its passes
+    overwrite pass after pass, so that a local-SGD step allocates none. An
+    array grows to the largest pass it has served, which is the pass cap
+    unless one client outgrows it. Passes on stacks that share an arena
+    must not run at once."""
+
+    def __init__(self):
+        self._arrays: dict[str, np.ndarray] = {}
+        self._views: dict[tuple, np.ndarray] = {}
+
+    def __call__(self, name: str, shape: tuple) -> np.ndarray:
+        view = self._views.get((name, shape))
+        if view is None:
+            size = math.prod(shape)
+            flat = self._arrays.get(name)
+            if flat is None or flat.size < size:
+                flat = self._arrays[name] = np.empty(size)
+                self._views.clear()
+            view = self._views[name, shape] = flat[:size].reshape(shape)
+        return view
+
+
 class _RowStack(ObjectiveStack):
     """A family stack: one copy of every client's (inputs, targets) rows,
     laid out by ``_in_size_order`` of their ``counts``, in passes of at most
     ``cap`` rows (``_chunks``) whose segments are views of the one copy.
-    ``model``, shared by :meth:`take`, gives the shape, not samples.
+    ``model`` gives the shape, not samples. It and the arena that the
+    passes write their temporaries into are shared by :meth:`take` and
+    :meth:`in_pass_order`.
 
     Passes run over consecutive positions in that size order. Per-client
     parameters are gathered into it once per call (``_sorted``), and
-    results go back to objective order through ``_inverse``."""
+    results go back to objective order through ``_inverse``, unless the
+    objectives are in size order already."""
 
-    def __init__(self, model, counts, inputs, targets, cap: int):
+    def __init__(self, model, counts, inputs, targets, cap: int, arena, chunks=None):
         self.model = model
         self.sizes = counts
         self._cap = cap
+        self._arena = _Arena() if arena is None else arena
         self._order = np.argsort(counts, kind="stable")
         self._inverse = np.argsort(self._order)
+        self._ascending = bool(np.all(counts[:-1] <= counts[1:]))
         self._counts = sizes = counts[self._order]
         self._inputs, self._targets = inputs, targets
         self._starts = np.cumsum(sizes) - sizes
-        self._chunks = _bind(_passes(sizes, cap), inputs, targets)
+        if chunks is None:
+            chunks = _bind(_passes(sizes, cap), inputs, targets)
+        self._chunks = chunks
 
     @property
     def dimension(self) -> int:
@@ -191,11 +240,19 @@ class _RowStack(ObjectiveStack):
         at = self._inverse[ids]
         counts = self._counts[at]
         rows = _in_size_order(self._starts[at], counts)
-        return type(self)(self.model, counts, self._inputs[rows], self._targets[rows])
+        return type(self)(self.model, counts, self._inputs[rows], self._targets[rows], self._arena)
+
+    def in_pass_order(self):
+        # the same rows, passes and arena, with objectives in size order
+        rows = (self.model, self._counts, self._inputs, self._targets)
+        return type(self)(*rows, self._arena, self._chunks), self._order
 
     def _sorted(self, xs):
         xs = np.asarray(xs, dtype=np.float64)
-        return xs if xs.ndim == 1 else xs[self._order]
+        return xs if xs.ndim == 1 or self._ascending else xs[self._order]
+
+    def _unsorted(self, out):
+        return out if self._ascending else out[self._inverse]
 
     def minibatches(self, subsets):
         # The clients with more than r samples come last in size order; at
@@ -223,19 +280,23 @@ class _RowStack(ObjectiveStack):
         out = np.empty(self.m)
         for p in self._chunks:
             out[p.clients] = self._pass_losses(p, xs if xs.ndim == 1 else xs[p.clients])
-        return out[self._inverse]
+        return self._unsorted(out)
 
-    def gradients(self, xs, step=None):
+    def gradients(self, xs, step=None, out=None):
         xs = self._sorted(xs)
-        out = np.empty((self.m, xs.shape[-1]))
+        sized = out if out is not None and self._ascending else np.empty((self.m, xs.shape[-1]))
         for p in self._chunks if step is None else step:
-            self._pass_gradients(p, xs if xs.ndim == 1 else xs[p.clients], out[p.clients])
-        return out[self._inverse]
+            self._pass_gradients(p, xs if xs.ndim == 1 else xs[p.clients], sized[p.clients])
+        if out is None:
+            return self._unsorted(sized)
+        if sized is not out:
+            np.take(sized, self._inverse, axis=0, out=out)
+        return out
 
 
 class _GlrStack(_RowStack):
-    def __init__(self, model, counts, inputs, targets):
-        super().__init__(model, counts, inputs, targets, STACK_BLOCK_ROWS)
+    def __init__(self, model, counts, inputs, targets, arena=None, chunks=None):
+        super().__init__(model, counts, inputs, targets, STACK_BLOCK_ROWS, arena, chunks)
 
     _view = staticmethod(GlrObjective)
 
@@ -267,21 +328,20 @@ class _GlrStack(_RowStack):
 
 
 class _ClassifierStack(_RowStack):
-    def __init__(self, model, counts, inputs, targets):
+    def __init__(self, model, counts, inputs, targets, arena=None, chunks=None):
         cap = max(1, STACK_BLOCK_ROWS * 10 // max(model.n_classes, model.hidden))
-        super().__init__(model, counts, inputs, targets, cap)
+        super().__init__(model, counts, inputs, targets, cap, arena, chunks)
 
     def _view(self, inputs, targets):
         model = self.model
         return ClassifierObjective(inputs, targets, model.n_classes, model.hidden, model.activation)
 
-    @staticmethod
-    def _affine(p, rows, w, b=None):
-        """``rows @ w + b`` over a pass into one (rows, k) array: per
-        segment, one matmul (one BLAS call per client) and, for per-client
-        weights, one bias add. ``w`` and ``b`` are one layer's, or stacked
-        per pass client ((s, d, k) and (s, 1, k))."""
-        out = np.empty((len(rows), w.shape[-1]))
+    def _affine(self, p, rows, name, w, b=None):
+        """``rows @ w + b`` over a pass into the (rows, k) arena array
+        ``name``: per segment, one matmul (one BLAS call per client) and,
+        for per-client weights, one bias add. ``w`` and ``b`` are one
+        layer's, or stacked per pass client ((s, d, k) and (s, 1, k))."""
+        out = self._arena(name, (len(rows), w.shape[-1]))
         shared = w.ndim == 2
         for cs, rs, c, n in p.segments:
             seg = out[rs].reshape(c, n, -1)
@@ -297,23 +357,28 @@ class _ClassifierStack(_RowStack):
         vector or at one row of x per pass client."""
         model = self.model
         if model.hidden == 0:
-            return self._affine(p, p.inputs, *model._unpack(x)), None
+            return self._affine(p, p.inputs, "logits", *model._unpack(x)), None
         w1, b1, w2, b2 = model._unpack(x)
-        act = model._activate(self._affine(p, p.inputs, w1, b1))
-        return self._affine(p, act, w2, b2), act
+        act = model._activate(self._affine(p, p.inputs, "hidden", w1, b1))
+        return self._affine(p, act, "logits", w2, b2), act
 
     @staticmethod
     def _means(p, values):
-        """Each pass client's mean of its rows' values, in pass order."""
+        """Each pass client's mean of its rows' values, in pass order: the
+        float64 sum over n that ``mean`` takes, without its Python
+        wrapper."""
         return np.concatenate(
-            [values[rs].reshape(c, n).mean(axis=1) for _, rs, c, n in p.segments]
+            [
+                np.add.reduce(values[rs].reshape(c, n), axis=1, dtype=np.float64) / n
+                for _, rs, c, n in p.segments
+            ]
         )
 
-    def _mean_losses(self, p, logp):
-        return self._means(p, -logp[np.arange(len(logp)), p.targets])
+    def _mean_losses(self, p, logits):
+        return self._means(p, -self.model._target_log_probs(logits, p.targets, self._arena))
 
     def _pass_losses(self, p, xs):
-        return self._mean_losses(p, self.model._log_softmax(self._layers(p, xs)[0]))
+        return self._mean_losses(p, self._layers(p, xs)[0])
 
     @staticmethod
     def _weight_grads(p, rows, delta, dw, db):
@@ -328,7 +393,7 @@ class _ClassifierStack(_RowStack):
     def _dlogits(self, p, logp):
         """The gradient of each row's cross-entropy in its logits, over its
         client's row count: one division per segment."""
-        dlogits = self.model._probs_minus_labels(logp, p.targets)
+        dlogits = self.model._probs_minus_labels(logp, p.targets, self._arena)
         for _, rs, _, n in p.segments:
             dlogits[rs] /= n
         return dlogits
@@ -336,13 +401,13 @@ class _ClassifierStack(_RowStack):
     def _pass_gradients(self, p, xs, out):
         model = self.model
         logits, act = self._layers(p, xs)
-        dlogits = self._dlogits(p, model._log_softmax(logits))
+        dlogits = self._dlogits(p, model._log_softmax(logits, self._arena))
         grads = model._unpack(out)
         if model.hidden == 0:
             self._weight_grads(p, p.inputs, dlogits, *grads)
             return
         self._weight_grads(p, act, dlogits, *grads[2:])
-        dact = self._affine(p, dlogits, model._unpack(xs)[2].swapaxes(-1, -2))
+        dact = self._affine(p, dlogits, "dhidden", model._unpack(xs)[2].swapaxes(-1, -2))
         self._weight_grads(p, p.inputs, model._through_activation(dact, act), *grads[:2])
 
     def evaluate(self, x):
@@ -351,9 +416,9 @@ class _ClassifierStack(_RowStack):
         accs = np.empty(self.m)
         for p in self._chunks:
             logits = self._layers(p, arr)[0]
-            losses[p.clients] = self._mean_losses(p, self.model._log_softmax(logits))
+            losses[p.clients] = self._mean_losses(p, logits)
             accs[p.clients] = self._means(p, logits.argmax(axis=-1) == p.targets)
-        return losses[self._inverse], accs[self._inverse]
+        return self._unsorted(losses), self._unsorted(accs)
 
 
 def stack_objectives(objectives) -> ObjectiveStack:

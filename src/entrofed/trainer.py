@@ -37,7 +37,7 @@ from entrofed.aggregation import (
     uniform_weights,
 )
 from entrofed.analysis import evaluate_fairness
-from entrofed.core import SeededRng, chi_square_divergence, fair_angle
+from entrofed.core import SeededRng, chi_square_divergence, fair_angle, next_uniforms
 from entrofed.stacks import ObjectiveStack
 
 # derivation tags for trainer-owned random streams
@@ -180,25 +180,57 @@ def compute_fair_gradient(grads, losses, tau: float) -> np.ndarray:
     return out
 
 
-def _batch_rows(
-    n: int, batch_size: int | None, steps: int, rng: SeededRng | None
-) -> np.ndarray | None:
-    """Sample indices of each local step, one row per step, or None for
-    full-batch steps (batch_size None or >= n).
+# Rows of minibatch orders sorted at once: a key holds a row's index above
+# a uniform's 53 bits, and an int64 has 10 bits to spare.
+_KEY_ROWS = 2**10
 
+
+def _minibatch_orders(sizes, batch_size: int | None, steps: int, rngs) -> np.ndarray | None:
+    """The (steps, takers, batch_size) sample indices of local SGD's
+    minibatches, for the clients of ``sizes`` with more than batch_size
+    samples in client order, or None when no client has (or batch_size is
+    None): the others take full-batch steps.
+
+    Each client draws from its own stream in ``rngs``, as it would alone.
     Batches are drawn without replacement from a fresh shuffle each epoch,
     and a ragged final batch is folded into the next epoch's shuffle so
     every step sees the same batch size. Each epoch's shuffle is a stable
-    argsort of n uniforms, all epochs from one draw.
+    argsort of n uniforms, all epochs from one draw. Here all clients'
+    draws come from one pass, and every (client, epoch) row is shuffled by
+    one stable argsort of int64 keys, the row's index above the uniform's
+    53 bits, for ``_KEY_ROWS`` rows at a time.
     """
-    if batch_size is None or batch_size >= n:
+    if batch_size is None:
         return None
-    if rng is None:
+    takers = np.flatnonzero(sizes > batch_size)
+    if not takers.size:
+        return None
+    streams = [rngs[i] for i in takers]
+    if any(rng is None for rng in streams):
         raise ValueError("minibatching requires a SeededRng")
+    n = sizes[takers]
     per_epoch = n // batch_size
     epochs = -(-steps // per_epoch)
-    orders = np.argsort(rng.uniforms(epochs * n).reshape(epochs, n), axis=1, kind="stable")
-    return orders[:, : per_epoch * batch_size].reshape(-1, batch_size)[:steps]
+    rows = np.repeat(n, epochs)
+    starts = np.cumsum(rows) - rows
+    # each uniform's 53 bits, exactly, below its row's index in its chunk
+    keys = (next_uniforms(streams, epochs * n) * 2.0**53).astype(np.int64)
+    keys |= np.repeat((np.arange(rows.size) % _KEY_ROWS) << 53, rows)
+    # Each chunk's keys give way to their argsort: the positions of each
+    # row's draws in shuffled order, counted from the row's start.
+    shuffled = keys
+    bounds = [*starts[::_KEY_ROWS].tolist(), keys.size]
+    for a, b in zip(bounds, bounds[1:]):
+        np.add(np.argsort(keys[a:b], kind="stable"), a, out=shuffled[a:b])
+    shuffled -= np.repeat(starts, rows)
+    # a client's steps take the first steps * batch_size entries of its
+    # epochs' shuffles, each cut to its per_epoch whole batches
+    batches = np.empty((takers.size, steps * batch_size), dtype=np.int64)
+    first = np.cumsum(epochs * n) - epochs * n
+    for i, (a, e, size, per) in enumerate(zip(first, epochs, n, per_epoch)):
+        epoch_rows = shuffled[a : a + e * size].reshape(e, size)
+        batches[i] = epoch_rows[:, : per * batch_size].ravel()[: steps * batch_size]
+    return batches.reshape(takers.size, steps, batch_size).swapaxes(0, 1)
 
 
 def _local_steps(
@@ -219,7 +251,9 @@ def _local_steps(
     given; the one-step displacement is recorded only for plain steps. The
     end loss is a full-batch snapshot. Every step is one ``gradients`` pass
     of the cohort's stack over its minibatches and full sets, and the end
-    losses one ``losses`` pass."""
+    losses one ``losses`` pass. The steps keep the clients in the stack's
+    pass order (``in_pass_order``), and the results go back to cohort
+    order once."""
     if not cohort.m:
         raise ValueError("need at least one client objective")
     if steps < 1:
@@ -232,16 +266,18 @@ def _local_steps(
             raise ValueError("alpha must be in [0, 1]")
         if fair_grad.shape != x_start.shape:
             raise ValueError("fair gradient dimension mismatch")
-    rngs = [None] * cohort.m if rngs is None else rngs
-    sizes = cohort.sizes.tolist()
-    batches = [_batch_rows(n, batch_size, steps, rng) for n, rng in zip(sizes, rngs, strict=True)]
-    drawn = [b for b in batches if b is not None]
-    plan = cohort.minibatches(np.stack(drawn, axis=1)) if drawn else [None] * steps
-    x = np.tile(x_start, (cohort.m, 1))
+    rngs = [None] * cohort.m if rngs is None else list(rngs)
+    if len(rngs) != cohort.m:
+        raise ValueError(f"{len(rngs)} minibatch streams for {cohort.m} clients")
+    stack, order = cohort.in_pass_order()
+    subsets = _minibatch_orders(stack.sizes, batch_size, steps, [rngs[i] for i in order])
+    plan = [None] * steps if subsets is None else stack.minibatches(subsets)
+    x = np.tile(x_start, (stack.m, 1))
+    g = np.empty_like(x)
     fair_share = None if fair_grad is None else alpha * fair_grad
     one_step = None
     for k, step in enumerate(plan):
-        g = cohort.gradients(x, step)
+        stack.gradients(x, step, g)
         # in place, x - lr * ((1 - alpha) * g + alpha * fair_grad) rounds
         # each operation exactly as written
         if fair_share is not None:
@@ -251,7 +287,14 @@ def _local_steps(
         x -= g
         if k == 0 and fair_grad is None:
             one_step = x - x_start
-    return CohortUpdate(x - x_start, one_step, cohort.losses(x))
+    end_losses = stack.losses(x)
+    # back to cohort order, into the step loop's own arrays
+    back = np.argsort(order)
+    x -= x_start
+    deltas = np.take(x, back, axis=0, out=g)
+    if one_step is not None:
+        one_step = np.take(one_step, back, axis=0, out=x)
+    return CohortUpdate(deltas, one_step, end_losses[back])
 
 
 def local_sgd(

@@ -1,7 +1,10 @@
 """Fairness statistics and the closed-form executable oracles."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from entrofed.aggregation import eba_weights, uniform_weights
 from entrofed.analysis import (
@@ -212,3 +215,22 @@ class TestEvaluateFairness:
         report = evaluate_fairness(stack_objectives(objs), x, 25.0)
         assert report.worst_tail_accuracy <= report.global_accuracy + 1e-12
         assert report.global_accuracy <= report.best_tail_accuracy + 1e-12
+
+    @given(
+        levels=st.lists(st.integers(0, 6), min_size=1, max_size=80),
+        k_percent=st.sampled_from([0.5, 5.0, 12.5, 33.0, 50.0, 99.0, 100.0]),
+    )
+    @example(levels=[6, 0, 6, 3, 0, 6, 1, 6, 6, 6, 6, 6], k_percent=50.0)
+    @settings(max_examples=200, deadline=None)
+    def test_both_tails_are_tail_means_bit_for_bit(self, levels, k_percent):
+        # accuracies in sevenths tie often, and their sums depend on the
+        # order they are added in
+        accs = np.array(levels) / 7.0
+        stack = SimpleNamespace(
+            evaluate=lambda x: (np.zeros(accs.size), accs), sizes=np.ones(accs.size, np.int64)
+        )
+        report = evaluate_fairness(stack, np.zeros(1), k_percent)
+        tails = {"worst": report.worst_tail_accuracy, "best": report.best_tail_accuracy}
+        for side, got in tails.items():
+            want = tail_mean(accs, k_percent, side)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), side

@@ -12,6 +12,7 @@ from entrofed.core import (
     derive_seeds,
     entropy,
     fair_angle,
+    next_uniforms,
     ragged_uniforms,
     softmax_temperature,
     validate_simplex,
@@ -135,6 +136,27 @@ class TestManyStreams:
         got = ragged_uniforms(seeds, counts)
         assert got.dtype == np.float64
         assert np.array_equal(got, np.concatenate(expected))
+
+    @given(
+        seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=6),
+        drawn=st.lists(st.integers(0, 40), min_size=6, max_size=6),
+        counts=st.lists(st.sampled_from([0, 1, 5, 64]), min_size=6, max_size=6),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_next_uniforms_read_and_advance_each_stream(self, seeds, drawn, counts):
+        # streams part-way through, whose counters wrap mod 2**64 too
+        def streams():
+            rngs = [SeededRng(seed) for seed in seeds]
+            for rng, n in zip(rngs, drawn):
+                rng.uniforms(n)
+            return rngs
+
+        got_rngs, want_rngs = streams(), streams()
+        got = next_uniforms(got_rngs, counts[: len(seeds)])
+        want = [rng.uniforms(n) for rng, n in zip(want_rngs, counts)]
+        assert got.tobytes() == np.concatenate(want).tobytes()
+        for a, b in zip(got_rngs, want_rngs, strict=True):
+            assert a.uniforms(3).tobytes() == b.uniforms(3).tobytes()
 
     def test_signed_keys_wrap_as_derive_does(self):
         assert int(derive_seeds(5, np.array([-1]))[0]) == SeededRng(5).derive(-1).seed
@@ -360,6 +382,28 @@ class TestFairAngle:
         assert fair_angle([1e300, 1e300]) == pytest.approx(0.0, abs=1e-7)
         assert fair_angle([5e-324, 0.0]) == pytest.approx(math.pi / 4, abs=1e-12)
         assert fair_angle([5e-324, 5e-324, 0.0]) == pytest.approx(fair_angle([1.0, 1.0, 0.0]))
+
+    @pytest.mark.parametrize("bound", [2.0**-500, 2.0**500])
+    def test_rescale_band_edges(self, bound):
+        # A peak inside [2**-500, 2**500] takes the direct formula; one ulp
+        # outside, the losses are first divided by it. Dividing by a peak
+        # that is not a power of two moves the last bits of most angles, so
+        # a narrower or wider band fails one side.
+        def direct(arr):
+            cosine = arr.sum() / (float(np.linalg.norm(arr)) * math.sqrt(arr.size))
+            return math.acos(min(1.0, max(-1.0, cosine)))
+
+        rng = SeededRng(39)
+        inside = np.nextafter(bound, 1.0)
+        outside = np.nextafter(bound, np.inf if bound > 1.0 else 0.0)
+        for _ in range(20):
+            shape = 0.25 + rng.uniforms(20)
+            for peak, rescaled in ((inside, False), (outside, True)):
+                arr = shape / shape.max() * peak
+                arr[np.argmax(shape)] = peak
+                assert arr.max() == peak
+                want = fair_angle(arr / peak) if rescaled else direct(arr)
+                assert fair_angle(arr) == want, (peak, rescaled)
 
     def test_rejects_degenerate_and_negative(self):
         with pytest.raises(ValueError, match="zero"):

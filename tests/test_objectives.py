@@ -597,6 +597,55 @@ class TestStackedEvaluation:
         assert np.array_equal(stack.losses(np.array([0.5])), [o.loss([0.5]) for o in objs])
         assert np.array_equal(stack.gradients(np.array([0.5])), [o.gradient([0.5]) for o in objs])
 
+    @pytest.mark.parametrize("family", sorted(STACK_FAMILIES))
+    def test_results_never_alias_the_arena(self, family):
+        # A family stack's passes write their temporaries into one arena,
+        # which the stacks that take and in_pass_order make of it share.
+        # What a public call returns is the caller's: a later pass at
+        # another vector leaves it as it was.
+        rng = SeededRng(41)
+        stack = stack_objectives([STACK_FAMILIES[family](rng, n) for n in (5, 3, 8, 3, 1, 6)])
+        cohort = stack.take(np.array([4, 2, 0, 5]))
+        ordered, _ = cohort.in_pass_order()
+        takers = int((cohort.sizes > 2).sum())
+
+        def results(x):
+            xs = x + 0.1 * np.arange(cohort.m)[:, None]
+            step = next(cohort.minibatches(np.zeros((1, takers, 2), dtype=np.int64)))
+            return [
+                stack.losses(x),
+                stack.gradients(x),
+                *stack.evaluate(x),
+                cohort.losses(xs),
+                cohort.gradients(xs),
+                cohort.gradients(xs, step),
+                ordered.losses(xs),
+                ordered.gradients(xs),
+            ]
+
+        first = results(0.5 * rng.normals(stack.dimension))
+        kept = [a.copy() for a in first]
+        results(0.5 * rng.normals(stack.dimension))
+        for a, b in zip(first, kept, strict=True):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("family", sorted(STACK_FAMILIES))
+    def test_in_pass_order_and_gradients_into_a_given_array(self, family):
+        rng = SeededRng(42)
+        stack = stack_objectives([STACK_FAMILIES[family](rng, n) for n in (5, 3, 8, 3, 1, 6)])
+        xs = 0.5 * rng.normals(stack.m * stack.dimension).reshape(stack.m, -1)
+        ordered, order = stack.in_pass_order()
+        assert sorted(order.tolist()) == list(range(stack.m))
+        if family != "quadratic":
+            assert ordered.sizes.tolist() == sorted(stack.sizes.tolist())
+        want = stack.gradients(xs)
+        assert ordered.gradients(xs[order]).tobytes() == want[order].tobytes()
+        assert ordered.losses(xs[order]).tobytes() == stack.losses(xs)[order].tobytes()
+        for s, x, w in ((stack, xs, want), (ordered, xs[order], want[order])):
+            out = np.full_like(xs, np.nan)
+            assert s.gradients(x, None, out) is out
+            assert out.tobytes() == w.tobytes()
+
 
 class TestStackTake:
     """A round's cohort is ``take`` of the train stack: a gather of the

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -338,6 +339,89 @@ class TestCohortMatchesPerClientLoop:
         ]
         fair_grad = np.array([0.4]) if aligned else None
         assert_cohort_matches_reference(objectives, np.array([0.3]), 5, 0.1, 3, [4, 5, 6], fair_grad)
+
+
+def batch_rows(n, batch_size, steps, rng):
+    """One client's minibatch sample indices, one row per step, drawn alone
+    from its stream (None for full-batch steps): a stable argsort of n
+    uniforms per epoch, all epochs from one draw, each cut to its whole
+    batches. Local SGD drew every client's batches this way before it drew
+    the cohort's in one pass."""
+    if batch_size is None or batch_size >= n:
+        return None
+    per_epoch = n // batch_size
+    epochs = -(-steps // per_epoch)
+    orders = np.argsort(rng.uniforms(epochs * n).reshape(epochs, n), axis=1, kind="stable")
+    return orders[:, : per_epoch * batch_size].reshape(-1, batch_size)[:steps]
+
+
+class TestMinibatchOrders:
+    """The cohort's minibatch orders, from one draw and one argsort per
+    2**10 (client, epoch) rows, are every client's own draws stacked."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(1, 60), min_size=1, max_size=8),
+        batch=st.one_of(st.none(), st.integers(1, 30)),
+        steps=st.integers(1, 25),
+        drawn=st.lists(st.integers(0, 100), min_size=8, max_size=8),
+        key_rows=st.sampled_from([1, 2, 3, 5, 2**10]),
+        seed=st.integers(0, 2**64 - 1),
+        ties=st.booleans(),
+    )
+    # the deep-mlp benchmark's shape
+    @example(
+        sizes=DEEP_MLP_SIZES, batch=16, steps=20, drawn=[0] * 8, key_rows=2**10, seed=4, ties=False
+    )
+    # chunk bounds that cut one client's epochs
+    @example(
+        sizes=[3, 40, 7], batch=2, steps=9, drawn=[5] * 8, key_rows=4, seed=2**64 - 1, ties=True
+    )
+    def test_one_pass_is_the_per_client_draws(
+        self, sizes, batch, steps, drawn, key_rows, seed, ties
+    ):
+        self.assert_orders_match(sizes, batch, steps, drawn, key_rows, seed, ties)
+
+    def test_rows_past_the_key_limit(self):
+        # 1100 + 550 + 367 (client, epoch) rows: two chunks of 2**10 keys
+        self.assert_orders_match([3, 5, 7], 2, 1100, [1, 0, 2], 2**10, 9, True)
+
+    @staticmethod
+    def assert_orders_match(sizes, batch, steps, drawn, key_rows, seed, ties):
+        # streams part-way through, as the same clients' would be
+        def streams():
+            rngs = [SeededRng(seed).derive(i) for i in range(len(sizes))]
+            for rng, n in zip(rngs, drawn):
+                rng.uniforms(n)
+            return rngs
+
+        # Uniforms cut to quarters tie within an epoch, which only the
+        # stable order of equal keys breaks as the per-client argsort does.
+        cut = (lambda u: np.floor(u * 4.0) / 4.0) if ties else (lambda u: u)
+        draws = trainer.next_uniforms
+        got_rngs, want_rngs = streams(), streams()
+        with (
+            mock.patch.object(trainer, "_KEY_ROWS", key_rows),
+            mock.patch.object(trainer, "next_uniforms", lambda *a: cut(draws(*a))),
+        ):
+            got = trainer._minibatch_orders(np.array(sizes), batch, steps, got_rngs)
+        cut_rngs = [SimpleNamespace(uniforms=lambda n, r=r: cut(r.uniforms(n))) for r in want_rngs]
+        want = [batch_rows(n, batch, steps, rng) for n, rng in zip(sizes, cut_rngs)]
+        want = [rows for rows in want if rows is not None]
+        if not want:
+            assert got is None
+        else:
+            assert got.tobytes() == np.stack(want, axis=1).tobytes()
+            assert got.shape == (steps, len(want), batch)
+        for a, b in zip(got_rngs, want_rngs, strict=True):
+            assert a.uniforms(2).tobytes() == b.uniforms(2).tobytes()
+
+    def test_takers_need_streams(self):
+        rngs = [SeededRng(1), None, SeededRng(2)]
+        with pytest.raises(ValueError, match="SeededRng"):
+            trainer._minibatch_orders(np.array([9, 9, 2]), 4, 3, rngs)
+        # a full-batch client needs none
+        assert trainer._minibatch_orders(np.array([9, 2, 9]), 4, 3, rngs).shape == (3, 2, 4)
 
 
 class TestCohortPasses:
