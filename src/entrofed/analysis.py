@@ -43,23 +43,23 @@ def population_variance(values) -> float:
 
 def tail_mean(values, k_percent: float, side: str) -> float:
     """Mean of the ceil(k% of m) smallest ("worst") or largest ("best")
-    values; ties broken by index ascending."""
+    values, NaNs ranked last on either side; a tail that holds a NaN has
+    the mean ``math.nan``. Ties may come in any order: equal values have
+    equal bits, save +0.0 and -0.0, so only the sign of a zero mean can
+    depend on it."""
     v = np.asarray(values, dtype=np.float64)
     if v.size == 0:
         raise ValueError("values must be nonempty")
-    count = _tail_count(k_percent, v.size)
-    if side not in ("worst", "best"):
-        raise ValueError("side must be 'worst' or 'best'")
-    key = v if side == "worst" else -v
-    order = np.argsort(key, kind="stable")
-    return float(v[order[:count]].mean())
-
-
-def _tail_count(k_percent: float, m: int) -> int:
-    """ceil(k% of m): the number of values in a tail."""
     if not 0.0 < k_percent <= 100.0:
         raise ValueError("k_percent must be in (0, 100]")
-    return math.ceil(k_percent * m / 100.0)
+    if side not in ("worst", "best"):
+        raise ValueError("side must be 'worst' or 'best'")
+    count = math.ceil(k_percent * v.size / 100.0)
+    # negation is exact, so the best tail is the values themselves, summed
+    # largest first; np.sort does not keep a NaN's sign
+    tail = np.sort(v)[:count] if side == "worst" else -np.sort(-v)[:count]
+    mean = float(tail.mean())
+    return math.nan if math.isnan(mean) else mean
 
 
 @dataclass(frozen=True)
@@ -88,14 +88,8 @@ def evaluate_fairness(
     sizes = stack.sizes
     if np.all(np.isfinite(accs)):
         acc_var = population_variance(accs)
-        # Accuracies are finite and at least +0.0, so one sort gives the
-        # values of tail_mean's stable argsorts, ties included. The best
-        # tail is read in descending order, so its mean sums as tail_mean's
-        # does.
-        ranked = np.sort(accs)
-        count = _tail_count(k_percent, accs.size)
-        worst = float(ranked[:count].mean())
-        best = float(ranked[::-1][:count].mean())
+        worst = tail_mean(accs, k_percent, "worst")
+        best = tail_mean(accs, k_percent, "best")
         global_acc = float(np.dot(sizes, accs) / sizes.sum())
     else:
         acc_var = worst = best = global_acc = float("nan")

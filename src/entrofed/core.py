@@ -29,10 +29,10 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _mix64_array(z: np.ndarray, copy: bool = True) -> np.ndarray:
+def _mix64_array(z: np.ndarray) -> np.ndarray:
     """Vectorized splitmix64 finalizer; uint64 arithmetic wraps mod 2**64.
-    Without ``copy``, a uint64 input is mixed in place."""
-    z = z.astype(np.uint64, copy=copy)
+    A uint64 input is mixed in place."""
+    z = z.astype(np.uint64, copy=False)
     with np.errstate(over="ignore"):
         z ^= z >> np.uint64(30)
         z *= np.uint64(_MIX1)
@@ -193,7 +193,7 @@ def ragged_uniforms(seeds: np.ndarray, counts) -> np.ndarray:
     with np.errstate(over="ignore"):
         states *= np.uint64(_GOLDEN)
         states += np.repeat(seeds, counts)
-    return _unit_interval(_mix64_array(states, copy=False))
+    return _unit_interval(_mix64_array(states))
 
 
 def next_uniforms(rngs, counts) -> np.ndarray:

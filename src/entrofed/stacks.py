@@ -118,7 +118,8 @@ class ObjectiveStack:
         """Row i is objective i's gradient at its own parameter vector
         ``xs[i]`` (as in :meth:`losses`): on its full set, or on its rows
         of ``step``, one entry of :meth:`minibatches`. Written into ``out``,
-        an (m, D) array, when one is given, as local SGD's steps do."""
+        an (m, D) array, when one is given, as local SGD's steps do; only
+        a stack in pass order (:meth:`in_pass_order`) takes one."""
         xs = np.broadcast_to(xs, (self.m, np.shape(xs)[-1]))
         out = np.empty(xs.shape) if out is None else out
         step = {} if step is None else step
@@ -176,10 +177,11 @@ def _in_size_order(starts, counts) -> np.ndarray:
 
 class _Arena:
     """A stack's scratch: one array per temporary name, which its passes
-    overwrite pass after pass, so that a local-SGD step allocates none. An
-    array grows to the largest pass it has served, which is the pass cap
-    unless one client outgrows it. Passes on stacks that share an arena
-    must not run at once."""
+    overwrite pass after pass, so that a local-SGD step makes none of its
+    hidden-width, logit or backprop arrays afresh. An array grows to the
+    largest pass it has served, which is the pass cap unless one client
+    outgrows it. Passes on stacks that share an arena must not run at
+    once."""
 
     def __init__(self):
         self._arrays: dict[str, np.ndarray] = {}
@@ -283,15 +285,13 @@ class _RowStack(ObjectiveStack):
         return self._unsorted(out)
 
     def gradients(self, xs, step=None, out=None):
+        if out is not None and not self._ascending:
+            raise ValueError("out is written in pass order: give it to in_pass_order's stack")
         xs = self._sorted(xs)
-        sized = out if out is not None and self._ascending else np.empty((self.m, xs.shape[-1]))
+        sized = np.empty((self.m, xs.shape[-1])) if out is None else out
         for p in self._chunks if step is None else step:
             self._pass_gradients(p, xs if xs.ndim == 1 else xs[p.clients], sized[p.clients])
-        if out is None:
-            return self._unsorted(sized)
-        if sized is not out:
-            np.take(sized, self._inverse, axis=0, out=out)
-        return out
+        return self._unsorted(sized)
 
 
 class _GlrStack(_RowStack):

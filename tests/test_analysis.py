@@ -1,5 +1,6 @@
 """Fairness statistics and the closed-form executable oracles."""
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -74,6 +75,22 @@ class TestTailMean:
         vals = np.array([0.5] * 50)
         vals[[7, 31]] = 0.1
         assert tail_mean(vals, 5, "worst") == pytest.approx((0.1 + 0.1 + 0.5) / 3)
+
+    @given(
+        values=st.lists(
+            st.sampled_from([-2.5, -1.0, 0.0, 1.0 / 3.0, 1.0, 7.0, np.nan]), min_size=1, max_size=60
+        ),
+        k_percent=st.sampled_from([0.5, 5.0, 33.0, 50.0, 99.0, 100.0]),
+        side=st.sampled_from(["worst", "best"]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_stable_argsort_gather(self, values, k_percent, side):
+        # ties, NaNs ranked last, sums that hinge on their order
+        v = np.array(values)
+        order = np.argsort(v if side == "worst" else -v, kind="stable")
+        want = v[order[: math.ceil(k_percent * v.size / 100.0)]].mean()
+        got = tail_mean(v, k_percent, side)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
