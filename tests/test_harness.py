@@ -48,6 +48,70 @@ seeds = 1,2
 """
 
 
+# Every (section, key) a config file may set: the text of its default, where
+# its value lands ("run." on the trainer config of a run, else on the
+# experiment config) and the value an empty file gives it.
+SCHEMA = {
+    ("trainer", "method"): ("fedeba_plus", "run.method", "fedeba_plus"),
+    ("trainer", "rounds"): ("50", "run.rounds", 50),
+    ("trainer", "local_steps"): ("5", "run.local_steps", 5),
+    ("trainer", "clients_per_round"): ("10", "run.clients_per_round", 10),
+    ("trainer", "global_lr"): ("1.0", "run.global_lr", 1.0),
+    ("trainer", "local_lr"): ("0.05", "run.local_lr", 0.05),
+    ("trainer", "alpha"): ("0.5", "run.alpha", 0.5),
+    ("trainer", "theta_deg"): ("90", "run.theta", math.pi / 2),
+    ("trainer", "batch_size"): ("full", "run.batch_size", None),
+    ("trainer", "tau0"): ("0.1", "run.eba.tau0", 0.1),
+    ("trainer", "tau_schedule"): ("constant", "run.eba.schedule", "constant"),
+    ("trainer", "tau_decay"): ("0", "run.eba.decay", 0.0),
+    ("trainer", "prior"): ("uniform", "run.eba.prior", "uniform"),
+    ("trainer", "qffl_q"): ("1", "run.qffl.q", 1.0),
+    ("trainer", "qffl_lipschitz"): ("1", "run.qffl.lipschitz", 1.0),
+    ("data", "kind"): ("blobs", "data_kind", "blobs"),
+    ("data", "classes"): ("10", "classes", 10),
+    ("data", "per_class"): ("200", "per_class", 200),
+    ("data", "dim"): ("8", "dim", 8),
+    ("data", "spread"): ("1", "spread", 1.0),
+    ("data", "model"): ("softmax", "model", "softmax"),
+    ("data", "hidden_units"): ("32", "hidden_units", 32),
+    ("data", "activation"): ("tanh", "activation", "tanh"),
+    ("data", "glr_dim"): ("4", "glr_dim", 4),
+    ("data", "samples_per_client"): ("32", "samples_per_client", 32),
+    ("data", "design_scale"): ("1", "design_scale", 1.0),
+    ("data", "noise_std"): ("0.1", "noise_std", 0.1),
+    ("data", "param_scale"): ("1", "param_scale", 1.0),
+    ("partition", "mode"): ("dirichlet", "partition_mode", "dirichlet"),
+    ("partition", "clients"): ("20", "clients", 20),
+    ("partition", "shards_per_client"): ("2", "shards_per_client", 2),
+    ("partition", "dirichlet_alpha"): ("0.3", "dirichlet_alpha", 0.3),
+    ("partition", "min_samples_per_client"): ("1", "min_samples_per_client", 1),
+    ("metrics", "k_percent"): ("5", "run.k_percent", 5.0),
+    ("metrics", "test_fraction"): ("0.2", "test_fraction", 0.2),
+    ("run", "seeds"): ("1", "seeds", (1,)),
+    ("run", "output_dir"): ("runs", "output_dir", "runs"),
+}
+
+
+class TestSchema:
+    def test_every_key_and_its_empty_file_value_is_pinned(self, tmp_path):
+        cfg = parse_config(write_cfg(tmp_path, ""))
+        assert cfg == harness.ExperimentConfig()
+        assert len(SCHEMA) == 37 and set(harness._KEYS) == set(SCHEMA)
+        run = cfg.trainer_config(0)
+        for entry, (_, where, want) in SCHEMA.items():
+            got = run if where.startswith("run.") else cfg
+            for name in where.removeprefix("run.").split("."):
+                got = getattr(got, name)
+            assert (got, type(got)) == (want, type(want)), entry
+
+    def test_each_default_text_gives_the_default(self, tmp_path):
+        by_section = {}
+        for (section, key), (text, _, _) in SCHEMA.items():
+            by_section.setdefault(section, []).append(f"{key} = {text}")
+        text = "".join(f"[{s}]\n" + "\n".join(lines) + "\n" for s, lines in by_section.items())
+        assert parse_config(write_cfg(tmp_path, text)) == harness.ExperimentConfig()
+
+
 class TestParseConfig:
     def test_empty_file_fills_defaults(self, tmp_path):
         cfg = parse_config(write_cfg(tmp_path, ""))
