@@ -11,24 +11,27 @@ Takes ~10 seconds; shrink `rounds` below to go faster.
 
 import numpy as np
 
+from entrofed.aggregation import EbaConfig
 from entrofed.harness import ExperimentConfig, build_federation
-from entrofed.trainer import run_training
+from entrofed.trainer import TrainerConfig, run_training
 
 rounds = 150
 seeds = (1, 2)
 
 
 def run(method, alpha):
-    # Keys not set here keep the defaults of an empty config file.
+    # Settings not given here keep the defaults of an empty config file.
     cfg = ExperimentConfig(
-        method=method,
-        alpha=alpha,
-        rounds=rounds,
-        local_steps=5,
-        clients_per_round=8,
-        local_lr=0.05,
-        theta_deg=0.0,
-        tau0=0.1,
+        trainer=TrainerConfig(
+            method=method,
+            alpha=alpha,
+            rounds=rounds,
+            local_steps=5,
+            clients_per_round=8,
+            local_lr=0.05,
+            theta=0.0,
+            eba=EbaConfig(tau0=0.1),
+        ),
         classes=6,
         per_class=800,
         dim=6,

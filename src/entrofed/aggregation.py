@@ -9,12 +9,12 @@ functions are stateless.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from entrofed.core import softmax_temperature
+from entrofed.core import bounded, check_settings, one_of, setting, softmax_temperature
+
 
 @dataclass(frozen=True)
 class EbaConfig:
@@ -28,34 +28,24 @@ class EbaConfig:
     SCHEDULES = ("constant", "linear", "concave", "convex")
     PRIORS = ("uniform", "data_ratio")
 
-    tau0: float = 0.1
-    schedule: str = "constant"
-    decay: float = 0.0
-    prior: str = "uniform"
+    tau0: float = setting("trainer", 0.1, bounded(0.0, open_low=True))
+    schedule: str = setting("trainer", "constant", one_of(*SCHEDULES), key="tau_schedule")
+    decay: float = setting("trainer", 0.0, bounded(0.0), key="tau_decay")
+    prior: str = setting("trainer", "uniform", one_of(*PRIORS))
 
     def __post_init__(self):
-        if not (math.isfinite(self.tau0) and self.tau0 > 0):
-            raise ValueError("tau0 must be positive")
-        if self.schedule not in self.SCHEDULES:
-            raise ValueError(f"schedule must be one of {self.SCHEDULES}")
-        if not (math.isfinite(self.decay) and self.decay >= 0):
-            raise ValueError("decay must be >= 0")
-        if self.prior not in self.PRIORS:
-            raise ValueError(f"prior must be one of {self.PRIORS}")
+        check_settings(self)
 
 
 @dataclass(frozen=True)
 class QfflConfig:
     """q-FFL settings: loss power q and the Lipschitz normalizer."""
 
-    q: float = 1.0
-    lipschitz: float = 1.0
+    q: float = setting("trainer", 1.0, bounded(0.0), key="qffl_q")
+    lipschitz: float = setting("trainer", 1.0, bounded(0.0, open_low=True), key="qffl_lipschitz")
 
     def __post_init__(self):
-        if not (math.isfinite(self.q) and self.q >= 0):
-            raise ValueError("q must be >= 0")
-        if not (math.isfinite(self.lipschitz) and self.lipschitz > 0):
-            raise ValueError("lipschitz must be positive")
+        check_settings(self)
 
 
 def schedule_tau(cfg: EbaConfig, k: int) -> float:

@@ -3,12 +3,15 @@
 Seeded randomness, simplex weight vectors, temperature softmax, Shannon
 entropy, chi-square divergence, and the fair-angle computation. All functions
 operate on 1-D float64 numpy arrays and are pure; :class:`SeededRng` is the
-only stateful object and must not be shared across concurrent tasks.
+only stateful object and must not be shared across concurrent tasks. Last,
+the declaration of config settings that the settings' dataclasses share.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from dataclasses import field, fields
 
 import numpy as np
 
@@ -320,3 +323,68 @@ def fair_angle(losses) -> float:
         raise ValueError("angle undefined for an all-zero loss vector")
     cosine = arr.sum() / (norm * math.sqrt(arr.size))
     return math.acos(min(1.0, max(-1.0, cosine)))
+
+
+# --- config settings ------------------------------------------------------
+
+
+def setting(section: str, default, check, key: str | None = None, unit=None):
+    """A dataclass field that a config file sets as ``key = value`` under
+    ``[section]`` (the key is the field's name unless given). ``unit``, if
+    given, is the pair of maps from the file's value to the field's and
+    back. ``check``, given the value as the file gives it, raises a
+    ValueError saying what is wrong with it; ``None`` checks nothing."""
+    meta = {"section": section, "key": key, "check": check, "unit": unit}
+    return field(default=default, metadata=meta)
+
+
+@functools.cache
+def _checked(cls) -> tuple:
+    return tuple(f for f in fields(cls) if f.metadata.get("check"))
+
+
+def check_settings(obj) -> None:
+    """Run the checker of each setting of the dataclass ``obj``; the
+    ValueError names the field (as its key, if in another unit) first."""
+    for f in _checked(type(obj)):
+        value = getattr(obj, f.name)
+        check, unit = f.metadata["check"], f.metadata["unit"]
+        try:
+            check(value if unit is None else unit[1](value))
+        except ValueError as exc:
+            where = f.name if unit is None else f"{f.name} as {f.metadata['key']}"
+            raise ValueError(f"{where} {exc}") from None
+
+
+def bounded(low=None, high=None, open_low=False, open_high=False):
+    """Checker of a finite number within [low, high]; either bound may be
+    open or absent."""
+
+    def check(v) -> None:
+        if not math.isfinite(v):
+            raise ValueError(f"must be finite, got {v}")
+        above = low is None or (v > low if open_low else v >= low)
+        below = high is None or (v < high if open_high else v <= high)
+        if above and below:
+            return
+        if high is None:
+            raise ValueError(f"must be {'>' if open_low else '>='} {low}, got {v}")
+        left, right = "(" if open_low else "[", ")" if open_high else "]"
+        raise ValueError(f"must be within {left}{low}, {high}{right}, got {v}")
+
+    return check
+
+
+def one_of(*options):
+    """Checker of a value among ``options``."""
+
+    def check(v) -> None:
+        if v not in options:
+            raise ValueError(f"must be one of {options}, got {v!r}")
+
+    return check
+
+
+def or_none(check):
+    """``check``, with None also allowed."""
+    return lambda v: v is None or check(v)

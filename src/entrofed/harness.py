@@ -1,8 +1,9 @@
 """Experiment harness: config files, subcommands, CSV persistence.
 
 Configs are flat ``key = value`` text files with ``[section]`` headers and
-``#``/``;`` comments (the fields of ``ExperimentConfig`` declare every key
-and its default).
+``#``/``;`` comments. Each key is declared once, with its default and its
+rule, on the dataclass field it sets (``ExperimentConfig`` and the trainer
+configs it holds).
 Subcommands:
 
 * ``run``       -- train per seed, write per-seed round CSVs and a summary,
@@ -21,12 +22,12 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from entrofed.aggregation import EbaConfig, QfflConfig, eba_weights, uniform_weights
+from entrofed.aggregation import eba_weights, uniform_weights
 from entrofed.analysis import (
     RegressionOracleSetup,
     entropy_max_bruteforce,
@@ -34,7 +35,14 @@ from entrofed.analysis import (
     softmax_entropy,
     toy_case_oracle,
 )
-from entrofed.core import SeededRng, softmax_temperature
+from entrofed.core import (
+    SeededRng,
+    bounded,
+    check_settings,
+    one_of,
+    setting,
+    softmax_temperature,
+)
 from entrofed.datagen import (
     GlrFederationSpec,
     PartitionSpec,
@@ -79,149 +87,94 @@ def _fmt(x) -> str:
 # --- config schema -----------------------------------------------------
 
 
-def _an_int(minimum):
-    def conv(s: str) -> int:
-        try:
-            v = int(s)
-        except ValueError:
-            raise ValueError(f"expected an integer, got {s!r}") from None
-        if v < minimum:
-            raise ValueError(f"must be >= {minimum}, got {v}")
-        return v
-
-    return conv
-
-
-def _a_float(minimum=None, maximum=None, strict_min=False, strict_max=False):
-    def conv(s: str) -> float:
-        try:
-            v = float(s)
-        except ValueError:
-            raise ValueError(f"expected a number, got {s!r}") from None
-        if not math.isfinite(v):
-            raise ValueError("must be finite")
-        above = minimum is None or (v > minimum if strict_min else v >= minimum)
-        below = maximum is None or (v < maximum if strict_max else v <= maximum)
-        if above and below:
-            return v
-        if maximum is None:
-            raise ValueError(f"must be {'>' if strict_min else '>='} {minimum}, got {v}")
-        low = "(" if strict_min else "["
-        high = ")" if strict_max else "]"
-        raise ValueError(f"must be within {low}{minimum}, {maximum}{high}, got {v}")
-
-    return conv
+# the text parser of each type of setting, and what its text must be
+_PARSERS = {
+    "int": (int, "an integer"),
+    "float": (float, "a number"),
+    "str": (str, "text"),
+    "int | None": (lambda s: None if s == "full" else int(s), "an integer or full"),
+    "tuple[int, ...]": (
+        lambda s: tuple(int(p) for p in s.split(",") if p.strip()), "comma-separated integers"
+    ),
+}
 
 
-def _a_choice(*options):
-    def conv(s: str) -> str:
-        if s not in options:
-            raise ValueError(f"must be one of {options}, got {s!r}")
-        return s
-
-    return conv
-
-
-def _batch_size(s: str):
-    if s == "full":
-        return None
-    return _an_int(1)(s)
-
-
-def _seed_list(s: str) -> tuple[int, ...]:
-    parts = [p.strip() for p in s.split(",") if p.strip()]
-    if not parts:
-        raise ValueError("need at least one seed")
-    try:
-        seeds = tuple(int(p) for p in parts)
-    except ValueError:
-        raise ValueError(f"seeds must be integers, got {s!r}") from None
+def _distinct_seeds(seeds) -> None:
     # each seed names its own rounds_seed<N>.csv and summary row
-    for i, seed in enumerate(seeds):
-        if seed in seeds[:i]:
-            raise ValueError(f"seeds must be distinct, got {seed} more than once")
-    return seeds
-
-
-def _key(section: str, default, convert, key: str | None = None):
-    """Declare a config key: its ``[section]``, its default, and the converter
-    that validates its text. The key's name is the field's unless given."""
-    meta = {"section": section, "convert": convert}
-    if key is not None:
-        meta["key"] = key
-    return field(default=default, metadata=meta)
+    if not seeds or len(set(seeds)) < len(seeds):
+        raise ValueError(f"must be one or more distinct seeds, got {seeds}")
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Fully validated experiment settings, one field per config key; the
-    defaults are those of an empty config file."""
+    """The trainer's settings and one field per data, partition, test-split
+    and run key, all validated; the defaults are an empty config file's."""
 
-    method: str = _key("trainer", "fedeba_plus", _a_choice(*TrainerConfig.METHODS))
-    rounds: int = _key("trainer", 50, _an_int(1))
-    local_steps: int = _key("trainer", 5, _an_int(1))
-    clients_per_round: int = _key("trainer", 10, _an_int(1))
-    global_lr: float = _key("trainer", 1.0, _a_float(0.0, strict_min=True))
-    local_lr: float = _key("trainer", 0.05, _a_float(0.0, strict_min=True))
-    alpha: float = _key("trainer", 0.5, _a_float(0.0, 1.0))
-    theta_deg: float = _key("trainer", 90.0, _a_float(0.0, 180.0))
-    batch_size: int | None = _key("trainer", None, _batch_size)
-    tau0: float = _key("trainer", 0.1, _a_float(0.0, strict_min=True))
-    tau_schedule: str = _key("trainer", "constant", _a_choice(*EbaConfig.SCHEDULES))
-    tau_decay: float = _key("trainer", 0.0, _a_float(0.0))
-    prior: str = _key("trainer", "uniform", _a_choice(*EbaConfig.PRIORS))
-    qffl_q: float = _key("trainer", 1.0, _a_float(0.0))
-    qffl_lipschitz: float = _key("trainer", 1.0, _a_float(0.0, strict_min=True))
-    data_kind: str = _key("data", "blobs", _a_choice("blobs", "glr"), key="kind")
-    classes: int = _key("data", 10, _an_int(2))
-    per_class: int = _key("data", 200, _an_int(1))
-    dim: int = _key("data", 8, _an_int(1))
-    spread: float = _key("data", 1.0, _a_float(0.0))
-    model: str = _key("data", "softmax", _a_choice("softmax", "mlp"))
-    hidden_units: int = _key("data", 32, _an_int(1))
-    activation: str = _key("data", "tanh", _a_choice("tanh", "relu"))
-    glr_dim: int = _key("data", 4, _an_int(1))
-    samples_per_client: int = _key("data", 32, _an_int(1))
-    design_scale: float = _key("data", 1.0, _a_float(0.0, strict_min=True))
-    noise_std: float = _key("data", 0.1, _a_float(0.0))
-    param_scale: float = _key("data", 1.0, _a_float(0.0))
-    partition_mode: str = _key(
-        "partition", "dirichlet", _a_choice("shards", "dirichlet"), key="mode"
+    trainer: TrainerConfig = TrainerConfig()
+    data_kind: str = setting("data", "blobs", one_of("blobs", "glr"), key="kind")
+    classes: int = setting("data", 10, bounded(2))
+    per_class: int = setting("data", 200, bounded(1))
+    dim: int = setting("data", 8, bounded(1))
+    spread: float = setting("data", 1.0, bounded(0.0))
+    model: str = setting("data", "softmax", one_of("softmax", "mlp"))
+    hidden_units: int = setting("data", 32, bounded(1))
+    activation: str = setting("data", "tanh", one_of("tanh", "relu"))
+    glr_dim: int = setting("data", 4, bounded(1))
+    samples_per_client: int = setting("data", 32, bounded(1))
+    design_scale: float = setting("data", 1.0, bounded(0.0, open_low=True))
+    noise_std: float = setting("data", 0.1, bounded(0.0))
+    param_scale: float = setting("data", 1.0, bounded(0.0))
+    partition_mode: str = setting(
+        "partition", "dirichlet", one_of("shards", "dirichlet"), key="mode"
     )
-    clients: int = _key("partition", 20, _an_int(1))
-    shards_per_client: int = _key("partition", 2, _an_int(1))
-    dirichlet_alpha: float = _key("partition", 0.3, _a_float(0.0, strict_min=True))
-    min_samples_per_client: int = _key("partition", 1, _an_int(0))
-    k_percent: float = _key("metrics", 5.0, _a_float(0.0, 100.0, strict_min=True))
-    test_fraction: float = _key(
-        "metrics", 0.2, _a_float(0.0, 1.0, strict_min=True, strict_max=True)
+    clients: int = setting("partition", 20, bounded(1))
+    shards_per_client: int = setting("partition", 2, bounded(1))
+    dirichlet_alpha: float = setting("partition", 0.3, bounded(0.0, open_low=True))
+    min_samples_per_client: int = setting("partition", 1, bounded(0))
+    test_fraction: float = setting(
+        "metrics", 0.2, bounded(0.0, 1.0, open_low=True, open_high=True)
     )
-    seeds: tuple[int, ...] = _key("run", (1,), _seed_list)
-    output_dir: str = _key("run", "runs", str)
+    seeds: tuple[int, ...] = setting("run", (1,), _distinct_seeds)
+    output_dir: str = setting("run", "runs", None)
+
+    def __post_init__(self):
+        check_settings(self)
+        if self.trainer.clients_per_round > self.clients:
+            raise ValueError(
+                "trainer.clients_per_round must not exceed partition.clients "
+                f"({self.trainer.clients_per_round} > {self.clients})"
+            )
+        if self.data_kind == "glr" and self.glr_dim > self.samples_per_client:
+            raise ValueError(
+                "data.glr_dim must not exceed data.samples_per_client (rank condition)"
+            )
+        if self.model == "mlp" and self.hidden_units > ClassifierObjective.MAX_HIDDEN:
+            raise ValueError(f"data.hidden_units must be <= {ClassifierObjective.MAX_HIDDEN}")
+
+    # what a run's outputs name, read through to the trainer's settings
+    method = property(lambda self: self.trainer.method)
+    rounds = property(lambda self: self.trainer.rounds)
 
     def trainer_config(self, seed: int) -> TrainerConfig:
-        return TrainerConfig(
-            rounds=self.rounds,
-            local_steps=self.local_steps,
-            clients_per_round=self.clients_per_round,
-            local_lr=self.local_lr,
-            global_lr=self.global_lr,
-            alpha=self.alpha,
-            theta=math.radians(self.theta_deg),
-            eba=EbaConfig(self.tau0, self.tau_schedule, self.tau_decay, self.prior),
-            qffl=QfflConfig(self.qffl_q, self.qffl_lipschitz),
-            batch_size=self.batch_size,
-            method=self.method,
-            seed=seed,
-            k_percent=self.k_percent,
-        )
+        return replace(self.trainer, seed=seed)
 
 
-# (section, key) -> field, in field order
-_KEYS = {
-    (f.metadata["section"], f.metadata.get("key", f.name)): f
-    for f in fields(ExperimentConfig)
-}
+def _settings(cls, parents):
+    """((section, key), (dataclass, field name, parser, checker, unit)) for
+    each setting of ``cls`` and of the dataclasses it nests, whose holders
+    go into ``parents`` as (dataclass, field name), outer ones first."""
+    for f in fields(cls):
+        if "section" in f.metadata:
+            meta = f.metadata
+            entry = (meta["section"], meta["key"] or f.name)
+            yield entry, (cls, f.name, _PARSERS[f.type], meta["check"], meta["unit"])
+        elif is_dataclass(f.default):
+            parents[type(f.default)] = (cls, f.name)
+            yield from _settings(type(f.default), parents)
+
+
+_PARENTS: dict[type, tuple[type, str]] = {}
+_KEYS = dict(_settings(ExperimentConfig, _PARENTS))
 _SECTIONS = {section for section, _ in _KEYS}
 
 
@@ -239,7 +192,8 @@ def parse_config(path) -> ExperimentConfig:
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
 
-    raw: dict[tuple[str, str], tuple[str, int]] = {}
+    first_line: dict[tuple[str, str], int] = {}
+    values: dict[type, dict] = {}
     section = None
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = _INLINE_COMMENT.sub("", line).strip()
@@ -254,43 +208,36 @@ def parse_config(path) -> ExperimentConfig:
             raise ConfigError(f"expected 'key = value' (line {line_no})")
         if section is None:
             raise ConfigError(f"key outside any [section] (line {line_no})")
-        key, _, value = stripped.partition("=")
-        entry = (section, key.strip())
+        key, _, raw = map(str.strip, stripped.partition("="))
+        entry = (section, key)
         if entry not in _KEYS:
-            raise ConfigError(f"unknown key {section}.{key.strip()} (line {line_no})")
-        if entry in raw:
+            raise ConfigError(f"unknown key {section}.{key} (line {line_no})")
+        if entry in first_line:
             raise ConfigError(
-                f"duplicate key {section}.{key.strip()} (line {line_no}, "
-                f"first set on line {raw[entry][1]})"
+                f"duplicate key {section}.{key} (line {line_no}, "
+                f"first set on line {first_line[entry]})"
             )
-        raw[entry] = (value.strip(), line_no)
-
-    values = {}
-    for entry, f in _KEYS.items():
-        if entry in raw:
-            value_str, line_no = raw[entry]
-            try:
-                values[f.name] = f.metadata["convert"](value_str)
-            except ValueError as exc:
-                raise ConfigError(
-                    f"{entry[0]}.{entry[1]}: {exc} (line {line_no})"
-                ) from None
-
-    cfg = ExperimentConfig(**values)
-    if cfg.clients_per_round > cfg.clients:
-        raise ConfigError(
-            "trainer.clients_per_round must not exceed partition.clients "
-            f"({cfg.clients_per_round} > {cfg.clients})"
-        )
-    if cfg.data_kind == "glr" and cfg.glr_dim > cfg.samples_per_client:
-        raise ConfigError(
-            "data.glr_dim must not exceed data.samples_per_client (rank condition)"
-        )
-    if cfg.model == "mlp" and cfg.hidden_units > ClassifierObjective.MAX_HIDDEN:
-        raise ConfigError(
-            f"data.hidden_units must be <= {ClassifierObjective.MAX_HIDDEN}"
-        )
-    return cfg
+        first_line[entry] = line_no
+        owner, name, (parse, kind), check, unit = _KEYS[entry]
+        where = f"{section}.{key}"
+        try:
+            value = parse(raw)
+        except ValueError:
+            raise ConfigError(f"{where}: expected {kind}, got {raw!r} (line {line_no})") from None
+        try:
+            if check is not None:
+                check(value)
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc} (line {line_no})") from None
+        values.setdefault(owner, {})[name] = value if unit is None else unit[0](value)
+    try:
+        # inner dataclasses first, each into the one that holds it
+        for inner, (outer, name) in reversed(_PARENTS.items()):
+            if inner in values:
+                values.setdefault(outer, {})[name] = inner(**values.pop(inner))
+        return ExperimentConfig(**values.get(ExperimentConfig, {}))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 # --- federation assembly ------------------------------------------------
@@ -386,7 +333,7 @@ def write_summary(path, cfg: ExperimentConfig, finals: dict[int, RoundReport]) -
         fh.write(f"dataset = {cfg.data_kind}\n")
         fh.write(f"rounds = {cfg.rounds}\n")
         fh.write(f"clients = {cfg.clients}\n")
-        fh.write(f"k_percent = {_fmt(cfg.k_percent)}\n")
+        fh.write(f"k_percent = {_fmt(cfg.trainer.k_percent)}\n")
         fh.write("seeds = " + ",".join(str(s) for s in seeds) + "\n")
         for name, attr in _SUMMARY_METRICS:
             vals = np.array([getattr(finals[s], attr) for s in seeds], dtype=np.float64)

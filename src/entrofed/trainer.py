@@ -23,7 +23,7 @@ through objective stacks, never through per-client calls.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +37,17 @@ from entrofed.aggregation import (
     uniform_weights,
 )
 from entrofed.analysis import evaluate_fairness
-from entrofed.core import SeededRng, chi_square_divergence, fair_angle, next_uniforms
+from entrofed.core import (
+    SeededRng,
+    bounded,
+    check_settings,
+    chi_square_divergence,
+    fair_angle,
+    next_uniforms,
+    one_of,
+    or_none,
+    setting,
+)
 from entrofed.stacks import ObjectiveStack
 
 # derivation tags for trainer-owned random streams
@@ -49,44 +59,33 @@ _TAG_LOCAL = 102
 class TrainerConfig:
     """All federated hyperparameters for one training run.
 
-    theta is the fair-angle threshold in radians (the CLI layer converts
-    from degrees). The default pi/2 is the CLI's ``theta_deg`` default of
-    90 degrees. It never aligns: the angle of nonnegative losses is at most
-    pi/2, so no theta >= pi/2 aligns. batch_size None means full-batch
-    local steps.
+    theta is the fair-angle threshold in radians; a config file gives it in
+    degrees, as ``theta_deg``. The default pi/2 (90 degrees) never aligns:
+    the angle of nonnegative losses is at most pi/2, so no theta >= pi/2
+    aligns. batch_size None (``full`` in a config file) means full-batch
+    local steps. seed is no config key: a run takes each of its seeds.
     """
 
     METHODS = ("fedavg", "qffl", "fedeba_plus")
 
-    rounds: int
-    local_steps: int
-    clients_per_round: int
-    local_lr: float
-    global_lr: float = 1.0
-    alpha: float = 0.5
-    theta: float = math.pi / 2
-    eba: EbaConfig = field(default_factory=EbaConfig)
-    qffl: QfflConfig = field(default_factory=QfflConfig)
-    batch_size: int | None = None
-    method: str = "fedeba_plus"
+    rounds: int = setting("trainer", 50, bounded(1))
+    local_steps: int = setting("trainer", 5, bounded(1))
+    clients_per_round: int = setting("trainer", 10, bounded(1))
+    local_lr: float = setting("trainer", 0.05, bounded(0.0, open_low=True))
+    global_lr: float = setting("trainer", 1.0, bounded(0.0, open_low=True))
+    alpha: float = setting("trainer", 0.5, bounded(0.0, 1.0))
+    theta: float = setting(
+        "trainer", math.pi / 2, bounded(0.0, 180.0), "theta_deg", (math.radians, math.degrees)
+    )
+    eba: EbaConfig = EbaConfig()
+    qffl: QfflConfig = QfflConfig()
+    batch_size: int | None = setting("trainer", None, or_none(bounded(1)))
+    method: str = setting("trainer", "fedeba_plus", one_of(*METHODS))
     seed: int = 0
-    k_percent: float = 5.0
+    k_percent: float = setting("metrics", 5.0, bounded(0.0, 100.0, open_low=True))
 
     def __post_init__(self):
-        if self.rounds < 1 or self.local_steps < 1 or self.clients_per_round < 1:
-            raise ValueError("rounds, local_steps and clients_per_round must be >= 1")
-        if not all(math.isfinite(lr) and lr > 0 for lr in (self.local_lr, self.global_lr)):
-            raise ValueError("learning rates must be positive")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError("alpha must be in [0, 1]")
-        if not 0.0 <= self.theta <= math.pi:
-            raise ValueError("theta must be in [0, pi] radians")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1 or None for full batch")
-        if self.method not in self.METHODS:
-            raise ValueError(f"method must be one of {self.METHODS}")
-        if not 0.0 < self.k_percent <= 100.0:
-            raise ValueError("k_percent must be in (0, 100]")
+        check_settings(self)
 
 
 @dataclass(frozen=True)
@@ -256,16 +255,11 @@ def _local_steps(
     order once."""
     if not cohort.m:
         raise ValueError("need at least one client objective")
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
     x_start = np.asarray(x_start, dtype=np.float64)
     if x_start.shape != (cohort.dimension,):
         raise ValueError("start parameter dimension mismatch")
-    if fair_grad is not None:
-        if not 0.0 <= alpha <= 1.0:
-            raise ValueError("alpha must be in [0, 1]")
-        if fair_grad.shape != x_start.shape:
-            raise ValueError("fair gradient dimension mismatch")
+    if fair_grad is not None and fair_grad.shape != x_start.shape:
+        raise ValueError("fair gradient dimension mismatch")
     rngs = [None] * cohort.m if rngs is None else list(rngs)
     if len(rngs) != cohort.m:
         raise ValueError(f"{len(rngs)} minibatch streams for {cohort.m} clients")
@@ -343,8 +337,6 @@ def aggregate_plain(deltas, p) -> np.ndarray:
 def aggregate_model_alignment(deltas, one_step, p, alpha: float) -> np.ndarray:
     """Blend the weighted aggregate of full local updates with the plain
     average of one-step local updates: (1-a) sum p_i d_i + a mean(d1_i)."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must be in [0, 1]")
     if one_step is None or np.shape(one_step) != np.shape(deltas):
         raise ValueError("model alignment needs a one-step delta per delta")
     return (1.0 - alpha) * aggregate_plain(deltas, p) + alpha * np.mean(one_step, axis=0)

@@ -261,7 +261,8 @@ def test_criterion_8_directional_fairness_trend(tmp_path):
         base = parse_config(cfg_path)
         results = {}
         for method, alpha in (("fedavg", 0.0), ("fedeba_plus", 0.5)):
-            cfg = dataclasses.replace(base, method=method, alpha=alpha)
+            run = dataclasses.replace(base.trainer, method=method, alpha=alpha)
+            cfg = dataclasses.replace(base, trainer=run)
             acc, var, worst = [], [], []
             for seed in cfg.seeds:
                 federation, x0 = build_federation(cfg, seed)

@@ -58,11 +58,11 @@ def test_cohort_golden_config_spans_the_batch_size():
     # ragged last batch; the local steps outlast one epoch of the clients
     # above it.
     cfg = parse_config(GOLDEN / "mlp-cohort" / "config.cfg")
-    batch = cfg.batch_size
+    batch = cfg.trainer.batch_size
     assert cfg.model == "mlp" and cfg.activation == "relu" and cfg.hidden_units == 32
     for seed in cfg.seeds:
         federation, _ = build_federation(cfg, seed)
         sizes = federation.train.sizes.tolist()
         assert min(sizes) < batch and batch in sizes
         assert any(n > batch and n % batch for n in sizes)
-        assert cfg.local_steps > max(n // batch for n in sizes)
+        assert cfg.trainer.local_steps > max(n // batch for n in sizes)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from entrofed import harness, trainer
+from entrofed.aggregation import EbaConfig, QfflConfig
 from entrofed.harness import (
     ConfigError,
     ROUNDS_SCHEMA,
@@ -17,7 +18,7 @@ from entrofed.harness import (
     parse_config,
 )
 from entrofed.objectives import ClassifierObjective
-from entrofed.trainer import run_training
+from entrofed.trainer import TrainerConfig, run_training
 
 
 def write_cfg(tmp_path, text, name="exp.cfg"):
@@ -112,12 +113,111 @@ class TestSchema:
         assert parse_config(write_cfg(tmp_path, text)) == harness.ExperimentConfig()
 
 
+# A bad value of each trainer setting: (section, key, file text, the
+# dataclass and field the key sets, the field's value for that text).
+BAD_TRAINER_SETTINGS = [
+    ("trainer", "method", "sgd", TrainerConfig, "method", "sgd"),
+    ("trainer", "rounds", "0", TrainerConfig, "rounds", 0),
+    ("trainer", "local_steps", "0", TrainerConfig, "local_steps", 0),
+    ("trainer", "clients_per_round", "-1", TrainerConfig, "clients_per_round", -1),
+    ("trainer", "batch_size", "0", TrainerConfig, "batch_size", 0),
+    ("trainer", "tau_schedule", "sqrt", EbaConfig, "schedule", "sqrt"),
+    ("trainer", "prior", "loss", EbaConfig, "prior", "loss"),
+]
+# the float settings, each with an out-of-range value, then non-finite ones
+FLOAT_SETTINGS = [
+    ("trainer", "global_lr", "0", TrainerConfig, "global_lr", float),
+    ("trainer", "local_lr", "-0.5", TrainerConfig, "local_lr", float),
+    ("trainer", "alpha", "1.5", TrainerConfig, "alpha", float),
+    ("trainer", "theta_deg", "270", TrainerConfig, "theta", lambda t: math.radians(float(t))),
+    ("trainer", "tau0", "0", EbaConfig, "tau0", float),
+    ("trainer", "tau_decay", "-0.1", EbaConfig, "decay", float),
+    ("trainer", "qffl_q", "-1", QfflConfig, "q", float),
+    ("trainer", "qffl_lipschitz", "0", QfflConfig, "lipschitz", float),
+    ("metrics", "k_percent", "150", TrainerConfig, "k_percent", float),
+]
+BAD_TRAINER_SETTINGS += [
+    (section, key, text, cls, name, value(text))
+    for section, key, bad, cls, name, value in FLOAT_SETTINGS
+    for text in (bad, "inf", "-inf", "nan")
+]
+
+
+@pytest.mark.parametrize(
+    "section, key, text, cls, name, value",
+    BAD_TRAINER_SETTINGS,
+    ids=[f"{key}={text}" for _, key, text, *_ in BAD_TRAINER_SETTINGS],
+)
+def test_one_rule_reached_from_file_and_dataclass(tmp_path, section, key, text, cls, name, value):
+    path = write_cfg(tmp_path, f"[{section}]\n{key} = {text}\n")
+    with pytest.raises(ConfigError, match=rf"^{section}\.{key}: .+ \(line 2\)$") as in_file:
+        parse_config(path)
+    reason = str(in_file.value).split(": ", 1)[1].removesuffix(" (line 2)")
+    # theta's reason speaks degrees on both sides, and names the key that does
+    where = "theta as theta_deg" if key == "theta_deg" else name
+    with pytest.raises(ValueError, match="^" + re.escape(f"{where} {reason}") + "$"):
+        cls(**{name: value})
+
+
+class TestExperimentConfigChecks:
+    """A config built in Python is held to the rules of a config file."""
+
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            (dict(test_fraction=1.0), r"test_fraction must be within \(0\.0, 1\.0\), got 1\.0"),
+            (dict(classes=1), r"classes must be >= 2, got 1"),
+            (dict(data_kind="nope"), r"data_kind must be one of \('blobs', 'glr'\), got 'nope'"),
+            (dict(seeds=(3, 3)), r"seeds must be one or more distinct seeds, got \(3, 3\)"),
+            (dict(seeds=()), r"seeds must be one or more distinct seeds, got \(\)"),
+            (dict(spread=math.nan), r"spread must be finite, got nan"),
+        ],
+    )
+    def test_each_field_is_checked(self, settings, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            harness.ExperimentConfig(**settings)
+
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            (
+                dict(clients=10, trainer=TrainerConfig(clients_per_round=30)),
+                r"trainer\.clients_per_round must not exceed partition\.clients \(30 > 10\)",
+            ),
+            (
+                dict(data_kind="glr", glr_dim=9, samples_per_client=8),
+                r"data\.glr_dim must not exceed data\.samples_per_client \(rank condition\)",
+            ),
+            (dict(model="mlp", hidden_units=65), r"data\.hidden_units must be <= 64"),
+        ],
+    )
+    def test_cross_field_rules(self, settings, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            harness.ExperimentConfig(**settings)
+
+    def test_bounds_met_exactly_are_accepted(self):
+        cfg = harness.ExperimentConfig(
+            trainer=TrainerConfig(clients_per_round=10),
+            clients=10,
+            data_kind="glr",
+            glr_dim=8,
+            samples_per_client=8,
+            model="mlp",
+            hidden_units=64,
+        )
+        assert cfg.trainer_config(3) == TrainerConfig(clients_per_round=10, seed=3)
+
+    def test_a_bad_trainer_setting_fails_at_once(self):
+        with pytest.raises(ValueError, match=r"^alpha must be within \[0\.0, 1\.0\], got 5\.0$"):
+            harness.ExperimentConfig(trainer=TrainerConfig(alpha=5.0))
+
+
 class TestParseConfig:
     def test_empty_file_fills_defaults(self, tmp_path):
         cfg = parse_config(write_cfg(tmp_path, ""))
-        assert cfg.global_lr == 1.0
-        assert cfg.alpha == 0.5
-        assert cfg.tau0 == 0.1
+        assert cfg.trainer.global_lr == 1.0
+        assert cfg.trainer.alpha == 0.5
+        assert cfg.trainer.eba.tau0 == 0.1
         assert cfg.method == "fedeba_plus"
         assert cfg.seeds == (1,)
 
@@ -185,7 +285,7 @@ class TestParseConfig:
     def test_repeated_seed_reports_field(self, tmp_path):
         # a repeated seed would train twice and overwrite its own round CSV
         path = write_cfg(tmp_path, "[run]\nseeds = 3, 1, 3\n")
-        with pytest.raises(ConfigError, match=r"run\.seeds: seeds must be distinct, got 3.*line 2"):
+        with pytest.raises(ConfigError, match=r"run\.seeds: must be one or more distinct seeds, got \(3, 1, 3\) \(line 2\)"):
             parse_config(path)
 
     def test_bad_number_reports_field(self, tmp_path):
@@ -202,9 +302,9 @@ class TestParseConfig:
 
     def test_batch_size_full_keyword(self, tmp_path):
         cfg = parse_config(write_cfg(tmp_path, "[trainer]\nbatch_size = full\n"))
-        assert cfg.batch_size is None
+        assert cfg.trainer.batch_size is None
         cfg = parse_config(write_cfg(tmp_path, "[trainer]\nbatch_size = 16\n", "b.cfg"))
-        assert cfg.batch_size == 16
+        assert cfg.trainer.batch_size == 16
 
     def test_comments_and_blanks_ignored(self, tmp_path):
         cfg = parse_config(
@@ -235,7 +335,7 @@ class TestParseConfig:
         assert len(blocks) == 1
         cfg = parse_config(write_cfg(tmp_path, blocks[0]))
         assert (cfg.method, cfg.rounds, cfg.clients, cfg.seeds) == ("fedeba_plus", 200, 50, (1, 2, 3))
-        assert (cfg.theta_deg, cfg.batch_size, cfg.model) == (0.0, None, "softmax")
+        assert (cfg.trainer.theta, cfg.trainer.batch_size, cfg.model) == (0.0, None, "softmax")
 
 
 class TestBuildFederation:
@@ -391,8 +491,9 @@ class TestCmdRun:
         base = parse_config(write_cfg(tmp_path, SMALL_RUN))
         import dataclasses
 
-        eba_cfg = dataclasses.replace(base, rounds=12, clients=10, clients_per_round=5)
-        avg_cfg = dataclasses.replace(eba_cfg, method="fedavg")
+        run = dataclasses.replace(base.trainer, rounds=12, clients_per_round=5)
+        eba_cfg = dataclasses.replace(base, clients=10, trainer=run)
+        avg_cfg = dataclasses.replace(eba_cfg, trainer=dataclasses.replace(run, method="fedavg"))
         fed, x0 = build_federation(eba_cfg, seed=1)
         r_eba, x_eba = run_training(fed, eba_cfg.trainer_config(1), x0)
         r_avg, x_avg = run_training(fed, avg_cfg.trainer_config(1), x0)

@@ -719,7 +719,7 @@ class TestRunTraining:
     def test_rejects_non_finite_learning_rates(self, name, value):
         # the config file rejects them too
         kw = dict(rounds=1, local_steps=1, clients_per_round=1, local_lr=0.1)
-        with pytest.raises(ValueError, match="learning rates"):
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got "):
             TrainerConfig(**{**kw, name: value})
 
     @pytest.mark.parametrize("k_percent", [0.0, -5.0, 100.5, math.nan])
