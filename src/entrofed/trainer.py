@@ -255,6 +255,8 @@ def _local_steps(
     order once."""
     if not cohort.m:
         raise ValueError("need at least one client objective")
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
     x_start = np.asarray(x_start, dtype=np.float64)
     if x_start.shape != (cohort.dimension,):
         raise ValueError("start parameter dimension mismatch")
