@@ -343,13 +343,30 @@ def _checked(cls) -> tuple:
     return tuple(f for f in fields(cls) if f.metadata.get("check"))
 
 
+# what a setting of each integer type holds, as a config file gives it
+_WHOLE = {"int": "an integer", "int | None": "an integer or None", "tuple[int, ...]": "integers"}
+
+
+def _whole(kind: str, value) -> bool:
+    """Whether a setting of annotated type ``kind`` holds integers where
+    its type says so: a bool or a float that is whole is none."""
+    if kind == "tuple[int, ...]":
+        return isinstance(value, tuple) and all(_whole("int", v) for v in value)
+    if kind == "int" or (kind == "int | None" and value is not None):
+        return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    return True
+
+
 def check_settings(obj) -> None:
-    """Run the checker of each setting of the dataclass ``obj``; the
-    ValueError names the field (as its key, if in another unit) first."""
+    """Check that each setting of the dataclass ``obj`` holds the integers
+    its type says, and run its checker; the ValueError names the field (as
+    its key, if in another unit) first."""
     for f in _checked(type(obj)):
         value = getattr(obj, f.name)
         check, unit = f.metadata["check"], f.metadata["unit"]
         try:
+            if not _whole(f.type, value):
+                raise ValueError(f"must be {_WHOLE[f.type]}, got {value!r}")
             check(value if unit is None else unit[1](value))
         except ValueError as exc:
             where = f.name if unit is None else f"{f.name} as {f.metadata['key']}"

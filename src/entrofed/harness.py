@@ -138,6 +138,8 @@ class ExperimentConfig:
     output_dir: str = setting("run", "runs", None)
 
     def __post_init__(self):
+        if isinstance(self.seeds, list):
+            object.__setattr__(self, "seeds", tuple(self.seeds))
         check_settings(self)
         if self.trainer.clients_per_round > self.clients:
             raise ValueError(

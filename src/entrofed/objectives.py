@@ -306,8 +306,9 @@ class ClassifierObjective(LocalObjective):
         rows = logits.reshape(-1, logits.shape[-1])
         z = scratch("shifted", rows.shape[::-1])
         z[...] = rows.T
-        z -= z.max(axis=0)
-        return z, np.log(_column_sums(np.exp(z, out=scratch("exps", z.shape))))
+        z -= z.max(axis=0, out=scratch("rowmax", z.shape[1:]))
+        sums = _column_sums(np.exp(z, out=scratch("exps", z.shape)))
+        return z, np.log(sums, out=sums)
 
     @staticmethod
     def _log_softmax(logits: np.ndarray, scratch=_fresh) -> np.ndarray:
@@ -316,24 +317,32 @@ class ClassifierObjective(LocalObjective):
         return z.T.reshape(logits.shape)
 
     @staticmethod
-    def _target_log_probs(logits: np.ndarray, labels: np.ndarray, scratch=_fresh) -> np.ndarray:
+    def _target_log_probs(logits: np.ndarray, labels, scratch=_fresh, at=None) -> np.ndarray:
         """Each row's log-softmax at its label: the one entry of its
         class-major column that a loss reads, less the column's log-sum,
-        which is the subtraction :meth:`_log_softmax` makes there."""
+        which is the subtraction :meth:`_log_softmax` makes there. ``at``,
+        if given, holds those entries' flat positions in the (classes,
+        rows) copy, label * rows + row, in place of ``labels``."""
         z, lse = ClassifierObjective._class_major(logits, scratch)
-        picked = z[labels.ravel(), np.arange(z.shape[1])]
+        if at is None:
+            at = labels.ravel() * z.shape[1] + np.arange(z.shape[1])
+        # positions in range by construction: "clip" takes straight into out
+        picked = z.reshape(-1).take(at, out=scratch("picked", lse.shape), mode="clip")
         picked -= lse
         return picked
 
     @staticmethod
-    def _probs_minus_labels(logp: np.ndarray, labels: np.ndarray, scratch=_fresh) -> np.ndarray:
+    def _probs_minus_labels(logp: np.ndarray, labels, scratch=_fresh, at=None) -> np.ndarray:
         """exp(logp) minus the one-hot labels: the gradient of each row's
         cross-entropy in its logits. A one-hot matrix would change only the
         label entries (x - 0.0 == x), so one is subtracted there in place,
-        through a row view of the C-ordered result."""
+        at their flat positions in the C-ordered result, row * classes +
+        label, which ``at`` holds if given, in place of ``labels``."""
         out = np.exp(logp, out=scratch("probs", logp.shape))
-        rows = out.reshape(-1, logp.shape[-1])
-        rows[np.arange(rows.shape[0]), labels.ravel()] -= 1.0
+        if at is None:
+            classes = logp.shape[-1]
+            at = np.arange(out.size // classes) * classes + labels.ravel()
+        out.reshape(-1)[at] -= 1.0
         return out
 
     def loss(self, x, subset=None) -> float:

@@ -6,17 +6,21 @@ their samples once and evaluates them in passes of whole segments of
 equal-size clients, or the per-objective loop for other families;
 :func:`classifier_stack` builds one from a split side of a dataset. A
 federation's telemetry runs on its two stacks, and a round's cohort on a
-``take`` of the train stack.
+``take`` of the train stack, whose local SGD runs one ``step_plan``.
 
-A family stack's passes reuse one scratch arena, which the stacks its
-``take`` makes share. So a family stack, and the stacks taken from it,
-must not be evaluated from two threads at once; objectives still may be.
-What ``losses``, ``gradients`` and ``evaluate`` return is never the
-arena's.
+A family stack binds each pass once, to views of what it reads and
+writes: a telemetry pass when the stack first runs it, and a local-SGD
+round's passes when its plan is made, so that a step makes only numpy
+kernel calls. Its passes reuse one scratch arena, which the stacks its ``take``
+makes share. So a family stack, and the stacks taken from it, must not be
+evaluated from two threads at once; objectives still may be. What
+``losses``, ``gradients`` and ``evaluate`` return is never the arena's,
+and a plan writes only the caller's ``out``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -41,16 +45,16 @@ STACK_BLOCK_ROWS = 2048
 class ObjectiveStack:
     """Full-batch passes over many objectives. :meth:`losses` and
     :meth:`gradients` take each objective at a parameter vector of its own,
-    or at one shared vector, and :meth:`gradients` takes a step of
-    :meth:`minibatches` for local SGD. A round's telemetry makes two passes
-    at one parameter vector: :meth:`losses` on the train side, and
-    :meth:`evaluate`, losses and accuracies, on the test side. A round's
-    cohort is :meth:`take` of the train side.
+    or at one shared vector, and :meth:`step_plan` binds local SGD's steps
+    of a round. A round's telemetry makes two passes at one parameter
+    vector: :meth:`losses` on the train side, and :meth:`evaluate`, losses
+    and accuracies, on the test side. A round's cohort is :meth:`take` of
+    the train side.
 
     This base form calls each objective in turn; quadratics and mixed
     families use it. A family stack (see :func:`stack_objectives`) holds the
     samples of GLR or classifier clients, not objectives (``objectives``
-    makes views of them), and implements ``losses``, ``gradients``,
+    makes views of them), and implements ``losses``, ``step_plan``,
     ``evaluate`` and ``take``; the classifier stack's ``evaluate`` takes
     losses and accuracies from one forward pass. A family stack copies the
     samples once, in ascending client size, and evaluates them in passes of
@@ -105,38 +109,69 @@ class ObjectiveStack:
         xs = np.broadcast_to(xs, (self.m, np.shape(xs)[-1]))
         return np.array([o.loss(x) for o, x in zip(self.objectives, xs)])
 
-    def minibatches(self, subsets: np.ndarray):
-        """An iterator of the steps of a (K, b, r) array of sample indices,
-        in the form :meth:`gradients` takes: at step k, the b objectives with
-        more than r samples, in objective order, take the rows
-        ``subsets[k]``, and the others their full sets."""
-        subsets = np.asarray(subsets, dtype=np.int64)
-        takers = np.flatnonzero(self.sizes > subsets.shape[-1])
-        return iter([dict(zip(takers, rows, strict=True)) for rows in subsets])
-
-    def gradients(self, xs: np.ndarray, step=None, out=None) -> np.ndarray:
-        """Row i is objective i's gradient at its own parameter vector
-        ``xs[i]`` (as in :meth:`losses`): on its full set, or on its rows
-        of ``step``, one entry of :meth:`minibatches`. Written into ``out``,
-        an (m, D) array, when one is given, as local SGD's steps do; only
-        a stack in pass order (:meth:`in_pass_order`) takes one."""
-        xs = np.broadcast_to(xs, (self.m, np.shape(xs)[-1]))
-        out = np.empty(xs.shape) if out is None else out
-        step = {} if step is None else step
-        for i, (o, x) in enumerate(zip(self.objectives, xs)):
-            out[i] = o.gradient(x, step.get(i))
+    def gradients(self, xs: np.ndarray) -> np.ndarray:
+        """Row i is objective i's full-set gradient at its own parameter
+        vector ``xs[i]``, or at one shared vector (as in :meth:`losses`):
+        one step of a :meth:`step_plan`."""
+        out = np.empty((self.m, np.shape(xs)[-1]))
+        self.step_plan(xs, out)(0)
         return out
+
+    def step_plan(self, xs: np.ndarray, out: np.ndarray, subsets=None):
+        """Local SGD's gradient steps of one round, bound once: ``plan(k)``
+        writes into row j of ``out`` the gradient of the stack's j-th
+        objective in pass order (the order of :meth:`in_pass_order`'s
+        stack) at row j of ``xs``, on its full set, or, at step k of a (K,
+        b, r) array ``subsets`` of sample indices, on its rows
+        ``subsets[k, i]`` if it is the i-th in pass order of the b
+        objectives with more than r samples.
+
+        ``xs`` may also be one (D,) vector for all. The plan keeps views of
+        xs and ``out``, C-ordered arrays, and of the stack's arena for as
+        long as it lives, which is one round: update xs and out in place
+        only, and run a plan, like any pass of the stack, on one thread."""
+        takers = _takers(self.sizes, subsets)
+        xs = np.broadcast_to(xs, out.shape)
+
+        def plan(k):
+            rows = {} if subsets is None else dict(zip(takers, subsets[k]))
+            for i, (o, x) in enumerate(zip(self.objectives, xs)):
+                out[i] = o.gradient(x, rows.get(i))
+
+        return plan
+
+
+def _takers(sizes, subsets) -> np.ndarray:
+    """Positions in ``sizes`` of the objectives with more than r samples,
+    which take the minibatch rows of a (K, b, r) ``subsets``: none
+    without subsets."""
+    if subsets is None:
+        return np.arange(0)
+    takers = np.flatnonzero(sizes > np.shape(subsets)[-1])
+    if takers.size != np.shape(subsets)[1]:
+        raise ValueError("need sample indices for each objective with more than r samples")
+    return takers
 
 
 class _Pass(NamedTuple):
     """Whole segments of a family stack, evaluated together. Each segment
-    is c clients of n rows each, as slices of the pass's clients and rows."""
+    is c clients of n rows each, as slices of the pass's clients and rows.
+    A bound pass holds views of what it reads and writes: its rows, the
+    arena arrays named in ``views``, and, in ``parts``, the rows of each
+    segment of those with a row axis, as (c, n, ...) views."""
 
     clients: slice  # positions in size order, segment after segment
     segments: tuple  # (client slice, row slice, c, n) per segment
-    rows: slice  # of the stack's, or a step's, rows end to end
+    rows: slice  # of the stack's, or a plan's, rows end to end
     inputs: np.ndarray | None = None  # (rows, d) view of those rows
     targets: np.ndarray | None = None  # (rows,)
+    views: dict | None = None  # arena array name -> the pass's view
+    parts: dict | None = None  # "inputs", "targets" or a row-major name -> views
+    at: np.ndarray | None = None  # flat positions of each row's label entry
+
+    def scratch(self, name: str, shape) -> np.ndarray:
+        """The bound view ``name``: the scratch of the model's kernels."""
+        return self.views[name]
 
 
 def _passes(sizes, cap: int) -> list[_Pass]:
@@ -163,8 +198,40 @@ def _passes(sizes, cap: int) -> list[_Pass]:
     ]
 
 
-def _bind(passes, inputs: np.ndarray, targets: np.ndarray) -> list[_Pass]:
-    return [p._replace(inputs=inputs[p.rows], targets=targets[p.rows]) for p in passes]
+def _per_segment(p: _Pass, arrays) -> list[list]:
+    """For each of ``arrays``, which hold one row per client of pass p, its
+    views at the clients of each segment. Lists, not tuples: a tuple built
+    from a generator of a new length lands on its length's free list, and
+    tuple free lists of every segment count would hold memory for good."""
+    return [[a[cs] for cs, *_ in p.segments] for a in arrays]
+
+
+def _step_major(passes) -> np.ndarray:
+    """For each row of ``passes`` laid out step-major, its position in the
+    client-major layout, where a segment of c clients of n rows holds each
+    client's rows in turn: step-major, it holds the first row of each of
+    its clients, then the second, and so on. The (c, n, ...) view of a
+    segment then runs over n as its outer axis, so that a sum over each
+    client's rows is one contiguous reduction in the order of theirs."""
+    at = np.arange(passes[-1].rows.stop)
+    for p in passes:
+        for _, rs, c, n in p.segments:
+            if c > 1 and n > 1:
+                seg = at[p.rows][rs]
+                seg[...] = seg.reshape(c, n).T.ravel()
+    return at
+
+
+def _segment_views(a: np.ndarray, segments, step_major: bool) -> list:
+    """The (c, n, ...) view of each segment of c clients of n rows in a
+    pass's (rows, ...) array ``a``, laid out client-major or step-major."""
+    tail = a.shape[1:]
+    return [
+        a[rs].reshape((n, c) + tail).swapaxes(0, 1)
+        if step_major and c > 1 and n > 1
+        else a[rs].reshape((c, n) + tail)
+        for _, rs, c, n in segments
+    ]
 
 
 def _in_size_order(starts, counts) -> np.ndarray:
@@ -176,36 +243,36 @@ def _in_size_order(starts, counts) -> np.ndarray:
 
 
 class _Arena:
-    """A stack's scratch: one array per temporary name, which its passes
-    overwrite pass after pass, so that a local-SGD step makes none of its
+    """A stack's scratch: one array per temporary name, whose views its
+    passes bind, so that no pass, and no local-SGD step, makes its
     hidden-width, logit or backprop arrays afresh. An array grows to the
-    largest pass it has served, which is the pass cap unless one client
-    outgrows it. Passes on stacks that share an arena must not run at
-    once."""
+    largest pass bound to it, which is the pass cap unless one client
+    outgrows it; a view bound before it grew keeps the array it was made
+    of. Passes on stacks that share an arena must not run at once."""
 
     def __init__(self):
         self._arrays: dict[str, np.ndarray] = {}
-        self._views: dict[tuple, np.ndarray] = {}
 
-    def __call__(self, name: str, shape: tuple) -> np.ndarray:
-        view = self._views.get((name, shape))
-        if view is None:
-            size = math.prod(shape)
-            flat = self._arrays.get(name)
-            if flat is None or flat.size < size:
-                flat = self._arrays[name] = np.empty(size)
-                self._views.clear()
-            view = self._views[name, shape] = flat[:size].reshape(shape)
-        return view
+    def __call__(self, name: str, size: int) -> np.ndarray:
+        """The flat array ``name``, grown to ``size`` floats if smaller."""
+        flat = self._arrays.get(name)
+        if flat is None or flat.size < size:
+            flat = self._arrays[name] = np.empty(size)
+        return flat
+
+
+# arena arrays that no segment cuts: class-major copies and a row vector
+_UNCUT = ("shifted", "exps", "rowmax")
 
 
 class _RowStack(ObjectiveStack):
     """A family stack: one copy of every client's (inputs, targets) rows,
     laid out by ``_in_size_order`` of their ``counts``, in passes of at most
-    ``cap`` rows (``_chunks``) whose segments are views of the one copy.
-    ``model`` gives the shape, not samples. It and the arena that the
-    passes write their temporaries into are shared by :meth:`take` and
-    :meth:`in_pass_order`.
+    ``cap`` rows (``_chunks``), which telemetry runs bound to views of the
+    one copy and of the arena (``_telemetry``). ``model`` gives the shape,
+    not samples.
+    It and the arena that the passes write their temporaries into are
+    shared by :meth:`take` and :meth:`in_pass_order`.
 
     Passes run over consecutive positions in that size order. Per-client
     parameters are gathered into it once per call (``_sorted``), and
@@ -223,9 +290,13 @@ class _RowStack(ObjectiveStack):
         self._counts = sizes = counts[self._order]
         self._inputs, self._targets = inputs, targets
         self._starts = np.cumsum(sizes) - sizes
-        if chunks is None:
-            chunks = _bind(_passes(sizes, cap), inputs, targets)
-        self._chunks = chunks
+        self._chunks = _passes(sizes, cap) if chunks is None else chunks
+
+    @functools.cached_property
+    def _telemetry(self) -> list[_Pass]:
+        """The passes bound for ``losses`` and ``evaluate``, once, when the
+        stack first runs one."""
+        return self._bind(self._chunks, self._inputs, self._targets)
 
     @property
     def dimension(self) -> int:
@@ -256,23 +327,63 @@ class _RowStack(ObjectiveStack):
     def _unsorted(self, out):
         return out if self._ascending else out[self._inverse]
 
-    def minibatches(self, subsets):
-        # The clients with more than r samples come last in size order; at
-        # each step they form segments of r rows after the full sets. A step
-        # is its passes, bound to the stack rows it gathers when it is reached.
-        subsets = np.asarray(subsets, dtype=np.int64)
-        steps, takes, r = subsets.shape
-        sizes = self._counts
-        full = int(np.searchsorted(sizes, r, side="right"))
-        takers = self._order[full:]
-        if takes != takers.size:
-            raise ValueError("need sample indices for each objective with more than r samples")
-        # subsets[:, j] is the j-th taker in objective order
-        drawn = self._starts[full:, None] + subsets[:, np.searchsorted(np.sort(takers), takers)]
-        head = np.arange(sizes[:full].sum())
-        passes = _passes(np.concatenate([sizes[:full], np.full(takers.size, r)]), self._cap)
-        rows = (np.concatenate([head, at]) for at in drawn.reshape(steps, -1))
-        return (_bind(passes, self._inputs[at], self._targets[at]) for at in rows)
+    def _scratch(self, rows: int, step: bool) -> dict:
+        """The shapes of the arena arrays that a pass of ``rows`` rows
+        writes, by name: in telemetry, or in a local-SGD step."""
+        return {}
+
+    def _bind(self, passes, inputs, targets, step=False) -> list[_Pass]:
+        """``passes`` bound to their rows of ``inputs`` and ``targets``, and
+        to views of the arena arrays that they write: in telemetry, or in a
+        step, whose segments lie step-major if the family sums the rows of
+        its steps' segments (``_step_major``)."""
+        # The arena grows first, to the largest pass that these rows, or
+        # those of a take, make, so that every pass shares its arrays.
+        top = max(min(self._cap, len(inputs)), *(p.rows.stop - p.rows.start for p in passes))
+        flat = {k: self._arena(k, math.prod(shape)) for k, shape in self._scratch(top, step).items()}
+        step_major = step and self._interleaved
+        bound = []
+        for clients, segments, at, *_ in passes:
+            shapes = self._scratch(at.stop - at.start, step).items()
+            views = {k: flat[k][: math.prod(shape)].reshape(shape) for k, shape in shapes}
+            rows = {"inputs": inputs[at], "targets": targets[at]}
+            cut = [(k, rows[k]) for k in self._cut]
+            cut += [(k, a) for k, a in views.items() if k not in _UNCUT]
+            parts = {k: _segment_views(a, segments, step_major) for k, a in cut}
+            bound.append(_Pass(clients, segments, at, *rows.values(), views, parts))
+        return bound
+
+    def step_plan(self, xs, out, subsets=None):
+        if not (xs.flags.c_contiguous and out.flags.c_contiguous):
+            raise ValueError("a plan keeps views of xs and out: give C-ordered arrays")
+        passes, rows = self._chunks, None
+        if subsets is not None:
+            # The clients with more than r samples come last in pass order;
+            # at each step they form segments of r rows after the full sets.
+            # rows[k] is step k's rows of the stack in client-major order.
+            subsets = np.asarray(subsets, dtype=np.int64)
+            steps, takes, r = subsets.shape
+            full = self.m - _takers(self._counts, subsets).size
+            if np.any((subsets < 0) | (subsets >= self._counts[full:, None])):
+                raise ValueError("sample indices out of range")
+            head = np.arange(self._starts[full] if takes else len(self._inputs))
+            drawn = (self._starts[full:, None] + subsets).reshape(steps, -1)
+            rows = np.concatenate([np.tile(head, (steps, 1)), drawn], axis=1)
+            passes = _passes(np.concatenate([self._counts[:full], np.full(takes, r)]), self._cap)
+        # the plan's own rows, refilled at each step by one take
+        at = _step_major(passes) if self._interleaved else np.arange(passes[-1].rows.stop)
+        rows = at[None] if rows is None else rows[:, at]
+        inputs, targets = self._inputs[rows[0]], self._targets[rows[0]]
+        kernels = [self._bind_step(p, xs, out) for p in self._bind(passes, inputs, targets, True)]
+
+        def plan(k):
+            if subsets is not None:
+                self._inputs.take(rows[k], axis=0, out=inputs, mode="clip")
+                self._targets.take(rows[k], out=targets, mode="clip")
+            for kernel in kernels:
+                kernel()
+
+        return plan
 
     # A pass evaluates its clients at one shared vector, or at their rows of
     # xs: views of xs and of the result.
@@ -280,18 +391,15 @@ class _RowStack(ObjectiveStack):
     def losses(self, xs):
         xs = self._sorted(xs)
         out = np.empty(self.m)
-        for p in self._chunks:
+        for p in self._telemetry:
             out[p.clients] = self._pass_losses(p, xs if xs.ndim == 1 else xs[p.clients])
         return self._unsorted(out)
 
-    def gradients(self, xs, step=None, out=None):
-        if out is not None and not self._ascending:
-            raise ValueError("out is written in pass order: give it to in_pass_order's stack")
-        xs = self._sorted(xs)
-        sized = np.empty((self.m, xs.shape[-1])) if out is None else out
-        for p in self._chunks if step is None else step:
-            self._pass_gradients(p, xs if xs.ndim == 1 else xs[p.clients], sized[p.clients])
-        return self._unsorted(sized)
+    def gradients(self, xs):
+        xs = np.ascontiguousarray(self._sorted(xs))
+        out = np.empty((self.m, xs.shape[-1]))
+        self.step_plan(xs, out)(0)
+        return self._unsorted(out)
 
 
 class _GlrStack(_RowStack):
@@ -299,32 +407,70 @@ class _GlrStack(_RowStack):
         super().__init__(model, counts, inputs, targets, STACK_BLOCK_ROWS, arena, chunks)
 
     _view = staticmethod(GlrObjective)
+    _cut = ("inputs", "targets")
+    _interleaved = False
 
     @staticmethod
-    def _residuals(p, xs):
-        """(segment, design rows (c, n, d), residuals (c, n)) of each
-        segment of a pass, at one parameter vector or at one row of xs per
-        pass client: a gemv per client, the BLAS call ``GlrObjective``
-        makes."""
-        for segment in p.segments:
-            cs, rs, c, n = segment
-            design = p.inputs[rs].reshape(c, n, -1)
-            fit = design @ xs if xs.ndim == 1 else (design @ xs[cs, :, None])[..., 0]
-            yield segment, design, fit - p.targets[rs].reshape(c, n)
+    def _residuals(p, ws):
+        """(design rows (c, n, d), residuals (c, n)) of each segment of a
+        pass, at one parameter vector or, per segment, at a (c, d, 1) view
+        of its clients' rows: a gemv per client, the BLAS call
+        ``GlrObjective`` makes."""
+        shared = isinstance(ws, np.ndarray)
+        for i, (design, y) in enumerate(zip(p.parts["inputs"], p.parts["targets"])):
+            fit = design @ ws if shared else (design @ ws[i])[..., 0]
+            yield design, fit - y
 
     def _pass_losses(self, p, xs):
         # (1, n) @ (n, 1) per client is the BLAS dot GlrObjective.loss uses
-        residuals = self._residuals(p, xs)
+        ws = xs if xs.ndim == 1 else _per_segment(p, [xs[:, :, None]])[0]
+        residuals = zip(p.segments, self._residuals(p, ws))
         return np.concatenate(
-            [0.5 * (r[:, None, :] @ r[:, :, None])[:, 0, 0] / n for (*_, n), _, r in residuals]
+            [0.5 * (r[:, None, :] @ r[:, :, None])[:, 0, 0] / n for (*_, n), (_, r) in residuals]
         )
 
-    def _pass_gradients(self, p, xs, out):
-        for (cs, _, _, n), design, r in self._residuals(p, xs):
-            out[cs] = (design.swapaxes(-1, -2) @ r[..., None])[..., 0] / n
+    def _bind_step(self, p, xs, out):
+        gs = _per_segment(p, [out[p.clients]])[0]
+        ws = xs if xs.ndim == 1 else _per_segment(p, [xs[p.clients, :, None]])[0]
+        kernel = [
+            (design.swapaxes(-1, -2), g, n)
+            for design, g, (*_, n) in zip(p.parts["inputs"], gs, p.segments)
+        ]
+
+        def step():
+            for (design_t, g, n), (_, r) in zip(kernel, self._residuals(p, ws)):
+                np.divide((design_t @ r[..., None])[..., 0], n, out=g)
+
+        return step
 
     def evaluate(self, x):
         return self.losses(self.model._check_x(x)), np.full(self.m, np.nan)
+
+
+def _affine(rows, out, outs, w, b=None):
+    """``rows @ w + b`` over a pass into its arena array ``out``, whose
+    segments are ``outs``, from those of ``rows``: per segment, one matmul
+    (one BLAS call per client) and, for per-client weights, one bias add.
+    ``w`` and ``b`` are one layer's, or its views per segment
+    (``_per_segment``) of one row per pass client."""
+    shared = isinstance(w, np.ndarray)
+    for i, (a, o) in enumerate(zip(rows, outs)):
+        np.matmul(a, w if shared else w[i], out=o)
+        if b is not None and not shared:
+            o += b[i]
+    if b is not None and shared:
+        out += b
+    return out
+
+
+def _weight_grads(rows_t, deltas, dw, sums):
+    """A layer's weight gradients per segment, into views of its clients'
+    gradient rows: its rows transposed (``rows_t``) times its deltas; and
+    the deltas' column sums, the bias gradients, into ``sums``, one
+    contiguous (c, k) view per segment."""
+    for a, d, w, s in zip(rows_t, deltas, dw, sums):
+        np.matmul(a, d, out=w)
+        np.add.reduce(d, axis=1, out=s)
 
 
 class _ClassifierStack(_RowStack):
@@ -332,92 +478,134 @@ class _ClassifierStack(_RowStack):
         cap = max(1, STACK_BLOCK_ROWS * 10 // max(model.n_classes, model.hidden))
         super().__init__(model, counts, inputs, targets, cap, arena, chunks)
 
+    _cut = ("inputs",)
+
+    @property
+    def _interleaved(self) -> bool:
+        # A step-major segment's transposed rows are strided vectors when
+        # its features or hidden units are one wide; a BLAS call on those
+        # need not round as on a client's own rows.
+        return self.model.features.shape[1] > 1 and self.model.hidden != 1
+
     def _view(self, inputs, targets):
         model = self.model
         return ClassifierObjective(inputs, targets, model.n_classes, model.hidden, model.activation)
 
-    def _affine(self, p, rows, name, w, b=None):
-        """``rows @ w + b`` over a pass into the (rows, k) arena array
-        ``name``: per segment, one matmul (one BLAS call per client) and,
-        for per-client weights, one bias add. ``w`` and ``b`` are one
-        layer's, or stacked per pass client ((s, d, k) and (s, 1, k))."""
-        out = self._arena(name, (len(rows), w.shape[-1]))
-        shared = w.ndim == 2
-        for cs, rs, c, n in p.segments:
-            seg = out[rs].reshape(c, n, -1)
-            np.matmul(rows[rs].reshape(c, n, -1), w if shared else w[cs], out=seg)
-            if b is not None and not shared:
-                seg += b[cs]
-        if b is not None and shared:
-            out += b
-        return out
+    def _scratch(self, rows, step):
+        c, h = self.model.n_classes, self.model.hidden
+        shapes = {"logits": (rows, c), "shifted": (c, rows), "exps": (c, rows), "rowmax": (rows,)}
+        if h:
+            shapes["hidden"] = (rows, h)
+        if not step:
+            shapes["picked"] = (rows,)  # per-row losses or hits, for _means
+        else:
+            shapes["probs"] = (rows, c)
+            if h:
+                shapes["dhidden"] = (rows, h)
+        return shapes
 
-    def _layers(self, p, x):
-        """Logits and hidden activations of a pass's rows, at one parameter
-        vector or at one row of x per pass client."""
-        model = self.model
-        if model.hidden == 0:
-            return self._affine(p, p.inputs, "logits", *model._unpack(x)), None
-        w1, b1, w2, b2 = model._unpack(x)
-        act = model._activate(self._affine(p, p.inputs, "hidden", w1, b1))
-        return self._affine(p, act, "logits", w2, b2), act
+    def _layers(self, p, layers):
+        """Logits and hidden activations of a pass's rows at ``layers``:
+        those of one parameter vector, or their views per segment
+        (``_per_segment``) of one row per pass client."""
+        parts, views = p.parts, p.views
+        if self.model.hidden == 0:
+            return _affine(parts["inputs"], views["logits"], parts["logits"], *layers), None
+        w1, b1, w2, b2 = layers
+        hidden = _affine(parts["inputs"], views["hidden"], parts["hidden"], w1, b1)
+        act = self.model._activate(hidden)
+        return _affine(parts["hidden"], views["logits"], parts["logits"], w2, b2), act
+
+    def _unpack(self, p, x):
+        """The layers of one parameter vector, or per segment of the pass
+        clients' rows ``x``."""
+        layers = self.model._unpack(x)
+        return layers if x.ndim == 1 else _per_segment(p, layers)
 
     @staticmethod
-    def _means(p, values):
-        """Each pass client's mean of its rows' values, in pass order: the
-        float64 sum over n that ``mean`` takes, without its Python
+    def _means(p):
+        """Each pass client's mean of its rows' ``picked``, in pass order:
+        the float64 sum over n that ``mean`` takes, without its Python
         wrapper."""
-        return np.concatenate(
-            [
-                np.add.reduce(values[rs].reshape(c, n), axis=1, dtype=np.float64) / n
-                for _, rs, c, n in p.segments
-            ]
-        )
+        segments = zip(p.parts["picked"], p.segments)
+        return np.concatenate([np.add.reduce(v, axis=1) / n for v, (*_, n) in segments])
+
+    def _bind(self, passes, inputs, targets, step=False):
+        bound = super()._bind(passes, inputs, targets, step)
+        if step:
+            return bound
+        # each row's label entry in the class-major copy: label * rows + row
+        return [p._replace(at=p.targets * len(p.targets) + np.arange(len(p.targets))) for p in bound]
 
     def _mean_losses(self, p, logits):
-        return self._means(p, -self.model._target_log_probs(logits, p.targets, self._arena))
+        logp = self.model._target_log_probs(logits, None, p.scratch, p.at)
+        np.negative(logp, out=logp)
+        return self._means(p)
 
     def _pass_losses(self, p, xs):
-        return self._mean_losses(p, self._layers(p, xs)[0])
+        return self._mean_losses(p, self._layers(p, self._unpack(p, xs))[0])
 
-    @staticmethod
-    def _weight_grads(p, rows, delta, dw, db):
-        """A layer's weight and bias gradients for each pass client, into
-        views of its gradient row: its rows transposed times its deltas, and
-        the deltas' column sums."""
-        for cs, rs, c, n in p.segments:
-            d = delta[rs].reshape(c, n, -1)
-            np.matmul(rows[rs].reshape(c, n, -1).swapaxes(-1, -2), d, out=dw[cs])
-            np.add.reduce(d, axis=-2, keepdims=True, out=db[cs])
-
-    def _dlogits(self, p, logp):
-        """The gradient of each row's cross-entropy in its logits, over its
-        client's row count: one division per segment."""
-        dlogits = self.model._probs_minus_labels(logp, p.targets, self._arena)
+    def _bind_step(self, p, xs, out):
+        """The gradient kernel of a bound step pass at its clients' rows of
+        xs, into theirs of out: every view it reads or writes made here."""
+        model, views, parts = self.model, p.views, p.parts
+        layers = self._unpack(p, xs if xs.ndim == 1 else xs[p.clients])
+        grads = model._unpack(out[p.clients])
+        # a layer's bias gradients are summed into a (clients, width)
+        # buffer, then copied into out once per pass
+        biases = [b[:, 0] for b in grads[1::2]]
+        sums = [np.empty(b.shape) for b in biases]
+        dws, sum_parts = _per_segment(p, grads[::2]), _per_segment(p, sums)
+        inputs_t = [a.swapaxes(-1, -2) for a in parts["inputs"]]
+        # each row's client's row count, per class, to divide its logit
+        # gradient by in one contiguous pass
+        counts = np.empty(views["probs"].shape)
         for _, rs, _, n in p.segments:
-            dlogits[rs] /= n
-        return dlogits
+            counts[rs] = n
 
-    def _pass_gradients(self, p, xs, out):
-        model = self.model
-        logits, act = self._layers(p, xs)
-        dlogits = self._dlogits(p, model._log_softmax(logits, self._arena))
-        grads = model._unpack(out)
+        # each row's label entry in the (rows, classes) gradient, at a step
+        base = np.arange(len(p.targets)) * model.n_classes
+        at = np.empty_like(base)
+
+        def dlogits(logits):
+            logp = model._log_softmax(logits, p.scratch)
+            np.add(base, p.targets, out=at)
+            probs = model._probs_minus_labels(logp, None, p.scratch, at)
+            np.divide(probs, counts, out=probs)
+            return parts["probs"]
+
         if model.hidden == 0:
-            self._weight_grads(p, p.inputs, dlogits, *grads)
-            return
-        self._weight_grads(p, act, dlogits, *grads[2:])
-        dact = self._affine(p, dlogits, "dhidden", model._unpack(xs)[2].swapaxes(-1, -2))
-        self._weight_grads(p, p.inputs, model._through_activation(dact, act), *grads[:2])
+
+            def step():
+                _weight_grads(inputs_t, dlogits(self._layers(p, layers)[0]), dws[0], sum_parts[0])
+                biases[0][...] = sums[0]
+
+            return step
+        hidden_t = [a.swapaxes(-1, -2) for a in parts["hidden"]]
+        w2 = layers[2]
+        w2_t = w2.swapaxes(-1, -2) if xs.ndim == 1 else [w.swapaxes(-1, -2) for w in w2]
+
+        def step():
+            logits, act = self._layers(p, layers)
+            deltas = dlogits(logits)
+            _weight_grads(hidden_t, deltas, dws[1], sum_parts[1])
+            dact = _affine(deltas, views["dhidden"], parts["dhidden"], w2_t)
+            model._through_activation(dact, act)
+            _weight_grads(inputs_t, parts["dhidden"], dws[0], sum_parts[0])
+            for b, total in zip(biases, sums):
+                b[...] = total
+
+        return step
 
     def evaluate(self, x):
-        arr = self.model._check_x(x)
+        layers = self.model._unpack(self.model._check_x(x))
         losses = np.empty(self.m)
         accs = np.empty(self.m)
-        for p in self._chunks:
-            logits = self._layers(p, arr)[0]
+        for p in self._telemetry:
+            logits = self._layers(p, layers)[0]
             losses[p.clients] = self._mean_losses(p, logits)
-            accs[p.clients] = self._means(p, logits.argmax(axis=-1) == p.targets)
+            np.equal(logits.argmax(axis=-1), p.targets, out=p.views["picked"])
+            accs[p.clients] = self._means(p)
         return self._unsorted(losses), self._unsorted(accs)
 
 

@@ -248,11 +248,12 @@ def _local_steps(
     stream in ``rngs``, and at each step moves along its minibatch gradient
     g, or along (1 - alpha) * g + alpha * fair_grad when a fair gradient is
     given; the one-step displacement is recorded only for plain steps. The
-    end loss is a full-batch snapshot. Every step is one ``gradients`` pass
-    of the cohort's stack over its minibatches and full sets, and the end
-    losses one ``losses`` pass. The steps keep the clients in the stack's
-    pass order (``in_pass_order``), and the results go back to cohort
-    order once."""
+    end loss is a full-batch snapshot. The steps keep the clients in the
+    stack's pass order (``in_pass_order``) and run one ``step_plan`` of it,
+    bound once to the round's parameter and gradient matrices, which the
+    loop updates in place: every step is one pass of the cohort over its
+    minibatches and full sets. The end losses are one ``losses`` pass, and
+    the results go back to cohort order once."""
     if not cohort.m:
         raise ValueError("need at least one client objective")
     if steps < 1:
@@ -267,13 +268,13 @@ def _local_steps(
         raise ValueError(f"{len(rngs)} minibatch streams for {cohort.m} clients")
     stack, order = cohort.in_pass_order()
     subsets = _minibatch_orders(stack.sizes, batch_size, steps, [rngs[i] for i in order])
-    plan = [None] * steps if subsets is None else stack.minibatches(subsets)
     x = np.tile(x_start, (stack.m, 1))
     g = np.empty_like(x)
+    step = stack.step_plan(x, g, subsets)
     fair_share = None if fair_grad is None else alpha * fair_grad
     one_step = None
-    for k, step in enumerate(plan):
-        stack.gradients(x, step, g)
+    for k in range(steps):
+        step(k)
         # in place, x - lr * ((1 - alpha) * g + alpha * fair_grad) rounds
         # each operation exactly as written
         if fair_share is not None:

@@ -211,6 +211,34 @@ class TestExperimentConfigChecks:
         with pytest.raises(ValueError, match=r"^alpha must be within \[0\.0, 1\.0\], got 5\.0$"):
             harness.ExperimentConfig(trainer=TrainerConfig(alpha=5.0))
 
+    @pytest.mark.parametrize(
+        "cls, settings, message",
+        [
+            (TrainerConfig, dict(rounds=2.5), r"rounds must be an integer, got 2\.5"),
+            (TrainerConfig, dict(rounds=True), r"rounds must be an integer, got True"),
+            (TrainerConfig, dict(local_steps=3.0), r"local_steps must be an integer, got 3\.0"),
+            (
+                TrainerConfig,
+                dict(batch_size=2.5),
+                r"batch_size must be an integer or None, got 2\.5",
+            ),
+            (harness.ExperimentConfig, dict(classes=False), r"classes must be an integer, got False"),
+            (harness.ExperimentConfig, dict(seeds=(1, 2.0)), r"seeds must be integers, got \(1, 2\.0\)"),
+            (harness.ExperimentConfig, dict(seeds=3), r"seeds must be integers, got 3"),
+        ],
+    )
+    def test_integer_settings_take_integers_only(self, cls, settings, message):
+        # A config file parses integers as such; a Python caller may pass
+        # anything, and a bool or a whole float is no integer.
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            cls(**settings)
+        assert TrainerConfig(rounds=np.int64(3), batch_size=np.int32(4)).rounds == 3
+
+    def test_seeds_are_held_as_a_tuple(self, tmp_path):
+        cfg = harness.ExperimentConfig(seeds=[4, 2])
+        assert cfg.seeds == (4, 2)
+        assert cfg == parse_config(write_cfg(tmp_path, "[run]\nseeds = 4,2\n"))
+
 
 class TestParseConfig:
     def test_empty_file_fills_defaults(self, tmp_path):

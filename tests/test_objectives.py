@@ -35,6 +35,29 @@ def random_glr(rng, n=8, d=3):
     return GlrObjective(design, targets)
 
 
+def plan_gradients(stack, xs, subsets=None):
+    """Each step's gradients of a step plan at per-client parameters
+    ``xs``, in objective order, bound as local SGD binds it: to the stack in
+    pass order. ``subsets[k]`` holds the sample indices of the objectives
+    with more than r samples at step k, in objective order, as a (K, b, r)
+    array; without it, the plan runs one full-set step."""
+    ordered, order = stack.in_pass_order()
+    xs = np.array(xs, dtype=np.float64)[order]
+    out = np.full_like(xs, np.nan)
+    steps = 1
+    if subsets is not None:
+        steps, _, r = subsets.shape
+        takers = np.flatnonzero(stack.sizes > r)
+        subsets = subsets[:, np.searchsorted(takers, order[ordered.sizes > r])]
+    plan = ordered.step_plan(xs, out, subsets)
+    back = np.argsort(order)
+    grads = []
+    for k in range(steps):
+        plan(k)
+        grads.append(out[back])
+    return np.array(grads)
+
+
 class TestQuadratic:
     def test_loss_values(self):
         assert QuadraticObjective(2, 2).loss([0.0]) == 8.0
@@ -418,7 +441,7 @@ class TestStackedEvaluation:
             # whole segments fill each pass up to the cap, or one segment
             for p in stack._chunks:
                 rows = sum(c * n for *_, c, n in p.segments)
-                assert len(p.inputs) == rows and (rows <= cap or len(p.segments) == 1)
+                assert p.rows.stop - p.rows.start == rows and (rows <= cap or len(p.segments) == 1)
             if block == STACK_BLOCK_ROWS:
                 assert len(segments) > len(runs) or max(sizes) > cap
 
@@ -440,7 +463,7 @@ class TestStackedEvaluation:
         subsets = [rng.permutation(o.full_size)[:r] if o.full_size > r else None for o in objs]
         drawn = np.array([s for s in subsets if s is not None], dtype=np.int64).reshape(1, -1, r)
         want = [o.gradient(x, s) for o, x, s in zip(objs, xs, subsets)]
-        assert np.array_equal(stack.gradients(xs, next(stack.minibatches(drawn))), want)
+        assert np.array_equal(plan_gradients(stack, xs, drawn)[0], want)
 
     @pytest.mark.parametrize("activation", ["tanh", "relu"])
     def test_wide_hidden_layer_runs_straddle_passes(self, activation):
@@ -544,7 +567,7 @@ class TestStackedEvaluation:
         subsets = np.asfortranarray([rng.permutation(n)[:5] for _ in range(m)])
         # quadratics have one sample, fewer than a minibatch: full sets
         takers = stack.sizes > subsets.shape[1]
-        got = stack.gradients(xs, next(stack.minibatches(subsets[None, takers])))
+        got = plan_gradients(stack, xs, subsets[None, takers])[0]
         want = [o.gradient(x, s) for o, x, s in zip(objs, xs, subsets)]
         assert np.array_equal(got, want), family
 
@@ -559,28 +582,37 @@ class TestStackedEvaluation:
         assert np.array_equal(stack.gradients(xs), [o.gradient(x) for o, x in zip(objs, xs)])
         subsets = np.array([[0, 2], [1, 0], [7, 3], [2, 1]])
         want = [o.gradient(x, s) for o, x, s in zip(objs, xs, subsets)]
-        step = next(stack.minibatches(subsets[None, stack.sizes > 2]))
-        assert np.array_equal(stack.gradients(xs, step), want), family
+        got = plan_gradients(stack, xs, subsets[None, stack.sizes > 2])[0]
+        assert np.array_equal(got, want), family
 
-    @pytest.mark.parametrize("family", sorted(set(STACK_FAMILIES) - {"quadratic"}))
-    def test_minibatches_check_takers_when_called_and_gather_rows_when_reached(
-        self, monkeypatch, family
-    ):
+    @pytest.mark.parametrize("family", sorted(STACK_FAMILIES))
+    def test_plans_check_takers_when_bound_and_refill_rows_each_step(self, family):
         # of clients of 5, 2, 8 and 1 samples, two have more than 2
         rng = SeededRng(34)
-        stack = stack_objectives([STACK_FAMILIES[family](rng, n) for n in (5, 2, 8, 1)])
-        subsets = np.zeros((4, 3, 2), dtype=np.int64)
+        objs = [STACK_FAMILIES[family](rng, n) for n in (5, 2, 8, 1)]
+        ordered, _ = stack_objectives(objs).in_pass_order()
+        xs = 0.5 * rng.normals(ordered.m * ordered.dimension).reshape(ordered.m, -1)
+        out = np.empty_like(xs)
+        takers = int((ordered.sizes > 2).sum())
         with pytest.raises(ValueError, match="more than r samples"):
-            stack.minibatches(subsets)
-        binds = []
-        bind = stacks._bind
-        monkeypatch.setattr(stacks, "_bind", lambda *args: binds.append(1) or bind(*args))
-        steps = stack.minibatches(subsets[:, :2])
-        assert not binds
-        for k, step in enumerate(steps, 1):
-            assert len(binds) == k
-            stack.gradients(np.zeros(stack.dimension), step)
-        assert len(binds) == 4
+            ordered.step_plan(xs, out, np.zeros((4, takers + 1, 2), dtype=np.int64))
+        if family != "quadratic":
+            with pytest.raises(ValueError, match="out of range"):
+                ordered.step_plan(xs, out, np.full((4, takers, 2), 5, dtype=np.int64))
+            with pytest.raises(ValueError, match="C-ordered"):
+                ordered.step_plan(np.asfortranarray(xs), out)
+        # each step reads its own rows, in whatever order the steps run
+        subsets = np.array(
+            [[rng.permutation(int(n))[:2] for n in ordered.sizes if n > 2] for _ in range(4)],
+            dtype=np.int64,
+        ).reshape(4, takers, 2)
+        plan = ordered.step_plan(xs, out, subsets)
+        objs = ordered.objectives
+        for k in (2, 0, 3, 1, 2):
+            rows = iter(subsets[k])
+            plan(k)
+            want = [o.gradient(x, next(rows) if n > 2 else None) for o, x, n in zip(objs, xs, ordered.sizes)]
+            assert out.tobytes() == np.array(want).tobytes(), (family, k)
 
     def test_mixed_families_fall_back_to_the_loop(self):
         rng = SeededRng(31)
@@ -610,17 +642,20 @@ class TestStackedEvaluation:
         takers = int((cohort.sizes > 2).sum())
 
         def results(x):
+            # a plan writes into the caller's out, which a later plan at
+            # another vector leaves as it was
             xs = x + 0.1 * np.arange(cohort.m)[:, None]
-            step = next(cohort.minibatches(np.zeros((1, takers, 2), dtype=np.int64)))
+            out = np.empty_like(xs)
+            ordered.step_plan(xs, out, np.zeros((1, takers, 2), dtype=np.int64))(0)
             return [
                 stack.losses(x),
                 stack.gradients(x),
                 *stack.evaluate(x),
                 cohort.losses(xs),
                 cohort.gradients(xs),
-                cohort.gradients(xs, step),
                 ordered.losses(xs),
                 ordered.gradients(xs),
+                out,
             ]
 
         first = results(0.5 * rng.normals(stack.dimension))
@@ -630,7 +665,7 @@ class TestStackedEvaluation:
             assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("family", sorted(STACK_FAMILIES))
-    def test_in_pass_order_and_gradients_into_a_given_array(self, family):
+    def test_in_pass_order_and_a_plan_into_a_given_array(self, family):
         rng = SeededRng(42)
         stack = stack_objectives([STACK_FAMILIES[family](rng, n) for n in (5, 3, 8, 3, 1, 6)])
         xs = 0.5 * rng.normals(stack.m * stack.dimension).reshape(stack.m, -1)
@@ -642,11 +677,8 @@ class TestStackedEvaluation:
         assert ordered.gradients(xs[order]).tobytes() == want[order].tobytes()
         assert ordered.losses(xs[order]).tobytes() == stack.losses(xs)[order].tobytes()
         out = np.full_like(xs, np.nan)
-        assert ordered.gradients(xs[order], None, out) is out
+        ordered.step_plan(xs[order], out)(0)
         assert out.tobytes() == want[order].tobytes()
-        if family != "quadratic":
-            with pytest.raises(ValueError, match="pass order"):
-                stack.gradients(xs, None, out)
 
 
 class TestStackTake:
@@ -682,8 +714,7 @@ class TestStackTake:
             [[rng.permutation(int(n))[:r] for n in got.sizes if n > r] for _ in range(3)],
             dtype=np.int64,
         ).reshape(3, -1, r)
-        for a, b in zip(got.minibatches(drawn), want.minibatches(drawn), strict=True):
-            pairs.append((got.gradients(xs, a), want.gradients(xs, b)))
+        pairs.append((plan_gradients(got, xs, drawn), plan_gradients(want, xs, drawn)))
         for a, b in pairs:
             assert a.tobytes() == b.tobytes()
         if family != "quadratic":

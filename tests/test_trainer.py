@@ -425,20 +425,30 @@ class TestMinibatchOrders:
 
 
 class TestCohortPasses:
-    """Local SGD takes one stack pass per step for the whole cohort: the
-    full sets of several sizes below the batch size and the minibatches of
-    the larger clients together, and one pass for the end losses."""
+    """Local SGD binds one step plan per round and runs it once per step:
+    one bound kernel per pass, each a pass over the full sets of several
+    sizes below the batch size and the minibatches of the larger clients
+    together, and one pass for the end losses."""
 
-    @pytest.mark.parametrize("aligned", [False, True])
-    def test_one_gradient_pass_per_step(self, monkeypatch, aligned):
-        calls = {"gradients": 0, "_pass_gradients": 0, "losses": 0, "_pass_losses": 0}
+    @staticmethod
+    def counted_round(monkeypatch, steps, aligned, block=None):
+        calls = {"step_plan": 0, "_bind": 0, "_bind_step": 0, "kernel": 0, "losses": 0}
+        calls.update(_pass_losses=0, gradients=0)
         cls = type(stack_objectives([ClassifierObjective(np.zeros((1, 2)), [0], 2)]))
-        for name in calls:
+        for name in set(calls) - {"kernel"}:
             original = getattr(cls, name)
 
             def counted(self, *args, _name=name, _original=original):
                 calls[_name] += 1
-                return _original(self, *args)
+                result = _original(self, *args)
+                if _name != "_bind_step":
+                    return result
+
+                def kernel():
+                    calls["kernel"] += 1
+                    result()
+
+                return kernel
 
             monkeypatch.setattr(cls, name, counted)
         rng = SeededRng(9)
@@ -448,14 +458,44 @@ class TestCohortPasses:
             for n in sizes
         ]
         x0 = 0.5 * rng.normals(objectives[0].dimension)
-        cohort = stack_objectives(objectives)
-        steps, streams = 7, [SeededRng(i) for i in range(len(sizes))]
-        if aligned:
-            fair_grad = rng.normals(x0.size)
-            local_sgd_aligned(cohort, x0, steps, 0.1, 0.3, fair_grad, 16, streams)
-        else:
-            local_sgd(cohort, x0, steps, 0.1, 16, streams)
-        assert calls == {"gradients": steps, "_pass_gradients": steps, "losses": 1, "_pass_losses": 1}
+        streams = [SeededRng(i) for i in range(len(sizes))]
+        with mock.patch.object(stacks, "STACK_BLOCK_ROWS", block or stacks.STACK_BLOCK_ROWS):
+            cohort = stack_objectives(objectives)
+            calls.update(dict.fromkeys(calls, 0))
+            if aligned:
+                fair_grad = rng.normals(x0.size)
+                local_sgd_aligned(cohort, x0, steps, 0.1, 0.3, fair_grad, 16, streams)
+            else:
+                local_sgd(cohort, x0, steps, 0.1, 16, streams)
+        return calls, len(cohort._chunks)
+
+    @pytest.mark.parametrize("aligned", [False, True])
+    def test_one_gradient_pass_per_step(self, monkeypatch, aligned):
+        steps = 7
+        calls, _ = self.counted_round(monkeypatch, steps, aligned)
+        # one binding for the plan's passes, one for the end losses' pass
+        assert calls == {
+            "step_plan": 1,
+            "_bind": 2,
+            "_bind_step": 1,
+            "kernel": steps,
+            "losses": 1,
+            "_pass_losses": 1,
+            "gradients": 0,
+        }
+
+    @pytest.mark.parametrize("steps", [1, 4, 20])
+    def test_a_round_binds_its_passes_once_whatever_the_step_count(self, monkeypatch, steps):
+        # At 20 rows per pass (a block of 16 at 10 classes, over 8 hidden
+        # units), a step's full sets of 9, 11, 11, 13 and 15 samples and its
+        # 3 minibatches of 16 rows make 7 passes, 7 bound kernels. The
+        # cohort's own 7 passes give its end losses.
+        calls, passes = self.counted_round(monkeypatch, steps, False, block=16)
+        assert passes == 7
+        assert calls["step_plan"] == 1 and calls["_bind"] == 2
+        assert calls["_bind_step"] == 7
+        assert calls["kernel"] == 7 * steps
+        assert calls["_pass_losses"] == passes
 
 
 class TestAggregation:
@@ -852,10 +892,10 @@ class TestTelemetryCallCounts:
             cohort = take(ids)
             gradients = cohort.gradients
 
-            def start_gradients(xs, step=None):
-                if step is None and np.ndim(xs) == 1:
+            def start_gradients(xs):
+                if np.ndim(xs) == 1:
                     events.append(("start", cohort))
-                return gradients(xs, step)
+                return gradients(xs)
 
             cohort.gradients = start_gradients
             events.append(("take", cohort))
