@@ -343,14 +343,14 @@ class _RowStack(ObjectiveStack):
         flat = {k: self._arena(k, math.prod(shape)) for k, shape in self._scratch(top, step).items()}
         step_major = step and self._interleaved
         bound = []
-        for clients, segments, at, *_ in passes:
-            shapes = self._scratch(at.stop - at.start, step).items()
+        for clients, segments, span, *_ in passes:
+            shapes = self._scratch(span.stop - span.start, step).items()
             views = {k: flat[k][: math.prod(shape)].reshape(shape) for k, shape in shapes}
-            rows = {"inputs": inputs[at], "targets": targets[at]}
+            rows = {"inputs": inputs[span], "targets": targets[span]}
             cut = [(k, rows[k]) for k in self._cut]
             cut += [(k, a) for k, a in views.items() if k not in _UNCUT]
             parts = {k: _segment_views(a, segments, step_major) for k, a in cut}
-            bound.append(_Pass(clients, segments, at, *rows.values(), views, parts))
+            bound.append(_Pass(clients, segments, span, *rows.values(), views, parts))
         return bound
 
     def step_plan(self, xs, out, subsets=None):
