@@ -340,7 +340,8 @@ class _RowStack(ObjectiveStack):
         # The arena grows first, to the largest pass that these rows, or
         # those of a take, make, so that every pass shares its arrays.
         top = max(min(self._cap, len(inputs)), *(p.rows.stop - p.rows.start for p in passes))
-        flat = {k: self._arena(k, math.prod(shape)) for k, shape in self._scratch(top, step).items()}
+        shapes = self._scratch(top, step).items()
+        flat = {k: self._arena(k, math.prod(shape)) for k, shape in shapes}
         step_major = step and self._interleaved
         bound = []
         for clients, segments, span, *_ in passes:
@@ -535,7 +536,7 @@ class _ClassifierStack(_RowStack):
         if step:
             return bound
         # each row's label entry in the class-major copy: label * rows + row
-        return [p._replace(at=p.targets * len(p.targets) + np.arange(len(p.targets))) for p in bound]
+        return [p._replace(at=p.targets * (n := len(p.targets)) + np.arange(n)) for p in bound]
 
     def _mean_losses(self, p, logits):
         logp = self.model._target_log_probs(logits, None, p.scratch, p.at)

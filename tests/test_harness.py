@@ -222,8 +222,16 @@ class TestExperimentConfigChecks:
                 dict(batch_size=2.5),
                 r"batch_size must be an integer or None, got 2\.5",
             ),
-            (harness.ExperimentConfig, dict(classes=False), r"classes must be an integer, got False"),
-            (harness.ExperimentConfig, dict(seeds=(1, 2.0)), r"seeds must be integers, got \(1, 2\.0\)"),
+            (
+                harness.ExperimentConfig,
+                dict(classes=False),
+                r"classes must be an integer, got False",
+            ),
+            (
+                harness.ExperimentConfig,
+                dict(seeds=(1, 2.0)),
+                r"seeds must be integers, got \(1, 2\.0\)",
+            ),
             (harness.ExperimentConfig, dict(seeds=3), r"seeds must be integers, got 3"),
         ],
     )

@@ -611,7 +611,10 @@ class TestStackedEvaluation:
         for k in (2, 0, 3, 1, 2):
             rows = iter(subsets[k])
             plan(k)
-            want = [o.gradient(x, next(rows) if n > 2 else None) for o, x, n in zip(objs, xs, ordered.sizes)]
+            want = [
+                o.gradient(x, next(rows) if n > 2 else None)
+                for o, x, n in zip(objs, xs, ordered.sizes)
+            ]
             assert out.tobytes() == np.array(want).tobytes(), (family, k)
 
     def test_mixed_families_fall_back_to_the_loop(self):
