@@ -28,17 +28,21 @@ def weighted_variance(values, p) -> float:
     w = validate_simplex(p)
     if v.shape != w.shape:
         raise ValueError("values and weights must have the same length")
+    return _variance(v, w)
+
+
+def _variance(v: np.ndarray, w: np.ndarray) -> float:
     mean = float(np.dot(w, v))
     return float(np.dot(w, (v - mean) ** 2))
 
 
 def population_variance(values) -> float:
-    """Variance with the 1/m convention; equals weighted_variance under
-    uniform weights by construction."""
+    """Variance with the 1/m convention: weighted_variance under uniform
+    weights, bit for bit, without checking the weights it makes."""
     v = np.asarray(values, dtype=np.float64)
     if v.size == 0:
         raise ValueError("values must be nonempty")
-    return weighted_variance(v, uniform_weights(v.size))
+    return _variance(v, uniform_weights(v.size))
 
 
 def tail_mean(values, k_percent: float, side: str) -> float:
@@ -54,12 +58,19 @@ def tail_mean(values, k_percent: float, side: str) -> float:
         raise ValueError("k_percent must be in (0, 100]")
     if side not in ("worst", "best"):
         raise ValueError("side must be 'worst' or 'best'")
+    return _tail_means(v, k_percent)[side == "best"]
+
+
+def _tail_means(v: np.ndarray, k_percent: float) -> tuple[float, float]:
+    """The worst and the best tail means of :func:`tail_mean`, from one
+    sort: the worst tail is its first values, the best the last values
+    before its NaNs, summed largest first."""
     count = math.ceil(k_percent * v.size / 100.0)
-    # negation is exact, so the best tail is the values themselves, summed
-    # largest first; np.sort does not keep a NaN's sign
-    tail = np.sort(v)[:count] if side == "worst" else -np.sort(-v)[:count]
-    mean = float(tail.mean())
-    return math.nan if math.isnan(mean) else mean
+    ranked = np.sort(v)
+    end = v.size - np.count_nonzero(np.isnan(ranked))
+    worst = float(ranked[:count].mean())
+    best = float(ranked[end - count : end][::-1].mean()) if end >= count else math.nan
+    return (math.nan if math.isnan(worst) else worst), (math.nan if math.isnan(best) else best)
 
 
 @dataclass(frozen=True)
@@ -88,8 +99,7 @@ def evaluate_fairness(
     sizes = stack.sizes
     if np.all(np.isfinite(accs)):
         acc_var = population_variance(accs)
-        worst = tail_mean(accs, k_percent, "worst")
-        best = tail_mean(accs, k_percent, "best")
+        worst, best = _tail_means(accs, k_percent)
         global_acc = float(np.dot(sizes, accs) / sizes.sum())
     else:
         acc_var = worst = best = global_acc = float("nan")

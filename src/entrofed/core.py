@@ -124,10 +124,11 @@ class SeededRng:
         return values[self.permutation(len(values))]
 
     def sample_without_replacement(self, m: int, k: int) -> np.ndarray:
-        """k distinct ints from range(m), sorted ascending."""
+        """k distinct ints from range(m), sorted ascending: the first k of
+        ``permutation(m)``, from the same m draws."""
         if not 0 <= k <= m:
             raise ValueError(f"cannot sample {k} from {m}")
-        return np.sort(self.permutation(m)[:k])
+        return _smallest(self.uniforms(m), k)
 
     def gammas(self, shape: float, n: int) -> np.ndarray:
         """n gamma(shape, 1) variates via Marsaglia-Tsang squeeze."""
@@ -160,6 +161,22 @@ class SeededRng:
             out[int(self.integers(1, m)[0])] = 1.0
             return out
         return g / total
+
+
+def _smallest(values: np.ndarray, k: int) -> np.ndarray:
+    """The ascending positions of the k smallest of ``values``, the lowest
+    positions first among ties: those of ``np.sort(np.argsort(values,
+    kind="stable")[:k])``, for values without NaN, by selection, not by a
+    sort of all of them. Every value up to the k-th smallest is taken, less
+    the highest-positioned of those equal to it if they are too many."""
+    if k == 0:
+        return np.arange(0)
+    threshold = np.partition(values, k - 1)[k - 1]
+    taken = np.flatnonzero(values <= threshold)
+    if taken.size > k:
+        ties = np.flatnonzero(values[taken] == threshold)
+        taken = np.delete(taken, ties[k - (taken.size - ties.size) :])
+    return taken
 
 
 def derive_seeds(seed: int, keys) -> np.ndarray:

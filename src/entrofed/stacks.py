@@ -11,7 +11,9 @@ federation's telemetry runs on its two stacks, and a round's cohort on a
 A family stack binds each pass once, to views of what it reads and
 writes: a telemetry pass when the stack first runs it, and a local-SGD
 round's passes when its plan is made, so that a step makes only numpy
-kernel calls. Its passes reuse one scratch arena, which the stacks its ``take``
+kernel calls. A full-batch plan's passes also give the round's end losses,
+and a cohort's start gradients run on its telemetry passes, which its end
+losses then share. Its passes reuse one scratch arena, which the stacks its ``take``
 makes share. So a family stack, and the stacks taken from it, must not be
 evaluated from two threads at once; objectives still may be. What
 ``losses``, ``gradients`` and ``evaluate`` return is never the arena's,
@@ -20,7 +22,9 @@ and a plan writes only the caller's ``out``.
 
 from __future__ import annotations
 
+import copy
 import functools
+import itertools
 import math
 from typing import NamedTuple
 
@@ -112,7 +116,7 @@ class ObjectiveStack:
     def gradients(self, xs: np.ndarray) -> np.ndarray:
         """Row i is objective i's full-set gradient at its own parameter
         vector ``xs[i]``, or at one shared vector (as in :meth:`losses`):
-        one step of a :meth:`step_plan`."""
+        one full-set step of local SGD."""
         out = np.empty((self.m, np.shape(xs)[-1]))
         self.step_plan(xs, out)(0)
         return out
@@ -129,7 +133,10 @@ class ObjectiveStack:
         ``xs`` may also be one (D,) vector for all. The plan keeps views of
         xs and ``out``, C-ordered arrays, and of the stack's arena for as
         long as it lives, which is one round: update xs and out in place
-        only, and run a plan, like any pass of the stack, on one thread."""
+        only, and run a plan, like any pass of the stack, on one thread.
+        Without ``subsets``, ``plan.losses()`` returns what :meth:`losses`
+        returns at xs as it then is, in pass order: a full-batch round's
+        end losses, from the passes the plan has bound."""
         takers = _takers(self.sizes, subsets)
         xs = np.broadcast_to(xs, out.shape)
 
@@ -138,6 +145,8 @@ class ObjectiveStack:
             for i, (o, x) in enumerate(zip(self.objectives, xs)):
                 out[i] = o.gradient(x, rows.get(i))
 
+        if subsets is None:
+            plan.losses = lambda: self.losses(xs)
         return plan
 
 
@@ -180,8 +189,8 @@ def _passes(sizes, cap: int) -> list[_Pass]:
     segments of at most max(1, cap // n) clients, and whole segments fill
     passes of at most cap rows (or of one segment, if it is larger)."""
     passes, first, start, rows = [], 0, 0, cap
-    for n, count in zip(*np.unique(sizes, return_counts=True)):
-        n, count = int(n), int(count)
+    for n, run in itertools.groupby(sizes.tolist()):
+        count = len(list(run))
         per = max(1, cap // n)
         for c in [per] * (count // per) + [count % per] * (count % per > 0):
             if rows + c * n > cap:
@@ -234,12 +243,14 @@ def _segment_views(a: np.ndarray, segments, step_major: bool) -> list:
     ]
 
 
-def _in_size_order(starts, counts) -> np.ndarray:
-    """Row positions of clients whose rows are the ``counts[i]`` from
-    ``starts[i]``, end to end in stable ascending client size."""
+def _in_size_order(starts, counts) -> tuple[np.ndarray, np.ndarray]:
+    """(order, rows) of clients whose rows are the ``counts[i]`` from
+    ``starts[i]``: their stable ascending size order, and their row
+    positions end to end in it."""
     order = np.argsort(counts, kind="stable")
     counts = counts[order]
-    return np.repeat(starts[order] - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+    rows = np.repeat(starts[order] - np.cumsum(counts) + counts, counts)
+    return order, rows + np.arange(counts.sum())
 
 
 class _Arena:
@@ -267,10 +278,10 @@ _UNCUT = ("shifted", "exps", "rowmax")
 
 class _RowStack(ObjectiveStack):
     """A family stack: one copy of every client's (inputs, targets) rows,
-    laid out by ``_in_size_order`` of their ``counts``, in passes of at most
-    ``cap`` rows (``_chunks``), which telemetry runs bound to views of the
-    one copy and of the arena (``_telemetry``). ``model`` gives the shape,
-    not samples.
+    laid out by ``_in_size_order`` of their ``counts``, which gives their
+    ``order`` too, in passes of at most ``cap`` rows (``_chunks``), which
+    telemetry runs bound to views of the one copy and of the arena
+    (``_telemetry``). ``model`` gives the shape, not samples.
     It and the arena that the passes write their temporaries into are
     shared by :meth:`take` and :meth:`in_pass_order`.
 
@@ -279,13 +290,13 @@ class _RowStack(ObjectiveStack):
     results go back to objective order through ``_inverse``, unless the
     objectives are in size order already."""
 
-    def __init__(self, model, counts, inputs, targets, cap: int, arena, chunks=None):
+    def __init__(self, model, counts, order, inputs, targets, cap: int, arena, chunks=None):
         self.model = model
         self.sizes = counts
         self._cap = cap
         self._arena = _Arena() if arena is None else arena
-        self._order = np.argsort(counts, kind="stable")
-        self._inverse = np.argsort(self._order)
+        self._order = order
+        self._inverse = np.argsort(order)
         self._ascending = bool(np.all(counts[:-1] <= counts[1:]))
         self._counts = sizes = counts[self._order]
         self._inputs, self._targets = inputs, targets
@@ -312,13 +323,18 @@ class _RowStack(ObjectiveStack):
     def take(self, ids):
         at = self._inverse[ids]
         counts = self._counts[at]
-        rows = _in_size_order(self._starts[at], counts)
-        return type(self)(self.model, counts, self._inputs[rows], self._targets[rows], self._arena)
+        order, rows = _in_size_order(self._starts[at], counts)
+        taken = (self._inputs[rows], self._targets[rows])
+        return type(self)(self.model, counts, order, *taken, self._arena)
 
     def in_pass_order(self):
-        # the same rows, passes and arena, with objectives in size order
-        rows = (self.model, self._counts, self._inputs, self._targets)
-        return type(self)(*rows, self._arena, self._chunks), self._order
+        # the same rows, passes, arena and telemetry passes, if bound, with
+        # the objectives numbered in size order
+        stack = copy.copy(self)
+        stack.sizes = self._counts
+        stack._order = stack._inverse = np.arange(self.m)
+        stack._ascending = True
+        return stack, self._order
 
     def _sorted(self, xs):
         xs = np.asarray(xs, dtype=np.float64)
@@ -327,9 +343,9 @@ class _RowStack(ObjectiveStack):
     def _unsorted(self, out):
         return out if self._ascending else out[self._inverse]
 
-    def _scratch(self, rows: int, step: bool) -> dict:
+    def _scratch(self, rows: int) -> dict:
         """The shapes of the arena arrays that a pass of ``rows`` rows
-        writes, by name: in telemetry, or in a local-SGD step."""
+        writes, by name, in telemetry and in local-SGD steps alike."""
         return {}
 
     def _bind(self, passes, inputs, targets, step=False) -> list[_Pass]:
@@ -340,12 +356,12 @@ class _RowStack(ObjectiveStack):
         # The arena grows first, to the largest pass that these rows, or
         # those of a take, make, so that every pass shares its arrays.
         top = max(min(self._cap, len(inputs)), *(p.rows.stop - p.rows.start for p in passes))
-        shapes = self._scratch(top, step).items()
+        shapes = self._scratch(top).items()
         flat = {k: self._arena(k, math.prod(shape)) for k, shape in shapes}
         step_major = step and self._interleaved
         bound = []
         for clients, segments, span, *_ in passes:
-            shapes = self._scratch(span.stop - span.start, step).items()
+            shapes = self._scratch(span.stop - span.start).items()
             views = {k: flat[k][: math.prod(shape)].reshape(shape) for k, shape in shapes}
             rows = {"inputs": inputs[span], "targets": targets[span]}
             cut = [(k, rows[k]) for k in self._cut]
@@ -375,7 +391,8 @@ class _RowStack(ObjectiveStack):
         at = _step_major(passes) if self._interleaved else np.arange(passes[-1].rows.stop)
         rows = at[None] if rows is None else rows[:, at]
         inputs, targets = self._inputs[rows[0]], self._targets[rows[0]]
-        kernels = [self._bind_step(p, xs, out) for p in self._bind(passes, inputs, targets, True)]
+        bound = self._bind(passes, inputs, targets, True)
+        kernels = [self._bind_step(p, xs, out) for p in bound]
 
         def plan(k):
             if subsets is not None:
@@ -384,7 +401,23 @@ class _RowStack(ObjectiveStack):
             for kernel in kernels:
                 kernel()
 
+        if subsets is None:
+            plan.losses = self._bind_losses(bound, xs, at)
         return plan
+
+    def _bind_losses(self, passes, xs, at):
+        """A plan's ``losses``: the full-set losses in pass order at xs, as
+        the bound full-set step ``passes`` read it, from a forward pass over
+        their rows, of which row j is the stack's row ``at[j]``."""
+        xs = [xs if xs.ndim == 1 else xs[p.clients] for p in passes]
+
+        def losses():
+            out = np.empty(self.m)
+            for p, x in zip(passes, xs):
+                out[p.clients] = self._pass_losses(p, x)
+            return out
+
+        return losses
 
     # A pass evaluates its clients at one shared vector, or at their rows of
     # xs: views of xs and of the result.
@@ -397,15 +430,18 @@ class _RowStack(ObjectiveStack):
         return self._unsorted(out)
 
     def gradients(self, xs):
+        # one step on the telemetry passes, whose binding the end losses
+        # of a minibatch round share
         xs = np.ascontiguousarray(self._sorted(xs))
         out = np.empty((self.m, xs.shape[-1]))
-        self.step_plan(xs, out)(0)
+        for p in self._telemetry:
+            self._bind_step(p, xs, out)()
         return self._unsorted(out)
 
 
 class _GlrStack(_RowStack):
-    def __init__(self, model, counts, inputs, targets, arena=None, chunks=None):
-        super().__init__(model, counts, inputs, targets, STACK_BLOCK_ROWS, arena, chunks)
+    def __init__(self, model, counts, order, inputs, targets, arena=None, chunks=None):
+        super().__init__(model, counts, order, inputs, targets, STACK_BLOCK_ROWS, arena, chunks)
 
     _view = staticmethod(GlrObjective)
     _cut = ("inputs", "targets")
@@ -475,9 +511,9 @@ def _weight_grads(rows_t, deltas, dw, sums):
 
 
 class _ClassifierStack(_RowStack):
-    def __init__(self, model, counts, inputs, targets, arena=None, chunks=None):
+    def __init__(self, model, counts, order, inputs, targets, arena=None, chunks=None):
         cap = max(1, STACK_BLOCK_ROWS * 10 // max(model.n_classes, model.hidden))
-        super().__init__(model, counts, inputs, targets, cap, arena, chunks)
+        super().__init__(model, counts, order, inputs, targets, cap, arena, chunks)
 
     _cut = ("inputs",)
 
@@ -492,17 +528,13 @@ class _ClassifierStack(_RowStack):
         model = self.model
         return ClassifierObjective(inputs, targets, model.n_classes, model.hidden, model.activation)
 
-    def _scratch(self, rows, step):
+    def _scratch(self, rows):
         c, h = self.model.n_classes, self.model.hidden
         shapes = {"logits": (rows, c), "shifted": (c, rows), "exps": (c, rows), "rowmax": (rows,)}
+        shapes["picked"] = (rows,)  # per-row losses or hits, for _means
+        shapes["probs"] = (rows, c)
         if h:
-            shapes["hidden"] = (rows, h)
-        if not step:
-            shapes["picked"] = (rows,)  # per-row losses or hits, for _means
-        else:
-            shapes["probs"] = (rows, c)
-            if h:
-                shapes["dhidden"] = (rows, h)
+            shapes.update(hidden=(rows, h), dhidden=(rows, h))
         return shapes
 
     def _layers(self, p, layers):
@@ -524,12 +556,12 @@ class _ClassifierStack(_RowStack):
         return layers if x.ndim == 1 else _per_segment(p, layers)
 
     @staticmethod
-    def _means(p):
-        """Each pass client's mean of its rows' ``picked``, in pass order:
-        the float64 sum over n that ``mean`` takes, without its Python
-        wrapper."""
-        segments = zip(p.parts["picked"], p.segments)
-        return np.concatenate([np.add.reduce(v, axis=1) / n for v, (*_, n) in segments])
+    def _means(picked, segments):
+        """Each pass client's mean of its rows' values, in pass order, from
+        their (c, n) views ``picked`` per segment: the float64 sum over n
+        that ``mean`` takes, without its Python wrapper."""
+        sums = [np.add.reduce(v, axis=1) / n for v, (*_, n) in zip(picked, segments)]
+        return np.concatenate(sums)
 
     def _bind(self, passes, inputs, targets, step=False):
         bound = super()._bind(passes, inputs, targets, step)
@@ -541,10 +573,41 @@ class _ClassifierStack(_RowStack):
     def _mean_losses(self, p, logits):
         logp = self.model._target_log_probs(logits, None, p.scratch, p.at)
         np.negative(logp, out=logp)
-        return self._means(p)
+        return self._means(p.parts["picked"], p.segments)
 
     def _pass_losses(self, p, xs):
         return self._mean_losses(p, self._layers(p, self._unpack(p, xs))[0])
+
+    def _bind_losses(self, passes, xs, at):
+        # A client's loss is the mean of its rows' losses summed in their
+        # client-major order, as its own loss sums them; a reduction over a
+        # step-major segment's (c, n) view would run in another order. So
+        # each pass puts its rows' losses back in client-major order.
+        kernels = []
+        for p in passes:
+            n = len(p.targets)
+            picked = np.empty(n)
+            kernels.append(
+                (
+                    p,
+                    self._unpack(p, xs if xs.ndim == 1 else xs[p.clients]),
+                    p.targets * n + np.arange(n),  # each row's label entry, as in _bind
+                    at[p.rows] - p.rows.start,
+                    picked,
+                    _segment_views(picked, p.segments, False),
+                )
+            )
+
+        def losses():
+            out = np.empty(self.m)
+            for p, layers, label_at, rows, picked, client_major in kernels:
+                logits = self._layers(p, layers)[0]
+                logp = self.model._target_log_probs(logits, None, p.scratch, label_at)
+                picked[rows] = np.negative(logp, out=logp)
+                out[p.clients] = self._means(client_major, p.segments)
+            return out
+
+        return losses
 
     def _bind_step(self, p, xs, out):
         """The gradient kernel of a bound step pass at its clients' rows of
@@ -606,7 +669,7 @@ class _ClassifierStack(_RowStack):
             logits = self._layers(p, layers)[0]
             losses[p.clients] = self._mean_losses(p, logits)
             np.equal(logits.argmax(axis=-1), p.targets, out=p.views["picked"])
-            accs[p.clients] = self._means(p)
+            accs[p.clients] = self._means(p.parts["picked"], p.segments)
         return self._unsorted(losses), self._unsorted(accs)
 
 
@@ -625,9 +688,9 @@ def stack_objectives(objectives) -> ObjectiveStack:
     else:
         return ObjectiveStack(objs)
     counts = np.array([o.full_size for o in objs], dtype=np.int64)
-    rows = _in_size_order(np.cumsum(counts) - counts, counts)
+    order, rows = _in_size_order(np.cumsum(counts) - counts, counts)
     inputs, targets = (np.concatenate(side)[rows] for side in zip(*(o._rows() for o in objs)))
-    return family(objs[0], counts, inputs, targets)
+    return family(objs[0], counts, order, inputs, targets)
 
 
 def classifier_stack(ds, side, hidden: int = 0, activation: str = "identity") -> ObjectiveStack:
@@ -636,7 +699,8 @@ def classifier_stack(ds, side, hidden: int = 0, activation: str = "identity") ->
     straight into the stack's layout, under one ``ClassifierObjective``
     that checks them: the stack's ``model``."""
     indices, counts = side
-    rows = indices[_in_size_order(np.cumsum(counts) - counts, counts)]
+    order, rows = _in_size_order(np.cumsum(counts) - counts, counts)
+    rows = indices[rows]
     features, labels = ds.features[rows], ds.labels[rows]
     model = ClassifierObjective(features, labels, ds.n_classes, hidden, activation)
-    return _ClassifierStack(model, counts, model.features, model.labels)
+    return _ClassifierStack(model, counts, order, model.features, model.labels)

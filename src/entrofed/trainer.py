@@ -41,7 +41,6 @@ from entrofed.core import (
     SeededRng,
     bounded,
     check_settings,
-    chi_square_divergence,
     fair_angle,
     next_uniforms,
     one_of,
@@ -222,14 +221,14 @@ def _minibatch_orders(sizes, batch_size: int | None, steps: int, rngs) -> np.nda
     for a, b in zip(bounds, bounds[1:]):
         np.add(np.argsort(keys[a:b], kind="stable"), a, out=shuffled[a:b])
     shuffled -= np.repeat(starts, rows)
-    # a client's steps take the first steps * batch_size entries of its
-    # epochs' shuffles, each cut to its per_epoch whole batches
-    batches = np.empty((takers.size, steps * batch_size), dtype=np.int64)
-    first = np.cumsum(epochs * n) - epochs * n
-    for i, (a, e, size, per) in enumerate(zip(first, epochs, n, per_epoch)):
-        epoch_rows = shuffled[a : a + e * size].reshape(e, size)
-        batches[i] = epoch_rows[:, : per * batch_size].ravel()[: steps * batch_size]
-    return batches.reshape(takers.size, steps, batch_size).swapaxes(0, 1)
+    # A client's steps take the first steps * batch_size entries of its
+    # epochs' shuffles, each cut to its per_epoch whole batches: the first
+    # ``kept`` entries of each (client, epoch) row, all in one gather.
+    used = np.repeat(per_epoch * batch_size, epochs)
+    epoch = np.arange(rows.size) - np.repeat(np.cumsum(epochs) - epochs, epochs)
+    kept = np.minimum(steps * batch_size - epoch * used, used)
+    at = np.repeat(starts - np.cumsum(kept) + kept, kept) + np.arange(kept.sum())
+    return shuffled[at].reshape(takers.size, steps, batch_size).swapaxes(0, 1)
 
 
 def _local_steps(
@@ -268,7 +267,7 @@ def _local_steps(
         raise ValueError(f"{len(rngs)} minibatch streams for {cohort.m} clients")
     stack, order = cohort.in_pass_order()
     subsets = _minibatch_orders(stack.sizes, batch_size, steps, [rngs[i] for i in order])
-    x = np.tile(x_start, (stack.m, 1))
+    x = np.repeat(x_start[None], stack.m, axis=0)
     g = np.empty_like(x)
     step = stack.step_plan(x, g, subsets)
     fair_share = None if fair_grad is None else alpha * fair_grad
@@ -284,7 +283,8 @@ def _local_steps(
         x -= g
         if k == 0 and fair_grad is None:
             one_step = x - x_start
-    end_losses = stack.losses(x)
+    # a full-batch plan's passes hold the cohort's full sets already
+    end_losses = stack.losses(x) if subsets is not None else step.losses()
     # back to cohort order, into the step loop's own arrays
     back = np.argsort(order)
     x -= x_start
@@ -355,9 +355,15 @@ def server_update(x_t: np.ndarray, delta: np.ndarray, lr: float) -> np.ndarray:
 
 
 def _chi_square_or_inf(weights: np.ndarray) -> float:
+    """``chi_square_divergence(uniform_weights(s), weights)``, or inf at a
+    weight of 0, without checking the uniform weights it makes."""
     if np.any(weights <= 0.0):
         return float("inf")
-    return chi_square_divergence(uniform_weights(weights.size), weights)
+    d = uniform_weights(weights.size) - weights
+    chi = float(np.sum(d * d / weights))
+    if math.isnan(chi):  # a weight is NaN or +inf
+        raise ValueError("p must contain only finite values")
+    return chi
 
 
 def run_round(

@@ -41,8 +41,16 @@ class Mutant(NamedTuple):
 
 
 STACKS = "src/entrofed/stacks.py"
+TRAINER = "src/entrofed/trainer.py"
+ANALYSIS = "src/entrofed/analysis.py"
+DATAGEN = "src/entrofed/datagen.py"
+AGGREGATION = "src/entrofed/aggregation.py"
 TEST_OBJECTIVES = "tests/test_objectives.py::TestStackedEvaluation"
 COHORT = "tests/test_trainer.py::TestCohortMatchesPerClientLoop"
+TAILS = "tests/test_analysis.py::TestTailMean"
+QFFL = "tests/test_aggregation.py::TestQfflStep"
+CHI = "tests/test_trainer.py::TestChiSquareOrInf"
+WHOLE_RUN = "tests/test_trainer.py::TestWholeRunMatchesPerClientLoop"
 
 MUTANTS = (
     Mutant(
@@ -58,13 +66,13 @@ MUTANTS = (
     ),
     Mutant(
         "plan-on-a-copy-of-x",
-        "src/entrofed/trainer.py",
+        TRAINER,
         "step = stack.step_plan(x, g, subsets)",
         "step = stack.step_plan(x.copy(), g, subsets)",
         (
             f"{COHORT}::test_classifier_cohort",
             f"{COHORT}::test_glr_cohort",
-            "tests/test_trainer.py::TestWholeRunMatchesPerClientLoop::test_golden_config",
+            f"{WHOLE_RUN}::test_golden_config",
         ),
     ),
     Mutant(
@@ -91,6 +99,138 @@ MUTANTS = (
         "not 2.0**-500 <= peak <= 2.0**500",
         "not 2.0**-400 <= peak <= 2.0**400",
         ("tests/test_core.py::TestFairAngle::test_rescale_band_edges",),
+    ),
+    Mutant(
+        "plan-loss-means-over-step-major-views",
+        STACKS,
+        "                picked[rows] = np.negative(logp, out=logp)\n"
+        "                out[p.clients] = self._means(client_major, p.segments)",
+        "                step_major = _segment_views(\n"
+        "                    np.negative(logp, out=logp), p.segments, True)\n"
+        "                out[p.clients] = self._means(step_major, p.segments)",
+        (
+            f"{TEST_OBJECTIVES}::test_a_full_set_plan_gives_the_losses_pass",
+            f"{COHORT}::test_classifier_cohort",
+        ),
+    ),
+    Mutant(
+        "sample-ties-from-the-highest-index",
+        "src/entrofed/core.py",
+        "ties[k - (taken.size - ties.size) :]",
+        "ties[: taken.size - k]",
+        ("tests/test_core.py::TestSeededRng::test_selection_is_the_stable_argsort_head",),
+    ),
+    Mutant(
+        "best-tail-summed-smallest-first",
+        ANALYSIS,
+        "ranked[end - count : end][::-1].mean()",
+        "ranked[end - count : end].mean()",
+        (
+            f"{TAILS}::test_one_sort_gives_both_tails",
+            f"{TAILS}::test_equals_the_stable_argsort_gather",
+        ),
+    ),
+    Mutant(
+        "orders-gather-at-an-epoch-stride-of-n-plus-1",
+        TRAINER,
+        "at = np.repeat(starts - np.cumsum(kept) + kept, kept)",
+        "at = np.repeat(starts + epoch - np.cumsum(kept) + kept, kept)",
+        (
+            "tests/test_trainer.py::TestMinibatchOrders::test_one_pass_is_the_per_client_draws",
+            "tests/test_trainer.py::TestMinibatchOrders::test_rows_past_the_key_limit",
+            f"{COHORT}::test_classifier_cohort",
+        ),
+    ),
+    # mutants the tests were shown to kill before this register existed
+    Mutant(
+        "tail-count-floored",
+        ANALYSIS,
+        "count = math.ceil(k_percent * v.size / 100.0)",
+        "count = math.floor(k_percent * v.size / 100.0)",
+        (f"{TAILS}::test_ceil_count_and_ties", f"{TAILS}::test_equals_the_stable_argsort_gather"),
+    ),
+    Mutant(
+        "q-dropped-from-the-qffl-normalizer",
+        AGGREGATION,
+        "normalizer += q * cfg.lipschitz * float(",
+        "normalizer += cfg.lipschitz * float(",
+        (
+            f"{QFFL}::test_step_scales_the_weighted_mean",
+            f"{QFFL}::test_matches_the_per_client_formula",
+            "tests/test_golden.py::test_run_reproduces_golden_files[glr-qffl]",
+        ),
+    ),
+    Mutant(
+        "convex-schedule-squared",
+        AGGREGATION,
+        "return cfg.tau0 / base**3",
+        "return cfg.tau0 / base**2",
+        ("tests/test_aggregation.py::TestScheduleTau::test_convex_frozen_value",),
+    ),
+    Mutant(
+        "chi-square-inf-only-when-every-weight-is-zero",
+        TRAINER,
+        "if np.any(weights <= 0.0):",
+        "if np.all(weights <= 0.0):",
+        (f"{CHI}::test_a_zero_weight_is_infinite_without_a_division",),
+    ),
+    Mutant(
+        "unweighted-global-accuracy",
+        ANALYSIS,
+        "global_acc = float(np.dot(sizes, accs) / sizes.sum())",
+        "global_acc = float(np.mean(accs))",
+        (
+            "tests/test_golden.py::test_run_reproduces_golden_files[blobs-mlp]",
+            f"{WHOLE_RUN}::test_golden_config[fedavg-ratio]",
+        ),
+    ),
+    Mutant(
+        "model-alignment-blends-deltas",
+        TRAINER,
+        "aggregate_model_alignment(update.deltas, update.one_step, weights, cfg.alpha)",
+        "aggregate_model_alignment(update.deltas, update.deltas, weights, cfg.alpha)",
+        (
+            "tests/test_trainer.py::TestRunRound::"
+            "test_identical_clients_blend_matches_single_client",
+            "tests/test_golden.py::test_run_reproduces_golden_files[eba-ratio-linear]",
+        ),
+    ),
+    Mutant(
+        "sample-std-in-the-summary",
+        "src/entrofed/harness.py",
+        "{_fmt(float(vals.std()))}",
+        "{_fmt(float(vals.std(ddof=1)))}",
+        ("tests/test_golden.py::test_run_reproduces_golden_files[fedavg-ratio]",),
+    ),
+    Mutant(
+        "floored-train-test-split",
+        DATAGEN,
+        "np.rint(test_fraction * sizes)",
+        "np.floor(test_fraction * sizes)",
+        (
+            "tests/test_datagen.py::TestTrainTestSplit::test_matches_per_client_reference",
+            "tests/test_harness.py::test_federation_digest_is_pinned[dirichlet-m50]",
+        ),
+    ),
+    Mutant(
+        "strict-dirichlet-minimum",
+        DATAGEN,
+        "if counts.min() >= spec.min_samples_per_client:",
+        "if counts.min() > spec.min_samples_per_client:",
+        (
+            "tests/test_acceptance.py::test_criterion_10_cross_method_oracles",
+            "tests/test_harness.py::test_federation_digest_is_pinned[dirichlet-m500]",
+        ),
+    ),
+    Mutant(
+        "fair-gradient-at-tau0",
+        TRAINER,
+        "compute_fair_gradient(cohort.gradients(x_t), start_losses, tau)",
+        "compute_fair_gradient(cohort.gradients(x_t), start_losses, cfg.eba.tau0)",
+        (
+            "tests/test_golden.py::test_run_reproduces_golden_files[eba-ratio-linear]",
+            f"{WHOLE_RUN}::test_random_runs",
+        ),
     ),
 )
 

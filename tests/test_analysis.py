@@ -11,6 +11,7 @@ from entrofed.aggregation import eba_weights, uniform_weights
 from entrofed.analysis import (
     InfeasibleGridError,
     RegressionOracleSetup,
+    _tail_means,
     entropy_max_bruteforce,
     evaluate_fairness,
     population_variance,
@@ -53,6 +54,20 @@ class TestVariances:
             vals = rng.normals(m) * 4
             assert weighted_variance(vals, uniform_weights(m)) == population_variance(vals)
 
+    @given(values=st.lists(st.floats(allow_nan=False), min_size=1, max_size=50))
+    @example(values=[1e308, -1e308, 3.0])
+    @example(values=[math.inf, 1.0])
+    @example(values=[math.inf, -math.inf])
+    @settings(max_examples=200, deadline=None)
+    def test_population_is_the_uniform_weighted_form_bit_for_bit(self, values):
+        # overflowing squares and infinite values included: the same calls
+        # on the same uniform weights, unchecked
+        v = np.array(values)
+        with np.errstate(all="ignore"):
+            want = weighted_variance(v, uniform_weights(v.size))
+            got = population_variance(v)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
 
 class TestTailMean:
     def test_worst_of_hundred(self):
@@ -91,6 +106,28 @@ class TestTailMean:
         want = v[order[: math.ceil(k_percent * v.size / 100.0)]].mean()
         got = tail_mean(v, k_percent, side)
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    @given(
+        values=st.lists(st.floats(), min_size=1, max_size=60),
+        k_percent=st.floats(0.001, 100.0),
+    )
+    @example(values=[3.0, 1.0 / 3.0, 0.1, 7.0, math.nan], k_percent=80.0)
+    @example(values=[1.0, math.nan, math.nan, math.nan, 2.0, 0.1, 0.7], k_percent=30.0)
+    @settings(max_examples=300, deadline=None)
+    def test_one_sort_gives_both_tails(self, values, k_percent):
+        # Against the two sorts of the values and their negations. The
+        # best tail sums largest first, so the order of its terms shows in
+        # the last bits; NaNs rank last on both sides. Zeros are made +0.0,
+        # whose ties would otherwise leave a zero mean's sign to the sort.
+        v = np.array(values) + 0.0
+        count = math.ceil(k_percent * v.size / 100.0)
+        with np.errstate(all="ignore"):
+            want = [np.sort(v)[:count].mean(), (-np.sort(-v)[:count]).mean()]
+            got = _tail_means(v, k_percent)
+            one = [tail_mean(v, k_percent, side) for side in ("worst", "best")]
+        for a, b, c in zip(got, want, one):
+            assert np.float64(a).tobytes() == np.float64(math.nan if math.isnan(b) else b).tobytes()
+            assert np.float64(c).tobytes() == np.float64(a).tobytes()
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):

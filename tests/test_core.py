@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from entrofed.core import (
     SeededRng,
+    _smallest,
     chi_square_divergence,
     derive_seeds,
     entropy,
@@ -114,6 +115,33 @@ class TestSeededRng:
         assert np.all((picked >= 0) & (picked < 10))
         with pytest.raises(ValueError):
             rng.sample_without_replacement(3, 5)
+        with pytest.raises(ValueError):
+            rng.sample_without_replacement(3, -1)
+
+    def test_sampling_is_the_sorted_head_of_a_permutation(self):
+        # the ids of np.sort(permutation(m)[:k]), from the same m draws:
+        # every k up to m = 64, and at larger m the ends and some between
+        for m in range(1, 2001):
+            ks = range(m + 1) if m <= 64 else {0, 1, 2, m // 3, m // 2, m - 1, m, m * 7 // 11}
+            for k in ks:
+                got = SeededRng(m).derive(k).sample_without_replacement(m, k)
+                rng = SeededRng(m).derive(k)
+                want = np.sort(rng.permutation(m)[:k])
+                assert got.dtype == want.dtype and np.array_equal(got, want), (m, k)
+
+    @given(
+        values=st.lists(st.sampled_from([-1.5, 0.0, 0.25, 3.0, np.inf]), min_size=1, max_size=40),
+        share=st.floats(0.0, 1.0),
+    )
+    @example(values=[0.5, 0.25, 0.5, 0.5, 0.0, 0.5], share=0.5)
+    @settings(max_examples=300, deadline=None)
+    def test_selection_is_the_stable_argsort_head(self, values, share):
+        # few distinct values: the k-th smallest ties with others, and the
+        # lowest positions among them are taken
+        v = np.array(values)
+        k = round(share * v.size)
+        want = np.sort(np.argsort(v, kind="stable")[:k])
+        assert np.array_equal(_smallest(v, k), want)
 
 
 class TestManyStreams:

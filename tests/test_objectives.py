@@ -465,6 +465,50 @@ class TestStackedEvaluation:
         want = [o.gradient(x, s) for o, x, s in zip(objs, xs, subsets)]
         assert np.array_equal(plan_gradients(stack, xs, drawn)[0], want)
 
+    @given(
+        sizes=st.lists(st.one_of(st.just(1), st.integers(1, 12)), min_size=1, max_size=30),
+        shape=st.sampled_from([(4, 0, 3), (1, 0, 3), (3, 5, 4), (3, 1, 4), (1, 6, 2), (2, 3, 10)]),
+        block=st.integers(1, 48),
+        shared=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # step-major segments of 9 and 12 rows, whose pairwise sums differ
+    # from a strided reduction's
+    @example(sizes=[9] * 5 + [12] * 3 + [1, 2], shape=(4, 0, 3), block=64, shared=False, seed=5)
+    @settings(max_examples=60, deadline=None)
+    def test_a_full_set_plan_gives_the_losses_pass(self, sizes, shape, block, shared, seed):
+        # A full-batch round takes its end losses from its plan: a forward
+        # pass over the plan's own rows, which lie step-major in segments of
+        # several clients of several rows unless features or hidden units
+        # are one wide, then put back in client-major order for the means.
+        d, hidden, classes = shape
+        rng = SeededRng(seed)
+        activation = "tanh" if hidden else "identity"
+        objs = [random_classifier(rng, hidden, activation, n, d, classes) for n in sizes]
+        with mock.patch.object(stacks, "STACK_BLOCK_ROWS", block):
+            ordered, _ = stack_objectives(objs).in_pass_order()
+        xs = 0.5 * rng.normals(ordered.m * ordered.dimension).reshape(ordered.m, -1)
+        if shared:
+            xs = xs[0]
+        plan = ordered.step_plan(xs, np.empty((ordered.m, ordered.dimension)))
+        assert plan.losses().tobytes() == ordered.losses(xs).tobytes()
+        # the plan reads xs as it is when called, after steps too
+        plan(0)
+        xs *= 1.5
+        assert plan.losses().tobytes() == ordered.losses(xs).tobytes()
+
+    @pytest.mark.parametrize("family", sorted(STACK_FAMILIES))
+    def test_a_full_set_plan_gives_the_losses_of_every_family(self, family):
+        rng = SeededRng(43)
+        objs = [STACK_FAMILIES[family](rng, n) for n in (5, 3, 8, 3, 1, 6)]
+        ordered, _ = stack_objectives(objs).in_pass_order()
+        xs = 0.5 * rng.normals(ordered.m * ordered.dimension).reshape(ordered.m, -1)
+        plan = ordered.step_plan(xs, np.empty_like(xs))
+        assert plan.losses().tobytes() == ordered.losses(xs).tobytes()
+        # a minibatch plan's rows are not the full sets
+        subsets = np.zeros((1, int((ordered.sizes > 2).sum()), 2), dtype=np.int64)
+        assert not hasattr(ordered.step_plan(xs, np.empty_like(xs), subsets), "losses")
+
     @pytest.mark.parametrize("activation", ["tanh", "relu"])
     def test_wide_hidden_layer_runs_straddle_passes(self, activation):
         # At 64 hidden units a pass holds 2048 * 10 // 64 = 320 rows. The 31
@@ -651,6 +695,7 @@ class TestStackedEvaluation:
             out = np.empty_like(xs)
             ordered.step_plan(xs, out, np.zeros((1, takers, 2), dtype=np.int64))(0)
             return [
+                ordered.step_plan(xs, np.empty_like(xs)).losses(),
                 stack.losses(x),
                 stack.gradients(x),
                 *stack.evaluate(x),

@@ -431,9 +431,9 @@ class TestCohortPasses:
     together, and one pass for the end losses."""
 
     @staticmethod
-    def counted_round(monkeypatch, steps, aligned, block=None):
+    def counted_round(monkeypatch, steps, aligned, block=None, batch=16, start=False):
         calls = {"step_plan": 0, "_bind": 0, "_bind_step": 0, "kernel": 0, "losses": 0}
-        calls.update(_pass_losses=0, gradients=0)
+        calls.update(_pass_losses=0, gradients=0, _bind_losses=0)
         cls = type(stack_objectives([ClassifierObjective(np.zeros((1, 2)), [0], 2)]))
         for name in set(calls) - {"kernel"}:
             original = getattr(cls, name)
@@ -462,11 +462,13 @@ class TestCohortPasses:
         with mock.patch.object(stacks, "STACK_BLOCK_ROWS", block or stacks.STACK_BLOCK_ROWS):
             cohort = stack_objectives(objectives)
             calls.update(dict.fromkeys(calls, 0))
+            if start:
+                cohort.gradients(x0)
             if aligned:
                 fair_grad = rng.normals(x0.size)
-                local_sgd_aligned(cohort, x0, steps, 0.1, 0.3, fair_grad, 16, streams)
+                local_sgd_aligned(cohort, x0, steps, 0.1, 0.3, fair_grad, batch, streams)
             else:
-                local_sgd(cohort, x0, steps, 0.1, 16, streams)
+                local_sgd(cohort, x0, steps, 0.1, batch, streams)
         return calls, len(cohort._chunks)
 
     @pytest.mark.parametrize("aligned", [False, True])
@@ -482,6 +484,41 @@ class TestCohortPasses:
             "losses": 1,
             "_pass_losses": 1,
             "gradients": 0,
+            "_bind_losses": 0,
+        }
+
+    @pytest.mark.parametrize("aligned", [False, True])
+    def test_a_full_batch_round_binds_its_cohort_once(self, monkeypatch, aligned):
+        # the plan's passes hold the cohort's full sets and give its end
+        # losses: no second binding and no losses pass
+        steps = 3
+        calls, _ = self.counted_round(monkeypatch, steps, aligned, batch=None)
+        assert calls == {
+            "step_plan": 1,
+            "_bind": 1,
+            "_bind_step": 1,
+            "kernel": steps,
+            "losses": 0,
+            "_pass_losses": 0,
+            "gradients": 0,
+            "_bind_losses": 1,
+        }
+
+    def test_an_aligned_minibatch_round_binds_the_full_sets_once(self, monkeypatch):
+        # The start gradients, one step, bind the cohort's full sets, as its
+        # telemetry passes, and its end losses run on that binding: besides
+        # it, only the plan's passes are bound.
+        steps = 3
+        calls, _ = self.counted_round(monkeypatch, steps, True, start=True)
+        assert calls == {
+            "step_plan": 1,
+            "_bind": 2,
+            "_bind_step": 2,
+            "kernel": 1 + steps,
+            "losses": 1,
+            "_pass_losses": 1,
+            "gradients": 1,
+            "_bind_losses": 0,
         }
 
     @pytest.mark.parametrize("steps", [1, 4, 20])
@@ -496,6 +533,28 @@ class TestCohortPasses:
         assert calls["_bind_step"] == 7
         assert calls["kernel"] == 7 * steps
         assert calls["_pass_losses"] == passes
+
+
+class TestChiSquareOrInf:
+    """A round's chi-square of its weights against uniform weights, which
+    it makes itself and does not check."""
+
+    @given(weights=st.lists(st.floats(1e-9, 1.0), min_size=1, max_size=30))
+    @settings(max_examples=200, deadline=None)
+    def test_is_the_divergence_from_uniform_weights(self, weights):
+        p = np.array(weights) / sum(weights)
+        want = chi_square_divergence(uniform_weights(p.size), p)
+        assert np.float64(trainer._chi_square_or_inf(p)).tobytes() == np.float64(want).tobytes()
+
+    def test_a_zero_weight_is_infinite_without_a_division(self):
+        with np.errstate(all="raise"):
+            assert trainer._chi_square_or_inf(np.array([0.5, 0.5, 0.0])) == math.inf
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_weights_are_rejected(self, bad):
+        # as chi_square_divergence rejects them; +inf makes inf / inf first
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="only finite values"):
+            trainer._chi_square_or_inf(np.array([0.5, bad]))
 
 
 class TestAggregation:
