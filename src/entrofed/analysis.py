@@ -64,12 +64,15 @@ def tail_mean(values, k_percent: float, side: str) -> float:
 def _tail_means(v: np.ndarray, k_percent: float) -> tuple[float, float]:
     """The worst and the best tail means of :func:`tail_mean`, from one
     sort: the worst tail is its first values, the best the last values
-    before its NaNs, summed largest first."""
+    before its NaNs, summed largest first. Each is the sum ``mean`` takes,
+    over the count, without its Python wrapper."""
     count = math.ceil(k_percent * v.size / 100.0)
     ranked = np.sort(v)
     end = v.size - np.count_nonzero(np.isnan(ranked))
-    worst = float(ranked[:count].mean())
-    best = float(ranked[end - count : end][::-1].mean()) if end >= count else math.nan
+    worst = float(np.add.reduce(ranked[:count]) / count)
+    best = math.nan
+    if end >= count:
+        best = float(np.add.reduce(ranked[end - count : end][::-1]) / count)
     return (math.nan if math.isnan(worst) else worst), (math.nan if math.isnan(best) else best)
 
 
