@@ -13,9 +13,9 @@ writes: a telemetry pass when the stack first runs it, and a local-SGD
 round's passes when its plan is made, so that a step makes only numpy
 kernel calls. A full-batch plan's passes also give the round's end losses,
 and a cohort's start gradients run on its telemetry passes, which its end
-losses then share. Its passes reuse one scratch arena, which the stacks its ``take``
-makes share. So a family stack, and the stacks taken from it, must not be
-evaluated from two threads at once; objectives still may be. What
+losses then share. Its passes reuse one scratch arena, which the stacks its
+``take`` makes share. So a family stack, and the stacks taken from it, must
+not be evaluated from two threads at once; objectives still may be. What
 ``losses``, ``gradients`` and ``evaluate`` return is never the arena's,
 and a plan writes only the caller's ``out``.
 """
@@ -290,7 +290,7 @@ class _RowStack(ObjectiveStack):
     results go back to objective order through ``_inverse``, unless the
     objectives are in size order already."""
 
-    def __init__(self, model, counts, order, inputs, targets, cap: int, arena, chunks=None):
+    def __init__(self, model, counts, order, inputs, targets, cap: int, arena):
         self.model = model
         self.sizes = counts
         self._cap = cap
@@ -301,7 +301,7 @@ class _RowStack(ObjectiveStack):
         self._counts = sizes = counts[self._order]
         self._inputs, self._targets = inputs, targets
         self._starts = np.cumsum(sizes) - sizes
-        self._chunks = _passes(sizes, cap) if chunks is None else chunks
+        self._chunks = _passes(sizes, cap)
 
     @functools.cached_property
     def _telemetry(self) -> list[_Pass]:
@@ -440,8 +440,8 @@ class _RowStack(ObjectiveStack):
 
 
 class _GlrStack(_RowStack):
-    def __init__(self, model, counts, order, inputs, targets, arena=None, chunks=None):
-        super().__init__(model, counts, order, inputs, targets, STACK_BLOCK_ROWS, arena, chunks)
+    def __init__(self, model, counts, order, inputs, targets, arena=None):
+        super().__init__(model, counts, order, inputs, targets, STACK_BLOCK_ROWS, arena)
 
     _view = staticmethod(GlrObjective)
     _cut = ("inputs", "targets")
@@ -511,9 +511,9 @@ def _weight_grads(rows_t, deltas, dw, sums):
 
 
 class _ClassifierStack(_RowStack):
-    def __init__(self, model, counts, order, inputs, targets, arena=None, chunks=None):
+    def __init__(self, model, counts, order, inputs, targets, arena=None):
         cap = max(1, STACK_BLOCK_ROWS * 10 // max(model.n_classes, model.hidden))
-        super().__init__(model, counts, order, inputs, targets, cap, arena, chunks)
+        super().__init__(model, counts, order, inputs, targets, cap, arena)
 
     _cut = ("inputs",)
 

@@ -122,11 +122,11 @@ class TestSeededRng:
         # the ids of np.sort(permutation(m)[:k]), from the same m draws:
         # every k up to m = 64, and at larger m the ends and some between
         for m in range(1, 2001):
+            perm = SeededRng(m).permutation(m)
             ks = range(m + 1) if m <= 64 else {0, 1, 2, m // 3, m // 2, m - 1, m, m * 7 // 11}
             for k in ks:
-                got = SeededRng(m).derive(k).sample_without_replacement(m, k)
-                rng = SeededRng(m).derive(k)
-                want = np.sort(rng.permutation(m)[:k])
+                got = SeededRng(m).sample_without_replacement(m, k)
+                want = np.sort(perm[:k])
                 assert got.dtype == want.dtype and np.array_equal(got, want), (m, k)
 
     @given(
