@@ -428,7 +428,8 @@ class TestCohortPasses:
     """Local SGD binds one step plan per round and runs it once per step:
     one bound kernel per pass, each a pass over the full sets of several
     sizes below the batch size and the minibatches of the larger clients
-    together, and one pass for the end losses."""
+    together, and one pass for the end losses, which a full-batch round's
+    plan makes over its own rows."""
 
     @staticmethod
     def counted_round(monkeypatch, steps, aligned, block=None, batch=16, start=False):
