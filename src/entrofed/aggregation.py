@@ -53,7 +53,9 @@ def schedule_tau(cfg: EbaConfig, k: int) -> float:
 
     constant: tau0. linear: tau0 / (1 + decay (k-1)). concave: tau0 /
     sqrt(1 + decay (k-1)). convex: tau0 / (1 + decay (k-1))^3. All are
-    strictly positive and nonincreasing in k.
+    nonincreasing in k, and positive but where a fast decay takes them
+    below the least float: there they are 0, a convex cube past the
+    largest float included.
     """
     if k < 1:
         raise ValueError("round index is 1-based")
@@ -64,7 +66,10 @@ def schedule_tau(cfg: EbaConfig, k: int) -> float:
         return cfg.tau0 / base
     if cfg.schedule == "concave":
         return cfg.tau0 / np.sqrt(base)
-    return cfg.tau0 / base**3
+    try:
+        return cfg.tau0 / base**3
+    except OverflowError:
+        return 0.0
 
 
 def eba_weights(losses, tau: float, prior=None) -> np.ndarray:

@@ -65,8 +65,10 @@ def _tail_means(v: np.ndarray, k_percent: float) -> tuple[float, float]:
     """The worst and the best tail means of :func:`tail_mean`, from one
     sort: the worst tail is its first values, the best the last values
     before its NaNs, summed largest first. Each is the sum ``mean`` takes,
-    over the count, without its Python wrapper."""
-    count = math.ceil(k_percent * v.size / 100.0)
+    over the count, without its Python wrapper. A tail of a positive share
+    holds at least one value, also where the share times the count
+    underflows to 0."""
+    count = max(1, math.ceil(k_percent * v.size / 100.0))
     ranked = np.sort(v)
     end = v.size - np.count_nonzero(np.isnan(ranked))
     worst = float(np.add.reduce(ranked[:count]) / count)

@@ -295,17 +295,21 @@ class ClassifierObjective(LocalObjective):
         return dact
 
     @staticmethod
-    def _class_major(logits: np.ndarray, scratch=_fresh):
+    def _class_major(logits: np.ndarray, scratch=_fresh, bias=None):
         """(z, lse): logits less each row's max as one (classes, rows)
         copy, and the log of each row's sum of exp(z). Numpy reduces a
         short last axis one row at a time, so the row max and row sum run
         down the columns of the copy. A max is exact, and _column_sums keeps
         numpy's pairwise order, so z - lse is z - log(exp(z).sum(axis=-1))
         for z = logits - logits.max(axis=-1) bit for bit, but for the sign
-        and payload of a NaN."""
+        and payload of a NaN. ``bias``, a (classes, 1) column, is the last
+        layer's bias if the logits leave it out: it is added to the copy,
+        one contiguous add per class, the same sums a row-wise add makes."""
         rows = logits.reshape(-1, logits.shape[-1])
         z = scratch("shifted", rows.shape[::-1])
         z[...] = rows.T
+        if bias is not None:
+            z += bias
         z -= z.max(axis=0, out=scratch("rowmax", z.shape[1:]))
         sums = _column_sums(np.exp(z, out=scratch("exps", z.shape)))
         return z, np.log(sums, out=sums)
@@ -317,19 +321,41 @@ class ClassifierObjective(LocalObjective):
         return z.T.reshape(logits.shape)
 
     @staticmethod
-    def _target_log_probs(logits: np.ndarray, labels, scratch=_fresh, at=None) -> np.ndarray:
+    def _target_log_probs(
+        logits: np.ndarray, labels, scratch=_fresh, at=None, bias=None
+    ) -> np.ndarray:
         """Each row's log-softmax at its label: the one entry of its
         class-major column that a loss reads, less the column's log-sum,
         which is the subtraction :meth:`_log_softmax` makes there. ``at``,
         if given, holds those entries' flat positions in the (classes,
-        rows) copy, label * rows + row, in place of ``labels``."""
-        z, lse = ClassifierObjective._class_major(logits, scratch)
+        rows) copy, label * rows + row, in place of ``labels``; ``bias`` is
+        :meth:`_class_major`'s."""
+        z, lse = ClassifierObjective._class_major(logits, scratch, bias)
         if at is None:
             at = labels.ravel() * z.shape[1] + np.arange(z.shape[1])
         # positions in range by construction: "clip" takes straight into out
         picked = z.reshape(-1).take(at, out=scratch("picked", lse.shape), mode="clip")
         picked -= lse
         return picked
+
+    @staticmethod
+    def _class_major_hits(z, rowmax, at, labels, out):
+        """Whether each row's label is its argmax, as 1.0 or 0.0 into
+        ``out``, from :meth:`_class_major`'s copy ``z`` and row maxima,
+        with ``at`` as in :meth:`_target_log_probs`: a row's label entry of
+        z is 0 and no lower class's is, numpy's first-max rule. A row holds
+        one 0 unless it ties, so only when z holds more zeros than rows are
+        the tied rows' lower classes looked at. None, with nothing written,
+        when a row max is not finite: z then holds NaN where argmax sees a
+        max."""
+        if not np.isfinite(rowmax).all():
+            return None
+        zeros = z == 0.0
+        np.equal(z.reshape(-1).take(at, out=out, mode="clip"), 0.0, out=out)
+        if np.count_nonzero(zeros) > z.shape[1]:
+            tied = np.flatnonzero(np.count_nonzero(zeros, axis=0) > 1)
+            out[tied] = zeros[:, tied].argmax(axis=0) == labels[tied]
+        return out
 
     @staticmethod
     def _probs_minus_labels(logp: np.ndarray, labels, scratch=_fresh, at=None) -> np.ndarray:

@@ -13,8 +13,12 @@ writes: a telemetry pass when the stack first runs it, and a local-SGD
 round's passes when its plan is made, so that a step makes only numpy
 kernel calls. A full-batch plan's passes also give the round's end losses,
 and a cohort's start gradients run on its telemetry passes, which its end
-losses then share. Its passes reuse one scratch arena, which the stacks its
-``take`` makes share. So a family stack, and the stacks taken from it, must
+losses then share. A run binds a full-batch plan when a cohort of a new
+layout (model and row counts in pass order) comes, and refills it for each
+later cohort of that layout: one ``take`` of its rows and one of its labels
+into the plan's buffers; a minibatch plan is bound for its round. Its
+passes reuse one scratch arena, which the stacks its ``take`` makes
+share. So a family stack, and the stacks taken from it, must
 not be evaluated from two threads at once; objectives still may be. What
 ``losses``, ``gradients`` and ``evaluate`` return is never the arena's,
 and a plan writes only the caller's ``out``.
@@ -136,7 +140,13 @@ class ObjectiveStack:
         only, and run a plan, like any pass of the stack, on one thread.
         Without ``subsets``, ``plan.losses()`` returns what :meth:`losses`
         returns at xs as it then is, in pass order: a full-batch round's
-        end losses, from the passes the plan has bound."""
+        end losses, from the passes the plan has bound. And
+        ``plan.refill(stack)`` makes the plan one of ``stack``, an
+        ``in_pass_order`` stack of its layout (the same model and row
+        counts in pass order), by copying in its rows, and returns True;
+        or returns False, and changes nothing, for a stack of another
+        layout. A run refills its plan for each cohort of one layout; the
+        loop binds nothing, so its plans refill none."""
         takers = _takers(self.sizes, subsets)
         xs = np.broadcast_to(xs, out.shape)
 
@@ -147,6 +157,7 @@ class ObjectiveStack:
 
         if subsets is None:
             plan.losses = lambda: self.losses(xs)
+            plan.refill = lambda stack: False
         return plan
 
 
@@ -401,8 +412,19 @@ class _RowStack(ObjectiveStack):
             for kernel in kernels:
                 kernel()
 
+        def refill(stack):
+            # the same model and row counts in pass order: the same passes
+            if getattr(stack, "model", None) is not self.model or not np.array_equal(
+                stack._counts, self._counts
+            ):
+                return False
+            stack._inputs.take(at, axis=0, out=inputs, mode="clip")
+            stack._targets.take(at, out=targets, mode="clip")
+            return True
+
         if subsets is None:
             plan.losses = self._bind_losses(bound, xs, at)
+            plan.refill = refill
         return plan
 
     def _bind_losses(self, passes, xs, at):
@@ -570,13 +592,21 @@ class _ClassifierStack(_RowStack):
         # each row's label entry in the class-major copy: label * rows + row
         return [p._replace(at=p.targets * (n := len(p.targets)) + np.arange(n)) for p in bound]
 
-    def _mean_losses(self, p, logits):
-        logp = self.model._target_log_probs(logits, None, p.scratch, p.at)
+    def _shared(self, x):
+        """(layers, bias): the layers of one parameter vector with the last
+        layer's bias left out, and that bias as the (classes, 1) column
+        that ``_class_major`` adds to its class-major copy of the logits."""
+        layers = self.model._unpack(x)
+        return (*layers[:-1], None), layers[-1].T
+
+    def _mean_losses(self, p, logits, bias=None):
+        logp = self.model._target_log_probs(logits, None, p.scratch, p.at, bias)
         np.negative(logp, out=logp)
         return self._means(p.parts["picked"], p.segments)
 
     def _pass_losses(self, p, xs):
-        return self._mean_losses(p, self._layers(p, self._unpack(p, xs))[0])
+        layers, bias = self._shared(xs) if xs.ndim == 1 else (self._unpack(p, xs), None)
+        return self._mean_losses(p, self._layers(p, layers)[0], bias)
 
     def _bind_losses(self, passes, xs, at):
         # A client's loss is the mean of its rows' losses summed in their
@@ -591,7 +621,7 @@ class _ClassifierStack(_RowStack):
                 (
                     p,
                     self._unpack(p, xs if xs.ndim == 1 else xs[p.clients]),
-                    p.targets * n + np.arange(n),  # each row's label entry, as in _bind
+                    np.arange(n),
                     at[p.rows] - p.rows.start,
                     picked,
                     _segment_views(picked, p.segments, False),
@@ -600,7 +630,10 @@ class _ClassifierStack(_RowStack):
 
         def losses():
             out = np.empty(self.m)
-            for p, layers, label_at, rows, picked, client_major in kernels:
+            for p, layers, base, rows, picked, client_major in kernels:
+                # each row's label entry, as in _bind, of the targets that
+                # the plan holds now: a refill replaces them
+                label_at = p.targets * len(base) + base
                 logits = self._layers(p, layers)[0]
                 logp = self.model._target_log_probs(logits, None, p.scratch, label_at)
                 picked[rows] = np.negative(logp, out=logp)
@@ -662,13 +695,21 @@ class _ClassifierStack(_RowStack):
         return step
 
     def evaluate(self, x):
-        layers = self.model._unpack(self.model._check_x(x))
+        # each pass reads its logits once, class-major: the losses and then
+        # the hits from one copy
+        layers, bias = self._shared(self.model._check_x(x))
         losses = np.empty(self.m)
         accs = np.empty(self.m)
         for p in self._telemetry:
             logits = self._layers(p, layers)[0]
-            losses[p.clients] = self._mean_losses(p, logits)
-            np.equal(logits.argmax(axis=-1), p.targets, out=p.views["picked"])
+            losses[p.clients] = self._mean_losses(p, logits, bias)
+            views = p.views
+            hits = self.model._class_major_hits(
+                views["shifted"], views["rowmax"], p.at, p.targets, views["picked"]
+            )
+            if hits is None:
+                logits += bias.T
+                np.equal(logits.argmax(axis=-1), p.targets, out=views["picked"])
             accs[p.clients] = self._means(p.parts["picked"], p.segments)
         return self._unsorted(losses), self._unsorted(accs)
 

@@ -85,6 +85,12 @@ class TrainerConfig:
 
     def __post_init__(self):
         check_settings(self)
+        # tau depends on the config alone, and the last round's is the least
+        if self.method == "fedeba_plus" and schedule_tau(self.eba, self.rounds) == 0.0:
+            raise ValueError(
+                f"trainer.tau_decay: the {self.eba.schedule} schedule cools tau to 0 within "
+                f"{self.rounds} rounds (tau0 = {self.eba.tau0}, tau_decay = {self.eba.decay})"
+            )
 
 
 @dataclass(frozen=True)
@@ -231,6 +237,32 @@ def _minibatch_orders(sizes, batch_size: int | None, steps: int, rngs) -> np.nda
     return shuffled[at].reshape(takers.size, steps, batch_size).swapaxes(0, 1)
 
 
+def _bind_plan(stack: ObjectiveStack, x_start: np.ndarray, subsets):
+    """(plan, x, g): a ``step_plan`` of stack bound to a parameter matrix
+    x, each row at x_start, and a gradient matrix g."""
+    x = np.repeat(x_start[None], stack.m, axis=0)
+    g = np.empty_like(x)
+    return stack.step_plan(x, g, subsets), x, g
+
+
+class _RunPlan:
+    """The full-batch step plan that a run bound last, with its x and g. A
+    later cohort of its layout (the same model and row counts in pass
+    order) refills it, and x restarts at the round's x_start; g needs no
+    reset, as each step writes all of it. So a run whose cohorts share one
+    layout binds one plan. It lives as long as the run that makes it."""
+
+    def __init__(self):
+        self._bound = None
+
+    def bind(self, stack: ObjectiveStack, x_start: np.ndarray):
+        if self._bound is not None and self._bound[0].refill(stack):
+            self._bound[1][...] = x_start
+        else:
+            self._bound = _bind_plan(stack, x_start, None)
+        return self._bound
+
+
 def _local_steps(
     cohort: ObjectiveStack,
     x_start: np.ndarray,
@@ -240,6 +272,7 @@ def _local_steps(
     rngs,
     alpha: float = 0.0,
     fair_grad: np.ndarray | None = None,
+    plan: _RunPlan | None = None,
 ) -> CohortUpdate:
     """The step loop of both local SGD variants, for a whole cohort.
 
@@ -249,10 +282,13 @@ def _local_steps(
     given; the one-step displacement is recorded only for plain steps. The
     end loss is a full-batch snapshot. The steps keep the clients in the
     stack's pass order (``in_pass_order``) and run one ``step_plan`` of it,
-    bound once to the round's parameter and gradient matrices, which the
-    loop updates in place: every step is one pass of the cohort over its
-    minibatches and full sets. The end losses are one ``losses`` pass, and
-    the results go back to cohort order once."""
+    bound to the round's parameter and gradient matrices, which the loop
+    updates in place: every step is one pass of the cohort over its
+    minibatches and full sets. A full-batch round takes the run's ``plan``,
+    if given, refilled when the cohort has its layout, and its end losses
+    from the plan; a minibatch round binds a plan of its own, and its end
+    losses are one ``losses`` pass. The results go back to cohort order
+    once."""
     if not cohort.m:
         raise ValueError("need at least one client objective")
     if steps < 1:
@@ -267,9 +303,8 @@ def _local_steps(
         raise ValueError(f"{len(rngs)} minibatch streams for {cohort.m} clients")
     stack, order = cohort.in_pass_order()
     subsets = _minibatch_orders(stack.sizes, batch_size, steps, [rngs[i] for i in order])
-    x = np.repeat(x_start[None], stack.m, axis=0)
-    g = np.empty_like(x)
-    step = stack.step_plan(x, g, subsets)
+    kept = plan is not None and subsets is None
+    step, x, g = plan.bind(stack, x_start) if kept else _bind_plan(stack, x_start, subsets)
     fair_share = None if fair_grad is None else alpha * fair_grad
     one_step = None
     for k in range(steps):
@@ -285,12 +320,13 @@ def _local_steps(
             one_step = x - x_start
     # a full-batch plan's passes hold the cohort's full sets already
     end_losses = stack.losses(x) if subsets is not None else step.losses()
-    # back to cohort order, into the step loop's own arrays
+    # back to cohort order, into the step loop's own arrays unless the run
+    # keeps them for its next cohort
     back = np.argsort(order)
     x -= x_start
-    deltas = np.take(x, back, axis=0, out=g)
+    deltas = np.take(x, back, axis=0, out=None if kept else g)
     if one_step is not None:
-        one_step = np.take(one_step, back, axis=0, out=x)
+        one_step = np.take(one_step, back, axis=0, out=None if kept else x)
     return CohortUpdate(deltas, one_step, end_losses[back])
 
 
@@ -301,13 +337,15 @@ def local_sgd(
     lr: float,
     batch_size: int | None = None,
     rngs=None,
+    plan: _RunPlan | None = None,
 ) -> CohortUpdate:
     """K local gradient steps of every client in a cohort (a stack of
     their objectives), each from x_start: the full and one-step
     displacements plus the full-batch loss after the last step, one row per
     client. ``rngs`` holds one minibatch stream per client (needed only for
-    minibatches)."""
-    return _local_steps(cohort, x_start, steps, lr, batch_size, rngs)
+    minibatches). ``plan`` is a run's kept full-batch plan, which
+    :func:`run_training` makes; no later call overwrites what is returned."""
+    return _local_steps(cohort, x_start, steps, lr, batch_size, rngs, plan=plan)
 
 
 def local_sgd_aligned(
@@ -319,13 +357,14 @@ def local_sgd_aligned(
     fair_grad: np.ndarray,
     batch_size: int | None = None,
     rngs=None,
+    plan: _RunPlan | None = None,
 ) -> CohortUpdate:
     """Local steps along (1 - alpha) * local gradient + alpha * fair
     gradient, for every client in a cohort, with the fair gradient held
     fixed for the whole round. The one-step displacement is not collected
-    on this branch."""
+    on this branch; ``plan`` is as in :func:`local_sgd`."""
     fair_grad = np.asarray(fair_grad, dtype=np.float64)
-    return _local_steps(cohort, x_start, steps, lr, batch_size, rngs, alpha, fair_grad)
+    return _local_steps(cohort, x_start, steps, lr, batch_size, rngs, alpha, fair_grad, plan)
 
 
 def aggregate_plain(deltas, p) -> np.ndarray:
@@ -373,10 +412,12 @@ def run_round(
     round_index: int,
     rng: SeededRng,
     train_losses: np.ndarray,
+    plan: _RunPlan | None = None,
 ) -> tuple[np.ndarray, np.ndarray, RoundReport]:
     """One round of cfg.method from x_t, where ``train_losses`` holds every
     client's train loss at x_t. Returns x_{t+1}, every client's train loss
     there (the next round's ``train_losses``) and the round's report.
+    ``plan`` is the run's kept full-batch step plan (see :func:`local_sgd`).
 
     Start losses of the sampled clients set the fair angle. Under
     fedeba_plus, an angle above the threshold sends clients the fair
@@ -417,10 +458,12 @@ def run_round(
         fair_grad = compute_fair_gradient(cohort.gradients(x_t), start_losses, tau)
         update = local_sgd_aligned(
             cohort, x_t, cfg.local_steps, cfg.local_lr, cfg.alpha, fair_grad,
-            cfg.batch_size, streams,
+            cfg.batch_size, streams, plan,
         )
     else:
-        update = local_sgd(cohort, x_t, cfg.local_steps, cfg.local_lr, cfg.batch_size, streams)
+        update = local_sgd(
+            cohort, x_t, cfg.local_steps, cfg.local_lr, cfg.batch_size, streams, plan
+        )
 
     server_lr = cfg.global_lr
     if cfg.method == "qffl":
@@ -470,7 +513,8 @@ def run_training(
     the same clients and draw the same local batches each round. One
     stacked pass gives the train losses at x0; after that, each round
     returns the next round's, so per-client state lives for one round
-    only. When given,
+    only. A run keeps its last full-batch step plan for the next cohort
+    of its layout (``_RunPlan``). When given,
     ``on_round(report, x_next)`` streams each round's telemetry and the
     post-update model to the caller."""
     x = (
@@ -483,8 +527,9 @@ def run_training(
     root = SeededRng(cfg.seed)
     reports: list[RoundReport] = []
     train_losses = federation.train.losses(x)
+    plan = _RunPlan()
     for t in range(1, cfg.rounds + 1):
-        x, train_losses, report = run_round(federation, x, cfg, t, root, train_losses)
+        x, train_losses, report = run_round(federation, x, cfg, t, root, train_losses, plan)
         reports.append(report)
         if on_round is not None:
             on_round(report, x)

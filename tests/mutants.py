@@ -41,6 +41,7 @@ class Mutant(NamedTuple):
 
 
 STACKS = "src/entrofed/stacks.py"
+OBJECTIVES = "src/entrofed/objectives.py"
 TRAINER = "src/entrofed/trainer.py"
 ANALYSIS = "src/entrofed/analysis.py"
 DATAGEN = "src/entrofed/datagen.py"
@@ -51,6 +52,8 @@ TAILS = "tests/test_analysis.py::TestTailMean"
 QFFL = "tests/test_aggregation.py::TestQfflStep"
 CHI = "tests/test_trainer.py::TestChiSquareOrInf"
 WHOLE_RUN = "tests/test_trainer.py::TestWholeRunMatchesPerClientLoop"
+KERNELS = "tests/test_objectives.py::TestClassAxisKernels"
+RUN_PLAN = "tests/test_trainer.py::TestRunPlan::test_a_refilled_plan_gives_the_bits_of_fresh_plans"
 
 MUTANTS = (
     Mutant(
@@ -67,8 +70,8 @@ MUTANTS = (
     Mutant(
         "plan-on-a-copy-of-x",
         TRAINER,
-        "step = stack.step_plan(x, g, subsets)",
-        "step = stack.step_plan(x.copy(), g, subsets)",
+        "return stack.step_plan(x, g, subsets), x, g",
+        "return stack.step_plan(x.copy(), g, subsets), x, g",
         (
             f"{COHORT}::test_classifier_cohort",
             f"{COHORT}::test_glr_cohort",
@@ -142,8 +145,8 @@ MUTANTS = (
     Mutant(
         "tail-count-floored",
         ANALYSIS,
-        "count = math.ceil(k_percent * v.size / 100.0)",
-        "count = math.floor(k_percent * v.size / 100.0)",
+        "math.ceil(k_percent * v.size / 100.0)",
+        "math.floor(k_percent * v.size / 100.0)",
         (f"{TAILS}::test_ceil_count_and_ties", f"{TAILS}::test_equals_the_stable_argsort_gather"),
     ),
     Mutant(
@@ -227,6 +230,33 @@ MUTANTS = (
         (
             "tests/test_golden.py::test_run_reproduces_golden_files[eba-ratio-linear]",
             f"{WHOLE_RUN}::test_random_runs",
+        ),
+    ),
+    Mutant(
+        "label-positions-at-binding",
+        STACKS,
+        "label_at = p.targets * len(base) + base",
+        "label_at = losses.__dict__.setdefault(id(p), p.targets * len(base) + base)",
+        (f"{RUN_PLAN}[softmax]", f"{RUN_PLAN}[mlp]"),
+    ),
+    Mutant(
+        "class-major-hits-without-tie-check",
+        OBJECTIVES,
+        "if np.count_nonzero(zeros) > z.shape[1]:",
+        "if False:",
+        (
+            f"{KERNELS}::test_class_major_hits_take_the_first_of_tied_maxima",
+            f"{TEST_OBJECTIVES}::test_accuracies_at_tied_and_non_finite_logits",
+        ),
+    ),
+    Mutant(
+        "class-major-hits-without-non-finite-fallback",
+        OBJECTIVES,
+        "if not np.isfinite(rowmax).all():",
+        "if False:",
+        (
+            f"{KERNELS}::test_class_major_hits_leave_non_finite_row_maxima_to_argmax",
+            f"{TEST_OBJECTIVES}::test_accuracies_at_tied_and_non_finite_logits",
         ),
     ),
 )

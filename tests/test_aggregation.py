@@ -75,6 +75,11 @@ class TestScheduleTau:
         assert all(t > 0 for t in taus)
         assert all(b <= a for a, b in zip(taus, taus[1:]))
 
+    def test_a_cube_past_the_float_range_is_zero(self):
+        # base**3 of a float raises OverflowError past about 1.8e308
+        assert schedule_tau(EbaConfig(tau0=0.1, schedule="convex", decay=1e103), 2) == 0.0
+        assert schedule_tau(EbaConfig(tau0=0.1, schedule="convex", decay=1e102), 2) > 0.0
+
     def test_zero_decay_is_constant(self):
         for schedule in ("linear", "concave", "convex"):
             cfg = EbaConfig(tau0=0.3, schedule=schedule, decay=0.0)

@@ -109,8 +109,10 @@ class TestTailMean:
 
     @given(
         values=st.lists(st.floats(), min_size=1, max_size=60),
-        k_percent=st.floats(0.001, 100.0),
+        # down to subnormal shares, whose count underflows to 0
+        k_percent=st.floats(0.0, 100.0, exclude_min=True),
     )
+    @example(values=[1.0, 2.0], k_percent=5e-324)
     @example(values=[3.0, 1.0 / 3.0, 0.1, 7.0, math.nan], k_percent=80.0)
     @example(values=[1.0, math.nan, math.nan, math.nan, 2.0, 0.1, 0.7], k_percent=30.0)
     @settings(max_examples=300, deadline=None)
@@ -120,7 +122,7 @@ class TestTailMean:
         # the last bits; NaNs rank last on both sides. Zeros are made +0.0,
         # whose ties would otherwise leave a zero mean's sign to the sort.
         v = np.array(values) + 0.0
-        count = math.ceil(k_percent * v.size / 100.0)
+        count = max(1, math.ceil(k_percent * v.size / 100.0))
         with np.errstate(all="ignore"):
             want = [np.sort(v)[:count].mean(), (-np.sort(-v)[:count]).mean()]
             got = _tail_means(v, k_percent)
@@ -128,6 +130,13 @@ class TestTailMean:
         for a, b, c in zip(got, want, one):
             assert np.float64(a).tobytes() == np.float64(math.nan if math.isnan(b) else b).tobytes()
             assert np.float64(c).tobytes() == np.float64(a).tobytes()
+
+    def test_a_positive_share_takes_at_least_one_value(self):
+        # 5e-324 * 2 / 100 underflows to 0, which would divide 0 by 0
+        with np.errstate(all="raise"):
+            assert tail_mean([1.0, 2.0], 5e-324, "worst") == 1.0
+            assert tail_mean([1.0, 2.0], 5e-324, "best") == 2.0
+            assert _tail_means(np.array([3.0, math.nan, 1.0]), 1e-300) == (1.0, 3.0)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):

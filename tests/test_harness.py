@@ -557,6 +557,24 @@ class TestCmdRun:
         assert main(["run", "--config", str(cfg)]) == 1
         assert capsys.readouterr().err.startswith("error: degenerate q-FFL step: ")
 
+    @pytest.mark.parametrize(
+        "schedule",
+        [
+            "tau_schedule = convex\ntau_decay = 1e103",  # the cube overflows
+            "tau_schedule = linear\ntau0 = 1e-322\ntau_decay = 1000",  # below the least float
+        ],
+    )
+    def test_a_schedule_that_cools_tau_to_zero_exits_before_training(
+        self, tmp_path, capsys, monkeypatch, schedule
+    ):
+        monkeypatch.setenv("ENTROFED_OUTPUT_DIR", str(tmp_path / "out"))
+        text = SMALL_RUN.replace("[trainer]\n", f"[trainer]\n{schedule}\n")
+        assert main(["run", "--config", str(write_cfg(tmp_path, text))]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: trainer.tau_decay: the ") and err.count("\n") == 1
+        assert "schedule cools tau to 0 within 8 rounds" in err
+        assert not (tmp_path / "out").exists()
+
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverged_run_names_its_seed_and_round(self, tmp_path, capsys, monkeypatch):

@@ -360,6 +360,60 @@ class TestClassAxisKernels:
         assert same_bits(got, want)
 
 
+    @given(
+        logits=hnp.arrays(
+            np.float64,
+            st.tuples(st.integers(1, 30), st.integers(2, 12)),
+            elements=st.integers(-2, 2).map(float),
+        ),
+        bias=st.lists(st.integers(-2, 2).map(float), min_size=12, max_size=12),
+        odd=st.sampled_from([0.0, 0.05, 0.3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_class_major_hits_are_the_argmax_hits(self, logits, bias, odd, seed):
+        # Small integers tie often; some entries become infinities or NaN.
+        rng = np.random.default_rng(seed)
+        odd_at = rng.random(logits.shape) < odd
+        logits[odd_at] = rng.choice([np.inf, -np.inf, np.nan], int(odd_at.sum()))
+        labels = rng.integers(0, logits.shape[1], len(logits))
+        self.assert_hits(logits, labels, np.array(bias[: logits.shape[1]]))
+
+    def test_class_major_hits_take_the_first_of_tied_maxima(self):
+        logits = np.array([[1.0, 1.0, 0.0], [0.0, 2.0, 2.0], [2.0, 0.0, 2.0], [3.0, 1.0, 3.0]])
+        hits = self.assert_hits(logits, np.array([1, 1, 2, 0]), np.array([0.0, 0.0, 0.0]))
+        assert hits.tolist() == [0.0, 1.0, 0.0, 1.0]
+        # a bias that makes the tie
+        hits = self.assert_hits(np.array([[0.0, 1.0, 0.0]]), np.array([1]), np.array([1.0, 0.0, -1.0]))
+        assert hits.tolist() == [0.0]
+
+    def test_class_major_hits_leave_non_finite_row_maxima_to_argmax(self):
+        logits = np.array([[np.inf, 1.0, 2.0], [np.nan, 1.0, 2.0], [-np.inf] * 3, [1.0, 2.0, 0.0]])
+        assert self.assert_hits(logits, np.array([0, 0, 0, 1]), np.zeros(3)) is None
+
+    @staticmethod
+    def assert_hits(logits, labels, bias):
+        """The class-major hits of logits that leave out ``bias``, against
+        argmax(logits + bias) == labels; None where a row max of the biased
+        logits is not finite, as the kernel returns."""
+        arrays = {}
+        rows = len(logits)
+        with np.errstate(all="ignore"):
+            biased = logits + bias
+            want = biased.argmax(axis=1) == labels
+            z, _ = ClassifierObjective._class_major(
+                logits, lambda name, shape: arrays.setdefault(name, np.empty(shape)), bias[:, None]
+            )
+            assert np.array_equal(arrays["rowmax"], biased.max(axis=1), equal_nan=True)
+            at = labels * rows + np.arange(rows)
+            got = ClassifierObjective._class_major_hits(z, arrays["rowmax"], at, labels, np.empty(rows))
+        if not np.isfinite(biased.max(axis=1)).all():
+            assert got is None
+            return None
+        assert got.tolist() == want.astype(float).tolist()
+        return got
+
+
 # family -> factory(rng, n) of one client objective with n samples
 STACK_FAMILIES = {
     "quadratic": lambda rng, n: QuadraticObjective(0.1 + 3 * rng.uniform(), rng.uniform(-5, 5)),
@@ -546,6 +600,39 @@ class TestStackedEvaluation:
             train_losses = stack.losses(x)
             assert np.array_equal(test_losses, train_losses), family
             assert np.array_equal(train_losses, [o.loss(x) for o in objs]), family
+
+    @pytest.mark.parametrize("model", ["softmax", "relu"])
+    @given(
+        sizes=st.lists(st.integers(1, 12), min_size=1, max_size=10),
+        odd=st.sampled_from([0.0, 0.1, 0.5]),
+        block=st.integers(1, 24),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # ties that decide hits, and non-finite logits in both models
+    @example(sizes=[4, 6, 1, 3], odd=0.0, block=8, seed=0)
+    @example(sizes=[3, 5, 2], odd=0.5, block=24, seed=7)
+    @settings(max_examples=40, deadline=None)
+    def test_accuracies_at_tied_and_non_finite_logits(self, model, sizes, odd, block, seed):
+        # Integer features and parameters give integer logits, which tie
+        # often, and a relu layer keeps its activations integer; infinite
+        # or NaN parameters make infinite and NaN logits. Every pass gets
+        # each client's own argmax accuracy and loss.
+        rng = np.random.default_rng(seed)
+        hidden, activation = (0, "identity") if model == "softmax" else (3, "relu")
+        objs = [
+            ClassifierObjective(
+                rng.integers(-1, 2, (n, 2)).astype(float), rng.integers(0, 4, n), 4, hidden, activation
+            )
+            for n in sizes
+        ]
+        x = rng.integers(-1, 2, objs[0].dimension).astype(float)
+        odd_at = rng.random(x.size) < odd
+        x[odd_at] = rng.choice([np.inf, -np.inf, np.nan], int(odd_at.sum()))
+        with mock.patch.object(stacks, "STACK_BLOCK_ROWS", block), np.errstate(all="ignore"):
+            losses, accuracies = stack_objectives(objs).evaluate(x)
+            want = [o.accuracy(x) for o in objs], np.array([o.loss(x) for o in objs])
+        assert accuracies.tolist() == want[0]
+        assert same_bits(losses, want[1])
 
     @pytest.mark.parametrize("loop", [False, True])
     def test_each_pass_returns_only_what_its_caller_reads(self, monkeypatch, loop):

@@ -536,6 +536,75 @@ class TestCohortPasses:
         assert calls["_pass_losses"] == passes
 
 
+class TestRunPlan:
+    """A run binds its full-batch step plan once per cohort layout (the
+    model and the row counts in pass order): each later cohort of the
+    layout of the plan bound last refills it, with its own rows and labels,
+    and restarts its parameters at the round's x_start."""
+
+    FAMILIES = {
+        "softmax": lambda rng, n: ClassifierObjective(
+            rng.normals(n * 3).reshape(n, 3), rng.integers(n, 4), 4
+        ),
+        "mlp": lambda rng, n: ClassifierObjective(
+            rng.normals(n * 3).reshape(n, 3), rng.integers(n, 4), 4, 5, "tanh"
+        ),
+        "glr": lambda rng, n: GlrObjective(rng.normals(n * 3).reshape(n, 3), rng.normals(n)),
+    }
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_a_refilled_plan_gives_the_bits_of_fresh_plans(self, monkeypatch, family):
+        rng = SeededRng(21)
+        # clients 0-7 have 6 rows, 8-11 have 3: the cohorts of 3 and 1
+        # share a layout, the cohort of 2 and 2 has another
+        train = stack_objectives([self.FAMILIES[family](rng, n) for n in [6] * 8 + [3] * 4])
+        cohorts = [[0, 1, 2, 8], [9, 5, 3, 4], [11, 6, 10, 0], [1, 9, 3, 2], [10, 2, 5, 6]]
+        binds = []
+        step_plan = type(train).step_plan
+        monkeypatch.setattr(
+            type(train), "step_plan", lambda *a: binds.append(a[0].sizes.tolist()) or step_plan(*a)
+        )
+        plan = trainer._RunPlan()
+        kept, fresh, kept_binds = [], [], []
+        for i, ids in enumerate(cohorts):
+            cohort = train.take(ids)
+            x0 = 0.5 * rng.normals(train.dimension)
+            fair_grad = rng.normals(x0.size) if i % 2 else None
+            for run_plan, updates in ((plan, kept), (None, fresh)):
+                before = len(binds)
+                if fair_grad is None:
+                    update = local_sgd(cohort, x0, 3, 0.2, None, None, run_plan)
+                else:
+                    update = local_sgd_aligned(cohort, x0, 3, 0.2, 0.3, fair_grad, None, None, run_plan)
+                updates.append(update)
+                if run_plan is not None:
+                    kept_binds.append(binds[before:])
+        # the kept plan is bound for the first cohort, again for the third,
+        # of another layout, and for the fourth, back at the first layout
+        first, other = [[3, 6, 6, 6]], [[3, 3, 6, 6]]
+        assert kept_binds == [first, [], other, first, []]
+        # and no later round overwrote what an earlier one returned
+        for a, b in zip(kept, fresh, strict=True):
+            assert a.deltas.tobytes() == b.deltas.tobytes()
+            assert (a.one_step is None) == (b.one_step is None)
+            if a.one_step is not None:
+                assert a.one_step.tobytes() == b.one_step.tobytes()
+            assert a.end_losses.tobytes() == b.end_losses.tobytes()
+
+    def test_a_minibatch_round_binds_its_own_plan(self):
+        rng = SeededRng(22)
+        train = stack_objectives([self.FAMILIES["softmax"](rng, n) for n in [6] * 6])
+        plan = trainer._RunPlan()
+        x0 = rng.normals(train.dimension)
+        full = local_sgd(train.take([0, 1]), x0, 2, 0.2, None, None, plan)
+        streams = [SeededRng(1), SeededRng(2)]
+        local_sgd(train.take([2, 3]), x0, 2, 0.2, 4, streams, plan)
+        # the full-batch plan is still kept, and refilled
+        again = local_sgd(train.take([0, 1]), x0, 2, 0.2, None, None, plan)
+        assert again.deltas.tobytes() == full.deltas.tobytes()
+        assert again.end_losses.tobytes() == full.end_losses.tobytes()
+
+
 class TestChiSquareOrInf:
     """A round's chi-square of its weights against uniform weights, which
     it makes itself and does not check."""
@@ -822,6 +891,26 @@ class TestRunTraining:
         with pytest.raises(ValueError, match=f"^{name} must be finite, got "):
             TrainerConfig(**{**kw, name: value})
 
+    @pytest.mark.parametrize(
+        "schedule, tau0, decay",
+        [
+            ("convex", 0.1, 1e103),  # the cube overflows
+            ("convex", 0.1, 1e105),
+            ("convex", 1e-310, 1e5),  # tau underflows to 0
+            ("linear", 5e-324, 1.0),
+            ("concave", 1e-320, 1e300),
+        ],
+    )
+    def test_rejects_a_schedule_that_cools_tau_to_zero(self, schedule, tau0, decay):
+        # FedEBA+ would stop in its first such round, or with an
+        # OverflowError; tau depends on the config alone
+        eba = EbaConfig(tau0=tau0, schedule=schedule, decay=decay)
+        with pytest.raises(ValueError, match=r"^trainer\.tau_decay: the .* schedule cools tau to 0"):
+            TrainerConfig(rounds=3, eba=eba)
+        # the other methods take no tau; one round takes tau0
+        assert TrainerConfig(rounds=3, eba=eba, method="fedavg").eba == eba
+        assert TrainerConfig(rounds=1, eba=eba).rounds == 1
+
     @pytest.mark.parametrize("k_percent", [0.0, -5.0, 100.5, math.nan])
     def test_rejects_tail_share_before_training(self, k_percent):
         # the tail means of the first round's telemetry would raise only
@@ -1035,6 +1124,34 @@ class TestTelemetryCallCounts:
             ("train", "gradients"): 0,
             ("eval", "evaluate"): rounds,
         }
+
+
+def test_an_equal_size_federation_binds_one_step_plan_per_run(monkeypatch):
+    # Every cohort of 5 clients of 4 rows has one layout, so the run binds
+    # its full-batch plan, and that plan's loss kernel, once, on both
+    # branches; each cohort is still taken, and its start gradients run on
+    # its own passes.
+    rng = SeededRng(12)
+
+    def obj(n):
+        return ClassifierObjective(rng.normals(n * 3).reshape(n, 3), rng.integers(n, 3), 3)
+
+    fed = Federation(stack_objectives([obj(4) for _ in range(20)]))
+    cls = type(fed.train)
+    calls = dict.fromkeys(["step_plan", "_bind_losses", "take"], 0)
+    for name in calls:
+
+        def counted(self, *args, _name=name, _original=getattr(cls, name)):
+            calls[_name] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(cls, name, counted)
+    cfg = TrainerConfig(
+        rounds=6, local_steps=3, clients_per_round=5, local_lr=0.5, theta=math.radians(5.0), seed=4
+    )
+    reports, _ = run_training(fed, cfg)
+    assert {r.branch for r in reports} == {"plain", "aligned"}
+    assert calls == {"step_plan": 1, "_bind_losses": 1, "take": cfg.rounds}
 
 
 class TestReportRetention:
