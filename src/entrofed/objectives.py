@@ -339,18 +339,18 @@ class ClassifierObjective(LocalObjective):
         return picked
 
     @staticmethod
-    def _class_major_hits(z, rowmax, at, labels, out):
+    def _class_major_hits(z, rowmax, at, labels, out, zeros):
         """Whether each row's label is its argmax, as 1.0 or 0.0 into
         ``out``, from :meth:`_class_major`'s copy ``z`` and row maxima,
         with ``at`` as in :meth:`_target_log_probs`: a row's label entry of
         z is 0 and no lower class's is, numpy's first-max rule. A row holds
         one 0 unless it ties, so only when z holds more zeros than rows are
-        the tied rows' lower classes looked at. None, with nothing written,
-        when a row max is not finite: z then holds NaN where argmax sees a
-        max."""
+        the tied rows' lower classes looked at; ``zeros``, a bool array of
+        z's shape, takes the mask of them. None, with nothing written, when
+        a row max is not finite: z then holds NaN where argmax sees a max."""
         if not np.isfinite(rowmax).all():
             return None
-        zeros = z == 0.0
+        np.equal(z, 0.0, out=zeros)
         np.equal(z.reshape(-1).take(at, out=out, mode="clip"), 0.0, out=out)
         if np.count_nonzero(zeros) > z.shape[1]:
             tied = np.flatnonzero(np.count_nonzero(zeros, axis=0) > 1)

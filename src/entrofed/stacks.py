@@ -276,15 +276,17 @@ class _Arena:
         self._arrays: dict[str, np.ndarray] = {}
 
     def __call__(self, name: str, size: int) -> np.ndarray:
-        """The flat array ``name``, grown to ``size`` floats if smaller."""
+        """The flat array ``name``, grown to ``size`` entries if smaller."""
         flat = self._arrays.get(name)
         if flat is None or flat.size < size:
-            flat = self._arrays[name] = np.empty(size)
+            flat = self._arrays[name] = np.empty(size, bool if name in _MASKS else float)
         return flat
 
 
 # arena arrays that no segment cuts: class-major copies and a row vector
-_UNCUT = ("shifted", "exps", "rowmax")
+_UNCUT = ("shifted", "exps", "rowmax", "zeros")
+# arena arrays of bools, not floats
+_MASKS = ("zeros",)
 
 
 class _RowStack(ObjectiveStack):
@@ -553,6 +555,7 @@ class _ClassifierStack(_RowStack):
     def _scratch(self, rows):
         c, h = self.model.n_classes, self.model.hidden
         shapes = {"logits": (rows, c), "shifted": (c, rows), "exps": (c, rows), "rowmax": (rows,)}
+        shapes["zeros"] = (c, rows)  # the class-major hits' mask
         shapes["picked"] = (rows,)  # per-row losses or hits, for _means
         shapes["probs"] = (rows, c)
         if h:
@@ -622,6 +625,7 @@ class _ClassifierStack(_RowStack):
                     p,
                     self._unpack(p, xs if xs.ndim == 1 else xs[p.clients]),
                     np.arange(n),
+                    np.empty(n, dtype=np.int64),
                     at[p.rows] - p.rows.start,
                     picked,
                     _segment_views(picked, p.segments, False),
@@ -630,10 +634,11 @@ class _ClassifierStack(_RowStack):
 
         def losses():
             out = np.empty(self.m)
-            for p, layers, base, rows, picked, client_major in kernels:
+            for p, layers, base, label_at, rows, picked, client_major in kernels:
                 # each row's label entry, as in _bind, of the targets that
                 # the plan holds now: a refill replaces them
-                label_at = p.targets * len(base) + base
+                np.multiply(p.targets, len(base), out=label_at)
+                label_at += base
                 logits = self._layers(p, layers)[0]
                 logp = self.model._target_log_probs(logits, None, p.scratch, label_at)
                 picked[rows] = np.negative(logp, out=logp)
@@ -705,7 +710,7 @@ class _ClassifierStack(_RowStack):
             losses[p.clients] = self._mean_losses(p, logits, bias)
             views = p.views
             hits = self.model._class_major_hits(
-                views["shifted"], views["rowmax"], p.at, p.targets, views["picked"]
+                views["shifted"], views["rowmax"], p.at, p.targets, views["picked"], views["zeros"]
             )
             if hits is None:
                 logits += bias.T

@@ -237,30 +237,30 @@ def _minibatch_orders(sizes, batch_size: int | None, steps: int, rngs) -> np.nda
     return shuffled[at].reshape(takers.size, steps, batch_size).swapaxes(0, 1)
 
 
-def _bind_plan(stack: ObjectiveStack, x_start: np.ndarray, subsets):
-    """(plan, x, g): a ``step_plan`` of stack bound to a parameter matrix
-    x, each row at x_start, and a gradient matrix g."""
-    x = np.repeat(x_start[None], stack.m, axis=0)
-    g = np.empty_like(x)
-    return stack.step_plan(x, g, subsets), x, g
-
-
 class _RunPlan:
-    """The full-batch step plan that a run bound last, with its x and g. A
-    later cohort of its layout (the same model and row counts in pass
-    order) refills it, and x restarts at the round's x_start; g needs no
-    reset, as each step writes all of it. So a run whose cohorts share one
-    layout binds one plan. It lives as long as the run that makes it."""
+    """A run's local-SGD step plans. ``bind`` gives a round's (plan, x, g):
+    a ``step_plan`` of the round's stack bound to a parameter matrix x,
+    each row at x_start, and a gradient matrix g. It keeps the full-batch
+    plan bound last, with its x and g: a later cohort of its layout (the
+    same model and row counts in pass order) refills it, and x restarts at
+    x_start; g needs no reset, as each step writes all of it. So a run whose
+    cohorts share one layout binds one full-batch plan. A minibatch plan is
+    bound for its round and not kept. A run's plans live as long as it."""
 
     def __init__(self):
-        self._bound = None
+        self._kept = None
 
-    def bind(self, stack: ObjectiveStack, x_start: np.ndarray):
-        if self._bound is not None and self._bound[0].refill(stack):
-            self._bound[1][...] = x_start
-        else:
-            self._bound = _bind_plan(stack, x_start, None)
-        return self._bound
+    def bind(self, stack: ObjectiveStack, x_start: np.ndarray, subsets=None):
+        kept = self._kept
+        if subsets is None and kept is not None and kept[0].refill(stack):
+            kept[1][...] = x_start
+            return kept
+        x = np.repeat(x_start[None], stack.m, axis=0)
+        g = np.empty_like(x)
+        bound = stack.step_plan(x, g, subsets), x, g
+        if subsets is None:
+            self._kept = bound
+        return bound
 
 
 def _local_steps(
@@ -284,11 +284,12 @@ def _local_steps(
     stack's pass order (``in_pass_order``) and run one ``step_plan`` of it,
     bound to the round's parameter and gradient matrices, which the loop
     updates in place: every step is one pass of the cohort over its
-    minibatches and full sets. A full-batch round takes the run's ``plan``,
-    if given, refilled when the cohort has its layout, and its end losses
-    from the plan; a minibatch round binds a plan of its own, and its end
-    losses are one ``losses`` pass. The results go back to cohort order
-    once."""
+    minibatches and full sets. The run's ``plan`` (a ``_RunPlan`` of this
+    call alone if none is given) binds it, or refills the full-batch plan
+    it keeps when the cohort has that plan's layout. A full-batch round
+    takes its end losses from the plan; a minibatch round's are one
+    ``losses`` pass. The results go back to cohort order once, into new
+    arrays."""
     if not cohort.m:
         raise ValueError("need at least one client objective")
     if steps < 1:
@@ -303,9 +304,10 @@ def _local_steps(
         raise ValueError(f"{len(rngs)} minibatch streams for {cohort.m} clients")
     stack, order = cohort.in_pass_order()
     subsets = _minibatch_orders(stack.sizes, batch_size, steps, [rngs[i] for i in order])
-    kept = plan is not None and subsets is None
-    step, x, g = plan.bind(stack, x_start) if kept else _bind_plan(stack, x_start, subsets)
+    plan = _RunPlan() if plan is None else plan
+    step, x, g = plan.bind(stack, x_start, subsets)
     fair_share = None if fair_grad is None else alpha * fair_grad
+    back = np.argsort(order)
     one_step = None
     for k in range(steps):
         step(k)
@@ -317,17 +319,13 @@ def _local_steps(
         g *= lr
         x -= g
         if k == 0 and fair_grad is None:
-            one_step = x - x_start
+            one_step = x[back]
+            one_step -= x_start
     # a full-batch plan's passes hold the cohort's full sets already
     end_losses = stack.losses(x) if subsets is not None else step.losses()
-    # back to cohort order, into the step loop's own arrays unless the run
-    # keeps them for its next cohort
-    back = np.argsort(order)
+    # back to cohort order, into new arrays: the run's plan keeps x and g
     x -= x_start
-    deltas = np.take(x, back, axis=0, out=None if kept else g)
-    if one_step is not None:
-        one_step = np.take(one_step, back, axis=0, out=None if kept else x)
-    return CohortUpdate(deltas, one_step, end_losses[back])
+    return CohortUpdate(x[back], one_step, end_losses[back])
 
 
 def local_sgd(
@@ -343,8 +341,9 @@ def local_sgd(
     their objectives), each from x_start: the full and one-step
     displacements plus the full-batch loss after the last step, one row per
     client. ``rngs`` holds one minibatch stream per client (needed only for
-    minibatches). ``plan`` is a run's kept full-batch plan, which
-    :func:`run_training` makes; no later call overwrites what is returned."""
+    minibatches). ``plan`` is the run's :class:`_RunPlan`, which
+    :func:`run_training` makes; what is returned are new arrays, which no
+    later call overwrites."""
     return _local_steps(cohort, x_start, steps, lr, batch_size, rngs, plan=plan)
 
 

@@ -70,8 +70,8 @@ MUTANTS = (
     Mutant(
         "plan-on-a-copy-of-x",
         TRAINER,
-        "return stack.step_plan(x, g, subsets), x, g",
-        "return stack.step_plan(x.copy(), g, subsets), x, g",
+        "bound = stack.step_plan(x, g, subsets), x, g",
+        "bound = stack.step_plan(x.copy(), g, subsets), x, g",
         (
             f"{COHORT}::test_classifier_cohort",
             f"{COHORT}::test_glr_cohort",
@@ -229,14 +229,14 @@ MUTANTS = (
         "compute_fair_gradient(cohort.gradients(x_t), start_losses, cfg.eba.tau0)",
         (
             "tests/test_golden.py::test_run_reproduces_golden_files[eba-ratio-linear]",
-            f"{WHOLE_RUN}::test_random_runs",
+            f"{WHOLE_RUN}::test_golden_config[eba-ratio-linear]",
         ),
     ),
     Mutant(
         "label-positions-at-binding",
         STACKS,
-        "label_at = p.targets * len(base) + base",
-        "label_at = losses.__dict__.setdefault(id(p), p.targets * len(base) + base)",
+        "np.multiply(p.targets, len(base), out=label_at)",
+        "np.multiply(losses.__dict__.setdefault(id(p), p.targets.copy()), len(base), out=label_at)",
         (f"{RUN_PLAN}[softmax]", f"{RUN_PLAN}[mlp]"),
     ),
     Mutant(

@@ -406,7 +406,9 @@ class TestClassAxisKernels:
             )
             assert np.array_equal(arrays["rowmax"], biased.max(axis=1), equal_nan=True)
             at = labels * rows + np.arange(rows)
-            got = ClassifierObjective._class_major_hits(z, arrays["rowmax"], at, labels, np.empty(rows))
+            got = ClassifierObjective._class_major_hits(
+                z, arrays["rowmax"], at, labels, np.empty(rows), np.empty(z.shape, bool)
+            )
         if not np.isfinite(biased.max(axis=1)).all():
             assert got is None
             return None
