@@ -16,6 +16,7 @@ construction and safe to evaluate concurrently.
 
 from __future__ import annotations
 
+import functools
 from abc import ABC, abstractmethod
 
 import numpy as np
@@ -132,45 +133,44 @@ class GlrObjective(LocalObjective):
         return X.T @ (X @ w - y) / len(y)
 
 
-def _column_sums(a: np.ndarray) -> np.ndarray:
-    """``a.sum(axis=0)`` in the order numpy's pairwise sum gives each row of
-    a C-ordered ``a.T``, so bit for bit that row sum but for the sign and
-    payload of a NaN. It sums in place: ``a`` is overwritten, and the
-    result may be a view of it.
+def _run(calls) -> None:
+    """Make the numpy calls of a bound kernel in turn: ``(function,
+    arguments)`` pairs over views made when it was bound."""
+    for function, args in calls:
+        function(*args)
+
+
+def _iadd(dst, src) -> tuple:
+    """The numpy call of ``dst += src``."""
+    return np.add, (dst, src, dst)
+
+
+def _column_sum_plan(a: np.ndarray) -> list[tuple]:
+    """The in-place adds, as numpy calls in order, that leave in ``a[0]``
+    the sums ``a.sum(axis=0)`` in the order numpy's pairwise sum gives each
+    row of a C-ordered ``a.T``, so bit for bit that row sum but for the sign
+    and payload of a NaN. The adds overwrite ``a``; planned once, they sum
+    whatever ``a`` holds each time they run.
 
     Below 8 terms the sum is sequential. Up to 128 it keeps 8 interleaved
     partial sums, combined as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, and
     adds the remainder in sequence. Above 128 it sums two halves, split at a
-    multiple of 8. Numpy's sum starts from +0.0, which only turns a column
-    of -0.0 to +0.0; adding +0.0 to the first term does the same.
+    multiple of 8, into their first rows, then adds the second to the
+    first. Numpy's sum starts from +0.0, which only turns a column of -0.0
+    to +0.0; adding +0.0 to the first term does the same.
     """
     n = a.shape[0]
     if n > 128:
         half = n // 2 - n // 2 % 8
-        return _column_sums(a[:half]) + _column_sums(a[half:])
+        return [*_column_sum_plan(a[:half]), *_column_sum_plan(a[half:]), _iadd(a[0], a[half])]
     out = a[0]
-    out += 0.0
+    adds = [_iadd(out, 0.0)]
     if n < 8:
-        for row in a[1:]:
-            out += row
-        return out
+        return adds + [_iadd(out, row) for row in a[1:]]
     r = a[:8]
-    for i in range(8, n - n % 8, 8):
-        r += a[i : i + 8]
-    r[::2] += r[1::2]
-    r[::4] += r[2::4]
-    out += r[4]
-    for row in a[n - n % 8 :]:
-        out += row
-    return out
-
-
-def _fresh(name: str, shape) -> np.ndarray:
-    """A new array for the temporary ``name``. The classifier's kernels take
-    their temporaries from a ``scratch(name, shape)`` like this one; a
-    stack passes its arena, which hands out the same arrays pass after
-    pass."""
-    return np.empty(shape)
+    adds += [_iadd(r, a[i : i + 8]) for i in range(8, n - n % 8, 8)]
+    adds += [_iadd(r[::2], r[1::2]), _iadd(r[::4], r[2::4]), _iadd(out, r[4])]
+    return adds + [_iadd(out, row) for row in a[n - n % 8 :]]
 
 
 _ACTIVATIONS = ("identity", "tanh", "relu")
@@ -273,103 +273,152 @@ class ClassifierObjective(LocalObjective):
             w, b = self._unpack(x)
             return feats @ w + b, None
         w1, b1, w2, b2 = self._unpack(x)
-        act = self._activate(feats @ w1 + b1)
+        act = feats @ w1 + b1
+        _run(self._activate(act))
         return act @ w2 + b2, act
 
-    def _activate(self, pre: np.ndarray) -> np.ndarray:
-        """The hidden activation of the pre-activations, in place."""
+    def _activate(self, pre: np.ndarray) -> list:
+        """The calls that apply the hidden activation to ``pre`` in place."""
         if self.activation == "tanh":
-            return np.tanh(pre, out=pre)
-        return np.maximum(pre, 0.0, out=pre)
+            return [(np.tanh, (pre, pre))]
+        # np.maximum takes its out by keyword only
+        return [(functools.partial(np.maximum, out=pre), (pre, 0.0))]
 
-    def _through_activation(self, dact: np.ndarray, act: np.ndarray) -> np.ndarray:
-        """The gradient in the pre-activations from that in the
-        activations, in place: times 1 - act^2 for tanh, which overwrites
-        act, or times the relu mask, which act > 0 gives exactly as the
-        pre-activations would."""
+    def _through_activation(self, dact: np.ndarray, act: np.ndarray, mask: np.ndarray) -> list:
+        """The calls that take the gradient in the activations ``dact`` to
+        that in the pre-activations, in place: times 1 - act^2 for tanh,
+        which overwrites act, or times the relu mask, which act > 0 gives
+        exactly as the pre-activations would, into ``mask``, a bool array
+        of act's shape."""
         if self.activation == "tanh":
-            slope = np.square(act, out=act)
-            dact *= np.subtract(1.0, slope, out=slope)
-        else:
-            dact *= act > 0.0
-        return dact
+            slope = [(np.square, (act, act)), (np.subtract, (1.0, act, act))]
+            return [*slope, (np.multiply, (dact, act, dact))]
+        return [(np.greater, (act, 0.0, mask)), (np.multiply, (dact, mask, dact))]
+
+    # The class-axis kernels come in bind-time forms: each takes the arrays
+    # it reads and writes and returns its numpy calls, which a stack's pass
+    # makes over views of its arena, call after call. Their per-client forms
+    # run them once on fresh arrays.
 
     @staticmethod
-    def _class_major(logits: np.ndarray, scratch=_fresh, bias=None):
-        """(z, lse): logits less each row's max as one (classes, rows)
-        copy, and the log of each row's sum of exp(z). Numpy reduces a
-        short last axis one row at a time, so the row max and row sum run
-        down the columns of the copy. A max is exact, and _column_sums keeps
-        numpy's pairwise order, so z - lse is z - log(exp(z).sum(axis=-1))
-        for z = logits - logits.max(axis=-1) bit for bit, but for the sign
-        and payload of a NaN. ``bias``, a (classes, 1) column, is the last
-        layer's bias if the logits leave it out: it is added to the copy,
-        one contiguous add per class, the same sums a row-wise add makes."""
-        rows = logits.reshape(-1, logits.shape[-1])
-        z = scratch("shifted", rows.shape[::-1])
-        z[...] = rows.T
+    def _bind_class_major(rows, z, rowmax, exps, bias=None) -> list:
+        """The calls that put into the (classes, rows) array ``z`` the
+        (rows, classes) logits ``rows`` less each row's max, as one
+        class-major copy, and into ``exps[0]`` the log of each row's sum of
+        exp(z); ``rowmax`` takes the maxima and ``exps`` the exponentials.
+        Numpy reduces a short last axis one row at a time, so the row max
+        and row sum run down the columns of the copy. A max is exact, and
+        _column_sum_plan keeps numpy's pairwise order, so z - lse is
+        z - log(exp(z).sum(axis=-1)) for z = logits - logits.max(axis=-1)
+        bit for bit, but for the sign and payload of a NaN. ``bias``, a
+        (classes, 1) column, is the last layer's bias if the logits leave
+        it out: it is added to the copy, one contiguous add per class, the
+        same sums a row-wise add makes."""
+        lse = exps[0]
+        calls = [(z.__setitem__, (Ellipsis, rows.T))]
         if bias is not None:
-            z += bias
-        z -= z.max(axis=0, out=scratch("rowmax", z.shape[1:]))
-        sums = _column_sums(np.exp(z, out=scratch("exps", z.shape)))
-        return z, np.log(sums, out=sums)
+            calls.append((np.add, (z, bias, z)))
+        return [
+            *calls,
+            (np.maximum.reduce, (z, 0, None, rowmax)),
+            (np.subtract, (z, rowmax, z)),
+            (np.exp, (z, exps)),
+            *_column_sum_plan(exps),
+            (np.log, (lse, lse)),
+        ]
 
     @staticmethod
-    def _log_softmax(logits: np.ndarray, scratch=_fresh) -> np.ndarray:
-        z, lse = ClassifierObjective._class_major(logits, scratch)
-        z -= lse
+    def _bind_log_softmax(rows, z, rowmax, exps) -> list:
+        """The calls that leave the log-softmax of ``rows`` in ``z``,
+        class-major: :meth:`_bind_class_major`'s, less the log-sum."""
+        calls = ClassifierObjective._bind_class_major(rows, z, rowmax, exps)
+        return [*calls, (np.subtract, (z, exps[0], z))]
+
+    @staticmethod
+    def _bind_target_log_probs(z, lse, at, picked) -> list:
+        """The calls that put into ``picked`` each row's log-softmax at its
+        label: the one entry of its column of :meth:`_bind_class_major`'s
+        ``z`` that a loss reads, less the column's log-sum ``lse``, which is
+        the subtraction :meth:`_bind_log_softmax` makes there. ``at`` holds
+        those entries' flat positions in z, label * rows + row."""
+        # positions in range by construction: "clip" takes straight into out
+        return [
+            (z.reshape(-1).take, (at, None, picked, "clip")),
+            (np.subtract, (picked, lse, picked)),
+        ]
+
+    @staticmethod
+    def _bind_class_major_hits(z, rowmax, at, labels, out, zeros):
+        """A kernel that writes whether each row's label is its argmax, as
+        1.0 or 0.0, into ``out`` and returns it, from
+        :meth:`_bind_class_major`'s ``z`` and ``rowmax``, with ``at`` as in
+        :meth:`_bind_target_log_probs`: a row's label entry of z is 0 and no
+        lower class's is, numpy's first-max rule. A row holds one 0 unless
+        it ties, so only when z holds more zeros than rows are the tied
+        rows' lower classes looked at; ``zeros``, a bool array of z's
+        shape, takes the mask of them. It returns None, with nothing
+        written, when a row max is not finite: z then holds NaN where argmax
+        sees a max."""
+        flat, rows = z.reshape(-1), z.shape[1]
+
+        def hits():
+            if not np.isfinite(rowmax).all():
+                return None
+            np.equal(z, 0.0, out=zeros)
+            np.equal(flat.take(at, out=out, mode="clip"), 0.0, out=out)
+            if np.count_nonzero(zeros) > rows:
+                tied = np.flatnonzero(np.count_nonzero(zeros, axis=0) > 1)
+                out[tied] = zeros[:, tied].argmax(axis=0) == labels[tied]
+            return out
+
+        return hits
+
+    @staticmethod
+    def _bind_probs_minus_labels(logp, at, probs, spare) -> list:
+        """The calls that put into ``probs`` exp(logp) minus the one-hot
+        labels: the gradient of each row's cross-entropy in its logits. A
+        one-hot matrix would change only the label entries (x - 0.0 == x),
+        so one is subtracted there, at their flat positions in the
+        C-ordered ``probs``, row * classes + label, which ``at`` holds,
+        by way of ``spare``, a vector of one entry per row."""
+        flat = probs.reshape(-1)
+        return [
+            (np.exp, (logp, probs)),
+            (flat.take, (at, None, spare, "clip")),
+            (np.subtract, (spare, 1.0, spare)),
+            (flat.__setitem__, (at, spare)),
+        ]
+
+    @staticmethod
+    def _fresh_class_major(logits: np.ndarray):
+        """(rows, z, rowmax, exps): the logits' (rows, classes) view and new
+        arrays for :meth:`_bind_class_major` to write."""
+        rows = logits.reshape(-1, logits.shape[-1])
+        return rows, np.empty(rows.shape[::-1]), np.empty(len(rows)), np.empty(rows.shape[::-1])
+
+    @staticmethod
+    def _log_softmax(logits: np.ndarray) -> np.ndarray:
+        rows, z, rowmax, exps = ClassifierObjective._fresh_class_major(logits)
+        _run(ClassifierObjective._bind_log_softmax(rows, z, rowmax, exps))
         return z.T.reshape(logits.shape)
 
     @staticmethod
-    def _target_log_probs(
-        logits: np.ndarray, labels, scratch=_fresh, at=None, bias=None
-    ) -> np.ndarray:
-        """Each row's log-softmax at its label: the one entry of its
-        class-major column that a loss reads, less the column's log-sum,
-        which is the subtraction :meth:`_log_softmax` makes there. ``at``,
-        if given, holds those entries' flat positions in the (classes,
-        rows) copy, label * rows + row, in place of ``labels``; ``bias`` is
-        :meth:`_class_major`'s."""
-        z, lse = ClassifierObjective._class_major(logits, scratch, bias)
-        if at is None:
-            at = labels.ravel() * z.shape[1] + np.arange(z.shape[1])
-        # positions in range by construction: "clip" takes straight into out
-        picked = z.reshape(-1).take(at, out=scratch("picked", lse.shape), mode="clip")
-        picked -= lse
+    def _target_log_probs(logits: np.ndarray, labels) -> np.ndarray:
+        rows, z, rowmax, exps = ClassifierObjective._fresh_class_major(logits)
+        at = labels.ravel() * len(rows) + np.arange(len(rows))
+        picked = np.empty(len(rows))
+        _run(ClassifierObjective._bind_class_major(rows, z, rowmax, exps))
+        _run(ClassifierObjective._bind_target_log_probs(z, exps[0], at, picked))
         return picked
 
     @staticmethod
-    def _class_major_hits(z, rowmax, at, labels, out, zeros):
-        """Whether each row's label is its argmax, as 1.0 or 0.0 into
-        ``out``, from :meth:`_class_major`'s copy ``z`` and row maxima,
-        with ``at`` as in :meth:`_target_log_probs`: a row's label entry of
-        z is 0 and no lower class's is, numpy's first-max rule. A row holds
-        one 0 unless it ties, so only when z holds more zeros than rows are
-        the tied rows' lower classes looked at; ``zeros``, a bool array of
-        z's shape, takes the mask of them. None, with nothing written, when
-        a row max is not finite: z then holds NaN where argmax sees a max."""
-        if not np.isfinite(rowmax).all():
-            return None
-        np.equal(z, 0.0, out=zeros)
-        np.equal(z.reshape(-1).take(at, out=out, mode="clip"), 0.0, out=out)
-        if np.count_nonzero(zeros) > z.shape[1]:
-            tied = np.flatnonzero(np.count_nonzero(zeros, axis=0) > 1)
-            out[tied] = zeros[:, tied].argmax(axis=0) == labels[tied]
-        return out
-
-    @staticmethod
-    def _probs_minus_labels(logp: np.ndarray, labels, scratch=_fresh, at=None) -> np.ndarray:
-        """exp(logp) minus the one-hot labels: the gradient of each row's
-        cross-entropy in its logits. A one-hot matrix would change only the
-        label entries (x - 0.0 == x), so one is subtracted there in place,
-        at their flat positions in the C-ordered result, row * classes +
-        label, which ``at`` holds if given, in place of ``labels``."""
-        out = np.exp(logp, out=scratch("probs", logp.shape))
-        if at is None:
-            classes = logp.shape[-1]
-            at = np.arange(out.size // classes) * classes + labels.ravel()
-        out.reshape(-1)[at] -= 1.0
-        return out
+    def _probs_minus_labels(logp: np.ndarray, labels) -> np.ndarray:
+        classes = logp.shape[-1]
+        rows = logp.size // classes
+        probs = np.empty(logp.shape)
+        at = np.arange(rows) * classes + labels.ravel()
+        _run(ClassifierObjective._bind_probs_minus_labels(logp, at, probs, np.empty(rows)))
+        return probs
 
     def loss(self, x, subset=None) -> float:
         arr = self._check_x(x)
@@ -393,7 +442,8 @@ class ClassifierObjective(LocalObjective):
         w2 = self._unpack(arr)[2]
         dw2 = act.T @ dlogits
         db2 = dlogits.sum(axis=0)
-        dpre = self._through_activation(dlogits @ w2.T, act)
+        dpre = dlogits @ w2.T
+        _run(self._through_activation(dpre, act, np.empty(act.shape, bool)))
         dw1 = feats.T @ dpre
         db1 = dpre.sum(axis=0)
         return np.concatenate([dw1.ravel(), db1, dw2.ravel(), db2])

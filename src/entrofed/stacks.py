@@ -10,8 +10,10 @@ federation's telemetry runs on its two stacks, and a round's cohort on a
 
 A family stack binds each pass once, to views of what it reads and
 writes: a telemetry pass when the stack first runs it, and a local-SGD
-round's passes when its plan is made, so that a step makes only numpy
-kernel calls. A full-batch plan's passes also give the round's end losses,
+round's passes when its plan is made. A classifier pass is bound to one
+list of numpy calls over those views, so that a step, a plan's losses and
+the telemetry passes at one shared vector make numpy calls and nothing
+else. A full-batch plan's passes also give the round's end losses,
 and a cohort's start gradients run on its telemetry passes, which its end
 losses then share. A run binds a full-batch plan when a cohort of a new
 layout (model and row counts in pass order) comes, and refills it for each
@@ -34,19 +36,22 @@ from typing import NamedTuple
 
 import numpy as np
 
-from entrofed.objectives import ClassifierObjective, GlrObjective
+from entrofed.objectives import ClassifierObjective, GlrObjective, _run
 
 
 # Rows per pass in stacked evaluation, at 10 classes. A pass holds whole
 # segments: a segment is c clients of one row count n, cut from a run of
 # equal counts at max(1, cap // n) clients, so a client larger than the cap
 # gets a pass of its own. The cap is a cache trade: each pass makes a few
-# per-row temporaries, and larger passes mean fewer numpy calls until those
-# outgrow the cache. On 1000 softmax clients of 10 classes, a train and a
-# test pass take 55-65% as long at 2048 rows as at 256, and a third longer
-# again at 4096, where each temporary reaches 320 KiB. The classifier stack
-# holds each temporary to that budget of STACK_BLOCK_ROWS * 10 floats: its
-# cap is the budget over the wider of the class count and the hidden width.
+# per-row temporaries and a fixed count of numpy calls, and larger passes
+# mean fewer calls until the temporaries outgrow the cache. With every pass
+# bound to its numpy calls, caps of 2048, 4096 and 8192 rows trained both
+# benchmark workloads within noise of each other (alternating runs on 2
+# vCPUs: wide-softmax 14.1%, 12.5% and 14.2% faster than before the
+# binding, deep-mlp 9.6%, 10.2% and 8.5%), while the larger caps kept up to
+# 0.8 MB more at peak; so the cap stays at 2048. The classifier stack holds
+# each temporary to that budget of STACK_BLOCK_ROWS * 10 floats: its cap is
+# the budget over the wider of the class count and the hidden width.
 STACK_BLOCK_ROWS = 2048
 
 
@@ -189,10 +194,6 @@ class _Pass(NamedTuple):
     parts: dict | None = None  # "inputs", "targets" or a row-major name -> views
     at: np.ndarray | None = None  # flat positions of each row's label entry
 
-    def scratch(self, name: str, shape) -> np.ndarray:
-        """The bound view ``name``: the scratch of the model's kernels."""
-        return self.views[name]
-
 
 def _passes(sizes, cap: int) -> list[_Pass]:
     """Unbound passes over clients of ascending row counts ``sizes``, whose
@@ -283,10 +284,11 @@ class _Arena:
         return flat
 
 
-# arena arrays that no segment cuts: class-major copies and a row vector
-_UNCUT = ("shifted", "exps", "rowmax", "zeros")
+# arena arrays that no segment cuts: class-major copies, a row vector and
+# the relu mask
+_UNCUT = ("shifted", "exps", "rowmax", "zeros", "mask")
 # arena arrays of bools, not floats
-_MASKS = ("zeros",)
+_MASKS = ("zeros", "mask")
 
 
 class _RowStack(ObjectiveStack):
@@ -318,9 +320,25 @@ class _RowStack(ObjectiveStack):
 
     @functools.cached_property
     def _telemetry(self) -> list[_Pass]:
-        """The passes bound for ``losses`` and ``evaluate``, once, when the
-        stack first runs one."""
+        """The passes bound for ``losses``, ``evaluate`` and ``gradients``,
+        once, when the stack first runs one."""
         return self._bind(self._chunks, self._inputs, self._targets)
+
+    @functools.cached_property
+    def _one_x(self) -> tuple[np.ndarray, dict]:
+        """(x, kernels): the parameter vector that the telemetry kernels at
+        one shared vector read, and those kernels by name, each bound to
+        it, and to the telemetry passes, when the stack first runs it."""
+        return np.empty(self.dimension), {}
+
+    def _at_one_x(self, name: str, x):
+        """What the telemetry kernel ``name`` (``losses`` or ``evaluate``)
+        gives at the one vector x, copied into the kernels' own."""
+        bound, kernels = self._one_x
+        bound[...] = x
+        if name not in kernels:
+            kernels[name] = getattr(self, f"_bind_{name}")(self._telemetry, bound)
+        return kernels[name]()
 
     @property
     def dimension(self) -> int:
@@ -429,29 +447,18 @@ class _RowStack(ObjectiveStack):
             plan.refill = refill
         return plan
 
-    def _bind_losses(self, passes, xs, at):
-        """A plan's ``losses``: the full-set losses in pass order at xs, as
-        the bound full-set step ``passes`` read it, from a forward pass over
-        their rows, of which row j is the stack's row ``at[j]``."""
-        xs = [xs if xs.ndim == 1 else xs[p.clients] for p in passes]
-
-        def losses():
-            out = np.empty(self.m)
-            for p, x in zip(passes, xs):
-                out[p.clients] = self._pass_losses(p, x)
-            return out
-
-        return losses
-
-    # A pass evaluates its clients at one shared vector, or at their rows of
-    # xs: views of xs and of the result.
+    # A family's ``_bind_losses(passes, xs, at=None)`` gives a kernel that
+    # returns the full-set losses in pass order at xs, one shared vector or
+    # one row per client, as new arrays: a plan's ``losses``, whose row j
+    # is the stack's row ``at[j]``, or, without ``at``, the telemetry
+    # passes'. At one shared vector, telemetry binds its kernels once; at
+    # per-client parameters, it binds them for the call.
 
     def losses(self, xs):
         xs = self._sorted(xs)
-        out = np.empty(self.m)
-        for p in self._telemetry:
-            out[p.clients] = self._pass_losses(p, xs if xs.ndim == 1 else xs[p.clients])
-        return self._unsorted(out)
+        if xs.ndim == 1:
+            return self._unsorted(self._at_one_x("losses", self.model._check_x(xs)))
+        return self._unsorted(self._bind_losses(self._telemetry, xs)())
 
     def gradients(self, xs):
         # one step on the telemetry passes, whose binding the end losses
@@ -482,13 +489,24 @@ class _GlrStack(_RowStack):
             fit = design @ ws if shared else (design @ ws[i])[..., 0]
             yield design, fit - y
 
-    def _pass_losses(self, p, xs):
+    @staticmethod
+    def _pass_losses(p, xs):
         # (1, n) @ (n, 1) per client is the BLAS dot GlrObjective.loss uses
         ws = xs if xs.ndim == 1 else _per_segment(p, [xs[:, :, None]])[0]
-        residuals = zip(p.segments, self._residuals(p, ws))
+        residuals = zip(p.segments, _GlrStack._residuals(p, ws))
         return np.concatenate(
             [0.5 * (r[:, None, :] @ r[:, :, None])[:, 0, 0] / n for (*_, n), (_, r) in residuals]
         )
+
+    def _bind_losses(self, passes, xs, at=None):
+        # a GLR plan's rows are client-major: at is the identity. The
+        # kernel keeps no reference to the stack, which keeps the kernel.
+        bound = [(p, xs if xs.ndim == 1 else xs[p.clients]) for p in passes]
+
+        def losses():
+            return np.concatenate([_GlrStack._pass_losses(p, x) for p, x in bound])
+
+        return losses
 
     def _bind_step(self, p, xs, out):
         gs = _per_segment(p, [out[p.clients]])[0]
@@ -508,30 +526,42 @@ class _GlrStack(_RowStack):
         return self.losses(self.model._check_x(x)), np.full(self.m, np.nan)
 
 
-def _affine(rows, out, outs, w, b=None):
-    """``rows @ w + b`` over a pass into its arena array ``out``, whose
-    segments are ``outs``, from those of ``rows``: per segment, one matmul
-    (one BLAS call per client) and, for per-client weights, one bias add.
-    ``w`` and ``b`` are one layer's, or its views per segment
-    (``_per_segment``) of one row per pass client."""
+def _affine(rows, out, outs, w, b=None) -> list:
+    """The calls of ``rows @ w + b`` over a pass into its arena array
+    ``out``, whose segments are ``outs``, from those of ``rows``: per
+    segment, one matmul (one BLAS call per client) and, for per-client
+    weights, one bias add. ``w`` and ``b`` are one layer's, or its views per
+    segment (``_per_segment``) of one row per pass client."""
     shared = isinstance(w, np.ndarray)
+    calls = []
     for i, (a, o) in enumerate(zip(rows, outs)):
-        np.matmul(a, w if shared else w[i], out=o)
+        calls.append((np.matmul, (a, w if shared else w[i], o)))
         if b is not None and not shared:
-            o += b[i]
+            calls.append((np.add, (o, b[i], o)))
     if b is not None and shared:
-        out += b
-    return out
+        calls.append((np.add, (out, b, out)))
+    return calls
 
 
-def _weight_grads(rows_t, deltas, dw, sums):
-    """A layer's weight gradients per segment, into views of its clients'
-    gradient rows: its rows transposed (``rows_t``) times its deltas; and
-    the deltas' column sums, the bias gradients, into ``sums``, one
-    contiguous (c, k) view per segment."""
+def _weight_grads(rows_t, deltas, dw, sums) -> list:
+    """The calls of a layer's weight gradients per segment, into views of
+    its clients' gradient rows: its rows transposed (``rows_t``) times its
+    deltas; and the deltas' column sums, the bias gradients, into ``sums``,
+    one contiguous (c, k) view per segment."""
+    calls = []
     for a, d, w, s in zip(rows_t, deltas, dw, sums):
-        np.matmul(a, d, out=w)
-        np.add.reduce(d, axis=1, out=s)
+        calls += [(np.matmul, (a, d, w)), (np.add.reduce, (d, 1, None, s))]
+    return calls
+
+
+def _mean_calls(p, parts, out) -> list:
+    """The calls that put into ``out`` each of pass p's clients' mean of its
+    rows' values, from their (c, n) views per segment ``parts``: the
+    float64 sum over n that ``mean`` takes, then one division of the pass's
+    sums by their clients' row counts."""
+    counts = np.repeat([float(n) for *_, n in p.segments], [c for *_, c, _ in p.segments])
+    sums = [(np.add.reduce, (v, 1, None, out[cs])) for v, (cs, *_) in zip(parts, p.segments)]
+    return [*sums, (np.divide, (out, counts, out))]
 
 
 class _ClassifierStack(_RowStack):
@@ -556,37 +586,13 @@ class _ClassifierStack(_RowStack):
         c, h = self.model.n_classes, self.model.hidden
         shapes = {"logits": (rows, c), "shifted": (c, rows), "exps": (c, rows), "rowmax": (rows,)}
         shapes["zeros"] = (c, rows)  # the class-major hits' mask
-        shapes["picked"] = (rows,)  # per-row losses or hits, for _means
+        shapes["picked"] = (rows,)  # per-row losses or hits, for the means
         shapes["probs"] = (rows, c)
         if h:
             shapes.update(hidden=(rows, h), dhidden=(rows, h))
+        if self.model.activation == "relu":
+            shapes["mask"] = (rows, h)
         return shapes
-
-    def _layers(self, p, layers):
-        """Logits and hidden activations of a pass's rows at ``layers``:
-        those of one parameter vector, or their views per segment
-        (``_per_segment``) of one row per pass client."""
-        parts, views = p.parts, p.views
-        if self.model.hidden == 0:
-            return _affine(parts["inputs"], views["logits"], parts["logits"], *layers), None
-        w1, b1, w2, b2 = layers
-        hidden = _affine(parts["inputs"], views["hidden"], parts["hidden"], w1, b1)
-        act = self.model._activate(hidden)
-        return _affine(parts["hidden"], views["logits"], parts["logits"], w2, b2), act
-
-    def _unpack(self, p, x):
-        """The layers of one parameter vector, or per segment of the pass
-        clients' rows ``x``."""
-        layers = self.model._unpack(x)
-        return layers if x.ndim == 1 else _per_segment(p, layers)
-
-    @staticmethod
-    def _means(picked, segments):
-        """Each pass client's mean of its rows' values, in pass order, from
-        their (c, n) views ``picked`` per segment: the float64 sum over n
-        that ``mean`` takes, without its Python wrapper."""
-        sums = [np.add.reduce(v, axis=1) / n for v, (*_, n) in zip(picked, segments)]
-        return np.concatenate(sums)
 
     def _bind(self, passes, inputs, targets, step=False):
         bound = super()._bind(passes, inputs, targets, step)
@@ -595,63 +601,110 @@ class _ClassifierStack(_RowStack):
         # each row's label entry in the class-major copy: label * rows + row
         return [p._replace(at=p.targets * (n := len(p.targets)) + np.arange(n)) for p in bound]
 
-    def _shared(self, x):
-        """(layers, bias): the layers of one parameter vector with the last
-        layer's bias left out, and that bias as the (classes, 1) column
-        that ``_class_major`` adds to its class-major copy of the logits."""
-        layers = self.model._unpack(x)
-        return (*layers[:-1], None), layers[-1].T
+    # Every pass is bound to one list of numpy calls over views of its rows,
+    # of the arena and of xs, made once, when it is bound.
 
-    def _mean_losses(self, p, logits, bias=None):
-        logp = self.model._target_log_probs(logits, None, p.scratch, p.at, bias)
-        np.negative(logp, out=logp)
-        return self._means(p.parts["picked"], p.segments)
+    def _unpack(self, p, xs):
+        """The layers of one parameter vector, or their views per segment
+        (``_per_segment``) of the pass clients' rows of xs."""
+        if xs.ndim == 1:
+            return self.model._unpack(xs)
+        return _per_segment(p, self.model._unpack(xs[p.clients]))
 
-    def _pass_losses(self, p, xs):
-        layers, bias = self._shared(xs) if xs.ndim == 1 else (self._unpack(p, xs), None)
-        return self._mean_losses(p, self._layers(p, layers)[0], bias)
+    def _forward(self, p, layers) -> list:
+        """The calls that make a pass's logits, and its hidden activations,
+        at ``layers`` (from :meth:`_unpack`)."""
+        parts, views = p.parts, p.views
+        if self.model.hidden == 0:
+            return _affine(parts["inputs"], views["logits"], parts["logits"], *layers)
+        w1, b1, w2, b2 = layers
+        return [
+            *_affine(parts["inputs"], views["hidden"], parts["hidden"], w1, b1),
+            *self.model._activate(views["hidden"]),
+            *_affine(parts["hidden"], views["logits"], parts["logits"], w2, b2),
+        ]
 
-    def _bind_losses(self, passes, xs, at):
-        # A client's loss is the mean of its rows' losses summed in their
-        # client-major order, as its own loss sums them; a reduction over a
-        # step-major segment's (c, n) view would run in another order. So
-        # each pass puts its rows' losses back in client-major order.
-        kernels = []
-        for p in passes:
+    def _loss_calls(self, p, xs, out, rows=None) -> list:
+        """The calls that put into ``out``, a view of a result, the full-set
+        losses of pass p's clients at xs: a forward pass, each row's
+        log-softmax at its label, and each client's mean. At one shared
+        vector, the last layer's bias goes onto the class-major copy, not
+        onto the logits. A plan's pass gives each of its rows' position in
+        client-major order in ``rows``, and its labels change with each
+        refill; a telemetry pass's rows are client-major, its labels fixed."""
+        model, views = self.model, p.views
+        layers, bias = self._unpack(p, xs), None
+        if xs.ndim == 1:
+            layers, bias = (*layers[:-1], None), layers[-1].T
+        z, lse, picked = views["shifted"], views["exps"][0], views["picked"]
+        calls = self._forward(p, layers)
+        calls += model._bind_class_major(views["logits"], z, views["rowmax"], views["exps"], bias)
+        at, parts = p.at, p.parts["picked"]
+        if rows is not None:
+            # each row's label entry, as in _bind, of the labels the plan
+            # holds when it runs
             n = len(p.targets)
-            picked = np.empty(n)
-            kernels.append(
-                (
-                    p,
-                    self._unpack(p, xs if xs.ndim == 1 else xs[p.clients]),
-                    np.arange(n),
-                    np.empty(n, dtype=np.int64),
-                    at[p.rows] - p.rows.start,
-                    picked,
-                    _segment_views(picked, p.segments, False),
-                )
-            )
+            at, base = np.empty(n, dtype=np.int64), np.arange(n)
+            calls += [(np.multiply, (p.targets, n, at)), (np.add, (at, base, at))]
+        calls += model._bind_target_log_probs(z, lse, at, picked)
+        calls.append((np.negative, (picked, picked)))
+        if rows is not None:
+            # A client's loss is the mean of its rows' losses summed in
+            # their client-major order, as its own loss sums them; a
+            # reduction over a step-major segment's (c, n) view would run in
+            # another order. So the pass puts its rows' losses back in
+            # client-major order first.
+            client_major = np.empty(len(rows))
+            calls.append((picked.take, (np.argsort(rows), None, client_major, "clip")))
+            parts = _segment_views(client_major, p.segments, False)
+        return calls + _mean_calls(p, parts, out)
+
+    def _bind_losses(self, passes, xs, at=None):
+        out = np.empty(self.m)
+        calls = []
+        for p in passes:
+            rows = None if at is None else at[p.rows] - p.rows.start
+            calls += self._loss_calls(p, xs, out[p.clients], rows)
 
         def losses():
-            out = np.empty(self.m)
-            for p, layers, base, label_at, rows, picked, client_major in kernels:
-                # each row's label entry, as in _bind, of the targets that
-                # the plan holds now: a refill replaces them
-                np.multiply(p.targets, len(base), out=label_at)
-                label_at += base
-                logits = self._layers(p, layers)[0]
-                logp = self.model._target_log_probs(logits, None, p.scratch, label_at)
-                picked[rows] = np.negative(logp, out=logp)
-                out[p.clients] = self._means(client_major, p.segments)
-            return out
+            _run(calls)
+            return out.copy()
 
         return losses
+
+    def _bind_evaluate(self, passes, x):
+        """The test pass's kernel at the one vector x: each pass reads its
+        logits once, class-major, for the losses and then the hits."""
+        losses, accs = np.empty(self.m), np.empty(self.m)
+        bias = self.model._unpack(x)[-1]
+        calls = []
+        for p in passes:
+            views = p.views
+            hits = self.model._bind_class_major_hits(
+                views["shifted"], views["rowmax"], p.at, p.targets, views["picked"], views["zeros"]
+            )
+
+            def argmax_hits(hits=hits, logits=views["logits"], p=p):
+                # a row max is not finite: argmax of the biased logits
+                if hits() is None:
+                    np.add(logits, bias, out=logits)
+                    np.equal(logits.argmax(axis=-1), p.targets, out=p.views["picked"])
+
+            calls += self._loss_calls(p, x, losses[p.clients])
+            calls.append((argmax_hits, ()))
+            calls += _mean_calls(p, p.parts["picked"], accs[p.clients])
+
+        def evaluate():
+            _run(calls)
+            return losses.copy(), accs.copy()
+
+        return evaluate
 
     def _bind_step(self, p, xs, out):
         """The gradient kernel of a bound step pass at its clients' rows of
         xs, into theirs of out: every view it reads or writes made here."""
         model, views, parts = self.model, p.views, p.parts
-        layers = self._unpack(p, xs if xs.ndim == 1 else xs[p.clients])
+        layers = self._unpack(p, xs)
         grads = model._unpack(out[p.clients])
         # a layer's bias gradients are summed into a (clients, width)
         # buffer, then copied into out once per pass
@@ -664,58 +717,33 @@ class _ClassifierStack(_RowStack):
         counts = np.empty(views["probs"].shape)
         for _, rs, _, n in p.segments:
             counts[rs] = n
-
         # each row's label entry in the (rows, classes) gradient, at a step
         base = np.arange(len(p.targets)) * model.n_classes
         at = np.empty_like(base)
-
-        def dlogits(logits):
-            logp = model._log_softmax(logits, p.scratch)
-            np.add(base, p.targets, out=at)
-            probs = model._probs_minus_labels(logp, None, p.scratch, at)
-            np.divide(probs, counts, out=probs)
-            return parts["probs"]
-
-        if model.hidden == 0:
-
-            def step():
-                _weight_grads(inputs_t, dlogits(self._layers(p, layers)[0]), dws[0], sum_parts[0])
-                biases[0][...] = sums[0]
-
-            return step
-        hidden_t = [a.swapaxes(-1, -2) for a in parts["hidden"]]
-        w2 = layers[2]
-        w2_t = w2.swapaxes(-1, -2) if xs.ndim == 1 else [w.swapaxes(-1, -2) for w in w2]
-
-        def step():
-            logits, act = self._layers(p, layers)
-            deltas = dlogits(logits)
-            _weight_grads(hidden_t, deltas, dws[1], sum_parts[1])
-            dact = _affine(deltas, views["dhidden"], parts["dhidden"], w2_t)
-            model._through_activation(dact, act)
-            _weight_grads(inputs_t, parts["dhidden"], dws[0], sum_parts[0])
-            for b, total in zip(biases, sums):
-                b[...] = total
-
-        return step
+        z, probs, deltas = views["shifted"], views["probs"], parts["probs"]
+        calls = [
+            *self._forward(p, layers),
+            *model._bind_log_softmax(views["logits"], z, views["rowmax"], views["exps"]),
+            (np.add, (base, p.targets, at)),
+            *model._bind_probs_minus_labels(z.T, at, probs, views["picked"]),
+            (np.divide, (probs, counts, probs)),
+        ]
+        if model.hidden:
+            w2 = layers[2]
+            w2_t = w2.swapaxes(-1, -2) if xs.ndim == 1 else [w.swapaxes(-1, -2) for w in w2]
+            hidden_t = [a.swapaxes(-1, -2) for a in parts["hidden"]]
+            calls += [
+                *_weight_grads(hidden_t, deltas, dws[1], sum_parts[1]),
+                *_affine(deltas, views["dhidden"], parts["dhidden"], w2_t),
+                *model._through_activation(views["dhidden"], views["hidden"], views.get("mask")),
+            ]
+            deltas = parts["dhidden"]
+        calls += _weight_grads(inputs_t, deltas, dws[0], sum_parts[0])
+        calls += [(b.__setitem__, (Ellipsis, total)) for b, total in zip(biases, sums)]
+        return functools.partial(_run, calls)
 
     def evaluate(self, x):
-        # each pass reads its logits once, class-major: the losses and then
-        # the hits from one copy
-        layers, bias = self._shared(self.model._check_x(x))
-        losses = np.empty(self.m)
-        accs = np.empty(self.m)
-        for p in self._telemetry:
-            logits = self._layers(p, layers)[0]
-            losses[p.clients] = self._mean_losses(p, logits, bias)
-            views = p.views
-            hits = self.model._class_major_hits(
-                views["shifted"], views["rowmax"], p.at, p.targets, views["picked"], views["zeros"]
-            )
-            if hits is None:
-                logits += bias.T
-                np.equal(logits.argmax(axis=-1), p.targets, out=views["picked"])
-            accs[p.clients] = self._means(p.parts["picked"], p.segments)
+        losses, accs = self._at_one_x("evaluate", self.model._check_x(x))
         return self._unsorted(losses), self._unsorted(accs)
 
 

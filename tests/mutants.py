@@ -106,11 +106,8 @@ MUTANTS = (
     Mutant(
         "plan-loss-means-over-step-major-views",
         STACKS,
-        "                picked[rows] = np.negative(logp, out=logp)\n"
-        "                out[p.clients] = self._means(client_major, p.segments)",
-        "                step_major = _segment_views(\n"
-        "                    np.negative(logp, out=logp), p.segments, True)\n"
-        "                out[p.clients] = self._means(step_major, p.segments)",
+        "parts = _segment_views(client_major, p.segments, False)",
+        'parts = p.parts["picked"]',
         (
             f"{TEST_OBJECTIVES}::test_a_full_set_plan_gives_the_losses_pass",
             f"{COHORT}::test_classifier_cohort",
@@ -235,14 +232,14 @@ MUTANTS = (
     Mutant(
         "label-positions-at-binding",
         STACKS,
-        "np.multiply(p.targets, len(base), out=label_at)",
-        "np.multiply(losses.__dict__.setdefault(id(p), p.targets.copy()), len(base), out=label_at)",
+        "(np.multiply, (p.targets, n, at))",
+        "(np.multiply, (p.targets.copy(), n, at))",
         (f"{RUN_PLAN}[softmax]", f"{RUN_PLAN}[mlp]"),
     ),
     Mutant(
         "class-major-hits-without-tie-check",
         OBJECTIVES,
-        "if np.count_nonzero(zeros) > z.shape[1]:",
+        "if np.count_nonzero(zeros) > rows:",
         "if False:",
         (
             f"{KERNELS}::test_class_major_hits_take_the_first_of_tied_maxima",
@@ -258,6 +255,71 @@ MUTANTS = (
             f"{KERNELS}::test_class_major_hits_leave_non_finite_row_maxima_to_argmax",
             f"{TEST_OBJECTIVES}::test_accuracies_at_tied_and_non_finite_logits",
         ),
+    ),
+    # the planned column sums: numpy's pairwise order, branch by branch
+    Mutant(
+        "column-sums-sequential-at-8-terms",
+        OBJECTIVES,
+        "    if n < 8:\n        return adds",
+        "    if n < 9:\n        return adds",
+        (f"{KERNELS}::test_column_sums_are_numpys_row_sums",),
+    ),
+    Mutant(
+        "column-sums-paired-by-halves",
+        OBJECTIVES,
+        "adds += [_iadd(r[::2], r[1::2]), _iadd(r[::4], r[2::4]), _iadd(out, r[4])]",
+        "adds += [_iadd(r[:4], r[4:]), _iadd(r[:2], r[2:4]), _iadd(out, r[1])]",
+        (f"{KERNELS}::test_column_sums_are_numpys_row_sums",),
+    ),
+    Mutant(
+        "column-sums-split-off-a-multiple-of-8",
+        OBJECTIVES,
+        "half = n // 2 - n // 2 % 8",
+        "half = n // 2",
+        (f"{KERNELS}::test_column_sums_are_numpys_row_sums",),
+    ),
+    # bound kernels that would keep, from when they were bound, a value
+    # that changes between their calls
+    Mutant(
+        "step-label-positions-at-binding",
+        STACKS,
+        "(np.add, (base, p.targets, at)),",
+        "(np.add, (base, p.targets.copy(), at)),",
+        (
+            f"{TEST_OBJECTIVES}::test_plans_check_takers_when_bound_and_refill_rows_each_step",
+            f"{COHORT}::test_classifier_cohort",
+        ),
+    ),
+    Mutant(
+        "step-layers-of-a-copy-of-x",
+        STACKS,
+        "        layers = self._unpack(p, xs)\n",
+        "        layers = self._unpack(p, xs.copy())\n",
+        (f"{COHORT}::test_classifier_cohort", f"{WHOLE_RUN}::test_golden_config"),
+    ),
+    Mutant(
+        "loss-layers-of-a-copy-of-x",
+        STACKS,
+        "layers, bias = self._unpack(p, xs), None",
+        "layers, bias = self._unpack(p, xs.copy()), None",
+        (
+            f"{TEST_OBJECTIVES}::test_a_full_set_plan_gives_the_losses_pass",
+            f"{WHOLE_RUN}::test_golden_config",
+        ),
+    ),
+    Mutant(
+        "telemetry-kernels-on-a-copy-of-x",
+        STACKS,
+        'kernels[name] = getattr(self, f"_bind_{name}")(self._telemetry, bound)',
+        'kernels[name] = getattr(self, f"_bind_{name}")(self._telemetry, bound.copy())',
+        (f"{WHOLE_RUN}::test_golden_config", "tests/test_golden.py::test_run_reproduces_golden_files"),
+    ),
+    Mutant(
+        "class-major-bias-copied-at-binding",
+        STACKS,
+        "layers, bias = (*layers[:-1], None), layers[-1].T",
+        "layers, bias = (*layers[:-1], None), layers[-1].T.copy()",
+        (f"{WHOLE_RUN}::test_golden_config", "tests/test_golden.py::test_run_reproduces_golden_files"),
     ),
 )
 

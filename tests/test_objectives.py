@@ -16,7 +16,8 @@ from entrofed.objectives import (
     ClassifierObjective,
     GlrObjective,
     QuadraticObjective,
-    _column_sums,
+    _column_sum_plan,
+    _run,
     finite_diff_gradient,
     glr_least_squares,
 )
@@ -285,10 +286,10 @@ EDGE_ROWS = np.array(
 @st.composite
 def class_axis_arrays(draw):
     """(r, C) rows or (c, r, C) stacks of edge values and ordinary floats.
-    The class axis takes each of _column_sums's branches: below 8 terms, up
-    to 128, and above. Hypothesis fills most of a large array with one
-    value, so entries are taken from it, from normal draws at a spread
-    where the sum's order shows, or from a mix of the two."""
+    The class axis takes each of _column_sum_plan's branches: below 8
+    terms, up to 128, and above. Hypothesis fills most of a large array
+    with one value, so entries are taken from it, from normal draws at a
+    spread where the sum's order shows, or from a mix of the two."""
     edges = st.sampled_from([0.0, -0.0, 1.0, np.inf, -np.inf, np.nan, -746.0, 800.0])
     classes = st.one_of(st.integers(1, 7), st.integers(8, 128), st.integers(129, 300))
     shape = (*draw(hnp.array_shapes(min_dims=1, max_dims=2, max_side=5)), draw(classes))
@@ -302,8 +303,8 @@ def same_bits(a, b):
     """Equal bit patterns, so the sign of a zero counts; NaN matches NaN
     whatever its sign and payload. Numpy's max over a short last axis
     returns the default NaN where an elementwise maximum keeps its input's,
-    and a NaN's bits also differ between numpy's row sum and _column_sums,
-    whose finite sums and zeros match it bit for bit."""
+    and a NaN's bits also differ between numpy's row sum and
+    _column_sum_plan's, whose finite sums and zeros match it bit for bit."""
     nan = np.isnan(a)
     return (
         a.shape == b.shape
@@ -334,7 +335,8 @@ class TestClassAxisKernels:
         # of 8). The reference is the C-ordered transpose: numpy sums the
         # rows of the a.T view itself in memory order, one term at a time.
         rng = np.random.default_rng(18)
-        for n in range(1, 301):
+
+        def terms(n):
             a = rng.standard_normal((n, 12)) * 10.0 ** rng.uniform(-8.0, 8.0, (n, 12))
             a[:, 1] = -0.0
             a[:, 2] = 0.0
@@ -342,11 +344,21 @@ class TestClassAxisKernels:
             a[:, 4:6] = np.exp(rng.uniform(-800.0, 10.0, (n, 2)))  # softmax terms, 0s too
             edges = rng.random((n, 6)) < 0.1
             a[:, 6:][edges] = rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan], edges.sum())
-            with np.errstate(invalid="ignore"):
-                want = np.ascontiguousarray(a.T).sum(axis=-1)
-                got = _column_sums(a.copy())
-            assert same_bits(got, want), n
-            assert not np.signbit(got[1]), n  # numpy's sum starts from +0.0
+            return a
+
+        for n in range(1, 301):
+            # A pass plans its sums once, over views of its arena, and runs
+            # them on new contents each time: no run keeps anything of an
+            # earlier one.
+            bound = np.empty((n, 12))
+            adds = _column_sum_plan(bound)
+            for a in (terms(n), terms(n)):
+                bound[...] = a
+                with np.errstate(invalid="ignore"):
+                    _run(adds)
+                    want = np.ascontiguousarray(a.T).sum(axis=-1)
+                assert same_bits(bound[0], want), n
+                assert not np.signbit(bound[0, 1]), n  # numpy's sum starts from +0.0
 
     @given(logp=class_axis_arrays(), seed=st.integers(0, 2**32 - 1))
     @example(logp=EDGE_ROWS, seed=0)
@@ -396,19 +408,17 @@ class TestClassAxisKernels:
         """The class-major hits of logits that leave out ``bias``, against
         argmax(logits + bias) == labels; None where a row max of the biased
         logits is not finite, as the kernel returns."""
-        arrays = {}
         rows = len(logits)
         with np.errstate(all="ignore"):
             biased = logits + bias
             want = biased.argmax(axis=1) == labels
-            z, _ = ClassifierObjective._class_major(
-                logits, lambda name, shape: arrays.setdefault(name, np.empty(shape)), bias[:, None]
-            )
-            assert np.array_equal(arrays["rowmax"], biased.max(axis=1), equal_nan=True)
+            _, z, rowmax, exps = ClassifierObjective._fresh_class_major(logits)
+            _run(ClassifierObjective._bind_class_major(logits, z, rowmax, exps, bias[:, None]))
+            assert np.array_equal(rowmax, biased.max(axis=1), equal_nan=True)
             at = labels * rows + np.arange(rows)
-            got = ClassifierObjective._class_major_hits(
-                z, arrays["rowmax"], at, labels, np.empty(rows), np.empty(z.shape, bool)
-            )
+            got = ClassifierObjective._bind_class_major_hits(
+                z, rowmax, at, labels, np.empty(rows), np.empty(z.shape, bool)
+            )()
         if not np.isfinite(biased.max(axis=1)).all():
             assert got is None
             return None
@@ -425,7 +435,7 @@ STACK_FAMILIES = {
     "mlp-relu": lambda rng, n: random_classifier(rng, 5, "relu", n=n, d=4, c=3),
 }
 # The workloads' 10 classes, and 130, which take the log-softmax's row sum
-# through _column_sums's 8-term and halving branches.
+# through _column_sum_plan's 8-term and halving branches.
 WIDE_STACK_FAMILIES = {
     "softmax-c10": lambda rng, n: random_classifier(rng, n=n, d=4, c=10),
     "mlp-tanh-c10": lambda rng, n: random_classifier(rng, 5, "tanh", n=n, d=4, c=10),

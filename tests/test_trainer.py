@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from entrofed import stacks, trainer
+from entrofed import objectives, stacks, trainer
 from entrofed.aggregation import (
     EbaConfig,
     QfflConfig,
@@ -428,13 +428,14 @@ class TestCohortPasses:
     """Local SGD binds one step plan per round and runs it once per step:
     one bound kernel per pass, each a pass over the full sets of several
     sizes below the batch size and the minibatches of the larger clients
-    together, and one pass for the end losses, which a full-batch round's
-    plan makes over its own rows."""
+    together, and one loss kernel for the end losses, which a full-batch
+    round's plan binds over its own rows, and a minibatch round over the
+    cohort's passes for the call."""
 
     @staticmethod
     def counted_round(monkeypatch, steps, aligned, block=None, batch=16, start=False):
         calls = {"step_plan": 0, "_bind": 0, "_bind_step": 0, "kernel": 0, "losses": 0}
-        calls.update(_pass_losses=0, gradients=0, _bind_losses=0)
+        calls.update(_loss_calls=0, gradients=0, _bind_losses=0)
         cls = type(stack_objectives([ClassifierObjective(np.zeros((1, 2)), [0], 2)]))
         for name in set(calls) - {"kernel"}:
             original = getattr(cls, name)
@@ -483,9 +484,9 @@ class TestCohortPasses:
             "_bind_step": 1,
             "kernel": steps,
             "losses": 1,
-            "_pass_losses": 1,
+            "_loss_calls": 1,
             "gradients": 0,
-            "_bind_losses": 0,
+            "_bind_losses": 1,
         }
 
     @pytest.mark.parametrize("aligned", [False, True])
@@ -500,7 +501,7 @@ class TestCohortPasses:
             "_bind_step": 1,
             "kernel": steps,
             "losses": 0,
-            "_pass_losses": 0,
+            "_loss_calls": 1,
             "gradients": 0,
             "_bind_losses": 1,
         }
@@ -517,9 +518,9 @@ class TestCohortPasses:
             "_bind_step": 2,
             "kernel": 1 + steps,
             "losses": 1,
-            "_pass_losses": 1,
+            "_loss_calls": 1,
             "gradients": 1,
-            "_bind_losses": 0,
+            "_bind_losses": 1,
         }
 
     @pytest.mark.parametrize("steps", [1, 4, 20])
@@ -533,7 +534,7 @@ class TestCohortPasses:
         assert calls["step_plan"] == 1 and calls["_bind"] == 2
         assert calls["_bind_step"] == 7
         assert calls["kernel"] == 7 * steps
-        assert calls["_pass_losses"] == passes
+        assert calls["_loss_calls"] == passes
 
 
 class TestRunPlan:
@@ -1129,8 +1130,9 @@ class TestTelemetryCallCounts:
 def test_an_equal_size_federation_binds_one_step_plan_per_run(monkeypatch):
     # Every cohort of 5 clients of 4 rows has one layout, so the run binds
     # its full-batch plan, and that plan's loss kernel, once, on both
-    # branches; each cohort is still taken, and its start gradients run on
-    # its own passes.
+    # branches, as the train stack binds its telemetry loss kernel once;
+    # each cohort is still taken, and its start gradients run on its own
+    # passes.
     rng = SeededRng(12)
 
     def obj(n):
@@ -1151,7 +1153,43 @@ def test_an_equal_size_federation_binds_one_step_plan_per_run(monkeypatch):
     )
     reports, _ = run_training(fed, cfg)
     assert {r.branch for r in reports} == {"plain", "aligned"}
-    assert calls == {"step_plan": 1, "_bind_losses": 1, "take": cfg.rounds}
+    assert calls == {"step_plan": 1, "_bind_losses": 2, "take": cfg.rounds}
+
+
+@pytest.mark.parametrize("batch_size", [None, 2])
+def test_passes_plan_their_column_sums_once_per_binding(monkeypatch, batch_size):
+    # A pass plans its log-softmax's column sums when it is bound, and its
+    # kernel only runs them. At a cap of 13 rows (a block of 4 at 3
+    # classes), the train side's 20 clients of 4 rows make 7 passes, the
+    # test side's of 2 rows 4, and a cohort's 5 clients 2, or 1 pass of
+    # their minibatches of 2 rows. Over 6 rounds on both branches, the
+    # telemetry kernels plan once per pass; a full-batch run plans its one
+    # plan's step and loss passes once; a minibatch round plans its step
+    # passes and its end losses' passes; an aligned round plans its start
+    # gradients' passes. More local steps plan nothing more.
+    plan = objectives._column_sum_plan
+    plans = []
+    monkeypatch.setattr(objectives, "_column_sum_plan", lambda a: plans.append(a.shape) or plan(a))
+    for steps in (3, 6):
+        rng = SeededRng(13)
+
+        def obj(n):
+            return ClassifierObjective(rng.normals(n * 3).reshape(n, 3), rng.integers(n, 3), 3)
+
+        cfg = TrainerConfig(
+            rounds=6, local_steps=steps, clients_per_round=5, local_lr=0.5,
+            batch_size=batch_size, theta=math.radians(5.0), seed=4,
+        )
+        plans.clear()
+        with mock.patch.object(stacks, "STACK_BLOCK_ROWS", 4):
+            train = stack_objectives([obj(4) for _ in range(20)])
+            test = stack_objectives([obj(2) for _ in range(20)])
+            reports, _ = run_training(Federation(train, test), cfg)
+        assert {r.branch for r in reports} == {"plain", "aligned"}
+        aligned = sum(r.branch == "aligned" for r in reports)
+        once = 7 + 4 + (2 + 2 if batch_size is None else 0)
+        per_round = 0 if batch_size is None else 1 + 2
+        assert len(plans) == once + cfg.rounds * per_round + aligned * 2, steps
 
 
 class TestReportRetention:
