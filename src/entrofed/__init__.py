@@ -29,6 +29,7 @@ from entrofed.objectives import (
 )
 from entrofed.datagen import (
     GlrFederationSpec,
+    GlrSettings,
     LabeledDataset,
     PartitionInfeasibleError,
     PartitionSpec,
@@ -82,6 +83,7 @@ __all__ = [
     "LabeledDataset",
     "PartitionSpec",
     "GlrFederationSpec",
+    "GlrSettings",
     "PartitionInfeasibleError",
     "gen_gaussian_blobs",
     "partition_shards",

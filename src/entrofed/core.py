@@ -132,8 +132,9 @@ class SeededRng:
 
     def gammas(self, shape: float, n: int) -> np.ndarray:
         """n gamma(shape, 1) variates via Marsaglia-Tsang squeeze."""
-        if shape <= 0:
-            raise ValueError("shape must be positive")
+        # at a non-finite shape every candidate's acceptance test is NaN
+        if not (math.isfinite(shape) and shape > 0):
+            raise ValueError(f"shape must be finite and positive, got {shape}")
         if shape < 1.0:
             # boost: gamma(a) = gamma(a+1) * U^(1/a)
             g = self.gammas(shape + 1.0, n)
@@ -374,17 +375,23 @@ def _whole(kind: str, value) -> bool:
     return True
 
 
+def check_setting(kind: str, check, value) -> None:
+    """Check that ``value``, a setting of type ``kind`` in a config file's
+    unit, holds the integers its type says, then run ``check`` on it."""
+    if not _whole(kind, value):
+        raise ValueError(f"must be {_WHOLE[kind]}, got {value!r}")
+    if check is not None:
+        check(value)
+
+
 def check_settings(obj) -> None:
-    """Check that each setting of the dataclass ``obj`` holds the integers
-    its type says, and run its checker; the ValueError names the field (as
-    its key, if in another unit) first."""
+    """:func:`check_setting` on each setting of the dataclass ``obj``; the
+    ValueError names the field (as its key, if in another unit) first."""
     for f in _checked(type(obj)):
         value = getattr(obj, f.name)
         check, unit = f.metadata["check"], f.metadata["unit"]
         try:
-            if not _whole(f.type, value):
-                raise ValueError(f"must be {_WHOLE[f.type]}, got {value!r}")
-            check(value if unit is None else unit[1](value))
+            check_setting(f.type, check, value if unit is None else unit[1](value))
         except ValueError as exc:
             where = f.name if unit is None else f"{f.name} as {f.metadata['key']}"
             raise ValueError(f"{where} {exc}") from None

@@ -14,7 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from entrofed.core import SeededRng, derive_seeds, ragged_uniforms
+from entrofed.core import (
+    SeededRng, bounded, check_settings, derive_seeds, one_of, ragged_uniforms, setting
+)
 from entrofed.objectives import GlrObjective
 
 _LATTICE_SEPARATION = 4.0
@@ -50,7 +52,7 @@ class LabeledDataset:
 
 @dataclass(frozen=True)
 class PartitionSpec:
-    """How to split a dataset across clients.
+    """How to split a dataset across clients: a config's ``[partition]``.
 
     mode "shards": label-sorted samples cut into client_count *
     shards_per_client contiguous shards, each client drawing
@@ -60,24 +62,29 @@ class PartitionSpec:
     min_samples_per_client are redrawn.
     """
 
-    mode: str
-    client_count: int
-    shards_per_client: int = 2
-    dirichlet_alpha: float = 0.5
-    min_samples_per_client: int = 1
+    mode: str = setting("partition", "dirichlet", one_of("shards", "dirichlet"))
+    client_count: int = setting("partition", 20, bounded(1), key="clients")
+    shards_per_client: int = setting("partition", 2, bounded(1))
+    dirichlet_alpha: float = setting("partition", 0.3, bounded(0.0, open_low=True))
+    min_samples_per_client: int = setting("partition", 1, bounded(0))
     seed: int = 0
 
     def __post_init__(self):
-        if self.mode not in ("shards", "dirichlet"):
-            raise ValueError("mode must be 'shards' or 'dirichlet'")
-        if self.client_count < 1:
-            raise ValueError("client_count must be >= 1")
-        if self.shards_per_client < 1:
-            raise ValueError("shards_per_client must be >= 1")
-        if not self.dirichlet_alpha > 0:
-            raise ValueError("dirichlet_alpha must be positive")
-        if self.min_samples_per_client < 0:
-            raise ValueError("min_samples_per_client must be >= 0")
+        check_settings(self)
+
+
+@dataclass(frozen=True)
+class GlrSettings:
+    """The ``[data]`` keys of a linear-regression federation."""
+
+    dimension: int = setting("data", 4, bounded(1), key="glr_dim")
+    samples_per_client: int = setting("data", 32, bounded(1))
+    design_scale: float = setting("data", 1.0, bounded(0.0, open_low=True))
+    noise_std: float = setting("data", 0.1, bounded(0.0))
+    param_scale: float = setting("data", 1.0, bounded(0.0))
+
+    def __post_init__(self):
+        check_settings(self)
 
 
 @dataclass(frozen=True)
@@ -86,24 +93,18 @@ class GlrFederationSpec:
 
     Designs are built with orthonormal columns scaled so that X^T X equals
     samples_per_client * design_scale * I exactly (up to rounding); targets
-    are X w_i plus Gaussian noise of the given standard deviation.
+    are X w_i plus Gaussian noise of standard deviation noise_std, all from
+    ``settings``, whose param_scale is for the caller who draws true_params.
     """
 
     client_count: int
-    dimension: int
-    samples_per_client: int
-    true_params: np.ndarray  # (client_count, dimension)
-    design_scale: float = 1.0
-    noise_std: float = 0.0
+    true_params: np.ndarray  # (client_count, settings.dimension)
+    settings: GlrSettings = GlrSettings()
     seed: int = 0
 
     def __post_init__(self):
-        if not self.design_scale > 0:
-            raise ValueError("design_scale must be positive")
-        if self.noise_std < 0:
-            raise ValueError("noise_std must be >= 0")
         w = np.asarray(self.true_params, dtype=np.float64)
-        if w.shape != (self.client_count, self.dimension):
+        if w.shape != (self.client_count, self.settings.dimension):
             raise ValueError("true_params must have shape (client_count, dimension)")
         object.__setattr__(self, "true_params", w)
 
@@ -131,6 +132,8 @@ def gen_gaussian_blobs(
         raise ValueError("need at least two classes")
     if per_class < 1:
         raise ValueError("per_class must be >= 1")
+    if dim < 1:
+        raise ValueError("dim must be >= 1")
     if spread < 0:
         raise ValueError("spread must be >= 0")
     rng = SeededRng(seed)
@@ -235,7 +238,8 @@ def train_test_split_indices(
 def gen_glr_federation(spec: GlrFederationSpec) -> list[GlrObjective]:
     """Per-client regression objectives with X^T X = n * b * I designs; the
     spec holds their ground truth."""
-    n, d = spec.samples_per_client, spec.dimension
+    glr = spec.settings
+    n, d = glr.samples_per_client, glr.dimension
     if d > n:
         raise ValueError("dimension cannot exceed samples_per_client (rank condition)")
     rng = SeededRng(spec.seed)
@@ -244,8 +248,8 @@ def gen_glr_federation(spec: GlrFederationSpec) -> list[GlrObjective]:
         client_rng = rng.derive(1, i)
         raw = client_rng.normals(n * d).reshape(n, d)
         q, _ = np.linalg.qr(raw)
-        design = q * np.sqrt(n * spec.design_scale)
-        noise = spec.noise_std * client_rng.normals(n)
+        design = q * np.sqrt(n * glr.design_scale)
+        noise = glr.noise_std * client_rng.normals(n)
         targets = design @ spec.true_params[i] + noise
         objectives.append(GlrObjective(design, targets))
     return objectives

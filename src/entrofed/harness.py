@@ -3,7 +3,7 @@
 Configs are flat ``key = value`` text files with ``[section]`` headers and
 ``#``/``;`` comments. Each key is declared once, with its default and its
 rule, on the dataclass field it sets (``ExperimentConfig`` and the trainer
-configs it holds).
+configs, GLR settings and partition spec it holds).
 Subcommands:
 
 * ``run``       -- train per seed, write per-seed round CSVs and a summary,
@@ -38,6 +38,7 @@ from entrofed.analysis import (
 from entrofed.core import (
     SeededRng,
     bounded,
+    check_setting,
     check_settings,
     one_of,
     setting,
@@ -45,6 +46,7 @@ from entrofed.core import (
 )
 from entrofed.datagen import (
     GlrFederationSpec,
+    GlrSettings,
     PartitionSpec,
     gen_gaussian_blobs,
     gen_glr_federation,
@@ -87,9 +89,17 @@ def _fmt(x) -> str:
 # --- config schema -----------------------------------------------------
 
 
+def _number(text: str):
+    """An int, or a float that an integer setting's check then rejects."""
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
 # the text parser of each type of setting, and what its text must be
 _PARSERS = {
-    "int": (int, "an integer"),
+    "int": (_number, "an integer"),
     "float": (float, "a number"),
     "str": (str, "text"),
     "int | None": (lambda s: None if s == "full" else int(s), "an integer or full"),
@@ -107,8 +117,8 @@ def _distinct_seeds(seeds) -> None:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """The trainer's settings and one field per data, partition, test-split
-    and run key, all validated; the defaults are an empty config file's."""
+    """The trainer, GLR and partition settings and one field per other data,
+    test-split and run key, all validated; the defaults are an empty file's."""
 
     trainer: TrainerConfig = TrainerConfig()
     data_kind: str = setting("data", "blobs", one_of("blobs", "glr"), key="kind")
@@ -119,18 +129,8 @@ class ExperimentConfig:
     model: str = setting("data", "softmax", one_of("softmax", "mlp"))
     hidden_units: int = setting("data", 32, bounded(1))
     activation: str = setting("data", "tanh", one_of("tanh", "relu"))
-    glr_dim: int = setting("data", 4, bounded(1))
-    samples_per_client: int = setting("data", 32, bounded(1))
-    design_scale: float = setting("data", 1.0, bounded(0.0, open_low=True))
-    noise_std: float = setting("data", 0.1, bounded(0.0))
-    param_scale: float = setting("data", 1.0, bounded(0.0))
-    partition_mode: str = setting(
-        "partition", "dirichlet", one_of("shards", "dirichlet"), key="mode"
-    )
-    clients: int = setting("partition", 20, bounded(1))
-    shards_per_client: int = setting("partition", 2, bounded(1))
-    dirichlet_alpha: float = setting("partition", 0.3, bounded(0.0, open_low=True))
-    min_samples_per_client: int = setting("partition", 1, bounded(0))
+    glr: GlrSettings = GlrSettings()
+    partition: PartitionSpec = PartitionSpec()
     test_fraction: float = setting(
         "metrics", 0.2, bounded(0.0, 1.0, open_low=True, open_high=True)
     )
@@ -146,30 +146,31 @@ class ExperimentConfig:
                 "trainer.clients_per_round must not exceed partition.clients "
                 f"({self.trainer.clients_per_round} > {self.clients})"
             )
-        if self.data_kind == "glr" and self.glr_dim > self.samples_per_client:
+        if self.data_kind == "glr" and self.glr.dimension > self.glr.samples_per_client:
             raise ValueError(
                 "data.glr_dim must not exceed data.samples_per_client (rank condition)"
             )
         if self.model == "mlp" and self.hidden_units > ClassifierObjective.MAX_HIDDEN:
             raise ValueError(f"data.hidden_units must be <= {ClassifierObjective.MAX_HIDDEN}")
 
-    # what a run's outputs name, read through to the trainer's settings
+    # what a run's outputs name, read through to the settings that hold it
     method = property(lambda self: self.trainer.method)
     rounds = property(lambda self: self.trainer.rounds)
+    clients = property(lambda self: self.partition.client_count)
 
     def trainer_config(self, seed: int) -> TrainerConfig:
         return replace(self.trainer, seed=seed)
 
 
 def _settings(cls, parents):
-    """((section, key), (dataclass, field name, parser, checker, unit)) for
+    """((section, key), (dataclass, field name, type, checker, unit)) for
     each setting of ``cls`` and of the dataclasses it nests, whose holders
     go into ``parents`` as (dataclass, field name), outer ones first."""
     for f in fields(cls):
         if "section" in f.metadata:
             meta = f.metadata
             entry = (meta["section"], meta["key"] or f.name)
-            yield entry, (cls, f.name, _PARSERS[f.type], meta["check"], meta["unit"])
+            yield entry, (cls, f.name, f.type, meta["check"], meta["unit"])
         elif is_dataclass(f.default):
             parents[type(f.default)] = (cls, f.name)
             yield from _settings(type(f.default), parents)
@@ -220,15 +221,15 @@ def parse_config(path) -> ExperimentConfig:
                 f"first set on line {first_line[entry]})"
             )
         first_line[entry] = line_no
-        owner, name, (parse, kind), check, unit = _KEYS[entry]
+        owner, name, kind, check, unit = _KEYS[entry]
+        parse, text = _PARSERS[kind]
         where = f"{section}.{key}"
         try:
             value = parse(raw)
         except ValueError:
-            raise ConfigError(f"{where}: expected {kind}, got {raw!r} (line {line_no})") from None
+            raise ConfigError(f"{where}: expected {text}, got {raw!r} (line {line_no})") from None
         try:
-            if check is not None:
-                check(value)
+            check_setting(kind, check, value)
         except ValueError as exc:
             raise ConfigError(f"{where}: {exc} (line {line_no})") from None
         values.setdefault(owner, {})[name] = value if unit is None else unit[0](value)
@@ -250,15 +251,7 @@ def _blob_partition(cfg: ExperimentConfig, root: SeededRng):
     ds = gen_gaussian_blobs(
         cfg.classes, cfg.per_class, cfg.dim, cfg.spread, root.derive(_TAG_DATA).seed
     )
-    spec = PartitionSpec(
-        mode=cfg.partition_mode,
-        client_count=cfg.clients,
-        shards_per_client=cfg.shards_per_client,
-        dirichlet_alpha=cfg.dirichlet_alpha,
-        min_samples_per_client=cfg.min_samples_per_client,
-        seed=root.derive(_TAG_PARTITION).seed,
-    )
-    return ds, partition(ds, spec)
+    return ds, partition(ds, replace(cfg.partition, seed=root.derive(_TAG_PARTITION).seed))
 
 
 def build_federation(cfg: ExperimentConfig, seed: int) -> tuple[Federation, np.ndarray]:
@@ -272,21 +265,14 @@ def build_federation(cfg: ExperimentConfig, seed: int) -> tuple[Federation, np.n
         train, test = (classifier_stack(ds, side, hidden, activation) for side in sides)
         return Federation(train, test), train.model.init_params(root.derive(_TAG_INIT))
 
-    w = cfg.param_scale * root.derive(_TAG_GLR_PARAMS).normals(
-        cfg.clients * cfg.glr_dim
-    ).reshape(cfg.clients, cfg.glr_dim)
-    train_spec = GlrFederationSpec(
-        client_count=cfg.clients,
-        dimension=cfg.glr_dim,
-        samples_per_client=cfg.samples_per_client,
-        true_params=w,
-        design_scale=cfg.design_scale,
-        noise_std=cfg.noise_std,
-        seed=root.derive(_TAG_GLR_TRAIN).seed,
-    )
+    glr = cfg.glr
+    w = glr.param_scale * root.derive(_TAG_GLR_PARAMS).normals(
+        cfg.clients * glr.dimension
+    ).reshape(cfg.clients, glr.dimension)
+    train_spec = GlrFederationSpec(cfg.clients, w, glr, root.derive(_TAG_GLR_TRAIN).seed)
     test_spec = replace(train_spec, seed=root.derive(_TAG_GLR_TEST).seed)
     sides = (stack_objectives(gen_glr_federation(spec)) for spec in (train_spec, test_spec))
-    return Federation(*sides), np.zeros(cfg.glr_dim)
+    return Federation(*sides), np.zeros(glr.dimension)
 
 
 # --- output writers ------------------------------------------------------

@@ -54,6 +54,11 @@ CHI = "tests/test_trainer.py::TestChiSquareOrInf"
 WHOLE_RUN = "tests/test_trainer.py::TestWholeRunMatchesPerClientLoop"
 KERNELS = "tests/test_objectives.py::TestClassAxisKernels"
 RUN_PLAN = "tests/test_trainer.py::TestRunPlan::test_a_refilled_plan_gives_the_bits_of_fresh_plans"
+HARNESS = "src/entrofed/harness.py"
+CORE = "src/entrofed/core.py"
+ONE_RULE = "tests/test_harness.py::test_one_rule_reached_from_file_and_dataclass"
+CONFIG_CHECKS = "tests/test_harness.py::TestExperimentConfigChecks"
+PARSE = "tests/test_harness.py::TestParseConfig"
 
 MUTANTS = (
     Mutant(
@@ -320,6 +325,109 @@ MUTANTS = (
         "layers, bias = (*layers[:-1], None), layers[-1].T",
         "layers, bias = (*layers[:-1], None), layers[-1].T.copy()",
         (f"{WHOLE_RUN}::test_golden_config", "tests/test_golden.py::test_run_reproduces_golden_files"),
+    ),
+    Mutant(
+        "trainer-config-unchecked",
+        TRAINER,
+        "        check_settings(self)\n",
+        "        pass\n",
+        (
+            f"{ONE_RULE}[rounds=0]",
+            f"{ONE_RULE}[local_lr=-0.5]",
+            f"{CONFIG_CHECKS}::test_a_bad_trainer_setting_fails_at_once",
+            f"{CONFIG_CHECKS}::test_integer_settings_take_integers_only",
+        ),
+    ),
+    Mutant(
+        "eba-config-unchecked",
+        AGGREGATION,
+        'prior: str = setting("trainer", "uniform", one_of(*PRIORS))\n\n'
+        "    def __post_init__(self):\n        check_settings(self)\n",
+        'prior: str = setting("trainer", "uniform", one_of(*PRIORS))\n\n'
+        "    def __post_init__(self):\n        pass\n",
+        (f"{ONE_RULE}[tau0=0]", f"{ONE_RULE}[tau_schedule=sqrt]", f"{ONE_RULE}[prior=loss]"),
+    ),
+    Mutant(
+        "experiment-config-unchecked",
+        HARNESS,
+        "        check_settings(self)\n",
+        "        pass\n",
+        (
+            f"{CONFIG_CHECKS}::test_each_field_is_checked",
+            f"{CONFIG_CHECKS}::test_integer_settings_take_integers_only",
+        ),
+    ),
+    Mutant(
+        "partition-spec-unchecked",
+        DATAGEN,
+        "    seed: int = 0\n\n    def __post_init__(self):\n        check_settings(self)\n",
+        "    seed: int = 0\n\n    def __post_init__(self):\n        pass\n",
+        (
+            f"{ONE_RULE}[clients=0]",
+            f"{ONE_RULE}[clients=3.0]",
+            f"{ONE_RULE}[min_samples_per_client=2.5]",
+            f"{ONE_RULE}[dirichlet_alpha=inf]",
+        ),
+    ),
+    Mutant(
+        "glr-settings-unchecked",
+        DATAGEN,
+        'param_scale: float = setting("data", 1.0, bounded(0.0))\n\n'
+        "    def __post_init__(self):\n        check_settings(self)\n",
+        'param_scale: float = setting("data", 1.0, bounded(0.0))\n\n'
+        "    def __post_init__(self):\n        pass\n",
+        (
+            f"{ONE_RULE}[glr_dim=0]",
+            f"{ONE_RULE}[samples_per_client=0]",
+            f"{ONE_RULE}[noise_std=-0.1]",
+        ),
+    ),
+    Mutant(
+        "cohort-above-clients-accepted",
+        HARNESS,
+        "if self.trainer.clients_per_round > self.clients:",
+        "if False:",
+        (f"{CONFIG_CHECKS}::test_cross_field_rules",),
+    ),
+    Mutant(
+        "rank-rule-dropped",
+        HARNESS,
+        'if self.data_kind == "glr" and self.glr.dimension > self.glr.samples_per_client:',
+        "if False:",
+        (f"{CONFIG_CHECKS}::test_cross_field_rules", f"{PARSE}::test_glr_dim_must_not_exceed_the_samples"),
+    ),
+    Mutant(
+        "rank-rule-for-every-kind",
+        HARNESS,
+        'if self.data_kind == "glr" and self.glr.dimension > self.glr.samples_per_client:',
+        "if self.glr.dimension > self.glr.samples_per_client:",
+        (f"{CONFIG_CHECKS}::test_rank_rule_holds_for_glr_only",),
+    ),
+    Mutant(
+        "width-rule-dropped",
+        HARNESS,
+        'if self.model == "mlp" and self.hidden_units > ClassifierObjective.MAX_HIDDEN:',
+        "if False:",
+        (f"{CONFIG_CHECKS}::test_cross_field_rules", f"{PARSE}::test_hidden_units_bound_holds_for_mlp_only"),
+    ),
+    Mutant(
+        "width-rule-for-every-model",
+        HARNESS,
+        'if self.model == "mlp" and self.hidden_units > ClassifierObjective.MAX_HIDDEN:',
+        "if self.hidden_units > ClassifierObjective.MAX_HIDDEN:",
+        (f"{PARSE}::test_hidden_units_bound_holds_for_mlp_only",),
+    ),
+    Mutant(
+        "bounded-takes-non-finite",
+        CORE,
+        "        if not math.isfinite(v):\n",
+        "        if False:\n",
+        (
+            f"{ONE_RULE}[global_lr=inf]",
+            f"{ONE_RULE}[dirichlet_alpha=inf]",
+            f"{ONE_RULE}[noise_std=inf]",
+            f"{CONFIG_CHECKS}::test_each_field_is_checked",
+        ),
     ),
 )
 

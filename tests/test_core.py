@@ -86,6 +86,15 @@ class TestSeededRng:
         assert np.all(g > 0)
         assert abs(g.mean() - shape) < 0.06 * max(1.0, shape)
 
+    @pytest.mark.parametrize("shape", [math.inf, math.nan, 0.0, -1.0])
+    def test_gamma_and_dirichlet_reject_a_shape_not_finite_and_positive(self, shape):
+        # a non-finite shape made every Marsaglia-Tsang candidate's
+        # acceptance test NaN, and the draw loop never ended
+        with pytest.raises(ValueError, match="shape must be finite and positive"):
+            SeededRng(0).gammas(shape, 1)
+        with pytest.raises(ValueError, match="shape must be finite and positive"):
+            SeededRng(0).dirichlet(shape, 3)
+
     def test_dirichlet_simplex(self):
         for alpha in (0.1, 1.0, 50.0):
             p = SeededRng(11).dirichlet(alpha, 6)

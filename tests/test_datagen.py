@@ -7,6 +7,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from entrofed.core import SeededRng
 from entrofed.datagen import (
     GlrFederationSpec,
+    GlrSettings,
     LabeledDataset,
     PartitionInfeasibleError,
     PartitionSpec,
@@ -61,6 +62,12 @@ class TestBlobs:
     def test_all_finite(self):
         ds = gen_gaussian_blobs(5, 20, 6, 3.0, seed=2)
         assert np.all(np.isfinite(ds.features))
+
+    def test_rejects_dim_zero(self):
+        # no lattice of dimension 0 holds 3 distinct means: the search for
+        # its side never ended
+        with pytest.raises(ValueError, match="dim must be >= 1"):
+            gen_gaussian_blobs(3, 10, 0, 1.0, 0)
 
 
 class TestShardPartition:
@@ -270,15 +277,8 @@ class TestTrainTestSplit:
 class TestGlrFederation:
     def _spec(self, w, noise=0.0, seed=0, n=16, b=2.0):
         w = np.asarray(w, dtype=np.float64)
-        return GlrFederationSpec(
-            client_count=w.shape[0],
-            dimension=w.shape[1],
-            samples_per_client=n,
-            true_params=w,
-            design_scale=b,
-            noise_std=noise,
-            seed=seed,
-        )
+        glr = GlrSettings(w.shape[1], n, design_scale=b, noise_std=noise)
+        return GlrFederationSpec(w.shape[0], w, glr, seed)
 
     def test_design_gram_structure(self):
         rng = SeededRng(18)
@@ -301,12 +301,7 @@ class TestGlrFederation:
         w = np.zeros((2, 5))
         with pytest.raises(ValueError, match="rank"):
             gen_glr_federation(
-                GlrFederationSpec(
-                    client_count=2,
-                    dimension=5,
-                    samples_per_client=3,
-                    true_params=w,
-                )
+                GlrFederationSpec(2, w, GlrSettings(dimension=5, samples_per_client=3))
             )
 
     def test_determinism(self):

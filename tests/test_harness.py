@@ -1,15 +1,20 @@
 """Config parsing, CLI subcommands, and output-file contracts."""
 
+import dataclasses
 import hashlib
+import importlib
 import math
+import pkgutil
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import entrofed
 from entrofed import harness, trainer
 from entrofed.aggregation import EbaConfig, QfflConfig
+from entrofed.datagen import GlrSettings, PartitionSpec
 from entrofed.harness import (
     ConfigError,
     ROUNDS_SCHEMA,
@@ -76,16 +81,16 @@ SCHEMA = {
     ("data", "model"): ("softmax", "model", "softmax"),
     ("data", "hidden_units"): ("32", "hidden_units", 32),
     ("data", "activation"): ("tanh", "activation", "tanh"),
-    ("data", "glr_dim"): ("4", "glr_dim", 4),
-    ("data", "samples_per_client"): ("32", "samples_per_client", 32),
-    ("data", "design_scale"): ("1", "design_scale", 1.0),
-    ("data", "noise_std"): ("0.1", "noise_std", 0.1),
-    ("data", "param_scale"): ("1", "param_scale", 1.0),
-    ("partition", "mode"): ("dirichlet", "partition_mode", "dirichlet"),
-    ("partition", "clients"): ("20", "clients", 20),
-    ("partition", "shards_per_client"): ("2", "shards_per_client", 2),
-    ("partition", "dirichlet_alpha"): ("0.3", "dirichlet_alpha", 0.3),
-    ("partition", "min_samples_per_client"): ("1", "min_samples_per_client", 1),
+    ("data", "glr_dim"): ("4", "glr.dimension", 4),
+    ("data", "samples_per_client"): ("32", "glr.samples_per_client", 32),
+    ("data", "design_scale"): ("1", "glr.design_scale", 1.0),
+    ("data", "noise_std"): ("0.1", "glr.noise_std", 0.1),
+    ("data", "param_scale"): ("1", "glr.param_scale", 1.0),
+    ("partition", "mode"): ("dirichlet", "partition.mode", "dirichlet"),
+    ("partition", "clients"): ("20", "partition.client_count", 20),
+    ("partition", "shards_per_client"): ("2", "partition.shards_per_client", 2),
+    ("partition", "dirichlet_alpha"): ("0.3", "partition.dirichlet_alpha", 0.3),
+    ("partition", "min_samples_per_client"): ("1", "partition.min_samples_per_client", 1),
     ("metrics", "k_percent"): ("5", "run.k_percent", 5.0),
     ("metrics", "test_fraction"): ("0.2", "test_fraction", 0.2),
     ("run", "seeds"): ("1", "seeds", (1,)),
@@ -112,10 +117,33 @@ class TestSchema:
         text = "".join(f"[{s}]\n" + "\n".join(lines) + "\n" for s, lines in by_section.items())
         assert parse_config(write_cfg(tmp_path, text)) == harness.ExperimentConfig()
 
+    def test_every_declared_setting_is_parsed_and_declared_once(self):
+        # A dataclass that declares a setting the config does not hold would
+        # leave it unparsed, and a second declaration of a key would let two
+        # defaults and rules drift apart.
+        declared = []
+        for info in pkgutil.iter_modules(entrofed.__path__):
+            module = importlib.import_module(f"entrofed.{info.name}")
+            for cls in vars(module).values():
+                if not isinstance(cls, type) or not dataclasses.is_dataclass(cls):
+                    continue
+                if cls.__module__ != module.__name__:
+                    continue
+                for f in dataclasses.fields(cls):
+                    if "section" in f.metadata:
+                        entry = (f.metadata["section"], f.metadata["key"] or f.name)
+                        assert harness._KEYS[entry][:2] == (cls, f.name), entry
+                        declared.append(entry)
+        assert sorted(declared) == sorted(harness._KEYS)
 
-# A bad value of each trainer setting: (section, key, file text, the
-# dataclass and field the key sets, the field's value for that text).
-BAD_TRAINER_SETTINGS = [
+
+# A bad value of each trainer, partition and GLR data setting: (section,
+# key, file text, the dataclass and field the key sets, the field's value
+# for that text). Whole floats and zero counts are among them: a partition
+# spec once took 2.5 samples, failed in numpy at 3.0 clients, and built an
+# empty federation at 0 clients or empty designs at a GLR dimension and
+# sample count of 0.
+BAD_SETTINGS = [
     ("trainer", "method", "sgd", TrainerConfig, "method", "sgd"),
     ("trainer", "rounds", "0", TrainerConfig, "rounds", 0),
     ("trainer", "local_steps", "0", TrainerConfig, "local_steps", 0),
@@ -123,6 +151,17 @@ BAD_TRAINER_SETTINGS = [
     ("trainer", "batch_size", "0", TrainerConfig, "batch_size", 0),
     ("trainer", "tau_schedule", "sqrt", EbaConfig, "schedule", "sqrt"),
     ("trainer", "prior", "loss", EbaConfig, "prior", "loss"),
+    ("partition", "mode", "iid", PartitionSpec, "mode", "iid"),
+    ("partition", "clients", "0", PartitionSpec, "client_count", 0),
+    ("partition", "clients", "3.0", PartitionSpec, "client_count", 3.0),
+    ("partition", "shards_per_client", "0", PartitionSpec, "shards_per_client", 0),
+    ("partition", "shards_per_client", "1.5", PartitionSpec, "shards_per_client", 1.5),
+    ("partition", "min_samples_per_client", "-1", PartitionSpec, "min_samples_per_client", -1),
+    ("partition", "min_samples_per_client", "2.5", PartitionSpec, "min_samples_per_client", 2.5),
+    ("data", "glr_dim", "0", GlrSettings, "dimension", 0),
+    ("data", "glr_dim", "2.0", GlrSettings, "dimension", 2.0),
+    ("data", "samples_per_client", "0", GlrSettings, "samples_per_client", 0),
+    ("data", "samples_per_client", "inf", GlrSettings, "samples_per_client", math.inf),
 ]
 # the float settings, each with an out-of-range value, then non-finite ones
 FLOAT_SETTINGS = [
@@ -135,8 +174,12 @@ FLOAT_SETTINGS = [
     ("trainer", "qffl_q", "-1", QfflConfig, "q", float),
     ("trainer", "qffl_lipschitz", "0", QfflConfig, "lipschitz", float),
     ("metrics", "k_percent", "150", TrainerConfig, "k_percent", float),
+    ("partition", "dirichlet_alpha", "0", PartitionSpec, "dirichlet_alpha", float),
+    ("data", "design_scale", "0", GlrSettings, "design_scale", float),
+    ("data", "noise_std", "-0.1", GlrSettings, "noise_std", float),
+    ("data", "param_scale", "-1", GlrSettings, "param_scale", float),
 ]
-BAD_TRAINER_SETTINGS += [
+BAD_SETTINGS += [
     (section, key, text, cls, name, value(text))
     for section, key, bad, cls, name, value in FLOAT_SETTINGS
     for text in (bad, "inf", "-inf", "nan")
@@ -145,8 +188,8 @@ BAD_TRAINER_SETTINGS += [
 
 @pytest.mark.parametrize(
     "section, key, text, cls, name, value",
-    BAD_TRAINER_SETTINGS,
-    ids=[f"{key}={text}" for _, key, text, *_ in BAD_TRAINER_SETTINGS],
+    BAD_SETTINGS,
+    ids=[f"{key}={text}" for _, key, text, *_ in BAD_SETTINGS],
 )
 def test_one_rule_reached_from_file_and_dataclass(tmp_path, section, key, text, cls, name, value):
     path = write_cfg(tmp_path, f"[{section}]\n{key} = {text}\n")
@@ -181,11 +224,12 @@ class TestExperimentConfigChecks:
         "settings, message",
         [
             (
-                dict(clients=10, trainer=TrainerConfig(clients_per_round=30)),
+                dict(partition=PartitionSpec(client_count=10),
+                     trainer=TrainerConfig(clients_per_round=30)),
                 r"trainer\.clients_per_round must not exceed partition\.clients \(30 > 10\)",
             ),
             (
-                dict(data_kind="glr", glr_dim=9, samples_per_client=8),
+                dict(data_kind="glr", glr=GlrSettings(dimension=9, samples_per_client=8)),
                 r"data\.glr_dim must not exceed data\.samples_per_client \(rank condition\)",
             ),
             (dict(model="mlp", hidden_units=65), r"data\.hidden_units must be <= 64"),
@@ -195,13 +239,17 @@ class TestExperimentConfigChecks:
         with pytest.raises(ValueError, match=f"^{message}$"):
             harness.ExperimentConfig(**settings)
 
+    def test_rank_rule_holds_for_glr_only(self):
+        # blobs ignore the GLR settings, so the rank rule binds at kind = glr
+        cfg = harness.ExperimentConfig(glr=GlrSettings(dimension=9, samples_per_client=8))
+        assert cfg.data_kind == "blobs"
+
     def test_bounds_met_exactly_are_accepted(self):
         cfg = harness.ExperimentConfig(
             trainer=TrainerConfig(clients_per_round=10),
-            clients=10,
+            partition=PartitionSpec(client_count=10),
             data_kind="glr",
-            glr_dim=8,
-            samples_per_client=8,
+            glr=GlrSettings(dimension=8, samples_per_client=8),
             model="mlp",
             hidden_units=64,
         )
@@ -406,7 +454,7 @@ class TestBuildFederation:
         )
         fed, x0 = build_federation(cfg, seed=5)
         assert fed.m == 3
-        assert fed.dimension == cfg.glr_dim
+        assert fed.dimension == cfg.glr.dimension
         # Test targets come from an independent draw on matching truth.
         a = fed.train.objectives[0]
         b = fed.test.objectives[0]
@@ -428,31 +476,33 @@ class TestBuildFederation:
 # clients; test fractions 0.25 and 0.3 meet half-way roundings.
 FEDERATION_DIGESTS = {
     "shards-m50": (
-        dict(partition_mode="shards", clients=50, per_class=203, shards_per_client=2),
+        dict(partition=PartitionSpec("shards", client_count=50, shards_per_client=2),
+             per_class=203),
         "63a9c29307386545a94a61426805f64bf719601c9a5f7f4c32dbb2bd85121a0f",
     ),
     "shards-m500": (
-        dict(partition_mode="shards", clients=500, per_class=301, shards_per_client=3,
-             test_fraction=0.25),
+        dict(partition=PartitionSpec("shards", client_count=500, shards_per_client=3),
+             per_class=301, test_fraction=0.25),
         "92803d0ebde95ef94c5a0aa6199aa2a5fa63723712b74a7fb37f0abf7a261214",
     ),
     "shards-m2000": (
-        dict(partition_mode="shards", clients=2000, per_class=250, shards_per_client=1,
-             test_fraction=0.3),
+        dict(partition=PartitionSpec("shards", client_count=2000, shards_per_client=1),
+             per_class=250, test_fraction=0.3),
         "9bc7ee245482f08579d7e31ba2a79eeaec680c556a154d73e76fd1033b53373a",
     ),
     "dirichlet-m50": (
-        dict(partition_mode="dirichlet", clients=50, per_class=200, dirichlet_alpha=0.3),
+        dict(partition=PartitionSpec("dirichlet", client_count=50, dirichlet_alpha=0.3),
+             per_class=200),
         "09c4fa18539816ed718e0a887f2189f49ca5fd714aaf5e41b9ac6f5c3fc4fd19",
     ),
     "dirichlet-m500": (
-        dict(partition_mode="dirichlet", clients=500, per_class=500, dirichlet_alpha=1.0,
-             test_fraction=0.25),
+        dict(partition=PartitionSpec("dirichlet", client_count=500, dirichlet_alpha=1.0),
+             per_class=500, test_fraction=0.25),
         "019ab6fd0c5ad33f59b4e2048baf6b1f6c4d85b14122762bbaa762ae949eea9d",
     ),
     "dirichlet-m2000": (
-        dict(partition_mode="dirichlet", clients=2000, per_class=3000, dirichlet_alpha=5.0,
-             test_fraction=0.3),
+        dict(partition=PartitionSpec("dirichlet", client_count=2000, dirichlet_alpha=5.0),
+             per_class=3000, test_fraction=0.3),
         "285161c85f44d437489ce9c5902d61bd3db5b924af62a068ea78788caf87538e",
     ),
 }
@@ -525,10 +575,9 @@ class TestCmdRun:
 
     def test_methods_diverge_on_heterogeneous_data(self, tmp_path):
         base = parse_config(write_cfg(tmp_path, SMALL_RUN))
-        import dataclasses
-
         run = dataclasses.replace(base.trainer, rounds=12, clients_per_round=5)
-        eba_cfg = dataclasses.replace(base, clients=10, trainer=run)
+        partition = dataclasses.replace(base.partition, client_count=10)
+        eba_cfg = dataclasses.replace(base, partition=partition, trainer=run)
         avg_cfg = dataclasses.replace(eba_cfg, trainer=dataclasses.replace(run, method="fedavg"))
         fed, x0 = build_federation(eba_cfg, seed=1)
         r_eba, x_eba = run_training(fed, eba_cfg.trainer_config(1), x0)

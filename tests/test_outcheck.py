@@ -60,7 +60,7 @@ def test_a_fedeba_run_passes_the_range_check(tmp_path, monkeypatch):
         trained(rounds=5),
         trained(method="fedavg"),
         dataclasses.replace(cfg, data_kind="glr"),
-        dataclasses.replace(cfg, clients=7),
+        dataclasses.replace(cfg, partition=dataclasses.replace(cfg.partition, client_count=7)),
         dataclasses.replace(cfg, seeds=(1, 3)),
     ):
         assert outcheck.check_ranges(outputs, other), other
