@@ -89,7 +89,8 @@ class GlrSettings:
 
 @dataclass(frozen=True)
 class GlrFederationSpec:
-    """Linear-regression federation with per-client true parameters.
+    """Linear-regression federation with per-client true parameters, one
+    client per row of true_params.
 
     Designs are built with orthonormal columns scaled so that X^T X equals
     samples_per_client * design_scale * I exactly (up to rounding); targets
@@ -97,15 +98,14 @@ class GlrFederationSpec:
     ``settings``, whose param_scale is for the caller who draws true_params.
     """
 
-    client_count: int
-    true_params: np.ndarray  # (client_count, settings.dimension)
+    true_params: np.ndarray  # (clients, settings.dimension)
     settings: GlrSettings = GlrSettings()
     seed: int = 0
 
     def __post_init__(self):
         w = np.asarray(self.true_params, dtype=np.float64)
-        if w.shape != (self.client_count, self.settings.dimension):
-            raise ValueError("true_params must have shape (client_count, dimension)")
+        if w.ndim != 2 or not len(w) or w.shape[1] != self.settings.dimension:
+            raise ValueError("true_params must have shape (clients, dimension), clients >= 1")
         object.__setattr__(self, "true_params", w)
 
 
@@ -213,7 +213,7 @@ def train_test_split_indices(
         raise ValueError("test_fraction must be in (0, 1)")
     indices, sizes = assignment
     if not sizes.all():
-        raise ValueError("cannot split an empty client")
+        raise ValueError(f"cannot split an empty client: client {sizes.argmin()} has no samples")
     m = sizes.size
     owner = np.repeat(np.arange(m), sizes)
     u = ragged_uniforms(derive_seeds(rng.seed, np.arange(m)), sizes)
@@ -244,13 +244,13 @@ def gen_glr_federation(spec: GlrFederationSpec) -> list[GlrObjective]:
         raise ValueError("dimension cannot exceed samples_per_client (rank condition)")
     rng = SeededRng(spec.seed)
     objectives = []
-    for i in range(spec.client_count):
+    for i, w in enumerate(spec.true_params):
         client_rng = rng.derive(1, i)
         raw = client_rng.normals(n * d).reshape(n, d)
         q, _ = np.linalg.qr(raw)
         design = q * np.sqrt(n * glr.design_scale)
         noise = glr.noise_std * client_rng.normals(n)
-        targets = design @ spec.true_params[i] + noise
+        targets = design @ w + noise
         objectives.append(GlrObjective(design, targets))
     return objectives
 

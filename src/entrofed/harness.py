@@ -102,9 +102,9 @@ _PARSERS = {
     "int": (_number, "an integer"),
     "float": (float, "a number"),
     "str": (str, "text"),
-    "int | None": (lambda s: None if s == "full" else int(s), "an integer or full"),
+    "int | None": (lambda s: None if s == "full" else _number(s), "an integer or full"),
     "tuple[int, ...]": (
-        lambda s: tuple(int(p) for p in s.split(",") if p.strip()), "comma-separated integers"
+        lambda s: tuple(_number(p) for p in s.split(",") if p.strip()), "comma-separated integers"
     ),
 }
 
@@ -269,7 +269,7 @@ def build_federation(cfg: ExperimentConfig, seed: int) -> tuple[Federation, np.n
     w = glr.param_scale * root.derive(_TAG_GLR_PARAMS).normals(
         cfg.clients * glr.dimension
     ).reshape(cfg.clients, glr.dimension)
-    train_spec = GlrFederationSpec(cfg.clients, w, glr, root.derive(_TAG_GLR_TRAIN).seed)
+    train_spec = GlrFederationSpec(w, glr, root.derive(_TAG_GLR_TRAIN).seed)
     test_spec = replace(train_spec, seed=root.derive(_TAG_GLR_TEST).seed)
     sides = (stack_objectives(gen_glr_federation(spec)) for spec in (train_spec, test_spec))
     return Federation(*sides), np.zeros(glr.dimension)
@@ -356,12 +356,14 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     out = _resolve_output_dir(cfg)
     finals: dict[int, RoundReport] = {}
     for seed in cfg.seeds:
-        federation, x0 = build_federation(cfg, seed)
-        reports: list[RoundReport] = []
+        reports: list[RoundReport] | None = None
         try:
+            federation, x0 = build_federation(cfg, seed)
+            reports = []
             run_training(federation, cfg.trainer_config(seed), x0, lambda r, _: reports.append(r))
         except (ValueError, RuntimeError, ZeroDivisionError) as exc:
-            raise type(exc)(f"{exc} (seed {seed}, round {len(reports) + 1})") from exc
+            at = "" if reports is None else f", round {len(reports) + 1}"
+            raise type(exc)(f"{exc} (seed {seed}{at})") from exc
         _write_complete(out / f"rounds_seed{seed}.csv", write_rounds_csv, reports)
         finals[seed] = reports[-1]
     _write_complete(out / "summary.txt", write_summary, cfg, finals)

@@ -7,7 +7,9 @@ Three concrete families share one interface:
 * :class:`ClassifierObjective` -- softmax regression or a one-hidden-layer
   MLP with hand-written backpropagation.
 
-:mod:`entrofed.stacks` evaluates many objectives of one family together.
+:mod:`entrofed.stacks` evaluates many objectives of one family together,
+bit for bit as their own methods, which are plain numpy: the reference
+that the stacks' bound kernels are checked against.
 
 Model parameters are always a single flat float64 vector; the layout per
 architecture is documented on the class. Objectives are immutable after
@@ -16,7 +18,6 @@ construction and safe to evaluate concurrently.
 
 from __future__ import annotations
 
-import functools
 from abc import ABC, abstractmethod
 
 import numpy as np
@@ -133,44 +134,10 @@ class GlrObjective(LocalObjective):
         return X.T @ (X @ w - y) / len(y)
 
 
-def _run(calls) -> None:
-    """Make the numpy calls of a bound kernel in turn: ``(function,
-    arguments)`` pairs over views made when it was bound."""
-    for function, args in calls:
-        function(*args)
-
-
-def _iadd(dst, src) -> tuple:
-    """The numpy call of ``dst += src``."""
-    return np.add, (dst, src, dst)
-
-
-def _column_sum_plan(a: np.ndarray) -> list[tuple]:
-    """The in-place adds, as numpy calls in order, that leave in ``a[0]``
-    the sums ``a.sum(axis=0)`` in the order numpy's pairwise sum gives each
-    row of a C-ordered ``a.T``, so bit for bit that row sum but for the sign
-    and payload of a NaN. The adds overwrite ``a``; planned once, they sum
-    whatever ``a`` holds each time they run.
-
-    Below 8 terms the sum is sequential. Up to 128 it keeps 8 interleaved
-    partial sums, combined as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, and
-    adds the remainder in sequence. Above 128 it sums two halves, split at a
-    multiple of 8, into their first rows, then adds the second to the
-    first. Numpy's sum starts from +0.0, which only turns a column of -0.0
-    to +0.0; adding +0.0 to the first term does the same.
-    """
-    n = a.shape[0]
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return [*_column_sum_plan(a[:half]), *_column_sum_plan(a[half:]), _iadd(a[0], a[half])]
-    out = a[0]
-    adds = [_iadd(out, 0.0)]
-    if n < 8:
-        return adds + [_iadd(out, row) for row in a[1:]]
-    r = a[:8]
-    adds += [_iadd(r, a[i : i + 8]) for i in range(8, n - n % 8, 8)]
-    adds += [_iadd(r[::2], r[1::2]), _iadd(r[::4], r[2::4]), _iadd(out, r[4])]
-    return adds + [_iadd(out, row) for row in a[n - n % 8 :]]
+def _log_softmax(logits: np.ndarray) -> np.ndarray:
+    """Row-wise log-softmax, shifted by each row's max."""
+    z = logits - logits.max(axis=-1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
 _ACTIVATIONS = ("identity", "tanh", "relu")
@@ -273,180 +240,33 @@ class ClassifierObjective(LocalObjective):
             w, b = self._unpack(x)
             return feats @ w + b, None
         w1, b1, w2, b2 = self._unpack(x)
-        act = feats @ w1 + b1
-        _run(self._activate(act))
+        pre = feats @ w1 + b1
+        act = np.tanh(pre) if self.activation == "tanh" else np.maximum(pre, 0.0)
         return act @ w2 + b2, act
-
-    def _activate(self, pre: np.ndarray) -> list:
-        """The calls that apply the hidden activation to ``pre`` in place."""
-        if self.activation == "tanh":
-            return [(np.tanh, (pre, pre))]
-        # np.maximum takes its out by keyword only
-        return [(functools.partial(np.maximum, out=pre), (pre, 0.0))]
-
-    def _through_activation(self, dact: np.ndarray, act: np.ndarray, mask: np.ndarray) -> list:
-        """The calls that take the gradient in the activations ``dact`` to
-        that in the pre-activations, in place: times 1 - act^2 for tanh,
-        which overwrites act, or times the relu mask, which act > 0 gives
-        exactly as the pre-activations would, into ``mask``, a bool array
-        of act's shape."""
-        if self.activation == "tanh":
-            slope = [(np.square, (act, act)), (np.subtract, (1.0, act, act))]
-            return [*slope, (np.multiply, (dact, act, dact))]
-        return [(np.greater, (act, 0.0, mask)), (np.multiply, (dact, mask, dact))]
-
-    # The class-axis kernels come in bind-time forms: each takes the arrays
-    # it reads and writes and returns its numpy calls, which a stack's pass
-    # makes over views of its arena, call after call. Their per-client forms
-    # run them once on fresh arrays.
-
-    @staticmethod
-    def _bind_class_major(rows, z, rowmax, exps, bias=None) -> list:
-        """The calls that put into the (classes, rows) array ``z`` the
-        (rows, classes) logits ``rows`` less each row's max, as one
-        class-major copy, and into ``exps[0]`` the log of each row's sum of
-        exp(z); ``rowmax`` takes the maxima and ``exps`` the exponentials.
-        Numpy reduces a short last axis one row at a time, so the row max
-        and row sum run down the columns of the copy. A max is exact, and
-        _column_sum_plan keeps numpy's pairwise order, so z - lse is
-        z - log(exp(z).sum(axis=-1)) for z = logits - logits.max(axis=-1)
-        bit for bit, but for the sign and payload of a NaN. ``bias``, a
-        (classes, 1) column, is the last layer's bias if the logits leave
-        it out: it is added to the copy, one contiguous add per class, the
-        same sums a row-wise add makes."""
-        lse = exps[0]
-        calls = [(z.__setitem__, (Ellipsis, rows.T))]
-        if bias is not None:
-            calls.append((np.add, (z, bias, z)))
-        return [
-            *calls,
-            (np.maximum.reduce, (z, 0, None, rowmax)),
-            (np.subtract, (z, rowmax, z)),
-            (np.exp, (z, exps)),
-            *_column_sum_plan(exps),
-            (np.log, (lse, lse)),
-        ]
-
-    @staticmethod
-    def _bind_log_softmax(rows, z, rowmax, exps) -> list:
-        """The calls that leave the log-softmax of ``rows`` in ``z``,
-        class-major: :meth:`_bind_class_major`'s, less the log-sum."""
-        calls = ClassifierObjective._bind_class_major(rows, z, rowmax, exps)
-        return [*calls, (np.subtract, (z, exps[0], z))]
-
-    @staticmethod
-    def _bind_target_log_probs(z, lse, at, picked) -> list:
-        """The calls that put into ``picked`` each row's log-softmax at its
-        label: the one entry of its column of :meth:`_bind_class_major`'s
-        ``z`` that a loss reads, less the column's log-sum ``lse``, which is
-        the subtraction :meth:`_bind_log_softmax` makes there. ``at`` holds
-        those entries' flat positions in z, label * rows + row."""
-        # positions in range by construction: "clip" takes straight into out
-        return [
-            (z.reshape(-1).take, (at, None, picked, "clip")),
-            (np.subtract, (picked, lse, picked)),
-        ]
-
-    @staticmethod
-    def _bind_class_major_hits(z, rowmax, at, labels, out, zeros):
-        """A kernel that writes whether each row's label is its argmax, as
-        1.0 or 0.0, into ``out`` and returns it, from
-        :meth:`_bind_class_major`'s ``z`` and ``rowmax``, with ``at`` as in
-        :meth:`_bind_target_log_probs`: a row's label entry of z is 0 and no
-        lower class's is, numpy's first-max rule. A row holds one 0 unless
-        it ties, so only when z holds more zeros than rows are the tied
-        rows' lower classes looked at; ``zeros``, a bool array of z's
-        shape, takes the mask of them. It returns None, with nothing
-        written, when a row max is not finite: z then holds NaN where argmax
-        sees a max."""
-        flat, rows = z.reshape(-1), z.shape[1]
-
-        def hits():
-            if not np.isfinite(rowmax).all():
-                return None
-            np.equal(z, 0.0, out=zeros)
-            np.equal(flat.take(at, out=out, mode="clip"), 0.0, out=out)
-            if np.count_nonzero(zeros) > rows:
-                tied = np.flatnonzero(np.count_nonzero(zeros, axis=0) > 1)
-                out[tied] = zeros[:, tied].argmax(axis=0) == labels[tied]
-            return out
-
-        return hits
-
-    @staticmethod
-    def _bind_probs_minus_labels(logp, at, probs, spare) -> list:
-        """The calls that put into ``probs`` exp(logp) minus the one-hot
-        labels: the gradient of each row's cross-entropy in its logits. A
-        one-hot matrix would change only the label entries (x - 0.0 == x),
-        so one is subtracted there, at their flat positions in the
-        C-ordered ``probs``, row * classes + label, which ``at`` holds,
-        by way of ``spare``, a vector of one entry per row."""
-        flat = probs.reshape(-1)
-        return [
-            (np.exp, (logp, probs)),
-            (flat.take, (at, None, spare, "clip")),
-            (np.subtract, (spare, 1.0, spare)),
-            (flat.__setitem__, (at, spare)),
-        ]
-
-    @staticmethod
-    def _fresh_class_major(logits: np.ndarray):
-        """(rows, z, rowmax, exps): the logits' (rows, classes) view and new
-        arrays for :meth:`_bind_class_major` to write."""
-        rows = logits.reshape(-1, logits.shape[-1])
-        return rows, np.empty(rows.shape[::-1]), np.empty(len(rows)), np.empty(rows.shape[::-1])
-
-    @staticmethod
-    def _log_softmax(logits: np.ndarray) -> np.ndarray:
-        rows, z, rowmax, exps = ClassifierObjective._fresh_class_major(logits)
-        _run(ClassifierObjective._bind_log_softmax(rows, z, rowmax, exps))
-        return z.T.reshape(logits.shape)
-
-    @staticmethod
-    def _target_log_probs(logits: np.ndarray, labels) -> np.ndarray:
-        rows, z, rowmax, exps = ClassifierObjective._fresh_class_major(logits)
-        at = labels.ravel() * len(rows) + np.arange(len(rows))
-        picked = np.empty(len(rows))
-        _run(ClassifierObjective._bind_class_major(rows, z, rowmax, exps))
-        _run(ClassifierObjective._bind_target_log_probs(z, exps[0], at, picked))
-        return picked
-
-    @staticmethod
-    def _probs_minus_labels(logp: np.ndarray, labels) -> np.ndarray:
-        classes = logp.shape[-1]
-        rows = logp.size // classes
-        probs = np.empty(logp.shape)
-        at = np.arange(rows) * classes + labels.ravel()
-        _run(ClassifierObjective._bind_probs_minus_labels(logp, at, probs, np.empty(rows)))
-        return probs
 
     def loss(self, x, subset=None) -> float:
         arr = self._check_x(x)
         feats, labels = self._rows(subset)
-        return float(-self._target_log_probs(self._logits(arr, feats)[0], labels).mean())
+        logp = _log_softmax(self._logits(arr, feats)[0])
+        # the mean of the rows' cross-entropies, each minus a log-probability,
+        # so that a loss of exactly 0 is +0.0, as numpy's sum from +0.0 gives
+        return float(np.mean(-logp[np.arange(len(labels)), labels]))
 
     def gradient(self, x, subset=None) -> np.ndarray:
         arr = self._check_x(x)
         feats, labels = self._rows(subset)
         logits, act = self._logits(arr, feats)
-        dlogits = self._probs_minus_labels(self._log_softmax(logits), labels)
+        # each row's gradient in its logits, over the batch size: the
+        # softmax less the one-hot labels
+        dlogits = np.exp(_log_softmax(logits))
+        dlogits[np.arange(len(labels)), labels] -= 1.0
         dlogits /= len(labels)
-        return self._backprop(arr, feats, dlogits, act)
-
-    def _backprop(self, arr, feats, dlogits, act) -> np.ndarray:
-        """Gradient at ``arr`` of the batch's mean cross-entropy, from
-        ``dlogits`` (each row's gradient in its logits, over the batch size)
-        and the forward pass's hidden activations."""
         if self.hidden == 0:
             return np.concatenate([(feats.T @ dlogits).ravel(), dlogits.sum(axis=0)])
-        w2 = self._unpack(arr)[2]
-        dw2 = act.T @ dlogits
-        db2 = dlogits.sum(axis=0)
-        dpre = dlogits @ w2.T
-        _run(self._through_activation(dpre, act, np.empty(act.shape, bool)))
-        dw1 = feats.T @ dpre
-        db1 = dpre.sum(axis=0)
-        return np.concatenate([dw1.ravel(), db1, dw2.ravel(), db2])
+        dpre = dlogits @ self._unpack(arr)[2].T
+        dpre *= 1.0 - act * act if self.activation == "tanh" else act > 0
+        dw1, dw2 = feats.T @ dpre, act.T @ dlogits
+        return np.concatenate([dw1.ravel(), dpre.sum(axis=0), dw2.ravel(), dlogits.sum(axis=0)])
 
     def accuracy(self, x, subset=None) -> float:
         """Fraction of correct argmax predictions, in [0, 1]."""

@@ -36,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from entrofed.objectives import ClassifierObjective, GlrObjective, _run
+from entrofed.objectives import ClassifierObjective, GlrObjective
 
 
 # Rows per pass in stacked evaluation, at 10 classes. A pass holds whole
@@ -526,6 +526,159 @@ class _GlrStack(_RowStack):
         return self.losses(self.model._check_x(x)), np.full(self.m, np.nan)
 
 
+# A bound pass is a list of (numpy function, arguments) calls over views
+# made when it is bound. The kernels below return such calls for the
+# arrays they are given; ClassifierObjective's per-client loss and gradient
+# are the plain numpy forms that they are checked against, bit for bit.
+
+
+def _run(calls) -> None:
+    """Make the numpy calls of a bound kernel in turn."""
+    for function, args in calls:
+        function(*args)
+
+
+def _iadd(dst, src) -> tuple:
+    """The numpy call of ``dst += src``."""
+    return np.add, (dst, src, dst)
+
+
+def _column_sum_plan(a: np.ndarray) -> list[tuple]:
+    """The in-place adds, as numpy calls in order, that leave in ``a[0]``
+    the sums ``a.sum(axis=0)`` in the order numpy's pairwise sum gives each
+    row of a C-ordered ``a.T``, so bit for bit that row sum but for the sign
+    and payload of a NaN. The adds overwrite ``a``; planned once, they sum
+    whatever ``a`` holds each time they run.
+
+    Below 8 terms the sum is sequential. Up to 128 it keeps 8 interleaved
+    partial sums, combined as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, and
+    adds the remainder in sequence. Above 128 it sums two halves, split at a
+    multiple of 8, into their first rows, then adds the second to the
+    first. Numpy's sum starts from +0.0, which only turns a column of -0.0
+    to +0.0; adding +0.0 to the first term does the same.
+    """
+    n = a.shape[0]
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return [*_column_sum_plan(a[:half]), *_column_sum_plan(a[half:]), _iadd(a[0], a[half])]
+    out = a[0]
+    adds = [_iadd(out, 0.0)]
+    if n < 8:
+        return adds + [_iadd(out, row) for row in a[1:]]
+    r = a[:8]
+    adds += [_iadd(r, a[i : i + 8]) for i in range(8, n - n % 8, 8)]
+    adds += [_iadd(r[::2], r[1::2]), _iadd(r[::4], r[2::4]), _iadd(out, r[4])]
+    return adds + [_iadd(out, row) for row in a[n - n % 8 :]]
+
+
+def _activate(activation: str, pre: np.ndarray) -> list:
+    """The calls that apply the hidden activation to ``pre`` in place."""
+    if activation == "tanh":
+        return [(np.tanh, (pre, pre))]
+    # np.maximum takes its out by keyword only
+    return [(functools.partial(np.maximum, out=pre), (pre, 0.0))]
+
+
+def _through_activation(activation: str, dact, act, mask) -> list:
+    """The calls that take the gradient in the activations ``dact`` to
+    that in the pre-activations, in place: times 1 - act^2 for tanh,
+    which overwrites act, or times the relu mask, which act > 0 gives
+    exactly as the pre-activations would, into ``mask``, a bool array
+    of act's shape."""
+    if activation == "tanh":
+        slope = [(np.square, (act, act)), (np.subtract, (1.0, act, act))]
+        return [*slope, (np.multiply, (dact, act, dact))]
+    return [(np.greater, (act, 0.0, mask)), (np.multiply, (dact, mask, dact))]
+
+
+def _bind_class_major(rows, z, rowmax, exps, bias=None) -> list:
+    """The calls that put into the (classes, rows) array ``z`` the
+    (rows, classes) logits ``rows`` less each row's max, as one
+    class-major copy, and into ``exps[0]`` the log of each row's sum of
+    exp(z); ``rowmax`` takes the maxima and ``exps`` the exponentials.
+    Numpy reduces a short last axis one row at a time, so the row max
+    and row sum run down the columns of the copy. A max is exact, and
+    _column_sum_plan keeps numpy's pairwise order, so z - lse is
+    z - log(exp(z).sum(axis=-1)) for z = logits - logits.max(axis=-1)
+    bit for bit, but for the sign and payload of a NaN. ``bias``, a
+    (classes, 1) column, is the last layer's bias if the logits leave
+    it out: it is added to the copy, one contiguous add per class, the
+    same sums a row-wise add makes."""
+    lse = exps[0]
+    calls = [(z.__setitem__, (Ellipsis, rows.T))]
+    if bias is not None:
+        calls.append((np.add, (z, bias, z)))
+    return [
+        *calls,
+        (np.maximum.reduce, (z, 0, None, rowmax)),
+        (np.subtract, (z, rowmax, z)),
+        (np.exp, (z, exps)),
+        *_column_sum_plan(exps),
+        (np.log, (lse, lse)),
+    ]
+
+
+def _bind_log_softmax(rows, z, rowmax, exps) -> list:
+    """The calls that leave the log-softmax of ``rows`` in ``z``,
+    class-major: :func:`_bind_class_major`'s, less the log-sum."""
+    return [*_bind_class_major(rows, z, rowmax, exps), (np.subtract, (z, exps[0], z))]
+
+
+def _bind_target_log_probs(z, lse, at, picked) -> list:
+    """The calls that put into ``picked`` each row's log-softmax at its
+    label: the one entry of its column of :func:`_bind_class_major`'s
+    ``z`` that a loss reads, less the column's log-sum ``lse``, which is
+    the subtraction :func:`_bind_log_softmax` makes there. ``at`` holds
+    those entries' flat positions in z, label * rows + row."""
+    # positions in range by construction: "clip" takes straight into out
+    return [
+        (z.reshape(-1).take, (at, None, picked, "clip")),
+        (np.subtract, (picked, lse, picked)),
+    ]
+
+
+def _bind_class_major_hits(z, rowmax, at, labels, out, zeros):
+    """A kernel that writes whether each row's label is its argmax, as
+    1.0 or 0.0, into ``out`` and returns it, from
+    :func:`_bind_class_major`'s ``z`` and ``rowmax``, with ``at`` as in
+    :func:`_bind_target_log_probs`: a row's label entry of z is 0 and no
+    lower class's is, numpy's first-max rule. A row holds one 0 unless
+    it ties, so only when z holds more zeros than rows are the tied
+    rows' lower classes looked at; ``zeros``, a bool array of z's
+    shape, takes the mask of them. It returns None, with nothing
+    written, when a row max is not finite: z then holds NaN where argmax
+    sees a max."""
+    flat, rows = z.reshape(-1), z.shape[1]
+
+    def hits():
+        if not np.isfinite(rowmax).all():
+            return None
+        np.equal(z, 0.0, out=zeros)
+        np.equal(flat.take(at, out=out, mode="clip"), 0.0, out=out)
+        if np.count_nonzero(zeros) > rows:
+            tied = np.flatnonzero(np.count_nonzero(zeros, axis=0) > 1)
+            out[tied] = zeros[:, tied].argmax(axis=0) == labels[tied]
+        return out
+
+    return hits
+
+
+def _bind_probs_minus_labels(logp, at, probs, spare) -> list:
+    """The calls that put into ``probs`` exp(logp) minus the one-hot
+    labels: the gradient of each row's cross-entropy in its logits. A
+    one-hot matrix would change only the label entries (x - 0.0 == x),
+    so one is subtracted there, at their flat positions in the
+    C-ordered ``probs``, row * classes + label, which ``at`` holds,
+    by way of ``spare``, a vector of one entry per row."""
+    flat = probs.reshape(-1)
+    return [
+        (np.exp, (logp, probs)),
+        (flat.take, (at, None, spare, "clip")),
+        (np.subtract, (spare, 1.0, spare)),
+        (flat.__setitem__, (at, spare)),
+    ]
+
+
 def _affine(rows, out, outs, w, b=None) -> list:
     """The calls of ``rows @ w + b`` over a pass into its arena array
     ``out``, whose segments are ``outs``, from those of ``rows``: per
@@ -620,7 +773,7 @@ class _ClassifierStack(_RowStack):
         w1, b1, w2, b2 = layers
         return [
             *_affine(parts["inputs"], views["hidden"], parts["hidden"], w1, b1),
-            *self.model._activate(views["hidden"]),
+            *_activate(self.model.activation, views["hidden"]),
             *_affine(parts["hidden"], views["logits"], parts["logits"], w2, b2),
         ]
 
@@ -638,7 +791,7 @@ class _ClassifierStack(_RowStack):
             layers, bias = (*layers[:-1], None), layers[-1].T
         z, lse, picked = views["shifted"], views["exps"][0], views["picked"]
         calls = self._forward(p, layers)
-        calls += model._bind_class_major(views["logits"], z, views["rowmax"], views["exps"], bias)
+        calls += _bind_class_major(views["logits"], z, views["rowmax"], views["exps"], bias)
         at, parts = p.at, p.parts["picked"]
         if rows is not None:
             # each row's label entry, as in _bind, of the labels the plan
@@ -646,7 +799,7 @@ class _ClassifierStack(_RowStack):
             n = len(p.targets)
             at, base = np.empty(n, dtype=np.int64), np.arange(n)
             calls += [(np.multiply, (p.targets, n, at)), (np.add, (at, base, at))]
-        calls += model._bind_target_log_probs(z, lse, at, picked)
+        calls += _bind_target_log_probs(z, lse, at, picked)
         calls.append((np.negative, (picked, picked)))
         if rows is not None:
             # A client's loss is the mean of its rows' losses summed in
@@ -680,7 +833,7 @@ class _ClassifierStack(_RowStack):
         calls = []
         for p in passes:
             views = p.views
-            hits = self.model._bind_class_major_hits(
+            hits = _bind_class_major_hits(
                 views["shifted"], views["rowmax"], p.at, p.targets, views["picked"], views["zeros"]
             )
 
@@ -723,9 +876,9 @@ class _ClassifierStack(_RowStack):
         z, probs, deltas = views["shifted"], views["probs"], parts["probs"]
         calls = [
             *self._forward(p, layers),
-            *model._bind_log_softmax(views["logits"], z, views["rowmax"], views["exps"]),
+            *_bind_log_softmax(views["logits"], z, views["rowmax"], views["exps"]),
             (np.add, (base, p.targets, at)),
-            *model._bind_probs_minus_labels(z.T, at, probs, views["picked"]),
+            *_bind_probs_minus_labels(z.T, at, probs, views["picked"]),
             (np.divide, (probs, counts, probs)),
         ]
         if model.hidden:
@@ -735,7 +888,9 @@ class _ClassifierStack(_RowStack):
             calls += [
                 *_weight_grads(hidden_t, deltas, dws[1], sum_parts[1]),
                 *_affine(deltas, views["dhidden"], parts["dhidden"], w2_t),
-                *model._through_activation(views["dhidden"], views["hidden"], views.get("mask")),
+                *_through_activation(
+                    model.activation, views["dhidden"], views["hidden"], views.get("mask")
+                ),
             ]
             deltas = parts["dhidden"]
         calls += _weight_grads(inputs_t, deltas, dws[0], sum_parts[0])

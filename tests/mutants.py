@@ -53,6 +53,7 @@ QFFL = "tests/test_aggregation.py::TestQfflStep"
 CHI = "tests/test_trainer.py::TestChiSquareOrInf"
 WHOLE_RUN = "tests/test_trainer.py::TestWholeRunMatchesPerClientLoop"
 KERNELS = "tests/test_objectives.py::TestClassAxisKernels"
+WIDE = f"{TEST_OBJECTIVES}::test_matches_per_client_calls_at_wide_class_axes"
 RUN_PLAN = "tests/test_trainer.py::TestRunPlan::test_a_refilled_plan_gives_the_bits_of_fresh_plans"
 HARNESS = "src/entrofed/harness.py"
 CORE = "src/entrofed/core.py"
@@ -131,6 +132,13 @@ MUTANTS = (
         "np.add.reduce(ranked[end - count : end][::-1])",
         "np.add.reduce(ranked[end - count : end])",
         (f"{TAILS}::test_one_sort_gives_both_tails",),
+    ),
+    Mutant(
+        "cohort-results-gathered-by-order",
+        TRAINER,
+        "back = np.argsort(order)",
+        "back = order",
+        (f"{COHORT}::test_classifier_cohort", f"{COHORT}::test_glr_cohort"),
     ),
     Mutant(
         "orders-gather-at-an-epoch-stride-of-n-plus-1",
@@ -243,7 +251,7 @@ MUTANTS = (
     ),
     Mutant(
         "class-major-hits-without-tie-check",
-        OBJECTIVES,
+        STACKS,
         "if np.count_nonzero(zeros) > rows:",
         "if False:",
         (
@@ -253,7 +261,7 @@ MUTANTS = (
     ),
     Mutant(
         "class-major-hits-without-non-finite-fallback",
-        OBJECTIVES,
+        STACKS,
         "if not np.isfinite(rowmax).all():",
         "if False:",
         (
@@ -264,24 +272,86 @@ MUTANTS = (
     # the planned column sums: numpy's pairwise order, branch by branch
     Mutant(
         "column-sums-sequential-at-8-terms",
-        OBJECTIVES,
+        STACKS,
         "    if n < 8:\n        return adds",
         "    if n < 9:\n        return adds",
-        (f"{KERNELS}::test_column_sums_are_numpys_row_sums",),
+        (f"{KERNELS}::test_column_sums_are_numpys_row_sums", f"{WIDE}[softmax-c8]"),
     ),
     Mutant(
         "column-sums-paired-by-halves",
-        OBJECTIVES,
+        STACKS,
         "adds += [_iadd(r[::2], r[1::2]), _iadd(r[::4], r[2::4]), _iadd(out, r[4])]",
         "adds += [_iadd(r[:4], r[4:]), _iadd(r[:2], r[2:4]), _iadd(out, r[1])]",
-        (f"{KERNELS}::test_column_sums_are_numpys_row_sums",),
+        (
+            f"{KERNELS}::test_column_sums_are_numpys_row_sums",
+            f"{WIDE}[softmax-c10]",
+            f"{WIDE}[softmax-c130]",
+        ),
     ),
     Mutant(
         "column-sums-split-off-a-multiple-of-8",
-        OBJECTIVES,
+        STACKS,
         "half = n // 2 - n // 2 % 8",
         "half = n // 2",
-        (f"{KERNELS}::test_column_sums_are_numpys_row_sums",),
+        (f"{KERNELS}::test_column_sums_are_numpys_row_sums", f"{WIDE}[softmax-c130]"),
+    ),
+    # the per-client reference that the stacks are checked against
+    Mutant(
+        "reference-tanh-slope-without-its-square",
+        OBJECTIVES,
+        "dpre *= 1.0 - act * act if",
+        "dpre *= 1.0 - act if",
+        (
+            f"{TEST_OBJECTIVES}::test_gradients_at_own_parameters_are_bitwise_per_client[mlp-tanh]",
+            f"{TEST_OBJECTIVES}::test_matches_per_client_calls[mlp-tanh]",
+        ),
+    ),
+    Mutant(
+        "reference-relu-slope-at-zero",
+        OBJECTIVES,
+        "else act > 0",
+        "else act >= 0",
+        (
+            f"{TEST_OBJECTIVES}::test_gradients_at_own_parameters_are_bitwise_per_client[mlp-relu]",
+            f"{TEST_OBJECTIVES}::test_matches_per_client_calls[mlp-relu]",
+        ),
+    ),
+    Mutant(
+        "reference-one-hot-at-the-wrong-label",
+        OBJECTIVES,
+        "dlogits[np.arange(len(labels)), labels] -= 1.0",
+        "dlogits[np.arange(len(labels)), labels - 1] -= 1.0",
+        (
+            f"{TEST_OBJECTIVES}::test_full_set_gradients_of_mixed_sizes[softmax]",
+            f"{TEST_OBJECTIVES}::test_gradients_at_own_parameters_are_bitwise_per_client[softmax]",
+        ),
+    ),
+    Mutant(
+        "reference-loss-at-the-wrong-label",
+        OBJECTIVES,
+        "-logp[np.arange(len(labels)), labels])",
+        "-logp[np.arange(len(labels)), labels - 1])",
+        (
+            f"{TEST_OBJECTIVES}::test_classifier_and_glr_losses_are_bitwise_per_client",
+            f"{TEST_OBJECTIVES}::test_matches_per_client_calls[softmax]",
+        ),
+    ),
+    Mutant(
+        "reference-loss-negated-after-the-mean",
+        OBJECTIVES,
+        "float(np.mean(-logp[np.arange(len(labels)), labels]))",
+        "float(-np.mean(logp[np.arange(len(labels)), labels]))",
+        (f"{TEST_OBJECTIVES}::test_accuracies_at_tied_and_non_finite_logits[softmax]",),
+    ),
+    Mutant(
+        "reference-log-softmax-unshifted",
+        OBJECTIVES,
+        "    z = logits - logits.max(axis=-1, keepdims=True)\n",
+        "    z = logits\n",
+        (
+            f"{TEST_OBJECTIVES}::test_full_sets_at_own_parameters_are_bitwise_per_client[softmax]",
+            f"{WIDE}[softmax-c10]",
+        ),
     ),
     # bound kernels that would keep, from when they were bound, a value
     # that changes between their calls

@@ -246,8 +246,8 @@ class TestTrainTestSplit:
             assert np.array_equal(x[0], y[0]) and np.array_equal(x[1], y[1])
 
     def test_rejects_empty_client_and_bad_fraction(self):
-        with pytest.raises(ValueError, match="empty client"):
-            train_test_split_indices((np.arange(3), np.array([3, 0])), 0.2, SeededRng(0))
+        with pytest.raises(ValueError, match="^cannot split an empty client: client 2 has no"):
+            train_test_split_indices((np.arange(5), np.array([3, 2, 0, 0])), 0.2, SeededRng(0))
         with pytest.raises(ValueError, match="test_fraction"):
             train_test_split_indices((np.arange(3), np.array([3])), 1.0, SeededRng(0))
 
@@ -278,7 +278,7 @@ class TestGlrFederation:
     def _spec(self, w, noise=0.0, seed=0, n=16, b=2.0):
         w = np.asarray(w, dtype=np.float64)
         glr = GlrSettings(w.shape[1], n, design_scale=b, noise_std=noise)
-        return GlrFederationSpec(w.shape[0], w, glr, seed)
+        return GlrFederationSpec(w, glr, seed)
 
     def test_design_gram_structure(self):
         rng = SeededRng(18)
@@ -301,8 +301,15 @@ class TestGlrFederation:
         w = np.zeros((2, 5))
         with pytest.raises(ValueError, match="rank"):
             gen_glr_federation(
-                GlrFederationSpec(2, w, GlrSettings(dimension=5, samples_per_client=3))
+                GlrFederationSpec(w, GlrSettings(dimension=5, samples_per_client=3))
             )
+
+    def test_one_client_per_row_of_true_params(self):
+        glr = GlrSettings(dimension=4, samples_per_client=6)
+        assert len(gen_glr_federation(GlrFederationSpec(np.zeros((3, 4)), glr))) == 3
+        for shape in [(0, 4), (4,), (3, 5), (1, 3, 4)]:
+            with pytest.raises(ValueError, match=r"shape \(clients, dimension\), clients >= 1"):
+                GlrFederationSpec(np.zeros(shape), glr)
 
     def test_determinism(self):
         rng = SeededRng(20)

@@ -149,6 +149,7 @@ BAD_SETTINGS = [
     ("trainer", "local_steps", "0", TrainerConfig, "local_steps", 0),
     ("trainer", "clients_per_round", "-1", TrainerConfig, "clients_per_round", -1),
     ("trainer", "batch_size", "0", TrainerConfig, "batch_size", 0),
+    ("trainer", "batch_size", "2.5", TrainerConfig, "batch_size", 2.5),
     ("trainer", "tau_schedule", "sqrt", EbaConfig, "schedule", "sqrt"),
     ("trainer", "prior", "loss", EbaConfig, "prior", "loss"),
     ("partition", "mode", "iid", PartitionSpec, "mode", "iid"),
@@ -162,6 +163,7 @@ BAD_SETTINGS = [
     ("data", "glr_dim", "2.0", GlrSettings, "dimension", 2.0),
     ("data", "samples_per_client", "0", GlrSettings, "samples_per_client", 0),
     ("data", "samples_per_client", "inf", GlrSettings, "samples_per_client", math.inf),
+    ("run", "seeds", "1.0,2", harness.ExperimentConfig, "seeds", (1.0, 2)),
 ]
 # the float settings, each with an out-of-range value, then non-finite ones
 FLOAT_SETTINGS = [
@@ -648,6 +650,24 @@ class TestCmdRun:
         assert main(["run", "--config", str(write_cfg(tmp_path, SMALL_RUN))]) == 1
         assert capsys.readouterr().err == "error: boom (seed 2, round 3)\n"
         assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["rounds_seed1.csv"]
+
+    def test_a_set_up_error_names_its_seed_and_client(self, tmp_path, capsys, monkeypatch):
+        # With no minimum, a Dirichlet(0.1) partition of 15 samples among 8
+        # clients leaves clients 0 and 7 empty at seed 3, which the train/test
+        # split cannot take; the partition alone is fine.
+        text = (
+            "[trainer]\nrounds = 2\nclients_per_round = 2\n\n"
+            "[data]\nclasses = 3\nper_class = 5\ndim = 2\n\n"
+            "[partition]\nclients = 8\ndirichlet_alpha = 0.1\nmin_samples_per_client = 0\n\n"
+            "[run]\nseeds = 3\n"
+        )
+        cfg = str(write_cfg(tmp_path, text))
+        monkeypatch.setenv("ENTROFED_OUTPUT_DIR", str(tmp_path / "out"))
+        assert main(["partition", "--config", cfg]) == 0
+        assert main(["run", "--config", cfg]) == 1
+        assert capsys.readouterr().err == (
+            "error: cannot split an empty client: client 0 has no samples (seed 3)\n"
+        )
 
     def test_underflowed_weights_write_an_infinite_chi_square(self, tmp_path, monkeypatch):
         # README's example: the participants' losses lie so far apart at

@@ -1,7 +1,10 @@
-"""The mutant register stays in step with the code it mutates; running the
-mutants themselves is ``python tests/mutants.py``, outside tier-1."""
+"""The mutant register stays in step with the code it mutates and the tests
+it names; running the mutants themselves is ``python tests/mutants.py``,
+outside tier-1."""
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,3 +18,17 @@ _spec.loader.exec_module(mutants)
 def test_each_mutant_applies_exactly_once(mutant):
     assert mutants.occurrences(mutant) == 1
     assert mutant.new != mutant.old and mutant.tests
+
+
+def test_every_named_test_is_collected():
+    # A test id names one test, or each of its parameters; one collection
+    # of the files named resolves them all, so that a renamed test fails
+    # here and not only in the runner.
+    named = sorted({t for m in mutants.MUTANTS for t in m.tests})
+    files = sorted({t.split("::")[0] for t in named})
+    command = [sys.executable, "-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider"]
+    result = subprocess.run([*command, *files], cwd=mutants.ROOT, capture_output=True, text=True)
+    assert result.returncode == 0, result.stdout + result.stderr
+    collected = result.stdout.splitlines()
+    missing = [t for t in named if not any(c == t or c.startswith(t + "[") for c in collected)]
+    assert not missing

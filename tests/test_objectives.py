@@ -16,12 +16,22 @@ from entrofed.objectives import (
     ClassifierObjective,
     GlrObjective,
     QuadraticObjective,
-    _column_sum_plan,
-    _run,
     finite_diff_gradient,
     glr_least_squares,
 )
-from entrofed.stacks import STACK_BLOCK_ROWS, ObjectiveStack, classifier_stack, stack_objectives
+from entrofed.stacks import (
+    STACK_BLOCK_ROWS,
+    ObjectiveStack,
+    _bind_class_major,
+    _bind_class_major_hits,
+    _bind_log_softmax,
+    _bind_probs_minus_labels,
+    _bind_target_log_probs,
+    _column_sum_plan,
+    _run,
+    classifier_stack,
+    stack_objectives,
+)
 
 
 def random_classifier(rng, hidden=0, activation="identity", n=30, d=4, c=3):
@@ -313,10 +323,17 @@ def same_bits(a, b):
     )
 
 
+def class_major(logits):
+    """(rows, z, rowmax, exps): the logits' (rows, classes) view and new
+    arrays for the class-major kernels to write, as a pass's arena holds."""
+    rows = logits.reshape(-1, logits.shape[-1])
+    return rows, np.empty(rows.shape[::-1]), np.empty(len(rows)), np.empty(rows.shape[::-1])
+
+
 class TestClassAxisKernels:
-    """The classifier's kernels over the class axis against the numpy
-    reductions they replace, bit for bit, on (r, C) rows and (c, r, C)
-    stacks."""
+    """The stacks' bound kernels over the class axis against the plain
+    numpy forms that ClassifierObjective computes, bit for bit, run once on
+    new arrays from (r, C) rows and (c, r, C) stacks."""
 
     @given(logits=class_axis_arrays())
     @example(logits=EDGE_ROWS)
@@ -326,8 +343,23 @@ class TestClassAxisKernels:
         with np.errstate(all="ignore"):
             z = logits - logits.max(axis=-1, keepdims=True)
             want = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
-            got = ClassifierObjective._log_softmax(logits)
-        assert same_bits(got, want)
+            rows, got, rowmax, exps = class_major(logits)
+            _run(_bind_log_softmax(rows, got, rowmax, exps))
+        assert same_bits(got.T.reshape(logits.shape), want)
+
+    @given(logits=class_axis_arrays(), seed=st.integers(0, 2**32 - 1))
+    @example(logits=EDGE_ROWS, seed=0)
+    @settings(max_examples=200, deadline=None)
+    def test_target_log_probs_are_the_log_softmax_at_the_labels(self, logits, seed):
+        rows, z, rowmax, exps = class_major(logits)
+        labels = np.random.default_rng(seed).integers(0, rows.shape[1], len(rows))
+        at, picked = labels * len(rows) + np.arange(len(rows)), np.empty(len(rows))
+        with np.errstate(all="ignore"):
+            shifted = rows - rows.max(axis=-1, keepdims=True)
+            logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+            _run(_bind_class_major(rows, z, rowmax, exps))
+            _run(_bind_target_log_probs(z, exps[0], at, picked))
+        assert same_bits(picked, logp[np.arange(len(rows)), labels])
 
     def test_column_sums_are_numpys_row_sums(self):
         # Every length up to 300 takes each branch of numpy's pairwise sum
@@ -366,10 +398,16 @@ class TestClassAxisKernels:
     @settings(max_examples=200, deadline=None)
     def test_probs_minus_labels_is_the_one_hot_form(self, logp, seed):
         labels = np.random.default_rng(seed).integers(0, logp.shape[-1], logp.shape[:-1])
+        # a step reads its log-softmax through the transpose of its
+        # class-major copy: a strided (rows, classes) view
+        rows = logp.reshape(-1, logp.shape[-1])
+        strided = np.ascontiguousarray(rows.T).T
+        at = np.arange(len(rows)) * rows.shape[1] + labels.ravel()
+        got = np.empty(rows.shape)
         with np.errstate(all="ignore"):
             want = np.exp(logp) - np.eye(logp.shape[-1])[labels]
-            got = ClassifierObjective._probs_minus_labels(logp, labels)
-        assert same_bits(got, want)
+            _run(_bind_probs_minus_labels(strided, at, got, np.empty(len(rows))))
+        assert same_bits(got.reshape(logp.shape), want)
 
 
     @given(
@@ -412,11 +450,11 @@ class TestClassAxisKernels:
         with np.errstate(all="ignore"):
             biased = logits + bias
             want = biased.argmax(axis=1) == labels
-            _, z, rowmax, exps = ClassifierObjective._fresh_class_major(logits)
-            _run(ClassifierObjective._bind_class_major(logits, z, rowmax, exps, bias[:, None]))
+            _, z, rowmax, exps = class_major(logits)
+            _run(_bind_class_major(logits, z, rowmax, exps, bias[:, None]))
             assert np.array_equal(rowmax, biased.max(axis=1), equal_nan=True)
             at = labels * rows + np.arange(rows)
-            got = ClassifierObjective._bind_class_major_hits(
+            got = _bind_class_major_hits(
                 z, rowmax, at, labels, np.empty(rows), np.empty(z.shape, bool)
             )()
         if not np.isfinite(biased.max(axis=1)).all():
@@ -434,9 +472,11 @@ STACK_FAMILIES = {
     "mlp-tanh": lambda rng, n: random_classifier(rng, 5, "tanh", n=n, d=4, c=3),
     "mlp-relu": lambda rng, n: random_classifier(rng, 5, "relu", n=n, d=4, c=3),
 }
-# The workloads' 10 classes, and 130, which take the log-softmax's row sum
-# through _column_sum_plan's 8-term and halving branches.
+# 8 classes, the fewest that the log-softmax's row sum adds as 8 partial
+# sums, the workloads' 10 classes, and 130, which take that sum through
+# _column_sum_plan's 8-term and halving branches.
 WIDE_STACK_FAMILIES = {
+    "softmax-c8": lambda rng, n: random_classifier(rng, n=n, d=4, c=8),
     "softmax-c10": lambda rng, n: random_classifier(rng, n=n, d=4, c=10),
     "mlp-tanh-c10": lambda rng, n: random_classifier(rng, 5, "tanh", n=n, d=4, c=10),
     "softmax-c130": lambda rng, n: random_classifier(rng, n=n, d=4, c=130),
@@ -473,7 +513,7 @@ class TestStackedEvaluation:
         block=st.integers(1, 64),
         seed=st.integers(0, 2**32 - 1),
     )
-    @example(sizes=[8] * 300 + [3, 1, 700], block=STACK_BLOCK_ROWS, seed=3)
+    @example(sizes=[8] * 330 + [3, 1, 700], block=STACK_BLOCK_ROWS, seed=3)
     @settings(max_examples=8, deadline=None)
     def test_matches_per_client_calls_at_wide_class_axes(self, family, sizes, block, seed):
         self.check_matches_per_client_calls(family, sizes, block, seed)
@@ -495,6 +535,7 @@ class TestStackedEvaluation:
             cap = {
                 "glr": block,
                 "softmax": block * 10 // 3,
+                "softmax-c8": block * 10 // 8,
                 "softmax-c10": block,
                 "mlp-tanh-c10": block,
                 "softmax-c130": max(1, block * 10 // 130),
@@ -620,9 +661,11 @@ class TestStackedEvaluation:
         block=st.integers(1, 24),
         seed=st.integers(0, 2**32 - 1),
     )
-    # ties that decide hits, and non-finite logits in both models
+    # ties that decide hits, and non-finite logits in both models; a
+    # client whose one row is certain, a loss of exactly 0
     @example(sizes=[4, 6, 1, 3], odd=0.0, block=8, seed=0)
     @example(sizes=[3, 5, 2], odd=0.5, block=24, seed=7)
+    @example(sizes=[3, 12, 1, 2, 12, 12], odd=0.5, block=1, seed=2877)
     @settings(max_examples=40, deadline=None)
     def test_accuracies_at_tied_and_non_finite_logits(self, model, sizes, odd, block, seed):
         # Integer features and parameters give integer logits, which tie

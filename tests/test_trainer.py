@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from entrofed import objectives, stacks, trainer
+from entrofed import stacks, trainer
 from entrofed.aggregation import (
     EbaConfig,
     QfflConfig,
@@ -1167,9 +1167,9 @@ def test_passes_plan_their_column_sums_once_per_binding(monkeypatch, batch_size)
     # plan's step and loss passes once; a minibatch round plans its step
     # passes and its end losses' passes; an aligned round plans its start
     # gradients' passes. More local steps plan nothing more.
-    plan = objectives._column_sum_plan
+    plan = stacks._column_sum_plan
     plans = []
-    monkeypatch.setattr(objectives, "_column_sum_plan", lambda a: plans.append(a.shape) or plan(a))
+    monkeypatch.setattr(stacks, "_column_sum_plan", lambda a: plans.append(a.shape) or plan(a))
     for steps in (3, 6):
         rng = SeededRng(13)
 
