@@ -523,6 +523,40 @@ def test_federation_digest_is_pinned(name):
     assert digest.hexdigest() == expected
 
 
+# sha256 over every client's train and test designs and targets, and the
+# start point, as build_federation gives them at seed 3: each GLR side's
+# true parameters, designs and noise, and the MLP's initial weights, are
+# draws of SeededRng.normals. Odd draw counts (7 * 3 per design, 7 targets,
+# 11 * 3 true parameters, 5 * 3 and 3 * 3 weights) cover a ragged tail.
+NORMAL_DIGESTS = {
+    "glr-m11": (
+        dict(data_kind="glr", partition=PartitionSpec(client_count=11),
+             glr=GlrSettings(dimension=3, samples_per_client=7, noise_std=0.3,
+                             param_scale=2.0),
+             trainer=TrainerConfig(clients_per_round=4)),
+        "f8da58832a98cb9a48e8541e9d07539d0416080daec55fa17d142d78a21357e5",
+    ),
+    "mlp-m8": (
+        dict(model="mlp", hidden_units=3, classes=3, dim=5, per_class=20,
+             partition=PartitionSpec(client_count=8),
+             trainer=TrainerConfig(clients_per_round=4)),
+        "f3b59e4b94ef20eecb6619afd96a3bbd09a52926cc769b8afb6de80b31bc6dcb",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NORMAL_DIGESTS))
+def test_normal_draws_are_pinned(name):
+    settings, expected = NORMAL_DIGESTS[name]
+    federation, x0 = build_federation(harness.ExperimentConfig(**settings), seed=3)
+    digest = hashlib.sha256(x0.tobytes())
+    for pair in zip(federation.train.objectives, federation.test.objectives, strict=True):
+        for obj in pair:
+            for array in obj._rows():
+                digest.update(array.tobytes())
+    assert digest.hexdigest() == expected
+
+
 class TestCmdRun:
     def test_outputs_and_schema(self, tmp_path, monkeypatch):
         monkeypatch.setenv("ENTROFED_OUTPUT_DIR", str(tmp_path / "out"))
