@@ -34,22 +34,26 @@ def _mix64(z: int) -> int:
 
 def _mix64_array(z: np.ndarray) -> np.ndarray:
     """Vectorized splitmix64 finalizer; uint64 arithmetic wraps mod 2**64.
-    A uint64 input is mixed in place."""
+    A uint64 input is mixed in place, through one scratch array."""
     z = z.astype(np.uint64, copy=False)
+    shifted = z >> np.uint64(30)
     with np.errstate(over="ignore"):
-        z ^= z >> np.uint64(30)
+        z ^= shifted
         z *= np.uint64(_MIX1)
-        z ^= z >> np.uint64(27)
+        z ^= np.right_shift(z, np.uint64(27), out=shifted)
         z *= np.uint64(_MIX2)
-        z ^= z >> np.uint64(31)
+        z ^= np.right_shift(z, np.uint64(31), out=shifted)
     return z
 
 
-def _unit_interval(raw: np.ndarray) -> np.ndarray:
-    """The top 53 bits of each 64-bit output as a double on [0, 1). Shifts
-    ``raw`` in place."""
+def _unit_interval(raw: np.ndarray, open_low: bool = False) -> np.ndarray:
+    """The top 53 bits of each 64-bit output as a double on [0, 1), or one
+    step of 2**-53 higher, on (0, 1], if ``open_low``. Shifts ``raw`` in
+    place."""
     raw >>= np.uint64(11)
     out = raw.astype(np.float64)
+    if open_low:
+        out += 1.0
     out *= 2.0**-53
     return out
 
@@ -85,10 +89,11 @@ class SeededRng:
         return _mix64((self.seed + self._count * _GOLDEN) & _MASK64)
 
     def _raw(self, n: int) -> np.ndarray:
-        idx = np.arange(self._count + 1, self._count + n + 1, dtype=np.uint64)
+        states = np.arange(self._count + 1, self._count + n + 1, dtype=np.uint64)
         self._count += n
         with np.errstate(over="ignore"):
-            states = np.uint64(self.seed) + idx * np.uint64(_GOLDEN)
+            states *= np.uint64(_GOLDEN)
+            states += np.uint64(self.seed)
         return _mix64_array(states)
 
     def uniforms(self, n: int) -> np.ndarray:
@@ -97,16 +102,23 @@ class SeededRng:
 
     def uniforms_open(self, n: int) -> np.ndarray:
         """n doubles uniform on (0, 1]; safe as a log() argument."""
-        return ((self._raw(n) >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
+        return _unit_interval(self._raw(n), open_low=True)
 
     def uniform(self, low: float = 0.0, high: float = 1.0) -> float:
         return low + (high - low) * float(self.uniforms(1)[0])
 
     def normals(self, n: int) -> np.ndarray:
-        """n standard normals via Box-Muller (one per pair of uniforms)."""
-        u1 = self.uniforms_open(n)
-        u2 = self.uniforms(n)
-        return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+        """n standard normals via Box-Muller (one per pair of uniforms):
+        sqrt(-2 log u1) * cos(2 pi u2), computed in the two draws' arrays."""
+        radius = self.uniforms_open(n)
+        angle = self.uniforms(n)
+        np.log(radius, out=radius)
+        radius *= -2.0
+        np.sqrt(radius, out=radius)
+        angle *= 2.0 * np.pi
+        np.cos(angle, out=angle)
+        radius *= angle
+        return radius
 
     def integers(self, n: int, upper: int) -> np.ndarray:
         """n ints uniform on [0, upper). Floor-of-uniform; the O(2^-53)
@@ -116,8 +128,8 @@ class SeededRng:
         return np.minimum((self.uniforms(n) * upper).astype(np.int64), upper - 1)
 
     def permutation(self, n: int) -> np.ndarray:
-        """Random permutation of range(n) by sorting a uniform draw."""
-        return np.argsort(self.uniforms(n), kind="stable")
+        """Random permutation of range(n): the stable argsort of n uniforms."""
+        return row_argsort(self.uniforms(n), [n])
 
     def shuffled(self, values: np.ndarray) -> np.ndarray:
         values = np.asarray(values)
@@ -162,6 +174,30 @@ class SeededRng:
             out[int(self.integers(1, m)[0])] = 1.0
             return out
         return g / total
+
+
+# Rows that row_argsort sorts at once: a key holds a row's index above a
+# uniform's 53 bits, and an int64 has 10 bits to spare.
+_KEY_ROWS = 2**10
+
+
+def row_argsort(u: np.ndarray, counts) -> np.ndarray:
+    """``np.lexsort((u, row))`` for the rows of ``counts[i]`` consecutive
+    entries of ``u``: each row's stable argsort, offset by the row's start.
+
+    ``u`` holds multiples of 2**-53 on [0, 1), as every uniform draw here
+    does. Each is exactly its 53-bit integer, so one stable argsort of
+    int64 keys, the row's index above those 53 bits, sorts ``_KEY_ROWS``
+    rows at a time; each chunk's keys give way to their argsort.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    keys = np.empty(u.shape, dtype=np.int64)
+    np.multiply(u, 2.0**53, out=keys, casting="unsafe")
+    keys |= np.repeat((np.arange(counts.size) % _KEY_ROWS) << 53, counts)
+    bounds = [*(np.cumsum(counts) - counts)[::_KEY_ROWS].tolist(), keys.size]
+    for a, b in zip(bounds, bounds[1:]):
+        np.add(np.argsort(keys[a:b], kind="stable"), a, out=keys[a:b])
+    return keys
 
 
 def _smallest(values: np.ndarray, k: int) -> np.ndarray:

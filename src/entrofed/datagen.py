@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from entrofed.core import (
-    SeededRng, bounded, check_settings, derive_seeds, one_of, ragged_uniforms, setting
+    SeededRng, bounded, check_settings, derive_seeds, one_of, ragged_uniforms, row_argsort, setting
 )
 from entrofed.objectives import GlrObjective
 
@@ -139,9 +139,12 @@ def gen_gaussian_blobs(
     rng = SeededRng(seed)
     means = _lattice_means(classes, dim)
     n = classes * per_class
-    noise = rng.normals(n * dim).reshape(n, dim) * spread
+    # each sample's mean plus its noise, in the noise's array
+    features = rng.normals(n * dim).reshape(n, dim)
+    features *= spread
     labels = np.repeat(np.arange(classes, dtype=np.int64), per_class)
-    return LabeledDataset(means[labels] + noise, labels, classes)
+    features += means[labels]
+    return LabeledDataset(features, labels, classes)
 
 
 def partition_shards(ds: LabeledDataset, spec: PartitionSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -159,8 +162,10 @@ def partition_shards(ds: LabeledDataset, spec: PartitionSpec) -> tuple[np.ndarra
     starts = drawn * q + np.minimum(drawn, r)
     offsets = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
     samples = order[np.arange(ds.n) + offsets]
+    # each client's samples in ascending order, by one sort of the key
+    # owner * n + sample, as the train/test split sorts its two halves
     owner = np.repeat(np.arange(m).repeat(s), lengths)
-    return samples[np.lexsort((samples, owner))], lengths.reshape(m, s).sum(axis=1)
+    return np.sort(owner * ds.n + samples) % ds.n, lengths.reshape(m, s).sum(axis=1)
 
 
 def partition_dirichlet(ds: LabeledDataset, spec: PartitionSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -217,8 +222,7 @@ def train_test_split_indices(
     m = sizes.size
     owner = np.repeat(np.arange(m), sizes)
     u = ragged_uniforms(derive_seeds(rng.seed, np.arange(m)), sizes)
-    # lexsort is stable, so within a client this is argsort(u, kind="stable")
-    shuffled = indices[np.lexsort((u, owner))]
+    shuffled = indices[row_argsort(u, sizes)]
     rank = np.arange(owner.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     n_test = np.minimum(np.maximum(1, np.rint(test_fraction * sizes).astype(np.int64)), sizes - 1)
     in_test = rank < n_test[owner]

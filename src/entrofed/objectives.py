@@ -179,6 +179,8 @@ class ClassifierObjective(LocalObjective):
             raise ValueError(f"activation must be one of {_ACTIVATIONS}")
         if hidden == 0 and activation != "identity":
             raise ValueError("softmax regression (hidden=0) uses the identity activation")
+        if hidden > 0 and activation == "identity":
+            raise ValueError("a hidden layer needs the tanh or relu activation")
         self.features = features
         self.labels = labels
         self.n_classes = int(n_classes)

@@ -45,6 +45,7 @@ from entrofed.core import (
     next_uniforms,
     one_of,
     or_none,
+    row_argsort,
     setting,
 )
 from entrofed.stacks import ObjectiveStack
@@ -184,11 +185,6 @@ def compute_fair_gradient(grads, losses, tau: float) -> np.ndarray:
     return out
 
 
-# Rows of minibatch orders sorted at once: a key holds a row's index above
-# a uniform's 53 bits, and an int64 has 10 bits to spare.
-_KEY_ROWS = 2**10
-
-
 def _minibatch_orders(sizes, batch_size: int | None, steps: int, rngs) -> np.ndarray | None:
     """The (steps, takers, batch_size) sample indices of local SGD's
     minibatches, for the clients of ``sizes`` with more than batch_size
@@ -201,8 +197,7 @@ def _minibatch_orders(sizes, batch_size: int | None, steps: int, rngs) -> np.nda
     every step sees the same batch size. Each epoch's shuffle is a stable
     argsort of n uniforms, all epochs from one draw. Here all clients'
     draws come from one pass, and every (client, epoch) row is shuffled by
-    one stable argsort of int64 keys, the row's index above the uniform's
-    53 bits, for ``_KEY_ROWS`` rows at a time.
+    one :func:`row_argsort`.
     """
     if batch_size is None:
         return None
@@ -217,15 +212,9 @@ def _minibatch_orders(sizes, batch_size: int | None, steps: int, rngs) -> np.nda
     epochs = -(-steps // per_epoch)
     rows = np.repeat(n, epochs)
     starts = np.cumsum(rows) - rows
-    # each uniform's 53 bits, exactly, below its row's index in its chunk
-    keys = (next_uniforms(streams, epochs * n) * 2.0**53).astype(np.int64)
-    keys |= np.repeat((np.arange(rows.size) % _KEY_ROWS) << 53, rows)
-    # Each chunk's keys give way to their argsort: the positions of each
-    # row's draws in shuffled order, counted from the row's start.
-    shuffled = keys
-    bounds = [*starts[::_KEY_ROWS].tolist(), keys.size]
-    for a, b in zip(bounds, bounds[1:]):
-        np.add(np.argsort(keys[a:b], kind="stable"), a, out=shuffled[a:b])
+    # the positions of each row's draws in shuffled order, counted from the
+    # row's start
+    shuffled = row_argsort(next_uniforms(streams, epochs * n), rows)
     shuffled -= np.repeat(starts, rows)
     # A client's steps take the first steps * batch_size entries of its
     # epochs' shuffles, each cut to its per_epoch whole batches: the first

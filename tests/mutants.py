@@ -60,6 +60,7 @@ CORE = "src/entrofed/core.py"
 ONE_RULE = "tests/test_harness.py::test_one_rule_reached_from_file_and_dataclass"
 CONFIG_CHECKS = "tests/test_harness.py::TestExperimentConfigChecks"
 PARSE = "tests/test_harness.py::TestParseConfig"
+ROW_ARGSORT = "tests/test_core.py::TestRowArgsort"
 
 MUTANTS = (
     Mutant(
@@ -486,6 +487,39 @@ MUTANTS = (
         'if self.model == "mlp" and self.hidden_units > ClassifierObjective.MAX_HIDDEN:',
         "if self.hidden_units > ClassifierObjective.MAX_HIDDEN:",
         (f"{PARSE}::test_hidden_units_bound_holds_for_mlp_only",),
+    ),
+    Mutant(
+        "row-argsort-unstable",
+        CORE,
+        'np.argsort(keys[a:b], kind="stable")',
+        "np.argsort(keys[a:b])",
+        (
+            f"{ROW_ARGSORT}::test_rows_past_the_key_limit",
+            "tests/test_trainer.py::TestMinibatchOrders::test_rows_past_the_key_limit",
+        ),
+    ),
+    Mutant(
+        "row-argsort-chunks-of-twice-the-rows",
+        CORE,
+        "(np.cumsum(counts) - counts)[::_KEY_ROWS]",
+        "(np.cumsum(counts) - counts)[:: 2 * _KEY_ROWS]",
+        (
+            f"{ROW_ARGSORT}::test_is_the_lexsort_of_row_and_draw",
+            f"{ROW_ARGSORT}::test_rows_past_the_key_limit",
+            "tests/test_trainer.py::TestMinibatchOrders::test_rows_past_the_key_limit",
+            "tests/test_trainer.py::TestMinibatchOrders::test_one_pass_is_the_per_client_draws",
+        ),
+    ),
+    Mutant(
+        "shard-partition-key-without-its-owner-scale",
+        DATAGEN,
+        "np.sort(owner * ds.n + samples) % ds.n",
+        "np.sort(owner + samples) % ds.n",
+        (
+            "tests/test_datagen.py::TestShardPartition::test_uneven_shards_match_array_split",
+            "tests/test_harness.py::test_federation_digest_is_pinned[shards-m50]",
+            "tests/test_harness.py::test_federation_digest_is_pinned[shards-m500]",
+        ),
     ),
     Mutant(
         "bounded-takes-non-finite",

@@ -1,11 +1,14 @@
 """Core math: seeded randomness, softmax weights, entropy, divergence, angle."""
 
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from entrofed import core
 from entrofed.core import (
     SeededRng,
     _smallest,
@@ -15,6 +18,7 @@ from entrofed.core import (
     fair_angle,
     next_uniforms,
     ragged_uniforms,
+    row_argsort,
     softmax_temperature,
     validate_simplex,
 )
@@ -206,6 +210,126 @@ class TestManyStreams:
             ragged_uniforms(np.zeros(2, dtype=np.uint64), [1])
         with pytest.raises(ValueError, match="nonnegative"):
             ragged_uniforms(np.zeros(2, dtype=np.uint64), [1, -1])
+
+
+def reference_raw(seed: int, start: int, n: int) -> np.ndarray:
+    """Draws start + 1 .. start + n of SeededRng(seed) as 64-bit outputs,
+    in the expressions the generator had before it drew in place."""
+    idx = np.arange(start + 1, start + n + 1, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        z = np.uint64(seed) + idx * np.uint64(core._GOLDEN)
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(core._MIX1)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(core._MIX2)
+        z ^= z >> np.uint64(31)
+    return z
+
+
+def reference_uniforms(seed: int, start: int, n: int) -> np.ndarray:
+    return (reference_raw(seed, start, n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
+def reference_uniforms_open(seed: int, start: int, n: int) -> np.ndarray:
+    return ((reference_raw(seed, start, n) >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
+
+
+def reference_normals(seed: int, start: int, n: int) -> np.ndarray:
+    u1 = reference_uniforms_open(seed, start, n)
+    u2 = reference_uniforms(seed, start + n, n)
+    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+
+
+DRAW_SIZES = [0, 1, 2, 80000]
+DRAW_SEEDS = [0, 7, 2**64 - 1]
+
+
+class TestDrawsInPlace:
+    """The draws, computed in their own arrays, equal the expressions that
+    made them in fresh ones, byte for byte, and advance the stream alike."""
+
+    @pytest.mark.parametrize("n", DRAW_SIZES)
+    @pytest.mark.parametrize("seed", DRAW_SEEDS)
+    @pytest.mark.parametrize(
+        "method,reference,drawn",
+        [
+            ("uniforms", reference_uniforms, 1),
+            ("uniforms_open", reference_uniforms_open, 1),
+            ("normals", reference_normals, 2),
+        ],
+    )
+    def test_draws_match_their_reference(self, method, reference, drawn, seed, n):
+        rng = SeededRng(seed)
+        rng.uniforms(3)  # part-way through the stream
+        got = getattr(rng, method)(n)
+        want = reference(seed, 3, n)
+        assert got.dtype == np.float64 and got.shape == (n,)
+        assert got.tobytes() == want.tobytes()
+        assert rng.uniforms(2).tobytes() == reference_uniforms(seed, 3 + drawn * n, 2).tobytes()
+
+    @pytest.mark.parametrize("n", DRAW_SIZES)
+    def test_ragged_uniforms_match_their_reference(self, n):
+        seeds = np.array(DRAW_SEEDS + [12345], dtype=np.uint64)
+        counts = [n, 1, 0, 2]
+        want = [reference_uniforms(int(s), 0, c) for s, c in zip(seeds, counts)]
+        got = ragged_uniforms(seeds, counts)
+        assert got.tobytes() == np.concatenate(want).tobytes()
+
+    def test_normals_keep_three_arrays_at_most(self):
+        # the first draw, the second's counters and its mix's scratch, each
+        # of n 8-byte items, and a few small objects (headers, scalars)
+        n = 80000
+        tracemalloc.start()
+        try:
+            SeededRng(0).normals(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 8 * n + 4096
+
+
+class TestRowArgsort:
+    """row_argsort against np.lexsort((u, row)), the row index primary."""
+
+    @given(
+        counts=st.lists(st.integers(0, 9) | st.sampled_from([0, 1]), max_size=12),
+        key_rows=st.sampled_from([1, 2, 3, 2**10]),
+        seed=st.integers(0, 2**64 - 1),
+        ties=st.booleans(),
+    )
+    @example(counts=[], key_rows=2**10, seed=0, ties=False)
+    @example(counts=[0], key_rows=2**10, seed=0, ties=False)
+    @example(counts=[1], key_rows=2**10, seed=0, ties=True)
+    @example(counts=[5, 0, 0, 3, 1], key_rows=2, seed=1, ties=True)
+    # one row a chunk, each of whose keys holds row index 0
+    @example(counts=[4, 4, 0, 3, 1], key_rows=1, seed=2, ties=False)
+    @settings(max_examples=300, deadline=None)
+    def test_is_the_lexsort_of_row_and_draw(self, counts, key_rows, seed, ties):
+        with mock.patch.object(core, "_KEY_ROWS", key_rows):
+            self.assert_is_lexsort(counts, seed, ties)
+
+    def test_rows_past_the_key_limit(self):
+        # 2500 rows at the real limit: three chunks, the last part-full
+        counts = (SeededRng(4).integers(2500, 6)).tolist()
+        self.assert_is_lexsort(counts, 4, True)
+        self.assert_is_lexsort(counts, 5, False)
+
+    @staticmethod
+    def assert_is_lexsort(counts, seed, ties):
+        # Uniforms cut to quarters tie within a row, which only the
+        # stable order of equal keys breaks as lexsort does.
+        u = SeededRng(seed).uniforms(sum(counts))
+        if ties:
+            u = np.floor(u * 4.0) / 4.0
+        row = np.repeat(np.arange(len(counts)), np.array(counts, dtype=np.int64))
+        got = row_argsort(u, counts)
+        want = np.lexsort((u, row))
+        assert got.dtype == np.int64 and got.tobytes() == want.astype(np.int64).tobytes()
+
+    def test_permutation_is_the_stable_argsort_of_its_draw(self):
+        for n in (0, 1, 2, 1500):
+            want = np.argsort(SeededRng(n).uniforms(n), kind="stable")
+            assert np.array_equal(SeededRng(n).permutation(n), want)
 
 
 class TestSoftmaxTemperature:

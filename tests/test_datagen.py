@@ -11,6 +11,7 @@ from entrofed.datagen import (
     LabeledDataset,
     PartitionInfeasibleError,
     PartitionSpec,
+    _lattice_means,
     gen_gaussian_blobs,
     gen_glr_federation,
     partition_dirichlet,
@@ -58,6 +59,19 @@ class TestBlobs:
             assert np.all(block == block[0])
         means = {tuple(ds.features[ds.labels == c][0]) for c in range(4)}
         assert len(means) == 4  # distinct lattice means
+
+    @pytest.mark.parametrize(
+        "classes,per_class,dim,spread",
+        [(2, 1, 1, 1.0), (3, 1, 2, 0.3), (2, 5, 3, 0.0), (10, 1000, 8, 1.7)],
+    )
+    def test_features_are_the_means_plus_scaled_noise(self, classes, per_class, dim, spread):
+        # the expression the features had before they were built in the
+        # noise's array: 2, 6, 30 and 80000 draws
+        ds = gen_gaussian_blobs(classes, per_class, dim, spread, seed=6)
+        n = classes * per_class
+        noise = SeededRng(6).normals(n * dim).reshape(n, dim) * spread
+        want = _lattice_means(classes, dim)[ds.labels] + noise
+        assert ds.features.tobytes() == want.tobytes()
 
     def test_all_finite(self):
         ds = gen_gaussian_blobs(5, 20, 6, 3.0, seed=2)
@@ -216,7 +230,7 @@ def split_one_client(indices, test_fraction, rng):
     indices = np.asarray(indices, dtype=np.int64)
     if indices.size == 1:
         return indices, indices
-    shuffled = indices[rng.permutation(indices.size)]
+    shuffled = indices[np.argsort(rng.uniforms(indices.size), kind="stable")]
     n_test = max(1, int(round(test_fraction * indices.size)))
     n_test = min(n_test, indices.size - 1)
     return np.sort(shuffled[n_test:]), np.sort(shuffled[:n_test])

@@ -6,6 +6,7 @@ import importlib
 import math
 import pkgutil
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -555,6 +556,22 @@ def test_normal_draws_are_pinned(name):
             for array in obj._rows():
                 digest.update(array.tobytes())
     assert digest.hexdigest() == expected
+
+
+def test_blob_federation_peaks_under_two_mib():
+    # wide-softmax's federation: 80000 normals, whose three arrays of
+    # 640000 bytes are the peak; a fourth array of them breaks the bound
+    cfg = harness.ExperimentConfig(
+        classes=10, per_class=1000, dim=8,
+        partition=PartitionSpec("shards", client_count=1000, shards_per_client=2),
+    )
+    tracemalloc.start()
+    try:
+        build_federation(cfg, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 class TestCmdRun:

@@ -265,6 +265,15 @@ class TestClassifier:
         with pytest.raises(ValueError):
             ClassifierObjective(feats, np.array([0, 1, 2, 0, 1, 0]), 2)
 
+    def test_a_hidden_layer_rejects_the_identity(self):
+        # it was accepted, and then ran a relu layer
+        rng = SeededRng(20)
+        feats, labels = rng.normals(12).reshape(6, 2), rng.integers(6, 2)
+        with pytest.raises(ValueError, match="hidden layer needs the tanh or relu"):
+            ClassifierObjective(feats, labels, 2, hidden=4)
+        for activation in ("tanh", "relu"):
+            assert ClassifierObjective(feats, labels, 2, 4, activation).activation == activation
+
     def test_dimension_mismatch_raises(self):
         rng = SeededRng(21)
         obj = random_classifier(rng)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from entrofed import stacks, trainer
+from entrofed import core, stacks, trainer
 from entrofed.aggregation import (
     EbaConfig,
     QfflConfig,
@@ -401,7 +401,7 @@ class TestMinibatchOrders:
         draws = trainer.next_uniforms
         got_rngs, want_rngs = streams(), streams()
         with (
-            mock.patch.object(trainer, "_KEY_ROWS", key_rows),
+            mock.patch.object(core, "_KEY_ROWS", key_rows),
             mock.patch.object(trainer, "next_uniforms", lambda *a: cut(draws(*a))),
         ):
             got = trainer._minibatch_orders(np.array(sizes), batch, steps, got_rngs)
