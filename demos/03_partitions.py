@@ -9,6 +9,7 @@ heterogeneity is visible at a glance.
 import numpy as np
 
 from entrofed.datagen import (
+    BlobSettings,
     PartitionSpec,
     gen_gaussian_blobs,
     partition_dirichlet,
@@ -33,7 +34,7 @@ def describe(name, ds, assignment):
 
 
 def main():
-    ds = gen_gaussian_blobs(CLASSES, per_class=400, dim=2, spread=1.0, seed=7)
+    ds = gen_gaussian_blobs(BlobSettings(CLASSES, per_class=400, dim=2, spread=1.0), seed=7)
     print(f"Dataset: {ds.n} samples, {CLASSES} balanced classes")
 
     shard_spec = PartitionSpec("shards", client_count=5, shards_per_client=2, seed=1)

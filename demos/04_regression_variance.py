@@ -4,7 +4,17 @@
 Uses the linear-regression federation where everything is analytic: client
 i's test loss grows with ||w_agg - w_i||^2, so the spread of those squared
 distances is the fairness story. Entropy weights tilt the aggregate toward
-far-away clients, and the weighted variance never beats uniform from below.
+far-away clients. Whether that lowers the variance depends on the
+temperature. In this draw, at tau = 10 the weights stay near uniform and both
+variances fall just below uniform's (1.543 and 1.547 against 1.577). At
+tau = 2 only the weighted variance does (1.187), while the unweighted one
+rises (1.721). At tau = 0.5 nearly all the weight lands on the farthest
+client, and both rise far above uniform's. So the weights lower the
+unweighted variance only near uniform, the weighted one down to a moderate
+temperature, and neither once they concentrate on one client.
+
+The two-client check holds the squared distances A fixed, as it computes
+them. Once A moves with the aggregate, two clients can lose too.
 """
 
 import numpy as np

@@ -12,7 +12,7 @@ Takes ~10 seconds; shrink `rounds` below to go faster.
 import numpy as np
 
 from entrofed.aggregation import EbaConfig
-from entrofed.datagen import PartitionSpec
+from entrofed.datagen import BlobSettings, PartitionSpec
 from entrofed.harness import ExperimentConfig, build_federation
 from entrofed.trainer import TrainerConfig, run_training
 
@@ -33,10 +33,7 @@ def run(method, alpha):
             theta=0.0,
             eba=EbaConfig(tau0=0.1),
         ),
-        classes=6,
-        per_class=800,
-        dim=6,
-        spread=1.2,
+        blobs=BlobSettings(classes=6, per_class=800, dim=6, spread=1.2),
         partition=PartitionSpec(client_count=30, dirichlet_alpha=0.1, min_samples_per_client=5),
         seeds=seeds,
     )

@@ -28,6 +28,7 @@ from entrofed.objectives import (
     glr_least_squares,
 )
 from entrofed.datagen import (
+    BlobSettings,
     GlrFederationSpec,
     GlrSettings,
     LabeledDataset,
@@ -81,6 +82,7 @@ __all__ = [
     "finite_diff_gradient",
     "glr_least_squares",
     "LabeledDataset",
+    "BlobSettings",
     "PartitionSpec",
     "GlrFederationSpec",
     "GlrSettings",

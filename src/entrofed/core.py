@@ -420,17 +420,22 @@ def check_setting(kind: str, check, value) -> None:
         check(value)
 
 
+def check_field(cls, name: str, value) -> None:
+    """:func:`check_setting` on ``value`` as the setting ``name`` of dataclass
+    ``cls``; the ValueError names the field (as its key, if in another unit)."""
+    f = cls.__dataclass_fields__[name]
+    check, unit = f.metadata["check"], f.metadata["unit"]
+    try:
+        check_setting(f.type, check, value if unit is None else unit[1](value))
+    except ValueError as exc:
+        where = name if unit is None else f"{name} as {f.metadata['key']}"
+        raise ValueError(f"{where} {exc}") from None
+
+
 def check_settings(obj) -> None:
-    """:func:`check_setting` on each setting of the dataclass ``obj``; the
-    ValueError names the field (as its key, if in another unit) first."""
+    """:func:`check_field` on each setting of the dataclass ``obj``."""
     for f in _checked(type(obj)):
-        value = getattr(obj, f.name)
-        check, unit = f.metadata["check"], f.metadata["unit"]
-        try:
-            check_setting(f.type, check, value if unit is None else unit[1](value))
-        except ValueError as exc:
-            where = f.name if unit is None else f"{f.name} as {f.metadata['key']}"
-            raise ValueError(f"{where} {exc}") from None
+        check_field(type(obj), f.name, getattr(obj, f.name))
 
 
 def bounded(low=None, high=None, open_low=False, open_high=False):

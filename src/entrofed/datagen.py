@@ -15,9 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from entrofed.core import (
-    SeededRng, bounded, check_settings, derive_seeds, one_of, ragged_uniforms, row_argsort, setting
+    SeededRng, bounded, check_field, check_settings, derive_seeds, one_of, ragged_uniforms,
+    row_argsort, setting,
 )
-from entrofed.objectives import GlrObjective
+from entrofed.objectives import ClassifierObjective, GlrObjective
 
 _LATTICE_SEPARATION = 4.0
 _DIRICHLET_RETRIES = 100
@@ -66,11 +67,37 @@ class PartitionSpec:
     client_count: int = setting("partition", 20, bounded(1), key="clients")
     shards_per_client: int = setting("partition", 2, bounded(1))
     dirichlet_alpha: float = setting("partition", 0.3, bounded(0.0, open_low=True))
-    min_samples_per_client: int = setting("partition", 1, bounded(0))
+    # at least 1: the train/test split takes no empty client
+    min_samples_per_client: int = setting("partition", 1, bounded(1))
     seed: int = 0
 
     def __post_init__(self):
         check_settings(self)
+
+
+@dataclass(frozen=True)
+class BlobSettings:
+    """The ``[data]`` keys of a Gaussian blob federation and its classifier,
+    and the share of each client's samples it tests on (``[metrics]``)."""
+
+    classes: int = setting("data", 10, bounded(2))
+    per_class: int = setting("data", 200, bounded(1))
+    dim: int = setting("data", 8, bounded(1))
+    spread: float = setting("data", 1.0, bounded(0.0))
+    model: str = setting("data", "softmax", one_of("softmax", "mlp"))
+    hidden_units: int = setting("data", 32, bounded(1))
+    activation: str = setting("data", "tanh", one_of("tanh", "relu"))
+    test_fraction: float = setting("metrics", 0.2, bounded(0.0, 1.0, open_low=True, open_high=True))
+
+    def __post_init__(self):
+        check_settings(self)
+        if self.model == "mlp" and self.hidden_units > ClassifierObjective.MAX_HIDDEN:
+            raise ValueError(f"data.hidden_units must be <= {ClassifierObjective.MAX_HIDDEN}")
+
+    @property
+    def layer(self) -> tuple[int, str]:
+        """The classifier's hidden width and activation: none for softmax."""
+        return (self.hidden_units, self.activation) if self.model == "mlp" else (0, "identity")
 
 
 @dataclass(frozen=True)
@@ -124,27 +151,17 @@ def _lattice_means(classes: int, dim: int) -> np.ndarray:
     return means * _LATTICE_SEPARATION
 
 
-def gen_gaussian_blobs(
-    classes: int, per_class: int, dim: int, spread: float, seed: int
-) -> LabeledDataset:
+def gen_gaussian_blobs(blobs: BlobSettings, seed: int) -> LabeledDataset:
     """Isotropic Gaussian clusters with distinct lattice means, class-major order."""
-    if classes < 2:
-        raise ValueError("need at least two classes")
-    if per_class < 1:
-        raise ValueError("per_class must be >= 1")
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    if spread < 0:
-        raise ValueError("spread must be >= 0")
     rng = SeededRng(seed)
-    means = _lattice_means(classes, dim)
-    n = classes * per_class
+    means = _lattice_means(blobs.classes, blobs.dim)
+    n = blobs.classes * blobs.per_class
     # each sample's mean plus its noise, in the noise's array
-    features = rng.normals(n * dim).reshape(n, dim)
-    features *= spread
-    labels = np.repeat(np.arange(classes, dtype=np.int64), per_class)
+    features = rng.normals(n * blobs.dim).reshape(n, blobs.dim)
+    features *= blobs.spread
+    labels = np.repeat(np.arange(blobs.classes, dtype=np.int64), blobs.per_class)
     features += means[labels]
-    return LabeledDataset(features, labels, classes)
+    return LabeledDataset(features, labels, blobs.classes)
 
 
 def partition_shards(ds: LabeledDataset, spec: PartitionSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -214,8 +231,7 @@ def train_test_split_indices(
     single-sample client reuses its sample on both sides rather than losing
     its test set. Returns the two sides ``(train, test)``.
     """
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError("test_fraction must be in (0, 1)")
+    check_field(BlobSettings, "test_fraction", test_fraction)
     indices, sizes = assignment
     if not sizes.all():
         raise ValueError(f"cannot split an empty client: client {sizes.argmin()} has no samples")

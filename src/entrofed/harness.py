@@ -3,7 +3,7 @@
 Configs are flat ``key = value`` text files with ``[section]`` headers and
 ``#``/``;`` comments. Each key is declared once, with its default and its
 rule, on the dataclass field it sets (``ExperimentConfig`` and the trainer
-configs, GLR settings and partition spec it holds).
+configs, blob and GLR settings and partition spec it holds).
 Subcommands:
 
 * ``run``       -- train per seed, write per-seed round CSVs and a summary,
@@ -37,7 +37,6 @@ from entrofed.analysis import (
 )
 from entrofed.core import (
     SeededRng,
-    bounded,
     check_setting,
     check_settings,
     one_of,
@@ -45,6 +44,7 @@ from entrofed.core import (
     softmax_temperature,
 )
 from entrofed.datagen import (
+    BlobSettings,
     GlrFederationSpec,
     GlrSettings,
     PartitionSpec,
@@ -54,7 +54,6 @@ from entrofed.datagen import (
     train_test_split_indices,
     write_partition_csv,
 )
-from entrofed.objectives import ClassifierObjective
 from entrofed.stacks import classifier_stack, stack_objectives
 from entrofed.trainer import Federation, RoundReport, TrainerConfig, run_training
 
@@ -117,23 +116,14 @@ def _distinct_seeds(seeds) -> None:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """The trainer, GLR and partition settings and one field per other data,
-    test-split and run key, all validated; the defaults are an empty file's."""
+    """The trainer, blob, GLR and partition settings and one field per other
+    data and run key, all validated; the defaults are an empty file's."""
 
     trainer: TrainerConfig = TrainerConfig()
     data_kind: str = setting("data", "blobs", one_of("blobs", "glr"), key="kind")
-    classes: int = setting("data", 10, bounded(2))
-    per_class: int = setting("data", 200, bounded(1))
-    dim: int = setting("data", 8, bounded(1))
-    spread: float = setting("data", 1.0, bounded(0.0))
-    model: str = setting("data", "softmax", one_of("softmax", "mlp"))
-    hidden_units: int = setting("data", 32, bounded(1))
-    activation: str = setting("data", "tanh", one_of("tanh", "relu"))
+    blobs: BlobSettings = BlobSettings()
     glr: GlrSettings = GlrSettings()
     partition: PartitionSpec = PartitionSpec()
-    test_fraction: float = setting(
-        "metrics", 0.2, bounded(0.0, 1.0, open_low=True, open_high=True)
-    )
     seeds: tuple[int, ...] = setting("run", (1,), _distinct_seeds)
     output_dir: str = setting("run", "runs", None)
 
@@ -150,13 +140,12 @@ class ExperimentConfig:
             raise ValueError(
                 "data.glr_dim must not exceed data.samples_per_client (rank condition)"
             )
-        if self.model == "mlp" and self.hidden_units > ClassifierObjective.MAX_HIDDEN:
-            raise ValueError(f"data.hidden_units must be <= {ClassifierObjective.MAX_HIDDEN}")
 
     # what a run's outputs name, read through to the settings that hold it
     method = property(lambda self: self.trainer.method)
     rounds = property(lambda self: self.trainer.rounds)
     clients = property(lambda self: self.partition.client_count)
+    classes = property(lambda self: self.blobs.classes)
 
     def trainer_config(self, seed: int) -> TrainerConfig:
         return replace(self.trainer, seed=seed)
@@ -248,9 +237,7 @@ def parse_config(path) -> ExperimentConfig:
 
 def _blob_partition(cfg: ExperimentConfig, root: SeededRng):
     """The blob dataset of a seed's root stream and its client partition."""
-    ds = gen_gaussian_blobs(
-        cfg.classes, cfg.per_class, cfg.dim, cfg.spread, root.derive(_TAG_DATA).seed
-    )
+    ds = gen_gaussian_blobs(cfg.blobs, root.derive(_TAG_DATA).seed)
     return ds, partition(ds, replace(cfg.partition, seed=root.derive(_TAG_PARTITION).seed))
 
 
@@ -259,10 +246,10 @@ def build_federation(cfg: ExperimentConfig, seed: int) -> tuple[Federation, np.n
     root = SeededRng(seed)
     if cfg.data_kind == "blobs":
         ds, assignment = _blob_partition(cfg, root)
-        hidden = cfg.hidden_units if cfg.model == "mlp" else 0
-        activation = cfg.activation if cfg.model == "mlp" else "identity"
-        sides = train_test_split_indices(assignment, cfg.test_fraction, root.derive(_TAG_SPLIT))
-        train, test = (classifier_stack(ds, side, hidden, activation) for side in sides)
+        sides = train_test_split_indices(
+            assignment, cfg.blobs.test_fraction, root.derive(_TAG_SPLIT)
+        )
+        train, test = (classifier_stack(ds, side, *cfg.blobs.layer) for side in sides)
         return Federation(train, test), train.model.init_params(root.derive(_TAG_INIT))
 
     glr = cfg.glr

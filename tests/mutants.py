@@ -454,6 +454,38 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "blob-settings-unchecked",
+        DATAGEN,
+        "open_high=True))\n\n    def __post_init__(self):\n        check_settings(self)\n",
+        "open_high=True))\n\n    def __post_init__(self):\n        pass\n",
+        (
+            f"{ONE_RULE}[classes=1]",
+            f"{ONE_RULE}[dim=2.0]",
+            f"{ONE_RULE}[spread=nan]",
+            f"{ONE_RULE}[test_fraction=0]",
+            f"{ONE_RULE}[classes=2.5]",
+            f"{CONFIG_CHECKS}::test_each_field_is_checked",
+        ),
+    ),
+    Mutant(
+        "min-samples-rule-zero",
+        DATAGEN,
+        'setting("partition", 1, bounded(1))',
+        'setting("partition", 1, bounded(0))',
+        (f"{ONE_RULE}[min_samples_per_client=0]",),
+    ),
+    Mutant(
+        "split-takes-any-test-fraction",
+        DATAGEN,
+        '    check_field(BlobSettings, "test_fraction", test_fraction)\n',
+        "",
+        (
+            f"{ONE_RULE}[test_fraction=0]",
+            f"{ONE_RULE}[test_fraction=1]",
+            "tests/test_datagen.py::TestTrainTestSplit::test_rejects_empty_client_and_bad_fraction",
+        ),
+    ),
+    Mutant(
         "cohort-above-clients-accepted",
         HARNESS,
         "if self.trainer.clients_per_round > self.clients:",
@@ -476,14 +508,14 @@ MUTANTS = (
     ),
     Mutant(
         "width-rule-dropped",
-        HARNESS,
+        DATAGEN,
         'if self.model == "mlp" and self.hidden_units > ClassifierObjective.MAX_HIDDEN:',
         "if False:",
         (f"{CONFIG_CHECKS}::test_cross_field_rules", f"{PARSE}::test_hidden_units_bound_holds_for_mlp_only"),
     ),
     Mutant(
         "width-rule-for-every-model",
-        HARNESS,
+        DATAGEN,
         'if self.model == "mlp" and self.hidden_units > ClassifierObjective.MAX_HIDDEN:',
         "if self.hidden_units > ClassifierObjective.MAX_HIDDEN:",
         (f"{PARSE}::test_hidden_units_bound_holds_for_mlp_only",),

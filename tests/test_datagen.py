@@ -6,6 +6,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from entrofed.core import SeededRng
 from entrofed.datagen import (
+    BlobSettings,
     GlrFederationSpec,
     GlrSettings,
     LabeledDataset,
@@ -41,19 +42,19 @@ def label_histogram(labels, idx, n_classes):
 
 class TestBlobs:
     def test_balanced_construction(self):
-        ds = gen_gaussian_blobs(2, 10, 2, 1.0, seed=0)
+        ds = gen_gaussian_blobs(BlobSettings(2, 10, 2, 1.0), seed=0)
         assert ds.n == 20
         assert set(ds.labels.tolist()) == {0, 1}
         assert np.bincount(ds.labels).tolist() == [10, 10]
 
     def test_determinism(self):
-        a = gen_gaussian_blobs(3, 7, 4, 0.5, seed=9)
-        b = gen_gaussian_blobs(3, 7, 4, 0.5, seed=9)
+        a = gen_gaussian_blobs(BlobSettings(3, 7, 4, 0.5), seed=9)
+        b = gen_gaussian_blobs(BlobSettings(3, 7, 4, 0.5), seed=9)
         assert np.array_equal(a.features, b.features)
         assert np.array_equal(a.labels, b.labels)
 
     def test_zero_spread_collapses_to_means(self):
-        ds = gen_gaussian_blobs(4, 5, 3, 0.0, seed=1)
+        ds = gen_gaussian_blobs(BlobSettings(4, 5, 3, 0.0), seed=1)
         for c in range(4):
             block = ds.features[ds.labels == c]
             assert np.all(block == block[0])
@@ -67,26 +68,26 @@ class TestBlobs:
     def test_features_are_the_means_plus_scaled_noise(self, classes, per_class, dim, spread):
         # the expression the features had before they were built in the
         # noise's array: 2, 6, 30 and 80000 draws
-        ds = gen_gaussian_blobs(classes, per_class, dim, spread, seed=6)
+        ds = gen_gaussian_blobs(BlobSettings(classes, per_class, dim, spread), seed=6)
         n = classes * per_class
         noise = SeededRng(6).normals(n * dim).reshape(n, dim) * spread
         want = _lattice_means(classes, dim)[ds.labels] + noise
         assert ds.features.tobytes() == want.tobytes()
 
     def test_all_finite(self):
-        ds = gen_gaussian_blobs(5, 20, 6, 3.0, seed=2)
+        ds = gen_gaussian_blobs(BlobSettings(5, 20, 6, 3.0), seed=2)
         assert np.all(np.isfinite(ds.features))
 
     def test_rejects_dim_zero(self):
         # no lattice of dimension 0 holds 3 distinct means: the search for
         # its side never ended
         with pytest.raises(ValueError, match="dim must be >= 1"):
-            gen_gaussian_blobs(3, 10, 0, 1.0, 0)
+            gen_gaussian_blobs(BlobSettings(3, 10, 0, 1.0), 0)
 
 
 class TestShardPartition:
     def test_single_shard_clients_cover_everything(self):
-        ds = gen_gaussian_blobs(2, 8, 2, 1.0, seed=3)
+        ds = gen_gaussian_blobs(BlobSettings(2, 8, 2, 1.0), seed=3)
         spec = PartitionSpec("shards", client_count=2, shards_per_client=1, seed=4)
         assignment = partition_shards(ds, spec)
         assert_is_partition(assignment, ds.n)
@@ -95,7 +96,7 @@ class TestShardPartition:
 
     def test_two_shards_bound_label_diversity(self):
         # 100 clients x 2 shards over a 200-shard split of balanced labels.
-        ds = gen_gaussian_blobs(10, 200, 2, 1.0, seed=5)
+        ds = gen_gaussian_blobs(BlobSettings(10, 200, 2, 1.0), seed=5)
         spec = PartitionSpec("shards", client_count=100, shards_per_client=2, seed=6)
         assignment = partition_shards(ds, spec)
         assert_is_partition(assignment, ds.n)
@@ -103,14 +104,14 @@ class TestShardPartition:
             assert len(set(ds.labels[idx].tolist())) <= 2
 
     def test_determinism(self):
-        ds = gen_gaussian_blobs(4, 25, 2, 1.0, seed=7)
+        ds = gen_gaussian_blobs(BlobSettings(4, 25, 2, 1.0), seed=7)
         spec = PartitionSpec("shards", client_count=10, shards_per_client=2, seed=8)
         a = partition_shards(ds, spec)
         b = partition_shards(ds, spec)
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_infeasible_when_samples_run_out(self):
-        ds = gen_gaussian_blobs(2, 3, 2, 1.0, seed=9)
+        ds = gen_gaussian_blobs(BlobSettings(2, 3, 2, 1.0), seed=9)
         spec = PartitionSpec("shards", client_count=4, shards_per_client=2, seed=0)
         with pytest.raises(ValueError, match="shards"):
             partition_shards(ds, spec)
@@ -126,7 +127,7 @@ class TestShardPartition:
     @example(classes=5, per_class=3, clients=7, shards=2, seed=1)  # one-sample shards
     @settings(max_examples=200, deadline=None)
     def test_uneven_shards_match_array_split(self, classes, per_class, clients, shards, seed):
-        ds = gen_gaussian_blobs(classes, per_class, 1, 1.0, seed=seed)
+        ds = gen_gaussian_blobs(BlobSettings(classes, per_class, 1, 1.0), seed=seed)
         total = clients * shards
         assume(ds.n >= total and ds.n % total)
         spec = PartitionSpec("shards", client_count=clients, shards_per_client=shards, seed=seed)
@@ -145,13 +146,13 @@ class TestShardPartition:
 
 class TestDirichletPartition:
     def test_is_partition(self):
-        ds = gen_gaussian_blobs(5, 40, 2, 1.0, seed=10)
+        ds = gen_gaussian_blobs(BlobSettings(5, 40, 2, 1.0), seed=10)
         spec = PartitionSpec("dirichlet", client_count=8, dirichlet_alpha=0.5, seed=11)
         assignment = partition_dirichlet(ds, spec)
         assert_is_partition(assignment, ds.n)
 
     def test_determinism(self):
-        ds = gen_gaussian_blobs(5, 40, 2, 1.0, seed=10)
+        ds = gen_gaussian_blobs(BlobSettings(5, 40, 2, 1.0), seed=10)
         spec = PartitionSpec("dirichlet", client_count=8, dirichlet_alpha=0.3, seed=12)
         a = partition_dirichlet(ds, spec)
         b = partition_dirichlet(ds, spec)
@@ -162,7 +163,7 @@ class TestDirichletPartition:
         # relative deviation of the global one, checked over 5 seeds.
         global_hist = np.full(4, 0.25)
         for seed in range(5):
-            ds = gen_gaussian_blobs(4, 2500, 2, 1.0, seed=100 + seed)
+            ds = gen_gaussian_blobs(BlobSettings(4, 2500, 2, 1.0), seed=100 + seed)
             spec = PartitionSpec(
                 "dirichlet", client_count=5, dirichlet_alpha=1e6, seed=200 + seed
             )
@@ -172,7 +173,7 @@ class TestDirichletPartition:
 
     def test_small_alpha_skews_label_distributions(self):
         def mean_entropy(alpha, seed):
-            ds = gen_gaussian_blobs(4, 500, 2, 1.0, seed=300 + seed)
+            ds = gen_gaussian_blobs(BlobSettings(4, 500, 2, 1.0), seed=300 + seed)
             spec = PartitionSpec(
                 "dirichlet",
                 client_count=10,
@@ -192,7 +193,7 @@ class TestDirichletPartition:
         assert skewed < flat
 
     def test_min_samples_enforced(self):
-        ds = gen_gaussian_blobs(4, 250, 2, 1.0, seed=13)
+        ds = gen_gaussian_blobs(BlobSettings(4, 250, 2, 1.0), seed=13)
         spec = PartitionSpec(
             "dirichlet", client_count=6, dirichlet_alpha=0.2, min_samples_per_client=5, seed=14
         )
@@ -200,7 +201,7 @@ class TestDirichletPartition:
         assert counts.min() >= 5
 
     def test_retry_budget_exhaustion(self):
-        ds = gen_gaussian_blobs(2, 5, 2, 1.0, seed=15)
+        ds = gen_gaussian_blobs(BlobSettings(2, 5, 2, 1.0), seed=15)
         spec = PartitionSpec(
             "dirichlet",
             client_count=5,
@@ -347,7 +348,7 @@ def per_client_csv(assignment, labels):
 class TestPartitionCsv:
     @pytest.mark.parametrize("mode", ["shards", "dirichlet"])
     def test_matches_a_per_client_loop(self, tmp_path, mode):
-        ds = gen_gaussian_blobs(4, 30, 2, 1.0, seed=24)
+        ds = gen_gaussian_blobs(BlobSettings(4, 30, 2, 1.0), seed=24)
         spec = PartitionSpec(mode, client_count=7, shards_per_client=3, dirichlet_alpha=0.3, seed=25)
         assignment = partition_shards(ds, spec) if mode == "shards" else partition_dirichlet(ds, spec)
         path = tmp_path / "partition.csv"
@@ -355,7 +356,7 @@ class TestPartitionCsv:
         assert path.read_bytes() == per_client_csv(assignment, ds.labels)
 
     def test_round_trip_and_determinism(self, tmp_path):
-        ds = gen_gaussian_blobs(3, 20, 2, 1.0, seed=22)
+        ds = gen_gaussian_blobs(BlobSettings(3, 20, 2, 1.0), seed=22)
         spec = PartitionSpec("shards", client_count=4, shards_per_client=3, seed=23)
         assignment = partition_shards(ds, spec)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"

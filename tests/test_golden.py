@@ -59,7 +59,8 @@ def test_cohort_golden_config_spans_the_batch_size():
     # above it.
     cfg = parse_config(GOLDEN / "mlp-cohort" / "config.cfg")
     batch = cfg.trainer.batch_size
-    assert cfg.model == "mlp" and cfg.activation == "relu" and cfg.hidden_units == 32
+    blobs = cfg.blobs
+    assert blobs.model == "mlp" and blobs.activation == "relu" and blobs.hidden_units == 32
     for seed in cfg.seeds:
         federation, _ = build_federation(cfg, seed)
         sizes = federation.train.sizes.tolist()

@@ -6,16 +6,19 @@ import importlib
 import math
 import pkgutil
 import re
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import entrofed
 from entrofed import harness, trainer
 from entrofed.aggregation import EbaConfig, QfflConfig
-from entrofed.datagen import GlrSettings, PartitionSpec
+from entrofed.core import SeededRng
+from entrofed.datagen import BlobSettings, GlrSettings, PartitionSpec, train_test_split_indices
 from entrofed.harness import (
     ConfigError,
     ROUNDS_SCHEMA,
@@ -75,13 +78,13 @@ SCHEMA = {
     ("trainer", "qffl_q"): ("1", "run.qffl.q", 1.0),
     ("trainer", "qffl_lipschitz"): ("1", "run.qffl.lipschitz", 1.0),
     ("data", "kind"): ("blobs", "data_kind", "blobs"),
-    ("data", "classes"): ("10", "classes", 10),
-    ("data", "per_class"): ("200", "per_class", 200),
-    ("data", "dim"): ("8", "dim", 8),
-    ("data", "spread"): ("1", "spread", 1.0),
-    ("data", "model"): ("softmax", "model", "softmax"),
-    ("data", "hidden_units"): ("32", "hidden_units", 32),
-    ("data", "activation"): ("tanh", "activation", "tanh"),
+    ("data", "classes"): ("10", "blobs.classes", 10),
+    ("data", "per_class"): ("200", "blobs.per_class", 200),
+    ("data", "dim"): ("8", "blobs.dim", 8),
+    ("data", "spread"): ("1", "blobs.spread", 1.0),
+    ("data", "model"): ("softmax", "blobs.model", "softmax"),
+    ("data", "hidden_units"): ("32", "blobs.hidden_units", 32),
+    ("data", "activation"): ("tanh", "blobs.activation", "tanh"),
     ("data", "glr_dim"): ("4", "glr.dimension", 4),
     ("data", "samples_per_client"): ("32", "glr.samples_per_client", 32),
     ("data", "design_scale"): ("1", "glr.design_scale", 1.0),
@@ -93,7 +96,7 @@ SCHEMA = {
     ("partition", "dirichlet_alpha"): ("0.3", "partition.dirichlet_alpha", 0.3),
     ("partition", "min_samples_per_client"): ("1", "partition.min_samples_per_client", 1),
     ("metrics", "k_percent"): ("5", "run.k_percent", 5.0),
-    ("metrics", "test_fraction"): ("0.2", "test_fraction", 0.2),
+    ("metrics", "test_fraction"): ("0.2", "blobs.test_fraction", 0.2),
     ("run", "seeds"): ("1", "seeds", (1,)),
     ("run", "output_dir"): ("runs", "output_dir", "runs"),
 }
@@ -138,12 +141,14 @@ class TestSchema:
         assert sorted(declared) == sorted(harness._KEYS)
 
 
-# A bad value of each trainer, partition and GLR data setting: (section,
-# key, file text, the dataclass and field the key sets, the field's value
-# for that text). Whole floats and zero counts are among them: a partition
-# spec once took 2.5 samples, failed in numpy at 3.0 clients, and built an
-# empty federation at 0 clients or empty designs at a GLR dimension and
-# sample count of 0.
+# A bad value of each trainer, partition, blob and GLR data setting:
+# (section, key, file text, the dataclass and field the key sets, the
+# field's value for that text). Whole floats and zero counts are among them:
+# a partition spec once took 2.5 samples, failed in numpy at 3.0 clients,
+# and built an empty federation at 0 clients or empty designs at a GLR
+# dimension and sample count of 0; a minimum of 0 samples let `partition`
+# accept a split that `run` then failed on; the blob generator gave its own
+# reasons for 1 class or a spread of nan, and failed in numpy at 2.5 classes.
 BAD_SETTINGS = [
     ("trainer", "method", "sgd", TrainerConfig, "method", "sgd"),
     ("trainer", "rounds", "0", TrainerConfig, "rounds", 0),
@@ -159,7 +164,17 @@ BAD_SETTINGS = [
     ("partition", "shards_per_client", "0", PartitionSpec, "shards_per_client", 0),
     ("partition", "shards_per_client", "1.5", PartitionSpec, "shards_per_client", 1.5),
     ("partition", "min_samples_per_client", "-1", PartitionSpec, "min_samples_per_client", -1),
+    ("partition", "min_samples_per_client", "0", PartitionSpec, "min_samples_per_client", 0),
     ("partition", "min_samples_per_client", "2.5", PartitionSpec, "min_samples_per_client", 2.5),
+    ("data", "classes", "1", BlobSettings, "classes", 1),
+    ("data", "classes", "2.5", BlobSettings, "classes", 2.5),
+    ("data", "per_class", "0", BlobSettings, "per_class", 0),
+    ("data", "dim", "0", BlobSettings, "dim", 0),
+    ("data", "dim", "2.0", BlobSettings, "dim", 2.0),
+    ("data", "model", "cnn", BlobSettings, "model", "cnn"),
+    ("data", "activation", "sigmoid", BlobSettings, "activation", "sigmoid"),
+    ("data", "hidden_units", "0", BlobSettings, "hidden_units", 0),
+    ("metrics", "test_fraction", "1", BlobSettings, "test_fraction", 1.0),
     ("data", "glr_dim", "0", GlrSettings, "dimension", 0),
     ("data", "glr_dim", "2.0", GlrSettings, "dimension", 2.0),
     ("data", "samples_per_client", "0", GlrSettings, "samples_per_client", 0),
@@ -178,6 +193,8 @@ FLOAT_SETTINGS = [
     ("trainer", "qffl_lipschitz", "0", QfflConfig, "lipschitz", float),
     ("metrics", "k_percent", "150", TrainerConfig, "k_percent", float),
     ("partition", "dirichlet_alpha", "0", PartitionSpec, "dirichlet_alpha", float),
+    ("data", "spread", "-1", BlobSettings, "spread", float),
+    ("metrics", "test_fraction", "0", BlobSettings, "test_fraction", float),
     ("data", "design_scale", "0", GlrSettings, "design_scale", float),
     ("data", "noise_std", "-0.1", GlrSettings, "noise_std", float),
     ("data", "param_scale", "-1", GlrSettings, "param_scale", float),
@@ -201,46 +218,70 @@ def test_one_rule_reached_from_file_and_dataclass(tmp_path, section, key, text, 
     reason = str(in_file.value).split(": ", 1)[1].removesuffix(" (line 2)")
     # theta's reason speaks degrees on both sides, and names the key that does
     where = "theta as theta_deg" if key == "theta_deg" else name
-    with pytest.raises(ValueError, match="^" + re.escape(f"{where} {reason}") + "$"):
+    want = "^" + re.escape(f"{where} {reason}") + "$"
+    with pytest.raises(ValueError, match=want):
         cls(**{name: value})
+    # gen_gaussian_blobs takes a BlobSettings, built above; the split takes
+    # its fraction alone and checks it by the same rule
+    if name == "test_fraction":
+        with pytest.raises(ValueError, match=want):
+            train_test_split_indices((np.arange(3), np.array([3])), value, SeededRng(0))
 
 
 class TestExperimentConfigChecks:
     """A config built in Python is held to the rules of a config file."""
 
     @pytest.mark.parametrize(
-        "settings, message",
-        [
-            (dict(test_fraction=1.0), r"test_fraction must be within \(0\.0, 1\.0\), got 1\.0"),
-            (dict(classes=1), r"classes must be >= 2, got 1"),
-            (dict(data_kind="nope"), r"data_kind must be one of \('blobs', 'glr'\), got 'nope'"),
-            (dict(seeds=(3, 3)), r"seeds must be one or more distinct seeds, got \(3, 3\)"),
-            (dict(seeds=()), r"seeds must be one or more distinct seeds, got \(\)"),
-            (dict(spread=math.nan), r"spread must be finite, got nan"),
-        ],
-    )
-    def test_each_field_is_checked(self, settings, message):
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            harness.ExperimentConfig(**settings)
-
-    @pytest.mark.parametrize(
-        "settings, message",
+        "cls, settings, message",
         [
             (
+                BlobSettings,
+                dict(test_fraction=1.0),
+                r"test_fraction must be within \(0\.0, 1\.0\), got 1\.0",
+            ),
+            (BlobSettings, dict(classes=1), r"classes must be >= 2, got 1"),
+            (
+                harness.ExperimentConfig,
+                dict(data_kind="nope"),
+                r"data_kind must be one of \('blobs', 'glr'\), got 'nope'",
+            ),
+            (
+                harness.ExperimentConfig,
+                dict(seeds=(3, 3)),
+                r"seeds must be one or more distinct seeds, got \(3, 3\)",
+            ),
+            (
+                harness.ExperimentConfig,
+                dict(seeds=()),
+                r"seeds must be one or more distinct seeds, got \(\)",
+            ),
+            (BlobSettings, dict(spread=math.nan), r"spread must be finite, got nan"),
+        ],
+    )
+    def test_each_field_is_checked(self, cls, settings, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            cls(**settings)
+
+    @pytest.mark.parametrize(
+        "cls, settings, message",
+        [
+            (
+                harness.ExperimentConfig,
                 dict(partition=PartitionSpec(client_count=10),
                      trainer=TrainerConfig(clients_per_round=30)),
                 r"trainer\.clients_per_round must not exceed partition\.clients \(30 > 10\)",
             ),
             (
+                harness.ExperimentConfig,
                 dict(data_kind="glr", glr=GlrSettings(dimension=9, samples_per_client=8)),
                 r"data\.glr_dim must not exceed data\.samples_per_client \(rank condition\)",
             ),
-            (dict(model="mlp", hidden_units=65), r"data\.hidden_units must be <= 64"),
+            (BlobSettings, dict(model="mlp", hidden_units=65), r"data\.hidden_units must be <= 64"),
         ],
     )
-    def test_cross_field_rules(self, settings, message):
+    def test_cross_field_rules(self, cls, settings, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
-            harness.ExperimentConfig(**settings)
+            cls(**settings)
 
     def test_rank_rule_holds_for_glr_only(self):
         # blobs ignore the GLR settings, so the rank rule binds at kind = glr
@@ -253,8 +294,7 @@ class TestExperimentConfigChecks:
             partition=PartitionSpec(client_count=10),
             data_kind="glr",
             glr=GlrSettings(dimension=8, samples_per_client=8),
-            model="mlp",
-            hidden_units=64,
+            blobs=BlobSettings(model="mlp", hidden_units=64),
         )
         assert cfg.trainer_config(3) == TrainerConfig(clients_per_round=10, seed=3)
 
@@ -273,11 +313,7 @@ class TestExperimentConfigChecks:
                 dict(batch_size=2.5),
                 r"batch_size must be an integer or None, got 2\.5",
             ),
-            (
-                harness.ExperimentConfig,
-                dict(classes=False),
-                r"classes must be an integer, got False",
-            ),
+            (BlobSettings, dict(classes=False), r"classes must be an integer, got False"),
             (
                 harness.ExperimentConfig,
                 dict(seeds=(1, 2.0)),
@@ -339,7 +375,7 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"data\.hidden_units must be <= 64"):
             parse_config(path)
         cfg = parse_config(write_cfg(tmp_path, "[data]\nhidden_units = 65\n", "s.cfg"))
-        assert (cfg.model, cfg.hidden_units) == ("softmax", 65)
+        assert (cfg.blobs.model, cfg.blobs.hidden_units) == ("softmax", 65)
 
     def test_defaults_are_the_trainer_defaults(self):
         for seed in (0, 7):
@@ -422,7 +458,7 @@ class TestParseConfig:
         assert len(blocks) == 1
         cfg = parse_config(write_cfg(tmp_path, blocks[0]))
         assert (cfg.method, cfg.rounds, cfg.clients, cfg.seeds) == ("fedeba_plus", 200, 50, (1, 2, 3))
-        assert (cfg.trainer.theta, cfg.trainer.batch_size, cfg.model) == (0.0, None, "softmax")
+        assert (cfg.trainer.theta, cfg.trainer.batch_size, cfg.blobs.model) == (0.0, None, "softmax")
 
 
 class TestBuildFederation:
@@ -480,32 +516,32 @@ class TestBuildFederation:
 FEDERATION_DIGESTS = {
     "shards-m50": (
         dict(partition=PartitionSpec("shards", client_count=50, shards_per_client=2),
-             per_class=203),
+             blobs=BlobSettings(per_class=203)),
         "63a9c29307386545a94a61426805f64bf719601c9a5f7f4c32dbb2bd85121a0f",
     ),
     "shards-m500": (
         dict(partition=PartitionSpec("shards", client_count=500, shards_per_client=3),
-             per_class=301, test_fraction=0.25),
+             blobs=BlobSettings(per_class=301, test_fraction=0.25)),
         "92803d0ebde95ef94c5a0aa6199aa2a5fa63723712b74a7fb37f0abf7a261214",
     ),
     "shards-m2000": (
         dict(partition=PartitionSpec("shards", client_count=2000, shards_per_client=1),
-             per_class=250, test_fraction=0.3),
+             blobs=BlobSettings(per_class=250, test_fraction=0.3)),
         "9bc7ee245482f08579d7e31ba2a79eeaec680c556a154d73e76fd1033b53373a",
     ),
     "dirichlet-m50": (
         dict(partition=PartitionSpec("dirichlet", client_count=50, dirichlet_alpha=0.3),
-             per_class=200),
+             blobs=BlobSettings(per_class=200)),
         "09c4fa18539816ed718e0a887f2189f49ca5fd714aaf5e41b9ac6f5c3fc4fd19",
     ),
     "dirichlet-m500": (
         dict(partition=PartitionSpec("dirichlet", client_count=500, dirichlet_alpha=1.0),
-             per_class=500, test_fraction=0.25),
+             blobs=BlobSettings(per_class=500, test_fraction=0.25)),
         "019ab6fd0c5ad33f59b4e2048baf6b1f6c4d85b14122762bbaa762ae949eea9d",
     ),
     "dirichlet-m2000": (
         dict(partition=PartitionSpec("dirichlet", client_count=2000, dirichlet_alpha=5.0),
-             per_class=3000, test_fraction=0.3),
+             blobs=BlobSettings(per_class=3000, test_fraction=0.3)),
         "285161c85f44d437489ce9c5902d61bd3db5b924af62a068ea78788caf87538e",
     ),
 }
@@ -538,7 +574,7 @@ NORMAL_DIGESTS = {
         "f8da58832a98cb9a48e8541e9d07539d0416080daec55fa17d142d78a21357e5",
     ),
     "mlp-m8": (
-        dict(model="mlp", hidden_units=3, classes=3, dim=5, per_class=20,
+        dict(blobs=BlobSettings(model="mlp", hidden_units=3, classes=3, dim=5, per_class=20),
              partition=PartitionSpec(client_count=8),
              trainer=TrainerConfig(clients_per_round=4)),
         "f3b59e4b94ef20eecb6619afd96a3bbd09a52926cc769b8afb6de80b31bc6dcb",
@@ -562,7 +598,7 @@ def test_blob_federation_peaks_under_two_mib():
     # wide-softmax's federation: 80000 normals, whose three arrays of
     # 640000 bytes are the peak; a fourth array of them breaks the bound
     cfg = harness.ExperimentConfig(
-        classes=10, per_class=1000, dim=8,
+        blobs=BlobSettings(classes=10, per_class=1000, dim=8),
         partition=PartitionSpec("shards", client_count=1000, shards_per_client=2),
     )
     tracemalloc.start()
@@ -702,23 +738,22 @@ class TestCmdRun:
         assert capsys.readouterr().err == "error: boom (seed 2, round 3)\n"
         assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["rounds_seed1.csv"]
 
-    def test_a_set_up_error_names_its_seed_and_client(self, tmp_path, capsys, monkeypatch):
-        # With no minimum, a Dirichlet(0.1) partition of 15 samples among 8
-        # clients leaves clients 0 and 7 empty at seed 3, which the train/test
-        # split cannot take; the partition alone is fine.
+    def test_a_set_up_error_names_its_seed(self, tmp_path, capsys, monkeypatch):
+        # 15 samples cannot fill 8 clients' 2 shards each; `partition` fails
+        # on the same split, without a seed to name since it builds only one
         text = (
             "[trainer]\nrounds = 2\nclients_per_round = 2\n\n"
             "[data]\nclasses = 3\nper_class = 5\ndim = 2\n\n"
-            "[partition]\nclients = 8\ndirichlet_alpha = 0.1\nmin_samples_per_client = 0\n\n"
+            "[partition]\nmode = shards\nclients = 8\nshards_per_client = 2\n\n"
             "[run]\nseeds = 3\n"
         )
         cfg = str(write_cfg(tmp_path, text))
         monkeypatch.setenv("ENTROFED_OUTPUT_DIR", str(tmp_path / "out"))
-        assert main(["partition", "--config", cfg]) == 0
         assert main(["run", "--config", cfg]) == 1
-        assert capsys.readouterr().err == (
-            "error: cannot split an empty client: client 0 has no samples (seed 3)\n"
-        )
+        assert capsys.readouterr().err == "error: 15 samples cannot fill 16 shards (seed 3)\n"
+        assert main(["partition", "--config", cfg]) == 1
+        assert capsys.readouterr().err == "error: 15 samples cannot fill 16 shards\n"
+        assert list((tmp_path / "out").iterdir()) == []
 
     def test_underflowed_weights_write_an_infinite_chi_square(self, tmp_path, monkeypatch):
         # README's example: the participants' losses lie so far apart at
@@ -778,6 +813,42 @@ class TestCmdPartition:
             held = np.concatenate([train.labels, test.labels])
             assert len(labels) == train.full_size + test.full_size
             assert labels == sorted(held.tolist())
+
+    @given(
+        mode=st.sampled_from(["dirichlet", "shards"]),
+        classes=st.integers(2, 4),
+        per_class=st.integers(1, 6),
+        clients=st.integers(1, 8),
+        shards=st.integers(1, 3),
+        alpha=st.sampled_from([0.05, 0.1]) | st.floats(0.05, 2.0),
+        minimum=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(mode="dirichlet", classes=3, per_class=5, clients=8, shards=1, alpha=0.1,
+             minimum=1, seed=3)  # no draw of 100 fills every client
+    @example(mode="shards", classes=3, per_class=5, clients=8, shards=2, alpha=0.3,
+             minimum=1, seed=0)  # too few samples for the shards
+    @settings(max_examples=40, deadline=None)
+    def test_partition_accepts_what_run_sets_up(
+        self, mode, classes, per_class, clients, shards, alpha, minimum, seed
+    ):
+        with tempfile.TemporaryDirectory() as out:
+            text = (
+                "[trainer]\nclients_per_round = 1\n\n"
+                f"[data]\nclasses = {classes}\nper_class = {per_class}\ndim = 2\n\n"
+                f"[partition]\nmode = {mode}\nclients = {clients}\n"
+                f"shards_per_client = {shards}\ndirichlet_alpha = {alpha!r}\n"
+                f"min_samples_per_client = {minimum}\n\n"
+                f"[run]\nseeds = {seed}\noutput_dir = {out}\n"
+            )
+            path = write_cfg(Path(out), text)
+            exported = main(["partition", "--config", str(path)]) == 0
+            try:
+                build_federation(parse_config(path), seed)
+            except (ValueError, RuntimeError):
+                assert not exported
+            else:
+                assert exported
 
     def test_infeasible_partition_fails(self, tmp_path, capsys, monkeypatch):
         text = SMALL_RUN.replace("per_class = 40", "per_class = 2").replace(
