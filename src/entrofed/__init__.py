@@ -29,7 +29,6 @@ from entrofed.objectives import (
 )
 from entrofed.datagen import (
     BlobSettings,
-    GlrFederationSpec,
     GlrSettings,
     LabeledDataset,
     PartitionInfeasibleError,
@@ -84,7 +83,6 @@ __all__ = [
     "LabeledDataset",
     "BlobSettings",
     "PartitionSpec",
-    "GlrFederationSpec",
     "GlrSettings",
     "PartitionInfeasibleError",
     "gen_gaussian_blobs",

@@ -220,7 +220,8 @@ class RegressionOracleSetup:
 
     @property
     def aggregate(self) -> np.ndarray:
-        return self.weights @ self.true_params
+        # a fixed order of products and sums, whose bits no BLAS kernel sets
+        return np.add.reduce(self.weights[:, None] * self.true_params, axis=0)
 
 
 def regression_variance_oracle(setup: RegressionOracleSetup, weighted: bool = False) -> float:

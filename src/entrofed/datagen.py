@@ -18,7 +18,8 @@ from entrofed.core import (
     SeededRng, bounded, check_field, check_settings, derive_seeds, one_of, ragged_uniforms,
     row_argsort, setting,
 )
-from entrofed.objectives import ClassifierObjective, GlrObjective
+from entrofed.objectives import ClassifierObjective
+from entrofed.stacks import ObjectiveStack, glr_stack
 
 _LATTICE_SEPARATION = 4.0
 _DIRICHLET_RETRIES = 100
@@ -114,28 +115,6 @@ class GlrSettings:
         check_settings(self)
 
 
-@dataclass(frozen=True)
-class GlrFederationSpec:
-    """Linear-regression federation with per-client true parameters, one
-    client per row of true_params.
-
-    Designs are built with orthonormal columns scaled so that X^T X equals
-    samples_per_client * design_scale * I exactly (up to rounding); targets
-    are X w_i plus Gaussian noise of standard deviation noise_std, all from
-    ``settings``, whose param_scale is for the caller who draws true_params.
-    """
-
-    true_params: np.ndarray  # (clients, settings.dimension)
-    settings: GlrSettings = GlrSettings()
-    seed: int = 0
-
-    def __post_init__(self):
-        w = np.asarray(self.true_params, dtype=np.float64)
-        if w.ndim != 2 or not len(w) or w.shape[1] != self.settings.dimension:
-            raise ValueError("true_params must have shape (clients, dimension), clients >= 1")
-        object.__setattr__(self, "true_params", w)
-
-
 def _lattice_means(classes: int, dim: int) -> np.ndarray:
     """First `classes` points of the integer grid in `dim` dimensions,
     enumerated deterministically and scaled by a fixed separation."""
@@ -158,7 +137,11 @@ def gen_gaussian_blobs(blobs: BlobSettings, seed: int) -> LabeledDataset:
     n = blobs.classes * blobs.per_class
     # each sample's mean plus its noise, in the noise's array
     features = rng.normals(n * blobs.dim).reshape(n, blobs.dim)
-    features *= blobs.spread
+    try:
+        with np.errstate(over="raise"):
+            features *= blobs.spread
+    except FloatingPointError:
+        raise ValueError(f"data.spread = {blobs.spread:g} overflows the features") from None
     labels = np.repeat(np.arange(blobs.classes, dtype=np.int64), blobs.per_class)
     features += means[labels]
     return LabeledDataset(features, labels, blobs.classes)
@@ -255,24 +238,29 @@ def train_test_split_indices(
     return (values[:cut], n_train), (values[cut:], np.maximum(n_test, 1))
 
 
-def gen_glr_federation(spec: GlrFederationSpec) -> list[GlrObjective]:
-    """Per-client regression objectives with X^T X = n * b * I designs; the
-    spec holds their ground truth."""
-    glr = spec.settings
+def gen_glr_federation(true_params, glr: GlrSettings, seed: int) -> ObjectiveStack:
+    """The stack of one regression client per row of true_params, its
+    ground truth: a design with orthonormal columns scaled so that X^T X =
+    n * design_scale * I (up to rounding), and targets X w_i plus Gaussian
+    noise of standard deviation noise_std, all from ``glr``, whose
+    param_scale is for the caller who draws true_params."""
+    w = np.asarray(true_params, dtype=np.float64)
     n, d = glr.samples_per_client, glr.dimension
+    if w.ndim != 2 or not len(w) or w.shape[1] != d:
+        raise ValueError("true_params must have shape (clients, dimension), clients >= 1")
     if d > n:
         raise ValueError("dimension cannot exceed samples_per_client (rank condition)")
-    rng = SeededRng(spec.seed)
-    objectives = []
-    for i, w in enumerate(spec.true_params):
+    rng = SeededRng(seed)
+    design, targets = np.empty((len(w), n, d)), np.empty((len(w), n))
+    for i, w_i in enumerate(w):
+        # each client's arrays are made on their own and copied into its
+        # slot: the BLAS calls' bits can depend on where their operands lie
         client_rng = rng.derive(1, i)
         raw = client_rng.normals(n * d).reshape(n, d)
-        q, _ = np.linalg.qr(raw)
-        design = q * np.sqrt(n * glr.design_scale)
-        noise = glr.noise_std * client_rng.normals(n)
-        targets = design @ w + noise
-        objectives.append(GlrObjective(design, targets))
-    return objectives
+        noise = client_rng.normals(n)
+        x = np.linalg.qr(raw)[0] * np.sqrt(n * glr.design_scale)
+        design[i], targets[i] = x, x @ w_i + glr.noise_std * noise
+    return glr_stack(design, targets)
 
 
 def write_partition_csv(path, assignment: tuple[np.ndarray, np.ndarray], labels) -> None:

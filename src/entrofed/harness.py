@@ -45,7 +45,6 @@ from entrofed.core import (
 )
 from entrofed.datagen import (
     BlobSettings,
-    GlrFederationSpec,
     GlrSettings,
     PartitionSpec,
     gen_gaussian_blobs,
@@ -54,7 +53,7 @@ from entrofed.datagen import (
     train_test_split_indices,
     write_partition_csv,
 )
-from entrofed.stacks import classifier_stack, stack_objectives
+from entrofed.stacks import classifier_stack
 from entrofed.trainer import Federation, RoundReport, TrainerConfig, run_training
 
 OUTPUT_DIR_ENV = "ENTROFED_OUTPUT_DIR"
@@ -256,9 +255,8 @@ def build_federation(cfg: ExperimentConfig, seed: int) -> tuple[Federation, np.n
     w = glr.param_scale * root.derive(_TAG_GLR_PARAMS).normals(
         cfg.clients * glr.dimension
     ).reshape(cfg.clients, glr.dimension)
-    train_spec = GlrFederationSpec(w, glr, root.derive(_TAG_GLR_TRAIN).seed)
-    test_spec = replace(train_spec, seed=root.derive(_TAG_GLR_TEST).seed)
-    sides = (stack_objectives(gen_glr_federation(spec)) for spec in (train_spec, test_spec))
+    tags = (_TAG_GLR_TRAIN, _TAG_GLR_TEST)
+    sides = (gen_glr_federation(w, glr, root.derive(tag).seed) for tag in tags)
     return Federation(*sides), np.zeros(glr.dimension)
 
 

@@ -97,8 +97,8 @@ class GlrObjective(LocalObjective):
     def __init__(self, design: np.ndarray, targets: np.ndarray):
         design = np.asarray(design, dtype=np.float64)
         targets = np.asarray(targets, dtype=np.float64)
-        if design.ndim != 2:
-            raise ValueError("design must be an n x d matrix")
+        if design.ndim != 2 or design.shape[0] == 0:
+            raise ValueError("design must be a nonempty n x d matrix")
         if targets.shape != (design.shape[0],):
             raise ValueError("targets must have one entry per design row")
         if not (np.all(np.isfinite(design)) and np.all(np.isfinite(targets))):

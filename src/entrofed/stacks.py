@@ -4,7 +4,8 @@
 of objectives: a family stack for GLR or classifier clients, which copies
 their samples once and evaluates them in passes of whole segments of
 equal-size clients, or the per-objective loop for other families;
-:func:`classifier_stack` builds one from a split side of a dataset. A
+:func:`classifier_stack` builds one from a split side of a dataset, and
+:func:`glr_stack` from the stacked rows of regression clients. A
 federation's telemetry runs on its two stacks, and a round's cohort on a
 ``take`` of the train stack, whose local SGD runs one ``step_plan``.
 
@@ -920,6 +921,16 @@ def stack_objectives(objectives) -> ObjectiveStack:
     order, rows = _in_size_order(np.cumsum(counts) - counts, counts)
     inputs, targets = (np.concatenate(side)[rows] for side in zip(*(o._rows() for o in objs)))
     return family(objs[0], counts, order, inputs, targets)
+
+
+def glr_stack(design: np.ndarray, targets: np.ndarray) -> ObjectiveStack:
+    """The stack of the regression clients ``(design[i], targets[i])`` of
+    (m, n, d) designs and (m, n) targets: their rows end to end, under one
+    ``GlrObjective`` that checks them, the stack's ``model``."""
+    m, n, d = design.shape
+    model = GlrObjective(design.reshape(m * n, d), targets.reshape(m * n))
+    counts = np.full(m, n, dtype=np.int64)
+    return _GlrStack(model, counts, np.arange(m), model.design, model.targets)
 
 
 def classifier_stack(ds, side, hidden: int = 0, activation: str = "identity") -> ObjectiveStack:

@@ -61,6 +61,9 @@ ONE_RULE = "tests/test_harness.py::test_one_rule_reached_from_file_and_dataclass
 CONFIG_CHECKS = "tests/test_harness.py::TestExperimentConfigChecks"
 PARSE = "tests/test_harness.py::TestParseConfig"
 ROW_ARGSORT = "tests/test_core.py::TestRowArgsort"
+GLR_SIDE = "tests/test_datagen.py::TestGlrFederation::test_matches_the_per_client_loop"
+GLR_DIGEST = "tests/test_harness.py::test_normal_draws_are_pinned[glr-m11]"
+GLR_GOLDEN = "tests/test_golden.py::test_run_reproduces_golden_files[glr-qffl]"
 
 MUTANTS = (
     Mutant(
@@ -552,6 +555,28 @@ MUTANTS = (
             "tests/test_harness.py::test_federation_digest_is_pinned[shards-m50]",
             "tests/test_harness.py::test_federation_digest_is_pinned[shards-m500]",
         ),
+    ),
+    # a GLR side, built straight into its stack
+    Mutant(
+        "glr-noise-drawn-before-the-design",
+        DATAGEN,
+        "        raw = client_rng.normals(n * d).reshape(n, d)\n        noise = client_rng.normals(n)\n",
+        "        noise = client_rng.normals(n)\n        raw = client_rng.normals(n * d).reshape(n, d)\n",
+        (GLR_SIDE, GLR_DIGEST, GLR_GOLDEN),
+    ),
+    Mutant(
+        "glr-targets-without-noise",
+        DATAGEN,
+        "x @ w_i + glr.noise_std * noise",
+        "x @ w_i",
+        (GLR_SIDE, GLR_DIGEST, GLR_GOLDEN),
+    ),
+    Mutant(
+        "glr-design-without-rows-accepted",
+        OBJECTIVES,
+        "if design.ndim != 2 or design.shape[0] == 0:",
+        "if design.ndim != 2:",
+        ("tests/test_objectives.py::TestGlr::test_rejects_a_design_without_rows",),
     ),
     Mutant(
         "bounded-takes-non-finite",

@@ -7,7 +7,6 @@ from hypothesis import assume, example, given, settings, strategies as st
 from entrofed.core import SeededRng
 from entrofed.datagen import (
     BlobSettings,
-    GlrFederationSpec,
     GlrSettings,
     LabeledDataset,
     PartitionInfeasibleError,
@@ -20,7 +19,8 @@ from entrofed.datagen import (
     train_test_split_indices,
     write_partition_csv,
 )
-from entrofed.objectives import glr_least_squares
+from entrofed.objectives import GlrObjective, glr_least_squares
+from entrofed.stacks import stack_objectives
 
 
 def assert_is_partition(assignment, n):
@@ -289,17 +289,32 @@ class TestTrainTestSplit:
             assert np.array_equal(tr, ref_tr) and np.array_equal(te, ref_te)
 
 
+def per_client_glr(true_params, glr, seed):
+    """One regression objective per row of true_params, each client's
+    design and targets drawn and made in turn: the builder before each side
+    went straight into its stack."""
+    n, d = glr.samples_per_client, glr.dimension
+    rng = SeededRng(seed)
+    objectives = []
+    for i, w in enumerate(true_params):
+        client_rng = rng.derive(1, i)
+        q, _ = np.linalg.qr(client_rng.normals(n * d).reshape(n, d))
+        design = q * np.sqrt(n * glr.design_scale)
+        noise = glr.noise_std * client_rng.normals(n)
+        objectives.append(GlrObjective(design, design @ w + noise))
+    return objectives
+
+
 class TestGlrFederation:
-    def _spec(self, w, noise=0.0, seed=0, n=16, b=2.0):
+    def _side(self, w, noise=0.0, seed=0, n=16, b=2.0):
         w = np.asarray(w, dtype=np.float64)
         glr = GlrSettings(w.shape[1], n, design_scale=b, noise_std=noise)
-        return GlrFederationSpec(w, glr, seed)
+        return gen_glr_federation(w, glr, seed)
 
     def test_design_gram_structure(self):
         rng = SeededRng(18)
         w = rng.normals(12).reshape(3, 4)
-        objs = gen_glr_federation(self._spec(w, n=20, b=3.0))
-        for obj in objs:
+        for obj in self._side(w, n=20, b=3.0).objectives:
             gram = obj.design.T @ obj.design
             target = 20 * 3.0 * np.eye(4)
             assert np.abs(gram - target).max() < 1e-6 * 20 * 3.0
@@ -307,33 +322,60 @@ class TestGlrFederation:
     def test_noiseless_recovery(self):
         rng = SeededRng(19)
         w = rng.normals(8).reshape(2, 4)
-        spec = self._spec(w, noise=0.0, seed=5)
-        objs = gen_glr_federation(spec)
-        for obj, w_true in zip(objs, spec.true_params, strict=True):
+        objs = self._side(w, noise=0.0, seed=5).objectives
+        for obj, w_true in zip(objs, w, strict=True):
             assert np.abs(glr_least_squares(obj) - w_true).max() < 1e-8
 
     def test_rank_condition(self):
         w = np.zeros((2, 5))
         with pytest.raises(ValueError, match="rank"):
-            gen_glr_federation(
-                GlrFederationSpec(w, GlrSettings(dimension=5, samples_per_client=3))
-            )
+            gen_glr_federation(w, GlrSettings(dimension=5, samples_per_client=3), 0)
 
     def test_one_client_per_row_of_true_params(self):
         glr = GlrSettings(dimension=4, samples_per_client=6)
-        assert len(gen_glr_federation(GlrFederationSpec(np.zeros((3, 4)), glr))) == 3
+        side = gen_glr_federation(np.zeros((3, 4)), glr, 0)
+        assert side.m == 3 and side.sizes.tolist() == [6, 6, 6] and side.dimension == 4
         for shape in [(0, 4), (4,), (3, 5), (1, 3, 4)]:
             with pytest.raises(ValueError, match=r"shape \(clients, dimension\), clients >= 1"):
-                GlrFederationSpec(np.zeros(shape), glr)
+                gen_glr_federation(np.zeros(shape), glr, 0)
 
     def test_determinism(self):
         rng = SeededRng(20)
         w = rng.normals(6).reshape(2, 3)
-        a = gen_glr_federation(self._spec(w, noise=0.5, seed=21))
-        b = gen_glr_federation(self._spec(w, noise=0.5, seed=21))
+        a = self._side(w, noise=0.5, seed=21).objectives
+        b = self._side(w, noise=0.5, seed=21).objectives
         for x, y in zip(a, b):
             assert np.array_equal(x.design, y.design)
             assert np.array_equal(x.targets, y.targets)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.integers(1, 6),
+        d=st.integers(1, 5),
+        extra=st.integers(0, 8),
+        scale=st.floats(1e-3, 1e3),
+        noise=st.just(0.0) | st.floats(0.0, 10.0),
+        seed=st.integers(0, 2**32),
+    )
+    @example(m=11, d=3, extra=4, scale=1.0, noise=0.3, seed=3)
+    @example(m=4, d=1, extra=39, scale=2.0, noise=0.0, seed=0)
+    def test_matches_the_per_client_loop(self, m, d, extra, scale, noise, seed):
+        # the stack's rows, its clients and their losses and gradients,
+        # byte for byte as the per-client objectives stacked after the fact
+        glr = GlrSettings(d, d + extra, design_scale=scale, noise_std=noise)
+        w = SeededRng(seed ^ 7).normals(m * d).reshape(m, d)
+        side = gen_glr_federation(w, glr, seed)
+        reference = per_client_glr(w, glr, seed)
+        want = stack_objectives(reference)
+        assert np.array_equal(side.sizes, want.sizes)
+        assert side._inputs.tobytes() == want._inputs.tobytes()
+        assert side._targets.tobytes() == want._targets.tobytes()
+        for got, obj in zip(side.objectives, reference, strict=True):
+            assert got.design.tobytes() == obj.design.tobytes()
+            assert got.targets.tobytes() == obj.targets.tobytes()
+        xs = SeededRng(seed ^ 8).normals(m * d).reshape(m, d)
+        assert side.losses(xs).tobytes() == want.losses(xs).tobytes()
+        assert side.gradients(xs[0]).tobytes() == want.gradients(xs[0]).tobytes()
 
 
 def per_client_csv(assignment, labels):

@@ -755,6 +755,23 @@ class TestCmdRun:
         assert capsys.readouterr().err == "error: 15 samples cannot fill 16 shards\n"
         assert list((tmp_path / "out").iterdir()) == []
 
+    @pytest.mark.filterwarnings("error")
+    def test_an_overflowing_spread_names_its_key(self, tmp_path, capsys, monkeypatch):
+        # spread = 1e308 passes its rule (finite, >= 0), but the features it
+        # scales overflow: one error line names the key, and no warning comes
+        text = (
+            "[trainer]\nrounds = 2\nclients_per_round = 2\n\n"
+            "[data]\nclasses = 2\nper_class = 5\nspread = 1e308\n\n[partition]\nclients = 4\n"
+        )
+        cfg = str(write_cfg(tmp_path, text))
+        monkeypatch.setenv("ENTROFED_OUTPUT_DIR", str(tmp_path / "out"))
+        assert main(["run", "--config", cfg]) == 1
+        want = "error: data.spread = 1e+308 overflows the features"
+        assert capsys.readouterr().err == f"{want} (seed 1)\n"
+        assert main(["partition", "--config", cfg]) == 1
+        assert capsys.readouterr().err == f"{want}\n"
+        assert list((tmp_path / "out").iterdir()) == []
+
     def test_underflowed_weights_write_an_infinite_chi_square(self, tmp_path, monkeypatch):
         # README's example: the participants' losses lie so far apart at
         # tau0 = 0.1 that some weight of every round underflows to 0

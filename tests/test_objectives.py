@@ -206,6 +206,14 @@ class TestGlr:
         with pytest.raises(np.linalg.LinAlgError):
             glr_least_squares(GlrObjective(design, np.ones(6)))
 
+    @pytest.mark.filterwarnings("error")
+    def test_rejects_a_design_without_rows(self):
+        # as a classifier's features: an empty client has no mean loss
+        for design in (np.zeros((0, 4)), np.zeros(4), np.zeros((1, 2, 2))):
+            with pytest.raises(ValueError, match="nonempty n x d"):
+                GlrObjective(design, np.zeros(len(design)))
+        assert GlrObjective(np.zeros((1, 4)), np.zeros(1)).loss(np.zeros(4)) == 0.0
+
 
 class TestClassifier:
     def test_loss_at_zero_params_is_log_c(self):

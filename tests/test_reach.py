@@ -30,6 +30,9 @@ ORACLES = (["toy"], ["glr_variance"], ["entropy_grid"])
 # what the commands do not call, by module.qualname, with why it stays
 STACKED = "reference for tests/test_objectives.py::TestStackedEvaluation"
 MIXED = "public API: the per-objective loop of a federation that no family stack takes"
+GLR_SIDE = (
+    "reference for tests/test_datagen.py::TestGlrFederation::test_matches_the_per_client_loop"
+)
 UNREACHED = {
     "core.SeededRng.next_u64": "tracer patch point",
     "core.SeededRng.uniform": "tracer patch point",
@@ -47,6 +50,8 @@ UNREACHED = {
     "objectives.QuadraticObjective.gradient": "public API",
     "objectives.GlrObjective.loss": STACKED,
     "objectives.GlrObjective.gradient": STACKED,
+    "objectives.GlrObjective._rows": GLR_SIDE,
+    "objectives.GlrObjective.full_size": GLR_SIDE,
     "objectives.ClassifierObjective.loss": "tracer patch point",
     "objectives.ClassifierObjective.gradient": "tracer patch point",
     "objectives.ClassifierObjective.accuracy": "tracer patch point",
@@ -68,6 +73,7 @@ UNREACHED = {
     "stacks.ObjectiveStack.losses": MIXED,
     "stacks.ObjectiveStack.gradients": MIXED,
     "stacks.ObjectiveStack.step_plan": MIXED,
+    "stacks.stack_objectives": GLR_SIDE,
     "stacks._RowStack.objectives": (
         "reference for tests/test_harness.py::test_federation_digest_is_pinned"
     ),
