@@ -53,7 +53,7 @@ from entrofed.datagen import (
     train_test_split_indices,
     write_partition_csv,
 )
-from entrofed.stacks import classifier_stack
+from entrofed.stacks import classifier_stacks
 from entrofed.trainer import Federation, RoundReport, TrainerConfig, run_training
 
 OUTPUT_DIR_ENV = "ENTROFED_OUTPUT_DIR"
@@ -248,7 +248,7 @@ def build_federation(cfg: ExperimentConfig, seed: int) -> tuple[Federation, np.n
         sides = train_test_split_indices(
             assignment, cfg.blobs.test_fraction, root.derive(_TAG_SPLIT)
         )
-        train, test = (classifier_stack(ds, side, *cfg.blobs.layer) for side in sides)
+        train, test = classifier_stacks(ds, sides, *cfg.blobs.layer)
         return Federation(train, test), train.model.init_params(root.derive(_TAG_INIT))
 
     glr = cfg.glr

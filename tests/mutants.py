@@ -53,6 +53,7 @@ QFFL = "tests/test_aggregation.py::TestQfflStep"
 CHI = "tests/test_trainer.py::TestChiSquareOrInf"
 WHOLE_RUN = "tests/test_trainer.py::TestWholeRunMatchesPerClientLoop"
 KERNELS = "tests/test_objectives.py::TestClassAxisKernels"
+MEANS = "tests/test_objectives.py::TestClientMeans"
 WIDE = f"{TEST_OBJECTIVES}::test_matches_per_client_calls_at_wide_class_axes"
 RUN_PLAN = "tests/test_trainer.py::TestRunPlan::test_a_refilled_plan_gives_the_bits_of_fresh_plans"
 HARNESS = "src/entrofed/harness.py"
@@ -105,6 +106,30 @@ MUTANTS = (
         "out = np.empty((self.m, xs.shape[-1]))",
         'out = self._arena("out", self.m * xs.shape[-1]).reshape(self.m, -1)',
         (f"{TEST_OBJECTIVES}::test_results_never_alias_the_arena",),
+    ),
+    Mutant(
+        "test-pass-returns-its-bound-losses",
+        STACKS,
+        "return losses.copy(), accs.copy()",
+        "return losses, accs.copy()",
+        (f"{TEST_OBJECTIVES}::test_a_federations_sides_share_one_arena",),
+    ),
+    Mutant(
+        "arena-reserve-ignored",
+        STACKS,
+        "            size = max(size, self._reserved.get(name, 0))\n",
+        "",
+        (
+            f"{TEST_OBJECTIVES}::test_a_federations_sides_share_one_arena[train]",
+            f"{TEST_OBJECTIVES}::test_a_federations_sides_share_one_arena[plan]",
+        ),
+    ),
+    Mutant(
+        "streams-not-advanced-by-next-uniforms",
+        CORE,
+        "rng._count += n",
+        "rng._count += 0",
+        ("tests/test_core.py::TestManyStreams::test_next_uniforms_read_and_advance_each_stream",),
     ),
     Mutant(
         "narrow-fair-angle-rescale-band",
@@ -284,12 +309,25 @@ MUTANTS = (
     Mutant(
         "column-sums-paired-by-halves",
         STACKS,
-        "adds += [_iadd(r[::2], r[1::2]), _iadd(r[::4], r[2::4]), _iadd(out, r[4])]",
-        "adds += [_iadd(r[:4], r[4:]), _iadd(r[:2], r[2:4]), _iadd(out, r[1])]",
+        # ((r0+r4)+(r1+r5))+((r2+r6)+(r3+r7)): a whole sum, in another order
+        "    adds += [_iadd(r[i], r[i + 1]) for i in (0, 2, 4, 6)]\n"
+        "    adds += [_iadd(r[0], r[2]), _iadd(r[4], r[6]), _iadd(out, r[4])]\n",
+        "    adds += [_iadd(r[i], r[i + 4]) for i in (0, 1, 2, 3)]\n"
+        "    adds += [_iadd(r[0], r[1]), _iadd(r[2], r[3]), _iadd(out, r[2])]\n",
         (
             f"{KERNELS}::test_column_sums_are_numpys_row_sums",
             f"{WIDE}[softmax-c10]",
             f"{WIDE}[softmax-c130]",
+        ),
+    ),
+    Mutant(
+        "client-means-summed-in-reverse",
+        STACKS,
+        "            total = v.T\n",
+        "            total = v.T[::-1]\n",
+        (
+            f"{MEANS}::test_means_are_each_clients_reduce_over_its_rows",
+            f"{MEANS}::test_telemetry_means_are_each_clients_own",
         ),
     ),
     Mutant(

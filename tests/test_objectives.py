@@ -29,7 +29,7 @@ from entrofed.stacks import (
     _bind_target_log_probs,
     _column_sum_plan,
     _run,
-    classifier_stack,
+    classifier_stacks,
     stack_objectives,
 )
 
@@ -378,28 +378,40 @@ class TestClassAxisKernels:
             _run(_bind_target_log_probs(z, exps[0], at, picked))
         assert same_bits(picked, logp[np.arange(len(rows)), labels])
 
-    def test_column_sums_are_numpys_row_sums(self):
+    # 12 columns, one of each kind of term below; 1, 16 and 160 columns,
+    # the row widths of the class axis and of the means' segments, around
+    # numpy's vector loop lengths; 2048, a pass's rows
+    @pytest.mark.parametrize("width", [1, 12, 16, 160, 2048])
+    def test_column_sums_are_numpys_row_sums(self, width):
         # Every length up to 300 takes each branch of numpy's pairwise sum
         # at and around its branch points (8, 128 and the halves' multiples
-        # of 8). The reference is the C-ordered transpose: numpy sums the
-        # rows of the a.T view itself in memory order, one term at a time.
+        # of 8); at 2048 columns, the lengths at and around them. The
+        # reference is the C-ordered transpose: numpy sums the rows of the
+        # a.T view itself in memory order, one term at a time.
         rng = np.random.default_rng(18)
 
         def terms(n):
-            a = rng.standard_normal((n, 12)) * 10.0 ** rng.uniform(-8.0, 8.0, (n, 12))
-            a[:, 1] = -0.0
-            a[:, 2] = 0.0
-            a[:, 3] = rng.choice([0.0, -0.0], n)
-            a[:, 4:6] = np.exp(rng.uniform(-800.0, 10.0, (n, 2)))  # softmax terms, 0s too
-            edges = rng.random((n, 6)) < 0.1
-            a[:, 6:][edges] = rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan], edges.sum())
+            # column j holds terms of kind (j + n) % 12, so that one column
+            # takes every kind as n runs
+            a = rng.standard_normal((n, width)) * 10.0 ** rng.uniform(-8.0, 8.0, (n, width))
+            kind = (np.arange(width) + n) % 12
+            a[:, kind == 1] = -0.0
+            a[:, kind == 2] = 0.0
+            a[:, kind == 3] = rng.choice([0.0, -0.0], (n, 1))
+            softmax = (kind == 4) | (kind == 5)  # softmax terms, 0s too
+            a[:, softmax] = np.exp(rng.uniform(-800.0, 10.0, (n, softmax.sum())))
+            edges = (kind >= 6) & (rng.random((n, width)) < 0.1)
+            a[edges] = rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan], edges.sum())
             return a
 
-        for n in range(1, 301):
+        lengths = range(1, 301)
+        if width > 160:
+            lengths = [*range(1, 18), 127, 128, 129, 135, 136, 137, 143, 255, 256, 257, 271, 300]
+        for n in lengths:
             # A pass plans its sums once, over views of its arena, and runs
             # them on new contents each time: no run keeps anything of an
             # earlier one.
-            bound = np.empty((n, 12))
+            bound = np.empty((n, width))
             adds = _column_sum_plan(bound)
             for a in (terms(n), terms(n)):
                 bound[...] = a
@@ -407,7 +419,8 @@ class TestClassAxisKernels:
                     _run(adds)
                     want = np.ascontiguousarray(a.T).sum(axis=-1)
                 assert same_bits(bound[0], want), n
-                assert not np.signbit(bound[0, 1]), n  # numpy's sum starts from +0.0
+                # numpy's sum starts from +0.0
+                assert not np.signbit(bound[0, (np.arange(width) + n) % 12 == 1]).any(), n
 
     @given(logp=class_axis_arrays(), seed=st.integers(0, 2**32 - 1))
     @example(logp=EDGE_ROWS, seed=0)
@@ -480,6 +493,76 @@ class TestClassAxisKernels:
         assert got.tolist() == want.astype(float).tolist()
         return got
 
+
+class TestClientMeans:
+    """A pass's per-client means: numpy's reduce over each client's own
+    rows, divided by n, bit for bit but for a NaN's sign and payload, on
+    both sides of the rule (``_sums_by_columns``) by which a segment of c
+    clients of n rows sums down the columns of its transpose instead."""
+
+    RUNS = st.lists(st.tuples(st.integers(1, 600), st.integers(1, 20)), min_size=1, max_size=3)
+
+    @given(runs=RUNS, cap=st.sampled_from([64, 2048, 20480]), seed=st.integers(0, 2**32 - 1))
+    # wide-softmax's test and train sides; segments of 224 and 223 clients
+    # of 7 rows, on either side of the rule
+    @example(runs=[(1000, 2)], cap=2048, seed=0)
+    @example(runs=[(1000, 8)], cap=2048, seed=1)
+    @example(runs=[(447, 7)], cap=224 * 7, seed=2)
+    @settings(max_examples=60, deadline=None)
+    def test_means_are_each_clients_reduce_over_its_rows(self, runs, cap, seed):
+        rng = np.random.default_rng(seed)
+        sizes = np.repeat([n for _, n in runs], [c for c, _ in runs])
+        sizes.sort()
+        values = rng.standard_normal(sizes.sum()) * 10.0 ** rng.uniform(-8.0, 8.0, sizes.sum())
+        edges = rng.random(sizes.size) < 0.2  # clients whose rows hold edge values
+        rows = np.repeat(edges, sizes)
+        values[rows] = rng.choice([0.0, -0.0, -0.0, np.inf, -np.inf, np.nan, 1.5], rows.sum())
+        starts = np.cumsum(sizes) - sizes
+        with np.errstate(invalid="ignore"):
+            want = np.array([np.add.reduce(values[a : a + n]) / n for a, n in zip(starts, sizes)])
+            got = np.empty(sizes.size)
+            for p in stacks._passes(sizes, cap):
+                picked = values[p.rows].copy()
+                parts = stacks._segment_views(picked, p.segments, False)
+                _run(stacks._mean_calls(p, parts, got[p.clients]))
+        assert same_bits(got, want)
+
+    @given(
+        runs=RUNS,
+        classes=st.integers(2, 4),
+        odd=st.sampled_from([0.0, 0.05, 0.3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(runs=[(1000, 2)], classes=3, odd=0.0, seed=0)
+    @example(runs=[(300, 6), (40, 3)], classes=4, odd=0.0, seed=3)
+    @example(runs=[(300, 6), (40, 3)], classes=4, odd=0.3, seed=4)
+    @settings(max_examples=20, deadline=None)
+    def test_telemetry_means_are_each_clients_own(self, runs, classes, odd, seed):
+        # A client's loss is np.mean of its rows' losses, and its accuracy
+        # that of its hits: np.add.reduce over its own rows, over n. Features
+        # of +-1 and parameters of +-60 make rows certain of their label (a
+        # loss of -0.0) or of another (a large loss), and normal parameters
+        # losses whose sum's order sets its last bits; infinite and NaN
+        # parameters make losses of inf and NaN.
+        rng = np.random.default_rng(seed)
+        sizes = np.repeat([n for _, n in runs], [c for c, _ in runs])
+        objs = [
+            ClassifierObjective(
+                rng.choice([-1.0, 1.0], (n, 2)), rng.integers(0, classes, n), classes, 0, "identity"
+            )
+            for n in sizes
+        ]
+        d = objs[0].dimension
+        x = np.where(rng.random(d) < 0.3, 60.0, 1.0) * rng.normal(0.0, 1.0, d)
+        odd_at = rng.random(x.size) < odd
+        x[odd_at] = rng.choice([np.inf, -np.inf, np.nan], int(odd_at.sum()))
+        stack = stack_objectives(objs)
+        with np.errstate(all="ignore"):
+            losses, accuracies = stack.evaluate(x)
+            train_losses = stack.losses(x)
+            want = np.array([o.loss(x) for o in objs]), np.array([o.accuracy(x) for o in objs])
+        assert same_bits(losses, want[0]) and same_bits(train_losses, want[0])
+        assert same_bits(accuracies, want[1])
 
 # family -> factory(rng, n) of one client objective with n samples
 STACK_FAMILIES = {
@@ -871,6 +954,71 @@ class TestStackedEvaluation:
         for a, b in zip(first, kept, strict=True):
             assert a.tobytes() == b.tobytes()
 
+    @pytest.mark.parametrize("first", ["train", "test", "plan"])
+    def test_a_federations_sides_share_one_arena(self, first):
+        # classifier_stacks builds a federation's train and test sides on
+        # one arena, which the cohort's kept full-batch plan shares too.
+        # Whichever pass binds first, every pass writes into the same
+        # arrays, and what one returns is the caller's, in any order of
+        # train losses, test evaluate and the plan's step and losses, at
+        # the bytes that stacks of arenas of their own give. A test client
+        # outgrows the pass cap, so its pass is the largest: but for the
+        # arena's reserve, binding it after the train side would grow
+        # arrays that the train side's passes do not see. Each side's
+        # clients come in ascending size, as in a federation of equal
+        # shards, so that no gather back to client order copies a result.
+        rng = SeededRng(44)
+        ds = LabeledDataset(rng.normals(500 * 4).reshape(500, 4), rng.integers(500, 3), 3)
+        rows = rng.permutation(500)
+        sides = [
+            (rows[:150], np.array([1, 1, 4, 5] + [6] * 20 + [9])),
+            (rows[150:450], np.array([8, 9] + [10] * 20 + [11, 12, 60])),
+        ]
+        ids = np.array([4, 20, 0, 21, 7])
+
+        with mock.patch.object(stacks, "STACK_BLOCK_ROWS", 24):  # passes of 48 rows
+            shared = classifier_stacks(ds, sides, 5, "tanh")
+            apart = [classifier_stacks(ds, [side], 5, "tanh")[0] for side in sides]
+
+        def federation(train, test):
+            ordered, _ = train.take(ids).in_pass_order()
+            xs = np.empty((len(ids), train.dimension))
+            out = np.empty_like(xs)
+            plan = ordered.step_plan(xs, out)
+
+            def run(x, order):
+                got = {}
+                xs[...] = x + 0.1 * np.arange(len(ids))[:, None]
+                for name in order:
+                    if name == "train":
+                        got["train"] = train.losses(x)
+                    elif name == "test":
+                        got["test"], got["accuracies"] = test.evaluate(x)
+                    else:
+                        plan(0)
+                        got["step"], got["plan"] = out.copy(), plan.losses()
+                return got
+
+            return run
+
+        orders = {
+            "train": [("train", "test", "plan"), ("plan", "test", "train")],
+            "test": [("test", "plan", "train"), ("train", "plan", "test")],
+            "plan": [("plan", "train", "test"), ("test", "train", "plan")],
+        }[first]
+        run, alone = federation(*shared), federation(*apart)
+        xs = [0.5 * rng.normals(shared[0].dimension) for _ in orders]
+        results, kept = [], []
+        for x, order in zip(xs, orders):
+            results.append(run(x, order))
+            kept.append({k: a.copy() for k, a in results[-1].items()})
+        views = [s._telemetry[-1].views for s in shared]
+        assert np.shares_memory(views[0]["exps"], views[1]["exps"])
+        for x, order, got, was in zip(xs, orders, results, kept):
+            want = alone(x, order)
+            for name, a in got.items():
+                assert a.tobytes() == was[name].tobytes() == want[name].tobytes(), name
+
     @pytest.mark.parametrize("family", sorted(STACK_FAMILIES))
     def test_in_pass_order_and_a_plan_into_a_given_array(self, family):
         rng = SeededRng(42)
@@ -947,7 +1095,7 @@ class TestStackTake:
         ds = LabeledDataset(rng.normals(60 * 4).reshape(60, 4), rng.integers(60, 3), 3)
         counts = np.array(self.SIZES)
         indices = rng.permutation(60)[: counts.sum()]
-        stack = classifier_stack(ds, (indices, counts), 5, "tanh")
+        (stack,) = classifier_stacks(ds, [(indices, counts)], 5, "tanh")
         ends = np.cumsum(counts)
         clients = [
             ClassifierObjective(ds.features[idx], ds.labels[idx], 3, 5, "tanh")
@@ -965,4 +1113,4 @@ class TestStackTake:
         labels[indices[-1]] = 3
         bad = SimpleNamespace(features=ds.features, labels=labels, n_classes=3)
         with pytest.raises(ValueError, match="labels out of class range"):
-            classifier_stack(bad, (indices, counts))
+            classifier_stacks(bad, [(indices, counts)])
