@@ -102,7 +102,7 @@ def evaluate_fairness(
     """
     losses, accs = stack.evaluate(x)
     sizes = stack.sizes
-    if np.all(np.isfinite(accs)):
+    if np.isfinite(accs).all():
         acc_var = population_variance(accs)
         worst, best = _tail_means(accs, k_percent)
         global_acc = float(np.dot(sizes, accs) / sizes.sum())

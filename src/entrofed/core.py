@@ -271,7 +271,7 @@ def _as_floats(values, name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError(f"{name} must be a nonempty 1-D array")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} must contain only finite values")
     return arr
 
@@ -367,12 +367,12 @@ def fair_angle(losses) -> float:
     norm would overflow or underflow, is first divided by that loss.
     """
     arr = _as_floats(losses, "losses")
-    if np.any(arr < 0.0):
+    if (arr < 0.0).any():
         raise ValueError("losses must be nonnegative")
     peak = arr.max()
     if peak > 0.0 and not 2.0**-500 <= peak <= 2.0**500:
         arr = arr / peak
-    norm = float(np.linalg.norm(arr))
+    norm = math.sqrt(arr.dot(arr))  # np.linalg.norm's dot and square root
     if norm == 0.0:
         raise ValueError("angle undefined for an all-zero loss vector")
     cosine = arr.sum() / (norm * math.sqrt(arr.size))

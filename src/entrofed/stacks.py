@@ -157,12 +157,14 @@ class ObjectiveStack:
         Without ``subsets``, ``plan.losses()`` returns what :meth:`losses`
         returns at xs as it then is, in pass order: a full-batch round's
         end losses, from the passes the plan has bound. And
-        ``plan.refill(stack)`` makes the plan one of ``stack``, an
-        ``in_pass_order`` stack of its layout (the same model and row
-        counts in pass order), by copying in its rows, and returns True;
-        or returns False, and changes nothing, for a stack of another
-        layout. A run refills its plan for each cohort of one layout; the
-        loop binds nothing, so its plans refill none."""
+        ``plan.refill(stack)`` makes the plan one of ``stack``, a stack of
+        its layout (the same model and row counts in pass order) in any
+        client order, by copying in its rows, and returns the order of
+        ``in_pass_order``; or returns None, and changes nothing, for a
+        stack of another layout. A take's rows need not be gathered: the
+        plan reads them where they lie. A run refills its plan for each
+        cohort of one layout; the loop binds nothing, so its plans refill
+        none."""
         takers = _takers(self.sizes, subsets)
         xs = np.broadcast_to(xs, out.shape)
 
@@ -173,7 +175,7 @@ class ObjectiveStack:
 
         if subsets is None:
             plan.losses = lambda: self.losses(xs)
-            plan.refill = lambda stack: False
+            plan.refill = lambda stack: None
         return plan
 
 
@@ -270,10 +272,16 @@ def _in_size_order(starts, counts) -> tuple[np.ndarray, np.ndarray]:
     """(order, rows) of clients whose rows are the ``counts[i]`` from
     ``starts[i]``: their stable ascending size order, and their row
     positions end to end in it."""
-    order = np.argsort(counts, kind="stable")
-    counts = counts[order]
-    rows = np.repeat(starts[order] - np.cumsum(counts) + counts, counts)
-    return order, rows + np.arange(counts.sum())
+    order = counts.argsort(kind="stable")
+    return order, _row_positions(starts[order], counts[order])
+
+
+def _row_positions(starts, counts) -> np.ndarray:
+    """The positions, end to end, of the rows of clients whose rows are the
+    ``counts[i]`` from ``starts[i]``. Ufunc and method forms: numpy's
+    wrappers (cumsum, repeat) cost more than the work at a cohort's size."""
+    ends = np.add.accumulate(counts)
+    return (starts - ends + counts).repeat(counts) + np.arange(ends[-1] if ends.size else 0)
 
 
 class _Arena:
@@ -323,23 +331,83 @@ class _RowStack(ObjectiveStack):
     It and the arena that the passes write their temporaries into are
     shared by :meth:`take` and :meth:`in_pass_order`.
 
+    A take holds no copy until a pass needs its rows: it keeps the rows of
+    the stack that holds them (``_source``) and, once asked, its rows'
+    positions there (``_positions``), and gathers them into a copy of its
+    own, which the stacks that ``in_pass_order`` makes of it share, on first
+    use (``_rows``). Its size order, the pass-order counts of its layout,
+    is all it makes at once; the rest is made when first read.
+
     Passes run over consecutive positions in that size order. Per-client
     parameters are gathered into it once per call (``_sorted``), and
     results go back to objective order through ``_inverse``, unless the
     objectives are in size order already."""
 
-    def __init__(self, model, counts, order, inputs, targets, cap: int, arena):
+    def __init__(self, model, counts, order, inputs, targets, cap, arena, taken=None):
         self.model = model
         self.sizes = counts
         self._cap = cap
         self._arena = _Arena() if arena is None else arena
         self._order = order
-        self._inverse = np.argsort(order)
-        self._ascending = bool(np.all(counts[:-1] <= counts[1:]))
-        self._counts = sizes = counts[self._order]
-        self._inputs, self._targets = inputs, targets
-        self._starts = np.cumsum(sizes) - sizes
-        self._chunks = _passes(sizes, cap)
+        self._counts = counts[order]
+        self._source = inputs, targets
+        # a take's (parent, positions in the parent's pass order of its
+        # clients in its own), or None for a stack of its source rows; a
+        # take's copy of its rows, once gathered, goes into its empty list
+        self._taken = taken
+        self._held = [] if taken else [inputs, targets]
+
+    @functools.cached_property
+    def _inverse(self) -> np.ndarray:
+        return self._order.argsort()
+
+    @functools.cached_property
+    def _ascending(self) -> bool:
+        return bool((self.sizes[:-1] <= self.sizes[1:]).all())
+
+    @functools.cached_property
+    def _starts(self) -> np.ndarray:
+        return np.cumsum(self._counts) - self._counts
+
+    @functools.cached_property
+    def _chunks(self) -> list[_Pass]:
+        return _passes(self._counts, self._cap)
+
+    @functools.cached_property
+    def _positions(self) -> np.ndarray | None:
+        """Each of a take's rows' position in the source rows, in pass
+        order, through its parent's if the parent is a take too; None for
+        a stack of its source rows."""
+        if self._taken is None:
+            return None
+        parent, at = self._taken
+        rows = _row_positions(parent._starts[at], self._counts)
+        return rows if parent._positions is None else parent._positions[rows]
+
+    def _rows(self) -> list:
+        """[inputs, targets]: the stack's rows, which a take gathers from
+        its source once, when first asked."""
+        held = self._held
+        if not held:
+            held += (a[self._positions] for a in self._source)
+        return held
+
+    @property
+    def _inputs(self) -> np.ndarray:
+        return self._rows()[0]
+
+    @property
+    def _targets(self) -> np.ndarray:
+        return self._rows()[1]
+
+    def _rows_at(self, at) -> tuple:
+        """(inputs, targets, rows): arrays that hold this stack's rows at
+        positions ``at`` in its pass order, at positions ``rows`` in them:
+        its own rows, if it holds them, or else its source's, which a plan
+        then reads without the stack's gathering its own."""
+        if self._held:
+            return (*self._held, at)
+        return (*self._source, self._positions[at])
 
     @functools.cached_property
     def _telemetry(self) -> list[_Pass]:
@@ -375,15 +443,16 @@ class _RowStack(ObjectiveStack):
         return tuple(views[i] for i in self._inverse)
 
     def take(self, ids):
+        # the clients' rows stay in the source until a pass needs them
         at = self._inverse[ids]
         counts = self._counts[at]
-        order, rows = _in_size_order(self._starts[at], counts)
-        taken = (self._inputs[rows], self._targets[rows])
-        return type(self)(self.model, counts, order, *taken, self._arena)
+        order = counts.argsort(kind="stable")
+        taken = self, at[order]
+        return type(self)(self.model, counts, order, *self._source, self._arena, taken)
 
     def in_pass_order(self):
-        # the same rows, passes, arena and telemetry passes, if bound, with
-        # the objectives numbered in size order
+        # the same rows, gathered or not, passes, arena and telemetry
+        # passes, if bound, with the objectives numbered in size order
         stack = copy.copy(self)
         stack.sizes = self._counts
         stack._order = stack._inverse = np.arange(self.m)
@@ -442,33 +511,36 @@ class _RowStack(ObjectiveStack):
             full = self.m - _takers(self._counts, subsets).size
             if np.any((subsets < 0) | (subsets >= self._counts[full:, None])):
                 raise ValueError("sample indices out of range")
-            head = np.arange(self._starts[full] if takes else len(self._inputs))
+            head = np.arange(self._starts[full] if takes else self._counts.sum())
             drawn = (self._starts[full:, None] + subsets).reshape(steps, -1)
             rows = np.concatenate([np.tile(head, (steps, 1)), drawn], axis=1)
             passes = _passes(np.concatenate([self._counts[:full], np.full(takes, r)]), self._cap)
         # the plan's own rows, refilled at each step by one take
         at = _step_major(passes) if self._interleaved else np.arange(passes[-1].rows.stop)
         rows = at[None] if rows is None else rows[:, at]
-        inputs, targets = self._inputs[rows[0]], self._targets[rows[0]]
+        inputs_from, targets_from, rows = self._rows_at(rows)
+        inputs, targets = inputs_from[rows[0]], targets_from[rows[0]]
         bound = self._bind(passes, inputs, targets, True)
         kernels = [self._bind_step(p, xs, out) for p in bound]
 
         def plan(k):
             if subsets is not None:
-                self._inputs.take(rows[k], axis=0, out=inputs, mode="clip")
-                self._targets.take(rows[k], out=targets, mode="clip")
+                inputs_from.take(rows[k], axis=0, out=inputs, mode="clip")
+                targets_from.take(rows[k], out=targets, mode="clip")
             for kernel in kernels:
                 kernel()
 
         def refill(stack):
             # the same model and row counts in pass order: the same passes
-            if getattr(stack, "model", None) is not self.model or not np.array_equal(
-                stack._counts, self._counts
+            counts = self._counts
+            if getattr(stack, "model", None) is not self.model or not (
+                len(stack._counts) == len(counts) and (stack._counts == counts).all()
             ):
-                return False
-            stack._inputs.take(at, axis=0, out=inputs, mode="clip")
-            stack._targets.take(at, out=targets, mode="clip")
-            return True
+                return None
+            rows_from = stack._rows_at(at)
+            rows_from[0].take(rows_from[2], axis=0, out=inputs, mode="clip")
+            rows_from[1].take(rows_from[2], out=targets, mode="clip")
+            return stack._order
 
         if subsets is None:
             plan.losses = self._bind_losses(bound, xs, at)
@@ -499,8 +571,8 @@ class _RowStack(ObjectiveStack):
 
 
 class _GlrStack(_RowStack):
-    def __init__(self, model, counts, order, inputs, targets, arena=None):
-        super().__init__(model, counts, order, inputs, targets, STACK_BLOCK_ROWS, arena)
+    def __init__(self, model, counts, order, inputs, targets, arena=None, taken=None):
+        super().__init__(model, counts, order, inputs, targets, STACK_BLOCK_ROWS, arena, taken)
 
     _view = staticmethod(GlrObjective)
     _cut = ("inputs", "targets")
@@ -781,9 +853,9 @@ def _mean_calls(p, parts, out) -> list:
 
 
 class _ClassifierStack(_RowStack):
-    def __init__(self, model, counts, order, inputs, targets, arena=None):
+    def __init__(self, model, counts, order, inputs, targets, arena=None, taken=None):
         cap = max(1, STACK_BLOCK_ROWS * 10 // max(model.n_classes, model.hidden))
-        super().__init__(model, counts, order, inputs, targets, cap, arena)
+        super().__init__(model, counts, order, inputs, targets, cap, arena, taken)
 
     _cut = ("inputs",)
 

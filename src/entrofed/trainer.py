@@ -179,10 +179,15 @@ def compute_fair_gradient(grads, losses, tau: float) -> np.ndarray:
     losses = np.asarray(losses, dtype=np.float64)
     if grads.ndim != 2 or len(grads) != losses.size or losses.size == 0:
         raise ValueError("need one gradient row per loss")
-    out = np.zeros(grads.shape[1])
-    for w, g in zip(eba_weights(losses, tau), grads):
-        out += w * g
-    return out
+    # The loop ``out = 0; out += w_i * g_i`` in one call: a reduce down the
+    # rows of a C-ordered matrix adds them in row order from its initial
+    # +0.0. Numpy drops a one-wide column axis, though, and sums a lone
+    # column pairwise; a running sum keeps its row order, and its final
+    # + 0.0 turns a sum of -0.0 terms to +0.0, as the loop's start does.
+    weighted = eba_weights(losses, tau)[:, None] * grads
+    if weighted.shape[1] == 1:
+        return np.add.accumulate(weighted)[-1] + 0.0
+    return np.add.reduce(weighted, 0, initial=0.0)
 
 
 def _minibatch_orders(sizes, batch_size: int | None, steps: int, rngs) -> np.ndarray | None:
@@ -230,20 +235,29 @@ class _RunPlan:
     """A run's local-SGD step plans. ``bind`` gives a round's (plan, x, g):
     a ``step_plan`` of the round's stack bound to a parameter matrix x,
     each row at x_start, and a gradient matrix g. It keeps the full-batch
-    plan bound last, with its x and g: a later cohort of its layout (the
-    same model and row counts in pass order) refills it, and x restarts at
-    x_start; g needs no reset, as each step writes all of it. So a run whose
-    cohorts share one layout binds one full-batch plan. A minibatch plan is
-    bound for its round and not kept. A run's plans live as long as it."""
+    plan bound last, with its x and g: ``refill`` gives them to a later
+    cohort of its layout (the same model and row counts in pass order),
+    whose rows the plan then reads straight from where they lie, with x
+    restarted at x_start; g needs no reset, as each step writes all of it.
+    So a run whose cohorts share one layout binds one full-batch plan. A
+    minibatch plan is bound for its round and not kept. A run's plans live
+    as long as it."""
 
     def __init__(self):
         self._kept = None
 
-    def bind(self, stack: ObjectiveStack, x_start: np.ndarray, subsets=None):
+    def refill(self, cohort: ObjectiveStack, x_start: np.ndarray):
+        """((plan, x, g), order): the kept plan refilled with the cohort's
+        rows, and the cohort's pass order (as ``in_pass_order`` gives it);
+        or None, with nothing changed, if the cohort has another layout."""
         kept = self._kept
-        if subsets is None and kept is not None and kept[0].refill(stack):
-            kept[1][...] = x_start
-            return kept
+        order = None if kept is None else kept[0].refill(cohort)
+        if order is None:
+            return None
+        kept[1][...] = x_start
+        return kept, order
+
+    def bind(self, stack: ObjectiveStack, x_start: np.ndarray, subsets=None):
         x = np.repeat(x_start[None], stack.m, axis=0)
         g = np.empty_like(x)
         bound = stack.step_plan(x, g, subsets), x, g
@@ -270,15 +284,17 @@ def _local_steps(
     g, or along (1 - alpha) * g + alpha * fair_grad when a fair gradient is
     given; the one-step displacement is recorded only for plain steps. The
     end loss is a full-batch snapshot. The steps keep the clients in the
-    stack's pass order (``in_pass_order``) and run one ``step_plan`` of it,
-    bound to the round's parameter and gradient matrices, which the loop
-    updates in place: every step is one pass of the cohort over its
-    minibatches and full sets. The run's ``plan`` (a ``_RunPlan`` of this
-    call alone if none is given) binds it, or refills the full-batch plan
-    it keeps when the cohort has that plan's layout. A full-batch round
-    takes its end losses from the plan; a minibatch round's are one
-    ``losses`` pass. The results go back to cohort order once, into new
-    arrays."""
+    stack's pass order and run one ``step_plan`` of it, bound to the
+    round's parameter and gradient matrices, which the loop updates in
+    place: every step is one pass of the cohort over its minibatches and
+    full sets. A full-batch round first offers the cohort to the run's
+    ``plan`` (a ``_RunPlan`` of this call alone if none is given), which
+    refills the full-batch plan it keeps when the cohort has that plan's
+    layout, from the cohort's rows where they lie; only when it does not
+    is the cohort copied in pass order (``in_pass_order``), its minibatch
+    orders drawn, and a plan bound. A full-batch round takes its end
+    losses from the plan; a minibatch round's are one ``losses`` pass. The
+    results go back to cohort order once, into new arrays."""
     if not cohort.m:
         raise ValueError("need at least one client objective")
     if steps < 1:
@@ -291,12 +307,19 @@ def _local_steps(
     rngs = [None] * cohort.m if rngs is None else list(rngs)
     if len(rngs) != cohort.m:
         raise ValueError(f"{len(rngs)} minibatch streams for {cohort.m} clients")
-    stack, order = cohort.in_pass_order()
-    subsets = _minibatch_orders(stack.sizes, batch_size, steps, [rngs[i] for i in order])
     plan = _RunPlan() if plan is None else plan
-    step, x, g = plan.bind(stack, x_start, subsets)
+    # full-batch steps: no client has more than batch_size samples
+    full_batch = batch_size is None or not (cohort.sizes > batch_size).any()
+    kept = plan.refill(cohort, x_start) if full_batch else None
+    if kept is None:
+        stack, order = cohort.in_pass_order()
+        subsets = _minibatch_orders(stack.sizes, batch_size, steps, [rngs[i] for i in order])
+        step, x, g = plan.bind(stack, x_start, subsets)
+    else:
+        (step, x, g), order = kept
+        subsets = None
     fair_share = None if fair_grad is None else alpha * fair_grad
-    back = np.argsort(order)
+    back = order.argsort()
     one_step = None
     for k in range(steps):
         step(k)
@@ -369,7 +392,9 @@ def aggregate_model_alignment(deltas, one_step, p, alpha: float) -> np.ndarray:
     average of one-step local updates: (1-a) sum p_i d_i + a mean(d1_i)."""
     if one_step is None or np.shape(one_step) != np.shape(deltas):
         raise ValueError("model alignment needs a one-step delta per delta")
-    return (1.0 - alpha) * aggregate_plain(deltas, p) + alpha * np.mean(one_step, axis=0)
+    plain = aggregate_plain(deltas, p)
+    # the mean of the one-step rows: np.mean's sum and division
+    return (1.0 - alpha) * plain + alpha * (np.add.reduce(one_step, 0) / len(one_step))
 
 
 def server_update(x_t: np.ndarray, delta: np.ndarray, lr: float) -> np.ndarray:
@@ -384,10 +409,10 @@ def server_update(x_t: np.ndarray, delta: np.ndarray, lr: float) -> np.ndarray:
 def _chi_square_or_inf(weights: np.ndarray) -> float:
     """``chi_square_divergence(uniform_weights(s), weights)``, or inf at a
     weight of 0, without checking the uniform weights it makes."""
-    if np.any(weights <= 0.0):
+    if (weights <= 0.0).any():
         return float("inf")
     d = uniform_weights(weights.size) - weights
-    chi = float(np.sum(d * d / weights))
+    chi = float(np.add.reduce(d * d / weights))
     if math.isnan(chi):  # a weight is NaN or +inf
         raise ValueError("p must contain only finite values")
     return chi
@@ -434,7 +459,7 @@ def run_round(
     cohort = federation.train.take(sampled)
     start_losses = train_losses[sampled]
     # an all-zero loss vector has no direction; treat it as perfectly fair
-    angle = 0.0 if np.all(start_losses == 0.0) else fair_angle(start_losses)
+    angle = 0.0 if (start_losses == 0.0).all() else fair_angle(start_losses)
     eba = cfg.method == "fedeba_plus"
     tau = schedule_tau(cfg.eba, round_index) if eba else float("nan")
     aligned = eba and angle > cfg.theta
@@ -479,7 +504,7 @@ def run_round(
         branch="aligned" if aligned else "plain",
         sampled=sampled,
         weights=weights,
-        global_train_loss=float(train_next.mean()),
+        global_train_loss=float(np.add.reduce(train_next) / federation.m),
         loss_variance=fairness.loss_variance,
         accuracy_variance=fairness.accuracy_variance,
         worst_tail_accuracy=fairness.worst_tail_accuracy,

@@ -56,6 +56,10 @@ KERNELS = "tests/test_objectives.py::TestClassAxisKernels"
 MEANS = "tests/test_objectives.py::TestClientMeans"
 WIDE = f"{TEST_OBJECTIVES}::test_matches_per_client_calls_at_wide_class_axes"
 RUN_PLAN = "tests/test_trainer.py::TestRunPlan::test_a_refilled_plan_gives_the_bits_of_fresh_plans"
+LAZY_TAKE = "tests/test_objectives.py::TestStackTake::test_a_lazy_take_is_an_eager_copy"
+LAZY_COHORTS = "tests/test_trainer.py::TestLazyCohorts"
+FAIR_ANGLE_FORM = "tests/test_core.py::TestFairAngle::test_is_the_wrapper_form_bit_for_bit"
+FAIR_GRADIENT_LOOP = "tests/test_trainer.py::TestFairGradient::test_is_the_loop_bit_for_bit"
 HARNESS = "src/entrofed/harness.py"
 CORE = "src/entrofed/core.py"
 ONE_RULE = "tests/test_harness.py::test_one_rule_reached_from_file_and_dataclass"
@@ -70,8 +74,8 @@ MUTANTS = (
     Mutant(
         "plan-without-refill",
         STACKS,
-        'self._inputs.take(rows[k], axis=0, out=inputs, mode="clip")',
-        'self._inputs.take(rows[0], axis=0, out=inputs, mode="clip")',
+        'inputs_from.take(rows[k], axis=0, out=inputs, mode="clip")',
+        'inputs_from.take(rows[0], axis=0, out=inputs, mode="clip")',
         (
             f"{TEST_OBJECTIVES}::test_plans_check_takers_when_bound_and_refill_rows_each_step",
             f"{COHORT}::test_classifier_cohort",
@@ -131,6 +135,68 @@ MUTANTS = (
         "rng._count += 0",
         ("tests/test_core.py::TestManyStreams::test_next_uniforms_read_and_advance_each_stream",),
     ),
+    # a take gathers its rows when a pass first needs them, and a kept plan
+    # reads a cohort's rows where they lie
+    Mutant(
+        "refill-without-the-plans-row-map",
+        STACKS,
+        "rows_from = stack._rows_at(at)",
+        "rows_from = stack._rows_at(np.arange(at.size))",
+        (
+            f"{RUN_PLAN}[softmax]",
+            f"{RUN_PLAN}[mlp]",
+            f"{LAZY_COHORTS}::test_runs_of_repeating_layouts_are_the_loop_trainers",
+        ),
+    ),
+    Mutant(
+        "refill-gathers-the-cohort",
+        STACKS,
+        "rows_from = stack._rows_at(at)",
+        "rows_from = stack._inputs, stack._targets, at",
+        (f"{LAZY_COHORTS}::test_a_kept_plan_round_copies_no_cohort", LAZY_TAKE),
+    ),
+    Mutant(
+        "kept-plan-in-cohort-order",
+        STACKS,
+        "return stack._order",
+        "return np.arange(stack.m)",
+        (LAZY_TAKE, f"{LAZY_COHORTS}::test_runs_of_repeating_layouts_are_the_loop_trainers"),
+    ),
+    Mutant(
+        "take-of-a-take-without-its-parents-positions",
+        STACKS,
+        "return rows if parent._positions is None else parent._positions[rows]",
+        "return rows",
+        (LAZY_TAKE,),
+    ),
+    Mutant(
+        "in-pass-order-stack-gathers-apart",
+        STACKS,
+        "        stack = copy.copy(self)\n",
+        "        stack = copy.copy(self)\n        stack._held = list(self._held)\n",
+        (LAZY_TAKE,),
+    ),
+    Mutant(
+        "fair-angle-without-its-square-root",
+        CORE,
+        "norm = math.sqrt(arr.dot(arr))",
+        "norm = arr.dot(arr)",
+        (FAIR_ANGLE_FORM, "tests/test_golden.py::test_run_reproduces_golden_files"),
+    ),
+    Mutant(
+        "fair-angle-summed-in-reverse",
+        CORE,
+        "cosine = arr.sum() / (norm * math.sqrt(arr.size))",
+        "cosine = arr[::-1].sum() / (norm * math.sqrt(arr.size))",
+        (FAIR_ANGLE_FORM, "tests/test_golden.py::test_run_reproduces_golden_files"),
+    ),
+    Mutant(
+        "fair-gradient-reduced-pairwise-in-a-lone-column",
+        TRAINER,
+        "    if weighted.shape[1] == 1:\n",
+        "    if False:\n",
+        (FAIR_GRADIENT_LOOP,),
+    ),
     Mutant(
         "narrow-fair-angle-rescale-band",
         "src/entrofed/core.py",
@@ -165,7 +231,7 @@ MUTANTS = (
     Mutant(
         "cohort-results-gathered-by-order",
         TRAINER,
-        "back = np.argsort(order)",
+        "back = order.argsort()",
         "back = order",
         (f"{COHORT}::test_classifier_cohort", f"{COHORT}::test_glr_cohort"),
     ),
@@ -209,8 +275,8 @@ MUTANTS = (
     Mutant(
         "chi-square-inf-only-when-every-weight-is-zero",
         TRAINER,
-        "if np.any(weights <= 0.0):",
-        "if np.all(weights <= 0.0):",
+        "if (weights <= 0.0).any():",
+        "if (weights <= 0.0).all():",
         (f"{CHI}::test_a_zero_weight_is_infinite_without_a_division",),
     ),
     Mutant(

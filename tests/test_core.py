@@ -566,6 +566,49 @@ class TestFairAngle:
                 want = fair_angle(arr / peak) if rescaled else direct(arr)
                 assert fair_angle(arr) == want, (peak, rescaled)
 
+    @staticmethod
+    def wrapper_form(losses):
+        """fair_angle as written with numpy's wrappers, np.any and
+        np.linalg.norm, which its method forms must match bit for bit."""
+        arr = np.asarray(losses, dtype=np.float64)
+        if arr.ndim != 1 or arr.size == 0 or not np.all(np.isfinite(arr)):
+            raise ValueError("not a nonempty finite vector")
+        if np.any(arr < 0.0):
+            raise ValueError("losses must be nonnegative")
+        peak = arr.max()
+        if peak > 0.0 and not 2.0**-500 <= peak <= 2.0**500:
+            arr = arr / peak
+        norm = float(np.linalg.norm(arr))
+        if norm == 0.0:
+            raise ValueError("angle undefined for an all-zero loss vector")
+        cosine = arr.sum() / (norm * math.sqrt(arr.size))
+        return math.acos(min(1.0, max(-1.0, cosine)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.sampled_from([0.0, -0.0, 5e-324, 2.5e-310, 1e-300, 1e300, 1.7e308, math.inf, math.nan])
+            | st.floats(0.0, 1e300)
+            | st.floats(-1.0, 0.0),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    # 9 terms, which numpy's sum adds as 8 partial sums and a remainder: the
+    # reversed order rounds the cosine differently
+    @example([0.1, 0.7, 0.3, 1e-5, 0.9, 0.2, 0.6, 0.8, 3.0])
+    def test_is_the_wrapper_form_bit_for_bit(self, losses):
+        # signed zeros, subnormals, values near 1e300 and the largest float,
+        # whose squares overflow; infinities, NaNs and negatives raise in
+        # both forms
+        try:
+            want = self.wrapper_form(losses)
+        except ValueError:
+            with pytest.raises(ValueError):
+                fair_angle(losses)
+            return
+        assert np.float64(fair_angle(losses)).tobytes() == np.float64(want).tobytes()
+
     def test_rejects_degenerate_and_negative(self):
         with pytest.raises(ValueError, match="zero"):
             fair_angle([0.0, 0.0])

@@ -1075,6 +1075,96 @@ class TestStackTake:
         if family != "quadratic":
             assert got.model is stack.model
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        family=st.sampled_from(["glr", "glr-stack", "softmax", "mlp-tanh", "mlp-relu"]),
+        sizes=st.lists(st.integers(1, 7), min_size=1, max_size=10),
+        data=st.data(),
+    )
+    @example(family="softmax", sizes=[3, 6, 3, 6, 6, 1, 3], data=None)
+    def test_a_lazy_take_is_an_eager_copy(self, family, sizes, data):
+        # A take, and a take of a take, gathers nothing until a pass needs
+        # its rows, and then gives what a stack of copies of its objectives
+        # gives, bit for bit: a step plan bound before it gathers (reading
+        # the source rows), a kept plan refilled from it before and after
+        # it gathers, and every pass after it gathers. An in-pass-order
+        # stack of a take that has not gathered shares the take's one
+        # gather.
+        rng = SeededRng(len(sizes) + sum(sizes))
+        if family == "glr-stack":
+            n = sizes[0]
+            sizes = [n] * len(sizes)
+            design, targets = rng.normals(len(sizes) * n * 3), rng.normals(len(sizes) * n)
+            stack = stacks.glr_stack(design.reshape(len(sizes), n, 3), targets.reshape(len(sizes), n))
+        else:
+            stack = stack_objectives([STACK_FAMILIES[family](rng, n) for n in sizes])
+        objs = stack.objectives
+        m = len(sizes)
+        if data is None:
+            ids, inner = [6, 1, 4, 0, 3, 2], [5, 2, 0, 3]
+        else:
+            ids = data.draw(st.permutations(range(m)))[: data.draw(st.integers(1, m))]
+            inner = data.draw(st.permutations(range(len(ids))))
+            inner = inner[: data.draw(st.integers(1, len(ids)))]
+        first = stack.take(np.array(ids))
+        # made at once: the model, sizes, size order and pass-order counts
+        lazy = {"_inverse", "_ascending", "_starts", "_chunks", "_positions", "_telemetry"}
+        assert not lazy & set(vars(first))
+        cases = [(first, ids), (first.take(np.array(inner)), [ids[j] for j in inner])]
+        x = 0.5 * rng.normals(stack.dimension)
+        for got, picked in cases:
+            want = stack_objectives([objs[i] for i in picked])
+            assert not got._held
+            assert got.sizes.tobytes() == want.sizes.tobytes() and got.model is stack.model
+            xs = 0.5 * rng.normals(got.m * stack.dimension).reshape(got.m, -1)
+            r = 2
+            drawn = np.array(
+                [[rng.permutation(int(n))[:r] for n in got.sizes if n > r] for _ in range(2)],
+                dtype=np.int64,
+            ).reshape(2, -1, r)
+            wanted = plan_gradients(want, xs, drawn)
+            assert plan_gradients(got, xs, drawn).tobytes() == wanted.tobytes()
+            # the copies' full-batch step and losses, which a kept plan of
+            # the take's layout, bound to a take of other clients of its
+            # sizes where the stack has them, gives once refilled from it
+            ordered, order = want.in_pass_order()
+            bound = np.ascontiguousarray(xs[order])
+            out = np.empty_like(bound)
+            plan = ordered.step_plan(bound, out)
+            plan(0)
+            kept = out.tobytes(), plan.losses().tobytes()
+            groups = {n: np.flatnonzero(stack.sizes == n) for n in set(sizes)}
+            donor = [np.roll(groups[sizes[i]], 1)[groups[sizes[i]] == i][0] for i in picked]
+            plan = stack.take(np.array(donor)).in_pass_order()[0].step_plan(bound, out)
+            plan(0)
+            assert plan.refill(got).tobytes() == order.tobytes()
+            plan(0)
+            assert (out.tobytes(), plan.losses().tobytes()) == kept
+            assert not got._held
+            # an in-pass-order stack of the take gathers for both
+            in_order, _ = got.in_pass_order()
+            assert in_order.gradients(bound).tobytes() == ordered.gradients(bound).tobytes()
+            assert got._held and got._held is in_order._held
+            held = [a.copy() for a in got._held]
+            plan.refill(got)
+            plan(0)
+            assert (out.tobytes(), plan.losses().tobytes()) == kept
+            pairs = [
+                (got.losses(x), want.losses(x)),
+                (got.losses(xs), want.losses(xs)),
+                (got.gradients(x), want.gradients(x)),
+                (got.gradients(xs), want.gradients(xs)),
+                (plan_gradients(got, xs, drawn), wanted),
+                *zip(got.evaluate(x), want.evaluate(x)),
+            ]
+            for a, b in pairs:
+                assert a.tobytes() == b.tobytes()
+            for a, b in zip(got.objectives, want.objectives, strict=True):
+                for u, v in zip(a._rows(), b._rows(), strict=True):
+                    assert u.tobytes() == v.tobytes()
+            for a, b in zip(got._held, held, strict=True):
+                assert a.tobytes() == b.tobytes()
+
     @pytest.mark.parametrize("family", sorted(set(STACK_FAMILIES) - {"quadratic"}))
     def test_objectives_are_views_of_the_rows(self, family):
         rng = SeededRng(39)

@@ -46,6 +46,12 @@ from entrofed.trainer import (
 
 SOFTMAX_0_45_TAU1 = (0.0109869426305931800, 0.9890130573694068200)
 
+# signed zeros, subnormals, values near 1e300 and non-finite values, among
+# ordinary ones: what a method form must treat as its wrapper form did
+SPECIAL_FLOATS = st.sampled_from(
+    [0.0, -0.0, 5e-324, -2.5e-310, 1e-300, 1e300, -1.7e308, math.inf, -math.inf, math.nan]
+) | st.floats(-2.0, 2.0)
+
 
 class FlatObjective(LocalObjective):
     """Zero gradient everywhere; isolates the fair-gradient accumulation."""
@@ -121,6 +127,42 @@ class TestFairGradient:
     def test_single_client_passthrough(self):
         g = compute_fair_gradient([np.array([3.0, -1.0])], [2.0], 1.0)
         assert g == pytest.approx([3.0, -1.0], abs=1e-15)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 40), st.sampled_from([1, 2, 3, 8, 81])),
+        data=st.data(),
+    )
+    # 9 rows of one column, which numpy's reduce would sum pairwise, and
+    # 4 rows of -0.0, whose sums the loop makes +0.0
+    @example(shape=(9, 1), data=None)
+    @example(shape=(4, 2), data=None)
+    def test_is_the_loop_bit_for_bit(self, shape, data):
+        # The reduction against the loop it replaced: from +0.0, w_i * g_i
+        # added in row order, with rows of -0.0, signed zeros, infinities,
+        # subnormals and values near 1e300 among the entries, and weights of
+        # 0, whose products with inf are NaN.
+        s, d = shape
+        special = [0.0, -0.0, math.inf, -math.inf, 5e-324, -1e300, 1e300]
+        rng = SeededRng(sum(shape))
+        grads = rng.normals(s * d).reshape(s, d) * 10.0 ** (16 * rng.uniforms(s)[:, None] - 8)
+        losses = 3.0 * rng.uniforms(s)
+        tau = 0.5
+        if data is None:
+            grads[:4] = -0.0
+        else:
+            entries = data.draw(st.lists(st.sampled_from(special), max_size=s * d))
+            at = data.draw(st.permutations(range(s * d)))[: len(entries)]
+            grads.reshape(-1)[at] = entries
+            grads[data.draw(st.lists(st.integers(0, s - 1), max_size=s))] = -0.0
+            losses[data.draw(st.lists(st.integers(0, s - 1), max_size=s))] = 800.0
+            tau = data.draw(st.sampled_from([0.5, 1.0, 1e-3]))
+        with np.errstate(all="ignore"):
+            want = np.zeros(d)
+            for w, g in zip(eba_weights(losses, tau), grads):
+                want += w * g
+            got = compute_fair_gradient(grads, losses, tau)
+        assert got.tobytes() == want.tobytes()
 
     def test_dimension_mismatch(self):
         # gradients come as an (s, D) matrix, one row per loss
@@ -606,6 +648,135 @@ class TestRunPlan:
         assert again.end_losses.tobytes() == full.end_losses.tobytes()
 
 
+class _CountedRows(np.ndarray):
+    """A stack's source rows that add to ``reads[name]`` the count of rows
+    each gather reads from them, by integer index or ``take``; what they
+    give is a plain array."""
+
+    def __getitem__(self, key):
+        if isinstance(key, np.ndarray) and key.dtype.kind in "iu":
+            self.reads[self.name] += key.size
+        return super().__getitem__(key).view(np.ndarray)
+
+    def take(self, indices, *args, **kwargs):
+        self.reads[self.name] += np.size(indices)
+        return super().take(indices, *args, **kwargs)
+
+
+class TestLazyCohorts:
+    """A round's cohort is a take of the train stack that gathers its rows
+    only when a pass needs them. A full-batch round whose cohort has the
+    run's kept plan's layout refills that plan straight from the train
+    rows: it copies no cohort, and no round gathers a cohort row twice.
+    Runs of federations of unequal sizes, whose layouts repeat while the
+    cohorts come in another order than their passes, keep the bits of the
+    per-client loop trainer."""
+
+    SIZES = [3, 6, 6, 3, 6, 3, 3, 6, 6, 3]
+    # thresholds, in degrees, that each family's angles cross both ways
+    THETA = {"glr": 24.0, "mlp": 1.5, "softmax": 4.0}
+
+    def federation(self, family, seed):
+        rng = SeededRng(seed)
+        make = TestRunPlan.FAMILIES[family]
+        train = [make(rng, n) for n in self.SIZES]
+        test = [make(rng, 2 + n % 4) for n in self.SIZES]
+        return Federation(stack_objectives(train), stack_objectives(test)), train, test
+
+    def config(self, family, **over):
+        base = dict(
+            rounds=14, local_steps=2, clients_per_round=3, local_lr=0.3, alpha=0.4,
+            theta=math.radians(self.THETA[family]), seed=3,
+        )
+        return TrainerConfig(**(base | over))
+
+    def traced_run(self, monkeypatch, fed, cfg):
+        """run_training on fed, with per round: its branch, the order the
+        kept plan refilled with (None if it bound a plan), the count of the
+        cohort's gathers into a copy of its own, the rows read from each of
+        the train stack's source arrays, and the cohort's row count."""
+        reads = {"inputs": 0, "targets": 0}
+        rows = []
+        for name, a in zip(reads, fed.train._source):
+            a = a.view(_CountedRows)
+            a.reads, a.name = reads, name
+            rows.append(a)
+        fed.train._source, fed.train._held = tuple(rows), rows
+        events = {"refill": None, "gathers": 0}
+        refill, gather = trainer._RunPlan.refill, stacks._RowStack._rows
+
+        def spied_refill(self, cohort, x_start):
+            kept = refill(self, cohort, x_start)
+            events["refill"] = None if kept is None else kept[1]
+            return kept
+
+        def spied_gather(self):
+            events["gathers"] += not self._held
+            return gather(self)
+
+        monkeypatch.setattr(trainer._RunPlan, "refill", spied_refill)
+        monkeypatch.setattr(stacks._RowStack, "_rows", spied_gather)
+        rounds = []
+
+        def on_round(report, x):
+            rows = int(fed.train.sizes[report.sampled].sum())
+            read = (reads["inputs"], reads["targets"])
+            rounds.append((report.branch, events["refill"], events["gathers"], read, rows))
+            reads.update(inputs=0, targets=0)
+            events.update(refill=None, gathers=0)
+
+        run_training(fed, cfg, on_round=on_round)
+        return rounds
+
+    @pytest.mark.parametrize("prior", EbaConfig.PRIORS)
+    @pytest.mark.parametrize("family", sorted(TestRunPlan.FAMILIES))
+    def test_runs_of_repeating_layouts_are_the_loop_trainers(self, family, prior):
+        fed, train, test = self.federation(family, 31)
+        cfg = self.config(family, eba=EbaConfig(prior=prior))
+        x0 = np.zeros(fed.dimension)
+        assert_run_matches_loop(fed, cfg, x0, train, test, (family, prior))
+        # both branches, and kept plans refilled for cohorts out of pass order
+        refills = []
+        refill = trainer._RunPlan.refill
+
+        def spied(self, cohort, x_start):
+            kept = refill(self, cohort, x_start)
+            refills.append(None if kept is None else kept[1].tolist())
+            return kept
+
+        with mock.patch.object(trainer._RunPlan, "refill", spied):
+            reports, _ = run_training(fed, cfg, x0)
+        assert {r.branch for r in reports} == {"plain", "aligned"}
+        kept = [order for order in refills if order is not None]
+        assert any(order != sorted(order) for order in kept), refills
+
+    @pytest.mark.parametrize("family", sorted(TestRunPlan.FAMILIES))
+    def test_a_kept_plan_round_copies_no_cohort(self, monkeypatch, family):
+        fed, _, _ = self.federation(family, 33)
+        rounds = self.traced_run(monkeypatch, fed, self.config(family))
+        assert {branch for branch, *_ in rounds} == {"plain", "aligned"}
+        kept = [order.tolist() for _, order, *_ in rounds if order is not None]
+        assert any(order != sorted(order) for order in kept), rounds
+        for branch, order, gathers, read, rows in rounds:
+            # the aligned branch's start gradients run on the cohort's own
+            # passes, which its gather makes; a plan reads no other copy
+            assert gathers == (branch == "aligned"), (branch, order)
+            # every cohort row read from the train rows once: into the
+            # cohort's copy or into the plan, never both
+            assert read == (rows, rows), (branch, order)
+
+    @pytest.mark.parametrize("family", sorted(TestRunPlan.FAMILIES))
+    def test_a_minibatch_round_gathers_its_cohort_once(self, monkeypatch, family):
+        # the plan reads the minibatch rows where they lie, step by step;
+        # the end losses' pass gathers the cohort once, for the take and
+        # its in-pass-order stack alike
+        fed, _, _ = self.federation(family, 34)
+        rounds = self.traced_run(monkeypatch, fed, self.config(family, batch_size=2))
+        assert {branch for branch, *_ in rounds} == {"plain", "aligned"}
+        for branch, order, gathers, _, _ in rounds:
+            assert order is None and gathers == 1, branch
+
+
 class TestChiSquareOrInf:
     """A round's chi-square of its weights against uniform weights, which
     it makes itself and does not check."""
@@ -620,6 +791,24 @@ class TestChiSquareOrInf:
     def test_a_zero_weight_is_infinite_without_a_division(self):
         with np.errstate(all="raise"):
             assert trainer._chi_square_or_inf(np.array([0.5, 0.5, 0.0])) == math.inf
+
+    @given(weights=st.lists(SPECIAL_FLOATS, min_size=1, max_size=30))
+    @settings(max_examples=300, deadline=None)
+    def test_is_the_wrapper_form_bit_for_bit(self, weights):
+        # the method forms (.any(), np.add.reduce) against np.any and np.sum
+        p = np.array(weights)
+        with np.errstate(all="ignore"):
+            if np.any(p <= 0.0):
+                want = math.inf
+            else:
+                d = uniform_weights(p.size) - p
+                want = float(np.sum(d * d / p))
+            if math.isnan(want):
+                with pytest.raises(ValueError, match="only finite values"):
+                    trainer._chi_square_or_inf(p)
+                return
+            got = trainer._chi_square_or_inf(p)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_weights_are_rejected(self, bad):
@@ -652,6 +841,24 @@ class TestAggregation:
         assert aggregate_model_alignment(deltas, one_step, [0.5, 0.5], 1.0)[0] == 0.25
         blended = aggregate_model_alignment(deltas, one_step, [0.9, 0.1], 0.5)
         assert blended[0] == pytest.approx(0.5 * (0.9 * 2 - 0.1) + 0.5 * 0.25, abs=1e-15)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 12), st.integers(1, 5)),
+        alpha=st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0),
+        data=st.data(),
+    )
+    def test_model_alignment_is_the_wrapper_form_bit_for_bit(self, shape, alpha, data):
+        # the one-step mean as np.add.reduce over the count, against np.mean
+        s, d = shape
+        entries = st.lists(SPECIAL_FLOATS, min_size=s * d, max_size=s * d)
+        deltas = np.array(data.draw(entries)).reshape(s, d)
+        one_step = np.array(data.draw(entries)).reshape(s, d)
+        p = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=s, max_size=s)))
+        with np.errstate(all="ignore"):
+            want = (1.0 - alpha) * aggregate_plain(deltas, p) + alpha * np.mean(one_step, axis=0)
+            got = aggregate_model_alignment(deltas, one_step, p, alpha)
+        assert got.tobytes() == want.tobytes()
 
     def test_alignment_requires_one_step_deltas(self):
         with pytest.raises(ValueError, match="one-step"):
@@ -742,6 +949,21 @@ class TestRunRound:
         assert np.all(report.weights > 0)
         assert abs(report.weights.sum() - 1.0) < 1e-9
         assert len(report.sampled) == 6
+
+    @settings(max_examples=100, deadline=None)
+    @given(losses=st.lists(SPECIAL_FLOATS | st.floats(0.0, 1e300), min_size=10, max_size=10))
+    def test_global_train_loss_is_the_mean_bit_for_bit(self, losses):
+        # the report's global train loss, np.add.reduce over the count,
+        # against the train losses' mean()
+        fed = quadratic_federation()
+        fed = Federation(fed.train, quadratic_federation(seed=5).train)
+        x = np.zeros(1)
+        train = np.array(losses)
+        fed.train.losses = lambda xs: train.copy()
+        with np.errstate(all="ignore"):
+            _, _, report = run_round(fed, x, self._cfg(), 1, SeededRng(3), start_losses(fed, x))
+            want = train.mean()
+        assert np.float64(report.global_train_loss).tobytes() == want.tobytes()
 
     def test_start_losses_are_the_given_train_losses(self):
         fed = quadratic_federation(scale=1.0)
